@@ -34,8 +34,8 @@ from .errors import (
     SolvabilityError,
     ZemGameError,
 )
-from .numerics import DEFAULT_GRID_NODES, TimeGrid, quad_adaptive
-from .reduction import AffineInTime, Constant, coefficients, kernels as build_kernels
+from .numerics import DEFAULT_GRID_NODES, TimeGrid
+from .reduction import AffineInTime, Constant, coefficients, integral_g_e, kernels as build_kernels
 from .simulate import cross_play, evaluate_cost, playout_reduced, saddle_probe
 from .solver import (
     classify as classify_position,
@@ -107,6 +107,8 @@ def _number(doc: dict, path: str, required: bool = True, default=None) -> Option
         return None
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ScenarioFormatError("key %r must be a number" % path)
+    if not np.isfinite(value):
+        raise ScenarioFormatError("key %r must be finite" % path)
     return float(value)
 
 
@@ -172,12 +174,12 @@ def scenario_from_document(doc: dict) -> EngagementScenario:
         z0 = _number(doc, "initial.z0")
         w0 = _number(doc, "initial.w0")
     else:
-        for key in ("Vp", "Ve", "phi_p0", "phi_e0"):
-            if key not in initial:
-                raise ScenarioFormatError("missing key %r" % ("initial.%s" % key))
-        geometry = EngagementGeometry(Vp=float(initial["Vp"]), Ve=float(initial["Ve"]),
-                                      phi_p0=float(initial["phi_p0"]),
-                                      phi_e0=float(initial["phi_e0"]))
+        values = {key: _number(doc, "initial.%s" % key)
+                  for key in ("Vp", "Ve", "phi_p0", "phi_e0")}
+        try:
+            geometry = EngagementGeometry(**values)
+        except ValueError as exc:
+            raise ScenarioFormatError("initial: %s" % exc)
         z0, w0 = initial_zem(geometry, t_f, t_c)
     try:
         return EngagementScenario(pursuer=pursuer, evader=evader, t_f=t_f, t_c=t_c,
@@ -393,7 +395,7 @@ def _repro_checks(tol_scale: float) -> list[_Check]:
     add("w_f- playout", play_minus.w_f, -32.5, 0.01, "dw = g_e u_e integrated")
     add("z_f- playout", play_minus.z_f, 27.85, 0.05, "dz = h_p u_p + h_e u_e integrated")
 
-    int_ge = quad_adaptive(lambda t: kern.g_e(t), 0.0, scenario.t_f)
+    int_ge = integral_g_e(scenario)
     ue_bar = (coeffs.bound - at.w0) / int_ge
     add("ue_bar+", ue_bar, 101.92, 0.05, "ue_bar = (bound - w0)/int g_e")
     j_const = evaluate_cost(at, kern, plus.u_p, Constant(ue_bar), grid).total

@@ -22,6 +22,12 @@ def _as_float_array(value, shape, name: str) -> np.ndarray:
     return arr
 
 
+def _require_finite(obj, names) -> None:
+    for name in names:
+        if not np.isfinite(getattr(obj, name)):
+            raise ValueError("%s must be finite" % name)
+
+
 @dataclass(frozen=True)
 class ControllerModel:
     """One player's internal linear controller.
@@ -59,8 +65,8 @@ class ControllerModel:
         The command is the lateral acceleration command; the acceleration
         tracks it with lag tau.
         """
-        if tau <= 0:
-            raise ValueError("time constant must be positive")
+        if not (np.isfinite(tau) and tau > 0):
+            raise ValueError("time constant must be positive and finite")
         return cls(order=1, sys=[[-1.0 / tau]], inp=[1.0 / tau], out=[1.0], feed=0.0)
 
     @classmethod
@@ -157,6 +163,7 @@ class EngagementGeometry:
     phi_e0: float
 
     def __post_init__(self):
+        _require_finite(self, ("Vp", "Ve", "phi_p0", "phi_e0"))
         if self.Vp <= 0 or self.Ve <= 0:
             raise ValueError("speeds must be positive")
 
@@ -206,6 +213,7 @@ class EngagementScenario:
     geometry: Optional[EngagementGeometry] = field(default=None)
 
     def __post_init__(self):
+        _require_finite(self, ("t_f", "t_c", "alpha", "beta", "ae_max", "z0", "w0"))
         if self.t_f <= 0:
             raise ValueError("t_f must be positive")
         if self.t_c < 0:
@@ -213,9 +221,6 @@ class EngagementScenario:
         for name in ("alpha", "beta", "ae_max"):
             if getattr(self, name) <= 0:
                 raise ValueError("%s must be positive" % name)
-        for name in ("z0", "w0"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError("%s must be finite" % name)
 
     @classmethod
     def from_geometry(cls, pursuer: ControllerModel, evader: ControllerModel,

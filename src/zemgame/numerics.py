@@ -2,9 +2,10 @@
 
 Everything the game solver needs and nothing more: a matrix exponential for
 the transition matrices of time-invariant controller dynamics, an adaptive
-Gauss-Legendre quadrature for the kernel integrals, a classical one-step
-trajectory integrator, explicit 2x2 solves, and a cancellation-safe
-evaluation of the first-order ramp response psi(t) = exp(-t) + t - 1.
+Gauss-Legendre quadrature (the independent check of the exact kernel
+integrals), a classical one-step trajectory integrator, explicit 2x2
+solves, and a cancellation-safe evaluation of the first-order ramp response
+psi(t) = exp(-t) + t - 1.
 
 All functions are pure; results are plain numpy arrays or floats.
 """
@@ -41,6 +42,10 @@ _PADE13_B = (
     1.0,
 )
 _PADE13_THETA = 5.371920351148152
+# The bound on eta = min(max(d6, d8), max(d8, d10)) of Al-Mohy and Higham
+# (2009), and 1 / |c_27| of their Pade-13 backward-error series.
+_PADE13_ETA_THETA = 4.25
+_PADE13_ABS_C_RECIP = 113250775606021113483283660800000000.0
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(7)
 
@@ -66,11 +71,65 @@ def psi(t):
     return out
 
 
+def _powers(M: np.ndarray) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Squarings s for exp(M) and M / 2^s with its even powers 2, 4, 6.
+
+    The rule of Al-Mohy and Higham (SIAM J. Matrix Anal. Appl. 2009,
+    Algorithm 5.1): s comes from eta = min(max(d6, d8), max(d8, d10)),
+    d_p = ||M^p||_1^(1/p), rather than from ||M||_1, plus the correction
+    ell that guards the Pade backward error. d_p can sit far below the norm
+    (a lightly damped oscillator: omega against omega^2), and each squaring
+    saved halves the amplification of the rounding error. The powers are
+    first formed at the norm-based scaling, so none can overflow.
+    """
+    norm = float(np.linalg.norm(M, 1))
+    s = int(np.ceil(np.log2(norm / _PADE13_THETA))) if norm > _PADE13_THETA else 0
+    M = M / 2.0 ** s
+    M2 = M @ M
+    M4 = M2 @ M2
+    M6 = M4 @ M2
+    if s == 0:
+        return s, M, M2, M4, M6
+    d6 = np.linalg.norm(M6, 1) ** (1.0 / 6.0)
+    d8 = np.linalg.norm(M4 @ M4, 1) ** (1.0 / 8.0)
+    d10 = np.linalg.norm(M4 @ M6, 1) ** (1.0 / 10.0)
+    eta = min(max(d6, d8), max(d8, d10))
+    if eta > 0.0:
+        fewer = s - max(0, int(np.ceil(np.log2(eta / _PADE13_ETA_THETA))) + s)
+        if fewer > 0:
+            fewer -= _pade_ell(M * 2.0 ** fewer)
+        if fewer > 0:
+            scale = 2.0 ** fewer
+            s -= fewer
+            M, M2, M4, M6 = M * scale, M2 * scale ** 2, M4 * scale ** 4, M6 * scale ** 6
+    return s, M, M2, M4, M6
+
+
+def _pade_ell(M: np.ndarray) -> int:
+    """Extra squarings the Pade-13 backward error of M asks for (ell in
+    Al-Mohy and Higham 2009, from || |M|^27 ||_1); a count past any saving
+    when that power overflows."""
+    norm = float(np.linalg.norm(M, 1))
+    if norm == 0.0:
+        return 0
+    p1 = np.abs(M)
+    p2 = p1 @ p1
+    p8 = (p2 @ p2) @ (p2 @ p2)
+    column_sums = ((p1.sum(axis=0) @ p2) @ p8) @ (p8 @ p8)  # 1' |M|^27
+    alpha = float(column_sums.max()) / (norm * _PADE13_ABS_C_RECIP)
+    if not np.isfinite(alpha):
+        return 1 << 30
+    if alpha == 0.0:
+        return 0
+    return max(0, int(np.ceil(np.log2(alpha / 2.0 ** -53) / 26.0)))
+
+
 def mat_exp(A: np.ndarray, t: float = 1.0) -> np.ndarray:
     """exp(A*t) by scaling-and-squaring with the diagonal Pade-13 approximant.
 
-    Accurate to near round-off for the small dense matrices used here.
-    Raises ValueError for non-square or non-finite input.
+    Accurate to near round-off for the small dense matrices used here; the
+    number of squarings follows `_powers`. Raises ValueError for non-square
+    or non-finite input.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -84,25 +143,22 @@ def mat_exp(A: np.ndarray, t: float = 1.0) -> np.ndarray:
     if n == 0:
         return np.zeros((0, 0))
 
-    norm = float(np.linalg.norm(M, 1))
-    squarings = 0
-    if norm > _PADE13_THETA:
-        squarings = int(np.ceil(np.log2(norm / _PADE13_THETA)))
-        M = M / (2.0 ** squarings)
-
+    halvings, M, M2, M4, M6 = _powers(M)
     b = _PADE13_B
     ident = np.eye(n)
-    M2 = M @ M
-    M4 = M2 @ M2
-    M6 = M4 @ M2
     U = M @ (M6 @ (b[13] * M6 + b[11] * M4 + b[9] * M2)
              + b[7] * M6 + b[5] * M4 + b[3] * M2 + b[1] * ident)
     V = (M6 @ (b[12] * M6 + b[10] * M4 + b[8] * M2)
          + b[6] * M6 + b[4] * M4 + b[2] * M2 + b[0] * ident)
     E = np.linalg.solve(V - U, V + U)
-    for _ in range(squarings):
+    for _ in range(halvings):
         E = E @ E
     return E
+
+
+def squarings(A: np.ndarray) -> int:
+    """Number of squarings `mat_exp(A)` takes."""
+    return _powers(np.asarray(A, dtype=float))[0]
 
 
 def _gl7(f: Callable[[float], float], a: float, b: float) -> float:

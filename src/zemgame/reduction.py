@@ -8,7 +8,9 @@ dynamics are driven by three scalar kernels,
     h_e(t) = D_ep exp(A_ep (t_f - t)) C_ep
     g_e(t) = D_e  exp(A_e (t_f + t_c - t)) B_e
 
-and every game quantity is an integral of products of these kernels.
+and every game quantity is an integral of products of these kernels. The
+integrals are evaluated exactly from matrix exponentials; adaptive quadrature
+(`solvability_threshold`) stays only as an independent check.
 """
 
 from __future__ import annotations
@@ -21,32 +23,50 @@ import numpy as np
 
 from .engagement import EngagementScenario, build_evader_ss, build_relative_ss, first_order_scenario
 from .errors import AssertionFailure, SolvabilityError
-from .numerics import TimeGrid, mat_exp, psi, quad_adaptive
+from .numerics import TimeGrid, mat_exp, psi, quad_adaptive, squarings
 
 _INTEGRAL_TOL = 1e-10
+
+# Largest deviation of a query set from a uniform progression, relative to
+# its largest delta, that still counts as uniform (a few ulps of linspace
+# and midpoint rounding).
+_PROGRESSION_TOL = 1e-13
+
+# Sign scan of the tail kernel: fewest cells, and the most before the input
+# is refused (bounded work); Newton steps per root.
+_MIN_SIGN_CELLS = 256
+_MAX_SIGN_CELLS = 2 ** 20
+_MAX_ROOT_STEPS = 60
 
 
 def _transition_rows(D: np.ndarray, A: np.ndarray, deltas: np.ndarray) -> np.ndarray:
     """Rows D exp(A delta) for an ascending array of nonnegative deltas.
 
-    Computed incrementally: one matrix exponential per distinct gap, then a
-    row-vector product per point. Exact for each point because the gaps add.
+    A uniform progression delta_0 + i h (a uniform grid, its nodes or its
+    midpoints) is built by repeated doubling: with E = exp(A h),
+    rows[k:2k] = rows[:k] @ E and then E = E @ E, so n rows cost about
+    log2(n) matrix products. Any other set costs one matrix exponential per
+    point.
     """
     deltas = np.asarray(deltas, dtype=float)
-    rows = np.empty((deltas.size, A.shape[0]))
-    if deltas.size == 0:
+    n = deltas.size
+    rows = np.empty((n, A.shape[0]))
+    if n == 0:
         return rows
-    r = D @ mat_exp(A, deltas[0]) if deltas[0] != 0.0 else D.copy()
-    rows[0] = r
-    cache: dict[float, np.ndarray] = {}
-    for i in range(1, deltas.size):
-        gap = deltas[i] - deltas[i - 1]
-        E = cache.get(gap)
-        if E is None:
-            E = mat_exp(A, gap)
-            cache[gap] = E
-        r = r @ E
-        rows[i] = r
+    step = (deltas[-1] - deltas[0]) / (n - 1) if n > 1 else 0.0
+    if n > 2 and np.abs(np.diff(deltas) - step).max() > _PROGRESSION_TOL * max(1.0, deltas[-1]):
+        for i, delta in enumerate(deltas):
+            rows[i] = D @ mat_exp(A, delta)
+        return rows
+    rows[0] = D @ mat_exp(A, deltas[0]) if deltas[0] != 0.0 else D
+    E = mat_exp(A, step) if n > 1 else None
+    k = 1
+    while k < n:
+        m = min(k, n - k)
+        rows[k:k + m] = rows[:m] @ E
+        k += m
+        if k < n:
+            E = E @ E
     return rows
 
 
@@ -54,8 +74,10 @@ class Kernels:
     """Kernel functions of a scenario, backed by transition-matrix rows.
 
     Values on the build grid (nodes and panel midpoints) are precomputed at
-    construction; any other query evaluates the matrix exponential directly,
-    so the object stays immutable and freely shareable.
+    construction; any other query evaluates the transition rows directly
+    (`_transition_rows`: by doubling on a uniform progression, one matrix
+    exponential per point otherwise), so the object stays immutable and
+    freely shareable.
     """
 
     def __init__(self, scenario: EngagementScenario, grid: Optional[TimeGrid] = None):
@@ -359,15 +381,117 @@ def _assemble(int_hp2: float, int_he2: float, int_hege: float, int_ge2: float,
     )
 
 
-def mu_e(scenario: EngagementScenario, kernels: Optional[KernelSet] = None,
-         tol: float = _INTEGRAL_TOL) -> float:
-    """Reachability weight: how much terminal correction the evader can
-    accumulate on the tail [t_f, t_f + t_c] under its acceleration bound."""
-    k = kernels if kernels is not None else Kernels(scenario)
-    if scenario.t_c == 0.0:
+def _gramian(A: np.ndarray, x: np.ndarray, T: float) -> np.ndarray:
+    """W = int_0^T exp(A s) x x' exp(A' s) ds.
+
+    Van Loan (IEEE TAC 1978): for C = [[-A, Q], [0, A']] and Q = x x',
+    exp(C h) = [[., F12], [0, exp(A' h)]] and W(h) = exp(A h) F12. The step
+    h = T / 2^k takes k as the squarings `mat_exp(C T)` would need, so the
+    block exponential at h needs none (squaring it would square exp(-A h)
+    and swamp the result for stiff A), and k doublings W <- W + Phi W Phi',
+    Phi <- Phi^2 carry W(h) out to W(T). x is normalised first so that the
+    coupling block has unit size.
+    """
+    n = A.shape[0]
+    size = float(x @ x)
+    if size == 0.0:
+        return np.zeros((n, n))
+    unit = x / math.sqrt(size)
+    C = np.zeros((2 * n, 2 * n))
+    C[:n, :n] = -A
+    C[:n, n:] = np.outer(unit, unit)
+    C[n:, n:] = A.T
+    doublings = squarings(C * T)
+    F = mat_exp(C, T / 2.0 ** doublings)
+    phi = F[n:, n:].T
+    W = phi @ F[:n, n:]
+    for _ in range(doublings):
+        W = W + phi @ W @ phi.T
+        phi = phi @ phi
+    return size * W
+
+
+def _augmented(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """[[A, B], [0, 0]]: the top-right block of exp(M s) is int_0^s exp(A r) B dr."""
+    n = A.shape[0]
+    M = np.zeros((n + 1, n + 1))
+    M[:n, :n] = A
+    M[:n, n] = B
+    return M
+
+
+def _sign_cells(A: np.ndarray, span: float) -> int:
+    """Cells of the sign scan of a kernel over [0, span]: at least 256, and
+    at least 4 per radian of the fastest oscillation, max |Im lambda(A)| * span."""
+    omega = float(np.abs(np.linalg.eigvals(A).imag).max())
+    cells = max(_MIN_SIGN_CELLS, int(math.ceil(4.0 * omega * span)))
+    if cells > _MAX_SIGN_CELLS:
+        raise ValueError("evader oscillation of %g rad/s over t_c = %g needs %d sign-scan "
+                         "cells, more than %d" % (omega, span, cells, _MAX_SIGN_CELLS))
+    return cells
+
+
+def _tail_weight(A: np.ndarray, B: np.ndarray, D: np.ndarray, t_c: float) -> float:
+    """int_0^t_c |D exp(A s) B| ds, exactly.
+
+    With P(s) = int_0^s D exp(A r) B dr read from the augmented exponential,
+    the integral is sum |P(rho_{i+1}) - P(rho_i)| over the sign changes rho_i
+    of the kernel together with both end points. Sign changes are found on a
+    uniform scan (`_sign_cells`) and refined by safeguarded Newton steps;
+    P is stationary at a root, so a root error delta costs only O(delta^2).
+    """
+    if t_c == 0.0:
         return 0.0
-    return quad_adaptive(lambda t: abs(k.g_e(t)), scenario.t_f,
-                         scenario.t_f + scenario.t_c, tol)
+    n = A.shape[0]
+    M = _augmented(A, B)
+    AB = A @ B
+    start = np.append(D, 0.0)
+    s = np.linspace(0.0, t_c, _sign_cells(A, t_c) + 1)
+    rows = _transition_rows(start, M, s)
+    g = rows[:, :n] @ B
+    signs = np.sign(g)
+    nonzero = np.flatnonzero(signs)
+    knots = [0.0]
+    for i, j in zip(nonzero[:-1], nonzero[1:]):
+        if signs[i] == signs[j]:
+            continue
+        lo, hi = s[i], s[j]
+        x = lo - g[i] * (hi - lo) / (g[j] - g[i])
+        for _ in range(_MAX_ROOT_STEPS):
+            r = rows[i] @ mat_exp(M, x - s[i])
+            gx = r[:n] @ B
+            if gx == 0.0:
+                break
+            if np.sign(gx) == signs[i]:
+                lo = x
+            else:
+                hi = x
+            slope = r[:n] @ AB
+            nxt = x - gx / slope if slope != 0.0 else math.nan
+            if not lo < nxt < hi:
+                nxt = 0.5 * (lo + hi)
+            if abs(nxt - x) <= 1e-12 * t_c:
+                break
+            x = nxt
+        knots.append(float(r[n]))
+    knots.append(float(rows[-1, n]))
+    return float(np.abs(np.diff(knots)).sum())
+
+
+def mu_e(scenario: EngagementScenario) -> float:
+    """Reachability weight: how much terminal correction the evader can
+    accumulate on the tail [t_f, t_f + t_c] under its acceleration bound,
+    int |g_e| over the tail."""
+    ev = build_evader_ss(scenario.evader)
+    return _tail_weight(ev.A, ev.B, ev.D_row, scenario.t_c)
+
+
+def integral_g_e(scenario: EngagementScenario) -> float:
+    """int_0^t_f g_e dt, from one augmented exponential started at
+    D_e exp(A_e t_c)."""
+    ev = build_evader_ss(scenario.evader)
+    start = np.append(ev.D_row @ mat_exp(ev.A, scenario.t_c), 0.0)
+    return float(start @ mat_exp(_augmented(ev.A, ev.B), scenario.t_f)[:, -1])
 
 
 def kernels(scenario: EngagementScenario, grid: Optional[TimeGrid] = None) -> Kernels:
@@ -375,32 +499,32 @@ def kernels(scenario: EngagementScenario, grid: Optional[TimeGrid] = None) -> Ke
     return Kernels(scenario, grid)
 
 
-def coefficients(scenario: EngagementScenario, kernels: Optional[KernelSet] = None,
-                 tol: float = _INTEGRAL_TOL) -> GameCoefficients:
-    """All game coefficients by adaptive quadrature over the kernels.
+def coefficients(scenario: EngagementScenario,
+                 kernels: Optional[KernelSet] = None) -> GameCoefficients:
+    """All game coefficients from exact kernel integrals.
 
-    A single shared tolerance keeps the algebraic identities among the
-    coefficients near round-off. Raises SolvabilityError when the evader
-    effort weight does not exceed the squared-kernel integral.
+    The four product integrals are entries of one Gramian of the
+    block-diagonal system diag(A_ep, A_ep, A_e) driven by
+    x = [B_ep; C_ep; exp(A_e t_c) B_e] over [0, t_f] (the kernels in the
+    reversed time s = t_f - t); mu_e comes from `_tail_weight`. Raises
+    SolvabilityError when the evader effort weight does not exceed the
+    squared-kernel integral.
     """
     k = kernels if kernels is not None else Kernels(scenario)
-    t_f = scenario.t_f
-
-    cache: dict[float, tuple[float, float, float]] = {}
-
-    def triple(t: float) -> tuple[float, float, float]:
-        v = cache.get(t)
-        if v is None:
-            (hp, he), ge = k.sample_engagement(t), k.sample_target(t)
-            v = (float(hp[0]), float(he[0]), float(ge[0]))
-            cache[t] = v
-        return v
-
-    int_hp2 = quad_adaptive(lambda t: triple(t)[0] ** 2, 0.0, t_f, tol)
-    int_he2 = quad_adaptive(lambda t: triple(t)[1] ** 2, 0.0, t_f, tol)
-    int_hege = quad_adaptive(lambda t: triple(t)[1] * triple(t)[2], 0.0, t_f, tol)
-    int_ge2 = quad_adaptive(lambda t: triple(t)[2] ** 2, 0.0, t_f, tol)
-    mu = mu_e(scenario, k, tol)
+    rel = build_relative_ss(scenario.pursuer, scenario.evader)
+    ev = build_evader_ss(scenario.evader)
+    n, m = rel.A.shape[0], ev.A.shape[0]
+    A = np.zeros((2 * n + m, 2 * n + m))
+    A[:n, :n] = A[n:2 * n, n:2 * n] = rel.A
+    A[2 * n:, 2 * n:] = ev.A
+    x = np.concatenate([rel.B, rel.C, mat_exp(ev.A, scenario.t_c) @ ev.B])
+    W = _gramian(A, x, scenario.t_f)
+    D_ep, D_e = rel.D_row, ev.D_row
+    int_hp2 = float(D_ep @ W[:n, :n] @ D_ep)
+    int_he2 = float(D_ep @ W[n:2 * n, n:2 * n] @ D_ep)
+    int_hege = float(D_ep @ W[n:2 * n, 2 * n:] @ D_e)
+    int_ge2 = float(D_e @ W[2 * n:, 2 * n:] @ D_e)
+    mu = _tail_weight(ev.A, ev.B, D_e, scenario.t_c)
     return _assemble(int_hp2, int_he2, int_hege, int_ge2, mu, scenario, k)
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from zemgame.cli import (
     EXIT_OK,
+    EXIT_REPRO_FAIL,
     EXIT_SOLVABILITY,
     EXIT_USAGE,
     main,
@@ -68,6 +69,19 @@ class TestClassify:
         def mutate(doc):
             doc["initial"] = {"Vp": 300.0, "Ve": 150.0, "phi_p0": 0.01, "phi_e0": 0.02}
         assert main(["classify", write_doc(tmp_path, mutate)]) == EXIT_OK
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("weights", "alpha", float("nan")),
+        ("weights", "beta", float("nan")),
+        ("horizon", "t_f", float("nan")),
+        ("evader_bound", "ae_max", float("inf")),
+    ])
+    def test_non_finite_value_named(self, tmp_path, capsys, section, key, value):
+        path = write_doc(tmp_path, lambda d: d[section].update({key: value}))
+        assert main(["classify", path]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "scenario error" in err
+        assert "%s.%s" % (section, key) in err
 
     def test_bad_json_reports_line(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -176,6 +190,11 @@ class TestRepro:
         assert main(["repro", "--tol-scale", "2.5"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "FAIL" not in out
+
+    def test_tolerance_scale_narrows_bands(self, capsys):
+        assert main(["repro", "--tol-scale", "0.01"]) == EXIT_REPRO_FAIL
+        out = capsys.readouterr().out
+        assert any(line.startswith("FAIL ") for line in out.splitlines())
 
 
 class TestUsage:

@@ -175,6 +175,22 @@ class TestScenario:
             EngagementScenario(pursuer=p, evader=e, t_f=1.0, t_c=0.9,
                                alpha=0.05, beta=-0.3, ae_max=100.0, z0=0.0, w0=0.0)
 
+    @pytest.mark.parametrize("name", ["t_f", "t_c", "alpha", "beta", "ae_max", "z0", "w0"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_fields_rejected(self, study_scenario, name, value):
+        with pytest.raises(ValueError, match="%s must be finite" % name):
+            dataclasses.replace(study_scenario, **{name: value})
+
+    def test_non_finite_geometry_and_lag_rejected(self):
+        for name in ("Vp", "Ve", "phi_p0", "phi_e0"):
+            values = dict(Vp=300.0, Ve=150.0, phi_p0=0.01, phi_e0=0.02)
+            values[name] = np.nan
+            with pytest.raises(ValueError, match="%s must be finite" % name):
+                EngagementGeometry(**values)
+        for tau in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                ControllerModel.first_order(tau)
+
     def test_resolve_horizons(self):
         assert resolve_horizons(1.0, nu=0.9) == pytest.approx(0.9)
         assert resolve_horizons(1.0, t_c=0.7) == 0.7

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from zemgame import TimeGrid, mat_exp, ode_playout, psi, quad_adaptive, solve2
+from zemgame.numerics import squarings
 from zemgame.errors import NearSingularError
 
 from helpers import psi_ref
@@ -52,6 +53,20 @@ class TestMatExp:
     def test_nilpotent_double_integrator(self):
         A = np.array([[0.0, 1.0], [0.0, 0.0]])
         np.testing.assert_allclose(mat_exp(A, 3.5), [[1.0, 3.5], [0.0, 1.0]], atol=1e-14)
+
+    def test_oscillator_needs_few_squarings(self):
+        """A lightly damped omega = 1000 loop behind a double integrator: the
+        1-norm is omega^2 but the powers grow like omega, so the squarings
+        follow the powers and the result stays at round-off."""
+        expm = pytest.importorskip("scipy.linalg").expm
+        omega = 1000.0
+        A = np.zeros((4, 4))
+        A[0, 1] = A[1, 2] = A[2, 3] = 1.0
+        A[3, 2:] = (-omega ** 2, -0.1 * omega)
+        assert squarings(A) <= np.ceil(np.log2(np.linalg.norm(A, 1) / 5.37)) - 8
+        reference = expm(A)
+        np.testing.assert_allclose(mat_exp(A), reference, rtol=0,
+                                   atol=1e-13 * np.abs(reference).max())
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):

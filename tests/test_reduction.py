@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import zemgame as z
 from zemgame import (
@@ -20,7 +21,44 @@ from zemgame import (
 )
 from zemgame.errors import SolvabilityError
 
-from helpers import ORACLE, psi_ref, random_first_order, random_scenario
+from helpers import ORACLE, psi_ref, random_controller, random_first_order, random_scenario
+
+# Deterministic draws: the same examples on every run, no example database.
+DRAWS = dict(deadline=None, derandomize=True, database=None)
+
+# Lags log-uniform on [1e-5, 1]. Horizons start at t_f = 0.5 and tails are 0
+# or at least 0.2: for t_f/tau or t_c/tau_e much below 1 the closed forms
+# lose digits to cancellation and stop being a 1e-10 reference.
+LAG = st.floats(-5.0, 0.0).map(lambda e: 10.0 ** e)
+TAIL = st.one_of(st.just(0.0), st.floats(0.2, 2.0))
+
+# The four product integrals and mu_e, read off coefficients computed with
+# alpha = 1 (so nu_p = int h_p^2) and a large beta.
+INTEGRALS = {
+    "int h_p^2": lambda c: c.nu_p * c.alpha,
+    "int h_e^2": lambda c: c.beta_star,
+    "int h_e g_e": lambda c: c.G2 * c.beta,
+    "int g_e^2": lambda c: c.G3 * c.beta,
+    "mu_e": lambda c: c.mu_e,
+}
+
+
+def exact_and_closed(tau_p, tau_e, t_f, t_c):
+    args = (tau_p, tau_e, t_f, t_c, 1.0, 1e9, 1.0)
+    return coefficients(z.first_order_scenario(*args)), first_order_coefficients(*args)
+
+
+def oscillator(omega, zeta):
+    """Second-order acceleration loop with natural frequency omega."""
+    return z.ControllerModel(order=2, sys=[[0.0, 1.0], [-omega ** 2, -2.0 * zeta * omega]],
+                             inp=[0.0, omega ** 2], out=[1.0, 0.0], feed=0.0)
+
+
+def position_kernel(model):
+    """s -> D exp(A s) B of one player, by scipy's matrix exponential."""
+    expm = pytest.importorskip("scipy.linalg").expm
+    ss = z.build_evader_ss(model)
+    return lambda s: float(ss.D_row @ expm(ss.A * s) @ ss.B)
 
 
 class TestKernels:
@@ -58,8 +96,8 @@ class TestKernels:
 
 
 class TestMuE:
-    def test_study_value(self, study_scenario, study_kernels):
-        value = mu_e(study_scenario, study_kernels)
+    def test_study_value(self, study_scenario):
+        value = mu_e(study_scenario)
         assert value == pytest.approx(0.325, abs=5e-4)
         assert value == pytest.approx(ORACLE.mu_e, rel=1e-9)
 
@@ -67,10 +105,110 @@ class TestMuE:
         sc = z.first_order_scenario(0.2, 0.1, 1.0, 0.0, 0.05, 0.3, 100.0)
         assert mu_e(sc) == 0.0
 
-    def test_against_closed_form(self, study_scenario, study_kernels):
+    def test_sign_change_on_tail(self):
+        """Feedthrough -1 and static gain 2: the position response undershoots,
+        so g_e changes sign once on the tail."""
+        integrate = pytest.importorskip("scipy.integrate")
+        brentq = pytest.importorskip("scipy.optimize").brentq
+        tau, t_c = 0.1, 0.5
+        evader = z.ControllerModel(order=1, sys=[[-1.0 / tau]], inp=[3.0 / tau],
+                                   out=[1.0], feed=-1.0)
+        sc = z.EngagementScenario(pursuer=z.ControllerModel.first_order(0.2), evader=evader,
+                                  t_f=1.0, t_c=t_c, alpha=0.05, beta=1.0, ae_max=100.0,
+                                  z0=0.0, w0=0.0)
+        ke = position_kernel(evader)
+        assert ke(0.5 * tau) < 0.0 < ke(t_c)
+        root = brentq(ke, 0.5 * tau, t_c, xtol=1e-15)
+        opts = dict(epsabs=0.0, epsrel=1e-13)
+        reference = (-integrate.quad(ke, 0.0, root, **opts)[0]
+                     + integrate.quad(ke, root, t_c, **opts)[0])
+        assert mu_e(sc) == pytest.approx(reference, rel=1e-10)
+        assert mu_e(sc) > abs(integrate.quad(ke, 0.0, t_c, **opts)[0])
+
+    def test_sign_scan_work_is_bounded(self):
+        sc = dataclasses.replace(
+            z.first_order_scenario(0.2, 0.1, 1.0, 0.5, 0.05, 0.3, 100.0),
+            evader=oscillator(1e7, 0.05))
+        with pytest.raises(ValueError, match="sign-scan cells"):
+            mu_e(sc)
+
+    def test_against_closed_form(self, study_scenario):
         tau_e, sigma = 0.1, 9.0
         closed = tau_e ** 2 * (1.0 - sigma + sigma ** 2 / 2 - np.exp(-sigma))
-        assert mu_e(study_scenario, study_kernels) == pytest.approx(closed, abs=1e-8)
+        assert mu_e(study_scenario) == pytest.approx(closed, abs=1e-8)
+
+
+class TestExactIntegrals:
+    @settings(max_examples=200, **DRAWS)
+    @given(tau_p=LAG, tau_e=LAG, t_f=st.floats(0.5, 10.0), t_c=TAIL)
+    def test_first_order_closed_form(self, tau_p, tau_e, t_f, t_c):
+        exact, closed = exact_and_closed(tau_p, tau_e, t_f, t_c)
+        for name, value in INTEGRALS.items():
+            assert value(exact) == pytest.approx(value(closed), rel=1e-10, abs=0.0), name
+
+    @settings(max_examples=200, **DRAWS)
+    @given(tau_p=LAG, tau_e=LAG, t_f=st.floats(10.0, 50.0), t_c=TAIL)
+    def test_first_order_closed_form_long_horizon(self, tau_p, tau_e, t_f, t_c):
+        exact, closed = exact_and_closed(tau_p, tau_e, t_f, t_c)
+        for name, value in INTEGRALS.items():
+            assert value(exact) == pytest.approx(value(closed), rel=5e-10, abs=0.0), name
+
+    @settings(max_examples=20, **DRAWS)
+    @given(seed=st.integers(0, 2 ** 32 - 1), order_p=st.integers(0, 10),
+           order_e=st.integers(0, 10))
+    def test_adaptive_quadrature(self, seed, order_p, order_e):
+        rng = np.random.default_rng(seed)
+        sc = z.EngagementScenario(
+            pursuer=random_controller(rng, order_p), evader=random_controller(rng, order_e),
+            t_f=float(rng.uniform(0.6, 1.8)), t_c=float(rng.uniform(0.3, 1.2)),
+            alpha=1.0, beta=1e9, ae_max=1.0, z0=0.0, w0=0.0)
+        k = Kernels(sc)
+        memo = {}
+
+        def kern(t):
+            if t not in memo:
+                (hp, he), ge = k.sample_engagement(t), k.sample_target(t)
+                memo[t] = (hp[0], he[0], ge[0])
+            return memo[t]
+
+        quad = lambda f, a, b: z.quad_adaptive(f, a, b, tol=1e-13)
+        t_f, t_c = sc.t_f, sc.t_c
+        reference = {
+            "int h_p^2": quad(lambda t: kern(t)[0] ** 2, 0.0, t_f),
+            "int h_e^2": quad(lambda t: kern(t)[1] ** 2, 0.0, t_f),
+            "int h_e g_e": quad(lambda t: kern(t)[1] * kern(t)[2], 0.0, t_f),
+            "int g_e^2": quad(lambda t: kern(t)[2] ** 2, 0.0, t_f),
+            "mu_e": quad(lambda t: abs(k.g_e(t)), t_f, t_f + t_c),
+        }
+        exact = coefficients(sc, k)
+        for name, value in INTEGRALS.items():
+            assert value(exact) == pytest.approx(reference[name], rel=1e-10, abs=0.0), name
+
+    def test_frozen_oracle(self, study_coeffs):
+        c = study_coeffs
+        for name in ("beta_star", "mu_e", "bound", "nu_p", "nu_e", "s", "G2", "G3",
+                     "a", "d", "det_F", "det_G"):
+            assert getattr(c, name) == pytest.approx(getattr(ORACLE, name), rel=1e-10), name
+        np.testing.assert_allclose(c.G_bar, ORACLE.G_bar, rtol=0, atol=1e-8)
+
+    @pytest.mark.parametrize("omega", [250.0, 1000.0])
+    def test_lightly_damped_oscillator(self, omega):
+        quad = pytest.importorskip("scipy.integrate").quad
+        sc = z.EngagementScenario(pursuer=z.ControllerModel.first_order(0.2),
+                                  evader=oscillator(omega, 0.02), t_f=1.0, t_c=1.3,
+                                  alpha=0.05, beta=1.0, ae_max=100.0, z0=100.0, w0=-100.0)
+        kp, ke = position_kernel(sc.pursuer), position_kernel(sc.evader)
+        t_f, t_c = sc.t_f, sc.t_c
+        integral = lambda f, a, b: quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=5000)[0]
+        G1 = 1.0 + integral(lambda s: kp(s) ** 2, 0.0, t_f) / sc.alpha \
+            - integral(lambda s: ke(s) ** 2, 0.0, t_f) / sc.beta
+        G2 = integral(lambda s: ke(s) * ke(s + t_c), 0.0, t_f) / sc.beta
+        G3 = integral(lambda s: ke(s) ** 2, t_c, t_c + t_f) / sc.beta
+        bound = integral(lambda s: abs(ke(s)), 0.0, t_c) * sc.ae_max
+        c = coefficients(sc)
+        assert c.a == pytest.approx(G2 / G1, rel=1e-10)
+        assert c.bound == pytest.approx(bound, rel=1e-10)
+        np.testing.assert_allclose(c.G, [[G1, G2], [-G2, G3]], rtol=1e-10, atol=0.0)
 
 
 class TestCoefficients:
