@@ -32,7 +32,12 @@ class NotInConstrainedRegion(ZemGameError):
 
 
 class ProbeFailure(ZemGameError):
-    """A saddle-probe perturbation broke the saddle inequality."""
+    """A saddle-probe perturbation broke the saddle inequality.
+
+    `trial` is the index of the first failing trial; `coefficients` are the
+    8 Legendre coefficients that trial drew for the failing side, before
+    scaling, as `standard_normal(8)` of its random stream returned them.
+    """
 
     def __init__(self, message: str, trial: int | None = None, coefficients=None):
         super().__init__(message)

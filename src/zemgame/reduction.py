@@ -73,7 +73,7 @@ def _transition_rows(D: np.ndarray, A: np.ndarray, deltas: np.ndarray) -> np.nda
 class Kernels:
     """Kernel functions of a scenario, backed by transition-matrix rows.
 
-    Values on the build grid (nodes and panel midpoints) are precomputed at
+    The sample bundle of the build grid (`bundle`) is computed at
     construction; any other query evaluates the transition rows directly
     (`_transition_rows`: by doubling on a uniform progression, one matrix
     exponential per point otherwise), so the object stays immutable and
@@ -90,56 +90,32 @@ class Kernels:
         ev = build_evader_ss(scenario.evader)
         self._A_ep, self._B_ep, self._C_ep, self._D_ep = rel.A, rel.B, rel.C, rel.D_row
         self._A_e, self._B_e, self._D_e = ev.A, ev.B, ev.D_row
+        self._bundle = SampleBundle.sample(self, self.grid)
 
-        ts = self.grid.refined()
-        self._memo_t = ts
-        self._memo_rows_ep = self._rows_ep_direct(ts)
-        self._memo_rows_e = self._rows_e_direct(ts)
-        self._memo_tol = 1e-12 * max(1.0, self.t_f)
+    def bundle(self, grid: Optional[TimeGrid] = None) -> "SampleBundle":
+        """Sample bundle of a grid: the one computed at construction for the
+        build grid (the default), a new one for any other grid."""
+        if grid is None or grid is self.grid or np.array_equal(grid.nodes, self.grid.nodes):
+            return self._bundle
+        return SampleBundle.sample(self, grid)
 
-    # -- direct evaluation -------------------------------------------------
-
-    def _rows_ep_direct(self, ts: np.ndarray) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
+    def rows_engagement(self, ts) -> np.ndarray:
+        """D_ep exp(A_ep (t_f - t)) for each t."""
+        ts = np.atleast_1d(np.asarray(ts, dtype=float))
         order = np.argsort(-ts)  # ascending delta = t_f - t
         rows = _transition_rows(self._D_ep, self._A_ep, self.t_f - ts[order])
         out = np.empty_like(rows)
         out[order] = rows
         return out
 
-    def _rows_e_direct(self, ts: np.ndarray) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
+    def rows_target(self, ts) -> np.ndarray:
+        """D_e exp(A_e (t_f + t_c - t)) for each t."""
+        ts = np.atleast_1d(np.asarray(ts, dtype=float))
         order = np.argsort(-ts)
         rows = _transition_rows(self._D_e, self._A_e, self.t_f + self.t_c - ts[order])
         out = np.empty_like(rows)
         out[order] = rows
         return out
-
-    def _memo_indices(self, ts: np.ndarray) -> Optional[np.ndarray]:
-        idx = np.searchsorted(self._memo_t, ts)
-        idx = np.clip(idx, 0, self._memo_t.size - 1)
-        left = np.clip(idx - 1, 0, self._memo_t.size - 1)
-        take_left = np.abs(self._memo_t[left] - ts) < np.abs(self._memo_t[idx] - ts)
-        idx = np.where(take_left, left, idx)
-        if np.abs(self._memo_t[idx] - ts).max() <= self._memo_tol:
-            return idx
-        return None
-
-    def rows_engagement(self, ts) -> np.ndarray:
-        """D_ep exp(A_ep (t_f - t)) for each t; memoized on the build grid."""
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        idx = self._memo_indices(ts)
-        if idx is not None:
-            return self._memo_rows_ep[idx]
-        return self._rows_ep_direct(ts)
-
-    def rows_target(self, ts) -> np.ndarray:
-        """D_e exp(A_e (t_f + t_c - t)) for each t; memoized on the build grid."""
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        idx = self._memo_indices(ts)
-        if idx is not None:
-            return self._memo_rows_e[idx]
-        return self._rows_e_direct(ts)
 
     # -- kernel values -----------------------------------------------------
 
@@ -196,6 +172,12 @@ class FirstOrderKernels:
     def g_e(self, t: float) -> float:
         return float(self.sample_target(t)[0])
 
+    def bundle(self, grid: Optional[TimeGrid] = None) -> "SampleBundle":
+        """Sample bundle of a grid, by default the uniform grid over [0, t_f]."""
+        if grid is None:
+            grid = TimeGrid.uniform(0.0, self.t_f)
+        return SampleBundle.sample(self, grid)
+
 
 KernelSet = Union[Kernels, FirstOrderKernels]
 
@@ -251,6 +233,17 @@ def _check_in_horizon(ts: np.ndarray, t_f: float):
         raise ValueError("control evaluated outside [0, %g]" % t_f)
 
 
+def _sample_explicit(law: ControlLaw, ts: np.ndarray) -> np.ndarray:
+    """Values of a law that does not depend on the kernels."""
+    if isinstance(law, Constant):
+        return np.full(ts.shape, float(law.value))
+    if isinstance(law, AffineInTime):
+        return law.slope * ts + law.intercept
+    if isinstance(law, Sampled):
+        return np.interp(ts, law.times, law.values)
+    raise TypeError("unknown control law %r" % (law,))
+
+
 def sample_control(law: ControlLaw, kernels: KernelSet, ts) -> np.ndarray:
     """Evaluate a control law at an array of times in [0, t_f]."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
@@ -263,18 +256,51 @@ def sample_control(law: ControlLaw, kernels: KernelSet, ts) -> np.ndarray:
         if law.ge_coef != 0.0:
             out += law.ge_coef * kernels.sample_target(ts)
         return out
-    if isinstance(law, Constant):
-        return np.full(ts.shape, float(law.value))
-    if isinstance(law, AffineInTime):
-        return law.slope * ts + law.intercept
-    if isinstance(law, Sampled):
-        return np.interp(ts, law.times, law.values)
-    raise TypeError("unknown control law %r" % (law,))
+    return _sample_explicit(law, ts)
 
 
 def eval_control(law: ControlLaw, kernels: KernelSet, t: float) -> float:
     """Evaluate a control law at a single time in [0, t_f]."""
     return float(sample_control(law, kernels, t)[0])
+
+
+@dataclass(frozen=True)
+class SampleBundle:
+    """The three kernels on the refined nodes of one grid (nodes interleaved
+    with panel midpoints, `TimeGrid.refined`), with the composite-Simpson
+    weights over those nodes: `weights @ f` is the sum of the Simpson panels
+    steps/6 (f_node + 4 f_mid + f_next) of values f on the refined nodes.
+
+    Every reduced playout, cost and probe on the grid reads its kernel
+    values from here, so a grid is sampled once per kernel set.
+    """
+
+    grid: TimeGrid
+    ts: np.ndarray
+    h_p: np.ndarray
+    h_e: np.ndarray
+    g_e: np.ndarray
+    weights: np.ndarray
+
+    @classmethod
+    def sample(cls, kernels: KernelSet, grid: TimeGrid) -> "SampleBundle":
+        ts = grid.refined()
+        _check_in_horizon(ts, kernels.t_f)
+        h_p, h_e = kernels.sample_engagement(ts)
+        sixth = np.diff(grid.nodes) / 6.0
+        weights = np.zeros(ts.size)
+        weights[1::2] = 4.0 * sixth
+        weights[:-1:2] += sixth
+        weights[2::2] += sixth
+        return cls(grid=grid, ts=ts, h_p=h_p, h_e=h_e, g_e=kernels.sample_target(ts),
+                   weights=weights)
+
+    def control(self, law: ControlLaw) -> np.ndarray:
+        """Values of a control law on the refined nodes; kernel laws are
+        combinations of the stored kernel values."""
+        if isinstance(law, KernelCombo):
+            return law.hp_coef * self.h_p + law.he_coef * self.h_e + law.ge_coef * self.g_e
+        return _sample_explicit(law, self.ts)
 
 
 # -- game coefficients -----------------------------------------------------
@@ -314,7 +340,6 @@ class GameCoefficients:
     G_bar: np.ndarray
     F: np.ndarray
     F_bar: np.ndarray
-    condition33: bool
     alpha: float
     beta: float
     ae_max: float
@@ -374,7 +399,6 @@ def _assemble(int_hp2: float, int_he2: float, int_hege: float, int_ge2: float,
         beta_star=int_he2,
         G=G, G_tilde=sign_flip @ G, G_bar=np.linalg.inv(G).T @ sign_flip,
         F=F, F_bar=np.linalg.inv(F).T @ sign_flip,
-        condition33=True,
         alpha=alpha, beta=beta, ae_max=scenario.ae_max,
         t_f=scenario.t_f, t_c=scenario.t_c,
         kernels=kernels, scenario=scenario,

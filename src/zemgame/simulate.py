@@ -1,9 +1,12 @@
 """Playout and verification machinery for the reduced and full dynamics.
 
-The reduced dynamics have a state-independent right-hand side, so the
-classical one-step method collapses to Simpson panels over the control and
-kernel samples; the full-state playout integrates the stacked player blocks
-and reconstructs the miss variables through the transition rows.
+The reduced quantities run on the sample bundle of a grid
+(`Kernels.bundle`): the reduced right-hand sides do not depend on the
+state, so the classical one-step method collapses to Simpson panels over the
+control and kernel samples, and a cost is three dot products with the
+Simpson weights. The full-state playout integrates the stacked player blocks
+with the same classical RK4 in affine form (`rk4_affine`) and reconstructs
+the miss variables through the transition rows.
 """
 
 from __future__ import annotations
@@ -15,13 +18,14 @@ import numpy as np
 
 from .engagement import EngagementScenario, build_game_ss
 from .errors import AssertionFailure, ProbeFailure
-from .numerics import TimeGrid, ode_playout
-from .reduction import ControlLaw, GameCoefficients, Kernels, KernelSet, Sampled, sample_control
+from .numerics import TimeGrid, rk4_affine
+from .reduction import ControlLaw, GameCoefficients, Kernels, KernelSet, SampleBundle
 
 if TYPE_CHECKING:  # pragma: no cover
     from .solver import SaddleSolution
 
 _PROBE_BASIS_SIZE = 8
+_PEAK_CHUNK = 8  # probe perturbations sampled at once to take their peaks
 
 
 @dataclass(frozen=True)
@@ -69,74 +73,63 @@ class FullPlayout:
     miss: float
 
 
-def _default_grid(scenario: EngagementScenario, grid: Optional[TimeGrid]) -> TimeGrid:
-    return grid if grid is not None else TimeGrid.uniform(0.0, scenario.t_f)
-
-
 def _simpson_panels(node_vals: np.ndarray, mid_vals: np.ndarray, steps: np.ndarray) -> np.ndarray:
     return steps / 6.0 * (node_vals[:-1] + 4.0 * mid_vals + node_vals[1:])
 
 
-def _sample_on(grid: TimeGrid, kernels: KernelSet, u_p: ControlLaw, u_e: ControlLaw):
-    ts, mids = grid.nodes, grid.midpoints
-    hp_n, he_n = kernels.sample_engagement(ts)
-    hp_m, he_m = kernels.sample_engagement(mids)
-    ge_n = kernels.sample_target(ts)
-    ge_m = kernels.sample_target(mids)
-    up_n = sample_control(u_p, kernels, ts)
-    up_m = sample_control(u_p, kernels, mids)
-    ue_n = sample_control(u_e, kernels, ts)
-    ue_m = sample_control(u_e, kernels, mids)
-    return (hp_n, he_n, ge_n, up_n, ue_n), (hp_m, he_m, ge_m, up_m, ue_m)
+def _cost_integrals(bundle: SampleBundle, up: np.ndarray, ue: np.ndarray,
+                    z0: float) -> tuple[float, float, float]:
+    """Terminal z, int u_p^2 and int u_e^2 of a control pair sampled on the
+    refined nodes of the bundle, as dot products with its Simpson weights."""
+    w = bundle.weights
+    z_f = z0 + w @ (bundle.h_p * up + bundle.h_e * ue)
+    pursuer = w @ (up * up)
+    evader = w @ (ue * ue)
+    if not np.isfinite((z_f, pursuer, evader)).all():
+        raise ValueError("non-finite integrand in cost")
+    return float(z_f), float(pursuer), float(evader)
 
 
 def playout_reduced(scenario: EngagementScenario, kernels: Optional[KernelSet],
                     u_p: ControlLaw, u_e: ControlLaw,
                     grid: Optional[TimeGrid] = None) -> Playout:
-    """Integrate dz = h_p u_p + h_e u_e, dw = g_e u_e from (z0, w0).
+    """Integrate dz = h_p u_p + h_e u_e, dw = g_e u_e from (z0, w0) over the
+    grid (by default the kernels' build grid).
 
     The right-hand sides do not depend on the state, so the classical
     one-step update equals a Simpson panel per step; the cumulative sums
     below are exactly that method.
     """
     k = kernels if kernels is not None else Kernels(scenario)
-    grid = _default_grid(scenario, grid)
-    (hp_n, he_n, ge_n, up_n, ue_n), (hp_m, he_m, ge_m, up_m, ue_m) = \
-        _sample_on(grid, k, u_p, u_e)
-    steps = np.diff(grid.nodes)
-
-    fz_n = hp_n * up_n + he_n * ue_n
-    fz_m = hp_m * up_m + he_m * ue_m
-    fw_n = ge_n * ue_n
-    fw_m = ge_m * ue_m
-    if not (np.isfinite(fz_n).all() and np.isfinite(fz_m).all()
-            and np.isfinite(fw_n).all() and np.isfinite(fw_m).all()):
+    bundle = k.bundle(grid)
+    up, ue = bundle.control(u_p), bundle.control(u_e)
+    fz = bundle.h_p * up + bundle.h_e * ue
+    fw = bundle.g_e * ue
+    if not (np.isfinite(fz).all() and np.isfinite(fw).all()):
         raise ValueError("non-finite integrand in reduced playout")
 
-    z = np.empty(grid.nodes.size)
-    w = np.empty(grid.nodes.size)
+    steps = np.diff(bundle.grid.nodes)
+    z = np.empty(steps.size + 1)
+    w = np.empty(steps.size + 1)
     z[0], w[0] = scenario.z0, scenario.w0
-    z[1:] = scenario.z0 + np.cumsum(_simpson_panels(fz_n, fz_m, steps))
-    w[1:] = scenario.w0 + np.cumsum(_simpson_panels(fw_n, fw_m, steps))
-    return Playout(grid=grid, z_traj=z, w_traj=w, z_f=float(z[-1]), w_f=float(w[-1]),
-                   up_samples=up_n, ue_samples=ue_n)
+    z[1:] = scenario.z0 + np.cumsum(_simpson_panels(fz[0::2], fz[1::2], steps))
+    w[1:] = scenario.w0 + np.cumsum(_simpson_panels(fw[0::2], fw[1::2], steps))
+    return Playout(grid=bundle.grid, z_traj=z, w_traj=w, z_f=float(z[-1]), w_f=float(w[-1]),
+                   up_samples=up[0::2], ue_samples=ue[0::2])
 
 
 def evaluate_cost(scenario: EngagementScenario, kernels: Optional[KernelSet],
                   u_p: ControlLaw, u_e: ControlLaw,
                   grid: Optional[TimeGrid] = None) -> CostBreakdown:
     """Terminal miss squared plus weighted control efforts,
-    J = z_f^2 + alpha int u_p^2 - beta int u_e^2."""
+    J = z_f^2 + alpha int u_p^2 - beta int u_e^2, over the grid (by default
+    the kernels' build grid)."""
     k = kernels if kernels is not None else Kernels(scenario)
-    grid = _default_grid(scenario, grid)
-    play = playout_reduced(scenario, k, u_p, u_e, grid)
-    steps = np.diff(grid.nodes)
-    mids = grid.midpoints
-    up_m = sample_control(u_p, k, mids)
-    ue_m = sample_control(u_e, k, mids)
-    pursuer = scenario.alpha * float(np.sum(_simpson_panels(play.up_samples ** 2, up_m ** 2, steps)))
-    evader = scenario.beta * float(np.sum(_simpson_panels(play.ue_samples ** 2, ue_m ** 2, steps)))
-    terminal = play.z_f ** 2
+    bundle = k.bundle(grid)
+    z_f, up2, ue2 = _cost_integrals(bundle, bundle.control(u_p), bundle.control(u_e), scenario.z0)
+    terminal = z_f ** 2
+    pursuer = scenario.alpha * up2
+    evader = scenario.beta * ue2
     return CostBreakdown(terminal=terminal, pursuer_effort=pursuer,
                          evader_effort=evader, total=terminal + pursuer - evader)
 
@@ -170,26 +163,18 @@ def playout_full(scenario: EngagementScenario, u_p: ControlLaw, u_e: ControlLaw,
                  kernels: Optional[Kernels] = None) -> FullPlayout:
     """Integrate the stacked player blocks and reconstruct z(t), w(t).
 
-    The reconstruction applies the transition rows to the relative and
-    evader sub-states, so at the horizon z equals the achieved miss
-    y_e - y_p exactly.
+    The state follows dx/dt = A x + B u_p + C u_e of `build_game_ss` by the
+    classical RK4 over the grid (by default the kernels' build grid), with
+    the controls taken on its refined nodes. The reconstruction applies the
+    transition rows to the relative and evader sub-states, so at the horizon
+    z equals the achieved miss y_e - y_p exactly.
     """
     k = kernels if kernels is not None else Kernels(scenario)
-    grid = _default_grid(scenario, grid)
+    bundle = k.bundle(grid)
+    grid = bundle.grid
     ss = build_game_ss(scenario.pursuer, scenario.evader)
-    ts_ref = grid.refined()
-    up_ref = sample_control(u_p, k, ts_ref)
-    ue_ref = sample_control(u_e, k, ts_ref)
-
-    def rhs(t, x):
-        i = int(np.searchsorted(ts_ref, t))
-        if i == ts_ref.size or (i > 0 and abs(ts_ref[i - 1] - t) <= abs(ts_ref[i] - t)):
-            i -= 1
-        if abs(ts_ref[i] - t) > 1e-9 * max(1.0, scenario.t_f):
-            raise AssertionFailure("full playout queried off the refined grid at t=%g" % t)
-        return ss.A @ x + ss.B * up_ref[i] + ss.C * ue_ref[i]
-
-    x_traj = ode_playout(rhs, _initial_full_state(scenario), grid)
+    forcing = np.outer(bundle.control(u_p), ss.B) + np.outer(bundle.control(u_e), ss.C)
+    x_traj = rk4_affine(ss.A, forcing, _initial_full_state(scenario), grid.nodes)
 
     n_p = scenario.pursuer.order + 2
     x_p = x_traj[:, :n_p]
@@ -229,17 +214,31 @@ class ProbeReport:
 
 
 def _legendre_basis(ts: np.ndarray, t_f: float) -> np.ndarray:
-    x = 2.0 * ts / t_f - 1.0
-    return np.vstack([
-        np.polynomial.legendre.Legendre.basis(j)(x) for j in range(_PROBE_BASIS_SIZE)
-    ])
+    """Legendre polynomials of degree below _PROBE_BASIS_SIZE on [0, t_f],
+    one row per degree."""
+    return np.polynomial.legendre.legvander(2.0 * ts / t_f - 1.0, _PROBE_BASIS_SIZE - 1).T
+
+
+def _peaks(coefficients: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """max |c @ basis| over the refined nodes for each row c, taken a few
+    rows at a time so that no (trials x nodes) array is formed."""
+    out = np.empty(len(coefficients))
+    for i in range(0, len(coefficients), _PEAK_CHUNK):
+        out[i:i + _PEAK_CHUNK] = np.abs(coefficients[i:i + _PEAK_CHUNK] @ basis).max(axis=1)
+    return out
+
+
+def _quadratic(V: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """v' gram v for each row v of V."""
+    return np.einsum("ti,ij,tj->t", V, gram, V)
 
 
 def admissible_evader_perturbation(delta: np.ndarray, ge_n: np.ndarray, ge_m: np.ndarray,
                                    steps: np.ndarray) -> np.ndarray:
     """Project a perturbation onto the class that leaves the terminal w
     unchanged (discrete version of int g_e delta = 0, in the same panel
-    quadrature the playout uses)."""
+    quadrature the playout uses). `saddle_probe` applies the same projection
+    to coefficient vectors; this is its sampled form."""
     d_n, d_m = delta[0::2], delta[1::2]
     num = float(np.sum(_simpson_panels(ge_n * d_n, ge_m * d_m, steps)))
     den = float(np.sum(_simpson_panels(ge_n ** 2, ge_m ** 2, steps)))
@@ -259,62 +258,80 @@ def saddle_probe(scenario: EngagementScenario, solution: "SaddleSolution",
     Random smooth perturbations (a low-order orthogonal-polynomial basis)
     are applied to each side separately; evader perturbations are projected
     into the admissible class of the active region first. Every trial must
-    keep J(u_p*, u_e* + d) <= J* <= J(u_p* + d, u_e*) up to a 1e-9 slack.
+    keep J(u_p*, u_e* + d) <= J* <= J(u_p* + d, u_e*) up to a 1e-9 slack;
+    the first trial that does not raises ProbeFailure (its evader side
+    before its pursuer side).
+
+    Trial t draws 8 evader and then 8 pursuer Legendre coefficients from
+    default_rng(SeedSequence(seed).spawn(n_trials)[t]); each perturbation is
+    scaled to a peak of rel_amplitude * max(1, max |u*|) over the refined
+    nodes. Every perturbation lies in span(basis, g_e), and J is quadratic
+    in the controls, so each trial's terminal z, efforts and cost come from
+    its 9 coefficients and one 9x9 Gram matrix of the basis and g_e under
+    the Simpson weights; all trials are evaluated at once.
     """
     from .solver import RegionLabel
 
     k = kernels if kernels is not None else Kernels(scenario)
-    grid = _default_grid(scenario, grid)
-    ts_ref = grid.refined()
-    steps = np.diff(grid.nodes)
-    ge_n = k.sample_target(grid.nodes)
-    ge_m = k.sample_target(grid.midpoints)
-    up_ref = sample_control(solution.u_p, k, ts_ref)
-    ue_ref = sample_control(solution.u_e, k, ts_ref)
-    basis = _legendre_basis(ts_ref, scenario.t_f)
-    in_strip = solution.region.label is RegionLabel.OMEGA
+    bundle = k.bundle(grid)
+    up, ue = bundle.control(solution.u_p), bundle.control(solution.u_e)
+    z_f, up2, ue2 = _cost_integrals(bundle, up, ue, scenario.z0)
+    alpha, beta = scenario.alpha, scenario.beta
+    basis = _legendre_basis(bundle.ts, scenario.t_f)
+    aug = np.vstack([basis, bundle.g_e])
+    products = (aug * bundle.weights) @ np.vstack([aug, bundle.h_p, bundle.h_e, up, ue]).T
+    nb = _PROBE_BASIS_SIZE
+    gram = products[:, :nb + 1]
+    hp_dot, he_dot, up_dot, ue_dot = products[:, nb + 1:].T  # int aug_i * (h_p, h_e, u_p*, u_e*)
 
     j_star = solution.value
     slack = 1e-9 * max(1.0, abs(j_star))
-    amp_p = rel_amplitude * max(1.0, float(np.abs(up_ref).max()))
-    amp_e = rel_amplitude * max(1.0, float(np.abs(ue_ref).max()))
+    amp_p = rel_amplitude * max(1.0, float(np.abs(up).max()))
+    amp_e = rel_amplitude * max(1.0, float(np.abs(ue).max()))
 
-    seeds = np.random.SeedSequence(seed).spawn(n_trials)
-    evader_worst = -np.inf
-    pursuer_worst = np.inf
-    for trial, seq in enumerate(seeds):
+    draws = np.empty((2, n_trials, nb))
+    for trial, seq in enumerate(np.random.SeedSequence(seed).spawn(n_trials)):
         rng = np.random.default_rng(seq)
+        draws[0, trial] = rng.standard_normal(nb)
+        draws[1, trial] = rng.standard_normal(nb)
+    c_e, c_p = draws
+    peaks = _peaks(draws.reshape(-1, nb), basis)
 
-        raw = rng.standard_normal(_PROBE_BASIS_SIZE) @ basis
-        delta_e = raw * (amp_e / np.abs(raw).max())
-        if in_strip:
-            # keep the perturbed terminal inside the strip: the room to the
-            # nearest wall is -margin, so cap the terminal shift below it
-            dw = float(np.sum(_simpson_panels(ge_n * delta_e[0::2], ge_m * delta_e[1::2], steps)))
-            room = -solution.region.margin
-            if abs(dw) > 0.9 * room:
-                delta_e = delta_e * (0.9 * room / abs(dw))
-        else:
-            delta_e = admissible_evader_perturbation(delta_e, ge_n, ge_m, steps)
-        u_e_pert = Sampled(ts_ref, ue_ref + delta_e)
-        j_e = evaluate_cost(scenario, k, solution.u_p, u_e_pert, grid).total
+    scale_e = amp_e / peaks[:n_trials]
+    dw = scale_e * (c_e @ gram[:nb, nb])  # int g_e delta: terminal w shift
+    if solution.region.label is RegionLabel.OMEGA:
+        # keep the perturbed terminal inside the strip: the room to the
+        # nearest wall is -margin, so cap the terminal shift below it
+        room = -solution.region.margin
+        capped = np.abs(dw) > 0.9 * room
+        scale_e[capped] *= 0.9 * room / np.abs(dw[capped])
+        ge_part = np.zeros(n_trials)
+    else:
+        ge_part = -dw / gram[nb, nb]
+    V_e = np.column_stack([scale_e[:, None] * c_e, ge_part])
+    z_e = z_f + V_e @ he_dot
+    j_e = z_e ** 2 + alpha * up2 - beta * (ue2 + 2.0 * (V_e @ ue_dot) + _quadratic(V_e, gram))
 
-        raw_p = rng.standard_normal(_PROBE_BASIS_SIZE) @ basis
-        delta_p = raw_p * (amp_p / np.abs(raw_p).max())
-        u_p_pert = Sampled(ts_ref, up_ref + delta_p)
-        j_p = evaluate_cost(scenario, k, u_p_pert, solution.u_e, grid).total
+    V_p = (amp_p / peaks[n_trials:])[:, None] * c_p
+    z_p = z_f + V_p @ hp_dot[:nb]
+    j_p = z_p ** 2 + alpha * (up2 + 2.0 * (V_p @ up_dot[:nb])
+                              + _quadratic(V_p, gram[:nb, :nb])) - beta * ue2
 
-        evader_worst = max(evader_worst, j_e - j_star)
-        pursuer_worst = min(pursuer_worst, j_p - j_star)
-        if j_e > j_star + slack:
-            raise ProbeFailure(
-                "evader perturbation raised the cost: %g > %g" % (j_e, j_star),
-                trial=trial, coefficients=raw,
-            )
-        if j_p < j_star - slack:
-            raise ProbeFailure(
-                "pursuer perturbation lowered the cost: %g < %g" % (j_p, j_star),
-                trial=trial, coefficients=raw_p,
-            )
-    return ProbeReport(n_trials=n_trials, evader_worst=float(evader_worst),
-                       pursuer_worst=float(pursuer_worst), slack=slack, passed=True)
+    raised = np.flatnonzero(j_e > j_star + slack)
+    lowered = np.flatnonzero(j_p < j_star - slack)
+    if raised.size and (not lowered.size or raised[0] <= lowered[0]):
+        t = int(raised[0])
+        raise ProbeFailure(
+            "evader perturbation raised the cost: %g > %g" % (j_e[t], j_star),
+            trial=t, coefficients=c_e[t].copy(),
+        )
+    if lowered.size:
+        t = int(lowered[0])
+        raise ProbeFailure(
+            "pursuer perturbation lowered the cost: %g < %g" % (j_p[t], j_star),
+            trial=t, coefficients=c_p[t].copy(),
+        )
+    return ProbeReport(n_trials=n_trials,
+                       evader_worst=float(np.max(j_e - j_star, initial=-np.inf)),
+                       pursuer_worst=float(np.min(j_p - j_star, initial=np.inf)),
+                       slack=slack, passed=True)

@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .engagement import EngagementScenario
-from .errors import AssertionFailure, NotInConstrainedRegion, SolvabilityError
+from .errors import AssertionFailure, NotInConstrainedRegion
 from .numerics import TimeGrid, solve2
 from .reduction import (
     ControlLaw,
@@ -123,11 +123,6 @@ class CaseIiiDiagnostic:
     inside_2: bool
 
 
-def _require_solvable(coeffs: GameCoefficients):
-    if not coeffs.condition33:
-        raise SolvabilityError(coeffs.beta, coeffs.beta_star)
-
-
 def _gamma(sign: int, bound: float) -> np.ndarray:
     if sign not in (1, -1):
         raise ValueError("branch sign must be +1 or -1")
@@ -148,7 +143,6 @@ def classify(coeffs: GameCoefficients, z0: float, w0: float) -> Region:
     constrained and unconstrained solutions coincide, so the assignment is
     value-equivalent and deterministic.
     """
-    _require_solvable(coeffs)
     m = w0 + coeffs.a * z0
     bound = coeffs.bound
     if m >= bound:
@@ -168,7 +162,6 @@ def solve_urg(coeffs: GameCoefficients, z0: float,
     """
     from . import simulate
 
-    _require_solvable(coeffs)
     scale = z0 / (coeffs.alpha * coeffs.s)
     u_p = KernelCombo(hp_coef=-scale)
     u_e = KernelCombo(he_coef=z0 / (coeffs.beta * coeffs.s))
@@ -191,7 +184,6 @@ def solve_upg(coeffs: GameCoefficients, z0: float, w0: float, sign: int,
     Solves (G + diag(0, eps)) omega = b and returns the saddle controls and
     the value omega' diag(1,-1) (G + diag(0, eps)) omega.
     """
-    _require_solvable(coeffs)
     if eps <= 0:
         raise ValueError("eps must be positive")
     gamma = _gamma(sign, coeffs.bound)
@@ -207,7 +199,6 @@ def solve_erg_branch(coeffs: GameCoefficients, z0: float, w0: float, sign: int) 
     """Equality-constrained branch saddle point: omega_f = G^-1 b, with the
     value computed both as omega' G_tilde omega and as the quadratic form in
     the initial position; the two must agree to 1e-9 relative."""
-    _require_solvable(coeffs)
     chi0 = np.array([z0, w0])
     gamma = _gamma(sign, coeffs.bound)
     b = chi0 + gamma
@@ -231,7 +222,6 @@ def aux_cross(coeffs: GameCoefficients, z0: float, w0: float, pursuer_sign: int)
     Returns the solved terminal pair, the evader reply, and the full cost of
     the mixed pair as a quadratic form in the initial position.
     """
-    _require_solvable(coeffs)
     chi0 = np.array([z0, w0])
     bound = coeffs.bound
     gamma_fix = _gamma(pursuer_sign, bound)
@@ -361,7 +351,6 @@ def check_case_iii_infeasible(coeffs: GameCoefficients, z0: float, w0: float) ->
 
 def case_iii_positions(coeffs: GameCoefficients, z0: float, w0: float) -> CaseIiiDiagnostic:
     """Interior-case candidates for any initial position (no region guard)."""
-    _require_solvable(coeffs)
     chi0 = np.array([z0, w0])
     bound = coeffs.bound
     one_minus_nu_e = 1.0 - coeffs.nu_e

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from zemgame import TimeGrid, mat_exp, ode_playout, psi, quad_adaptive, solve2
-from zemgame.numerics import squarings
+from zemgame.numerics import rk4_affine, squarings
 from zemgame.errors import NearSingularError
 
 from helpers import psi_ref
@@ -199,3 +199,12 @@ class TestOdePlayout:
         grid = TimeGrid.uniform(0.0, 1.0, 11)
         with pytest.raises(ValueError):
             ode_playout(lambda t, x: x * 1e308, np.array([1.0]), grid)
+
+
+class TestRk4Affine:
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid")
+    def test_non_finite_state_rejected(self):
+        grid = TimeGrid.uniform(0.0, 1.0, 11)
+        forcing = np.zeros((grid.refined().size, 1))
+        with pytest.raises(ValueError, match="non-finite"):
+            rk4_affine(np.array([[1e308]]), forcing, np.array([1.0]), grid.nodes)

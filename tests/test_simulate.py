@@ -1,30 +1,43 @@
 import dataclasses
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import zemgame as z
 from zemgame import (
     AffineInTime,
     Constant,
     KernelCombo,
+    RegionLabel,
     Sampled,
     TimeGrid,
+    build_game_ss,
     check_terminal,
     coefficients,
     cross_play,
     evaluate_cost,
+    ode_playout,
     playout_full,
     playout_reduced,
     quad_adaptive,
+    sample_control,
     saddle_probe,
     solve_erg_branch,
     solve_rg,
 )
+from zemgame.cli import load_scenario
 from zemgame.errors import ProbeFailure
-from zemgame.simulate import admissible_evader_perturbation, _simpson_panels
+from zemgame.simulate import admissible_evader_perturbation, _initial_full_state, _simpson_panels
 
-from helpers import ORACLE, random_scenario
+from helpers import ORACLE, random_controller, random_scenario
+
+MIXED_ORDERS = Path(__file__).resolve().parents[1] / "scenarios" / "geometry_mixed_orders.json"
+
+# Deterministic draws: the same examples on every run, no example database.
+DRAWS = dict(deadline=None, derandomize=True, database=None)
 
 ZERO = KernelCombo()
 
@@ -222,3 +235,219 @@ class TestSaddleProbe:
         with pytest.raises(ProbeFailure):
             saddle_probe(study_scenario, corrupted, n_trials=10, seed=3,
                          kernels=study_kernels)
+
+
+# -- reference loops: the per-trial probe and the closure-driven RK4 ----------
+
+
+def probe_loop(scenario, solution, kernels, n_trials, seed, rel_amplitude=0.2):
+    """The saddle probe one trial at a time: sampled perturbations, one
+    `evaluate_cost` per side. Returns (evader_worst, pursuer_worst), or for
+    the first failing trial the failing sides (evader first), the trial and
+    the coefficients drawn for the first failing side."""
+    grid = kernels.grid
+    ts_ref = grid.refined()
+    steps = np.diff(grid.nodes)
+    ge_n = kernels.sample_target(grid.nodes)
+    ge_m = kernels.sample_target(grid.midpoints)
+    up_ref = sample_control(solution.u_p, kernels, ts_ref)
+    ue_ref = sample_control(solution.u_e, kernels, ts_ref)
+    x = 2.0 * ts_ref / scenario.t_f - 1.0
+    basis = np.vstack([np.polynomial.legendre.Legendre.basis(j)(x) for j in range(8)])
+    j_star = solution.value
+    slack = 1e-9 * max(1.0, abs(j_star))
+    amp_p = rel_amplitude * max(1.0, float(np.abs(up_ref).max()))
+    amp_e = rel_amplitude * max(1.0, float(np.abs(ue_ref).max()))
+    evader_worst, pursuer_worst = -np.inf, np.inf
+    for trial, seq in enumerate(np.random.SeedSequence(seed).spawn(n_trials)):
+        rng = np.random.default_rng(seq)
+        c_e = rng.standard_normal(8)
+        raw = c_e @ basis
+        delta_e = raw * (amp_e / np.abs(raw).max())
+        if solution.region.label is RegionLabel.OMEGA:
+            dw = float(np.sum(_simpson_panels(ge_n * delta_e[0::2], ge_m * delta_e[1::2], steps)))
+            room = -solution.region.margin
+            if abs(dw) > 0.9 * room:
+                delta_e = delta_e * (0.9 * room / abs(dw))
+        else:
+            delta_e = admissible_evader_perturbation(delta_e, ge_n, ge_m, steps)
+        u_e_pert = Sampled(ts_ref, ue_ref + delta_e)
+        j_e = evaluate_cost(scenario, kernels, solution.u_p, u_e_pert).total
+        c_p = rng.standard_normal(8)
+        raw_p = c_p @ basis
+        delta_p = raw_p * (amp_p / np.abs(raw_p).max())
+        u_p_pert = Sampled(ts_ref, up_ref + delta_p)
+        j_p = evaluate_cost(scenario, kernels, u_p_pert, solution.u_e).total
+        evader_worst = max(evader_worst, j_e - j_star)
+        pursuer_worst = min(pursuer_worst, j_p - j_star)
+        failed = [side for side, bad in (("evader", j_e > j_star + slack),
+                                         ("pursuer", j_p < j_star - slack)) if bad]
+        if failed:
+            return failed, trial, c_e if failed[0] == "evader" else c_p
+    return evader_worst, pursuer_worst
+
+
+def full_loop(scenario, u_p, u_e, grid, kernels):
+    """Full-state RK4 through `ode_playout` with a closure right-hand side
+    reading the controls at the nearest refined node. Returns the trajectory
+    and the terminal z (the miss) and w."""
+    ss = build_game_ss(scenario.pursuer, scenario.evader)
+    ts_ref = grid.refined()
+    up_ref = sample_control(u_p, kernels, ts_ref)
+    ue_ref = sample_control(u_e, kernels, ts_ref)
+
+    def rhs(t, x):
+        i = int(np.argmin(np.abs(ts_ref - t)))
+        return ss.A @ x + ss.B * up_ref[i] + ss.C * ue_ref[i]
+
+    x_traj = ode_playout(rhs, _initial_full_state(scenario), grid)
+    n_p = scenario.pursuer.order + 2
+    z_f = x_traj[-1, n_p] - x_traj[-1, 0]
+    w_f = float(kernels.rows_target(grid.nodes[-1:])[0] @ x_traj[-1, n_p:])
+    return x_traj, z_f, w_f
+
+
+def assert_full_matches_loop(scenario, u_p, u_e, grid, kernels):
+    play = playout_full(scenario, u_p, u_e, grid, kernels)
+    x_traj, z_f, w_f = full_loop(scenario, u_p, u_e, grid, kernels)
+    scale = np.abs(x_traj).max()
+    np.testing.assert_allclose(play.x_traj, x_traj, rtol=0, atol=1e-12 * scale)
+    ends = max(1.0, np.abs(play.z_traj).max(), np.abs(play.w_traj).max())
+    assert abs(play.z_f - z_f) <= 1e-12 * ends
+    assert abs(play.w_f - w_f) <= 1e-12 * ends
+
+
+@pytest.fixture(scope="module")
+def mixed():
+    scenario, _ = load_scenario(str(MIXED_ORDERS))
+    kernels = z.Kernels(scenario)
+    return scenario, kernels, coefficients(scenario, kernels)
+
+
+def region_positions(coeffs, z0):
+    """Positions in each region: the strip centre, a point in the strip near
+    its upper wall (where the probe caps the terminal shift), and 20 beyond
+    either wall."""
+    offset = coeffs.bound + 20.0
+    return [(z0, m - coeffs.a * z0) for m in (0.0, 0.95 * coeffs.bound, offset, -offset)]
+
+
+class TestProbeEquivalence:
+    def check(self, scenario, kernels, coeffs, positions, seed):
+        labels = set()
+        for z0, w0 in positions:
+            sc = dataclasses.replace(scenario, z0=z0, w0=w0, geometry=None)
+            sol = solve_rg(sc, kernels, coeffs)
+            labels.add(sol.region.label)
+            report = saddle_probe(sc, sol, n_trials=25, seed=seed, kernels=kernels)
+            evader_worst, pursuer_worst = probe_loop(sc, sol, kernels, 25, seed)
+            tol = 1e-12 * max(1.0, abs(sol.value))
+            assert abs(report.evader_worst - evader_worst) <= tol
+            assert abs(report.pursuer_worst - pursuer_worst) <= tol
+        return labels
+
+    def test_study_regions(self, study_scenario, study_kernels, study_coeffs):
+        positions = [(100.0, -50.0), (100.0, 50.0), (100.0, -100.0), (-100.0, -20.0)]
+        positions += region_positions(study_coeffs, -60.0)
+        labels = self.check(study_scenario, study_kernels, study_coeffs, positions, seed=11)
+        assert labels == set(RegionLabel)
+
+    def test_mixed_orders_regions(self, mixed):
+        scenario, kernels, coeffs = mixed
+        positions = [(scenario.z0, scenario.w0)] + region_positions(coeffs, 40.0)
+        labels = self.check(scenario, kernels, coeffs, positions, seed=12)
+        assert labels == set(RegionLabel)
+
+    @pytest.mark.parametrize("halve_evader, seed", [(False, 3), (True, 4), (True, 8)])
+    def test_failing_trial_matches_loop(self, study_scenario, study_kernels, study_coeffs,
+                                        halve_evader, seed):
+        """The corrupted pursuer of `test_detects_a_bad_saddle`, and both
+        controls halved (valued at their own cost): seed 4 fails first on
+        the pursuer side at trial 2, seed 8 on both sides at trial 1, where
+        the evader side is reported."""
+        sol = solve_rg(study_scenario, study_kernels, study_coeffs)
+        corrupted = dataclasses.replace(sol, u_p=KernelCombo(hp_coef=0.5 * sol.u_p.hp_coef))
+        if halve_evader:
+            u_e = KernelCombo(he_coef=0.5 * sol.u_e.he_coef, ge_coef=0.5 * sol.u_e.ge_coef)
+            value = evaluate_cost(study_scenario, study_kernels, corrupted.u_p, u_e).total
+            corrupted = dataclasses.replace(corrupted, u_e=u_e, value=value)
+        sides, trial, drawn = probe_loop(study_scenario, corrupted, study_kernels, 10, seed)
+        if seed == 8:
+            assert sides == ["evader", "pursuer"] and trial == 1
+        with pytest.raises(ProbeFailure, match=sides[0]) as failure:
+            saddle_probe(study_scenario, corrupted, n_trials=10, seed=seed, kernels=study_kernels)
+        assert failure.value.trial == trial
+        np.testing.assert_array_equal(failure.value.coefficients, drawn)
+
+    def test_failure_reports_drawn_coefficients(self, study_scenario, study_kernels, study_coeffs):
+        """The coefficients of a failure are the 8 numbers the trial's stream
+        drew for the failing side (evader first, then pursuer)."""
+        sol = solve_rg(study_scenario, study_kernels, study_coeffs)
+        corrupted = dataclasses.replace(sol, value=sol.value - 1e3)  # every evader trial fails
+        with pytest.raises(ProbeFailure, match="evader") as failure:
+            saddle_probe(study_scenario, corrupted, n_trials=4, seed=8, kernels=study_kernels)
+        assert failure.value.trial == 0
+        rng = np.random.default_rng(np.random.SeedSequence(8).spawn(4)[0])
+        np.testing.assert_array_equal(failure.value.coefficients, rng.standard_normal(8))
+        corrupted = dataclasses.replace(sol, value=sol.value + 1e3)  # every pursuer trial fails
+        with pytest.raises(ProbeFailure, match="pursuer") as failure:
+            saddle_probe(study_scenario, corrupted, n_trials=4, seed=8, kernels=study_kernels)
+        rng = np.random.default_rng(np.random.SeedSequence(8).spawn(4)[0])
+        rng.standard_normal(8)
+        np.testing.assert_array_equal(failure.value.coefficients, rng.standard_normal(8))
+
+
+class TestFullEquivalence:
+    def test_study(self, study_scenario, study_kernels, study_coeffs):
+        for sign in (1, -1):
+            branch = solve_erg_branch(study_coeffs, 100.0, -100.0, sign)
+            assert_full_matches_loop(study_scenario, branch.u_p, branch.u_e,
+                                     study_kernels.grid, study_kernels)
+
+    def test_mixed_orders(self, mixed):
+        scenario, kernels, coeffs = mixed
+        sol = solve_rg(scenario, kernels, coeffs)
+        assert_full_matches_loop(scenario, sol.u_p, sol.u_e, kernels.grid, kernels)
+
+    def test_non_uniform_grid(self, study_scenario, study_kernels, study_coeffs):
+        branch = solve_erg_branch(study_coeffs, 100.0, -100.0, 1)
+        grid = TimeGrid(np.linspace(0.0, 1.0, 301) ** 1.5)
+        assert_full_matches_loop(study_scenario, branch.u_p, AffineInTime(-30.0, 40.0),
+                                 grid, study_kernels)
+
+    @settings(max_examples=20, **DRAWS)
+    @given(seed=st.integers(0, 2 ** 32 - 1), order_p=st.integers(0, 10),
+           order_e=st.integers(0, 10))
+    def test_random_controllers(self, seed, order_p, order_e):
+        rng = np.random.default_rng(seed)
+        sc = z.EngagementScenario(
+            pursuer=random_controller(rng, order_p), evader=random_controller(rng, order_e),
+            t_f=float(rng.uniform(0.6, 1.8)), t_c=float(rng.uniform(0.3, 1.2)),
+            alpha=0.1, beta=1.0, ae_max=50.0,
+            z0=float(rng.uniform(-150.0, 150.0)), w0=float(rng.uniform(-150.0, 150.0)))
+        grid = TimeGrid.uniform(0.0, sc.t_f, 401)
+        k = z.Kernels(sc, grid)
+        u_p = KernelCombo(hp_coef=float(rng.uniform(-30, 30)))
+        u_e = KernelCombo(he_coef=float(rng.uniform(-30, 30)), ge_coef=float(rng.uniform(-30, 30)))
+        assert_full_matches_loop(sc, u_p, u_e, grid, k)
+
+
+class TestMemory:
+    """Neither the probe nor the full playout forms a (trials x nodes) or
+    (steps x state x state) array on the default grid."""
+
+    @pytest.mark.parametrize("run", ["probe", "full"])
+    def test_peak(self, study_scenario, study_kernels, study_coeffs, run):
+        sc = dataclasses.replace(study_scenario, z0=100.0, w0=50.0, geometry=None)
+        sol = solve_rg(sc, study_kernels, study_coeffs)
+        calls = {
+            "probe": lambda: saddle_probe(sc, sol, n_trials=100, seed=1, kernels=study_kernels),
+            "full": lambda: playout_full(sc, sol.u_p, sol.u_e, kernels=study_kernels),
+        }
+        tracemalloc.start()
+        try:
+            calls[run]()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4e6
