@@ -34,9 +34,7 @@ from .reduction import (
     Kernels,
     Sampled,
     coefficients,
-    eval_control,
     first_order_coefficients,
-    kernels,
     mu_e,
     sample_control,
     solvability_threshold,

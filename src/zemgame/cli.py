@@ -35,14 +35,9 @@ from .errors import (
     ZemGameError,
 )
 from .numerics import DEFAULT_GRID_NODES, TimeGrid
-from .reduction import AffineInTime, Constant, coefficients, integral_g_e, kernels as build_kernels
+from .reduction import AffineInTime, Constant, Kernels, coefficients, integral_g_e
 from .simulate import cross_play, evaluate_cost, playout_reduced, saddle_probe
-from .solver import (
-    classify as classify_position,
-    penalty_sweep,
-    solve_erg_branch,
-    solve_rg,
-)
+from .solver import classify, penalty_sweep, solve_erg_branch, solve_rg
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -67,7 +62,6 @@ class ResultRow:
 @dataclass
 class ResultTable:
     rows: list[ResultRow] = field(default_factory=list)
-    csv_path: Optional[str] = None
 
     def add(self, name: str, value: float, formula: str):
         self.rows.append(ResultRow(name, float(value), formula))
@@ -209,7 +203,7 @@ def _write_csv(path: str, header: Sequence[str], rows) -> None:
 def cmd_classify(args) -> int:
     scenario, _ = load_scenario(args.scenario)
     coeffs = coefficients(scenario)
-    region = classify_position(coeffs, scenario.z0, scenario.w0)
+    region = classify(coeffs, scenario.z0, scenario.w0)
     table = ResultTable()
     table.add("a", coeffs.a, "a = G2/G1")
     table.add("bound", coeffs.bound, "bound = mu_e*ae_max")
@@ -223,8 +217,7 @@ def cmd_classify(args) -> int:
 
 def cmd_solve(args) -> int:
     scenario, _ = load_scenario(args.scenario)
-    kern = build_kernels(scenario)
-    coeffs = coefficients(scenario, kern)
+    coeffs = coefficients(scenario)
     grid = TimeGrid.uniform(0.0, scenario.t_f, args.grid)
     table = ResultTable()
     if args.sign is not None:
@@ -237,7 +230,7 @@ def cmd_solve(args) -> int:
         table.add("v_f", branch.omega_f[1], "omega_f = G^-1 b")
         table.add("w_f", branch.sign * coeffs.bound, "w_f = sign*mu_e*ae_max")
     else:
-        sol = solve_rg(scenario, kern, coeffs, grid)
+        sol = solve_rg(scenario, coeffs)
         u_p, u_e = sol.u_p, sol.u_e
         region_name = sol.region.label.value
         table.add("value", sol.value, "J(u_p*, u_e*)")
@@ -248,14 +241,16 @@ def cmd_solve(args) -> int:
     table.add("u_e coef on h_e", u_e.he_coef, "u_e = (z_f h_e - v_f g_e)/beta")
     table.add("u_e coef on g_e", u_e.ge_coef, "u_e = (z_f h_e - v_f g_e)/beta")
     table.print()
+    probe = args.probe and args.sign is None
+    if args.csv or probe:
+        kern = Kernels(scenario, grid)
     if args.csv:
         play = playout_reduced(scenario, kern, u_p, u_e, grid)
         _write_csv(args.csv, ("t", "u_p", "u_e", "z", "w"),
                    zip(grid.nodes, play.up_samples, play.ue_samples,
                        play.z_traj, play.w_traj))
         print("trajectory written to %s" % args.csv)
-    if args.probe and args.sign is None:
-        sol = solve_rg(scenario, kern, coeffs, grid)
+    if probe:
         report = saddle_probe(scenario, sol, n_trials=args.probe, seed=args.seed,
                               kernels=kern, grid=grid)
         print("saddle probe: %d trials OK, worst margins evader %.3g pursuer %.3g"
@@ -321,8 +316,8 @@ def _cross_table(scenario: EngagementScenario, kern, coeffs, z0: float, w0: floa
 def cmd_table1(args) -> int:
     scenario, doc = _scenario_or_study(args.scenario)
     pos_plus, pos_minus = _table1_positions(doc)
-    kern = build_kernels(scenario)
-    coeffs = coefficients(scenario, kern)
+    kern = Kernels(scenario)
+    coeffs = coefficients(scenario)
 
     t_plus = _cross_table(scenario, kern, coeffs, *pos_plus)
     t_minus = _cross_table(scenario, kern, coeffs, *pos_minus)
@@ -356,8 +351,8 @@ class _Check:
 
 def _repro_checks(tol_scale: float) -> list[_Check]:
     scenario = _study_scenario()
-    kern = build_kernels(scenario)
-    coeffs = coefficients(scenario, kern)
+    kern = Kernels(scenario)
+    coeffs = coefficients(scenario)
     grid = TimeGrid.uniform(0.0, scenario.t_f)
     checks: list[_Check] = []
 
@@ -469,7 +464,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve the game and optionally dump the trajectory")
     p.add_argument("scenario", help="scenario JSON file")
     p.add_argument("--grid", type=int, default=DEFAULT_GRID_NODES,
-                   help="number of grid nodes (default %(default)s)")
+                   help="number of grid nodes of the --csv trajectory and the "
+                        "--probe trials (default %(default)s)")
     p.add_argument("--csv", help="write t,u_p,u_e,z,w rows to this path")
     p.add_argument("--sign", choices=("+", "-"),
                    help="force an equality branch instead of dispatching")

@@ -16,7 +16,7 @@ integrals are evaluated exactly from matrix exponentials; adaptive quadrature
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -81,7 +81,6 @@ class Kernels:
     """
 
     def __init__(self, scenario: EngagementScenario, grid: Optional[TimeGrid] = None):
-        self.scenario = scenario
         self.t_f = scenario.t_f
         self.t_c = scenario.t_c
         self.grid = grid if grid is not None else TimeGrid.uniform(0.0, scenario.t_f)
@@ -172,12 +171,6 @@ class FirstOrderKernels:
     def g_e(self, t: float) -> float:
         return float(self.sample_target(t)[0])
 
-    def bundle(self, grid: Optional[TimeGrid] = None) -> "SampleBundle":
-        """Sample bundle of a grid, by default the uniform grid over [0, t_f]."""
-        if grid is None:
-            grid = TimeGrid.uniform(0.0, self.t_f)
-        return SampleBundle.sample(self, grid)
-
 
 KernelSet = Union[Kernels, FirstOrderKernels]
 
@@ -259,11 +252,6 @@ def sample_control(law: ControlLaw, kernels: KernelSet, ts) -> np.ndarray:
     return _sample_explicit(law, ts)
 
 
-def eval_control(law: ControlLaw, kernels: KernelSet, t: float) -> float:
-    """Evaluate a control law at a single time in [0, t_f]."""
-    return float(sample_control(law, kernels, t)[0])
-
-
 @dataclass(frozen=True)
 class SampleBundle:
     """The three kernels on the refined nodes of one grid (nodes interleaved
@@ -343,10 +331,6 @@ class GameCoefficients:
     alpha: float
     beta: float
     ae_max: float
-    t_f: float
-    t_c: float
-    kernels: KernelSet = field(repr=False)
-    scenario: EngagementScenario = field(repr=False)
 
     @property
     def bound(self) -> float:
@@ -378,9 +362,10 @@ def solvability_threshold(kernels: KernelSet, tol: float = _INTEGRAL_TOL) -> flo
     return quad_adaptive(lambda t: kernels.h_e(t) ** 2, 0.0, kernels.t_f, tol)
 
 
-def _assemble(int_hp2: float, int_he2: float, int_hege: float, int_ge2: float,
-              mu: float, scenario: EngagementScenario, kernels: KernelSet) -> GameCoefficients:
-    alpha, beta = scenario.alpha, scenario.beta
+def _assemble(integrals: tuple[float, float, float, float], mu: float,
+              alpha: float, beta: float, ae_max: float) -> GameCoefficients:
+    """Coefficients from int h_p^2, h_e^2, h_e g_e, g_e^2 over [0, t_f] and mu."""
+    int_hp2, int_he2, int_hege, int_ge2 = integrals
     if beta <= int_he2:
         raise SolvabilityError(beta, int_he2)
     nu_p = int_hp2 / alpha
@@ -399,9 +384,7 @@ def _assemble(int_hp2: float, int_he2: float, int_hege: float, int_ge2: float,
         beta_star=int_he2,
         G=G, G_tilde=sign_flip @ G, G_bar=np.linalg.inv(G).T @ sign_flip,
         F=F, F_bar=np.linalg.inv(F).T @ sign_flip,
-        alpha=alpha, beta=beta, ae_max=scenario.ae_max,
-        t_f=scenario.t_f, t_c=scenario.t_c,
-        kernels=kernels, scenario=scenario,
+        alpha=alpha, beta=beta, ae_max=ae_max,
     )
 
 
@@ -518,11 +501,6 @@ def integral_g_e(scenario: EngagementScenario) -> float:
     return float(start @ mat_exp(_augmented(ev.A, ev.B), scenario.t_f)[:, -1])
 
 
-def kernels(scenario: EngagementScenario, grid: Optional[TimeGrid] = None) -> Kernels:
-    """Build the kernel functions of a scenario."""
-    return Kernels(scenario, grid)
-
-
 def coefficients(scenario: EngagementScenario,
                  kernels: Optional[KernelSet] = None) -> GameCoefficients:
     """All game coefficients from exact kernel integrals.
@@ -530,11 +508,11 @@ def coefficients(scenario: EngagementScenario,
     The four product integrals are entries of one Gramian of the
     block-diagonal system diag(A_ep, A_ep, A_e) driven by
     x = [B_ep; C_ep; exp(A_e t_c) B_e] over [0, t_f] (the kernels in the
-    reversed time s = t_f - t); mu_e comes from `_tail_weight`. Raises
+    reversed time s = t_f - t); mu_e comes from `_tail_weight`. No kernel
+    samples are taken: `kernels` is accepted and not read. Raises
     SolvabilityError when the evader effort weight does not exceed the
     squared-kernel integral.
     """
-    k = kernels if kernels is not None else Kernels(scenario)
     rel = build_relative_ss(scenario.pursuer, scenario.evader)
     ev = build_evader_ss(scenario.evader)
     n, m = rel.A.shape[0], ev.A.shape[0]
@@ -544,12 +522,12 @@ def coefficients(scenario: EngagementScenario,
     x = np.concatenate([rel.B, rel.C, mat_exp(ev.A, scenario.t_c) @ ev.B])
     W = _gramian(A, x, scenario.t_f)
     D_ep, D_e = rel.D_row, ev.D_row
-    int_hp2 = float(D_ep @ W[:n, :n] @ D_ep)
-    int_he2 = float(D_ep @ W[n:2 * n, n:2 * n] @ D_ep)
-    int_hege = float(D_ep @ W[n:2 * n, 2 * n:] @ D_e)
-    int_ge2 = float(D_e @ W[2 * n:, 2 * n:] @ D_e)
+    integrals = (float(D_ep @ W[:n, :n] @ D_ep),
+                 float(D_ep @ W[n:2 * n, n:2 * n] @ D_ep),
+                 float(D_ep @ W[n:2 * n, 2 * n:] @ D_e),
+                 float(D_e @ W[2 * n:, 2 * n:] @ D_e))
     mu = _tail_weight(ev.A, ev.B, D_e, scenario.t_c)
-    return _assemble(int_hp2, int_he2, int_hege, int_ge2, mu, scenario, k)
+    return _assemble(integrals, mu, scenario.alpha, scenario.beta, scenario.ae_max)
 
 
 # -- closed forms for the first-order special case ---------------------------
@@ -585,13 +563,13 @@ def first_order_coefficients(tau_p: float, tau_e: float, t_f: float, t_c: float,
     Independent of the matrix-exponential path; agrees with it to better
     than 1e-8 relative on non-degenerate scenarios.
     """
+    # built for its checks: a non-positive or non-finite argument is refused
+    scenario = first_order_scenario(tau_p, tau_e, t_f, t_c, alpha, beta, ae_max)
     xe = t_f / tau_e
     sigma = t_c / tau_e
-    int_hp2 = tau_p ** 3 * _psi_sq_integral(t_f / tau_p)
-    int_he2 = tau_e ** 3 * _psi_sq_integral(xe)
-    int_hege = tau_e ** 3 * _psi_cross_integral(xe, sigma)
-    int_ge2 = tau_e ** 3 * (_psi_sq_integral(xe + sigma) - _psi_sq_integral(sigma))
+    integrals = (tau_p ** 3 * _psi_sq_integral(t_f / tau_p),
+                 tau_e ** 3 * _psi_sq_integral(xe),
+                 tau_e ** 3 * _psi_cross_integral(xe, sigma),
+                 tau_e ** 3 * (_psi_sq_integral(xe + sigma) - _psi_sq_integral(sigma)))
     mu = tau_e ** 2 * _psi_integral(sigma)
-    scenario = first_order_scenario(tau_p, tau_e, t_f, t_c, alpha, beta, ae_max)
-    k = FirstOrderKernels(tau_p, tau_e, t_f, t_c)
-    return _assemble(int_hp2, int_he2, int_hege, int_ge2, mu, scenario, k)
+    return _assemble(integrals, mu, scenario.alpha, scenario.beta, scenario.ae_max)

@@ -9,7 +9,6 @@ its upper or lower bound. Each regime has an explicit solution driven by
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional, Sequence
@@ -18,12 +17,11 @@ import numpy as np
 
 from .engagement import EngagementScenario
 from .errors import AssertionFailure, NotInConstrainedRegion
-from .numerics import TimeGrid, solve2
+from .numerics import solve2
 from .reduction import (
     ControlLaw,
     GameCoefficients,
     KernelCombo,
-    Kernels,
     coefficients as build_coefficients,
 )
 
@@ -152,25 +150,25 @@ def classify(coeffs: GameCoefficients, z0: float, w0: float) -> Region:
     return Region(RegionLabel.OMEGA, abs(m) - bound)
 
 
-def solve_urg(coeffs: GameCoefficients, z0: float,
-              grid: Optional[TimeGrid] = None) -> UrgSolution:
+def solve_urg(coeffs: GameCoefficients, z0: float) -> UrgSolution:
     """Unconstrained saddle point: both controls proportional to their own
     kernel, terminal miss z0/s.
 
-    The value is obtained by numerically evaluating the cost of the optimal
-    pair and cross-checked against the closed form z0^2/s.
+    The value is the cost of the pair from the exact integrals
+    int h_p^2 = alpha nu_p and int h_e^2 = beta nu_e, cross-checked against
+    z0^2/s to 1e-12 of its summed terms z0^2 (1 + nu_p + nu_e)/s^2, so that
+    rounding near the solvability threshold (small s) does not fire it.
     """
-    from . import simulate
-
     scale = z0 / (coeffs.alpha * coeffs.s)
     u_p = KernelCombo(hp_coef=-scale)
     u_e = KernelCombo(he_coef=z0 / (coeffs.beta * coeffs.s))
     z_f = z0 / coeffs.s
 
-    positioned = dataclasses.replace(coeffs.scenario, z0=z0, w0=0.0, geometry=None)
-    value = simulate.evaluate_cost(positioned, coeffs.kernels, u_p, u_e, grid).total
+    pursuer = coeffs.alpha * scale ** 2 * (coeffs.alpha * coeffs.nu_p)
+    evader = coeffs.beta * u_e.he_coef ** 2 * (coeffs.beta * coeffs.nu_e)
+    value = z_f * z_f + pursuer - evader
     closed = z0 * z0 / coeffs.s
-    if abs(value - closed) > 1e-6 * max(1.0, abs(closed)):
+    if abs(value - closed) > 1e-12 * max(1.0, z_f * z_f + pursuer + evader):
         raise AssertionFailure(
             "unconstrained value %g disagrees with closed form %g" % (value, closed)
         )
@@ -275,16 +273,15 @@ def solve_erg(coeffs: GameCoefficients, z0: float, w0: float) -> BranchSolution:
     return branch
 
 
-def solve_rg(scenario: EngagementScenario, kernels: Optional[Kernels] = None,
-             coeffs: Optional[GameCoefficients] = None,
-             grid: Optional[TimeGrid] = None) -> SaddleSolution:
+def solve_rg(scenario: EngagementScenario,
+             coeffs: Optional[GameCoefficients] = None) -> SaddleSolution:
     """Complete open-loop saddle point of the reduced game.
 
     Dispatches on the region of (z0, w0): the unconstrained solution inside
     the strip, the matching equality branch outside.
     """
     if coeffs is None:
-        coeffs = build_coefficients(scenario, kernels)
+        coeffs = build_coefficients(scenario)
     z0, w0 = scenario.z0, scenario.w0
     region = classify(coeffs, z0, w0)
     if region.label is RegionLabel.OMEGA:
@@ -293,7 +290,7 @@ def solve_rg(scenario: EngagementScenario, kernels: Optional[Kernels] = None,
             raise AssertionFailure(
                 "interior dispatch with infeasible terminal %g" % w_f
             )
-        urg = solve_urg(coeffs, z0, grid)
+        urg = solve_urg(coeffs, z0)
         return SaddleSolution(region=region, u_p=urg.u_p, u_e=urg.u_e,
                               value=urg.value, z_f=urg.z_f, w_f=w_f)
     branch = solve_erg(coeffs, z0, w0)

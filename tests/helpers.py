@@ -7,6 +7,7 @@ its own matrix-exponential and adaptive-quadrature path.
 """
 
 import dataclasses
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -63,6 +64,8 @@ ORACLE = SimpleNamespace(
                  ("+", "-"): 2843.21373930},
 )
 
+MIXED_ORDERS = Path(__file__).resolve().parents[1] / "scenarios" / "geometry_mixed_orders.json"
+
 # Reference values printed by the source study (kept at their own coarser
 # tolerances in the acceptance suite).
 STUDY_POSITION_PLUS = (100.0, 50.0)
@@ -83,6 +86,12 @@ def random_controller(rng, order):
     feed = 0.0 if rng.uniform() < 0.7 else float(rng.uniform(0.2, 0.8))
     return z.ControllerModel(order=order, sys=A, inp=rng.uniform(0.5, 2.0, order),
                              out=rng.uniform(0.5, 2.0, order), feed=feed)
+
+
+def oscillator(omega, zeta):
+    """Second-order acceleration loop with natural frequency omega."""
+    return z.ControllerModel(order=2, sys=[[0.0, 1.0], [-omega ** 2, -2.0 * zeta * omega]],
+                             inp=[0.0, omega ** 2], out=[1.0, 0.0], feed=0.0)
 
 
 def random_scenario(rng, max_order=3):

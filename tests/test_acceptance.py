@@ -276,12 +276,12 @@ def test_criterion_11c_homogeneity(study_scenario, study_kernels):
     base = coefficients(study_scenario, study_kernels)
     worst = 0.0
     for z0, w0 in ((100.0, -100.0), (100.0, 50.0), (40.0, -10.0)):
-        ref = solve_rg(_at(study_scenario, z0, w0), study_kernels, base)
+        ref = solve_rg(_at(study_scenario, z0, w0), coeffs=base)
         for k in (0.5, 2.0, 10.0):
             scaled_sc = dataclasses.replace(_at(study_scenario, k * z0, k * w0),
                                             ae_max=k * study_scenario.ae_max)
             ck = coefficients(scaled_sc, study_kernels)
-            sol = solve_rg(scaled_sc, study_kernels, ck)
+            sol = solve_rg(scaled_sc, coeffs=ck)
             worst = max(worst, abs(sol.value / (k * k * ref.value) - 1.0))
             assert sol.value == pytest.approx(k * k * ref.value, rel=1e-9)
     assert _report("11c", True, "value scales as k^2, worst deviation %.2e" % worst)
@@ -297,7 +297,7 @@ def test_criterion_11d_boundary_continuity(study_scenario, study_kernels, study_
             eps = 1e-9 * c.bound
             controls = []
             for w0 in (w_boundary - eps, w_boundary + eps):
-                sol = solve_rg(_at(study_scenario, z0, w0), study_kernels, c)
+                sol = solve_rg(_at(study_scenario, z0, w0), coeffs=c)
                 controls.append((sample_control(sol.u_p, study_kernels, ts),
                                  sample_control(sol.u_e, study_kernels, ts)))
             (up_a, ue_a), (up_b, ue_b) = controls
@@ -315,7 +315,7 @@ def test_criterion_11e_saddle_probes(study_scenario, study_kernels, study_coeffs
     margins = []
     for name, (z0, w0) in positions.items():
         sc = _at(study_scenario, z0, w0)
-        sol = solve_rg(sc, study_kernels, study_coeffs)
+        sol = solve_rg(sc, coeffs=study_coeffs)
         assert sol.region.label.value == name
         report = saddle_probe(sc, sol, n_trials=100, seed=707, kernels=study_kernels)
         assert report.passed

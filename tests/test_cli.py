@@ -10,6 +10,7 @@ from zemgame.cli import (
     EXIT_USAGE,
     main,
 )
+from zemgame.reduction import Kernels
 
 STUDY_DOC = {
     "players": {
@@ -124,10 +125,62 @@ class TestSolve:
         assert main(["solve", study_file, "--probe", "5", "--seed", "11"]) == EXIT_OK
         assert "saddle probe: 5 trials OK" in capsys.readouterr().out
 
+    def test_bad_grid_rejected(self, study_file, capsys):
+        assert main(["solve", study_file, "--grid", "1"]) == EXIT_USAGE
+        assert "two nodes" in capsys.readouterr().err
+
+    def test_strip_value_independent_of_grid(self, tmp_path, capsys):
+        """The strip value comes from the exact integrals, so --grid, which
+        sets only the grid of --csv and --probe, does not move it."""
+        path = write_doc(tmp_path, lambda d: d["initial"].update(z0=100.0, w0=-50.0))
+        values = []
+        for grid in ([], ["--grid", "3"], ["--grid", "5"]):
+            assert main(["solve", path] + grid) == EXIT_OK
+            out = capsys.readouterr().out
+            assert "region: Omega\n" in out
+            values.append(next(line for line in out.splitlines() if line.startswith("value")))
+        assert values[1] == values[0] and values[2] == values[0]
+
     def test_both_horizon_forms_rejected(self, tmp_path, capsys):
         path = write_doc(tmp_path, lambda d: d["horizon"].update(t_c=0.9))
         assert main(["classify", path]) == EXIT_USAGE
         assert "exactly one" in capsys.readouterr().err
+
+
+@pytest.fixture
+def kernel_builds(monkeypatch):
+    """Number of Kernels constructions so far."""
+    calls = []
+    init = Kernels.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Kernels, "__init__", counting)
+    return calls
+
+
+class TestKernelBuilds:
+    """Only the verbs that sample the kernels build them: coefficients and
+    solutions come from the exact integrals."""
+
+    @pytest.mark.parametrize("position", [(100.0, -50.0), (100.0, 50.0)], ids=["strip", "branch"])
+    @pytest.mark.parametrize("verb, options, builds", [
+        ("classify", [], 0),
+        ("solve", [], 0),
+        ("solve", ["--sign", "+"], 0),
+        ("solve", ["--sign", "-", "--probe", "5"], 0),
+        ("sweep", [], 0),
+        ("solve", ["--csv", "{csv}"], 1),
+        ("solve", ["--probe", "5"], 1),
+        ("solve", ["--csv", "{csv}", "--probe", "5", "--grid", "301"], 1),
+    ])
+    def test_count(self, tmp_path, capsys, kernel_builds, position, verb, options, builds):
+        path = write_doc(tmp_path, lambda d: d["initial"].update(z0=position[0], w0=position[1]))
+        options = [o.format(csv=tmp_path / "out.csv") for o in options]
+        assert main([verb, path] + options) == EXIT_OK
+        assert len(kernel_builds) == builds
 
 
 class TestSweep:

@@ -13,7 +13,6 @@ from zemgame import (
     Kernels,
     Sampled,
     coefficients,
-    eval_control,
     first_order_coefficients,
     mu_e,
     sample_control,
@@ -21,7 +20,8 @@ from zemgame import (
 )
 from zemgame.errors import SolvabilityError
 
-from helpers import ORACLE, psi_ref, random_controller, random_first_order, random_scenario
+from helpers import (ORACLE, oscillator, psi_ref, random_controller, random_first_order,
+                     random_scenario)
 
 # Deterministic draws: the same examples on every run, no example database.
 DRAWS = dict(deadline=None, derandomize=True, database=None)
@@ -46,12 +46,6 @@ INTEGRALS = {
 def exact_and_closed(tau_p, tau_e, t_f, t_c):
     args = (tau_p, tau_e, t_f, t_c, 1.0, 1e9, 1.0)
     return coefficients(z.first_order_scenario(*args)), first_order_coefficients(*args)
-
-
-def oscillator(omega, zeta):
-    """Second-order acceleration loop with natural frequency omega."""
-    return z.ControllerModel(order=2, sys=[[0.0, 1.0], [-omega ** 2, -2.0 * zeta * omega]],
-                             inp=[0.0, omega ** 2], out=[1.0, 0.0], feed=0.0)
 
 
 def position_kernel(model):
@@ -304,36 +298,39 @@ class TestFirstOrderCoefficients:
                 assert getattr(closed, name) == pytest.approx(
                     getattr(generic, name), rel=1e-8), name
 
-    def test_carries_equivalent_scenario(self):
-        c = first_order_coefficients(0.2, 0.1, 1.0, 0.9, 0.05, 0.3, 100.0)
-        assert isinstance(c.kernels, FirstOrderKernels)
-        assert c.scenario.beta == 0.3
+    @pytest.mark.parametrize("index, value", [(0, -0.2), (1, 0.0), (2, float("nan")),
+                                              (3, -0.5), (4, -0.05)])
+    def test_invalid_arguments_rejected(self, index, value):
+        args = [0.2, 0.1, 1.0, 0.9, 0.05, 0.3, 100.0]
+        args[index] = value
+        with pytest.raises(ValueError):
+            first_order_coefficients(*args)
 
 
 class TestControlLaws:
     def test_constant(self, study_kernels):
-        assert eval_control(Constant(101.92), study_kernels, 0.37) == 101.92
+        assert sample_control(Constant(101.92), study_kernels, [0.37])[0] == 101.92
 
     def test_zero_combo(self, study_kernels):
-        assert eval_control(KernelCombo(), study_kernels, 0.5) == 0.0
+        assert sample_control(KernelCombo(), study_kernels, [0.5])[0] == 0.0
 
     def test_affine_vanishes_at_horizon(self, study_kernels):
         law = AffineInTime(slope=400.0, intercept=-400.0)
-        assert eval_control(law, study_kernels, 1.0) == pytest.approx(0.0, abs=1e-12)
+        assert sample_control(law, study_kernels, [1.0])[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_combo_matches_kernels(self, study_kernels):
         law = KernelCombo(hp_coef=-3.0, he_coef=2.0, ge_coef=0.5)
         t = 0.41
         expected = (-3.0 * study_kernels.h_p(t) + 2.0 * study_kernels.h_e(t)
                     + 0.5 * study_kernels.g_e(t))
-        assert eval_control(law, study_kernels, t) == pytest.approx(expected, rel=1e-12)
+        assert sample_control(law, study_kernels, [t])[0] == pytest.approx(expected, rel=1e-12)
 
     def test_sampled_interpolates(self, study_kernels):
         law = Sampled(np.array([0.0, 1.0]), np.array([0.0, 2.0]))
-        assert eval_control(law, study_kernels, 0.25) == pytest.approx(0.5)
+        assert sample_control(law, study_kernels, [0.25])[0] == pytest.approx(0.5)
 
     def test_out_of_range_rejected(self, study_kernels):
         with pytest.raises(ValueError):
-            eval_control(Constant(1.0), study_kernels, 1.5)
+            sample_control(Constant(1.0), study_kernels, [1.5])[0]
         with pytest.raises(ValueError):
             sample_control(Constant(1.0), study_kernels, np.array([-0.2, 0.5]))

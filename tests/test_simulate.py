@@ -1,6 +1,5 @@
 import dataclasses
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,9 +31,7 @@ from zemgame.cli import load_scenario
 from zemgame.errors import ProbeFailure
 from zemgame.simulate import admissible_evader_perturbation, _initial_full_state, _simpson_panels
 
-from helpers import ORACLE, random_controller, random_scenario
-
-MIXED_ORDERS = Path(__file__).resolve().parents[1] / "scenarios" / "geometry_mixed_orders.json"
+from helpers import MIXED_ORDERS, ORACLE, random_controller, random_scenario
 
 # Deterministic draws: the same examples on every run, no example database.
 DRAWS = dict(deadline=None, derandomize=True, database=None)
@@ -183,7 +180,7 @@ class TestCrossPlay:
 
 class TestSaddleProbe:
     def test_zero_amplitude_is_equality(self, study_scenario, study_kernels, study_coeffs):
-        sol = solve_rg(study_scenario, study_kernels, study_coeffs)
+        sol = solve_rg(study_scenario, coeffs=study_coeffs)
         report = saddle_probe(study_scenario, sol, n_trials=3, seed=5,
                               kernels=study_kernels, rel_amplitude=0.0)
         assert report.passed
@@ -191,7 +188,7 @@ class TestSaddleProbe:
         assert abs(report.pursuer_worst) <= report.slack
 
     def test_seeded_trials_pass(self, study_scenario, study_kernels, study_coeffs):
-        sol = solve_rg(study_scenario, study_kernels, study_coeffs)
+        sol = solve_rg(study_scenario, coeffs=study_coeffs)
         report = saddle_probe(study_scenario, sol, n_trials=25, seed=2,
                               kernels=study_kernels)
         assert report.passed
@@ -228,7 +225,7 @@ class TestSaddleProbe:
         assert play.w_f == pytest.approx(study_coeffs.bound, rel=1e-10)
 
     def test_detects_a_bad_saddle(self, study_scenario, study_kernels, study_coeffs):
-        sol = solve_rg(study_scenario, study_kernels, study_coeffs)
+        sol = solve_rg(study_scenario, coeffs=study_coeffs)
         # hand the probe a corrupted pursuer control: trials must fail
         corrupted = dataclasses.replace(sol, u_p=KernelCombo(hp_coef=0.5 * sol.u_p.hp_coef),
                                         value=sol.value)
@@ -337,7 +334,7 @@ class TestProbeEquivalence:
         labels = set()
         for z0, w0 in positions:
             sc = dataclasses.replace(scenario, z0=z0, w0=w0, geometry=None)
-            sol = solve_rg(sc, kernels, coeffs)
+            sol = solve_rg(sc, coeffs=coeffs)
             labels.add(sol.region.label)
             report = saddle_probe(sc, sol, n_trials=25, seed=seed, kernels=kernels)
             evader_worst, pursuer_worst = probe_loop(sc, sol, kernels, 25, seed)
@@ -365,7 +362,7 @@ class TestProbeEquivalence:
         controls halved (valued at their own cost): seed 4 fails first on
         the pursuer side at trial 2, seed 8 on both sides at trial 1, where
         the evader side is reported."""
-        sol = solve_rg(study_scenario, study_kernels, study_coeffs)
+        sol = solve_rg(study_scenario, coeffs=study_coeffs)
         corrupted = dataclasses.replace(sol, u_p=KernelCombo(hp_coef=0.5 * sol.u_p.hp_coef))
         if halve_evader:
             u_e = KernelCombo(he_coef=0.5 * sol.u_e.he_coef, ge_coef=0.5 * sol.u_e.ge_coef)
@@ -382,7 +379,7 @@ class TestProbeEquivalence:
     def test_failure_reports_drawn_coefficients(self, study_scenario, study_kernels, study_coeffs):
         """The coefficients of a failure are the 8 numbers the trial's stream
         drew for the failing side (evader first, then pursuer)."""
-        sol = solve_rg(study_scenario, study_kernels, study_coeffs)
+        sol = solve_rg(study_scenario, coeffs=study_coeffs)
         corrupted = dataclasses.replace(sol, value=sol.value - 1e3)  # every evader trial fails
         with pytest.raises(ProbeFailure, match="evader") as failure:
             saddle_probe(study_scenario, corrupted, n_trials=4, seed=8, kernels=study_kernels)
@@ -406,7 +403,7 @@ class TestFullEquivalence:
 
     def test_mixed_orders(self, mixed):
         scenario, kernels, coeffs = mixed
-        sol = solve_rg(scenario, kernels, coeffs)
+        sol = solve_rg(scenario, coeffs=coeffs)
         assert_full_matches_loop(scenario, sol.u_p, sol.u_e, kernels.grid, kernels)
 
     def test_non_uniform_grid(self, study_scenario, study_kernels, study_coeffs):
@@ -439,7 +436,7 @@ class TestMemory:
     @pytest.mark.parametrize("run", ["probe", "full"])
     def test_peak(self, study_scenario, study_kernels, study_coeffs, run):
         sc = dataclasses.replace(study_scenario, z0=100.0, w0=50.0, geometry=None)
-        sol = solve_rg(sc, study_kernels, study_coeffs)
+        sol = solve_rg(sc, coeffs=study_coeffs)
         calls = {
             "probe": lambda: saddle_probe(sc, sol, n_trials=100, seed=1, kernels=study_kernels),
             "full": lambda: playout_full(sc, sol.u_p, sol.u_e, kernels=study_kernels),

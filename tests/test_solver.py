@@ -22,9 +22,10 @@ from zemgame import (
     solve_upg,
     solve_urg,
 )
+from zemgame.cli import load_scenario
 from zemgame.errors import NotInConstrainedRegion
 
-from helpers import ORACLE, random_scenario
+from helpers import MIXED_ORDERS, ORACLE, oscillator, random_controller, random_scenario
 
 
 class TestClassify:
@@ -72,7 +73,8 @@ class TestSolveUrg:
 
     def test_value_equals_closed_form(self, study_coeffs):
         sol = solve_urg(study_coeffs, 100.0)
-        assert sol.value == pytest.approx(ORACLE.urg_value, rel=1e-6)
+        assert sol.value == pytest.approx(ORACLE.urg_value, rel=1e-12)
+        assert sol.value == pytest.approx(100.0 ** 2 / study_coeffs.s, rel=1e-12)
 
     def test_control_coefficients(self, study_coeffs):
         sol = solve_urg(study_coeffs, 100.0)
@@ -80,6 +82,63 @@ class TestSolveUrg:
         assert sol.u_p.hp_coef == pytest.approx(-100.0 / (c.alpha * c.s), rel=1e-14)
         assert sol.u_e.he_coef == pytest.approx(100.0 / (c.beta * c.s), rel=1e-14)
         assert sol.u_e.ge_coef == 0.0
+
+
+def _solvable(scenario, factor=2.0):
+    """The scenario with beta at `factor` times its solvability threshold."""
+    beta_star = coefficients(dataclasses.replace(scenario, beta=1e12)).beta_star
+    return dataclasses.replace(scenario, beta=factor * beta_star)
+
+
+def _first_order(tau_p, tau_e, t_f=1.0, alpha=0.05):
+    return z.first_order_scenario(tau_p, tau_e, t_f, 0.9, alpha, 1.0, 100.0)
+
+
+def _random_order_10():
+    rng = np.random.default_rng(10)
+    return dataclasses.replace(_first_order(0.2, 0.1), pursuer=random_controller(rng, 10),
+                               evader=random_controller(rng, 10))
+
+
+STRIP_CASES = {
+    "study": lambda: z.first_order_scenario(0.2, 0.1, 1.0, 0.9, 0.05, 0.3, 100.0),
+    "mixed_orders": lambda: load_scenario(str(MIXED_ORDERS))[0],
+    "stiff_pursuer": lambda: _solvable(_first_order(1e-5, 0.1)),
+    "stiff_evader": lambda: _solvable(_first_order(0.2, 1e-5)),
+    "t_f_50": lambda: _solvable(_first_order(0.2, 0.1, t_f=50.0)),
+    "order_10": lambda: _solvable(_random_order_10()),
+    "oscillator_160": lambda: _solvable(dataclasses.replace(
+        _first_order(0.2, 0.1), evader=oscillator(160.0, 0.05))),
+}
+
+
+class TestStripValue:
+    """The strip value comes from the exact integrals alone; the Simpson
+    cost of the same pair on the kernels' build grid checks it."""
+
+    @pytest.mark.parametrize("name", sorted(STRIP_CASES))
+    def test_matches_sampled_cost(self, name):
+        scenario = STRIP_CASES[name]()
+        c = coefficients(scenario)
+        kernels = z.Kernels(scenario)
+        for z0, m in ((100.0, 0.0), (-37.0, 0.3), (1e-3, -0.9)):
+            sc = dataclasses.replace(scenario, z0=z0, w0=m * c.bound - c.a * z0, geometry=None)
+            sol = solve_rg(sc, coeffs=c)
+            assert sol.region.label is RegionLabel.OMEGA
+            cost = evaluate_cost(sc, kernels, sol.u_p, sol.u_e).total
+            assert cost == pytest.approx(sol.value, rel=1e-10)
+
+    @pytest.mark.parametrize("alpha", [1e3, 1e4])
+    def test_near_solvability_threshold(self, alpha):
+        """beta = beta* (1 + 1e-6) and a heavy pursuer weight make s small,
+        so the three cost terms cancel to 1e-5 of their size: rounding
+        alone then exceeds 1e-12 of z0^2/s, and the self-check must not
+        fire on it."""
+        c = coefficients(_solvable(_first_order(0.2, 0.1, alpha=alpha), 1.0 + 1e-6))
+        assert c.s < 2e-4
+        for z0 in np.linspace(-100.0, 100.0, 41):
+            sol = solve_urg(c, z0)
+            assert sol.value == pytest.approx(z0 * z0 / c.s, rel=1e-9)
 
 
 class TestSolveUpg:
@@ -233,7 +292,7 @@ class TestAuxCross:
 class TestSolveRg:
     def test_interior_dispatch(self, study_scenario, study_kernels, study_coeffs):
         sc = dataclasses.replace(study_scenario, z0=100.0, w0=-50.0, geometry=None)
-        sol = solve_rg(sc, study_kernels, study_coeffs)
+        sol = solve_rg(sc, coeffs=study_coeffs)
         assert sol.region.label is RegionLabel.OMEGA
         assert sol.branch is None
         assert sol.w_f == pytest.approx(ORACLE.urg_w_f_a, abs=1e-5)
@@ -241,33 +300,33 @@ class TestSolveRg:
 
     def test_constrained_dispatch(self, study_scenario, study_kernels, study_coeffs):
         plus = dataclasses.replace(study_scenario, z0=100.0, w0=50.0, geometry=None)
-        sol = solve_rg(plus, study_kernels, study_coeffs)
+        sol = solve_rg(plus, coeffs=study_coeffs)
         assert sol.region.label is RegionLabel.OMEGA_PLUS
         assert sol.branch.sign == 1
         assert sol.value == pytest.approx(ORACLE.table_plus[("+", "+")], rel=1e-7)
         assert sol.w_f == pytest.approx(study_coeffs.bound, rel=1e-12)
 
         minus = dataclasses.replace(study_scenario, z0=-100.0, w0=-20.0, geometry=None)
-        sol = solve_rg(minus, study_kernels, study_coeffs)
+        sol = solve_rg(minus, coeffs=study_coeffs)
         assert sol.region.label is RegionLabel.OMEGA_MINUS
         assert sol.value == pytest.approx(ORACLE.table_minus[("-", "-")], rel=1e-7)
 
     def test_terminals_consistent_with_playout(self, study_scenario, study_kernels, study_coeffs):
         for z0, w0 in ((100.0, -50.0), (100.0, 50.0), (-100.0, -20.0)):
             sc = dataclasses.replace(study_scenario, z0=z0, w0=w0, geometry=None)
-            sol = solve_rg(sc, study_kernels, study_coeffs)
+            sol = solve_rg(sc, coeffs=study_coeffs)
             play = z.playout_reduced(sc, study_kernels, sol.u_p, sol.u_e)
             assert play.z_f == pytest.approx(sol.z_f, rel=1e-8, abs=1e-8)
             assert play.w_f == pytest.approx(sol.w_f, rel=1e-8, abs=1e-8)
 
     def test_homogeneity(self, study_scenario, study_kernels):
         base = coefficients(study_scenario, study_kernels)
-        sol0 = solve_rg(study_scenario, study_kernels, base)
+        sol0 = solve_rg(study_scenario, coeffs=base)
         for k in (0.5, 3.0):
             scaled = dataclasses.replace(study_scenario, z0=k * 100.0, w0=k * -100.0,
                                          ae_max=k * 100.0, geometry=None)
             ck = coefficients(scaled, study_kernels)
-            sol = solve_rg(scaled, study_kernels, ck)
+            sol = solve_rg(scaled, coeffs=ck)
             assert sol.value == pytest.approx(k * k * sol0.value, rel=1e-9)
             assert sol.u_p.hp_coef == pytest.approx(k * sol0.u_p.hp_coef, rel=1e-9)
             assert sol.u_e.he_coef == pytest.approx(k * sol0.u_e.he_coef, rel=1e-9)
@@ -282,7 +341,7 @@ class TestSolveRg:
         laws = []
         for w0 in (w_boundary - eps, w_boundary + eps):
             sc = dataclasses.replace(study_scenario, z0=z0, w0=w0, geometry=None)
-            sol = solve_rg(sc, study_kernels, c)
+            sol = solve_rg(sc, coeffs=c)
             laws.append((sample_control(sol.u_p, study_kernels, ts),
                          sample_control(sol.u_e, study_kernels, ts)))
         (up_in, ue_in), (up_out, ue_out) = laws
@@ -365,7 +424,7 @@ class TestRandomizedScenarios:
         for _ in range(10):
             sc, k = random_scenario(rng)
             c = coefficients(sc, k)
-            sol = solve_rg(sc, k, c)
+            sol = solve_rg(sc, coeffs=c)
             seen.add(sol.region.label)
             play = z.playout_reduced(sc, k, sol.u_p, sol.u_e)
             scale = max(1.0, abs(sol.z_f), abs(sol.w_f))
@@ -387,7 +446,7 @@ class TestDegenerateTail:
         assert c.constraint_degenerate
         region = classify(c, sc.z0, sc.w0)
         assert region.label is not RegionLabel.OMEGA
-        sol = solve_rg(sc, k, c)
+        sol = solve_rg(sc, coeffs=c)
         play = z.playout_reduced(sc, k, sol.u_p, sol.u_e)
         assert play.w_f == pytest.approx(0.0, abs=1e-8)
 
