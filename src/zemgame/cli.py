@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -495,10 +496,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The parser of `main`, built once per process and handed to no other
+# caller: parse_args leaves a parser as it found it.
+_main_parser = functools.cache(build_parser)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _main_parser().parse_args(argv)
     except _UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE

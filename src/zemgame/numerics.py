@@ -124,6 +124,19 @@ def _pade_ell(M: np.ndarray) -> int:
     return max(0, int(np.ceil(np.log2(alpha / 2.0 ** -53) / 26.0)))
 
 
+def scaled_exp(M: np.ndarray) -> tuple[int, np.ndarray]:
+    """Squarings s for exp(M) (`_powers`) and the diagonal Pade-13
+    approximant of exp(M / 2^s); s squarings of it give exp(M)."""
+    s, M, M2, M4, M6 = _powers(M)
+    b = _PADE13_B
+    ident = np.eye(M.shape[0])
+    U = M @ (M6 @ (b[13] * M6 + b[11] * M4 + b[9] * M2)
+             + b[7] * M6 + b[5] * M4 + b[3] * M2 + b[1] * ident)
+    V = (M6 @ (b[12] * M6 + b[10] * M4 + b[8] * M2)
+         + b[6] * M6 + b[4] * M4 + b[2] * M2 + b[0] * ident)
+    return s, np.linalg.solve(V - U, V + U)
+
+
 def mat_exp(A: np.ndarray, t: float = 1.0) -> np.ndarray:
     """exp(A*t) by scaling-and-squaring with the diagonal Pade-13 approximant.
 
@@ -139,26 +152,13 @@ def mat_exp(A: np.ndarray, t: float = 1.0) -> np.ndarray:
     M = A * float(t)
     if M.size and not np.isfinite(M).all():
         raise ValueError("matrix exponential argument contains non-finite entries")
-    n = M.shape[0]
-    if n == 0:
+    if M.shape[0] == 0:
         return np.zeros((0, 0))
 
-    halvings, M, M2, M4, M6 = _powers(M)
-    b = _PADE13_B
-    ident = np.eye(n)
-    U = M @ (M6 @ (b[13] * M6 + b[11] * M4 + b[9] * M2)
-             + b[7] * M6 + b[5] * M4 + b[3] * M2 + b[1] * ident)
-    V = (M6 @ (b[12] * M6 + b[10] * M4 + b[8] * M2)
-         + b[6] * M6 + b[4] * M4 + b[2] * M2 + b[0] * ident)
-    E = np.linalg.solve(V - U, V + U)
+    halvings, E = scaled_exp(M)
     for _ in range(halvings):
         E = E @ E
     return E
-
-
-def squarings(A: np.ndarray) -> int:
-    """Number of squarings `mat_exp(A)` takes."""
-    return _powers(np.asarray(A, dtype=float))[0]
 
 
 def _gl7(f: Callable[[float], float], a: float, b: float) -> float:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .engagement import EngagementScenario, build_evader_ss, build_relative_ss, first_order_scenario
 from .errors import AssertionFailure, SolvabilityError
-from .numerics import TimeGrid, mat_exp, psi, quad_adaptive, squarings
+from .numerics import TimeGrid, mat_exp, psi, quad_adaptive, scaled_exp
 
 _INTEGRAL_TOL = 1e-10
 
@@ -392,12 +392,12 @@ def _gramian(A: np.ndarray, x: np.ndarray, T: float) -> np.ndarray:
     """W = int_0^T exp(A s) x x' exp(A' s) ds.
 
     Van Loan (IEEE TAC 1978): for C = [[-A, Q], [0, A']] and Q = x x',
-    exp(C h) = [[., F12], [0, exp(A' h)]] and W(h) = exp(A h) F12. The step
-    h = T / 2^k takes k as the squarings `mat_exp(C T)` would need, so the
-    block exponential at h needs none (squaring it would square exp(-A h)
-    and swamp the result for stiff A), and k doublings W <- W + Phi W Phi',
-    Phi <- Phi^2 carry W(h) out to W(T). x is normalised first so that the
-    coupling block has unit size.
+    exp(C h) = [[., F12], [0, exp(A' h)]] and W(h) = exp(A h) F12. One
+    `scaled_exp(C T)` gives both the step h = T / 2^k, k being the squarings
+    exp(C T) would need, and exp(C h), which is used unsquared (squaring it
+    would square exp(-A h) and swamp the result for stiff A); k doublings
+    W <- W + Phi W Phi', Phi <- Phi^2 then carry W(h) out to W(T). x is
+    normalised first so that the coupling block has unit size.
     """
     n = A.shape[0]
     size = float(x @ x)
@@ -408,8 +408,7 @@ def _gramian(A: np.ndarray, x: np.ndarray, T: float) -> np.ndarray:
     C[:n, :n] = -A
     C[:n, n:] = np.outer(unit, unit)
     C[n:, n:] = A.T
-    doublings = squarings(C * T)
-    F = mat_exp(C, T / 2.0 ** doublings)
+    doublings, F = scaled_exp(C * T)
     phi = F[n:, n:].T
     W = phi @ F[:n, n:]
     for _ in range(doublings):
@@ -457,11 +456,10 @@ def _tail_weight(A: np.ndarray, B: np.ndarray, D: np.ndarray, t_c: float) -> flo
     rows = _transition_rows(start, M, s)
     g = rows[:, :n] @ B
     signs = np.sign(g)
-    nonzero = np.flatnonzero(signs)
+    nz = np.flatnonzero(signs)
+    change = np.flatnonzero(signs[nz[:-1]] != signs[nz[1:]])
     knots = [0.0]
-    for i, j in zip(nonzero[:-1], nonzero[1:]):
-        if signs[i] == signs[j]:
-            continue
+    for i, j in zip(nz[change].tolist(), nz[change + 1].tolist()):
         lo, hi = s[i], s[j]
         x = lo - g[i] * (hi - lo) / (g[j] - g[i])
         for _ in range(_MAX_ROOT_STEPS):
@@ -505,54 +503,77 @@ def coefficients(scenario: EngagementScenario,
                  kernels: Optional[KernelSet] = None) -> GameCoefficients:
     """All game coefficients from exact kernel integrals.
 
-    The four product integrals are entries of one Gramian of the
-    block-diagonal system diag(A_ep, A_ep, A_e) driven by
-    x = [B_ep; C_ep; exp(A_e t_c) B_e] over [0, t_f] (the kernels in the
-    reversed time s = t_f - t); mu_e comes from `_tail_weight`. No kernel
+    The four product integrals are quadratic forms of one observability
+    Gramian W = int_0^t_f exp(Y' s) d' d exp(Y s) ds of Y = diag(A_ep, A_e)
+    and d = [D_ep, D_e], the kernels taken in the reversed time s = t_f - t:
+    B_ep' W11 B_ep, C_ep' W11 C_ep, C_ep' W12 x_e and x_e' W22 x_e with
+    x_e = exp(A_e t_c) B_e. mu_e comes from `_tail_weight`. No kernel
     samples are taken: `kernels` is accepted and not read. Raises
     SolvabilityError when the evader effort weight does not exceed the
     squared-kernel integral.
     """
     rel = build_relative_ss(scenario.pursuer, scenario.evader)
     ev = build_evader_ss(scenario.evader)
-    n, m = rel.A.shape[0], ev.A.shape[0]
-    A = np.zeros((2 * n + m, 2 * n + m))
-    A[:n, :n] = A[n:2 * n, n:2 * n] = rel.A
-    A[2 * n:, 2 * n:] = ev.A
-    x = np.concatenate([rel.B, rel.C, mat_exp(ev.A, scenario.t_c) @ ev.B])
-    W = _gramian(A, x, scenario.t_f)
-    D_ep, D_e = rel.D_row, ev.D_row
-    integrals = (float(D_ep @ W[:n, :n] @ D_ep),
-                 float(D_ep @ W[n:2 * n, n:2 * n] @ D_ep),
-                 float(D_ep @ W[n:2 * n, 2 * n:] @ D_e),
-                 float(D_e @ W[2 * n:, 2 * n:] @ D_e))
-    mu = _tail_weight(ev.A, ev.B, D_e, scenario.t_c)
+    n = rel.A.shape[0]
+    Y = np.zeros((n + ev.A.shape[0],) * 2)
+    Y[:n, :n] = rel.A
+    Y[n:, n:] = ev.A
+    W = _gramian(Y.T, np.concatenate([rel.D_row, ev.D_row]), scenario.t_f)
+    B, C, x_e = rel.B, rel.C, mat_exp(ev.A, scenario.t_c) @ ev.B
+    integrals = (float(B @ W[:n, :n] @ B),
+                 float(C @ W[:n, :n] @ C),
+                 float(C @ W[:n, n:] @ x_e),
+                 float(x_e @ W[n:, n:] @ x_e))
+    mu = _tail_weight(ev.A, ev.B, ev.D_row, scenario.t_c)
     return _assemble(integrals, mu, scenario.alpha, scenario.beta, scenario.ae_max)
 
 
 # -- closed forms for the first-order special case ---------------------------
 
 
-def _psi_integral(x: float) -> float:
-    """int_0^x psi(u) du = x^2/2 - psi(x)."""
-    return 0.5 * x * x - psi(x)
+def _psi_series() -> np.ndarray:
+    """Power-series coefficients, by exponent, of psi(x) and of the integrals
+    over [0, x] of psi(u), u psi(u) and psi(u)^2, from
+    psi(u) = sum_{k>=2} (-u)^k / k! and psi(u)^2 = sum_{k>=4} (-u)^k (2^k - 2 - 2k) / k!.
+    Below x = 1 the last term kept is under 1e-20 of the sum."""
+    table = np.zeros((4, 32))
+    for k in range(2, 30):
+        term = (-1.0) ** k / math.factorial(k)
+        table[0, k] = term
+        table[1, k + 1] = term / (k + 1)
+        table[2, k + 2] = term / (k + 2)
+        if k >= 4:
+            table[3, k + 1] = term * (2.0 ** k - 2.0 - 2.0 * k) / (k + 1)
+    return table
 
 
-def _psi_sq_integral(x: float) -> float:
-    """int_0^x psi(u)^2 du."""
-    return x * (x * x - 3.0 * x + 3.0) / 3.0 - 2.0 * x * math.exp(-x) \
-        - 0.5 * math.expm1(-2.0 * x)
+_PSI_SERIES = _psi_series()
 
 
-def _psi_cross_integral(x: float, s: float) -> float:
-    """int_0^x psi(u) psi(u + s) du for s >= 0."""
-    ex = math.exp(-x)
-    return (math.exp(-s) * (-0.5) * math.expm1(-2.0 * x)
-            + 0.5 * s
-            + 0.5 * s * (x - 1.0) ** 2
-            - (x + s) * ex
-            - x * ex * math.exp(-s)
-            + x * (x * x - 3.0 * x + 3.0) / 3.0)
+def _psi_moments(x: float) -> tuple[float, float, float, float]:
+    """psi(x) and the integrals over [0, x] of psi(u), u psi(u) and
+    psi(u)^2, each to a few ulps: from the power series below x = 1, where
+    the closed forms cancel, and from the closed forms above."""
+    if x < 1.0:
+        return tuple(float(v) for v in _PSI_SERIES @ x ** np.arange(_PSI_SERIES.shape[1]))
+    e = math.exp(-x)
+    p = e + x - 1.0
+    return (p, 0.5 * x * x - p, 1.0 - (1.0 + x) * e + x * x * (x / 3.0 - 0.5),
+            x * (x * x - 3.0 * x + 3.0) / 3.0 - 2.0 * x * e - 0.5 * math.expm1(-2.0 * x))
+
+
+def _psi_product_integral(x: float, s: float, t: float) -> float:
+    """int_0^x psi(u + s) psi(u + t) du for x, s, t >= 0.
+
+    psi(u + s) = e^-s psi(u) + (1 - e^-s) u + psi(s) splits each factor
+    into non-negative parts, so the integral is a sum of non-negative terms
+    and keeps the relative accuracy of `_psi_moments`.
+    """
+    _, int_psi, int_u_psi, int_psi_sq = _psi_moments(x)
+    a, c, p = math.exp(-s), -math.expm1(-s), _psi_moments(s)[0]
+    b, d, q = math.exp(-t), -math.expm1(-t), _psi_moments(t)[0]
+    return (a * b * int_psi_sq + (a * d + c * b) * int_u_psi + (a * q + p * b) * int_psi
+            + c * d * x ** 3 / 3.0 + (c * q + p * d) * x * x / 2.0 + p * q * x)
 
 
 def first_order_coefficients(tau_p: float, tau_e: float, t_f: float, t_c: float,
@@ -567,9 +588,9 @@ def first_order_coefficients(tau_p: float, tau_e: float, t_f: float, t_c: float,
     scenario = first_order_scenario(tau_p, tau_e, t_f, t_c, alpha, beta, ae_max)
     xe = t_f / tau_e
     sigma = t_c / tau_e
-    integrals = (tau_p ** 3 * _psi_sq_integral(t_f / tau_p),
-                 tau_e ** 3 * _psi_sq_integral(xe),
-                 tau_e ** 3 * _psi_cross_integral(xe, sigma),
-                 tau_e ** 3 * (_psi_sq_integral(xe + sigma) - _psi_sq_integral(sigma)))
-    mu = tau_e ** 2 * _psi_integral(sigma)
+    integrals = (tau_p ** 3 * _psi_product_integral(t_f / tau_p, 0.0, 0.0),
+                 tau_e ** 3 * _psi_product_integral(xe, 0.0, 0.0),
+                 tau_e ** 3 * _psi_product_integral(xe, 0.0, sigma),
+                 tau_e ** 3 * _psi_product_integral(xe, sigma, sigma))
+    mu = tau_e ** 2 * _psi_moments(sigma)[1]
     return _assemble(integrals, mu, scenario.alpha, scenario.beta, scenario.ae_max)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from zemgame import cli
 from zemgame.cli import (
     EXIT_OK,
     EXIT_REPRO_FAIL,
@@ -259,3 +260,38 @@ class TestUsage:
 
     def test_missing_file(self, capsys):
         assert main(["classify", "/nonexistent/path.json"]) == EXIT_USAGE
+
+
+class TestParserReuse:
+    """`main` keeps one parser for the process; no call leaves state in it
+    that a later call can see."""
+
+    def run_sequence(self, study_file, csv_path, capsys):
+        calls = [["solve", study_file, "--csv", str(csv_path), "--probe", "5", "--seed", "3"],
+                 ["solve", study_file],
+                 ["solve", study_file, "--sign", "-"],
+                 ["classify", study_file],
+                 ["solve", study_file, "--grid", "1"],
+                 ["sweep", study_file, "--eps-steps", "1"],
+                 ["repro"]]
+        results = []
+        for argv in calls:
+            code = main(argv)
+            results.append((code, capsys.readouterr().out))
+            if argv[-1] == "3":
+                assert csv_path.exists()
+                csv_path.unlink()
+        assert not csv_path.exists()
+        return results
+
+    def test_calls_match_fresh_parsers(self, study_file, tmp_path, capsys, monkeypatch):
+        csv_path = tmp_path / "trajectory.csv"
+        reused = self.run_sequence(study_file, csv_path, capsys)
+        monkeypatch.setattr(cli, "_main_parser", cli.build_parser)
+        fresh = self.run_sequence(study_file, csv_path, capsys)
+        assert [code for code, _ in reused] == [EXIT_OK] * 4 + [EXIT_USAGE] * 2 + [EXIT_OK]
+        assert reused == fresh
+
+    def test_parser_built_once(self):
+        assert cli._main_parser() is cli._main_parser()
+        assert cli.build_parser() is not cli.build_parser()

@@ -18,6 +18,7 @@ from zemgame import (
     sample_control,
     solvability_threshold,
 )
+from zemgame import numerics, reduction
 from zemgame.errors import SolvabilityError
 
 from helpers import (ORACLE, oscillator, psi_ref, random_controller, random_first_order,
@@ -26,11 +27,11 @@ from helpers import (ORACLE, oscillator, psi_ref, random_controller, random_firs
 # Deterministic draws: the same examples on every run, no example database.
 DRAWS = dict(deadline=None, derandomize=True, database=None)
 
-# Lags log-uniform on [1e-5, 1]. Horizons start at t_f = 0.5 and tails are 0
-# or at least 0.2: for t_f/tau or t_c/tau_e much below 1 the closed forms
-# lose digits to cancellation and stop being a 1e-10 reference.
+# Lags log-uniform on [1e-5, 1]; horizons from t_f = 0.02 and tails from 0
+# up, so t_f/tau and t_c/tau_e reach well below 1, where the closed forms
+# switch to power series.
 LAG = st.floats(-5.0, 0.0).map(lambda e: 10.0 ** e)
-TAIL = st.one_of(st.just(0.0), st.floats(0.2, 2.0))
+TAIL = st.one_of(st.just(0.0), st.floats(0.0, 0.2, exclude_min=True), st.floats(0.2, 2.0))
 
 # The four product integrals and mu_e, read off coefficients computed with
 # alpha = 1 (so nu_p = int h_p^2) and a large beta.
@@ -46,6 +47,55 @@ INTEGRALS = {
 def exact_and_closed(tau_p, tau_e, t_f, t_c):
     args = (tau_p, tau_e, t_f, t_c, 1.0, 1e9, 1.0)
     return coefficients(z.first_order_scenario(*args)), first_order_coefficients(*args)
+
+
+def tail_weight_loop(A, B, D, t_c):
+    """`reduction._tail_weight` with its sign changes paired by a Python loop
+    over the scan cells, as before the pairing was vectorised; the
+    reference for bitwise-equal mu_e."""
+    if t_c == 0.0:
+        return 0.0
+    n = A.shape[0]
+    M = reduction._augmented(A, B)
+    AB = A @ B
+    s = np.linspace(0.0, t_c, reduction._sign_cells(A, t_c) + 1)
+    rows = reduction._transition_rows(np.append(D, 0.0), M, s)
+    g = rows[:, :n] @ B
+    signs = np.sign(g)
+    nonzero = np.flatnonzero(signs)
+    knots = [0.0]
+    for i, j in zip(nonzero[:-1], nonzero[1:]):
+        if signs[i] == signs[j]:
+            continue
+        lo, hi = s[i], s[j]
+        x = lo - g[i] * (hi - lo) / (g[j] - g[i])
+        for _ in range(reduction._MAX_ROOT_STEPS):
+            r = rows[i] @ z.mat_exp(M, x - s[i])
+            gx = r[:n] @ B
+            if gx == 0.0:
+                break
+            if np.sign(gx) == signs[i]:
+                lo = x
+            else:
+                hi = x
+            slope = r[:n] @ AB
+            nxt = x - gx / slope if slope != 0.0 else np.nan
+            if not lo < nxt < hi:
+                nxt = 0.5 * (lo + hi)
+            if abs(nxt - x) <= 1e-12 * t_c:
+                break
+            x = nxt
+        knots.append(float(r[n]))
+    knots.append(float(rows[-1, n]))
+    return float(np.abs(np.diff(knots)).sum())
+
+
+def assert_mu_e_matches_loop(evader, t_c):
+    sc = z.EngagementScenario(pursuer=z.ControllerModel.first_order(0.2), evader=evader,
+                              t_f=1.0, t_c=t_c, alpha=0.05, beta=1e9, ae_max=1.0,
+                              z0=0.0, w0=0.0)
+    ev = z.build_evader_ss(evader)
+    assert mu_e(sc) == tail_weight_loop(ev.A, ev.B, ev.D_row, t_c)
 
 
 def position_kernel(model):
@@ -131,10 +181,38 @@ class TestMuE:
         closed = tau_e ** 2 * (1.0 - sigma + sigma ** 2 / 2 - np.exp(-sigma))
         assert mu_e(study_scenario) == pytest.approx(closed, abs=1e-8)
 
+    @pytest.mark.parametrize("omega", [10.0, 40.0, 160.0, 1e3])
+    def test_oscillator_matches_cell_loop(self, omega):
+        assert_mu_e_matches_loop(oscillator(omega, 0.05), 0.9)
+
+    @pytest.mark.parametrize("feed, gain", [(-1.0, 3.0), (-0.5, 1.0), (-2.0, 2.5), (1.0, -2.0)])
+    def test_sign_changing_feedthrough_matches_cell_loop(self, feed, gain):
+        tau = 0.1
+        evader = z.ControllerModel(order=1, sys=[[-1.0 / tau]], inp=[gain / tau],
+                                   out=[1.0], feed=feed)
+        ev = z.build_evader_ss(evader)
+        g = [float(ev.D_row @ z.mat_exp(ev.A, s) @ ev.B) for s in (0.02, 0.7)]
+        assert g[0] * g[1] < 0.0
+        assert_mu_e_matches_loop(evader, 0.7)
+
+    @pytest.mark.parametrize("omega", [10.0, 100.0, 1e3])
+    def test_oscillating_feedthrough_matches_cell_loop(self, omega):
+        """Feedthrough 1 beside an oscillator of static gain -1: g_e swings
+        about 2 zeta / omega and changes sign up to 50 times on the tail."""
+        evader = z.ControllerModel(order=2, sys=[[0.0, 1.0], [-omega ** 2, -0.04 * omega]],
+                                   inp=[0.0, omega ** 2], out=[-1.0, 0.0], feed=1.0)
+        assert_mu_e_matches_loop(evader, 0.9)
+
+    @settings(max_examples=50, **DRAWS)
+    @given(seed=st.integers(0, 2 ** 32 - 1), order=st.integers(0, 10),
+           t_c=st.floats(0.05, 2.0))
+    def test_random_controller_matches_cell_loop(self, seed, order, t_c):
+        assert_mu_e_matches_loop(random_controller(np.random.default_rng(seed), order), t_c)
+
 
 class TestExactIntegrals:
     @settings(max_examples=200, **DRAWS)
-    @given(tau_p=LAG, tau_e=LAG, t_f=st.floats(0.5, 10.0), t_c=TAIL)
+    @given(tau_p=LAG, tau_e=LAG, t_f=st.floats(0.02, 10.0), t_c=TAIL)
     def test_first_order_closed_form(self, tau_p, tau_e, t_f, t_c):
         exact, closed = exact_and_closed(tau_p, tau_e, t_f, t_c)
         for name, value in INTEGRALS.items():
@@ -206,6 +284,23 @@ class TestExactIntegrals:
 
 
 class TestCoefficients:
+    def test_one_van_loan_block(self, study_scenario, monkeypatch):
+        """The four product integrals come from one Van Loan block of size
+        2(n + m), and `_powers` runs on it once."""
+        sizes = []
+        powers = numerics._powers
+
+        def recording(M):
+            sizes.append(M.shape[0])
+            return powers(M)
+
+        monkeypatch.setattr(numerics, "_powers", recording)
+        coefficients(study_scenario)
+        n = z.build_relative_ss(study_scenario.pursuer, study_scenario.evader).A.shape[0]
+        m = z.build_evader_ss(study_scenario.evader).A.shape[0]
+        assert sizes.count(2 * (n + m)) == 1
+        assert max(sizes) == 2 * (n + m)
+
     def test_study_matrix(self, study_coeffs):
         np.testing.assert_allclose(study_coeffs.G,
                                    [[3.72, 2.04], [-2.04, 5.91]], atol=0.01)
@@ -273,6 +368,28 @@ class TestCoefficients:
 
 
 class TestFirstOrderCoefficients:
+    @pytest.mark.parametrize("s", [0.0, 1e-4, 1e-2, 1.0, 10.0])
+    def test_closed_forms_against_mpmath(self, s):
+        """int psi, int psi^2, int psi(u) psi(u + s) and int psi(u + s)^2
+        over [0, x] to 1e-12 relative, down to x = 1e-4 where the
+        antiderivatives cancel."""
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 40
+        ref_psi = lambda u: mp.exp(-u) + u - 1
+
+        def ref(x, a, b):
+            return mp.quad(lambda u: ref_psi(u + a) * ref_psi(u + b), [0, x])
+
+        for x in np.logspace(-4.0, 4.0, 9):
+            x = float(x)
+            if s == 0.0:
+                want = mp.quad(ref_psi, [0, x])
+                assert reduction._psi_moments(x)[1] == pytest.approx(float(want), rel=1e-12)
+            for a, b in ((0.0, 0.0), (0.0, s), (s, s)):
+                want = float(ref(x, mp.mpf(a), mp.mpf(b)))
+                got = reduction._psi_product_integral(x, a, b)
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0), (x, a, b)
+
     def test_study_values(self):
         c = first_order_coefficients(0.2, 0.1, 1.0, 0.9, 0.05, 0.3, 100.0)
         assert c.beta_star == pytest.approx(0.2438, abs=1e-4)
