@@ -12,6 +12,7 @@ All functions are pure; results are plain numpy arrays or floats.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -20,8 +21,6 @@ import numpy as np
 from .errors import NearSingularError
 
 DEFAULT_GRID_NODES = 2001
-
-_PSI_SWITCH = 1e-3
 
 # Degree-13 diagonal Pade numerator coefficients for exp(A) and the matching
 # scaling threshold (1-norm above which the argument is halved).
@@ -52,20 +51,37 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(7)
 _MAX_QUAD_DEPTH = 48
 
 
+def _psi_series() -> np.ndarray:
+    """Power-series coefficients, by exponent, of psi(x) and of the integrals
+    over [0, x] of psi(u), u psi(u) and psi(u)^2, from
+    psi(u) = sum_{k>=2} (-u)^k / k! and psi(u)^2 = sum_{k>=4} (-u)^k (2^k - 2 - 2k) / k!.
+    Below x = 1 the last term kept is under 1e-20 of the sum."""
+    table = np.zeros((4, 32))
+    for k in range(2, 30):
+        term = (-1.0) ** k / math.factorial(k)
+        table[0, k] = term
+        table[1, k + 1] = term / (k + 1)
+        table[2, k + 2] = term / (k + 2)
+        if k >= 4:
+            table[3, k + 1] = term * (2.0 ** k - 2.0 - 2.0 * k) / (k + 1)
+    return table
+
+
+PSI_SERIES = _psi_series()
+
+
 def psi(t):
     """Ramp response exp(-t) + t - 1 of a unit first-order lag, for t >= 0.
 
-    Below t = 1e-3 the direct formula loses nearly all significant digits to
-    cancellation (the value behaves like t^2/2), so a degree-6 Taylor
-    expansion is used there instead. Accepts scalars or arrays.
+    Below t = 1 the direct formula loses digits to cancellation (the value
+    behaves like t^2/2), so the power series of `PSI_SERIES` is summed there
+    instead; either way the result is within a few ulps. Accepts scalars or
+    arrays.
     """
     t = np.asarray(t, dtype=float)
-    direct = np.exp(-t) + t - 1.0
-    series = t * t * (
-        1.0 / 2.0
-        + t * (-1.0 / 6.0 + t * (1.0 / 24.0 + t * (-1.0 / 120.0 + t / 720.0)))
-    )
-    out = np.where(t < _PSI_SWITCH, series, direct)
+    with np.errstate(over="ignore", invalid="ignore"):  # the branch not taken
+        series = np.polynomial.polynomial.polyval(t, PSI_SERIES[0])
+    out = np.where(t < 1.0, series, np.exp(-t) + t - 1.0)
     if out.ndim == 0:
         return float(out)
     return out
@@ -300,8 +316,20 @@ def rk4_affine(A: np.ndarray, forcing: np.ndarray, x0, nodes: np.ndarray) -> np.
     P(h) = I + H + H^2/2 + H^3/6 + H^4/24 for H = h A, and q_k the step taken
     from x = 0 under the forcing, computed for all steps at once. One P is
     formed per distinct step length (a `linspace` grid has a dozen or so
-    distinct float steps). Returns the (n_nodes, dim) trajectory; raises
-    ValueError if the state stops being finite.
+    distinct float steps).
+
+    The n steps run as a blocked affine scan (Blelloch, "Prefix sums and
+    their applications", 1990): ceil(sqrt(n)) steps to a block, the last
+    block padded with identity steps. A first pass carries every block's
+    transfer matrix and zero-start end state at once; one matrix-vector
+    product per block then gives the block start states; a second pass
+    replays the steps from those starts, again for all blocks at once. Both
+    passes gather one step matrix per block at a time, so no
+    (steps x dim x dim) array is formed. A block whose transfer overflows
+    while its start is finite (a zero state under a fast-growing mode) is
+    stepped through one step at a time instead. Returns the (n_nodes, dim)
+    trajectory; raises ValueError at the first node where the state stops
+    being finite.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     h = np.diff(nodes)
@@ -313,17 +341,46 @@ def rk4_affine(A: np.ndarray, forcing: np.ndarray, x0, nodes: np.ndarray) -> np.
     q = (h / 6.0)[:, None] * (f0 + 2.0 * k2 + 2.0 * k3 + k4)
 
     lengths, which = np.unique(h, return_inverse=True)
-    ident = np.eye(A.shape[0])
+    d = x0.size
+    ident = np.eye(d)
     H = lengths[:, None, None] * A
     P = ident + H @ (ident + (H / 2.0) @ (ident + (H / 3.0) @ (ident + H / 4.0)))
-    steps = list(P)
 
-    out = np.empty((nodes.size, x0.size))
+    # steps laid out (step in block, block); the last index of P is the
+    # identity step that pads the last block
+    n = h.size
+    size = math.isqrt(n - 1) + 1
+    blocks = -(-n // size)
+    pad = blocks * size - n
+    P = np.concatenate([P, ident[None]])
+    which = np.append(which, np.full(pad, lengths.size)).reshape(blocks, size).T
+    q = np.concatenate([q, np.zeros((pad, d))]).reshape(blocks, size, d).transpose(1, 0, 2).copy()
+
+    traj = np.empty((blocks, size, d))
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite states raise below
+        carry = np.concatenate([P[which[0]], q[0][:, :, None]], axis=2)  # [transfer | end]
+        for i in range(1, size):
+            carry = P[which[i]] @ carry
+            carry[:, :, d] += q[i]
+        overflowed = (~np.isfinite(carry).all(axis=(1, 2))).tolist()
+        starts = np.empty((blocks, d))
+        x = x0
+        for j, (transfer, end) in enumerate(zip(carry[:, :, :d], carry[:, :, d])):
+            starts[j] = x
+            if overflowed[j] and np.isfinite(x).all():
+                for i in range(size):
+                    x = P[which[i, j]] @ x + q[i, j]
+            else:
+                x = transfer @ x + end
+        x = starts[:, :, None]
+        for i in range(size):
+            x = P[which[i]] @ x
+            x[:, :, 0] += q[i]
+            traj[:, i] = x[:, :, 0]
+
+    out = np.empty((nodes.size, d))
     out[0] = x0
-    out[1:] = q
-    rows = list(out)
-    for prev, row, j in zip(rows, rows[1:], which.tolist()):
-        row += steps[j] @ prev
+    out[1:] = traj.reshape(-1, d)[:n]
     finite = np.isfinite(out).all(axis=1)
     if not finite.all():
         raise ValueError("state became non-finite at t=%g" % nodes[np.argmin(finite)])

@@ -16,14 +16,14 @@ integrals are evaluated exactly from matrix exponentials; adaptive quadrature
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
 
 from .engagement import EngagementScenario, build_evader_ss, build_relative_ss, first_order_scenario
 from .errors import AssertionFailure, SolvabilityError
-from .numerics import TimeGrid, mat_exp, psi, quad_adaptive, scaled_exp
+from .numerics import PSI_SERIES, TimeGrid, mat_exp, psi, quad_adaptive, scaled_exp
 
 _INTEGRAL_TOL = 1e-10
 
@@ -74,10 +74,11 @@ class Kernels:
     """Kernel functions of a scenario, backed by transition-matrix rows.
 
     The sample bundle of the build grid (`bundle`) is computed at
-    construction; any other query evaluates the transition rows directly
-    (`_transition_rows`: by doubling on a uniform progression, one matrix
-    exponential per point otherwise), so the object stays immutable and
-    freely shareable.
+    construction, and the bundle of the last other grid asked for is kept
+    in one more slot; any other query evaluates the transition rows
+    directly (`_transition_rows`: by doubling on a uniform progression, one
+    matrix exponential per point otherwise). A bundle's arrays are never
+    changed once built, so the object stays freely shareable.
     """
 
     def __init__(self, scenario: EngagementScenario, grid: Optional[TimeGrid] = None):
@@ -90,13 +91,20 @@ class Kernels:
         self._A_ep, self._B_ep, self._C_ep, self._D_ep = rel.A, rel.B, rel.C, rel.D_row
         self._A_e, self._B_e, self._D_e = ev.A, ev.B, ev.D_row
         self._bundle = SampleBundle.sample(self, self.grid)
+        self._off_grid: Optional[SampleBundle] = None
 
     def bundle(self, grid: Optional[TimeGrid] = None) -> "SampleBundle":
         """Sample bundle of a grid: the one computed at construction for the
-        build grid (the default), a new one for any other grid."""
-        if grid is None or grid is self.grid or np.array_equal(grid.nodes, self.grid.nodes):
+        build grid (the default); for any other grid, the kept bundle when
+        its nodes are equal, else a new one that replaces it."""
+        if grid is None:
             return self._bundle
-        return SampleBundle.sample(self, grid)
+        for kept in (self._bundle, self._off_grid):
+            if kept is not None and (grid is kept.grid
+                                     or np.array_equal(grid.nodes, kept.grid.nodes)):
+                return kept
+        self._off_grid = SampleBundle.sample(self, grid)
+        return self._off_grid
 
     def rows_engagement(self, ts) -> np.ndarray:
         """D_ep exp(A_ep (t_f - t)) for each t."""
@@ -258,6 +266,9 @@ class SampleBundle:
     with panel midpoints, `TimeGrid.refined`), with the composite-Simpson
     weights over those nodes: `weights @ f` is the sum of the Simpson panels
     steps/6 (f_node + 4 f_mid + f_next) of values f on the refined nodes.
+    The engagement and target transition rows (`Kernels.rows_engagement`,
+    `Kernels.rows_target`) are kept at the grid nodes, for the full-state
+    reconstruction.
 
     Every reduced playout, cost and probe on the grid reads its kernel
     values from here, so a grid is sampled once per kernel set.
@@ -269,26 +280,48 @@ class SampleBundle:
     h_e: np.ndarray
     g_e: np.ndarray
     weights: np.ndarray
+    node_rows_engagement: np.ndarray
+    node_rows_target: np.ndarray
+    _legendre: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
-    def sample(cls, kernels: KernelSet, grid: TimeGrid) -> "SampleBundle":
+    def sample(cls, kernels: Kernels, grid: TimeGrid) -> "SampleBundle":
         ts = grid.refined()
         _check_in_horizon(ts, kernels.t_f)
-        h_p, h_e = kernels.sample_engagement(ts)
+        rows_ep, rows_e = kernels.rows_engagement(ts), kernels.rows_target(ts)
         sixth = np.diff(grid.nodes) / 6.0
         weights = np.zeros(ts.size)
         weights[1::2] = 4.0 * sixth
         weights[:-1:2] += sixth
         weights[2::2] += sixth
-        return cls(grid=grid, ts=ts, h_p=h_p, h_e=h_e, g_e=kernels.sample_target(ts),
-                   weights=weights)
+        return cls(grid=grid, ts=ts, h_p=rows_ep @ kernels._B_ep, h_e=rows_ep @ kernels._C_ep,
+                   g_e=rows_e @ kernels._B_e, weights=weights,
+                   node_rows_engagement=rows_ep[0::2].copy(),
+                   node_rows_target=rows_e[0::2].copy())
 
     def control(self, law: ControlLaw) -> np.ndarray:
         """Values of a control law on the refined nodes; kernel laws are
-        combinations of the stored kernel values."""
+        combinations of the stored kernel values with a nonzero
+        coefficient (a pursuer law has one, an evader law two)."""
         if isinstance(law, KernelCombo):
-            return law.hp_coef * self.h_p + law.he_coef * self.h_e + law.ge_coef * self.g_e
+            terms = [coef * kernel for coef, kernel in
+                     ((law.hp_coef, self.h_p), (law.he_coef, self.h_e), (law.ge_coef, self.g_e))
+                     if coef != 0.0]
+            return sum(terms, 0.0) if terms else np.zeros_like(self.ts)
         return _sample_explicit(law, self.ts)
+
+    def legendre_gram(self, size: int, span: float) -> tuple[np.ndarray, np.ndarray]:
+        """Legendre polynomials of degree below `size` on [0, span] at the
+        refined nodes, one row per degree, and the Simpson products of the
+        rows (basis, g_e) with the rows (basis, g_e, h_p, h_e), a
+        (size + 1) x (size + 3) matrix. Computed on the first call and kept
+        until a call with another (size, span)."""
+        if self._legendre is None or self._legendre[0] != (size, span):
+            basis = np.polynomial.legendre.legvander(2.0 * self.ts / span - 1.0, size - 1).T
+            aug = np.vstack([basis, self.g_e])
+            products = (aug * self.weights) @ np.vstack([aug, self.h_p, self.h_e]).T
+            object.__setattr__(self, "_legendre", ((size, span), basis, products))
+        return self._legendre[1], self._legendre[2]
 
 
 # -- game coefficients -----------------------------------------------------
@@ -531,31 +564,12 @@ def coefficients(scenario: EngagementScenario,
 # -- closed forms for the first-order special case ---------------------------
 
 
-def _psi_series() -> np.ndarray:
-    """Power-series coefficients, by exponent, of psi(x) and of the integrals
-    over [0, x] of psi(u), u psi(u) and psi(u)^2, from
-    psi(u) = sum_{k>=2} (-u)^k / k! and psi(u)^2 = sum_{k>=4} (-u)^k (2^k - 2 - 2k) / k!.
-    Below x = 1 the last term kept is under 1e-20 of the sum."""
-    table = np.zeros((4, 32))
-    for k in range(2, 30):
-        term = (-1.0) ** k / math.factorial(k)
-        table[0, k] = term
-        table[1, k + 1] = term / (k + 1)
-        table[2, k + 2] = term / (k + 2)
-        if k >= 4:
-            table[3, k + 1] = term * (2.0 ** k - 2.0 - 2.0 * k) / (k + 1)
-    return table
-
-
-_PSI_SERIES = _psi_series()
-
-
 def _psi_moments(x: float) -> tuple[float, float, float, float]:
     """psi(x) and the integrals over [0, x] of psi(u), u psi(u) and
     psi(u)^2, each to a few ulps: from the power series below x = 1, where
     the closed forms cancel, and from the closed forms above."""
     if x < 1.0:
-        return tuple(float(v) for v in _PSI_SERIES @ x ** np.arange(_PSI_SERIES.shape[1]))
+        return tuple(float(v) for v in PSI_SERIES @ x ** np.arange(PSI_SERIES.shape[1]))
     e = math.exp(-x)
     p = e + x - 1.0
     return (p, 0.5 * x * x - p, 1.0 - (1.0 + x) * e + x * x * (x / 3.0 - 0.5),

@@ -166,8 +166,9 @@ def playout_full(scenario: EngagementScenario, u_p: ControlLaw, u_e: ControlLaw,
     The state follows dx/dt = A x + B u_p + C u_e of `build_game_ss` by the
     classical RK4 over the grid (by default the kernels' build grid), with
     the controls taken on its refined nodes. The reconstruction applies the
-    transition rows to the relative and evader sub-states, so at the horizon
-    z equals the achieved miss y_e - y_p exactly.
+    bundle's transition rows at the grid nodes to the relative and evader
+    sub-states, so at the horizon z equals the achieved miss y_e - y_p
+    exactly.
     """
     k = kernels if kernels is not None else Kernels(scenario)
     bundle = k.bundle(grid)
@@ -184,10 +185,8 @@ def playout_full(scenario: EngagementScenario, u_p: ControlLaw, u_e: ControlLaw,
         x_p[:, 2:],
         x_e[:, 2:],
     ])
-    rows_ep = k.rows_engagement(grid.nodes)
-    rows_e = k.rows_target(grid.nodes)
-    z = np.einsum("ij,ij->i", rows_ep, x_ep)
-    w = np.einsum("ij,ij->i", rows_e, x_e)
+    z = np.einsum("ij,ij->i", bundle.node_rows_engagement, x_ep)
+    w = np.einsum("ij,ij->i", bundle.node_rows_target, x_e)
 
     miss = float(x_e[-1, 0] - x_p[-1, 0])
     if abs(z[-1] - miss) > 1e-9 * max(1.0, abs(miss)):
@@ -211,12 +210,6 @@ class ProbeReport:
     pursuer_worst: float
     slack: float
     passed: bool
-
-
-def _legendre_basis(ts: np.ndarray, t_f: float) -> np.ndarray:
-    """Legendre polynomials of degree below _PROBE_BASIS_SIZE on [0, t_f],
-    one row per degree."""
-    return np.polynomial.legendre.legvander(2.0 * ts / t_f - 1.0, _PROBE_BASIS_SIZE - 1).T
 
 
 def _peaks(coefficients: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -268,7 +261,9 @@ def saddle_probe(scenario: EngagementScenario, solution: "SaddleSolution",
     nodes. Every perturbation lies in span(basis, g_e), and J is quadratic
     in the controls, so each trial's terminal z, efforts and cost come from
     its 9 coefficients and one 9x9 Gram matrix of the basis and g_e under
-    the Simpson weights; all trials are evaluated at once.
+    the Simpson weights; all trials are evaluated at once. The basis and
+    its products with the kernels are the bundle's (`legendre_gram`), so a
+    call forms only the products with u_p* and u_e*.
     """
     from .solver import RegionLabel
 
@@ -277,12 +272,13 @@ def saddle_probe(scenario: EngagementScenario, solution: "SaddleSolution",
     up, ue = bundle.control(solution.u_p), bundle.control(solution.u_e)
     z_f, up2, ue2 = _cost_integrals(bundle, up, ue, scenario.z0)
     alpha, beta = scenario.alpha, scenario.beta
-    basis = _legendre_basis(bundle.ts, scenario.t_f)
-    aug = np.vstack([basis, bundle.g_e])
-    products = (aug * bundle.weights) @ np.vstack([aug, bundle.h_p, bundle.h_e, up, ue]).T
     nb = _PROBE_BASIS_SIZE
+    basis, products = bundle.legendre_gram(nb, scenario.t_f)
     gram = products[:, :nb + 1]
-    hp_dot, he_dot, up_dot, ue_dot = products[:, nb + 1:].T  # int aug_i * (h_p, h_e, u_p*, u_e*)
+    hp_dot, he_dot = products[:, nb + 1:].T  # int aug_i * (h_p, h_e), aug = (basis, g_e)
+    weighted_ue = bundle.weights * ue
+    up_dot = basis @ (bundle.weights * up)  # int basis_i u_p*
+    ue_dot = np.append(basis @ weighted_ue, bundle.g_e @ weighted_ue)  # int aug_i u_e*
 
     j_star = solution.value
     slack = 1e-9 * max(1.0, abs(j_star))
@@ -291,9 +287,7 @@ def saddle_probe(scenario: EngagementScenario, solution: "SaddleSolution",
 
     draws = np.empty((2, n_trials, nb))
     for trial, seq in enumerate(np.random.SeedSequence(seed).spawn(n_trials)):
-        rng = np.random.default_rng(seq)
-        draws[0, trial] = rng.standard_normal(nb)
-        draws[1, trial] = rng.standard_normal(nb)
+        draws[:, trial] = np.random.default_rng(seq).standard_normal((2, nb))
     c_e, c_p = draws
     peaks = _peaks(draws.reshape(-1, nb), basis)
 
@@ -314,7 +308,7 @@ def saddle_probe(scenario: EngagementScenario, solution: "SaddleSolution",
 
     V_p = (amp_p / peaks[n_trials:])[:, None] * c_p
     z_p = z_f + V_p @ hp_dot[:nb]
-    j_p = z_p ** 2 + alpha * (up2 + 2.0 * (V_p @ up_dot[:nb])
+    j_p = z_p ** 2 + alpha * (up2 + 2.0 * (V_p @ up_dot)
                               + _quadratic(V_p, gram[:nb, :nb])) - beta * ue2
 
     raised = np.flatnonzero(j_e > j_star + slack)

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from zemgame import TimeGrid, mat_exp, ode_playout, psi, quad_adaptive, solve2
+from zemgame import TimeGrid, build_game_ss, mat_exp, ode_playout, psi, quad_adaptive, solve2
 from zemgame.numerics import rk4_affine, scaled_exp
 from zemgame.errors import NearSingularError
 
-from helpers import psi_ref
+from helpers import psi_ref, random_controller
 
 
 class TestPsi:
@@ -23,7 +23,7 @@ class TestPsi:
         assert psi(1e-8) == pytest.approx((1e-8) ** 2 / 2 - (1e-8) ** 3 / 6, rel=1e-10)
 
     def test_matches_direct_formula_above_switch(self):
-        t = np.geomspace(1e-3, 50.0, 200)
+        t = np.geomspace(1.0, 50.0, 200)
         direct = np.exp(-t) + t - 1.0
         np.testing.assert_allclose(psi(t), direct, rtol=1e-12)
 
@@ -31,6 +31,18 @@ class TestPsi:
         t = np.geomspace(1e-12, 9.99e-4, 200)
         taylor = (t ** 2 / 2 - t ** 3 / 6 + t ** 4 / 24 - t ** 5 / 120 + t ** 6 / 720)
         np.testing.assert_allclose(psi(t), taylor, rtol=1e-10)
+
+    def test_against_mpmath(self):
+        """Within a few ulps of 40-digit mpmath, also just above 1e-3, where
+        the direct formula alone is 2.6e-10 relative off."""
+        mpmath = pytest.importorskip("mpmath")
+        ts = np.append(np.logspace(-8, 2, 401), [1.006e-3, np.nextafter(1.0, 0.0), 1.0])
+        got = psi(ts)
+        with mpmath.workdps(40):
+            for t, value in zip(ts, got):
+                ref = mpmath.exp(-mpmath.mpf(t)) + mpmath.mpf(t) - 1
+                assert abs(mpmath.mpf(value) - ref) <= 3 * np.spacing(float(ref)), t
+                assert psi(t) == value
 
     def test_monotone_nonnegative(self):
         t = np.linspace(0.0, 20.0, 500)
@@ -201,7 +213,92 @@ class TestOdePlayout:
             ode_playout(lambda t, x: x * 1e308, np.array([1.0]), grid)
 
 
+def refined(nodes):
+    return TimeGrid(nodes).refined()
+
+
+def rk4_loop(A, forcing, x0, nodes):
+    """`ode_playout` with a closure right-hand side reading the forcing at
+    the nearest refined node: the per-step reference of `rk4_affine`."""
+    ts = refined(nodes)
+
+    def rhs(t, x):
+        return A @ x + forcing[int(np.argmin(np.abs(ts - t)))]
+
+    return ode_playout(rhs, x0, TimeGrid(nodes))
+
+
+def game_case(orders, nodes, seed=0):
+    """Stacked player matrix of random controllers of the given orders, a
+    smooth forcing through B and C, and a random start."""
+    rng = np.random.default_rng(seed)
+    ss = build_game_ss(random_controller(rng, orders[0]), random_controller(rng, orders[1]))
+    ts = refined(nodes)
+    forcing = np.outer(40.0 * np.cos(3.0 * ts), ss.B) + np.outer(25.0 * np.sin(7.0 * ts), ss.C)
+    return ss.A, forcing, rng.uniform(-5.0, 5.0, ss.A.shape[0])
+
+
 class TestRk4Affine:
+    """The blocked scan against the per-step loop, at the 1e-12 * scale of
+    `assert_full_matches_loop`; block sizes are ceil(sqrt(steps)), so 2024,
+    2025 and 2026 steps are b^2 - 1, b^2 and b^2 + 1 for b = 45, and 1999
+    is prime."""
+
+    def assert_matches_loop(self, A, forcing, x0, nodes):
+        got = rk4_affine(A, forcing, x0, nodes)
+        want = rk4_loop(A, forcing, x0, nodes)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("steps", [1, 2, 3, 8, 9, 10, 1999, 2024, 2025, 2026])
+    def test_step_counts(self, steps):
+        nodes = np.linspace(0.0, 1.3, steps + 1)
+        self.assert_matches_loop(*game_case((1, 2), nodes, seed=steps), nodes)
+
+    def test_non_uniform_grid(self):
+        nodes = np.linspace(0.0, 1.0, 2001) ** 1.5
+        self.assert_matches_loop(*game_case((1, 1), nodes), nodes)
+
+    @pytest.mark.parametrize("spacing", ["uniform", "power"])
+    def test_order_ten_pair(self, spacing):
+        nodes = np.linspace(0.0, 1.0, 2001)
+        if spacing == "power":
+            nodes = nodes ** 1.5
+        A, forcing, x0 = game_case((10, 10), nodes, seed=7)
+        assert A.shape == (24, 24)
+        self.assert_matches_loop(A, forcing, x0, nodes)
+
+    @pytest.mark.parametrize("x0", [[0.0], [0.0, 1.0]])
+    def test_overflowing_block_product_keeps_a_zero_state(self, x0):
+        """Each step multiplies the first component by P ~ 1.05e7, finite,
+        but a block of 45 overflows: the zero component must stay zero as in
+        the loop, not become inf * 0 = nan."""
+        d = len(x0)
+        A = np.diag([2.5e5, -1.0][:d])
+        nodes = np.linspace(0.0, 1.0, 2001)
+        H = 2.5e5 * (nodes[1] - nodes[0])
+        step = 1.0 + H + H ** 2 / 2 + H ** 3 / 6 + H ** 4 / 24
+        assert np.isfinite(step) and 45 * math.log(step) > math.log(np.finfo(float).max)
+        forcing = np.zeros((refined(nodes).size, d))
+        got = rk4_affine(A, forcing, np.array(x0), nodes)
+        np.testing.assert_array_equal(got[:, 0], 0.0)
+        self.assert_matches_loop(A, forcing, np.array(x0), nodes)
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid")
+    @pytest.mark.parametrize("x0", [[1.0], [1e-300, 1.0], [0.0, 1.0]])
+    def test_growing_state_reports_first_non_finite_node(self, x0):
+        """Growth by ~1.05e7 a step: from 1 the state overflows inside the
+        first block, from 1e-300 in the second; the coupling feeds the zero
+        start. The blocked scan names the same node time as the loop."""
+        d = len(x0)
+        A = np.array([[2.5e5, 1.0], [0.0, -1.0]])[:d, :d]
+        nodes = np.linspace(0.0, 1.0, 2001)
+        forcing = np.zeros((refined(nodes).size, d))
+        with pytest.raises(ValueError, match="non-finite") as loop:
+            rk4_loop(A, forcing, np.array(x0), nodes)
+        with pytest.raises(ValueError) as blocked:
+            rk4_affine(A, forcing, np.array(x0), nodes)
+        assert str(blocked.value) == str(loop.value)
+
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid")
     def test_non_finite_state_rejected(self):
         grid = TimeGrid.uniform(0.0, 1.0, 11)

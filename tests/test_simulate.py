@@ -27,8 +27,10 @@ from zemgame import (
     solve_erg_branch,
     solve_rg,
 )
+from zemgame import reduction, simulate
 from zemgame.cli import load_scenario
 from zemgame.errors import ProbeFailure
+from zemgame.reduction import SampleBundle
 from zemgame.simulate import admissible_evader_perturbation, _initial_full_state, _simpson_panels
 
 from helpers import MIXED_ORDERS, ORACLE, random_controller, random_scenario
@@ -161,6 +163,54 @@ class TestPlayoutFull:
             scale = max(1.0, np.abs(reduced.z_traj).max(), np.abs(reduced.w_traj).max())
             np.testing.assert_allclose(full.z_traj, reduced.z_traj, rtol=0, atol=1e-6 * scale)
             np.testing.assert_allclose(full.w_traj, reduced.w_traj, rtol=0, atol=1e-6 * scale)
+
+
+class TestBundleMemo:
+    def test_equal_nodes_share_a_bundle(self, study_scenario):
+        k = z.Kernels(study_scenario)
+        first = k.bundle(TimeGrid.uniform(0.0, 1.0, 2500))
+        assert k.bundle(TimeGrid.uniform(0.0, 1.0, 2500)) is first
+        assert k.bundle(TimeGrid.uniform(0.0, 1.0, 2001)) is k.bundle()
+
+    def test_memo_keeps_one_off_grid_bundle(self, study_scenario):
+        k = z.Kernels(study_scenario)
+        for n in range(300, 320):
+            last = k.bundle(TimeGrid.uniform(0.0, 1.0, n))
+        kept = [id(v) for v in vars(k).values() if isinstance(v, SampleBundle)]
+        assert sorted(kept) == sorted([id(last), id(k.bundle())])
+
+    def test_warm_kernels_take_no_rows(self, study_scenario, study_coeffs, monkeypatch):
+        """Once the off-grid bundle is kept, the full playout and a repeated
+        off-grid cost sample nothing: no transition rows, no exponentials."""
+        k = z.Kernels(study_scenario)
+        sol = solve_rg(study_scenario, coeffs=study_coeffs)
+        evaluate_cost(study_scenario, k, sol.u_p, sol.u_e, TimeGrid.uniform(0.0, 1.0, 2500))
+        calls = []
+        for name in ("_transition_rows", "mat_exp"):
+            original = getattr(reduction, name)
+            monkeypatch.setattr(reduction, name,
+                                lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a))
+        playout_full(study_scenario, sol.u_p, sol.u_e, kernels=k)
+        evaluate_cost(study_scenario, k, sol.u_p, sol.u_e, TimeGrid.uniform(0.0, 1.0, 2500))
+        assert calls == []
+        k.bundle(TimeGrid.uniform(0.0, 1.0, 2400))
+        assert calls.count("_transition_rows") == 2  # the counter sees a new grid
+
+    def test_legendre_gram_follows_its_arguments(self, study_scenario):
+        bundle = z.Kernels(study_scenario).bundle()
+        basis, products = bundle.legendre_gram(8, 1.0)
+        assert bundle.legendre_gram(8, 1.0)[0] is basis
+        other, other_products = bundle.legendre_gram(4, 2.0)
+        assert other.shape == (4, bundle.ts.size) and other_products.shape == (5, 7)
+        np.testing.assert_allclose(other[1], bundle.ts - 1.0, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("nodes", [np.linspace(0.0, 1.0, 2001),
+                                       np.linspace(0.0, 1.0, 301) ** 1.5])
+    def test_node_rows_match_kernel_rows(self, study_kernels, nodes):
+        bundle = study_kernels.bundle(TimeGrid(nodes))
+        for kept, direct in ((bundle.node_rows_engagement, study_kernels.rows_engagement(nodes)),
+                             (bundle.node_rows_target, study_kernels.rows_target(nodes))):
+            np.testing.assert_allclose(kept, direct, rtol=0, atol=1e-12 * np.abs(direct).max())
 
 
 class TestCrossPlay:
@@ -355,6 +405,53 @@ class TestProbeEquivalence:
         labels = self.check(scenario, kernels, coeffs, positions, seed=12)
         assert labels == set(RegionLabel)
 
+    def test_cached_gram_matches_per_call_gram(self, study_scenario, study_kernels, study_coeffs,
+                                               mixed, monkeypatch):
+        """The probe reads its Legendre basis and Gram block from the bundle;
+        against a basis and Simpson-panel Gram formed afresh on every call,
+        the worst margins move by at most 1e-12 relative."""
+        def per_call(bundle, size, span):
+            grid = bundle.grid
+            x = 2.0 * bundle.ts / span - 1.0
+            basis = np.vstack([np.polynomial.legendre.Legendre.basis(j)(x) for j in range(size)])
+            rows = np.vstack([basis, bundle.g_e, bundle.h_p, bundle.h_e])
+            steps = np.diff(grid.nodes)
+            products = np.array([[np.sum(_simpson_panels((a * b)[0::2], (a * b)[1::2], steps))
+                                  for b in rows] for a in rows[:size + 1]])
+            return basis, products
+
+        cases = [(study_scenario, study_kernels, study_coeffs, (100.0, -100.0)),
+                 (study_scenario, study_kernels, study_coeffs, (100.0, 50.0)),
+                 (mixed[0], mixed[1], mixed[2], (mixed[0].z0, mixed[0].w0))]
+        for scenario, kernels, coeffs, (z0, w0) in cases:
+            sc = dataclasses.replace(scenario, z0=z0, w0=w0, geometry=None)
+            sol = solve_rg(sc, coeffs=coeffs)
+            cached = saddle_probe(sc, sol, n_trials=50, seed=21, kernels=kernels)
+            with monkeypatch.context() as m:
+                m.setattr(SampleBundle, "legendre_gram", per_call)
+                fresh = saddle_probe(sc, sol, n_trials=50, seed=21, kernels=kernels)
+            tol = 1e-12 * max(1.0, abs(sol.value))
+            assert abs(cached.evader_worst - fresh.evader_worst) <= tol
+            assert abs(cached.pursuer_worst - fresh.pursuer_worst) <= tol
+
+    @pytest.mark.parametrize("seed", [0, 1, 12345, 2 ** 31 - 1])
+    def test_draws_match_two_calls_per_stream(self, study_scenario, study_kernels, study_coeffs,
+                                              seed, monkeypatch):
+        """Each trial's 16 coefficients come from one draw of its stream,
+        bitwise equal to 8 evader and then 8 pursuer draws."""
+        seen = []
+        peaks = simulate._peaks
+        monkeypatch.setattr(simulate, "_peaks", lambda c, basis: seen.append(c.copy()) or peaks(c, basis))
+        sol = solve_rg(study_scenario, coeffs=study_coeffs)
+        saddle_probe(study_scenario, sol, n_trials=30, seed=seed, kernels=study_kernels)
+        want = np.empty((2, 30, 8))
+        for trial, seq in enumerate(np.random.SeedSequence(seed).spawn(30)):
+            rng = np.random.default_rng(seq)
+            want[0, trial] = rng.standard_normal(8)
+            want[1, trial] = rng.standard_normal(8)
+        assert len(seen) == 1
+        np.testing.assert_array_equal(seen[0], want.reshape(-1, 8))
+
     @pytest.mark.parametrize("halve_evader, seed", [(False, 3), (True, 4), (True, 8)])
     def test_failing_trial_matches_loop(self, study_scenario, study_kernels, study_coeffs,
                                         halve_evader, seed):
@@ -432,6 +529,46 @@ class TestFullEquivalence:
 class TestMemory:
     """Neither the probe nor the full playout forms a (trials x nodes) or
     (steps x state x state) array on the default grid."""
+
+    @staticmethod
+    def traced(call):
+        """(peak, still held) bytes allocated by call."""
+        tracemalloc.start()
+        try:
+            call()
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak, current
+
+    def test_peak_order_ten(self):
+        """d = 24: the (steps x 24 x 24) step matrices alone would be 9.2 MB;
+        the forcing and the step offsets peak at about 3.6 MB."""
+        rng = np.random.default_rng(10)
+        sc = z.EngagementScenario(
+            pursuer=random_controller(rng, 10), evader=random_controller(rng, 10),
+            t_f=1.2, t_c=0.7, alpha=0.1, beta=1.0, ae_max=50.0, z0=80.0, w0=-30.0)
+        k = z.Kernels(sc)
+        peak, _ = self.traced(lambda: playout_full(sc, KernelCombo(hp_coef=3.0),
+                                                   KernelCombo(he_coef=-2.0, ge_coef=1.5),
+                                                   kernels=k))
+        assert peak <= 4.5e6
+
+    def test_off_grid_memo(self, study_scenario, study_coeffs):
+        """Costs on 12 distinct 2500-node grids: each builds one bundle
+        (about 0.66 MB at its peak) and keeps it in place of the last
+        (about 0.36 MB held), so neither the peak nor what stays grows."""
+        k = z.Kernels(study_scenario)
+        sol = solve_rg(study_scenario, coeffs=study_coeffs)
+
+        def costs():
+            for end in np.linspace(0.9, 1.0, 12):
+                evaluate_cost(study_scenario, k, sol.u_p, sol.u_e,
+                              TimeGrid.uniform(0.0, end, 2500))
+
+        peak, held = self.traced(costs)
+        assert peak <= 1.5e6
+        assert held <= 0.5e6
 
     @pytest.mark.parametrize("run", ["probe", "full"])
     def test_peak(self, study_scenario, study_kernels, study_coeffs, run):
