@@ -37,7 +37,6 @@ from .reduction import (
     first_order_coefficients,
     mu_e,
     sample_control,
-    solvability_threshold,
 )
 from .simulate import (
     CostBreakdown,

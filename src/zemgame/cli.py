@@ -11,20 +11,18 @@ Exit codes: 0 success, 1 usage or parse error, 2 solvability violation,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
+from . import reference
 from .engagement import (
     ControllerModel,
     EngagementGeometry,
     EngagementScenario,
-    first_order_scenario,
     initial_zem,
     resolve_horizons,
 )
@@ -36,8 +34,8 @@ from .errors import (
     ZemGameError,
 )
 from .numerics import DEFAULT_GRID_NODES, TimeGrid
-from .reduction import AffineInTime, Constant, Kernels, coefficients, integral_g_e
-from .simulate import cross_play, evaluate_cost, playout_reduced, saddle_probe
+from .reduction import Kernels, coefficients
+from .simulate import playout_reduced, saddle_probe
 from .solver import classify, penalty_sweep, solve_erg_branch, solve_rg
 
 EXIT_OK = 0
@@ -46,32 +44,12 @@ EXIT_SOLVABILITY = 2
 EXIT_REPRO_FAIL = 3
 EXIT_INTERNAL = 4
 
-# Built-in first-order study scenario used when no file is given.
-STUDY = dict(tau_p=0.2, tau_e=0.1, t_f=1.0, t_c=0.9, alpha=0.05, beta=0.3,
-             ae_max=100.0, z0=100.0, w0=-100.0)
-STUDY_PLUS_POSITION = (100.0, 50.0)
-STUDY_MINUS_POSITION = (-100.0, -20.0)
 
-
-@dataclass
-class ResultRow:
-    name: str
-    value: float
-    formula: str
-
-
-@dataclass
-class ResultTable:
-    rows: list[ResultRow] = field(default_factory=list)
-
-    def add(self, name: str, value: float, formula: str):
-        self.rows.append(ResultRow(name, float(value), formula))
-
-    def print(self, out=None):
-        out = out if out is not None else sys.stdout
-        width = max((len(r.name) for r in self.rows), default=0)
-        for r in self.rows:
-            out.write("%-*s  %- .12g    [%s]\n" % (width, r.name, r.value, r.formula))
+def _print_rows(rows) -> None:
+    """Print (name, value, formula) rows with the names in one column."""
+    width = max(len(name) for name, _, _ in rows)
+    for name, value, formula in rows:
+        print("%-*s  %- .12g    [%s]" % (width, name, float(value), formula))
 
 
 class _UsageError(Exception):
@@ -84,13 +62,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _get(doc: dict, path: str, required: bool = True, default=None):
-    node = doc
-    walked = []
-    for key in path.split("."):
-        walked.append(key)
+    node, keys = doc, path.split(".")
+    for depth, key in enumerate(keys):
         if not isinstance(node, dict) or key not in node:
             if required:
-                raise ScenarioFormatError("missing key %r" % ".".join(walked))
+                raise ScenarioFormatError("missing key %r" % ".".join(keys[:depth + 1]))
             return default
         node = node[key]
     return node
@@ -98,8 +74,10 @@ def _get(doc: dict, path: str, required: bool = True, default=None):
 
 def _number(doc: dict, path: str, required: bool = True, default=None) -> Optional[float]:
     value = _get(doc, path, required, default)
-    if value is None:
-        return None
+    return None if value is None else _finite(value, path)
+
+
+def _finite(value, path: str) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ScenarioFormatError("key %r must be a number" % path)
     if not np.isfinite(value):
@@ -113,8 +91,8 @@ def _parse_player(doc: dict, path: str) -> ControllerModel:
         raise ScenarioFormatError("key %r must be an object" % path)
     if "first_order_tau" in node:
         try:
-            return ControllerModel.first_order(float(node["first_order_tau"]))
-        except (ValueError, TypeError) as exc:
+            return ControllerModel.first_order(_number(doc, "%s.first_order_tau" % path))
+        except ValueError as exc:
             raise ScenarioFormatError("invalid %s.first_order_tau: %s" % (path, exc))
     for key in ("A", "b", "c", "d"):
         if key not in node:
@@ -184,16 +162,6 @@ def scenario_from_document(doc: dict) -> EngagementScenario:
         raise ScenarioFormatError(str(exc))
 
 
-def _study_scenario() -> EngagementScenario:
-    return first_order_scenario(**STUDY)
-
-
-def _scenario_or_study(path: Optional[str]) -> tuple[EngagementScenario, dict]:
-    if path is None:
-        return _study_scenario(), {}
-    return load_scenario(path)
-
-
 def _write_csv(path: str, header: Sequence[str], rows) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
@@ -205,43 +173,41 @@ def cmd_classify(args) -> int:
     scenario, _ = load_scenario(args.scenario)
     coeffs = coefficients(scenario)
     region = classify(coeffs, scenario.z0, scenario.w0)
-    table = ResultTable()
-    table.add("a", coeffs.a, "a = G2/G1")
-    table.add("bound", coeffs.bound, "bound = mu_e*ae_max")
-    table.add("margin", region.margin, "w0 + a*z0 - nearest bound")
     print("region: %s" % region.label.value)
-    table.print()
+    _print_rows([("a", coeffs.a, "a = G2/G1"),
+                 ("bound", coeffs.bound, "bound = mu_e*ae_max"),
+                 ("margin", region.margin, "w0 + a*z0 - nearest bound")])
     if coeffs.constraint_degenerate:
         print("note: t_c = 0 collapses the terminal constraint to w(t_f) = 0")
     return EXIT_OK
 
 
 def cmd_solve(args) -> int:
+    if args.probe < 0:
+        raise _UsageError("--probe must be nonnegative")
     scenario, _ = load_scenario(args.scenario)
     coeffs = coefficients(scenario)
     grid = TimeGrid.uniform(0.0, scenario.t_f, args.grid)
-    table = ResultTable()
     if args.sign is not None:
         sign = 1 if args.sign == "+" else -1
         branch = solve_erg_branch(coeffs, scenario.z0, scenario.w0, sign)
         u_p, u_e = branch.u_p, branch.u_e
         region_name = "forced branch %s" % args.sign
-        table.add("value", branch.value, "J = omega_f' diag(1,-1) G omega_f")
-        table.add("z_f", branch.omega_f[0], "omega_f = G^-1 b")
-        table.add("v_f", branch.omega_f[1], "omega_f = G^-1 b")
-        table.add("w_f", branch.sign * coeffs.bound, "w_f = sign*mu_e*ae_max")
+        rows = [("value", branch.value, "J = omega_f' diag(1,-1) G omega_f"),
+                ("z_f", branch.omega_f[0], "omega_f = G^-1 b"),
+                ("v_f", branch.omega_f[1], "omega_f = G^-1 b"),
+                ("w_f", branch.sign * coeffs.bound, "w_f = sign*mu_e*ae_max")]
     else:
         sol = solve_rg(scenario, coeffs)
         u_p, u_e = sol.u_p, sol.u_e
         region_name = sol.region.label.value
-        table.add("value", sol.value, "J(u_p*, u_e*)")
-        table.add("z_f", sol.z_f, "z_f = z0/s in Omega, else (G^-1 b)_1")
-        table.add("w_f", sol.w_f, "w_f = w0 + a*z0 in Omega, else sign*mu_e*ae_max")
+        rows = [("value", sol.value, "J(u_p*, u_e*)"),
+                ("z_f", sol.z_f, "z_f = z0/s in Omega, else (G^-1 b)_1"),
+                ("w_f", sol.w_f, "w_f = w0 + a*z0 in Omega, else sign*mu_e*ae_max")]
     print("region: %s" % region_name)
-    table.add("u_p coef on h_p", u_p.hp_coef, "u_p = -(z_f/alpha) h_p")
-    table.add("u_e coef on h_e", u_e.he_coef, "u_e = (z_f h_e - v_f g_e)/beta")
-    table.add("u_e coef on g_e", u_e.ge_coef, "u_e = (z_f h_e - v_f g_e)/beta")
-    table.print()
+    _print_rows(rows + [("u_p coef on h_p", u_p.hp_coef, "u_p = -(z_f/alpha) h_p"),
+                        ("u_e coef on h_e", u_e.he_coef, "u_e = (z_f h_e - v_f g_e)/beta"),
+                        ("u_e coef on g_e", u_e.ge_coef, "u_e = (z_f h_e - v_f g_e)/beta")])
     probe = args.probe and args.sign is None
     if args.csv or probe:
         kern = Kernels(scenario, grid)
@@ -267,6 +233,8 @@ def cmd_sweep(args) -> int:
     sign = 1 if args.sign == "+" else -1
     if args.eps_steps < 2:
         raise _UsageError("--eps-steps must be at least 2")
+    if not np.isfinite([args.eps_from, args.eps_to]).all():
+        raise _UsageError("--eps-from and --eps-to must be finite")
     eps_list = np.geomspace(args.eps_from, args.eps_to, args.eps_steps)
     records = penalty_sweep(coeffs, scenario.z0, scenario.w0, sign, eps_list)
     branch = solve_erg_branch(coeffs, scenario.z0, scenario.w0, sign)
@@ -287,41 +255,26 @@ def cmd_sweep(args) -> int:
 
 
 def _table1_positions(doc: dict) -> tuple[tuple[float, float], tuple[float, float]]:
-    node = doc.get("table1") if isinstance(doc, dict) else None
-    if node is None:
-        return STUDY_PLUS_POSITION, STUDY_MINUS_POSITION
-    try:
-        plus = tuple(float(v) for v in node["plus"])
-        minus = tuple(float(v) for v in node["minus"])
-        if len(plus) != 2 or len(minus) != 2:
-            raise ValueError
-    except (KeyError, TypeError, ValueError):
-        raise ScenarioFormatError("key 'table1' must hold 'plus' and 'minus' [z, w] pairs")
-    return plus, minus
-
-
-def _cross_table(scenario: EngagementScenario, kern, coeffs, z0: float, w0: float):
-    """Six-way cross of the two branch control pairs at one position."""
-    positioned = dataclasses.replace(scenario, z0=z0, w0=w0, geometry=None)
-    plus = solve_erg_branch(coeffs, z0, w0, 1)
-    minus = solve_erg_branch(coeffs, z0, w0, -1)
-    pair = lambda up, ue: cross_play(positioned, up, ue, kern).total
-    return {
-        ("+", "+"): pair(plus.u_p, plus.u_e),
-        ("-", "-"): pair(minus.u_p, minus.u_e),
-        ("+", "-"): pair(plus.u_p, minus.u_e),
-        ("-", "+"): pair(minus.u_p, plus.u_e),
-    }
+    if doc.get("table1") is None:
+        return reference.PLUS_POSITION, reference.MINUS_POSITION
+    positions = []
+    for path in ("table1.plus", "table1.minus"):
+        pair = _get(doc, path)
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ScenarioFormatError("key %r must be a [z, w] pair" % path)
+        positions.append(tuple(_finite(v, path) for v in pair))
+    return positions[0], positions[1]
 
 
 def cmd_table1(args) -> int:
-    scenario, doc = _scenario_or_study(args.scenario)
+    scenario, doc = (load_scenario(args.scenario) if args.scenario is not None
+                     else (reference.study_scenario(), {}))
     pos_plus, pos_minus = _table1_positions(doc)
     kern = Kernels(scenario)
     coeffs = coefficients(scenario)
 
-    t_plus = _cross_table(scenario, kern, coeffs, *pos_plus)
-    t_minus = _cross_table(scenario, kern, coeffs, *pos_minus)
+    t_plus = reference.cross_table(scenario, kern, coeffs, *pos_plus)
+    t_minus = reference.cross_table(scenario, kern, coeffs, *pos_minus)
     print("position (%g, %g) in OmegaPlus   position (%g, %g) in OmegaMinus"
           % (*pos_plus, *pos_minus))
     print("%-14s %-10s   %-14s %-10s" % ("controls", "J", "controls", "J"))
@@ -329,8 +282,7 @@ def cmd_table1(args) -> int:
     for left, right in layout:
         print("(u_p%s, u_e%s)   %-10.1f   (u_p%s, u_e%s)   %-10.1f"
               % (left[0], left[1], t_plus[left], right[0], right[1], t_minus[right]))
-    ok_plus = t_plus[("+", "-")] < t_plus[("+", "+")] < t_plus[("-", "+")]
-    ok_minus = t_minus[("-", "+")] < t_minus[("-", "-")] < t_minus[("+", "-")]
+    ok_plus, ok_minus = reference.saddle_orderings(t_plus, t_minus)
     print("saddle ordering: %s / %s"
           % ("OK" if ok_plus else "VIOLATED", "OK" if ok_minus else "VIOLATED"))
     if not (ok_plus and ok_minus):
@@ -338,118 +290,20 @@ def cmd_table1(args) -> int:
     return EXIT_OK
 
 
-@dataclass
-class _Check:
-    name: str
-    value: float
-    target: float
-    tol: float
-    formula: str
-
-    def passed(self) -> bool:
-        return abs(self.value - self.target) <= self.tol
-
-
-def _repro_checks(tol_scale: float) -> list[_Check]:
-    scenario = _study_scenario()
-    kern = Kernels(scenario)
-    coeffs = coefficients(scenario)
-    grid = TimeGrid.uniform(0.0, scenario.t_f)
-    checks: list[_Check] = []
-
-    def add(name, value, target, tol, formula, rel=False):
-        width = tol * tol_scale * (abs(target) if rel else 1.0)
-        checks.append(_Check(name, float(value), target, width, formula))
-
-    add("beta_star", coeffs.beta_star, 0.2438, 1e-4, "beta_star = int h_e^2 dt")
-    add("mu_e", coeffs.mu_e, 0.325, 5e-4, "mu_e = int |g_e| dt over the tail")
-    add("bound", coeffs.bound, 32.5, 0.05, "bound = mu_e*ae_max")
-
-    g_target = ((3.72, 2.04), (-2.04, 5.91))
-    gbar_target = ((0.23, -0.08), (-0.08, -0.14))
-    for i in range(2):
-        for j in range(2):
-            add("G[%d,%d]" % (i, j), coeffs.G[i, j], g_target[i][j], 0.01,
-                "G = [[s, G2], [-G2, G3]]")
-            add("G_bar[%d,%d]" % (i, j), coeffs.G_bar[i, j], gbar_target[i][j], 0.005,
-                "G_bar = (G^-1)' diag(1,-1)")
-
-    plus = solve_erg_branch(coeffs, 100.0, -100.0, 1)
-    minus = solve_erg_branch(coeffs, 100.0, -100.0, -1)
-    add("z_f+", plus.omega_f[0], 32.92, 0.05, "omega_f+ = G^-1 b+")
-    add("v_f+", plus.omega_f[1], -11.05, 0.05, "omega_f+ = G^-1 b+")
-    add("z_f-", minus.omega_f[0], 27.85, 0.05, "omega_f- = G^-1 b-")
-    add("v_f-", minus.omega_f[1], -1.80, 0.05, "omega_f- = G^-1 b-")
-    add("J+*", plus.value, 1821.6, 0.01, "J+* = omega_f+' diag(1,-1) G omega_f+", rel=True)
-    add("J-*", minus.value, 2659.1, 0.01, "J-* = omega_f-' diag(1,-1) G omega_f-", rel=True)
-
-    at = dataclasses.replace(scenario, z0=100.0, w0=-100.0, geometry=None)
-    play_plus = playout_reduced(at, kern, plus.u_p, plus.u_e, grid)
-    play_minus = playout_reduced(at, kern, minus.u_p, minus.u_e, grid)
-    add("w_f+ playout", play_plus.w_f, 32.5, 0.01, "dw = g_e u_e integrated")
-    add("z_f+ playout", play_plus.z_f, 32.92, 0.05, "dz = h_p u_p + h_e u_e integrated")
-    add("w_f- playout", play_minus.w_f, -32.5, 0.01, "dw = g_e u_e integrated")
-    add("z_f- playout", play_minus.z_f, 27.85, 0.05, "dz = h_p u_p + h_e u_e integrated")
-
-    int_ge = integral_g_e(scenario)
-    ue_bar = (coeffs.bound - at.w0) / int_ge
-    add("ue_bar+", ue_bar, 101.92, 0.05, "ue_bar = (bound - w0)/int g_e")
-    j_const = evaluate_cost(at, kern, plus.u_p, Constant(ue_bar), grid).total
-    add("J(u_p+, ue_bar+)", j_const, 1358.4, 0.01, "cost of (u_p+, constant)", rel=True)
-    ramp = AffineInTime(slope=-400.0, intercept=400.0 * scenario.t_f)
-    j_ramp = evaluate_cost(at, kern, ramp, plus.u_e, grid).total
-    add("J(ramp, u_e+)", j_ramp, 2369.3, 0.01, "cost of (400(t_f - t), u_e+)", rel=True)
-
-    t_plus = _cross_table(scenario, kern, coeffs, *STUDY_PLUS_POSITION)
-    t_minus = _cross_table(scenario, kern, coeffs, *STUDY_MINUS_POSITION)
-    table_targets = [
-        ("T1+ (+,+)", t_plus[("+", "+")], 1939.2), ("T1+ (+,-)", t_plus[("+", "-")], 418.8),
-        ("T1+ (-,+)", t_plus[("-", "+")], 2347.7), ("T1- (-,+)", t_minus[("-", "+")], 1463.1),
-        ("T1- (+,-)", t_minus[("+", "-")], 2836.7),
-    ]
-    for name, value, target in table_targets:
-        add(name, value, target, 0.01, "cross-play cost", rel=True)
-    # The study prints 2488.2 here; with its printed G_bar and J+-* only
-    # 2431.1 is consistent, so the row checks the corrected value.
-    add("T1- (-,-)", t_minus[("-", "-")], 2431.1, 0.01,
-        "cross-play cost; erratum, printed 2488.2", rel=True)
-    ordering = (t_plus[("+", "-")] < t_plus[("+", "+")] < t_plus[("-", "+")]
-                and t_minus[("-", "+")] < t_minus[("-", "-")] < t_minus[("+", "-")])
-    checks.append(_Check("T1 orderings", 1.0 if ordering else 0.0, 1.0, 0.5,
-                         "strict saddle orderings"))
-
-    # The printed 4.895 and -45.105 both encode a*z0 = 54.895; the band goes
-    # on that displacement rather than on its difference with w0 = -50.
-    add("w_f-w0 URG (100,-50)", coeffs.a * 100.0, 54.895, 0.01,
-        "w_f - w0 = a*z0; printed w_f 4.895", rel=True)
-    add("w_f URG (100,-100)", -100.0 + coeffs.a * 100.0, -45.105, 0.01,
-        "w_f = w0 + a*z0", rel=True)
-
-    for sign, branch, tag in ((1, plus, "+"), (-1, minus, "-")):
-        records = penalty_sweep(coeffs, 100.0, -100.0, sign)
-        gaps = np.array([np.linalg.norm(r.omega_eps - branch.omega_f) for r in records])
-        slope = np.polyfit(np.log([r.eps for r in records]), np.log(gaps), 1)[0]
-        monotone = 1.0 if (np.diff(gaps) < 0).all() else 0.0
-        add("sweep%s order" % tag, slope, 1.0, 0.1, "log-log slope of |omega_eps - omega_f|")
-        checks.append(_Check("sweep%s monotone" % tag, monotone, 1.0, 0.5,
-                             "gap decreases with eps"))
-        add("sweep%s value gap" % tag, records[-1].value / branch.value - 1.0, 0.0, 1e-3,
-            "penalized value vs branch value at eps=1e-6")
-    return checks
-
-
 def cmd_repro(args) -> int:
-    checks = _repro_checks(args.tol_scale)
-    width = max(len(c.name) for c in checks)
-    failures = 0
-    for c in checks:
-        ok = c.passed()
-        failures += 0 if ok else 1
+    if not (np.isfinite(args.tol_scale) and args.tol_scale > 0):
+        raise _UsageError("--tol-scale must be positive and finite")
+    values, checks = reference.evaluate(), reference.CHECKS
+    width = max(map(len, checks))
+    passed = 0
+    for c in checks.values():
+        ok = c.passed(values[c.name], args.tol_scale)
+        passed += ok
         print("%-4s %-*s value=%- .8g target=%- .8g tol=%-.3g  [%s]"
-              % ("PASS" if ok else "FAIL", width, c.name, c.value, c.target,
-                 c.tol, c.formula))
-    print("%d/%d checks passed" % (len(checks) - failures, len(checks)))
-    return EXIT_OK if failures == 0 else EXIT_REPRO_FAIL
+              % ("PASS" if ok else "FAIL", width, c.name, values[c.name], c.target,
+                 c.width(args.tol_scale), c.label))
+    print("%d/%d checks passed" % (passed, len(checks)))
+    return EXIT_OK if passed == len(checks) else EXIT_REPRO_FAIL
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -504,16 +358,9 @@ _main_parser = functools.cache(build_parser)
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _main_parser().parse_args(argv)
-    except _UsageError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
-    try:
         return args.func(args)
     except ScenarioFormatError as exc:
         print("scenario error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
-    except _UsageError as exc:
-        print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     except SolvabilityError as exc:
         print("unsolvable: %s" % exc, file=sys.stderr)
@@ -521,10 +368,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (AssertionFailure, ProbeFailure) as exc:
         print("internal check failed: %s" % exc, file=sys.stderr)
         return EXIT_INTERNAL
-    except ZemGameError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (_UsageError, ZemGameError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
 

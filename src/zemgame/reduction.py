@@ -9,8 +9,8 @@ dynamics are driven by three scalar kernels,
     g_e(t) = D_e  exp(A_e (t_f + t_c - t)) B_e
 
 and every game quantity is an integral of products of these kernels. The
-integrals are evaluated exactly from matrix exponentials; adaptive quadrature
-(`solvability_threshold`) stays only as an independent check.
+integrals are evaluated exactly from matrix exponentials; the tests keep
+adaptive quadrature as an independent check.
 """
 
 from __future__ import annotations
@@ -23,9 +23,7 @@ import numpy as np
 
 from .engagement import EngagementScenario, build_evader_ss, build_relative_ss, first_order_scenario
 from .errors import AssertionFailure, SolvabilityError
-from .numerics import PSI_SERIES, TimeGrid, mat_exp, psi, quad_adaptive, scaled_exp
-
-_INTEGRAL_TOL = 1e-10
+from .numerics import PSI_SERIES, TimeGrid, mat_exp, psi, scaled_exp
 
 # Largest deviation of a query set from a uniform progression, relative to
 # its largest delta, that still counts as uniform (a few ulps of linspace
@@ -387,12 +385,6 @@ class GameCoefficients:
         for label, ok in checks:
             if not ok:
                 raise AssertionFailure("coefficient consistency check failed: %s" % label)
-
-
-def solvability_threshold(kernels: KernelSet, tol: float = _INTEGRAL_TOL) -> float:
-    """Integral of the squared evader kernel over the game horizon; the
-    evader effort weight must strictly exceed it."""
-    return quad_adaptive(lambda t: kernels.h_e(t) ** 2, 0.0, kernels.t_f, tol)
 
 
 def _assemble(integrals: tuple[float, float, float, float], mu: float,

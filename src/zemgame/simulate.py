@@ -267,6 +267,8 @@ def saddle_probe(scenario: EngagementScenario, solution: "SaddleSolution",
     """
     from .solver import RegionLabel
 
+    if n_trials < 0:
+        raise ValueError("n_trials must be nonnegative")
     k = kernels if kernels is not None else Kernels(scenario)
     bundle = k.bundle(grid)
     up, ue = bundle.control(solution.u_p), bundle.control(solution.u_e)

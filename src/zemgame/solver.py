@@ -182,8 +182,8 @@ def solve_upg(coeffs: GameCoefficients, z0: float, w0: float, sign: int,
     Solves (G + diag(0, eps)) omega = b and returns the saddle controls and
     the value omega' diag(1,-1) (G + diag(0, eps)) omega.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0.0 < eps < np.inf:
+        raise ValueError("eps must be positive and finite")
     gamma = _gamma(sign, coeffs.bound)
     b = np.array([z0, w0]) + gamma
     M = coeffs.G + np.diag([0.0, eps])
@@ -312,8 +312,8 @@ def penalty_sweep(coeffs: GameCoefficients, z0: float, w0: float, sign: int,
     if eps_list is None:
         eps_list = DEFAULT_EPS_SWEEP
     eps_arr = [float(e) for e in eps_list]
-    if any(e <= 0 for e in eps_arr):
-        raise ValueError("eps values must be positive")
+    if not all(0.0 < e < np.inf for e in eps_arr):
+        raise ValueError("eps values must be positive and finite")
     if any(later >= earlier for earlier, later in zip(eps_arr, eps_arr[1:])):
         raise ValueError("eps values must be strictly descending")
     records = []

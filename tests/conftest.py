@@ -1,14 +1,13 @@
 import pytest
 
 import zemgame as z
+from zemgame import reference
 
 
 @pytest.fixture(scope="session")
 def study_scenario():
-    """First-order study setup: tau_p=0.2, tau_e=0.1, t_f=1, t_c=0.9,
-    alpha=0.05, beta=0.3, ae_max=100, starting at (100, -100)."""
-    return z.first_order_scenario(0.2, 0.1, 1.0, 0.9, 0.05, 0.3, 100.0,
-                                  z0=100.0, w0=-100.0)
+    """The first-order study at its branch position, `reference.POSITION`."""
+    return reference.study_scenario()
 
 
 @pytest.fixture(scope="session")
@@ -19,3 +18,9 @@ def study_kernels(study_scenario):
 @pytest.fixture(scope="session")
 def study_coeffs(study_scenario, study_kernels):
     return z.coefficients(study_scenario, study_kernels)
+
+
+@pytest.fixture(scope="session")
+def study_values():
+    """The model's value of every reference row, computed once."""
+    return reference.evaluate()

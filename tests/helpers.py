@@ -66,10 +66,11 @@ ORACLE = SimpleNamespace(
 
 MIXED_ORDERS = Path(__file__).resolve().parents[1] / "scenarios" / "geometry_mixed_orders.json"
 
-# Reference values printed by the source study (kept at their own coarser
-# tolerances in the acceptance suite).
-STUDY_POSITION_PLUS = (100.0, 50.0)
-STUDY_POSITION_MINUS = (-100.0, -20.0)
+
+def solvability_threshold(kernels, tol=1e-10):
+    """int h_e^2 over the game horizon by adaptive quadrature; the evader
+    effort weight must strictly exceed it."""
+    return z.quad_adaptive(lambda t: kernels.h_e(t) ** 2, 0.0, kernels.t_f, tol)
 
 
 def psi_ref(t):
@@ -107,7 +108,7 @@ def random_scenario(rng, max_order=3):
         z0=float(rng.uniform(-150.0, 150.0)), w0=float(rng.uniform(-150.0, 150.0)),
     )
     kernels = z.Kernels(base)
-    threshold = z.solvability_threshold(kernels)
+    threshold = solvability_threshold(kernels)
     scenario = dataclasses.replace(base, beta=threshold * float(rng.uniform(1.4, 3.0)))
     return scenario, z.Kernels(scenario)
 

@@ -1,9 +1,12 @@
+import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from zemgame import cli
+import test_acceptance
+from zemgame import cli, reference
 from zemgame.cli import (
     EXIT_OK,
     EXIT_REPRO_FAIL,
@@ -12,24 +15,20 @@ from zemgame.cli import (
     main,
 )
 from zemgame.reduction import Kernels
+from zemgame.reference import CHECKS
 
-STUDY_DOC = {
-    "players": {
-        "pursuer": {"first_order_tau": 0.2},
-        "evader": {"first_order_tau": 0.1},
-    },
-    "horizon": {"t_f": 1.0, "nu": 0.9},
-    "weights": {"alpha": 0.05, "beta": 0.3},
-    "evader_bound": {"ae_max": 100.0},
-    "initial": {"z0": 100.0, "w0": -100.0},
-}
+STUDY_FILE = Path(__file__).resolve().parents[1] / "scenarios" / "study.json"
+STUDY_DOC = json.loads(STUDY_FILE.read_text())
 
 
 @pytest.fixture
-def study_file(tmp_path):
-    path = tmp_path / "study.json"
-    path.write_text(json.dumps(STUDY_DOC))
-    return str(path)
+def study_file():
+    return str(STUDY_FILE)
+
+
+def printed_value(out):
+    return float(next(line.split()[1] for line in out.splitlines()
+                      if line.startswith("value")))
 
 
 def write_doc(tmp_path, mutate):
@@ -85,6 +84,12 @@ class TestClassify:
         assert "scenario error" in err
         assert "%s.%s" % (section, key) in err
 
+    @pytest.mark.parametrize("tau", [True, float("nan"), "0.2"])
+    def test_first_order_tau_checked_as_a_number(self, tmp_path, capsys, tau):
+        path = write_doc(tmp_path, lambda d: d["players"]["evader"].update(first_order_tau=tau))
+        assert main(["classify", path]) == EXIT_USAGE
+        assert "players.evader.first_order_tau" in capsys.readouterr().err
+
     def test_bad_json_reports_line(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{ not json")
@@ -95,19 +100,15 @@ class TestClassify:
 class TestSolve:
     def test_forced_plus_branch_value(self, study_file, capsys):
         assert main(["solve", study_file, "--sign", "+"]) == EXIT_OK
-        out = capsys.readouterr().out
-        value = float(next(line.split()[1] for line in out.splitlines()
-                           if line.startswith("value")))
-        assert value == pytest.approx(1821.6, rel=0.01)
+        assert CHECKS["J+*"].passed(printed_value(capsys.readouterr().out))
 
     def test_dispatched_value_at_plus_position(self, tmp_path, capsys):
-        path = write_doc(tmp_path, lambda d: d["initial"].update(z0=100.0, w0=50.0))
+        z0, w0 = reference.PLUS_POSITION
+        path = write_doc(tmp_path, lambda d: d["initial"].update(z0=z0, w0=w0))
         assert main(["solve", path]) == EXIT_OK
         out = capsys.readouterr().out
         assert "region: OmegaPlus" in out
-        value = float(next(line.split()[1] for line in out.splitlines()
-                           if line.startswith("value")))
-        assert value == pytest.approx(1939.2, rel=0.01)
+        assert CHECKS["T1+ (+,+)"].passed(printed_value(out))
 
     def test_csv_row_count_and_header(self, study_file, tmp_path, capsys):
         csv_path = tmp_path / "traj.csv"
@@ -125,6 +126,12 @@ class TestSolve:
     def test_probe_flag(self, study_file, capsys):
         assert main(["solve", study_file, "--probe", "5", "--seed", "11"]) == EXIT_OK
         assert "saddle probe: 5 trials OK" in capsys.readouterr().out
+
+    def test_negative_probe_rejected_before_solving(self, study_file, capsys):
+        assert main(["solve", study_file, "--probe", "-5"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--probe" in captured.err
 
     def test_bad_grid_rejected(self, study_file, capsys):
         assert main(["solve", study_file, "--grid", "1"]) == EXIT_USAGE
@@ -210,6 +217,14 @@ class TestSweep:
     def test_bad_step_count(self, study_file, capsys):
         assert main(["sweep", study_file, "--eps-steps", "1"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("bound", ["--eps-from", "--eps-to"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_eps_rejected(self, study_file, capsys, bound, value):
+        assert main(["sweep", study_file, bound, value, "--eps-steps", "3"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "finite" in captured.err
+
 
 class TestTable1:
     def test_builtin_study(self, capsys):
@@ -219,16 +234,37 @@ class TestTable1:
         values = [float(tok) for line in out.splitlines()
                   for tok in line.replace(")", " ").split()
                   if tok.replace(".", "").replace("-", "").isdigit() and "." in tok]
-        assert any(abs(v - 1939.2) / 1939.2 < 0.01 for v in values)
-        assert any(abs(v - 418.8) / 418.8 < 0.01 for v in values)
-        assert any(abs(v - 2347.7) / 2347.7 < 0.01 for v in values)
+        for pair in ("(+,+)", "(+,-)", "(-,+)"):
+            assert any(CHECKS["T1+ " + pair].passed(v) for v in values)
+
+    def test_study_file_matches_builtin(self, study_file, capsys):
+        assert main(["table1"]) == EXIT_OK
+        builtin = capsys.readouterr().out
+        assert main(["table1", study_file]) == EXIT_OK
+        assert capsys.readouterr().out == builtin
 
     def test_file_with_custom_positions(self, tmp_path, capsys):
         def mutate(doc):
-            doc["table1"] = {"plus": [100.0, 50.0], "minus": [-100.0, -20.0]}
+            doc["table1"] = {"plus": [120.0, 60.0], "minus": [-80.0, -30.0]}
         path = write_doc(tmp_path, mutate)
         assert main(["table1", path]) == EXIT_OK
-        assert "saddle ordering: OK / OK" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert out.startswith("position (120, 60) in OmegaPlus   position (-80, -30) in OmegaMinus")
+        assert "saddle ordering: OK / OK" in out
+
+    @pytest.mark.parametrize("side, entry", [("plus", True), ("minus", float("nan")),
+                                             ("plus", "100")])
+    def test_position_entries_checked(self, tmp_path, capsys, side, entry):
+        path = write_doc(tmp_path, lambda d: d["table1"][side].__setitem__(0, entry))
+        assert main(["table1", path]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "scenario error" in captured.err and "table1.%s" % side in captured.err
+
+    def test_position_must_be_a_pair(self, tmp_path, capsys):
+        path = write_doc(tmp_path, lambda d: d["table1"]["minus"].append(1.0))
+        assert main(["table1", path]) == EXIT_USAGE
+        assert "table1.minus" in capsys.readouterr().err
 
 
 class TestRepro:
@@ -238,7 +274,33 @@ class TestRepro:
         assert "FAIL" not in out
         assert "39/39 checks passed" in out
         t1_minus = next(line for line in out.splitlines() if "T1- (-,-)" in line)
-        assert "erratum, printed 2488.2" in t1_minus
+        assert t1_minus.endswith("[cross-play cost; erratum, printed %g]"
+                                 % CHECKS["T1- (-,-)"].printed)
+
+    def test_rows_follow_reference(self, capsys):
+        """One line per reference row, in table order, then the count line
+        that the benchmark harness parses to gate its runs."""
+        assert main(["repro"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        rows = list(CHECKS.values())
+        assert len(rows) >= 39 and len(lines) == len(rows) + 1
+        width = max(len(c.name) for c in rows)
+        for line, row in zip(lines, rows):
+            assert line.startswith("PASS %-*s value=" % (width, row.name))
+            assert line.endswith("  [%s]" % row.label)
+        assert lines[-1] == "%d/%d checks passed" % (len(rows), len(rows))
+
+    def test_changed_target_fails_its_row(self, capsys, monkeypatch, study_values):
+        row = CHECKS["J+*"]
+        monkeypatch.setitem(CHECKS, "J+*", dataclasses.replace(row, target=2.0 * row.target))
+        assert main(["repro"]) == EXIT_REPRO_FAIL
+        out = capsys.readouterr().out
+        assert [line.split()[1] for line in out.splitlines()
+                if line.startswith("FAIL")] == ["J+*"]
+        assert "%d/%d checks passed" % (len(CHECKS) - 1, len(CHECKS)) in out
+        with pytest.raises(AssertionError):
+            test_acceptance.test_criterion_05_game_values(study_values)
+        assert all(test_acceptance.check_rows(study_values, c) for c in (1, 4, 6, 10))
 
     def test_tolerance_scale_clears_known_rows(self, capsys):
         assert main(["repro", "--tol-scale", "2.5"]) == EXIT_OK
@@ -249,6 +311,13 @@ class TestRepro:
         assert main(["repro", "--tol-scale", "0.01"]) == EXIT_REPRO_FAIL
         out = capsys.readouterr().out
         assert any(line.startswith("FAIL ") for line in out.splitlines())
+
+    @pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1"])
+    def test_tolerance_scale_must_be_positive_and_finite(self, capsys, scale):
+        assert main(["repro", "--tol-scale", scale]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--tol-scale" in captured.err
 
 
 class TestUsage:

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from zemgame import TimeGrid, build_game_ss, mat_exp, ode_playout, psi, quad_adaptive, solve2
+from zemgame import TimeGrid, build_game_ss, mat_exp, ode_playout, psi, quad_adaptive, reference, solve2
 from zemgame.numerics import rk4_affine, scaled_exp
 from zemgame.errors import NearSingularError
+from zemgame.reference import CHECKS
 
-from helpers import psi_ref, random_controller
+from helpers import ORACLE, psi_ref, random_controller
 
 
 class TestPsi:
@@ -104,10 +105,11 @@ class TestQuadAdaptive:
 
     def test_squared_evader_kernel(self):
         # solvability threshold integrand of the first-order study
-        f = lambda t: 0.01 * psi((1.0 - t) / 0.1) ** 2
-        result = quad_adaptive(f, 0.0, 1.0)
-        assert result == pytest.approx(0.2438, abs=1e-4)
-        assert result == pytest.approx(0.243832425334, rel=1e-9)
+        tau_e, t_f = reference.STUDY["tau_e"], reference.STUDY["t_f"]
+        f = lambda t: tau_e ** 2 * psi((t_f - t) / tau_e) ** 2
+        result = quad_adaptive(f, 0.0, t_f)
+        assert CHECKS["beta_star"].passed(result)
+        assert result == pytest.approx(ORACLE.beta_star, rel=1e-9)
 
     def test_polynomials_exact(self):
         rng = np.random.default_rng(5)
@@ -138,12 +140,14 @@ class TestSolve2:
         np.testing.assert_allclose(solve2(np.eye(2), b), b)
 
     def test_study_branch_systems(self):
-        # rounded coefficient matrix from the first-order study
-        M = np.array([[3.72, 2.04], [-2.04, 5.91]])
-        np.testing.assert_allclose(solve2(M, np.array([100.0, -132.5])),
-                                   [32.92, -11.05], atol=0.05)
-        np.testing.assert_allclose(solve2(M, np.array([100.0, -67.5])),
-                                   [27.85, -1.80], atol=0.05)
+        # the study's printed coefficient matrix and bound give its printed
+        # branch vectors
+        M = np.array([[CHECKS["G[%d,%d]" % (i, j)].target for j in range(2)]
+                      for i in range(2)])
+        z0, w0 = reference.POSITION
+        for sign, tag in ((1, "+"), (-1, "-")):
+            z_f, v_f = solve2(M, np.array([z0, w0 - sign * CHECKS["bound"].target]))
+            assert CHECKS["z_f" + tag].passed(z_f) and CHECKS["v_f" + tag].passed(v_f)
 
     def test_residual(self):
         rng = np.random.default_rng(7)
@@ -189,11 +193,14 @@ class TestOdePlayout:
         assert traj[-1, 0] == pytest.approx(1.0, abs=1e-13)
 
     def test_constant_evader_drives_w_to_the_bound(self):
-        # dw = g_e(t) * 101.92 from w0 = -100 over the study horizon
-        g_e = lambda t: 0.1 * psi_ref((1.9 - t) / 0.1)
-        grid = TimeGrid.uniform(0.0, 1.0, 2001)
-        traj = ode_playout(lambda t, x: np.array([g_e(t) * 101.92]), np.array([-100.0]), grid)
-        assert traj[-1, 0] == pytest.approx(32.5, abs=0.01)
+        # dw = g_e(t) * ue_bar from the study's w0 over its horizon
+        tau_e, t_f, t_c = (reference.STUDY[k] for k in ("tau_e", "t_f", "t_c"))
+        g_e = lambda t: tau_e * psi_ref((t_f + t_c - t) / tau_e)
+        ue_bar = CHECKS["ue_bar+"].target
+        grid = TimeGrid.uniform(0.0, t_f, 2001)
+        traj = ode_playout(lambda t, x: np.array([g_e(t) * ue_bar]),
+                           np.array([reference.POSITION[1]]), grid)
+        assert CHECKS["w_f+ playout"].passed(traj[-1, 0])
 
     def test_halving_step_cuts_error_by_eight(self):
         exact = math.exp(math.sin(1.0))

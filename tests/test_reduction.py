@@ -16,13 +16,13 @@ from zemgame import (
     first_order_coefficients,
     mu_e,
     sample_control,
-    solvability_threshold,
 )
-from zemgame import numerics, reduction
+from zemgame import numerics, reduction, reference
+from zemgame.cli import load_scenario
 from zemgame.errors import SolvabilityError
 
-from helpers import (ORACLE, oscillator, psi_ref, random_controller, random_first_order,
-                     random_scenario)
+from helpers import (MIXED_ORDERS, ORACLE, oscillator, psi_ref, random_controller,
+                     random_first_order, random_scenario, solvability_threshold)
 
 # Deterministic draws: the same examples on every run, no example database.
 DRAWS = dict(deadline=None, derandomize=True, database=None)
@@ -119,9 +119,8 @@ class TestKernels:
         assert study_kernels.h_e(1.0) == pytest.approx(0.0, abs=1e-14)
 
     def test_zero_order_pursuer_kernel(self):
-        sc = dataclasses.replace(
-            z.first_order_scenario(0.2, 0.1, 1.0, 0.9, 0.05, 0.3, 100.0),
-            pursuer=z.ControllerModel.zero_order(feed=1.0))
+        sc = dataclasses.replace(z.first_order_scenario(**reference.STUDY),
+                                 pursuer=z.ControllerModel.zero_order(feed=1.0))
         k = Kernels(sc)
         ts = np.linspace(0.0, 1.0, 31)
         hp, _ = k.sample_engagement(ts)
@@ -131,7 +130,7 @@ class TestKernels:
         assert study_kernels.g_e(1.0) == pytest.approx(0.800012341, abs=1e-7)
 
     def test_off_grid_matches_closed_form(self, study_kernels):
-        fo = FirstOrderKernels(0.2, 0.1, 1.0, 0.9)
+        fo = FirstOrderKernels(*(reference.STUDY[k] for k in ("tau_p", "tau_e", "t_f", "t_c")))
         rng = np.random.default_rng(8)
         for t in rng.uniform(0.0, 1.0, 25):
             assert study_kernels.h_p(t) == pytest.approx(fo.h_p(t), abs=1e-12)
@@ -245,7 +244,7 @@ class TestExactIntegrals:
 
         quad = lambda f, a, b: z.quad_adaptive(f, a, b, tol=1e-13)
         t_f, t_c = sc.t_f, sc.t_c
-        reference = {
+        quadrature = {
             "int h_p^2": quad(lambda t: kern(t)[0] ** 2, 0.0, t_f),
             "int h_e^2": quad(lambda t: kern(t)[1] ** 2, 0.0, t_f),
             "int h_e g_e": quad(lambda t: kern(t)[1] * kern(t)[2], 0.0, t_f),
@@ -254,7 +253,18 @@ class TestExactIntegrals:
         }
         exact = coefficients(sc, k)
         for name, value in INTEGRALS.items():
-            assert value(exact) == pytest.approx(reference[name], rel=1e-10, abs=0.0), name
+            assert value(exact) == pytest.approx(quadrature[name], rel=1e-10, abs=0.0), name
+
+    def test_integral_g_e_frozen_oracle(self, study_scenario):
+        """The exact int g_e behind `repro`'s ue_bar+ row."""
+        assert reduction.integral_g_e(study_scenario) == pytest.approx(ORACLE.int_ge, rel=1e-9)
+
+    def test_integral_g_e_against_quadrature(self):
+        """An order-2 oscillator evader and t_c = 0 on the mixed-orders file."""
+        base, _ = load_scenario(str(MIXED_ORDERS))
+        sc = dataclasses.replace(base, evader=oscillator(12.0, 0.3), t_c=0.0, geometry=None)
+        want = z.quad_adaptive(Kernels(sc).g_e, 0.0, sc.t_f, tol=1e-13)
+        assert reduction.integral_g_e(sc) == pytest.approx(want, rel=1e-9)
 
     def test_frozen_oracle(self, study_coeffs):
         c = study_coeffs
@@ -302,11 +312,12 @@ class TestCoefficients:
         assert max(sizes) == 2 * (n + m)
 
     def test_study_matrix(self, study_coeffs):
-        np.testing.assert_allclose(study_coeffs.G,
-                                   [[3.72, 2.04], [-2.04, 5.91]], atol=0.01)
+        for i in range(2):
+            for j in range(2):
+                assert reference.CHECKS["G[%d,%d]" % (i, j)].passed(study_coeffs.G[i, j])
 
     def test_solvability_threshold(self, study_coeffs, study_kernels):
-        assert study_coeffs.beta_star == pytest.approx(0.2438, abs=1e-4)
+        assert reference.CHECKS["beta_star"].passed(study_coeffs.beta_star)
         assert solvability_threshold(study_kernels) == pytest.approx(
             study_coeffs.beta_star, rel=1e-9)
 
@@ -336,7 +347,7 @@ class TestCoefficients:
         assert study_coeffs.G3 == pytest.approx(g3, rel=1e-9)
 
     def test_unsolvable_scenario_rejected(self):
-        sc = z.first_order_scenario(0.2, 0.1, 1.0, 0.9, 0.05, 0.2, 100.0)
+        sc = z.first_order_scenario(**dict(reference.STUDY, beta=0.2))
         with pytest.raises(SolvabilityError):
             coefficients(sc)
 
@@ -391,14 +402,14 @@ class TestFirstOrderCoefficients:
                 assert got == pytest.approx(want, rel=1e-12, abs=0.0), (x, a, b)
 
     def test_study_values(self):
-        c = first_order_coefficients(0.2, 0.1, 1.0, 0.9, 0.05, 0.3, 100.0)
-        assert c.beta_star == pytest.approx(0.2438, abs=1e-4)
+        c = first_order_coefficients(**reference.STUDY)
+        assert reference.CHECKS["beta_star"].passed(c.beta_star)
         sigma = 9.0
         closed = 0.01 * (1.0 - sigma + sigma ** 2 / 2 - np.exp(-sigma))
         assert c.mu_e == pytest.approx(closed, rel=1e-12)
 
     def test_matches_generic_path_on_study(self, study_coeffs):
-        c = first_order_coefficients(0.2, 0.1, 1.0, 0.9, 0.05, 0.3, 100.0)
+        c = first_order_coefficients(**reference.STUDY)
         for name in ("s", "nu_p", "nu_e", "G2", "G3", "a", "d", "mu_e",
                      "beta_star", "det_G", "det_F"):
             assert getattr(c, name) == pytest.approx(
@@ -418,7 +429,7 @@ class TestFirstOrderCoefficients:
     @pytest.mark.parametrize("index, value", [(0, -0.2), (1, 0.0), (2, float("nan")),
                                               (3, -0.5), (4, -0.05)])
     def test_invalid_arguments_rejected(self, index, value):
-        args = [0.2, 0.1, 1.0, 0.9, 0.05, 0.3, 100.0]
+        args = list(reference.STUDY.values())
         args[index] = value
         with pytest.raises(ValueError):
             first_order_coefficients(*args)
@@ -426,7 +437,7 @@ class TestFirstOrderCoefficients:
 
 class TestControlLaws:
     def test_constant(self, study_kernels):
-        assert sample_control(Constant(101.92), study_kernels, [0.37])[0] == 101.92
+        assert sample_control(Constant(7.25), study_kernels, [0.37])[0] == 7.25
 
     def test_zero_combo(self, study_kernels):
         assert sample_control(KernelCombo(), study_kernels, [0.5])[0] == 0.0

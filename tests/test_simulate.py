@@ -29,6 +29,7 @@ from zemgame import (
 )
 from zemgame import reduction, simulate
 from zemgame.cli import load_scenario
+from zemgame.reference import CHECKS
 from zemgame.errors import ProbeFailure
 from zemgame.reduction import SampleBundle
 from zemgame.simulate import admissible_evader_perturbation, _initial_full_state, _simpson_panels
@@ -48,14 +49,11 @@ class TestPlayoutReduced:
         np.testing.assert_allclose(play.w_traj, study_scenario.w0)
 
     def test_branch_terminals(self, study_scenario, study_kernels, study_coeffs):
-        plus = solve_erg_branch(study_coeffs, 100.0, -100.0, 1)
-        play = playout_reduced(study_scenario, study_kernels, plus.u_p, plus.u_e)
-        assert play.w_f == pytest.approx(32.5, abs=0.01)
-        assert play.z_f == pytest.approx(32.92, abs=0.05)
-        minus = solve_erg_branch(study_coeffs, 100.0, -100.0, -1)
-        play = playout_reduced(study_scenario, study_kernels, minus.u_p, minus.u_e)
-        assert play.w_f == pytest.approx(-32.5, abs=0.01)
-        assert play.z_f == pytest.approx(27.85, abs=0.05)
+        for sign, tag in ((1, "+"), (-1, "-")):
+            branch = solve_erg_branch(study_coeffs, 100.0, -100.0, sign)
+            play = playout_reduced(study_scenario, study_kernels, branch.u_p, branch.u_e)
+            assert CHECKS["w_f%s playout" % tag].passed(play.w_f)
+            assert CHECKS["z_f%s playout" % tag].passed(play.z_f)
 
     def test_terminals_match_linear_prediction(self, study_scenario, study_kernels, study_coeffs):
         branch = solve_erg_branch(study_coeffs, 100.0, -100.0, 1)
@@ -86,8 +84,9 @@ class TestEvaluateCost:
 
     def test_constant_evader_cross_check(self, study_scenario, study_kernels, study_coeffs):
         branch = solve_erg_branch(study_coeffs, 100.0, -100.0, 1)
-        cost = evaluate_cost(study_scenario, study_kernels, branch.u_p, Constant(101.92))
-        assert cost.total == pytest.approx(1358.4, rel=0.01)
+        ue_bar = CHECKS["ue_bar+"].target
+        cost = evaluate_cost(study_scenario, study_kernels, branch.u_p, Constant(ue_bar))
+        assert CHECKS["J(u_p+, ue_bar+)"].passed(cost.total)
         assert cost.total < branch.value
 
     def test_ramp_pursuer_cross_check(self, study_scenario, study_kernels, study_coeffs):
@@ -106,15 +105,20 @@ class TestEvaluateCost:
 
 
 class TestCheckTerminal:
+    """On the study's printed unconstrained terminals, one inside the bound
+    and one outside it."""
+
     def test_satisfied(self, study_coeffs):
-        result = check_terminal(4.895, study_coeffs)
+        w_f = CHECKS["w_f-w0 URG (100,-50)"].printed
+        result = check_terminal(w_f, study_coeffs)
         assert result.satisfied
-        assert result.margin == pytest.approx(study_coeffs.bound - 4.895)
+        assert result.margin == pytest.approx(study_coeffs.bound - w_f)
 
     def test_violated(self, study_coeffs):
-        result = check_terminal(-45.105, study_coeffs)
+        w_f = CHECKS["w_f URG (100,-100)"].target
+        result = check_terminal(w_f, study_coeffs)
         assert not result.satisfied
-        assert result.excess == pytest.approx(45.105 - study_coeffs.bound)
+        assert result.excess == pytest.approx(abs(w_f) - study_coeffs.bound)
 
     def test_exact_bound_satisfied(self, study_coeffs):
         result = check_terminal(study_coeffs.bound, study_coeffs)
@@ -282,6 +286,11 @@ class TestSaddleProbe:
         with pytest.raises(ProbeFailure):
             saddle_probe(study_scenario, corrupted, n_trials=10, seed=3,
                          kernels=study_kernels)
+
+    def test_negative_trial_count_rejected(self, study_scenario, study_kernels, study_coeffs):
+        sol = solve_rg(study_scenario, coeffs=study_coeffs)
+        with pytest.raises(ValueError, match="n_trials"):
+            saddle_probe(study_scenario, sol, n_trials=-1, kernels=study_kernels)
 
 
 # -- reference loops: the per-trial probe and the closure-driven RK4 ----------

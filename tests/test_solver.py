@@ -22,6 +22,7 @@ from zemgame import (
     solve_upg,
     solve_urg,
 )
+from zemgame import reference
 from zemgame.cli import load_scenario
 from zemgame.errors import NotInConstrainedRegion
 
@@ -101,7 +102,7 @@ def _random_order_10():
 
 
 STRIP_CASES = {
-    "study": lambda: z.first_order_scenario(0.2, 0.1, 1.0, 0.9, 0.05, 0.3, 100.0),
+    "study": lambda: z.first_order_scenario(**reference.STUDY),
     "mixed_orders": lambda: load_scenario(str(MIXED_ORDERS))[0],
     "stiff_pursuer": lambda: _solvable(_first_order(1e-5, 0.1)),
     "stiff_evader": lambda: _solvable(_first_order(0.2, 1e-5)),
@@ -163,6 +164,11 @@ class TestSolveUpg:
     def test_eps_must_be_positive(self, study_coeffs):
         with pytest.raises(ValueError):
             solve_upg(study_coeffs, 1.0, 1.0, 1, eps=0.0)
+
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf")])
+    def test_eps_must_be_finite(self, study_coeffs, eps):
+        with pytest.raises(ValueError, match="finite"):
+            solve_upg(study_coeffs, 1.0, 1.0, 1, eps=eps)
 
 
 class TestSolveErgBranch:
@@ -374,6 +380,14 @@ class TestPenaltySweep:
         with pytest.raises(ValueError):
             penalty_sweep(study_coeffs, 1.0, 1.0, 1, [1.0, -0.1])
 
+    @pytest.mark.parametrize("eps_list", [[float("nan")] * 3, [float("inf"), 1.0, 1e-6],
+                                          [1.0, 1e-3, float("nan")]])
+    def test_non_finite_eps_rejected(self, study_coeffs, eps_list):
+        """NaN passes both the sign and the order test, so finiteness is
+        checked on its own."""
+        with pytest.raises(ValueError, match="finite"):
+            penalty_sweep(study_coeffs, 100.0, -100.0, 1, eps_list)
+
 
 class TestCaseIii:
     def test_study_point_infeasible(self, study_coeffs):
@@ -456,4 +470,4 @@ class TestBareEntryPoint:
         sol = solve_rg(study_scenario)
         assert sol.region.label is RegionLabel.OMEGA_MINUS
         assert sol.value == pytest.approx(ORACLE.value_minus, rel=1e-8)
-        assert sol.w_f == pytest.approx(-32.5, abs=0.01)
+        assert reference.CHECKS["w_f- playout"].passed(sol.w_f)
