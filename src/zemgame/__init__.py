@@ -28,7 +28,6 @@ from .reduction import (
     AffineInTime,
     Constant,
     ControlLaw,
-    FirstOrderKernels,
     GameCoefficients,
     KernelCombo,
     Kernels,
@@ -59,7 +58,6 @@ from .solver import (
     Region,
     RegionLabel,
     SaddleSolution,
-    UpgSolution,
     UrgSolution,
     aux_cross,
     case_iii_positions,

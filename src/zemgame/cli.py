@@ -36,7 +36,7 @@ from .errors import (
 from .numerics import DEFAULT_GRID_NODES, TimeGrid
 from .reduction import Kernels, coefficients
 from .simulate import playout_reduced, saddle_probe
-from .solver import classify, penalty_sweep, solve_erg_branch, solve_rg
+from .solver import RegionLabel, classify, penalty_sweep, solve_erg_branch, solve_rg
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -80,9 +80,15 @@ def _number(doc: dict, path: str, required: bool = True, default=None) -> Option
 def _finite(value, path: str) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ScenarioFormatError("key %r must be a number" % path)
-    if not np.isfinite(value):
+    if not abs(value) <= sys.float_info.max:  # NaN, infinities and ints beyond float range
         raise ScenarioFormatError("key %r must be finite" % path)
     return float(value)
+
+
+def _numbers(value, path: str) -> list[float]:
+    if not isinstance(value, list):
+        raise ScenarioFormatError("key %r must be a list of numbers" % path)
+    return [_finite(v, path) for v in value]
 
 
 def _parse_player(doc: dict, path: str) -> ControllerModel:
@@ -94,17 +100,17 @@ def _parse_player(doc: dict, path: str) -> ControllerModel:
             return ControllerModel.first_order(_number(doc, "%s.first_order_tau" % path))
         except ValueError as exc:
             raise ScenarioFormatError("invalid %s.first_order_tau: %s" % (path, exc))
-    for key in ("A", "b", "c", "d"):
-        if key not in node:
-            raise ScenarioFormatError("missing key %r" % ("%s.%s" % (path, key)))
-    A = np.asarray(node["A"], dtype=float)
-    if A.size == 0:
-        A = A.reshape(0, 0)
-    order = A.shape[0]
+    rows = _get(doc, path + ".A")
+    if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)
+            and len({len(row) for row in rows}) <= 1):
+        raise ScenarioFormatError("key %r must be a list of equal-length lists" % (path + ".A"))
+    A = np.array([_numbers(row, path + ".A") for row in rows]) if rows else np.zeros((0, 0))
+    b = _numbers(_get(doc, path + ".b"), path + ".b")
+    c = _numbers(_get(doc, path + ".c"), path + ".c")
+    d = _number(doc, path + ".d")
     try:
-        return ControllerModel(order=order, sys=A, inp=node["b"], out=node["c"],
-                               feed=float(node["d"]))
-    except (ValueError, TypeError) as exc:
+        return ControllerModel(order=A.shape[0], sys=A, inp=b, out=c, feed=d)
+    except ValueError as exc:
         raise ScenarioFormatError("invalid controller under %r: %s" % (path, exc))
 
 
@@ -185,6 +191,8 @@ def cmd_classify(args) -> int:
 def cmd_solve(args) -> int:
     if args.probe < 0:
         raise _UsageError("--probe must be nonnegative")
+    if args.seed < 0:
+        raise _UsageError("--seed must be nonnegative")
     scenario, _ = load_scenario(args.scenario)
     coeffs = coefficients(scenario)
     grid = TimeGrid.uniform(0.0, scenario.t_f, args.grid)
@@ -210,7 +218,7 @@ def cmd_solve(args) -> int:
                         ("u_e coef on g_e", u_e.ge_coef, "u_e = (z_f h_e - v_f g_e)/beta")])
     probe = args.probe and args.sign is None
     if args.csv or probe:
-        kern = Kernels(scenario, grid)
+        kern = Kernels(scenario)
     if args.csv:
         play = playout_reduced(scenario, kern, u_p, u_e, grid)
         _write_csv(args.csv, ("t", "u_p", "u_e", "z", "w"),
@@ -270,8 +278,14 @@ def cmd_table1(args) -> int:
     scenario, doc = (load_scenario(args.scenario) if args.scenario is not None
                      else (reference.study_scenario(), {}))
     pos_plus, pos_minus = _table1_positions(doc)
-    kern = Kernels(scenario)
     coeffs = coefficients(scenario)
+    for path, pos, want in (("table1.plus", pos_plus, RegionLabel.OMEGA_PLUS),
+                            ("table1.minus", pos_minus, RegionLabel.OMEGA_MINUS)):
+        got = classify(coeffs, *pos).label
+        if got is not want:
+            raise ScenarioFormatError("key %r: position (%g, %g) lies in %s, not %s"
+                                      % (path, *pos, got.value, want.value))
+    kern = Kernels(scenario)
 
     t_plus = reference.cross_table(scenario, kern, coeffs, *pos_plus)
     t_minus = reference.cross_table(scenario, kern, coeffs, *pos_minus)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .engagement import EngagementScenario, build_evader_ss, build_relative_ss, first_order_scenario
 from .errors import AssertionFailure, SolvabilityError
-from .numerics import PSI_SERIES, TimeGrid, mat_exp, psi, scaled_exp
+from .numerics import PSI_SERIES, TimeGrid, mat_exp, scaled_exp
 
 # Largest deviation of a query set from a uniform progression, relative to
 # its largest delta, that still counts as uniform (a few ulps of linspace
@@ -68,21 +68,33 @@ def _transition_rows(D: np.ndarray, A: np.ndarray, deltas: np.ndarray) -> np.nda
     return rows
 
 
+def _rows_at(D: np.ndarray, A: np.ndarray, end: float, ts) -> np.ndarray:
+    """Rows D exp(A (end - t)) for each t, in the order of ts: the rows are
+    formed in ascending delta = end - t (`_transition_rows`) and scattered
+    back."""
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    order = np.argsort(-ts)
+    out = np.empty((ts.size, A.shape[0]))
+    out[order] = _transition_rows(D, A, end - ts[order])
+    return out
+
+
 class Kernels:
     """Kernel functions of a scenario, backed by transition-matrix rows.
 
-    The sample bundle of the build grid (`bundle`) is computed at
-    construction, and the bundle of the last other grid asked for is kept
+    The sample bundle of the build grid, the default uniform grid over
+    [0, t_f] (`bundle`), is computed at construction; a call that samples
+    another grid names it, and the bundle of the last such grid is kept
     in one more slot; any other query evaluates the transition rows
     directly (`_transition_rows`: by doubling on a uniform progression, one
     matrix exponential per point otherwise). A bundle's arrays are never
     changed once built, so the object stays freely shareable.
     """
 
-    def __init__(self, scenario: EngagementScenario, grid: Optional[TimeGrid] = None):
+    def __init__(self, scenario: EngagementScenario):
         self.t_f = scenario.t_f
         self.t_c = scenario.t_c
-        self.grid = grid if grid is not None else TimeGrid.uniform(0.0, scenario.t_f)
+        self.grid = TimeGrid.uniform(0.0, scenario.t_f)
 
         rel = build_relative_ss(scenario.pursuer, scenario.evader)
         ev = build_evader_ss(scenario.evader)
@@ -106,21 +118,11 @@ class Kernels:
 
     def rows_engagement(self, ts) -> np.ndarray:
         """D_ep exp(A_ep (t_f - t)) for each t."""
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        order = np.argsort(-ts)  # ascending delta = t_f - t
-        rows = _transition_rows(self._D_ep, self._A_ep, self.t_f - ts[order])
-        out = np.empty_like(rows)
-        out[order] = rows
-        return out
+        return _rows_at(self._D_ep, self._A_ep, self.t_f, ts)
 
     def rows_target(self, ts) -> np.ndarray:
         """D_e exp(A_e (t_f + t_c - t)) for each t."""
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        order = np.argsort(-ts)
-        rows = _transition_rows(self._D_e, self._A_e, self.t_f + self.t_c - ts[order])
-        out = np.empty_like(rows)
-        out[order] = rows
-        return out
+        return _rows_at(self._D_e, self._A_e, self.t_f + self.t_c, ts)
 
     # -- kernel values -----------------------------------------------------
 
@@ -141,44 +143,6 @@ class Kernels:
         """Valid on [0, t_f + t_c]; the tail beyond t_f feeds the
         reachability weight integral."""
         return float(self.sample_target(t)[0])
-
-
-class FirstOrderKernels:
-    """Closed-form kernels for strictly proper first-order lags on both sides.
-
-    Same evaluation interface as Kernels, built on psi instead of matrix
-    exponentials; serves as an independent path for cross-checks.
-    """
-
-    def __init__(self, tau_p: float, tau_e: float, t_f: float, t_c: float):
-        if tau_p <= 0 or tau_e <= 0:
-            raise ValueError("time constants must be positive")
-        self.tau_p = tau_p
-        self.tau_e = tau_e
-        self.t_f = t_f
-        self.t_c = t_c
-
-    def sample_engagement(self, ts):
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        hp = -self.tau_p * psi((self.t_f - ts) / self.tau_p)
-        he = self.tau_e * psi((self.t_f - ts) / self.tau_e)
-        return np.atleast_1d(hp), np.atleast_1d(he)
-
-    def sample_target(self, ts):
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        return np.atleast_1d(self.tau_e * psi((self.t_f + self.t_c - ts) / self.tau_e))
-
-    def h_p(self, t: float) -> float:
-        return float(self.sample_engagement(t)[0][0])
-
-    def h_e(self, t: float) -> float:
-        return float(self.sample_engagement(t)[1][0])
-
-    def g_e(self, t: float) -> float:
-        return float(self.sample_target(t)[0])
-
-
-KernelSet = Union[Kernels, FirstOrderKernels]
 
 
 # -- control laws ----------------------------------------------------------
@@ -243,7 +207,7 @@ def _sample_explicit(law: ControlLaw, ts: np.ndarray) -> np.ndarray:
     raise TypeError("unknown control law %r" % (law,))
 
 
-def sample_control(law: ControlLaw, kernels: KernelSet, ts) -> np.ndarray:
+def sample_control(law: ControlLaw, kernels: Kernels, ts) -> np.ndarray:
     """Evaluate a control law at an array of times in [0, t_f]."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     _check_in_horizon(ts, kernels.t_f)
@@ -525,7 +489,7 @@ def integral_g_e(scenario: EngagementScenario) -> float:
 
 
 def coefficients(scenario: EngagementScenario,
-                 kernels: Optional[KernelSet] = None) -> GameCoefficients:
+                 kernels: Optional[Kernels] = None) -> GameCoefficients:
     """All game coefficients from exact kernel integrals.
 
     The four product integrals are quadratic forms of one observability

@@ -19,12 +19,13 @@ import numpy as np
 from .engagement import EngagementScenario, build_game_ss
 from .errors import AssertionFailure, ProbeFailure
 from .numerics import TimeGrid, rk4_affine
-from .reduction import ControlLaw, GameCoefficients, Kernels, KernelSet, SampleBundle
+from .reduction import ControlLaw, GameCoefficients, Kernels, SampleBundle
 
 if TYPE_CHECKING:  # pragma: no cover
     from .solver import SaddleSolution
 
 _PROBE_BASIS_SIZE = 8
+_PROBE_AMPLITUDE = 0.2  # perturbation peak relative to max(1, max |u*|)
 _PEAK_CHUNK = 8  # probe perturbations sampled at once to take their peaks
 
 
@@ -90,7 +91,7 @@ def _cost_integrals(bundle: SampleBundle, up: np.ndarray, ue: np.ndarray,
     return float(z_f), float(pursuer), float(evader)
 
 
-def playout_reduced(scenario: EngagementScenario, kernels: Optional[KernelSet],
+def playout_reduced(scenario: EngagementScenario, kernels: Optional[Kernels],
                     u_p: ControlLaw, u_e: ControlLaw,
                     grid: Optional[TimeGrid] = None) -> Playout:
     """Integrate dz = h_p u_p + h_e u_e, dw = g_e u_e from (z0, w0) over the
@@ -118,7 +119,7 @@ def playout_reduced(scenario: EngagementScenario, kernels: Optional[KernelSet],
                    up_samples=up[0::2], ue_samples=ue[0::2])
 
 
-def evaluate_cost(scenario: EngagementScenario, kernels: Optional[KernelSet],
+def evaluate_cost(scenario: EngagementScenario, kernels: Optional[Kernels],
                   u_p: ControlLaw, u_e: ControlLaw,
                   grid: Optional[TimeGrid] = None) -> CostBreakdown:
     """Terminal miss squared plus weighted control efforts,
@@ -196,7 +197,7 @@ def playout_full(scenario: EngagementScenario, u_p: ControlLaw, u_e: ControlLaw,
 
 
 def cross_play(scenario: EngagementScenario, u_p_choice: ControlLaw, u_e_choice: ControlLaw,
-               kernels: Optional[KernelSet] = None,
+               kernels: Optional[Kernels] = None,
                grid: Optional[TimeGrid] = None) -> CostBreakdown:
     """Cost of an arbitrary pairing of control laws (typically one player's
     branch optimum against the other branch's)."""
@@ -243,9 +244,8 @@ def admissible_evader_perturbation(delta: np.ndarray, ge_n: np.ndarray, ge_m: np
 
 def saddle_probe(scenario: EngagementScenario, solution: "SaddleSolution",
                  n_trials: int = 100, seed: int = 0,
-                 kernels: Optional[KernelSet] = None,
-                 grid: Optional[TimeGrid] = None,
-                 rel_amplitude: float = 0.2) -> ProbeReport:
+                 kernels: Optional[Kernels] = None,
+                 grid: Optional[TimeGrid] = None) -> ProbeReport:
     """Empirical saddle check around a solved pair.
 
     Random smooth perturbations (a low-order orthogonal-polynomial basis)
@@ -257,7 +257,7 @@ def saddle_probe(scenario: EngagementScenario, solution: "SaddleSolution",
 
     Trial t draws 8 evader and then 8 pursuer Legendre coefficients from
     default_rng(SeedSequence(seed).spawn(n_trials)[t]); each perturbation is
-    scaled to a peak of rel_amplitude * max(1, max |u*|) over the refined
+    scaled to a peak of 0.2 * max(1, max |u*|) over the refined
     nodes. Every perturbation lies in span(basis, g_e), and J is quadratic
     in the controls, so each trial's terminal z, efforts and cost come from
     its 9 coefficients and one 9x9 Gram matrix of the basis and g_e under
@@ -284,8 +284,8 @@ def saddle_probe(scenario: EngagementScenario, solution: "SaddleSolution",
 
     j_star = solution.value
     slack = 1e-9 * max(1.0, abs(j_star))
-    amp_p = rel_amplitude * max(1.0, float(np.abs(up).max()))
-    amp_e = rel_amplitude * max(1.0, float(np.abs(ue).max()))
+    amp_p = _PROBE_AMPLITUDE * max(1.0, float(np.abs(up).max()))
+    amp_e = _PROBE_AMPLITUDE * max(1.0, float(np.abs(ue).max()))
 
     draws = np.empty((2, n_trials, nb))
     for trial, seq in enumerate(np.random.SeedSequence(seed).spawn(n_trials)):

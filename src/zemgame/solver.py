@@ -51,13 +51,6 @@ class UrgSolution(NamedTuple):
     value: float
 
 
-class UpgSolution(NamedTuple):
-    omega_eps: np.ndarray
-    u_p: ControlLaw
-    u_e: ControlLaw
-    value: float
-
-
 @dataclass(frozen=True)
 class BranchSolution:
     """Saddle point of one equality-constrained branch (terminal w pinned to
@@ -99,8 +92,13 @@ class SaddleSolution:
 
 
 class PenaltyRecord(NamedTuple):
+    """Penalized saddle point for one eps: omega_eps = (z_f, v_f) and the
+    terminal w_f = sign*bound + eps*v_f it implies."""
+
     eps: float
     omega_eps: np.ndarray
+    u_p: ControlLaw
+    u_e: ControlLaw
     value: float
     z_f: float
     w_f: float
@@ -176,7 +174,7 @@ def solve_urg(coeffs: GameCoefficients, z0: float) -> UrgSolution:
 
 
 def solve_upg(coeffs: GameCoefficients, z0: float, w0: float, sign: int,
-              eps: float) -> UpgSolution:
+              eps: float) -> PenaltyRecord:
     """Penalized unconstrained game for one terminal sign and penalty 1/eps.
 
     Solves (G + diag(0, eps)) omega = b and returns the saddle controls and
@@ -190,7 +188,9 @@ def solve_upg(coeffs: GameCoefficients, z0: float, w0: float, sign: int,
     omega = solve2(M, b)
     u_p, u_e = _branch_laws(coeffs, omega)
     value = float(omega @ (_SIGN_FLIP @ M) @ omega)
-    return UpgSolution(omega_eps=omega, u_p=u_p, u_e=u_e, value=value)
+    z_f, v_f = omega
+    return PenaltyRecord(eps=float(eps), omega_eps=omega, u_p=u_p, u_e=u_e, value=value,
+                         z_f=float(z_f), w_f=float(sign * coeffs.bound + eps * v_f))
 
 
 def solve_erg_branch(coeffs: GameCoefficients, z0: float, w0: float, sign: int) -> BranchSolution:
@@ -316,14 +316,7 @@ def penalty_sweep(coeffs: GameCoefficients, z0: float, w0: float, sign: int,
         raise ValueError("eps values must be positive and finite")
     if any(later >= earlier for earlier, later in zip(eps_arr, eps_arr[1:])):
         raise ValueError("eps values must be strictly descending")
-    records = []
-    for eps in eps_arr:
-        sol = solve_upg(coeffs, z0, w0, sign, eps)
-        z_f, v_f = sol.omega_eps
-        w_f = sign * coeffs.bound + eps * v_f
-        records.append(PenaltyRecord(eps=eps, omega_eps=sol.omega_eps,
-                                     value=sol.value, z_f=float(z_f), w_f=float(w_f)))
-    return records
+    return [solve_upg(coeffs, z0, w0, sign, eps) for eps in eps_arr]
 
 
 def check_case_iii_infeasible(coeffs: GameCoefficients, z0: float, w0: float) -> CaseIiiDiagnostic:

@@ -17,6 +17,8 @@ from zemgame.cli import (
 from zemgame.reduction import Kernels
 from zemgame.reference import CHECKS
 
+from helpers import MIXED_ORDERS
+
 STUDY_FILE = Path(__file__).resolve().parents[1] / "scenarios" / "study.json"
 STUDY_DOC = json.loads(STUDY_FILE.read_text())
 
@@ -76,6 +78,7 @@ class TestClassify:
         ("weights", "beta", float("nan")),
         ("horizon", "t_f", float("nan")),
         ("evader_bound", "ae_max", float("inf")),
+        pytest.param("weights", "alpha", 10 ** 400, id="weights-alpha-int-beyond-float"),
     ])
     def test_non_finite_value_named(self, tmp_path, capsys, section, key, value):
         path = write_doc(tmp_path, lambda d: d[section].update({key: value}))
@@ -89,6 +92,23 @@ class TestClassify:
         path = write_doc(tmp_path, lambda d: d["players"]["evader"].update(first_order_tau=tau))
         assert main(["classify", path]) == EXIT_USAGE
         assert "players.evader.first_order_tau" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("side, key, value", [
+        ("pursuer", "d", True), ("pursuer", "d", "0.5"), ("pursuer", "b", [False, True]),
+        ("pursuer", "A", None), ("evader", "A", 5), ("pursuer", "A", {"x": 1}),
+        ("pursuer", "A", "abc"), ("pursuer", "A", [[-4.0, 1.0], [0.0]]),
+    ], ids=["d-bool", "d-string", "b-bools", "A-null", "A-number", "A-object", "A-string",
+            "A-ragged"])
+    def test_controller_entries_checked_as_numbers(self, tmp_path, capsys, side, key, value):
+        doc = json.loads(MIXED_ORDERS.read_text())
+        doc["players"][side][key] = value
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        assert main(["classify", str(path)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("scenario error")
+        assert "players.%s.%s" % (side, key) in captured.err
 
     def test_bad_json_reports_line(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -132,6 +152,12 @@ class TestSolve:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--probe" in captured.err
+
+    def test_negative_seed_rejected_before_solving(self, study_file, capsys):
+        assert main(["solve", study_file, "--probe", "5", "--seed", "-1"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--seed" in captured.err
 
     def test_bad_grid_rejected(self, study_file, capsys):
         assert main(["solve", study_file, "--grid", "1"]) == EXIT_USAGE
@@ -256,6 +282,16 @@ class TestTable1:
                                              ("plus", "100")])
     def test_position_entries_checked(self, tmp_path, capsys, side, entry):
         path = write_doc(tmp_path, lambda d: d["table1"][side].__setitem__(0, entry))
+        assert main(["table1", path]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "scenario error" in captured.err and "table1.%s" % side in captured.err
+
+    @pytest.mark.parametrize("side, position", [("plus", [100.0, -50.0]),
+                                                ("minus", [100.0, 50.0])])
+    def test_position_in_wrong_region_is_a_scenario_error(self, tmp_path, capsys, side,
+                                                          position):
+        path = write_doc(tmp_path, lambda d: d["table1"].update({side: position}))
         assert main(["table1", path]) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == ""

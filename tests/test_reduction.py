@@ -8,7 +8,6 @@ import zemgame as z
 from zemgame import (
     AffineInTime,
     Constant,
-    FirstOrderKernels,
     KernelCombo,
     Kernels,
     Sampled,
@@ -114,6 +113,13 @@ class TestKernels:
         ge = study_kernels.sample_target(ts)
         np.testing.assert_allclose(ge, 0.1 * psi_ref((1.9 - ts) / 0.1), atol=1e-12)
 
+    def test_off_grid_matches_closed_form(self, study_kernels):
+        # single points: one matrix exponential each, no doubling
+        for t in np.random.default_rng(8).uniform(0.0, 1.0, 25):
+            assert study_kernels.h_p(t) == pytest.approx(-0.2 * psi_ref((1.0 - t) / 0.2), abs=1e-12)
+            assert study_kernels.h_e(t) == pytest.approx(0.1 * psi_ref((1.0 - t) / 0.1), abs=1e-12)
+            assert study_kernels.g_e(t) == pytest.approx(0.1 * psi_ref((1.9 - t) / 0.1), abs=1e-12)
+
     def test_strictly_proper_kernels_vanish_at_horizon(self, study_kernels):
         assert study_kernels.h_p(1.0) == pytest.approx(0.0, abs=1e-14)
         assert study_kernels.h_e(1.0) == pytest.approx(0.0, abs=1e-14)
@@ -128,14 +134,6 @@ class TestKernels:
 
     def test_tail_value(self, study_kernels):
         assert study_kernels.g_e(1.0) == pytest.approx(0.800012341, abs=1e-7)
-
-    def test_off_grid_matches_closed_form(self, study_kernels):
-        fo = FirstOrderKernels(*(reference.STUDY[k] for k in ("tau_p", "tau_e", "t_f", "t_c")))
-        rng = np.random.default_rng(8)
-        for t in rng.uniform(0.0, 1.0, 25):
-            assert study_kernels.h_p(t) == pytest.approx(fo.h_p(t), abs=1e-12)
-            assert study_kernels.h_e(t) == pytest.approx(fo.h_e(t), abs=1e-12)
-            assert study_kernels.g_e(t) == pytest.approx(fo.g_e(t), abs=1e-12)
 
 
 class TestMuE:

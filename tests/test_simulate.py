@@ -233,14 +233,6 @@ class TestCrossPlay:
 
 
 class TestSaddleProbe:
-    def test_zero_amplitude_is_equality(self, study_scenario, study_kernels, study_coeffs):
-        sol = solve_rg(study_scenario, coeffs=study_coeffs)
-        report = saddle_probe(study_scenario, sol, n_trials=3, seed=5,
-                              kernels=study_kernels, rel_amplitude=0.0)
-        assert report.passed
-        assert abs(report.evader_worst) <= report.slack
-        assert abs(report.pursuer_worst) <= report.slack
-
     def test_seeded_trials_pass(self, study_scenario, study_kernels, study_coeffs):
         sol = solve_rg(study_scenario, coeffs=study_coeffs)
         report = saddle_probe(study_scenario, sol, n_trials=25, seed=2,
@@ -296,7 +288,7 @@ class TestSaddleProbe:
 # -- reference loops: the per-trial probe and the closure-driven RK4 ----------
 
 
-def probe_loop(scenario, solution, kernels, n_trials, seed, rel_amplitude=0.2):
+def probe_loop(scenario, solution, kernels, n_trials, seed):
     """The saddle probe one trial at a time: sampled perturbations, one
     `evaluate_cost` per side. Returns (evader_worst, pursuer_worst), or for
     the first failing trial the failing sides (evader first), the trial and
@@ -312,8 +304,8 @@ def probe_loop(scenario, solution, kernels, n_trials, seed, rel_amplitude=0.2):
     basis = np.vstack([np.polynomial.legendre.Legendre.basis(j)(x) for j in range(8)])
     j_star = solution.value
     slack = 1e-9 * max(1.0, abs(j_star))
-    amp_p = rel_amplitude * max(1.0, float(np.abs(up_ref).max()))
-    amp_e = rel_amplitude * max(1.0, float(np.abs(ue_ref).max()))
+    amp_p = 0.2 * max(1.0, float(np.abs(up_ref).max()))
+    amp_e = 0.2 * max(1.0, float(np.abs(ue_ref).max()))
     evader_worst, pursuer_worst = -np.inf, np.inf
     for trial, seq in enumerate(np.random.SeedSequence(seed).spawn(n_trials)):
         rng = np.random.default_rng(seq)
@@ -529,7 +521,7 @@ class TestFullEquivalence:
             alpha=0.1, beta=1.0, ae_max=50.0,
             z0=float(rng.uniform(-150.0, 150.0)), w0=float(rng.uniform(-150.0, 150.0)))
         grid = TimeGrid.uniform(0.0, sc.t_f, 401)
-        k = z.Kernels(sc, grid)
+        k = z.Kernels(sc)
         u_p = KernelCombo(hp_coef=float(rng.uniform(-30, 30)))
         u_e = KernelCombo(he_coef=float(rng.uniform(-30, 30)), ge_coef=float(rng.uniform(-30, 30)))
         assert_full_matches_loop(sc, u_p, u_e, grid, k)

@@ -161,6 +161,17 @@ class TestSolveUpg:
         assert sol.omega_eps[0] == pytest.approx(100.0 / study_coeffs.s, rel=1e-6)
         assert sol.omega_eps[1] == pytest.approx(0.0, abs=1e-6)
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("eps", [1.0, 1e-3])
+    def test_is_the_sweep_record(self, study_coeffs, sign, eps):
+        rec = solve_upg(study_coeffs, 100.0, -100.0, sign, eps)
+        (swept,) = penalty_sweep(study_coeffs, 100.0, -100.0, sign, [eps])
+        assert np.array_equal(rec.omega_eps, swept.omega_eps)
+        for name in ("eps", "u_p", "u_e", "value", "z_f", "w_f"):
+            assert getattr(rec, name) == getattr(swept, name), name
+        assert rec.z_f == rec.omega_eps[0]
+        assert rec.w_f == sign * study_coeffs.bound + eps * rec.omega_eps[1]
+
     def test_eps_must_be_positive(self, study_coeffs):
         with pytest.raises(ValueError):
             solve_upg(study_coeffs, 1.0, 1.0, 1, eps=0.0)

@@ -1,0 +1,53 @@
+"""Source checks over the package modules, with the standard library only."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "zemgame"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _annotations(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.annotation is not None:
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names an import binds and the module never reads; a name inside a
+    string annotation such as "SaddleSolution" counts as read."""
+    tree = ast.parse(source)
+    imported, used = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name.split(".")[0], node.lineno) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update((a.asname or a.name, node.lineno) for a in node.names)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+    for annotation in _annotations(tree):
+        for const in ast.walk(annotation):
+            if isinstance(const, ast.Constant) and isinstance(const.value, str):
+                used.update(n.id for n in ast.walk(ast.parse(const.value, mode="eval"))
+                            if isinstance(n, ast.Name))
+    return sorted("%s (line %d)" % (name, line)
+                  for name, line in imported.items() if name not in used)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_unused_import_detected():
+    source = ("from __future__ import annotations\n"
+              "import math\nimport numpy as np\nfrom typing import Optional, Union\n"
+              "from .solver import SaddleSolution\n"
+              "def f(x: Optional[int]) -> \"SaddleSolution\":\n    return np.sqrt(x)\n")
+    assert unused_imports(source) == ["Union (line 4)", "math (line 2)"]
