@@ -341,7 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--probe", type=int, default=0, metavar="N",
                    help="run N random saddle perturbation trials after solving")
     p.add_argument("--seed", type=int, default=0,
-                   help="seed for the saddle probe trials")
+                   help="seed of the one random stream of the saddle probe: trial t "
+                        "draws its normals 16t to 16t+15, so N trials are the first N "
+                        "of any longer run")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("sweep", help="penalty-parameter convergence study")

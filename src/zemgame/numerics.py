@@ -14,13 +14,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import NearSingularError
 
 DEFAULT_GRID_NODES = 2001
+
+# Largest deviation of a progression's differences from its step, relative
+# to its largest magnitude, that still counts as uniform (`progression_step`).
+_PROGRESSION_TOL = 1e-13
 
 # Degree-13 diagonal Pade numerator coefficients for exp(A) and the matching
 # scaling threshold (1-norm above which the argument is halved).
@@ -308,28 +312,57 @@ def ode_playout(rhs: Callable, x0, grid: TimeGrid) -> np.ndarray:
     return out
 
 
+def progression_step(values: np.ndarray) -> Optional[float]:
+    """The step h of an ascending array that is a uniform progression
+    values[0] + i h, else None.
+
+    Every difference may deviate from h by up to `_PROGRESSION_TOL` times
+    the largest magnitude in the array (at least 1): a few ulps of
+    `linspace` and midpoint rounding. One or two values always form a
+    progression (one has step 0). Sampling (`reduction._transition_rows`)
+    and stepping (`rk4_affine`) both take a grid as uniform by this test.
+    """
+    n = values.size
+    step = (values[-1] - values[0]) / (n - 1) if n > 1 else 0.0
+    scale = max(1.0, abs(values[0]), abs(values[-1]))
+    if n > 2 and np.abs(np.diff(values) - step).max() > _PROGRESSION_TOL * scale:
+        return None
+    return float(step)
+
+
+def _step_matrix(A: np.ndarray, h) -> np.ndarray:
+    """P(h) = I + H + H^2/2 + H^3/6 + H^4/24 for H = h A: the state part of
+    one classical RK4 step of dx/dt = A x; for an array of step lengths,
+    a stack of them."""
+    ident = np.eye(A.shape[0])
+    H = np.multiply.outer(h, A)
+    return ident + H @ (ident + (H / 2.0) @ (ident + (H / 3.0) @ (ident + H / 4.0)))
+
+
 def rk4_affine(A: np.ndarray, forcing: np.ndarray, x0, nodes: np.ndarray) -> np.ndarray:
     """The classical RK4 of `ode_playout` for dx/dt = A x + f(t), with f
     tabulated on the refined nodes (`TimeGrid.refined`) of `nodes`.
 
     Each step is affine in the state, x_{k+1} = P(h_k) x_k + q_k, with
-    P(h) = I + H + H^2/2 + H^3/6 + H^4/24 for H = h A, and q_k the step taken
-    from x = 0 under the forcing, computed for all steps at once. One P is
-    formed per distinct step length (a `linspace` grid has a dozen or so
-    distinct float steps).
+    P(h) = I + H + H^2/2 + H^3/6 + H^4/24 for H = h A (`_step_matrix`), and
+    q_k the step taken from x = 0 under the forcing, computed for all steps
+    at once.
 
     The n steps run as a blocked affine scan (Blelloch, "Prefix sums and
     their applications", 1990): ceil(sqrt(n)) steps to a block, the last
-    block padded with identity steps. A first pass carries every block's
-    transfer matrix and zero-start end state at once; one matrix-vector
-    product per block then gives the block start states; a second pass
-    replays the steps from those starts, again for all blocks at once. Both
-    passes gather one step matrix per block at a time, so no
-    (steps x dim x dim) array is formed. A block whose transfer overflows
-    while its start is finite (a zero state under a fast-growing mode) is
-    stepped through one step at a time instead. Returns the (n_nodes, dim)
-    trajectory; raises ValueError at the first node where the state stops
-    being finite.
+    block padded with steps past the end whose states are dropped. A first
+    pass carries every block's transfer matrix and zero-start end state at
+    once; one matrix-vector product per block then gives the block start
+    states; a second pass replays the steps from those starts, again for
+    all blocks at once. On a uniform grid (`progression_step`) one P serves
+    every step, so both passes are plain (blocks x dim) @ (dim x dim)
+    products and every block has the transfer P^s. On any other grid each
+    step of a pass forms only that step's (blocks x dim x dim) slice of
+    step matrices, so no (steps x dim x dim) array is formed on either.
+    A block whose transfer or end state overflows while its start is
+    finite (a zero state under a fast-growing mode) is stepped through one
+    step at a time instead. Returns the (n_nodes, dim) trajectory; raises
+    ValueError at the first node where the state stops being finite.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     h = np.diff(nodes)
@@ -340,43 +373,50 @@ def rk4_affine(A: np.ndarray, forcing: np.ndarray, x0, nodes: np.ndarray) -> np.
     k4 = h[:, None] * (k3 @ A.T) + f1
     q = (h / 6.0)[:, None] * (f0 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    lengths, which = np.unique(h, return_inverse=True)
+    # steps laid out (step in block, block); the pad steps have no forcing,
+    # and length 0 where each step has its own P
     d = x0.size
-    ident = np.eye(d)
-    H = lengths[:, None, None] * A
-    P = ident + H @ (ident + (H / 2.0) @ (ident + (H / 3.0) @ (ident + H / 4.0)))
-
-    # steps laid out (step in block, block); the last index of P is the
-    # identity step that pads the last block
     n = h.size
     size = math.isqrt(n - 1) + 1
     blocks = -(-n // size)
     pad = blocks * size - n
-    P = np.concatenate([P, ident[None]])
-    which = np.append(which, np.full(pad, lengths.size)).reshape(blocks, size).T
+    lengths = np.append(h, np.zeros(pad)).reshape(blocks, size).T
     q = np.concatenate([q, np.zeros((pad, d))]).reshape(blocks, size, d).transpose(1, 0, 2).copy()
 
+    step = progression_step(nodes)
     traj = np.empty((blocks, size, d))
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite states raise below
-        carry = np.concatenate([P[which[0]], q[0][:, :, None]], axis=2)  # [transfer | end]
-        for i in range(1, size):
-            carry = P[which[i]] @ carry
-            carry[:, :, d] += q[i]
-        overflowed = (~np.isfinite(carry).all(axis=(1, 2))).tolist()
+        if step is not None:
+            P = _step_matrix(A, step)
+            ends = q[0]
+            for i in range(1, size):
+                ends = ends @ P.T + q[i]
+            transfers = np.broadcast_to(np.linalg.matrix_power(P, size), (blocks, d, d))
+        else:
+            carry = np.concatenate([_step_matrix(A, lengths[0]), q[0][:, :, None]], axis=2)
+            for i in range(1, size):
+                carry = _step_matrix(A, lengths[i]) @ carry  # [transfer | end]
+                carry[:, :, d] += q[i]
+            transfers, ends = carry[:, :, :d], carry[:, :, d]
+        overflowed = ~(np.isfinite(transfers).all(axis=(1, 2)) & np.isfinite(ends).all(axis=1))
+        overflowed = overflowed.tolist()
         starts = np.empty((blocks, d))
         x = x0
-        for j, (transfer, end) in enumerate(zip(carry[:, :, :d], carry[:, :, d])):
+        for j in range(blocks):
             starts[j] = x
             if overflowed[j] and np.isfinite(x).all():
                 for i in range(size):
-                    x = P[which[i, j]] @ x + q[i, j]
+                    P_i = P if step is not None else _step_matrix(A, lengths[i, j])
+                    x = P_i @ x + q[i, j]
             else:
-                x = transfer @ x + end
-        x = starts[:, :, None]
+                x = transfers[j] @ x + ends[j]
+        x = starts
         for i in range(size):
-            x = P[which[i]] @ x
-            x[:, :, 0] += q[i]
-            traj[:, i] = x[:, :, 0]
+            if step is not None:
+                x = x @ P.T + q[i]
+            else:
+                x = (_step_matrix(A, lengths[i]) @ x[:, :, None])[:, :, 0] + q[i]
+            traj[:, i] = x
 
     out = np.empty((nodes.size, d))
     out[0] = x0

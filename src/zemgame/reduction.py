@@ -23,12 +23,7 @@ import numpy as np
 
 from .engagement import EngagementScenario, build_evader_ss, build_relative_ss, first_order_scenario
 from .errors import AssertionFailure, SolvabilityError
-from .numerics import PSI_SERIES, TimeGrid, mat_exp, scaled_exp
-
-# Largest deviation of a query set from a uniform progression, relative to
-# its largest delta, that still counts as uniform (a few ulps of linspace
-# and midpoint rounding).
-_PROGRESSION_TOL = 1e-13
+from .numerics import PSI_SERIES, TimeGrid, mat_exp, progression_step, scaled_exp
 
 # Sign scan of the tail kernel: fewest cells, and the most before the input
 # is refused (bounded work); Newton steps per root.
@@ -40,19 +35,19 @@ _MAX_ROOT_STEPS = 60
 def _transition_rows(D: np.ndarray, A: np.ndarray, deltas: np.ndarray) -> np.ndarray:
     """Rows D exp(A delta) for an ascending array of nonnegative deltas.
 
-    A uniform progression delta_0 + i h (a uniform grid, its nodes or its
-    midpoints) is built by repeated doubling: with E = exp(A h),
-    rows[k:2k] = rows[:k] @ E and then E = E @ E, so n rows cost about
-    log2(n) matrix products. Any other set costs one matrix exponential per
-    point.
+    A uniform progression delta_0 + i h (`progression_step`: a uniform
+    grid, its nodes or its midpoints) is built by repeated doubling: with
+    E = exp(A h), rows[k:2k] = rows[:k] @ E and then E = E @ E, so n rows
+    cost about log2(n) matrix products. Any other set costs one matrix
+    exponential per point.
     """
     deltas = np.asarray(deltas, dtype=float)
     n = deltas.size
     rows = np.empty((n, A.shape[0]))
     if n == 0:
         return rows
-    step = (deltas[-1] - deltas[0]) / (n - 1) if n > 1 else 0.0
-    if n > 2 and np.abs(np.diff(deltas) - step).max() > _PROGRESSION_TOL * max(1.0, deltas[-1]):
+    step = progression_step(deltas)
+    if step is None:
         for i, delta in enumerate(deltas):
             rows[i] = D @ mat_exp(A, delta)
         return rows
@@ -83,9 +78,9 @@ class Kernels:
     """Kernel functions of a scenario, backed by transition-matrix rows.
 
     The sample bundle of the build grid, the default uniform grid over
-    [0, t_f] (`bundle`), is computed at construction; a call that samples
-    another grid names it, and the bundle of the last such grid is kept
-    in one more slot; any other query evaluates the transition rows
+    [0, t_f] (`bundle`), is computed on its first use and kept; a call that
+    samples another grid names it, and the bundle of the last such grid is
+    kept in one more slot; any other query evaluates the transition rows
     directly (`_transition_rows`: by doubling on a uniform progression, one
     matrix exponential per point otherwise). A bundle's arrays are never
     changed once built, so the object stays freely shareable.
@@ -100,21 +95,21 @@ class Kernels:
         ev = build_evader_ss(scenario.evader)
         self._A_ep, self._B_ep, self._C_ep, self._D_ep = rel.A, rel.B, rel.C, rel.D_row
         self._A_e, self._B_e, self._D_e = ev.A, ev.B, ev.D_row
-        self._bundle = SampleBundle.sample(self, self.grid)
+        self._bundle: Optional[SampleBundle] = None
         self._off_grid: Optional[SampleBundle] = None
 
     def bundle(self, grid: Optional[TimeGrid] = None) -> "SampleBundle":
-        """Sample bundle of a grid: the one computed at construction for the
-        build grid (the default); for any other grid, the kept bundle when
+        """Sample bundle of a grid: the build grid's (the default), sampled
+        on its first use and kept; for any other grid, the kept bundle when
         its nodes are equal, else a new one that replaces it."""
-        if grid is None:
+        if grid is None or grid is self.grid or np.array_equal(grid.nodes, self.grid.nodes):
+            if self._bundle is None:
+                self._bundle = SampleBundle.sample(self, self.grid)
             return self._bundle
-        for kept in (self._bundle, self._off_grid):
-            if kept is not None and (grid is kept.grid
-                                     or np.array_equal(grid.nodes, kept.grid.nodes)):
-                return kept
-        self._off_grid = SampleBundle.sample(self, grid)
-        return self._off_grid
+        kept = self._off_grid
+        if kept is None or not (grid is kept.grid or np.array_equal(grid.nodes, kept.grid.nodes)):
+            self._off_grid = kept = SampleBundle.sample(self, grid)
+        return kept
 
     def rows_engagement(self, ts) -> np.ndarray:
         """D_ep exp(A_ep (t_f - t)) for each t."""

@@ -255,10 +255,12 @@ def saddle_probe(scenario: EngagementScenario, solution: "SaddleSolution",
     the first trial that does not raises ProbeFailure (its evader side
     before its pursuer side).
 
-    Trial t draws 8 evader and then 8 pursuer Legendre coefficients from
-    default_rng(SeedSequence(seed).spawn(n_trials)[t]); each perturbation is
-    scaled to a peak of 0.2 * max(1, max |u*|) over the refined
-    nodes. Every perturbation lies in span(basis, g_e), and J is quadratic
+    Trial t takes its 8 evader and then its 8 pursuer Legendre
+    coefficients as normals 16t to 16t + 15 of one stream,
+    default_rng(seed), so a run of n trials draws the first n trials of
+    any longer run with the same seed; each perturbation is scaled to a
+    peak of 0.2 * max(1, max |u*|) over the refined nodes. Every
+    perturbation lies in span(basis, g_e), and J is quadratic
     in the controls, so each trial's terminal z, efforts and cost come from
     its 9 coefficients and one 9x9 Gram matrix of the basis and g_e under
     the Simpson weights; all trials are evaluated at once. The basis and
@@ -287,13 +289,11 @@ def saddle_probe(scenario: EngagementScenario, solution: "SaddleSolution",
     amp_p = _PROBE_AMPLITUDE * max(1.0, float(np.abs(up).max()))
     amp_e = _PROBE_AMPLITUDE * max(1.0, float(np.abs(ue).max()))
 
-    draws = np.empty((2, n_trials, nb))
-    for trial, seq in enumerate(np.random.SeedSequence(seed).spawn(n_trials)):
-        draws[:, trial] = np.random.default_rng(seq).standard_normal((2, nb))
-    c_e, c_p = draws
-    peaks = _peaks(draws.reshape(-1, nb), basis)
+    draws = np.random.default_rng(seed).standard_normal((n_trials, 2, nb))
+    c_e, c_p = draws[:, 0], draws[:, 1]
+    peak_e, peak_p = _peaks(draws.reshape(-1, nb), basis).reshape(n_trials, 2).T
 
-    scale_e = amp_e / peaks[:n_trials]
+    scale_e = amp_e / peak_e
     dw = scale_e * (c_e @ gram[:nb, nb])  # int g_e delta: terminal w shift
     if solution.region.label is RegionLabel.OMEGA:
         # keep the perturbed terminal inside the strip: the room to the
@@ -308,7 +308,7 @@ def saddle_probe(scenario: EngagementScenario, solution: "SaddleSolution",
     z_e = z_f + V_e @ he_dot
     j_e = z_e ** 2 + alpha * up2 - beta * (ue2 + 2.0 * (V_e @ ue_dot) + _quadratic(V_e, gram))
 
-    V_p = (amp_p / peaks[n_trials:])[:, None] * c_p
+    V_p = (amp_p / peak_p)[:, None] * c_p
     z_p = z_f + V_p @ hp_dot[:nb]
     j_p = z_p ** 2 + alpha * (up2 + 2.0 * (V_p @ up_dot)
                               + _quadratic(V_p, gram[:nb, :nb])) - beta * ue2

@@ -14,7 +14,7 @@ from zemgame.cli import (
     EXIT_USAGE,
     main,
 )
-from zemgame.reduction import Kernels
+from zemgame.reduction import Kernels, SampleBundle
 from zemgame.reference import CHECKS
 
 from helpers import MIXED_ORDERS
@@ -215,6 +215,30 @@ class TestKernelBuilds:
         options = [o.format(csv=tmp_path / "out.csv") for o in options]
         assert main([verb, path] + options) == EXIT_OK
         assert len(kernel_builds) == builds
+
+
+class TestBundleSamples:
+    """A solve samples only the grid it reads: `--csv` and `--probe` at
+    `--grid N` sample that grid alone, and a plain solve samples none."""
+
+    @pytest.mark.parametrize("options, grids", [
+        ([], []),
+        (["--probe", "5", "--grid", "301"], [301]),
+        (["--csv", "{csv}", "--probe", "5", "--grid", "301"], [301]),
+        (["--probe", "5"], [2001]),
+    ])
+    def test_grids_sampled(self, tmp_path, capsys, monkeypatch, study_file, options, grids):
+        sampled = []
+        sample = SampleBundle.__dict__["sample"].__func__
+
+        def counting(cls, kernels, grid):
+            sampled.append(grid.nodes.size)
+            return sample(cls, kernels, grid)
+
+        monkeypatch.setattr(SampleBundle, "sample", classmethod(counting))
+        options = [o.format(csv=tmp_path / "out.csv") for o in options]
+        assert main(["solve", study_file] + options) == EXIT_OK
+        assert sampled == grids
 
 
 class TestSweep:

@@ -3,7 +3,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-import zemgame as z
 from zemgame import (
     ControllerModel,
     EngagementGeometry,

@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from zemgame import TimeGrid, build_game_ss, mat_exp, ode_playout, psi, quad_adaptive, reference, solve2
-from zemgame.numerics import rk4_affine, scaled_exp
+from zemgame import (
+    Kernels, TimeGrid, build_game_ss, mat_exp, ode_playout, psi, quad_adaptive, reference, solve2,
+)
+from zemgame import numerics, reduction
+from zemgame.numerics import progression_step, rk4_affine, scaled_exp
 from zemgame.errors import NearSingularError
 from zemgame.reference import CHECKS
 
@@ -181,6 +184,54 @@ class TestTimeGrid:
             TimeGrid(np.array([0.0, 0.0, 1.0]))
 
 
+class TestProgressionStep:
+    """Sampling (`_transition_rows`, through `Kernels.bundle`) and stepping
+    (`rk4_affine`) take a grid as uniform by the one test of
+    `progression_step`, so they agree on every grid."""
+
+    SIZES = list(range(2, 12)) + [100, 101, 1000, 2001, 4001, 10000, 20001]
+
+    @pytest.fixture
+    def steps_seen(self, monkeypatch):
+        seen = []
+
+        def recording(values):
+            seen.append(progression_step(values))
+            return seen[-1]
+
+        monkeypatch.setattr(numerics, "progression_step", recording)
+        monkeypatch.setattr(reduction, "progression_step", recording)
+        return seen
+
+    @staticmethod
+    def sample_and_step(nodes):
+        kernels = Kernels(reference.study_scenario())
+        kernels.bundle(TimeGrid(nodes))
+        forcing = np.zeros((2 * nodes.size - 1, 2))
+        rk4_affine(np.array([[0.0, 1.0], [0.0, -5.0]]), forcing, np.ones(2), nodes)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_uniform_grids(self, steps_seen, n):
+        self.sample_and_step(TimeGrid.uniform(0.0, 1.0, n).nodes)
+        assert len(steps_seen) == 3 and None not in steps_seen
+
+    def test_one_perturbed_node(self, steps_seen):
+        nodes = TimeGrid.uniform(0.0, 1.0, 101).nodes.copy()
+        nodes[37] += 1e-6
+        self.sample_and_step(nodes)
+        assert steps_seen == [None] * 3
+
+    def test_step_and_tolerance(self):
+        nodes = TimeGrid.uniform(-10.0, -1.0, 1001).nodes
+        assert progression_step(nodes) == pytest.approx(0.009, rel=1e-15)
+        assert progression_step(nodes[:1]) == 0.0 and progression_step(nodes[:2]) is not None
+        nudged = nodes.copy()
+        nudged[500] += 0.5e-13 * 10.0
+        assert progression_step(nudged) is not None
+        nudged[500] += 1e-13 * 10.0
+        assert progression_step(nudged) is None
+
+
 class TestOdePlayout:
     def test_zero_rhs_constant(self):
         grid = TimeGrid.uniform(0.0, 1.0, 11)
@@ -285,6 +336,24 @@ class TestRk4Affine:
         H = 2.5e5 * (nodes[1] - nodes[0])
         step = 1.0 + H + H ** 2 / 2 + H ** 3 / 6 + H ** 4 / 24
         assert np.isfinite(step) and 45 * math.log(step) > math.log(np.finfo(float).max)
+        forcing = np.zeros((refined(nodes).size, d))
+        got = rk4_affine(A, forcing, np.array(x0), nodes)
+        np.testing.assert_array_equal(got[:, 0], 0.0)
+        self.assert_matches_loop(A, forcing, np.array(x0), nodes)
+
+    @pytest.mark.parametrize("x0", [[0.0], [0.0, 1.0]])
+    def test_overflowing_block_on_non_uniform_grid(self, x0):
+        """The same zero state where every step has its own P: steps of
+        2.3e-4 to 5.5e-4 grow the first component by 5e5 to 1.5e7 each, so
+        the last blocks of 45 overflow and the first do not."""
+        d = len(x0)
+        A = np.diag([2.5e5, -1.0][:d])
+        nodes = np.linspace(0.0, 1.0, 2001) ** 1.1
+        assert progression_step(nodes) is None
+        H = 2.5e5 * np.diff(nodes)
+        growth = np.log(1.0 + H + H ** 2 / 2 + H ** 3 / 6 + H ** 4 / 24)
+        limit = math.log(np.finfo(float).max)
+        assert growth[:45].sum() < limit < growth[-45:].sum()
         forcing = np.zeros((refined(nodes).size, d))
         got = rk4_affine(A, forcing, np.array(x0), nodes)
         np.testing.assert_array_equal(got[:, 0], 0.0)

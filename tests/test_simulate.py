@@ -21,7 +21,6 @@ from zemgame import (
     ode_playout,
     playout_full,
     playout_reduced,
-    quad_adaptive,
     sample_control,
     saddle_probe,
     solve_erg_branch,
@@ -177,17 +176,26 @@ class TestBundleMemo:
         assert k.bundle(TimeGrid.uniform(0.0, 1.0, 2001)) is k.bundle()
 
     def test_memo_keeps_one_off_grid_bundle(self, study_scenario):
+        """One off-grid bundle is kept, and the build grid's is sampled only
+        when it is first used."""
         k = z.Kernels(study_scenario)
+
+        def kept():
+            return sorted(id(v) for v in vars(k).values() if isinstance(v, SampleBundle))
+
         for n in range(300, 320):
             last = k.bundle(TimeGrid.uniform(0.0, 1.0, n))
-        kept = [id(v) for v in vars(k).values() if isinstance(v, SampleBundle)]
-        assert sorted(kept) == sorted([id(last), id(k.bundle())])
+        assert kept() == [id(last)]
+        build = k.bundle()
+        assert kept() == sorted([id(last), id(build)])
 
     def test_warm_kernels_take_no_rows(self, study_scenario, study_coeffs, monkeypatch):
-        """Once the off-grid bundle is kept, the full playout and a repeated
-        off-grid cost sample nothing: no transition rows, no exponentials."""
+        """Once the build-grid and off-grid bundles are kept, the full
+        playout and a repeated off-grid cost sample nothing: no transition
+        rows, no exponentials."""
         k = z.Kernels(study_scenario)
         sol = solve_rg(study_scenario, coeffs=study_coeffs)
+        k.bundle()
         evaluate_cost(study_scenario, k, sol.u_p, sol.u_e, TimeGrid.uniform(0.0, 1.0, 2500))
         calls = []
         for name in ("_transition_rows", "mat_exp"):
@@ -307,8 +315,8 @@ def probe_loop(scenario, solution, kernels, n_trials, seed):
     amp_p = 0.2 * max(1.0, float(np.abs(up_ref).max()))
     amp_e = 0.2 * max(1.0, float(np.abs(ue_ref).max()))
     evader_worst, pursuer_worst = -np.inf, np.inf
-    for trial, seq in enumerate(np.random.SeedSequence(seed).spawn(n_trials)):
-        rng = np.random.default_rng(seq)
+    rng = np.random.default_rng(seed)
+    for trial in range(n_trials):
         c_e = rng.standard_normal(8)
         raw = c_e @ basis
         delta_e = raw * (amp_e / np.abs(raw).max())
@@ -363,6 +371,18 @@ def assert_full_matches_loop(scenario, u_p, u_e, grid, kernels):
     ends = max(1.0, np.abs(play.z_traj).max(), np.abs(play.w_traj).max())
     assert abs(play.z_f - z_f) <= 1e-12 * ends
     assert abs(play.w_f - w_f) <= 1e-12 * ends
+
+
+def halved(scenario, kernels, coeffs, halve_evader):
+    """The dispatched solution with its pursuer control halved, and with
+    halve_evader its evader control too, valued then at its own cost."""
+    sol = solve_rg(scenario, coeffs=coeffs)
+    corrupted = dataclasses.replace(sol, u_p=KernelCombo(hp_coef=0.5 * sol.u_p.hp_coef))
+    if halve_evader:
+        u_e = KernelCombo(he_coef=0.5 * sol.u_e.he_coef, ge_coef=0.5 * sol.u_e.ge_coef)
+        value = evaluate_cost(scenario, kernels, corrupted.u_p, u_e).total
+        corrupted = dataclasses.replace(corrupted, u_e=u_e, value=value)
+    return corrupted
 
 
 @pytest.fixture(scope="module")
@@ -438,58 +458,79 @@ class TestProbeEquivalence:
     @pytest.mark.parametrize("seed", [0, 1, 12345, 2 ** 31 - 1])
     def test_draws_match_two_calls_per_stream(self, study_scenario, study_kernels, study_coeffs,
                                               seed, monkeypatch):
-        """Each trial's 16 coefficients come from one draw of its stream,
-        bitwise equal to 8 evader and then 8 pursuer draws."""
+        """The 16 coefficients of every trial come from one batched draw of
+        the run's one stream, bitwise equal to sequential calls on one
+        Generator: per trial, 8 evader and then 8 pursuer normals."""
         seen = []
         peaks = simulate._peaks
         monkeypatch.setattr(simulate, "_peaks", lambda c, basis: seen.append(c.copy()) or peaks(c, basis))
         sol = solve_rg(study_scenario, coeffs=study_coeffs)
         saddle_probe(study_scenario, sol, n_trials=30, seed=seed, kernels=study_kernels)
-        want = np.empty((2, 30, 8))
-        for trial, seq in enumerate(np.random.SeedSequence(seed).spawn(30)):
-            rng = np.random.default_rng(seq)
-            want[0, trial] = rng.standard_normal(8)
-            want[1, trial] = rng.standard_normal(8)
+        rng = np.random.default_rng(seed)
+        want = np.empty((30, 2, 8))
+        for trial in range(30):
+            want[trial, 0] = rng.standard_normal(8)
+            want[trial, 1] = rng.standard_normal(8)
         assert len(seen) == 1
         np.testing.assert_array_equal(seen[0], want.reshape(-1, 8))
 
-    @pytest.mark.parametrize("halve_evader, seed", [(False, 3), (True, 4), (True, 8)])
+    # (sides, trial) of the first failure. Seeds 0-39 were searched with
+    # `probe_loop` over 10 trials of the halved pair: seed 9 is the first to
+    # fail on the pursuer side alone after a passing trial, and seed 7 the
+    # first to fail on both sides at one trial after a passing trial.
+    FIRST_FAILURES = {(False, 3): (["evader"], 0), (True, 4): (["evader"], 0),
+                      (True, 7): (["evader", "pursuer"], 1), (True, 8): (["evader", "pursuer"], 0),
+                      (True, 9): (["pursuer"], 1)}
+
+    @pytest.mark.parametrize("halve_evader, seed", list(FIRST_FAILURES))
     def test_failing_trial_matches_loop(self, study_scenario, study_kernels, study_coeffs,
                                         halve_evader, seed):
         """The corrupted pursuer of `test_detects_a_bad_saddle`, and both
-        controls halved (valued at their own cost): seed 4 fails first on
-        the pursuer side at trial 2, seed 8 on both sides at trial 1, where
-        the evader side is reported."""
-        sol = solve_rg(study_scenario, coeffs=study_coeffs)
-        corrupted = dataclasses.replace(sol, u_p=KernelCombo(hp_coef=0.5 * sol.u_p.hp_coef))
-        if halve_evader:
-            u_e = KernelCombo(he_coef=0.5 * sol.u_e.he_coef, ge_coef=0.5 * sol.u_e.ge_coef)
-            value = evaluate_cost(study_scenario, study_kernels, corrupted.u_p, u_e).total
-            corrupted = dataclasses.replace(corrupted, u_e=u_e, value=value)
+        controls halved (valued at their own cost): seed 9 fails first on
+        the pursuer side at trial 1, seeds 7 and 8 on both sides at trials
+        1 and 0, where the evader side is reported."""
+        corrupted = halved(study_scenario, study_kernels, study_coeffs, halve_evader)
         sides, trial, drawn = probe_loop(study_scenario, corrupted, study_kernels, 10, seed)
-        if seed == 8:
-            assert sides == ["evader", "pursuer"] and trial == 1
+        assert (sides, trial) == self.FIRST_FAILURES[(halve_evader, seed)]
         with pytest.raises(ProbeFailure, match=sides[0]) as failure:
             saddle_probe(study_scenario, corrupted, n_trials=10, seed=seed, kernels=study_kernels)
         assert failure.value.trial == trial
         np.testing.assert_array_equal(failure.value.coefficients, drawn)
 
     def test_failure_reports_drawn_coefficients(self, study_scenario, study_kernels, study_coeffs):
-        """The coefficients of a failure are the 8 numbers the trial's stream
-        drew for the failing side (evader first, then pursuer)."""
+        """The coefficients of a failure are the 8 numbers the stream drew
+        for the failing side of the trial (evader first, then pursuer)."""
         sol = solve_rg(study_scenario, coeffs=study_coeffs)
         corrupted = dataclasses.replace(sol, value=sol.value - 1e3)  # every evader trial fails
         with pytest.raises(ProbeFailure, match="evader") as failure:
             saddle_probe(study_scenario, corrupted, n_trials=4, seed=8, kernels=study_kernels)
         assert failure.value.trial == 0
-        rng = np.random.default_rng(np.random.SeedSequence(8).spawn(4)[0])
+        rng = np.random.default_rng(8)
         np.testing.assert_array_equal(failure.value.coefficients, rng.standard_normal(8))
         corrupted = dataclasses.replace(sol, value=sol.value + 1e3)  # every pursuer trial fails
         with pytest.raises(ProbeFailure, match="pursuer") as failure:
             saddle_probe(study_scenario, corrupted, n_trials=4, seed=8, kernels=study_kernels)
-        rng = np.random.default_rng(np.random.SeedSequence(8).spawn(4)[0])
+        assert failure.value.trial == 0
+        rng = np.random.default_rng(8)
         rng.standard_normal(8)
         np.testing.assert_array_equal(failure.value.coefficients, rng.standard_normal(8))
+
+    @pytest.mark.parametrize("seed", [7, 9, 12])
+    def test_failure_independent_of_trial_count(self, study_scenario, study_kernels,
+                                                study_coeffs, seed):
+        """A run's trials are the first trials of any longer run with the
+        same seed: 10 and 100 trials of the halved pair report the same
+        failing trial, side and coefficients."""
+        corrupted = halved(study_scenario, study_kernels, study_coeffs, True)
+        failures = []
+        for n_trials in (10, 100):
+            with pytest.raises(ProbeFailure) as failure:
+                saddle_probe(study_scenario, corrupted, n_trials=n_trials, seed=seed,
+                             kernels=study_kernels)
+            failures.append(failure.value)
+        short, long = failures
+        assert short.trial == long.trial > 0 and str(short) == str(long)
+        np.testing.assert_array_equal(short.coefficients, long.coefficients)
 
 
 class TestFullEquivalence:
@@ -542,18 +583,33 @@ class TestMemory:
             tracemalloc.stop()
         return peak, current
 
-    def test_peak_order_ten(self):
-        """d = 24: the (steps x 24 x 24) step matrices alone would be 9.2 MB;
-        the forcing and the step offsets peak at about 3.6 MB."""
+    @classmethod
+    def order_ten_peak(cls, spacing):
+        """Peak bytes of a full playout of an order-10 pair (d = 24) on the
+        2001-node build grid, or on the 2001-node grid with nodes spaced as
+        x^1.5, its bundle sampled beforehand."""
         rng = np.random.default_rng(10)
         sc = z.EngagementScenario(
             pursuer=random_controller(rng, 10), evader=random_controller(rng, 10),
             t_f=1.2, t_c=0.7, alpha=0.1, beta=1.0, ae_max=50.0, z0=80.0, w0=-30.0)
         k = z.Kernels(sc)
-        peak, _ = self.traced(lambda: playout_full(sc, KernelCombo(hp_coef=3.0),
-                                                   KernelCombo(he_coef=-2.0, ge_coef=1.5),
-                                                   kernels=k))
-        assert peak <= 4.5e6
+        grid = None if spacing == "uniform" else TimeGrid(np.linspace(0.0, 1.0, 2001) ** 1.5 * 1.2)
+        k.bundle(grid)
+        peak, _ = cls.traced(lambda: playout_full(sc, KernelCombo(hp_coef=3.0),
+                                                  KernelCombo(he_coef=-2.0, ge_coef=1.5),
+                                                  grid, kernels=k))
+        return peak
+
+    def test_peak_order_ten(self):
+        """d = 24: the (steps x 24 x 24) step matrices alone would be 9.2 MB;
+        the forcing and the step offsets peak at about 3.2 MB."""
+        assert self.order_ten_peak("uniform") <= 4.5e6
+
+    def test_peak_order_ten_non_uniform(self):
+        """Every step length differs, and each scan step forms only its
+        (blocks x 24 x 24) slice of step matrices: about 4.1 MB, where one
+        step matrix per step peaked at 48.5 MB."""
+        assert self.order_ten_peak("power") <= 4.5e6
 
     def test_off_grid_memo(self, study_scenario, study_coeffs):
         """Costs on 12 distinct 2500-node grids: each builds one bundle

@@ -1,4 +1,5 @@
-"""Source checks over the package modules, with the standard library only."""
+"""Source checks over the package modules and the tests, with the standard
+library only."""
 
 import ast
 from pathlib import Path
@@ -7,6 +8,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "zemgame"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def _annotations(tree):
@@ -21,16 +23,23 @@ def _annotations(tree):
 
 def unused_imports(source: str) -> list[str]:
     """Names an import binds and the module never reads; a name inside a
-    string annotation such as "SaddleSolution" counts as read."""
+    string annotation such as "SaddleSolution" counts as read, and an
+    import on a line marked `# noqa: F401` (kept for its side effect) is
+    not reported."""
     tree = ast.parse(source)
+    lines = source.splitlines()
     imported, used = {}, set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            imported.update((a.asname or a.name.split(".")[0], node.lineno) for a in node.names)
+            bound = [(a.asname or a.name.split(".")[0], a.lineno) for a in node.names]
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            imported.update((a.asname or a.name, node.lineno) for a in node.names)
-        elif isinstance(node, ast.Name):
-            used.add(node.id)
+            bound = [(a.asname or a.name, a.lineno) for a in node.names]
+        else:
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            continue
+        imported.update((name, line) for name, line in bound
+                        if "# noqa: F401" not in lines[line - 1])
     for annotation in _annotations(tree):
         for const in ast.walk(annotation):
             if isinstance(const, ast.Constant) and isinstance(const.value, str):
@@ -40,7 +49,8 @@ def unused_imports(source: str) -> list[str]:
                   for name, line in imported.items() if name not in used)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+@pytest.mark.parametrize("path", MODULES + TESTS,
+                         ids=[p.name for p in MODULES] + ["tests/" + p.name for p in TESTS])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
@@ -49,5 +59,6 @@ def test_unused_import_detected():
     source = ("from __future__ import annotations\n"
               "import math\nimport numpy as np\nfrom typing import Optional, Union\n"
               "from .solver import SaddleSolution\n"
+              "import os.path  # noqa: F401\nimport json  # noqa: E501\n"
               "def f(x: Optional[int]) -> \"SaddleSolution\":\n    return np.sqrt(x)\n")
-    assert unused_imports(source) == ["Union (line 4)", "math (line 2)"]
+    assert unused_imports(source) == ["Union (line 4)", "json (line 7)", "math (line 2)"]
