@@ -42,8 +42,6 @@ from .simulate import (
     FullPlayout,
     Playout,
     ProbeReport,
-    TerminalCheck,
-    check_terminal,
     cross_play,
     evaluate_cost,
     playout_full,

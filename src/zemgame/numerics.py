@@ -339,14 +339,21 @@ def _step_matrix(A: np.ndarray, h) -> np.ndarray:
     return ident + H @ (ident + (H / 2.0) @ (ident + (H / 3.0) @ (ident + H / 4.0)))
 
 
-def rk4_affine(A: np.ndarray, forcing: np.ndarray, x0, nodes: np.ndarray) -> np.ndarray:
-    """The classical RK4 of `ode_playout` for dx/dt = A x + f(t), with f
-    tabulated on the refined nodes (`TimeGrid.refined`) of `nodes`.
+def rk4_affine(A: np.ndarray, inputs: np.ndarray, controls: np.ndarray, x0,
+               nodes: np.ndarray) -> np.ndarray:
+    """The classical RK4 of `ode_playout` for dx/dt = A x + inputs' u(t):
+    `inputs` is (m x dim), one input row per control, and `controls` is
+    (m x refined nodes), the m controls tabulated on the refined nodes
+    (`TimeGrid.refined`) of `nodes`.
 
     Each step is affine in the state, x_{k+1} = P(h_k) x_k + q_k, with
     P(h) = I + H + H^2/2 + H^3/6 + H^4/24 for H = h A (`_step_matrix`), and
-    q_k the step taken from x = 0 under the forcing, computed for all steps
-    at once.
+    q_k the step taken from x = 0. With f = inputs' u at the step's start,
+    midpoint and end, that offset is exactly
+    q = h (f0 + 4 fm + f1)/6 + h^2 A (f0 + 2 fm)/6 + h^3 A^2 (f0 + fm)/12
+    + h^4 A^3 f0/24, so the offsets of all steps come from one
+    (steps x 4m) @ (4m x dim) product of the weighted control samples with
+    inputs (A')^p, p = 0..3, on any grid.
 
     The n steps run as a blocked affine scan (Blelloch, "Prefix sums and
     their applications", 1990): ceil(sqrt(n)) steps to a block, the last
@@ -366,12 +373,14 @@ def rk4_affine(A: np.ndarray, forcing: np.ndarray, x0, nodes: np.ndarray) -> np.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     h = np.diff(nodes)
-    half = 0.5 * h[:, None]
-    f0, f_mid, f1 = forcing[:-1:2], forcing[1::2], forcing[2::2]
-    k2 = half * (f0 @ A.T) + f_mid
-    k3 = half * (k2 @ A.T) + f_mid
-    k4 = h[:, None] * (k3 @ A.T) + f1
-    q = (h / 6.0)[:, None] * (f0 + 2.0 * k2 + 2.0 * k3 + k4)
+    u0, u_mid, u1 = controls[:, :-1:2], controls[:, 1::2], controls[:, 2::2]
+    weighted = np.concatenate([(h / 6.0) * (u0 + 4.0 * u_mid + u1),
+                               (h ** 2 / 6.0) * (u0 + 2.0 * u_mid),
+                               (h ** 3 / 12.0) * (u0 + u_mid),
+                               (h ** 4 / 24.0) * u0])
+    powers = [inputs]
+    for _ in range(3):
+        powers.append(powers[-1] @ A.T)
 
     # steps laid out (step in block, block); the pad steps have no forcing,
     # and length 0 where each step has its own P
@@ -381,10 +390,13 @@ def rk4_affine(A: np.ndarray, forcing: np.ndarray, x0, nodes: np.ndarray) -> np.
     blocks = -(-n // size)
     pad = blocks * size - n
     lengths = np.append(h, np.zeros(pad)).reshape(blocks, size).T
-    q = np.concatenate([q, np.zeros((pad, d))]).reshape(blocks, size, d).transpose(1, 0, 2).copy()
+    padded = np.zeros((weighted.shape[0], blocks, size))
+    padded.reshape(weighted.shape[0], -1)[:, :n] = weighted
+    q = (padded.transpose(2, 1, 0).reshape(-1, weighted.shape[0]) @ np.concatenate(powers))
+    q = q.reshape(size, blocks, d)
 
     step = progression_step(nodes)
-    traj = np.empty((blocks, size, d))
+    traj = np.empty((size, blocks, d))
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite states raise below
         if step is not None:
             P = _step_matrix(A, step)
@@ -416,11 +428,11 @@ def rk4_affine(A: np.ndarray, forcing: np.ndarray, x0, nodes: np.ndarray) -> np.
                 x = x @ P.T + q[i]
             else:
                 x = (_step_matrix(A, lengths[i]) @ x[:, :, None])[:, :, 0] + q[i]
-            traj[:, i] = x
+            traj[i] = x
 
     out = np.empty((nodes.size, d))
     out[0] = x0
-    out[1:] = traj.reshape(-1, d)[:n]
+    out[1:] = traj.transpose(1, 0, 2).reshape(-1, d)[:n]
     finite = np.isfinite(out).all(axis=1)
     if not finite.all():
         raise ValueError("state became non-finite at t=%g" % nodes[np.argmin(finite)])

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .engagement import EngagementScenario, build_evader_ss, build_relative_ss, first_order_scenario
 from .errors import AssertionFailure, SolvabilityError
@@ -30,6 +31,9 @@ from .numerics import PSI_SERIES, TimeGrid, mat_exp, progression_step, scaled_ex
 _MIN_SIGN_CELLS = 256
 _MAX_SIGN_CELLS = 2 ** 20
 _MAX_ROOT_STEPS = 60
+
+# Refined nodes to a cell of the coarse peak scan (`PeakScan`).
+_SCAN_STRIDE = 50
 
 
 def _transition_rows(D: np.ndarray, A: np.ndarray, deltas: np.ndarray) -> np.ndarray:
@@ -271,14 +275,69 @@ class SampleBundle:
         """Legendre polynomials of degree below `size` on [0, span] at the
         refined nodes, one row per degree, and the Simpson products of the
         rows (basis, g_e) with the rows (basis, g_e, h_p, h_e), a
-        (size + 1) x (size + 3) matrix. Computed on the first call and kept
-        until a call with another (size, span)."""
+        (size + 1) x (size + 3) matrix. Computed on the first call, with
+        the basis's `PeakScan` (`peak_scan`), and kept until a call with
+        another (size, span)."""
+        _, basis, products, _ = self._legendre_entry(size, span)
+        return basis, products
+
+    def peak_scan(self, size: int, span: float) -> "PeakScan":
+        """The `PeakScan` of the `legendre_gram` basis, kept with it."""
+        return self._legendre_entry(size, span)[3]
+
+    def _legendre_entry(self, size: int, span: float) -> tuple:
         if self._legendre is None or self._legendre[0] != (size, span):
             basis = np.polynomial.legendre.legvander(2.0 * self.ts / span - 1.0, size - 1).T
             aug = np.vstack([basis, self.g_e])
             products = (aug * self.weights) @ np.vstack([aug, self.h_p, self.h_e]).T
-            object.__setattr__(self, "_legendre", ((size, span), basis, products))
-        return self._legendre[1], self._legendre[2]
+            object.__setattr__(self, "_legendre",
+                               ((size, span), basis, products, PeakScan.of(basis, self.ts)))
+        return self._legendre
+
+
+@dataclass(frozen=True)
+class PeakScan:
+    """Coarse data of a basis (one row per function, one column per
+    refined node) for the peaks max_i |c . basis[:, i]| of coefficient
+    rows c (`simulate._peaks`).
+
+    The coarse nodes are every `_SCAN_STRIDE`-th refined node and the last
+    one, and `coarse` is the basis there. Each cell between two coarse
+    nodes holds up to `_SCAN_STRIDE` - 1 interior nodes. kappa_j
+    bounds ||basis[:, i] - l_i||_2 over the interior nodes i of cell j,
+    where l_i interpolates the cell's end columns linearly in time, plus a
+    rounding floor (all that is left where the basis is linear in time).
+    The interpolation weights are convex on any grid, so
+    |c . basis[:, i]| <= max(|c . coarse_a|, |c . coarse_b|) + ||c|| kappa_j,
+    and a cell whose bound falls short of the largest coarse value cannot
+    hold the peak. `windows` views the basis as (window, function, node)
+    windows as wide as the widest cell, both ends included, and window
+    `starts[j]` covers cell j (the last window is moved back to end on the
+    last node).
+    """
+
+    coarse: np.ndarray
+    kappa: np.ndarray
+    windows: np.ndarray
+    starts: np.ndarray
+
+    @classmethod
+    def of(cls, basis: np.ndarray, ts: np.ndarray) -> "PeakScan":
+        n = ts.size
+        index = np.arange(0, n, _SCAN_STRIDE)
+        if index[-1] != n - 1:
+            index = np.append(index, n - 1)
+        cell = np.minimum(np.arange(n) // _SCAN_STRIDE, index.size - 2)
+        a, b = index[cell], index[cell + 1]
+        weight = (ts - ts[a]) / (ts[b] - ts[a])
+        gap = np.linalg.norm(basis - ((1.0 - weight) * basis[:, a] + weight * basis[:, b]), axis=0)
+        # above the rounding of the dot products and of the gaps themselves
+        floor = 4.0 * (basis.shape[0] + 2) * np.finfo(float).eps
+        floor *= np.linalg.norm(basis, axis=0).max()
+        width = int(index[1]) + 1  # the first cell is the widest
+        return cls(coarse=basis[:, index], kappa=np.maximum.reduceat(gap, index[:-1]) + floor,
+                   windows=sliding_window_view(basis, width, axis=1).transpose(1, 0, 2),
+                   starts=np.minimum(index[:-1], n - width))
 
 
 # -- game coefficients -----------------------------------------------------

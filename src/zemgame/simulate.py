@@ -19,14 +19,14 @@ import numpy as np
 from .engagement import EngagementScenario, build_game_ss
 from .errors import AssertionFailure, ProbeFailure
 from .numerics import TimeGrid, rk4_affine
-from .reduction import ControlLaw, GameCoefficients, Kernels, SampleBundle
+from .reduction import ControlLaw, Kernels, PeakScan, SampleBundle
 
 if TYPE_CHECKING:  # pragma: no cover
     from .solver import SaddleSolution
 
 _PROBE_BASIS_SIZE = 8
 _PROBE_AMPLITUDE = 0.2  # perturbation peak relative to max(1, max |u*|)
-_PEAK_CHUNK = 8  # probe perturbations sampled at once to take their peaks
+_CELL_CHUNK = 64  # candidate cells of the peak scan evaluated at once
 
 
 @dataclass(frozen=True)
@@ -48,19 +48,6 @@ class CostBreakdown:
     pursuer_effort: float
     evader_effort: float
     total: float
-
-
-@dataclass(frozen=True)
-class TerminalCheck:
-    """Outcome of the terminal-constraint comparison; margin is
-    bound - |w_f| (negative when violated)."""
-
-    satisfied: bool
-    margin: float
-
-    @property
-    def excess(self) -> float:
-        return -self.margin
 
 
 @dataclass(frozen=True)
@@ -135,14 +122,6 @@ def evaluate_cost(scenario: EngagementScenario, kernels: Optional[Kernels],
                          evader_effort=evader, total=terminal + pursuer - evader)
 
 
-def check_terminal(w_f: float, coeffs: GameCoefficients) -> TerminalCheck:
-    """Compare |w_f| against the reachable bound with a 1e-9 relative band."""
-    bound = coeffs.bound
-    tol = 1e-9 * max(1.0, bound)
-    margin = bound - abs(w_f)
-    return TerminalCheck(satisfied=margin >= -tol, margin=margin)
-
-
 def _initial_full_state(scenario: EngagementScenario) -> np.ndarray:
     n_p = scenario.pursuer.order + 2
     n_e = scenario.evader.order + 2
@@ -175,8 +154,9 @@ def playout_full(scenario: EngagementScenario, u_p: ControlLaw, u_e: ControlLaw,
     bundle = k.bundle(grid)
     grid = bundle.grid
     ss = build_game_ss(scenario.pursuer, scenario.evader)
-    forcing = np.outer(bundle.control(u_p), ss.B) + np.outer(bundle.control(u_e), ss.C)
-    x_traj = rk4_affine(ss.A, forcing, _initial_full_state(scenario), grid.nodes)
+    controls = np.vstack([bundle.control(u_p), bundle.control(u_e)])
+    x_traj = rk4_affine(ss.A, np.vstack([ss.B, ss.C]), controls, _initial_full_state(scenario),
+                        grid.nodes)
 
     n_p = scenario.pursuer.order + 2
     x_p = x_traj[:, :n_p]
@@ -213,33 +193,46 @@ class ProbeReport:
     passed: bool
 
 
-def _peaks(coefficients: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """max |c @ basis| over the refined nodes for each row c, taken a few
-    rows at a time so that no (trials x nodes) array is formed."""
-    out = np.empty(len(coefficients))
-    for i in range(0, len(coefficients), _PEAK_CHUNK):
-        out[i:i + _PEAK_CHUNK] = np.abs(coefficients[i:i + _PEAK_CHUNK] @ basis).max(axis=1)
+def _candidates(coefficients: np.ndarray,
+                scan: PeakScan) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The largest |c . basis| at the coarse nodes of `PeakScan` for each
+    row c, and the rows and cells of every (row, cell) pair whose bound
+    reaches it, ordered by cell."""
+    values = np.abs(scan.coarse.T @ coefficients.T)  # (coarse nodes, rows)
+    coarse_peaks = values.max(axis=0)
+    reach = np.maximum(values[:-1], values[1:])
+    reach += scan.kappa[:, None] * np.linalg.norm(coefficients, axis=1)
+    cells, rows = np.divmod(np.flatnonzero(reach >= coarse_peaks), coarse_peaks.size)
+    return coarse_peaks, rows, cells
+
+
+def _peaks(coefficients: np.ndarray, scan: PeakScan) -> np.ndarray:
+    """max |c . basis[:, i]| over the refined nodes i for each row c, by
+    the certified coarse scan of `PeakScan`: the largest value at the
+    coarse nodes, raised by the nodes of each cell whose bound reaches it
+    (`_candidates`), a fixed number of cells at a time. No (rows x nodes)
+    array is formed.
+
+    Each cell is evaluated as a (2 x size) @ (size x width) product with
+    its row taken twice: numpy hands a one-row product to BLAS gemv and a
+    two-row one to gemm, and gemm sums each dot product in the order of
+    the dense (rows x size) @ (size x nodes) product, so the peaks equal
+    the dense scan's to the last bit (OpenBLAS; otherwise to the rounding
+    of the dot products)."""
+    out, rows, cells = _candidates(coefficients, scan)
+    cell_peaks = np.empty(rows.size)
+    for i in range(0, rows.size, _CELL_CHUNK):
+        r, j = rows[i:i + _CELL_CHUNK], cells[i:i + _CELL_CHUNK]
+        twice = coefficients[np.repeat(r, 2)].reshape(r.size, 2, -1)
+        inside = np.matmul(twice, scan.windows[scan.starts[j]])
+        cell_peaks[i:i + _CELL_CHUNK] = np.abs(inside[:, 0]).max(axis=1)
+    np.maximum.at(out, rows, cell_peaks)
     return out
 
 
 def _quadratic(V: np.ndarray, gram: np.ndarray) -> np.ndarray:
     """v' gram v for each row v of V."""
     return np.einsum("ti,ij,tj->t", V, gram, V)
-
-
-def admissible_evader_perturbation(delta: np.ndarray, ge_n: np.ndarray, ge_m: np.ndarray,
-                                   steps: np.ndarray) -> np.ndarray:
-    """Project a perturbation onto the class that leaves the terminal w
-    unchanged (discrete version of int g_e delta = 0, in the same panel
-    quadrature the playout uses). `saddle_probe` applies the same projection
-    to coefficient vectors; this is its sampled form."""
-    d_n, d_m = delta[0::2], delta[1::2]
-    num = float(np.sum(_simpson_panels(ge_n * d_n, ge_m * d_m, steps)))
-    den = float(np.sum(_simpson_panels(ge_n ** 2, ge_m ** 2, steps)))
-    out = delta.copy()
-    out[0::2] -= (num / den) * ge_n
-    out[1::2] -= (num / den) * ge_m
-    return out
 
 
 def saddle_probe(scenario: EngagementScenario, solution: "SaddleSolution",
@@ -259,12 +252,15 @@ def saddle_probe(scenario: EngagementScenario, solution: "SaddleSolution",
     coefficients as normals 16t to 16t + 15 of one stream,
     default_rng(seed), so a run of n trials draws the first n trials of
     any longer run with the same seed; each perturbation is scaled to a
-    peak of 0.2 * max(1, max |u*|) over the refined nodes. Every
-    perturbation lies in span(basis, g_e), and J is quadratic
-    in the controls, so each trial's terminal z, efforts and cost come from
-    its 9 coefficients and one 9x9 Gram matrix of the basis and g_e under
-    the Simpson weights; all trials are evaluated at once. The basis and
-    its products with the kernels are the bundle's (`legendre_gram`), so a
+    peak of 0.2 * max(1, max |u*|) over the refined nodes. The peaks come
+    from the certified coarse scan of `_peaks`: every 50th node, and then
+    only the cells whose bound reaches the coarse maximum, so they equal
+    the maxima over every node. Every perturbation lies in
+    span(basis, g_e), and J is quadratic in the controls, so each trial's
+    terminal z, efforts and cost come from its 9 coefficients and one 9x9
+    Gram matrix of the basis and g_e under the Simpson weights; all trials
+    are evaluated at once. The basis, its products with the kernels and
+    its peak scan are the bundle's (`legendre_gram`, `peak_scan`), so a
     call forms only the products with u_p* and u_e*.
     """
     from .solver import RegionLabel
@@ -291,7 +287,8 @@ def saddle_probe(scenario: EngagementScenario, solution: "SaddleSolution",
 
     draws = np.random.default_rng(seed).standard_normal((n_trials, 2, nb))
     c_e, c_p = draws[:, 0], draws[:, 1]
-    peak_e, peak_p = _peaks(draws.reshape(-1, nb), basis).reshape(n_trials, 2).T
+    peaks = _peaks(draws.reshape(-1, nb), bundle.peak_scan(nb, scenario.t_f))
+    peak_e, peak_p = peaks.reshape(n_trials, 2).T
 
     scale_e = amp_e / peak_e
     dw = scale_e * (c_e @ gram[:nb, nb])  # int g_e delta: terminal w shift

@@ -1,4 +1,5 @@
-"""Shared test helpers: frozen oracle values and random scenario factories.
+"""Shared test helpers: frozen oracle values, random scenario factories, and
+test-only references of library quantities.
 
 The ORACLE constants were computed with an independent pipeline
 (scipy.integrate.quad over the closed-form psi kernels plus plain numpy
@@ -7,12 +8,14 @@ its own matrix-exponential and adaptive-quadrature path.
 """
 
 import dataclasses
+from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 
 import zemgame as z
+from zemgame.simulate import _simpson_panels
 
 ORACLE = SimpleNamespace(
     beta_star=0.243832425334,
@@ -125,3 +128,48 @@ def random_first_order(rng):
     beta = probe.beta_star * float(rng.uniform(1.3, 3.0))
     return dict(tau_p=tau_p, tau_e=tau_e, t_f=t_f, t_c=t_c, alpha=alpha,
                 beta=beta, ae_max=ae_max)
+
+
+@dataclass(frozen=True)
+class TerminalCheck:
+    """Outcome of the terminal-constraint comparison; margin is
+    bound - |w_f| (negative when violated)."""
+
+    satisfied: bool
+    margin: float
+
+    @property
+    def excess(self) -> float:
+        return -self.margin
+
+
+def check_terminal(w_f, coeffs):
+    """Compare |w_f| against the reachable bound with a 1e-9 relative band."""
+    bound = coeffs.bound
+    tol = 1e-9 * max(1.0, bound)
+    margin = bound - abs(w_f)
+    return TerminalCheck(satisfied=margin >= -tol, margin=margin)
+
+
+def admissible_evader_perturbation(delta, ge_n, ge_m, steps):
+    """Project a perturbation onto the class that leaves the terminal w
+    unchanged (discrete version of int g_e delta = 0, in the same panel
+    quadrature the playout uses). `saddle_probe` applies the same projection
+    to coefficient vectors; this is its sampled form."""
+    d_n, d_m = delta[0::2], delta[1::2]
+    num = float(np.sum(_simpson_panels(ge_n * d_n, ge_m * d_m, steps)))
+    den = float(np.sum(_simpson_panels(ge_n ** 2, ge_m ** 2, steps)))
+    out = delta.copy()
+    out[0::2] -= (num / den) * ge_n
+    out[1::2] -= (num / den) * ge_m
+    return out
+
+
+def dense_peaks(coefficients, basis):
+    """max |c @ basis| over every column for each row c, eight rows at a
+    time: the dense scan the probe used before its certified coarse scan
+    (`simulate._peaks`), kept as that scan's reference."""
+    out = np.empty(len(coefficients))
+    for i in range(0, len(coefficients), 8):
+        out[i:i + 8] = np.abs(coefficients[i:i + 8] @ basis).max(axis=1)
+    return out

@@ -208,7 +208,7 @@ class TestProgressionStep:
         kernels = Kernels(reference.study_scenario())
         kernels.bundle(TimeGrid(nodes))
         forcing = np.zeros((2 * nodes.size - 1, 2))
-        rk4_affine(np.array([[0.0, 1.0], [0.0, -5.0]]), forcing, np.ones(2), nodes)
+        rk4_affine(np.array([[0.0, 1.0], [0.0, -5.0]]), np.eye(2), forcing.T, np.ones(2), nodes)
 
     @pytest.mark.parametrize("n", SIZES)
     def test_uniform_grids(self, steps_seen, n):
@@ -286,14 +286,21 @@ def rk4_loop(A, forcing, x0, nodes):
     return ode_playout(rhs, x0, TimeGrid(nodes))
 
 
-def game_case(orders, nodes, seed=0):
-    """Stacked player matrix of random controllers of the given orders, a
-    smooth forcing through B and C, and a random start."""
+def game_inputs(orders, nodes, seed=0):
+    """Stacked player matrix of random controllers of the given orders, its
+    input rows B and C, two smooth controls on the refined nodes, and a
+    random start."""
     rng = np.random.default_rng(seed)
     ss = build_game_ss(random_controller(rng, orders[0]), random_controller(rng, orders[1]))
     ts = refined(nodes)
-    forcing = np.outer(40.0 * np.cos(3.0 * ts), ss.B) + np.outer(25.0 * np.sin(7.0 * ts), ss.C)
-    return ss.A, forcing, rng.uniform(-5.0, 5.0, ss.A.shape[0])
+    controls = np.vstack([40.0 * np.cos(3.0 * ts), 25.0 * np.sin(7.0 * ts)])
+    return ss.A, np.vstack([ss.B, ss.C]), controls, rng.uniform(-5.0, 5.0, ss.A.shape[0])
+
+
+def game_case(orders, nodes, seed=0):
+    """`game_inputs` with the forcing through B and C tabulated in full."""
+    A, inputs, controls, x0 = game_inputs(orders, nodes, seed)
+    return A, np.outer(controls[0], inputs[0]) + np.outer(controls[1], inputs[1]), x0
 
 
 class TestRk4Affine:
@@ -303,7 +310,7 @@ class TestRk4Affine:
     is prime."""
 
     def assert_matches_loop(self, A, forcing, x0, nodes):
-        got = rk4_affine(A, forcing, x0, nodes)
+        got = rk4_affine(A, np.eye(A.shape[0]), forcing.T, x0, nodes)
         want = rk4_loop(A, forcing, x0, nodes)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
@@ -325,6 +332,19 @@ class TestRk4Affine:
         assert A.shape == (24, 24)
         self.assert_matches_loop(A, forcing, x0, nodes)
 
+    @pytest.mark.parametrize("spacing", ["uniform", "power"])
+    def test_two_control_columns(self, spacing):
+        """The factored form of `playout_full`: the input rows B and C with
+        the two control samples (m = 2), against the loop on the tabulated
+        forcing."""
+        nodes = np.linspace(0.0, 1.3, 2001)
+        if spacing == "power":
+            nodes = nodes ** 1.5
+        A, inputs, controls, x0 = game_inputs((2, 3), nodes, seed=5)
+        got = rk4_affine(A, inputs, controls, x0, nodes)
+        want = rk4_loop(A, controls.T @ inputs, x0, nodes)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
     @pytest.mark.parametrize("x0", [[0.0], [0.0, 1.0]])
     def test_overflowing_block_product_keeps_a_zero_state(self, x0):
         """Each step multiplies the first component by P ~ 1.05e7, finite,
@@ -337,7 +357,7 @@ class TestRk4Affine:
         step = 1.0 + H + H ** 2 / 2 + H ** 3 / 6 + H ** 4 / 24
         assert np.isfinite(step) and 45 * math.log(step) > math.log(np.finfo(float).max)
         forcing = np.zeros((refined(nodes).size, d))
-        got = rk4_affine(A, forcing, np.array(x0), nodes)
+        got = rk4_affine(A, np.eye(d), forcing.T, np.array(x0), nodes)
         np.testing.assert_array_equal(got[:, 0], 0.0)
         self.assert_matches_loop(A, forcing, np.array(x0), nodes)
 
@@ -355,7 +375,7 @@ class TestRk4Affine:
         limit = math.log(np.finfo(float).max)
         assert growth[:45].sum() < limit < growth[-45:].sum()
         forcing = np.zeros((refined(nodes).size, d))
-        got = rk4_affine(A, forcing, np.array(x0), nodes)
+        got = rk4_affine(A, np.eye(d), forcing.T, np.array(x0), nodes)
         np.testing.assert_array_equal(got[:, 0], 0.0)
         self.assert_matches_loop(A, forcing, np.array(x0), nodes)
 
@@ -372,7 +392,7 @@ class TestRk4Affine:
         with pytest.raises(ValueError, match="non-finite") as loop:
             rk4_loop(A, forcing, np.array(x0), nodes)
         with pytest.raises(ValueError) as blocked:
-            rk4_affine(A, forcing, np.array(x0), nodes)
+            rk4_affine(A, np.eye(d), forcing.T, np.array(x0), nodes)
         assert str(blocked.value) == str(loop.value)
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid")
@@ -380,4 +400,4 @@ class TestRk4Affine:
         grid = TimeGrid.uniform(0.0, 1.0, 11)
         forcing = np.zeros((grid.refined().size, 1))
         with pytest.raises(ValueError, match="non-finite"):
-            rk4_affine(np.array([[1e308]]), forcing, np.array([1.0]), grid.nodes)
+            rk4_affine(np.array([[1e308]]), np.eye(1), forcing.T, np.array([1.0]), grid.nodes)

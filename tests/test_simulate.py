@@ -14,7 +14,6 @@ from zemgame import (
     Sampled,
     TimeGrid,
     build_game_ss,
-    check_terminal,
     coefficients,
     cross_play,
     evaluate_cost,
@@ -30,10 +29,11 @@ from zemgame import reduction, simulate
 from zemgame.cli import load_scenario
 from zemgame.reference import CHECKS
 from zemgame.errors import ProbeFailure
-from zemgame.reduction import SampleBundle
-from zemgame.simulate import admissible_evader_perturbation, _initial_full_state, _simpson_panels
+from zemgame.reduction import PeakScan, SampleBundle
+from zemgame.simulate import _initial_full_state, _simpson_panels
 
-from helpers import MIXED_ORDERS, ORACLE, random_controller, random_scenario
+from helpers import (MIXED_ORDERS, ORACLE, admissible_evader_perturbation, check_terminal,
+                     dense_peaks, random_controller, random_scenario)
 
 # Deterministic draws: the same examples on every run, no example database.
 DRAWS = dict(deadline=None, derandomize=True, database=None)
@@ -533,6 +533,68 @@ class TestProbeEquivalence:
         np.testing.assert_array_equal(short.coefficients, long.coefficients)
 
 
+class TestPeakScan:
+    """The probe's certified coarse peak scan (`simulate._peaks`) against
+    the dense maximum over every refined node (`helpers.dense_peaks`), on
+    the probe's draws: equal to 2 ulp of each peak, and every dense argmax
+    node lies in the window of a candidate cell of its row."""
+
+    GRIDS = {"2001": np.linspace(0.0, 1.0, 2001), "301": np.linspace(0.0, 1.0, 301),
+             "2500": np.linspace(0.0, 1.0, 2500), "3": np.linspace(0.0, 1.0, 3),
+             "2": np.linspace(0.0, 1.0, 2), "power": np.linspace(0.0, 1.0, 2001) ** 1.5}
+
+    @pytest.mark.parametrize("n_trials", [0, 1, 100])
+    @pytest.mark.parametrize("size", [1, 2, 8])
+    @pytest.mark.parametrize("grid", list(GRIDS))
+    def test_matches_dense(self, study_kernels, grid, size, n_trials):
+        bundle = study_kernels.bundle(TimeGrid(self.GRIDS[grid]))
+        basis, _ = bundle.legendre_gram(size, 1.0)
+        scan = bundle.peak_scan(size, 1.0)
+        draws = np.random.default_rng(size).standard_normal((n_trials, 2, size)).reshape(-1, size)
+        got = simulate._peaks(draws, scan)
+        want = dense_peaks(draws, basis)
+        assert got.shape == want.shape == (2 * n_trials,)
+        assert (np.abs(got - want) <= 2.0 * np.spacing(want)).all()
+        _, rows, cells = simulate._candidates(draws, scan)
+        first = scan.starts[cells]
+        for row, node in enumerate(np.abs(draws @ basis).argmax(axis=1)):
+            hits = (rows == row) & (first <= node) & (node < first + scan.windows.shape[2])
+            assert hits.any(), (row, node)
+
+    def test_cells_cover_every_node(self, study_kernels):
+        """Windows of the coarse scan cover each refined node, the last
+        window ends on the last node, and the coarse columns are the basis
+        at every 50th node and the last."""
+        for nodes in self.GRIDS.values():
+            bundle = study_kernels.bundle(TimeGrid(nodes))
+            basis, _ = bundle.legendre_gram(8, 1.0)
+            scan = bundle.peak_scan(8, 1.0)
+            width = scan.windows.shape[2]
+            covered = np.zeros(bundle.ts.size, dtype=bool)
+            for start in scan.starts:
+                covered[start:start + width] = True
+            assert covered.all() and scan.starts[-1] + width == bundle.ts.size
+            index = np.unique(np.append(np.arange(0, bundle.ts.size, 50), bundle.ts.size - 1))
+            np.testing.assert_array_equal(scan.coarse, basis[:, index])
+            assert scan.kappa.shape == (index.size - 1,) and (scan.kappa > 0.0).all()
+
+    def test_scan_data_held(self, study_kernels):
+        """Beyond the basis, the scan keeps a few KB on the bundle: the
+        basis at the 81 coarse nodes (5.2 KB), 80 cell bounds and 80 window
+        starts; its windows are a view of the kept basis."""
+        bundle = study_kernels.bundle()
+        basis, _ = bundle.legendre_gram(8, 1.0)
+        tracemalloc.start()
+        try:
+            scan = PeakScan.of(basis, bundle.ts)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert np.shares_memory(scan.windows, basis)
+        assert scan.coarse.nbytes + scan.kappa.nbytes + scan.starts.nbytes <= 6.5e3
+        assert held <= 12e3
+
+
 class TestFullEquivalence:
     def test_study(self, study_scenario, study_kernels, study_coeffs):
         for sign in (1, -1):
@@ -602,14 +664,17 @@ class TestMemory:
 
     def test_peak_order_ten(self):
         """d = 24: the (steps x 24 x 24) step matrices alone would be 9.2 MB;
-        the forcing and the step offsets peak at about 3.2 MB."""
-        assert self.order_ten_peak("uniform") <= 4.5e6
+        with the step offsets formed from the two control rows, and no
+        tabulated (refined nodes x 24) forcing, the call peaks at about
+        2.0 MB (3.2 MB with the forcing)."""
+        assert self.order_ten_peak("uniform") <= 3.0e6
 
     def test_peak_order_ten_non_uniform(self):
         """Every step length differs, and each scan step forms only its
-        (blocks x 24 x 24) slice of step matrices: about 4.1 MB, where one
-        step matrix per step peaked at 48.5 MB."""
-        assert self.order_ten_peak("power") <= 4.5e6
+        (blocks x 24 x 24) slice of step matrices: about 2.5 MB (4.1 MB
+        with a tabulated forcing), where one step matrix per step peaked at
+        48.5 MB."""
+        assert self.order_ten_peak("power") <= 3.7e6
 
     def test_off_grid_memo(self, study_scenario, study_coeffs):
         """Costs on 12 distinct 2500-node grids: each builds one bundle
@@ -627,18 +692,30 @@ class TestMemory:
         assert peak <= 1.5e6
         assert held <= 0.5e6
 
+    # about 1.5 times the peaks measured with the certified peak scan and the
+    # factored RK4 offsets: 0.63 MB and 0.75 MB
+    PEAK_BOUNDS = {"probe": 0.95e6, "full": 1.15e6}
+
     @pytest.mark.parametrize("run", ["probe", "full"])
     def test_peak(self, study_scenario, study_kernels, study_coeffs, run):
+        """A probe of 100 trials and a full playout on the study's default
+        grid, its bundle, Legendre data and peak scan built beforehand."""
         sc = dataclasses.replace(study_scenario, z0=100.0, w0=50.0, geometry=None)
         sol = solve_rg(sc, coeffs=study_coeffs)
         calls = {
             "probe": lambda: saddle_probe(sc, sol, n_trials=100, seed=1, kernels=study_kernels),
             "full": lambda: playout_full(sc, sol.u_p, sol.u_e, kernels=study_kernels),
         }
-        tracemalloc.start()
-        try:
-            calls[run]()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 4e6
+        study_kernels.bundle().legendre_gram(8, sc.t_f)
+        peak, _ = self.traced(calls[run])
+        assert peak <= self.PEAK_BOUNDS[run]
+
+    def test_peak_first_probe(self, study_scenario, study_coeffs):
+        """The first probe on a bundle also builds the Legendre basis, its
+        Gram block and its peak scan: about 1.6 MB at the peak."""
+        k = z.Kernels(study_scenario)
+        k.bundle()
+        sc = dataclasses.replace(study_scenario, z0=100.0, w0=50.0, geometry=None)
+        sol = solve_rg(sc, coeffs=study_coeffs)
+        peak, _ = self.traced(lambda: saddle_probe(sc, sol, n_trials=100, seed=1, kernels=k))
+        assert peak <= 2.4e6
