@@ -193,9 +193,10 @@ def cmd_solve(args) -> int:
         raise _UsageError("--probe must be nonnegative")
     if args.seed < 0:
         raise _UsageError("--seed must be nonnegative")
+    if args.grid < 2:
+        raise _UsageError("a time grid needs at least two nodes")
     scenario, _ = load_scenario(args.scenario)
     coeffs = coefficients(scenario)
-    grid = TimeGrid.uniform(0.0, scenario.t_f, args.grid)
     if args.sign is not None:
         sign = 1 if args.sign == "+" else -1
         branch = solve_erg_branch(coeffs, scenario.z0, scenario.w0, sign)
@@ -219,6 +220,7 @@ def cmd_solve(args) -> int:
     probe = args.probe and args.sign is None
     if args.csv or probe:
         kern = Kernels(scenario)
+        grid = TimeGrid.uniform(0.0, scenario.t_f, args.grid)
     if args.csv:
         play = playout_reduced(scenario, kern, u_p, u_e, grid)
         _write_csv(args.csv, ("t", "u_p", "u_e", "z", "w"),

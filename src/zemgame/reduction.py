@@ -22,7 +22,8 @@ from typing import Optional, Union
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .engagement import EngagementScenario, build_evader_ss, build_relative_ss, first_order_scenario
+from .engagement import (EngagementScenario, build_evader_ss, build_player_ss, build_relative_ss,
+                         first_order_scenario)
 from .errors import AssertionFailure, SolvabilityError
 from .numerics import PSI_SERIES, TimeGrid, mat_exp, progression_step, scaled_exp
 
@@ -398,7 +399,7 @@ class GameCoefficients:
             ("det F > 0", self.det_F > 0),
             ("0 <= d < 1", 0.0 <= self.d < 1.0),
             ("G1 - nu_p == 1 - nu_e", abs((self.G1 - self.nu_p) - (1.0 - self.nu_e))
-             <= 1e-10 * max(1.0, abs(1.0 - self.nu_e))),
+             <= 1e-10 * max(1.0, abs(1.0 - self.nu_e), self.nu_p)),
         )
         for label, ok in checks:
             if not ok:
@@ -415,18 +416,18 @@ def _assemble(integrals: tuple[float, float, float, float], mu: float,
     nu_e = int_he2 / beta
     s = 1.0 + nu_p - nu_e
     G1, G2, G3 = s, int_hege / beta, int_ge2 / beta
+    F1 = G1 - nu_p
     det_G = G1 * G3 + G2 * G2
-    det_F = (G1 - nu_p) * G3 + G2 * G2
+    det_F = F1 * G3 + G2 * G2
     d = nu_p * G2 * G2 / (G1 * det_F)
-    sign_flip = np.diag([1.0, -1.0])
-    G = np.array([[G1, G2], [-G2, G3]])
-    F = np.array([[G1 - nu_p, G2], [-G2, G3]])
+    # X = [[X1, G2], [-G2, G3]] has (X^-1)' diag(1,-1) = [[G3, -G2], [-G2, -X1]] / det X
     return GameCoefficients(
         s=s, nu_p=nu_p, nu_e=nu_e, G1=G1, G2=G2, G3=G3,
         a=G2 / G1, d=d, mu_e=mu, det_G=det_G, det_F=det_F,
         beta_star=int_he2,
-        G=G, G_tilde=sign_flip @ G, G_bar=np.linalg.inv(G).T @ sign_flip,
-        F=F, F_bar=np.linalg.inv(F).T @ sign_flip,
+        G=np.array([[G1, G2], [-G2, G3]]), G_tilde=np.array([[G1, G2], [G2, -G3]]),
+        G_bar=np.array([[G3, -G2], [-G2, -G1]]) / det_G,
+        F=np.array([[F1, G2], [-G2, G3]]), F_bar=np.array([[G3, -G2], [-G2, -F1]]) / det_F,
         alpha=alpha, beta=beta, ae_max=ae_max,
     )
 
@@ -546,27 +547,34 @@ def coefficients(scenario: EngagementScenario,
                  kernels: Optional[Kernels] = None) -> GameCoefficients:
     """All game coefficients from exact kernel integrals.
 
-    The four product integrals are quadratic forms of one observability
-    Gramian W = int_0^t_f exp(Y' s) d' d exp(Y s) ds of Y = diag(A_ep, A_e)
-    and d = [D_ep, D_e], the kernels taken in the reversed time s = t_f - t:
-    B_ep' W11 B_ep, C_ep' W11 C_ep, C_ep' W12 x_e and x_e' W22 x_e with
-    x_e = exp(A_e t_c) B_e. mu_e comes from `_tail_weight`. No kernel
-    samples are taken: `kernels` is accepted and not read. Raises
-    SolvabilityError when the evader effort weight does not exceed the
-    squared-kernel integral.
+    In the reversed time s = t_f - t the kernels are the players' own
+    position responses: h_p = -D_p exp(A_p s) B_p, h_e = D_e exp(A_e s) B_e
+    and g_e = D_e exp(A_e s) x_e with x_e = exp(A_e t_c) B_e, each player's
+    block (A, B) from `build_player_ss` and D picking its position. So the
+    four product integrals are quadratic forms of one observability
+    Gramian W = int_0^t_f exp(Y' s) d' d exp(Y s) ds of Y = diag(A_p, A_e)
+    and d = [D_p, D_e]: B_p' W_pp B_p, B_e' W_ee B_e, B_e' W_ee x_e and
+    x_e' W_ee x_e. The cross block W_pe also gives int h_p h_e =
+    -B_p' W_pe B_e and int h_p g_e = -B_p' W_pe x_e, which no coefficient
+    reads yet. mu_e comes from `_tail_weight`. No kernel samples are taken:
+    `kernels` is accepted and not read. Raises SolvabilityError when the
+    evader effort weight does not exceed the squared-kernel integral.
     """
-    rel = build_relative_ss(scenario.pursuer, scenario.evader)
+    pursuer = build_player_ss(scenario.pursuer)
     ev = build_evader_ss(scenario.evader)
-    n = rel.A.shape[0]
+    n = pursuer.A.shape[0]
     Y = np.zeros((n + ev.A.shape[0],) * 2)
-    Y[:n, :n] = rel.A
+    Y[:n, :n] = pursuer.A
     Y[n:, n:] = ev.A
-    W = _gramian(Y.T, np.concatenate([rel.D_row, ev.D_row]), scenario.t_f)
-    B, C, x_e = rel.B, rel.C, mat_exp(ev.A, scenario.t_c) @ ev.B
-    integrals = (float(B @ W[:n, :n] @ B),
-                 float(C @ W[:n, :n] @ C),
-                 float(C @ W[:n, n:] @ x_e),
-                 float(x_e @ W[n:, n:] @ x_e))
+    d = np.zeros(Y.shape[0])
+    d[0] = d[n] = 1.0
+    W = _gramian(Y.T, d, scenario.t_f)
+    W_ee = W[n:, n:]
+    B_p, B_e, x_e = pursuer.B, ev.B, mat_exp(ev.A, scenario.t_c) @ ev.B
+    integrals = (float(B_p @ W[:n, :n] @ B_p),
+                 float(B_e @ W_ee @ B_e),
+                 float(x_e @ W_ee @ B_e),
+                 float(x_e @ W_ee @ x_e))
     mu = _tail_weight(ev.A, ev.B, ev.D_row, scenario.t_c)
     return _assemble(integrals, mu, scenario.alpha, scenario.beta, scenario.ae_max)
 

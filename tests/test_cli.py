@@ -6,14 +6,16 @@ import numpy as np
 import pytest
 
 import test_acceptance
-from zemgame import cli, reference
+from zemgame import cli, coefficients, first_order_coefficients, reference
 from zemgame.cli import (
     EXIT_OK,
     EXIT_REPRO_FAIL,
     EXIT_SOLVABILITY,
     EXIT_USAGE,
+    load_scenario,
     main,
 )
+from zemgame.numerics import TimeGrid
 from zemgame.reduction import Kernels, SampleBundle
 from zemgame.reference import CHECKS
 
@@ -163,6 +165,24 @@ class TestSolve:
         assert main(["solve", study_file, "--grid", "1"]) == EXIT_USAGE
         assert "two nodes" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("t_f, alpha", [(100.0, 0.01), (50.0, 1e-3)])
+    def test_long_horizon_large_nu_p(self, tmp_path, capsys, t_f, alpha):
+        """nu_p of 1e6 to 3e7: the rounding of s = 1 + nu_p - nu_e grows with
+        nu_p, and the coefficient consistency check allows for it."""
+        def mutate(doc):
+            doc["horizon"] = dict(t_f=t_f, t_c=50.0)
+            doc["weights"] = dict(alpha=alpha, beta=1e9)
+            doc["evader_bound"]["ae_max"] = 50.0
+            doc["initial"].update(z0=100.0, w0=-20.0)
+
+        path = write_doc(tmp_path, mutate)
+        assert main(["solve", path, "--probe", "20"]) == EXIT_OK
+        assert "saddle probe: 20 trials OK" in capsys.readouterr().out
+        got = coefficients(load_scenario(path)[0])
+        want = first_order_coefficients(0.2, 0.1, t_f, 50.0, alpha, 1e9, 50.0)
+        assert got.nu_p > 1e6
+        assert got.G2 == pytest.approx(want.G2, rel=1e-12, abs=0.0)
+
     def test_strip_value_independent_of_grid(self, tmp_path, capsys):
         """The strip value comes from the exact integrals, so --grid, which
         sets only the grid of --csv and --probe, does not move it."""
@@ -239,6 +259,27 @@ class TestBundleSamples:
         options = [o.format(csv=tmp_path / "out.csv") for o in options]
         assert main(["solve", study_file] + options) == EXIT_OK
         assert sampled == grids
+
+
+def test_plain_solve_builds_no_grid(study_file, capsys, monkeypatch):
+    """The grid of --csv and --probe is built only when one of them reads
+    it; --grid is still checked."""
+    builds = []
+    uniform = TimeGrid.__dict__["uniform"].__func__
+
+    def counting(cls, *args, **kwargs):
+        builds.append(args)
+        return uniform(cls, *args, **kwargs)
+
+    monkeypatch.setattr(TimeGrid, "uniform", classmethod(counting))
+    assert main(["solve", study_file]) == EXIT_OK
+    assert main(["solve", study_file, "--sign", "+", "--probe", "5"]) == EXIT_OK
+    assert builds == []
+    capsys.readouterr()
+    assert main(["solve", study_file, "--grid", "1"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: a time grid needs at least two nodes\n"
+    assert main(["solve", study_file, "--probe", "5", "--grid", "301"]) == EXIT_OK
+    assert builds.count((0.0, 1.0, 301)) == 1  # beside the kernels' own build grid
 
 
 class TestSweep:

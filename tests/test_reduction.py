@@ -18,7 +18,7 @@ from zemgame import (
 )
 from zemgame import numerics, reduction, reference
 from zemgame.cli import load_scenario
-from zemgame.errors import SolvabilityError
+from zemgame.errors import AssertionFailure, SolvabilityError
 
 from helpers import (MIXED_ORDERS, ORACLE, oscillator, psi_ref, random_controller,
                      random_first_order, random_scenario, solvability_threshold)
@@ -293,8 +293,12 @@ class TestExactIntegrals:
 
 class TestCoefficients:
     def test_one_van_loan_block(self, study_scenario, monkeypatch):
-        """The four product integrals come from one Van Loan block of size
-        2(n + m), and `_powers` runs on it once."""
+        """The four product integrals come from one Van Loan block over the
+        players' own blocks, of size 2(n_p + n_e + 4), and `_powers` runs on
+        it once: 12 on the study, 48 on an order-10/10 pair."""
+        rng = np.random.default_rng(10)
+        order_10 = dataclasses.replace(study_scenario, pursuer=random_controller(rng, 10),
+                                       evader=random_controller(rng, 10), beta=1e6)
         sizes = []
         powers = numerics._powers
 
@@ -303,11 +307,12 @@ class TestCoefficients:
             return powers(M)
 
         monkeypatch.setattr(numerics, "_powers", recording)
-        coefficients(study_scenario)
-        n = z.build_relative_ss(study_scenario.pursuer, study_scenario.evader).A.shape[0]
-        m = z.build_evader_ss(study_scenario.evader).A.shape[0]
-        assert sizes.count(2 * (n + m)) == 1
-        assert max(sizes) == 2 * (n + m)
+        for sc, size in ((study_scenario, 12), (order_10, 48)):
+            sizes.clear()
+            coefficients(sc)
+            assert 2 * (sc.pursuer.order + sc.evader.order + 4) == size
+            assert sizes.count(size) == 1
+            assert max(sizes) == size
 
     def test_study_matrix(self, study_coeffs):
         for i in range(2):
@@ -350,12 +355,32 @@ class TestCoefficients:
             coefficients(sc)
 
     def test_matrix_identities(self, study_coeffs):
-        c = study_coeffs
+        """G_tilde = diag(1,-1) G, and G_bar and F_bar, formed in closed form
+        from the scalars, match (X^-1)' diag(1,-1) from LAPACK to 1e-14
+        relative, on the study and on random scenarios."""
         flip = np.diag([1.0, -1.0])
-        np.testing.assert_allclose(c.G_tilde, flip @ c.G, atol=1e-14)
-        np.testing.assert_allclose(c.G_bar, np.linalg.inv(c.G).T @ flip, atol=1e-14)
-        np.testing.assert_allclose(c.F_bar, np.linalg.inv(c.F).T @ flip, atol=1e-14)
-        np.testing.assert_allclose(c.G_bar, [[0.23, -0.08], [-0.08, -0.14]], atol=0.005)
+        rng = np.random.default_rng(29)
+        for c in [study_coeffs] + [coefficients(random_scenario(rng)[0]) for _ in range(8)]:
+            np.testing.assert_array_equal(c.G_tilde, flip @ c.G)
+            for got, X in ((c.G_bar, c.G), (c.F_bar, c.F)):
+                want = np.linalg.inv(X).T @ flip
+                assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        np.testing.assert_allclose(study_coeffs.G_bar, [[0.23, -0.08], [-0.08, -0.14]], atol=0.005)
+
+    def test_consistency_check_scales_with_nu_p(self):
+        """At nu_p ~ 3e7 the rounding of s = 1 + nu_p - nu_e alone exceeds
+        1e-10, and the check allows for it; at nu_p ~ 1 a 1e-8 relative
+        error in nu_p is still caught."""
+        args = dict(tau_p=0.2, tau_e=0.1, t_f=100.0, t_c=50.0, alpha=0.01, beta=1e9,
+                    ae_max=50.0)
+        c = first_order_coefficients(**args)
+        assert c.nu_p > 1e7
+        assert abs((c.G1 - c.nu_p) - (1.0 - c.nu_e)) > 1e-10
+        alpha = c.nu_p * args["alpha"]  # nu_p = 1
+        c = first_order_coefficients(**dict(args, alpha=alpha))
+        assert c.nu_p == pytest.approx(1.0, rel=1e-12)
+        with pytest.raises(AssertionFailure, match="G1 - nu_p"):
+            dataclasses.replace(c, nu_p=c.nu_p * (1.0 + 1e-8))
 
     def test_scalar_identities(self, study_coeffs):
         c = study_coeffs
