@@ -5,10 +5,8 @@ from .engagement import (
     ControllerModel,
     EngagementGeometry,
     EngagementScenario,
-    StateSpace,
     build_evader_ss,
     build_game_ss,
-    build_player_ss,
     build_relative_ss,
     first_order_scenario,
     initial_zem,
@@ -51,15 +49,12 @@ from .simulate import (
 from .solver import (
     AuxCrossSolution,
     BranchSolution,
-    CaseIiiDiagnostic,
     PenaltyRecord,
     Region,
     RegionLabel,
     SaddleSolution,
     UrgSolution,
     aux_cross,
-    case_iii_positions,
-    check_case_iii_infeasible,
     classify,
     penalty_sweep,
     solve_erg,

@@ -238,13 +238,17 @@ def cmd_solve(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    scenario, _ = load_scenario(args.scenario)
-    coeffs = coefficients(scenario)
-    sign = 1 if args.sign == "+" else -1
     if args.eps_steps < 2:
         raise _UsageError("--eps-steps must be at least 2")
     if not np.isfinite([args.eps_from, args.eps_to]).all():
         raise _UsageError("--eps-from and --eps-to must be finite")
+    if not (args.eps_from > 0.0 and args.eps_to > 0.0):
+        raise _UsageError("--eps-from and --eps-to must be positive")
+    if not args.eps_from > args.eps_to:
+        raise _UsageError("--eps-from must be larger than --eps-to: the sweep descends")
+    scenario, _ = load_scenario(args.scenario)
+    coeffs = coefficients(scenario)
+    sign = 1 if args.sign == "+" else -1
     eps_list = np.geomspace(args.eps_from, args.eps_to, args.eps_steps)
     records = penalty_sweep(coeffs, scenario.z0, scenario.w0, sign, eps_list)
     branch = solve_erg_branch(coeffs, scenario.z0, scenario.w0, sign)

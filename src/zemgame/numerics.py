@@ -227,8 +227,29 @@ def quad_adaptive(f: Callable[[float], float], a: float, b: float, tol: float = 
     return _adapt(f, a, b, whole, budget, _MAX_QUAD_DEPTH)
 
 
+def solve2_entries(m00, m01, m10, m11, b0, b1):
+    """Solve [[m00, m01], [m10, m11]] x = (b0, b1) by the explicit inverse,
+    elementwise: the entries are floats, or arrays that broadcast against
+    each other for a stack of systems. Returns (x0, x1).
+
+    Raises NearSingularError at the first system with
+    |det| < 1e-12 * max(1, ||M||_F^2).
+    """
+    det = m00 * m11 - m01 * m10
+    threshold = 1e-12 * np.maximum(1.0, m00 * m00 + m01 * m01 + m10 * m10 + m11 * m11)
+    singular = np.abs(det) < threshold
+    if np.any(singular):
+        det, threshold, singular = np.broadcast_arrays(det, threshold, singular)
+        first = np.flatnonzero(singular)[0]
+        raise NearSingularError(
+            "2x2 determinant %g is below the singularity threshold %g%s"
+            % (det.flat[first], threshold.flat[first],
+               " (system %d)" % first if singular.size > 1 else ""))
+    return (m11 * b0 - m01 * b1) / det, (m00 * b1 - m10 * b0) / det
+
+
 def solve2(M: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve the 2x2 system M x = b by the explicit inverse.
+    """Solve the 2x2 system M x = b by the explicit inverse (`solve2_entries`).
 
     Raises NearSingularError when |det M| < 1e-12 * max(1, ||M||_F^2).
     """
@@ -236,16 +257,8 @@ def solve2(M: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     if M.shape != (2, 2) or b.shape != (2,):
         raise ValueError("solve2 expects a 2x2 matrix and a length-2 vector")
-    det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-    scale = max(1.0, float(np.sum(M * M)))
-    if abs(det) < 1e-12 * scale:
-        raise NearSingularError(
-            "2x2 determinant %g is below the singularity threshold %g" % (det, 1e-12 * scale)
-        )
-    return np.array([
-        (M[1, 1] * b[0] - M[0, 1] * b[1]) / det,
-        (M[0, 0] * b[1] - M[1, 0] * b[0]) / det,
-    ])
+    (m00, m01), (m10, m11) = M.tolist()
+    return np.array(solve2_entries(m00, m01, m10, m11, *b.tolist()))
 
 
 @dataclass(frozen=True)
@@ -355,21 +368,16 @@ def rk4_affine(A: np.ndarray, inputs: np.ndarray, controls: np.ndarray, x0,
     (steps x 4m) @ (4m x dim) product of the weighted control samples with
     inputs (A')^p, p = 0..3, on any grid.
 
-    The n steps run as a blocked affine scan (Blelloch, "Prefix sums and
-    their applications", 1990): ceil(sqrt(n)) steps to a block, the last
-    block padded with steps past the end whose states are dropped. A first
-    pass carries every block's transfer matrix and zero-start end state at
-    once; one matrix-vector product per block then gives the block start
-    states; a second pass replays the steps from those starts, again for
-    all blocks at once. On a uniform grid (`progression_step`) one P serves
-    every step, so both passes are plain (blocks x dim) @ (dim x dim)
-    products and every block has the transfer P^s. On any other grid each
-    step of a pass forms only that step's (blocks x dim x dim) slice of
-    step matrices, so no (steps x dim x dim) array is formed on either.
-    A block whose transfer or end state overflows while its start is
-    finite (a zero state under a fast-growing mode) is stepped through one
-    step at a time instead. Returns the (n_nodes, dim) trajectory; raises
-    ValueError at the first node where the state stops being finite.
+    On a uniform grid (`progression_step`) one P serves every step, and the
+    n steps run as a doubling scan (Hillis and Steele, "Data parallel
+    algorithms", CACM 1986) over the rows (x0, q_0, ..., q_{n-1}): for
+    m = 1, 2, 4, ... below n + 1, rows[m:] += rows[:-m] @ (P^m)', so after
+    about log2(n) products of the whole (n + 1) x dim array row k holds
+    x_k. Any other grid, and a uniform one whose doubled rows are not all
+    finite (P^m overflowing against a zero state, or a state that really
+    overflows), goes to the blocked scan of `_blocked_scan`. Returns the
+    (n_nodes, dim) trajectory; raises ValueError at the first node where
+    the state stops being finite.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     h = np.diff(nodes)
@@ -381,35 +389,56 @@ def rk4_affine(A: np.ndarray, inputs: np.ndarray, controls: np.ndarray, x0,
     powers = [inputs]
     for _ in range(3):
         powers.append(powers[-1] @ A.T)
+    q = weighted.T @ np.concatenate(powers)
 
-    # steps laid out (step in block, block); the pad steps have no forcing,
-    # and length 0 where each step has its own P
+    step = progression_step(nodes)
+    if step is not None:
+        out = np.concatenate([x0[None], q])
+        P = _step_matrix(A, step)
+        m = 1
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows go to the fallback
+            while m < out.shape[0]:
+                out[m:] += out[:-m] @ P.T
+                m *= 2
+                if m < out.shape[0]:
+                    P = P @ P
+        if np.isfinite(out).all():
+            return out
+    return _blocked_scan(A, h, q, x0, nodes)
+
+
+def _blocked_scan(A: np.ndarray, h: np.ndarray, q: np.ndarray, x0: np.ndarray,
+                  nodes: np.ndarray) -> np.ndarray:
+    """The steps x_{k+1} = P(h_k) x_k + q_k of `rk4_affine` as a blocked
+    affine scan (Blelloch, "Prefix sums and their applications", 1990):
+    ceil(sqrt(n)) steps to a block, the last block padded with steps of
+    length 0 and no offset whose states are dropped. A first pass carries
+    every block's transfer matrix and zero-start end state at once; one
+    matrix-vector product per block then gives the block start states; a
+    second pass replays the steps from those starts, again for all blocks
+    at once. Each step of a pass forms only that step's (blocks x dim x
+    dim) slice of step matrices, so no (steps x dim x dim) array is formed.
+    A block whose transfer or end state overflows while its start is
+    finite (a zero state under a fast-growing mode) is stepped through one
+    step at a time instead. Raises ValueError at the first node where the
+    state stops being finite.
+    """
     d = x0.size
     n = h.size
     size = math.isqrt(n - 1) + 1
     blocks = -(-n // size)
     pad = blocks * size - n
+    # steps laid out (step in block, block)
     lengths = np.append(h, np.zeros(pad)).reshape(blocks, size).T
-    padded = np.zeros((weighted.shape[0], blocks, size))
-    padded.reshape(weighted.shape[0], -1)[:, :n] = weighted
-    q = (padded.transpose(2, 1, 0).reshape(-1, weighted.shape[0]) @ np.concatenate(powers))
-    q = q.reshape(size, blocks, d)
+    q = np.concatenate([q, np.zeros((pad, d))]).reshape(blocks, size, d).transpose(1, 0, 2)
 
-    step = progression_step(nodes)
     traj = np.empty((size, blocks, d))
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite states raise below
-        if step is not None:
-            P = _step_matrix(A, step)
-            ends = q[0]
-            for i in range(1, size):
-                ends = ends @ P.T + q[i]
-            transfers = np.broadcast_to(np.linalg.matrix_power(P, size), (blocks, d, d))
-        else:
-            carry = np.concatenate([_step_matrix(A, lengths[0]), q[0][:, :, None]], axis=2)
-            for i in range(1, size):
-                carry = _step_matrix(A, lengths[i]) @ carry  # [transfer | end]
-                carry[:, :, d] += q[i]
-            transfers, ends = carry[:, :, :d], carry[:, :, d]
+        carry = np.concatenate([_step_matrix(A, lengths[0]), q[0][:, :, None]], axis=2)
+        for i in range(1, size):
+            carry = _step_matrix(A, lengths[i]) @ carry  # [transfer | end]
+            carry[:, :, d] += q[i]
+        transfers, ends = carry[:, :, :d], carry[:, :, d]
         overflowed = ~(np.isfinite(transfers).all(axis=(1, 2)) & np.isfinite(ends).all(axis=1))
         overflowed = overflowed.tolist()
         starts = np.empty((blocks, d))
@@ -418,16 +447,12 @@ def rk4_affine(A: np.ndarray, inputs: np.ndarray, controls: np.ndarray, x0,
             starts[j] = x
             if overflowed[j] and np.isfinite(x).all():
                 for i in range(size):
-                    P_i = P if step is not None else _step_matrix(A, lengths[i, j])
-                    x = P_i @ x + q[i, j]
+                    x = _step_matrix(A, lengths[i, j]) @ x + q[i, j]
             else:
                 x = transfers[j] @ x + ends[j]
         x = starts
         for i in range(size):
-            if step is not None:
-                x = x @ P.T + q[i]
-            else:
-                x = (_step_matrix(A, lengths[i]) @ x[:, :, None])[:, :, 0] + q[i]
+            x = (_step_matrix(A, lengths[i]) @ x[:, :, None])[:, :, 0] + q[i]
             traj[i] = x
 
     out = np.empty((nodes.size, d))

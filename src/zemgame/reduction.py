@@ -22,8 +22,8 @@ from typing import Optional, Union
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .engagement import (EngagementScenario, build_evader_ss, build_player_ss, build_relative_ss,
-                         first_order_scenario)
+from .engagement import (EngagementScenario, StateSpace, build_evader_ss, build_player_ss,
+                         build_relative_ss, first_order_scenario)
 from .errors import AssertionFailure, SolvabilityError
 from .numerics import PSI_SERIES, TimeGrid, mat_exp, progression_step, scaled_exp
 
@@ -82,13 +82,15 @@ def _rows_at(D: np.ndarray, A: np.ndarray, end: float, ts) -> np.ndarray:
 class Kernels:
     """Kernel functions of a scenario, backed by transition-matrix rows.
 
-    The sample bundle of the build grid, the default uniform grid over
-    [0, t_f] (`bundle`), is computed on its first use and kept; a call that
-    samples another grid names it, and the bundle of the last such grid is
-    kept in one more slot; any other query evaluates the transition rows
-    directly (`_transition_rows`: by doubling on a uniform progression, one
-    matrix exponential per point otherwise). A bundle's arrays are never
-    changed once built, so the object stays freely shareable.
+    The kernel Gram matrix K = int_0^t_f k k' dt of k = (h_p, h_e, g_e)
+    (`gram`, from `kernel_gram`) and the sample bundle of the build grid,
+    the default uniform grid over [0, t_f] (`bundle`), are each computed on
+    their first use and kept; a call that samples another grid names it,
+    and the bundle of the last such grid is kept in one more slot; any
+    other query evaluates the transition rows directly (`_transition_rows`:
+    by doubling on a uniform progression, one matrix exponential per point
+    otherwise). Neither K nor a bundle's arrays are changed once built, so
+    the object stays freely shareable.
     """
 
     def __init__(self, scenario: EngagementScenario):
@@ -100,8 +102,18 @@ class Kernels:
         ev = build_evader_ss(scenario.evader)
         self._A_ep, self._B_ep, self._C_ep, self._D_ep = rel.A, rel.B, rel.C, rel.D_row
         self._A_e, self._B_e, self._D_e = ev.A, ev.B, ev.D_row
+        self._players = (build_player_ss(scenario.pursuer), ev)
+        self._gram: Optional[np.ndarray] = None
         self._bundle: Optional[SampleBundle] = None
         self._off_grid: Optional[SampleBundle] = None
+
+    def gram(self) -> np.ndarray:
+        """The kernel Gram matrix K (`kernel_gram`), read-only; formed on
+        the first call and kept."""
+        if self._gram is None:
+            self._gram = kernel_gram(*self._players, self.t_f, self.t_c)
+            self._gram.flags.writeable = False
+        return self._gram
 
     def bundle(self, grid: Optional[TimeGrid] = None) -> "SampleBundle":
         """Sample bundle of a grid: the build grid's (the default), sampled
@@ -543,40 +555,52 @@ def integral_g_e(scenario: EngagementScenario) -> float:
     return float(start @ mat_exp(_augmented(ev.A, ev.B), scenario.t_f)[:, -1])
 
 
-def coefficients(scenario: EngagementScenario,
-                 kernels: Optional[Kernels] = None) -> GameCoefficients:
-    """All game coefficients from exact kernel integrals.
+def kernel_gram(pursuer: StateSpace, evader: StateSpace, t_f: float, t_c: float) -> np.ndarray:
+    """K = int_0^t_f k k' dt for the kernels k = (h_p, h_e, g_e), from the
+    players' own blocks (`build_player_ss`; only A and B are read): the 3x3
+    Gram matrix of which every cost of kernel-combination controls is a
+    quadratic form (`simulate.evaluate_cost`).
 
-    In the reversed time s = t_f - t the kernels are the players' own
-    position responses: h_p = -D_p exp(A_p s) B_p, h_e = D_e exp(A_e s) B_e
-    and g_e = D_e exp(A_e s) x_e with x_e = exp(A_e t_c) B_e, each player's
-    block (A, B) from `build_player_ss` and D picking its position. So the
-    four product integrals are quadratic forms of one observability
-    Gramian W = int_0^t_f exp(Y' s) d' d exp(Y s) ds of Y = diag(A_p, A_e)
-    and d = [D_p, D_e]: B_p' W_pp B_p, B_e' W_ee B_e, B_e' W_ee x_e and
-    x_e' W_ee x_e. The cross block W_pe also gives int h_p h_e =
-    -B_p' W_pe B_e and int h_p g_e = -B_p' W_pe x_e, which no coefficient
-    reads yet. mu_e comes from `_tail_weight`. No kernel samples are taken:
-    `kernels` is accepted and not read. Raises SolvabilityError when the
-    evader effort weight does not exceed the squared-kernel integral.
+    In the reversed time s = t_f - t the kernels are the players' position
+    responses: h_p = -D_p exp(A_p s) B_p, h_e = D_e exp(A_e s) B_e and
+    g_e = D_e exp(A_e s) x_e with x_e = exp(A_e t_c) B_e, D picking each
+    player's position. So every product integral is a quadratic form of one
+    observability Gramian W = int_0^t_f exp(Y' s) d' d exp(Y s) ds of
+    Y = diag(A_p, A_e) and d = [D_p, D_e] (`_gramian`): int h_p^2 =
+    B_p' W_pp B_p, int h_e^2 = B_e' W_ee B_e, int h_e g_e = B_e' W_ee x_e,
+    int g_e^2 = x_e' W_ee x_e, and from the cross block
+    int h_p h_e = -B_p' W_pe B_e and int h_p g_e = -B_p' W_pe x_e.
     """
-    pursuer = build_player_ss(scenario.pursuer)
-    ev = build_evader_ss(scenario.evader)
     n = pursuer.A.shape[0]
-    Y = np.zeros((n + ev.A.shape[0],) * 2)
+    Y = np.zeros((n + evader.A.shape[0],) * 2)
     Y[:n, :n] = pursuer.A
-    Y[n:, n:] = ev.A
+    Y[n:, n:] = evader.A
     d = np.zeros(Y.shape[0])
     d[0] = d[n] = 1.0
-    W = _gramian(Y.T, d, scenario.t_f)
-    W_ee = W[n:, n:]
-    B_p, B_e, x_e = pursuer.B, ev.B, mat_exp(ev.A, scenario.t_c) @ ev.B
-    integrals = (float(B_p @ W[:n, :n] @ B_p),
-                 float(B_e @ W_ee @ B_e),
-                 float(x_e @ W_ee @ B_e),
-                 float(x_e @ W_ee @ x_e))
+    W = _gramian(Y.T, d, t_f)
+    W_pe, W_ee = W[:n, n:], W[n:, n:]
+    B_p, B_e, x_e = pursuer.B, evader.B, mat_exp(evader.A, t_c) @ evader.B
+    hp_he, hp_ge = -float(B_p @ W_pe @ B_e), -float(B_p @ W_pe @ x_e)
+    he_ge = float(x_e @ W_ee @ B_e)
+    return np.array([[float(B_p @ W[:n, :n] @ B_p), hp_he, hp_ge],
+                     [hp_he, float(B_e @ W_ee @ B_e), he_ge],
+                     [hp_ge, he_ge, float(x_e @ W_ee @ x_e)]])
+
+
+def coefficients(scenario: EngagementScenario,
+                 kernels: Optional[Kernels] = None) -> GameCoefficients:
+    """All game coefficients from exact kernel integrals: int h_p^2,
+    int h_e^2, int h_e g_e and int g_e^2 are entries of the kernel Gram
+    matrix (`kernel_gram`), and mu_e comes from `_tail_weight`. No kernel
+    samples are taken: `kernels` is accepted and not read. Raises
+    SolvabilityError when the evader effort weight does not exceed the
+    squared-kernel integral.
+    """
+    ev = build_evader_ss(scenario.evader)
+    K = kernel_gram(build_player_ss(scenario.pursuer), ev, scenario.t_f, scenario.t_c)
     mu = _tail_weight(ev.A, ev.B, ev.D_row, scenario.t_c)
-    return _assemble(integrals, mu, scenario.alpha, scenario.beta, scenario.ae_max)
+    return _assemble((K.item(0, 0), K.item(1, 1), K.item(1, 2), K.item(2, 2)), mu,
+                     scenario.alpha, scenario.beta, scenario.ae_max)
 
 
 # -- closed forms for the first-order special case ---------------------------

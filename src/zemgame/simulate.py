@@ -3,10 +3,12 @@
 The reduced quantities run on the sample bundle of a grid
 (`Kernels.bundle`): the reduced right-hand sides do not depend on the
 state, so the classical one-step method collapses to Simpson panels over the
-control and kernel samples, and a cost is three dot products with the
-Simpson weights. The full-state playout integrates the stacked player blocks
-with the same classical RK4 in affine form (`rk4_affine`) and reconstructs
-the miss variables through the transition rows.
+control and kernel samples. The cost of two kernel-combination laws is a
+quadratic form in the kernels' Gram matrix (`Kernels.gram`), exact and
+without samples; any other cost is three dot products with the Simpson
+weights. The full-state playout integrates the stacked player blocks with
+the same classical RK4 in affine form (`rk4_affine`) and reconstructs the
+miss variables through the transition rows.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 from .engagement import EngagementScenario, build_game_ss
 from .errors import AssertionFailure, ProbeFailure
 from .numerics import TimeGrid, rk4_affine
-from .reduction import ControlLaw, Kernels, PeakScan, SampleBundle
+from .reduction import ControlLaw, KernelCombo, Kernels, PeakScan, SampleBundle
 
 if TYPE_CHECKING:  # pragma: no cover
     from .solver import SaddleSolution
@@ -106,15 +108,41 @@ def playout_reduced(scenario: EngagementScenario, kernels: Optional[Kernels],
                    up_samples=up[0::2], ue_samples=ue[0::2])
 
 
+def _combo_integrals(gram: np.ndarray, u_p: KernelCombo, u_e: KernelCombo,
+                     z0: float) -> tuple[float, float, float]:
+    """Terminal z, int u_p^2 and int u_e^2 of a pair of kernel combinations,
+    exactly: with c_p and c_e their coefficient rows on k = (h_p, h_e, g_e)
+    and K = int k k' (`Kernels.gram`), z_f = z0 + (K c_p)_0 + (K c_e)_1 and
+    the efforts are c' K c."""
+    coefs = np.array([[u_p.hp_coef, u_p.he_coef, u_p.ge_coef],
+                      [u_e.hp_coef, u_e.he_coef, u_e.ge_coef]])
+    kc = coefs @ gram
+    z_f = z0 + kc[0, 0] + kc[1, 1]
+    pursuer, evader = (kc * coefs).sum(axis=1).tolist()
+    if not np.isfinite((z_f, pursuer, evader)).all():
+        raise ValueError("non-finite cost")
+    return float(z_f), pursuer, evader
+
+
 def evaluate_cost(scenario: EngagementScenario, kernels: Optional[Kernels],
                   u_p: ControlLaw, u_e: ControlLaw,
                   grid: Optional[TimeGrid] = None) -> CostBreakdown:
     """Terminal miss squared plus weighted control efforts,
-    J = z_f^2 + alpha int u_p^2 - beta int u_e^2, over the grid (by default
-    the kernels' build grid)."""
+    J = z_f^2 + alpha int u_p^2 - beta int u_e^2.
+
+    When both laws are `KernelCombo`s the cost is exact over [0, t_f]: a
+    quadratic form in their coefficients with the kernels' Gram matrix
+    (`_combo_integrals`), and no grid is read. Any other pair is integrated
+    by Simpson's rule on the refined nodes of the grid (by default the
+    kernels' build grid; `_cost_integrals`).
+    """
     k = kernels if kernels is not None else Kernels(scenario)
-    bundle = k.bundle(grid)
-    z_f, up2, ue2 = _cost_integrals(bundle, bundle.control(u_p), bundle.control(u_e), scenario.z0)
+    if isinstance(u_p, KernelCombo) and isinstance(u_e, KernelCombo):
+        z_f, up2, ue2 = _combo_integrals(k.gram(), u_p, u_e, scenario.z0)
+    else:
+        bundle = k.bundle(grid)
+        z_f, up2, ue2 = _cost_integrals(bundle, bundle.control(u_p), bundle.control(u_e),
+                                        scenario.z0)
     terminal = z_f ** 2
     pursuer = scenario.alpha * up2
     evader = scenario.beta * ue2
@@ -180,7 +208,9 @@ def cross_play(scenario: EngagementScenario, u_p_choice: ControlLaw, u_e_choice:
                kernels: Optional[Kernels] = None,
                grid: Optional[TimeGrid] = None) -> CostBreakdown:
     """Cost of an arbitrary pairing of control laws (typically one player's
-    branch optimum against the other branch's)."""
+    branch optimum against the other branch's), by `evaluate_cost`: exact
+    from the kernels' Gram matrix for two `KernelCombo` laws, which is
+    every branch pairing, so a cross-play table samples no grid."""
     return evaluate_cost(scenario, kernels, u_p_choice, u_e_choice, grid)
 
 

@@ -17,15 +17,13 @@ import numpy as np
 
 from .engagement import EngagementScenario
 from .errors import AssertionFailure, NotInConstrainedRegion
-from .numerics import solve2
+from .numerics import solve2, solve2_entries
 from .reduction import (
     ControlLaw,
     GameCoefficients,
     KernelCombo,
     coefficients as build_coefficients,
 )
-
-_SIGN_FLIP = np.diag([1.0, -1.0])
 
 
 class RegionLabel(str, Enum):
@@ -104,21 +102,6 @@ class PenaltyRecord(NamedTuple):
     w_f: float
 
 
-@dataclass(frozen=True)
-class CaseIiiDiagnostic:
-    """Interior-case feasibility data for the two auxiliary fixed-pursuer
-    problems: the candidate terminal z and the terminal w it would imply,
-    against the open interval (-bound, bound)."""
-
-    z_bar_f1: float
-    z_bar_f2: float
-    w_interior_1: float
-    w_interior_2: float
-    bound: float
-    inside_1: bool
-    inside_2: bool
-
-
 def _gamma(sign: int, bound: float) -> np.ndarray:
     if sign not in (1, -1):
         raise ValueError("branch sign must be +1 or -1")
@@ -175,22 +158,10 @@ def solve_urg(coeffs: GameCoefficients, z0: float) -> UrgSolution:
 
 def solve_upg(coeffs: GameCoefficients, z0: float, w0: float, sign: int,
               eps: float) -> PenaltyRecord:
-    """Penalized unconstrained game for one terminal sign and penalty 1/eps.
-
-    Solves (G + diag(0, eps)) omega = b and returns the saddle controls and
-    the value omega' diag(1,-1) (G + diag(0, eps)) omega.
-    """
-    if not 0.0 < eps < np.inf:
-        raise ValueError("eps must be positive and finite")
-    gamma = _gamma(sign, coeffs.bound)
-    b = np.array([z0, w0]) + gamma
-    M = coeffs.G + np.diag([0.0, eps])
-    omega = solve2(M, b)
-    u_p, u_e = _branch_laws(coeffs, omega)
-    value = float(omega @ (_SIGN_FLIP @ M) @ omega)
-    z_f, v_f = omega
-    return PenaltyRecord(eps=float(eps), omega_eps=omega, u_p=u_p, u_e=u_e, value=value,
-                         z_f=float(z_f), w_f=float(sign * coeffs.bound + eps * v_f))
+    """Penalized unconstrained game for one terminal sign and penalty 1/eps:
+    the one-record case of `penalty_sweep`."""
+    (record,) = penalty_sweep(coeffs, z0, w0, sign, [eps])
+    return record
 
 
 def solve_erg_branch(coeffs: GameCoefficients, z0: float, w0: float, sign: int) -> BranchSolution:
@@ -306,8 +277,14 @@ def penalty_sweep(coeffs: GameCoefficients, z0: float, w0: float, sign: int,
                   eps_list: Optional[Sequence[float]] = None) -> list[PenaltyRecord]:
     """Solve the penalized game along a descending sequence of eps.
 
-    The terminal w of the penalized solution sits at sign*bound + eps*v, so
-    the records expose the approach to the constrained branch.
+    For each eps, (G + diag(0, eps)) omega = b is solved and the value is
+    omega' diag(1,-1) (G + diag(0, eps)) omega. Only the (1, 1) entry of the
+    system matrix changes with eps, so every eps is solved at once by the
+    explicit 2x2 inverse and its singularity test, elementwise
+    (`solve2_entries`), which raises NearSingularError at the first
+    singular eps. The terminal w of the penalized solution sits at
+    sign*bound + eps*v, so the records expose the approach to the
+    constrained branch.
     """
     if eps_list is None:
         eps_list = DEFAULT_EPS_SWEEP
@@ -316,43 +293,17 @@ def penalty_sweep(coeffs: GameCoefficients, z0: float, w0: float, sign: int,
         raise ValueError("eps values must be positive and finite")
     if any(later >= earlier for earlier, later in zip(eps_arr, eps_arr[1:])):
         raise ValueError("eps values must be strictly descending")
-    return [solve_upg(coeffs, z0, w0, sign, eps) for eps in eps_arr]
-
-
-def check_case_iii_infeasible(coeffs: GameCoefficients, z0: float, w0: float) -> CaseIiiDiagnostic:
-    """Confirm that, outside the strip, neither fixed-pursuer auxiliary
-    problem can settle strictly inside the terminal interval.
-
-    Raises AssertionFailure if an interior candidate appears, which the
-    solvable game forbids.
-    """
-    region = classify(coeffs, z0, w0)
-    if region.label is RegionLabel.OMEGA:
-        raise NotInConstrainedRegion(
-            "case analysis applies only outside the unconstrained strip"
-        )
-    diag = case_iii_positions(coeffs, z0, w0)
-    if diag.inside_1 or diag.inside_2:
-        raise AssertionFailure(
-            "interior terminal candidate found outside the strip at (%g, %g)" % (z0, w0)
-        )
-    return diag
-
-
-def case_iii_positions(coeffs: GameCoefficients, z0: float, w0: float) -> CaseIiiDiagnostic:
-    """Interior-case candidates for any initial position (no region guard)."""
-    chi0 = np.array([z0, w0])
-    bound = coeffs.bound
-    one_minus_nu_e = 1.0 - coeffs.nu_e
-    z_bars = []
-    for sign in (1, -1):
-        omega_fix = solve2(coeffs.G, chi0 + _gamma(sign, bound))
-        z_bars.append((z0 - coeffs.nu_p * omega_fix[0]) / one_minus_nu_e)
-    w1 = w0 + coeffs.G2 * z_bars[0]
-    w2 = w0 + coeffs.G2 * z_bars[1]
-    return CaseIiiDiagnostic(
-        z_bar_f1=z_bars[0], z_bar_f2=z_bars[1],
-        w_interior_1=w1, w_interior_2=w2, bound=bound,
-        inside_1=bool(-bound < w1 < bound),
-        inside_2=bool(-bound < w2 < bound),
-    )
+    eps = np.array(eps_arr)
+    b0, b1 = np.array([z0, w0]) + _gamma(sign, coeffs.bound)
+    (m00, m01), (m10, m11) = coeffs.G.tolist()
+    m11 = m11 + eps
+    z_f, v_f = solve2_entries(m00, m01, m10, m11, b0, b1)
+    value = (z_f * m00 - v_f * m10) * z_f + (z_f * m01 - v_f * m11) * v_f
+    w_f = sign * coeffs.bound + eps * v_f
+    records = []
+    for e, z, v, val, w in zip(eps_arr, z_f.tolist(), v_f.tolist(), value.tolist(), w_f.tolist()):
+        omega = np.array([z, v])
+        u_p, u_e = _branch_laws(coeffs, omega)
+        records.append(PenaltyRecord(eps=e, omega_eps=omega, u_p=u_p, u_e=u_e, value=val,
+                                     z_f=z, w_f=w))
+    return records

@@ -8,6 +8,7 @@ its own matrix-exponential and adaptive-quadrature path.
 """
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
@@ -15,7 +16,9 @@ from types import SimpleNamespace
 import numpy as np
 
 import zemgame as z
+from zemgame.errors import AssertionFailure, NotInConstrainedRegion
 from zemgame.simulate import _simpson_panels
+from zemgame.solver import _gamma
 
 ORACLE = SimpleNamespace(
     beta_star=0.243832425334,
@@ -116,6 +119,13 @@ def random_scenario(rng, max_order=3):
     return scenario, z.Kernels(scenario)
 
 
+@functools.cache
+def random_draws():
+    """8 `random_scenario` draws of orders 0-10, each with its kernels."""
+    rng = np.random.default_rng(1401)
+    return tuple(random_scenario(rng, max_order=10) for _ in range(8))
+
+
 def random_first_order(rng):
     tau_p = float(rng.uniform(0.08, 0.5))
     tau_e = float(rng.uniform(0.05, 0.3))
@@ -173,3 +183,57 @@ def dense_peaks(coefficients, basis):
     for i in range(0, len(coefficients), 8):
         out[i:i + 8] = np.abs(coefficients[i:i + 8] @ basis).max(axis=1)
     return out
+
+
+@dataclass(frozen=True)
+class CaseIiiDiagnostic:
+    """Interior-case feasibility data for the two auxiliary fixed-pursuer
+    problems: the candidate terminal z and the terminal w it would imply,
+    against the open interval (-bound, bound)."""
+
+    z_bar_f1: float
+    z_bar_f2: float
+    w_interior_1: float
+    w_interior_2: float
+    bound: float
+    inside_1: bool
+    inside_2: bool
+
+
+def check_case_iii_infeasible(coeffs, z0, w0):
+    """Confirm that, outside the strip, neither fixed-pursuer auxiliary
+    problem can settle strictly inside the terminal interval.
+
+    Raises AssertionFailure if an interior candidate appears, which the
+    solvable game forbids.
+    """
+    region = z.classify(coeffs, z0, w0)
+    if region.label is z.RegionLabel.OMEGA:
+        raise NotInConstrainedRegion(
+            "case analysis applies only outside the unconstrained strip"
+        )
+    diag = case_iii_positions(coeffs, z0, w0)
+    if diag.inside_1 or diag.inside_2:
+        raise AssertionFailure(
+            "interior terminal candidate found outside the strip at (%g, %g)" % (z0, w0)
+        )
+    return diag
+
+
+def case_iii_positions(coeffs, z0, w0):
+    """Interior-case candidates for any initial position (no region guard)."""
+    chi0 = np.array([z0, w0])
+    bound = coeffs.bound
+    one_minus_nu_e = 1.0 - coeffs.nu_e
+    z_bars = []
+    for sign in (1, -1):
+        omega_fix = z.solve2(coeffs.G, chi0 + _gamma(sign, bound))
+        z_bars.append((z0 - coeffs.nu_p * omega_fix[0]) / one_minus_nu_e)
+    w1 = w0 + coeffs.G2 * z_bars[0]
+    w2 = w0 + coeffs.G2 * z_bars[1]
+    return CaseIiiDiagnostic(
+        z_bar_f1=z_bars[0], z_bar_f2=z_bars[1],
+        w_interior_1=w1, w_interior_2=w2, bound=bound,
+        inside_1=bool(-bound < w1 < bound),
+        inside_2=bool(-bound < w2 < bound),
+    )

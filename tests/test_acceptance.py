@@ -23,7 +23,6 @@ import pytest
 
 from zemgame import (
     RegionLabel,
-    check_case_iii_infeasible,
     classify,
     coefficients,
     first_order_coefficients,
@@ -36,7 +35,7 @@ from zemgame import (
 )
 from zemgame.reference import CHECKS, MINUS_POSITION, PLUS_POSITION, POSITION, STRIP_POSITION
 
-from helpers import ORACLE, random_scenario
+from helpers import ORACLE, check_case_iii_infeasible, random_scenario
 
 
 def _report(criterion: str, ok: bool, detail: str):

@@ -261,6 +261,20 @@ class TestBundleSamples:
         assert sampled == grids
 
 
+    @pytest.mark.parametrize("argv", [["table1"], ["table1", str(STUDY_FILE)]],
+                             ids=["builtin", "file"])
+    def test_table1_samples_nothing(self, capsys, monkeypatch, argv):
+        """Every cross-play entry pairs two kernel combinations, so its cost
+        is exact from the kernel Gram matrix: `table1` samples no grid."""
+        sampled = []
+        sample = SampleBundle.__dict__["sample"].__func__
+        monkeypatch.setattr(SampleBundle, "sample", classmethod(
+            lambda cls, kernels, grid: sampled.append(grid) or sample(cls, kernels, grid)))
+        assert main(argv) == EXIT_OK
+        assert "saddle ordering: OK / OK" in capsys.readouterr().out
+        assert sampled == []
+
+
 def test_plain_solve_builds_no_grid(study_file, capsys, monkeypatch):
     """The grid of --csv and --probe is built only when one of them reads
     it; --grid is still checked."""
@@ -315,6 +329,27 @@ class TestSweep:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "finite" in captured.err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--eps-steps", "1"], "error: --eps-steps must be at least 2\n"),
+        (["--eps-to", "nan"], "error: --eps-from and --eps-to must be finite\n"),
+        (["--eps-from", "0"], "error: --eps-from and --eps-to must be positive\n"),
+        (["--eps-to=-1e-6"],"error: --eps-from and --eps-to must be positive\n"),
+        (["--eps-from", "1e-6", "--eps-to", "1"],
+         "error: --eps-from must be larger than --eps-to: the sweep descends\n"),
+        (["--eps-from", "0.1", "--eps-to", "0.1"],
+         "error: --eps-from must be larger than --eps-to: the sweep descends\n"),
+    ])
+    def test_flags_checked_before_the_scenario(self, tmp_path, capsys, flags, message):
+        """A bad flag is a usage error (exit 1) even on an unsolvable
+        scenario, which would exit 2 once read, as `solve --grid 1` does."""
+        path = write_doc(tmp_path, lambda d: d["weights"].update(beta=0.1))
+        assert main(["solve", path, "--grid", "1"]) == EXIT_USAGE
+        capsys.readouterr()
+        assert main(["sweep", path] + flags) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", message)
+        assert main(["sweep", path]) == EXIT_SOLVABILITY
 
 
 class TestTable1:

@@ -10,13 +10,13 @@ from zemgame import (
     TimeGrid,
     build_evader_ss,
     build_game_ss,
-    build_player_ss,
     build_relative_ss,
     initial_zem,
     mat_exp,
     ode_playout,
     resolve_horizons,
 )
+from zemgame.engagement import build_player_ss
 
 from helpers import psi_ref, random_controller
 

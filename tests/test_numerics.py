@@ -281,7 +281,9 @@ def rk4_loop(A, forcing, x0, nodes):
     ts = refined(nodes)
 
     def rhs(t, x):
-        return A @ x + forcing[int(np.argmin(np.abs(ts - t)))]
+        i = int(np.searchsorted(ts, t))  # the nearest of ts[i - 1] and ts[i]
+        i -= i == ts.size or (i > 0 and t - ts[i - 1] <= ts[i] - t)
+        return A @ x + forcing[i]
 
     return ode_playout(rhs, x0, TimeGrid(nodes))
 
@@ -318,6 +320,18 @@ class TestRk4Affine:
     def test_step_counts(self, steps):
         nodes = np.linspace(0.0, 1.3, steps + 1)
         self.assert_matches_loop(*game_case((1, 2), nodes, seed=steps), nodes)
+
+    @pytest.mark.parametrize("n_nodes", [2, 3, 100, 2001, 20001])
+    def test_doubling_scan(self, monkeypatch, n_nodes):
+        """Uniform grids run the log-depth doubling scan alone: the blocked
+        scan is not entered."""
+        def no_fallback(*args):
+            raise AssertionError("blocked scan entered on a uniform grid")
+
+        monkeypatch.setattr(numerics, "_blocked_scan", no_fallback)
+        nodes = np.linspace(0.0, 1.3, n_nodes)
+        assert progression_step(nodes) is not None
+        self.assert_matches_loop(*game_case((2, 3), nodes, seed=n_nodes), nodes)
 
     def test_non_uniform_grid(self):
         nodes = np.linspace(0.0, 1.0, 2001) ** 1.5

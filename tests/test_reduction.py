@@ -20,7 +20,7 @@ from zemgame import numerics, reduction, reference
 from zemgame.cli import load_scenario
 from zemgame.errors import AssertionFailure, SolvabilityError
 
-from helpers import (MIXED_ORDERS, ORACLE, oscillator, psi_ref, random_controller,
+from helpers import (MIXED_ORDERS, ORACLE, oscillator, psi_ref, random_controller, random_draws,
                      random_first_order, random_scenario, solvability_threshold)
 
 # Deterministic draws: the same examples on every run, no example database.
@@ -289,6 +289,46 @@ class TestExactIntegrals:
         assert c.a == pytest.approx(G2 / G1, rel=1e-10)
         assert c.bound == pytest.approx(bound, rel=1e-10)
         np.testing.assert_allclose(c.G, [[G1, G2], [-G2, G3]], rtol=1e-10, atol=0.0)
+
+
+class TestKernelGram:
+    """`Kernels.gram` against adaptive quadrature of the sampled kernel
+    products, each entry K_ij to 1e-12 of sqrt(K_ii K_jj), which bounds it:
+    the two entries that no coefficient reads, int h_p h_e and
+    int h_p g_e, as well as the four that `coefficients` shares."""
+
+    CASES = ["study", "mixed"] + ["random%d" % i for i in range(4)]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_against_quadrature(self, study_scenario, case):
+        if case == "study":
+            scenario = study_scenario
+        elif case == "mixed":
+            scenario, _ = load_scenario(str(MIXED_ORDERS))
+        else:
+            scenario, _ = random_draws()[int(case[6:])]
+        k = Kernels(scenario)
+        memo = {}
+
+        def kern(t):
+            if t not in memo:
+                (hp, he), ge = k.sample_engagement(t), k.sample_target(t)
+                memo[t] = (hp[0], he[0], ge[0])
+            return memo[t]
+
+        gram = k.gram()
+        for i, j in ((0, 1), (0, 2), (0, 0), (1, 1), (1, 2), (2, 2)):
+            quad = z.quad_adaptive(lambda t: kern(t)[i] * kern(t)[j], 0.0, scenario.t_f, tol=1e-14)
+            scale = np.sqrt(gram[i, i] * gram[j, j])  # bounds |gram[i, j]|
+            assert abs(gram[i, j] - quad) <= 1e-12 * scale, (i, j)
+
+    def test_coefficients_read_the_gram_matrix(self, study_scenario, study_coeffs):
+        """The four entries `coefficients` reads are the Gram matrix's,
+        bit for bit."""
+        gram, c = Kernels(study_scenario).gram(), study_coeffs
+        assert gram[0, 0] / c.alpha == c.nu_p and gram[1, 1] == c.beta_star
+        assert gram[1, 2] / c.beta == c.G2 and gram[2, 2] / c.beta == c.G3
+        assert gram[0, 1] < 0.0 and gram[0, 2] < 0.0  # h_p opposes h_e and g_e
 
 
 class TestCoefficients:

@@ -33,7 +33,7 @@ from zemgame.reduction import PeakScan, SampleBundle
 from zemgame.simulate import _initial_full_state, _simpson_panels
 
 from helpers import (MIXED_ORDERS, ORACLE, admissible_evader_perturbation, check_terminal,
-                     dense_peaks, random_controller, random_scenario)
+                     dense_peaks, random_controller, random_draws, random_scenario)
 
 # Deterministic draws: the same examples on every run, no example database.
 DRAWS = dict(deadline=None, derandomize=True, database=None)
@@ -101,6 +101,94 @@ class TestEvaluateCost:
             cost = evaluate_cost(study_scenario, study_kernels, branch.u_p, branch.u_e)
             assert cost.total == pytest.approx(expected, rel=1e-6)
             assert cost.total == pytest.approx(branch.value, rel=1e-6)
+
+
+def simpson_cost(scenario, kernels, u_p, u_e):
+    """(z_f, int u_p^2, int u_e^2) by Simpson's rule on the 4001 refined
+    nodes of the build grid: the reference of the exact kernel-combo path."""
+    bundle = kernels.bundle()
+    return simulate._cost_integrals(bundle, bundle.control(u_p), bundle.control(u_e), scenario.z0)
+
+
+def combo_pairs(coeffs, z0, w0, rng):
+    """The dispatched saddle pair, the four branch pairings, and two pairs
+    of random combinations of all three kernels on each side."""
+    branches = [solve_erg_branch(coeffs, z0, w0, sign) for sign in (1, -1)]
+    pairs = [(p.u_p, e.u_e) for p in branches for e in branches]
+    pairs += [tuple(KernelCombo(*rng.uniform(-50.0, 50.0, 3)) for _ in "pe") for _ in range(2)]
+    return pairs
+
+
+class TestExactCost:
+    """Costs of two `KernelCombo` laws are quadratic forms in the kernel
+    Gram matrix (`Kernels.gram`), read without a grid.
+
+    Against Simpson's rule on the 4001 refined nodes of the build grid the
+    band is 2e-12 of the cost scale z^2 + alpha int u_p^2 + beta int u_e^2,
+    with z the sum of the magnitudes of z0, int h_p u_p and int h_e u_e
+    rather than z_f itself: the sampled kernels carry the rounding of their
+    doubled transition rows, ~6e-13 relative, and where those terms cancel
+    in z_f that error is not scaled down with them. Measured: at most
+    8.2e-13 of the plain cost scale on the study and 5.9e-13 on mixed
+    orders, but 2.7e-12 on one random draw, whose z_f is off by 3.0e-10
+    of itself and 3.9e-13 of its term sum; against the term sum, 4.6e-13
+    at most. Each Gram entry agrees with adaptive quadrature to 1e-13
+    (`test_reduction.TestKernelGram`), so the gap is the reference's."""
+
+    def assert_matches_simpson(self, scenario, kernels, coeffs, rng):
+        magnitudes = np.abs(kernels.gram())
+        for u_p, u_e in combo_pairs(coeffs, scenario.z0, scenario.w0, rng):
+            cost = evaluate_cost(scenario, kernels, u_p, u_e)
+            z_f, up2, ue2 = simpson_cost(scenario, kernels, u_p, u_e)
+            pursuer, evader = scenario.alpha * up2, scenario.beta * ue2
+            terms = [magnitudes @ np.abs([u.hp_coef, u.he_coef, u.ge_coef]) for u in (u_p, u_e)]
+            z_scale = abs(scenario.z0) + terms[0][0] + terms[1][1]
+            scale = z_scale ** 2 + pursuer + evader
+            assert abs(cost.total - (z_f ** 2 + pursuer - evader)) <= 2e-12 * scale
+            assert abs(cost.pursuer_effort - pursuer) <= 2e-12 * scale
+            assert abs(cost.evader_effort - evader) <= 2e-12 * scale
+
+    def test_study_against_simpson(self, study_scenario, study_kernels, study_coeffs):
+        rng = np.random.default_rng(14)
+        for z0, w0 in ((100.0, -100.0), (100.0, -50.0), (100.0, 50.0), (-100.0, -20.0)):
+            sc = dataclasses.replace(study_scenario, z0=z0, w0=w0, geometry=None)
+            self.assert_matches_simpson(sc, study_kernels, study_coeffs, rng)
+
+    def test_mixed_orders_against_simpson(self, mixed):
+        self.assert_matches_simpson(*mixed, np.random.default_rng(15))
+
+    @pytest.mark.parametrize("draw", range(8))
+    def test_random_orders_against_simpson(self, draw):
+        scenario, kernels = random_draws()[draw]
+        self.assert_matches_simpson(scenario, kernels, coefficients(scenario),
+                                    np.random.default_rng(draw))
+
+    def test_saddle_value(self, study_scenario, study_kernels, study_coeffs, mixed):
+        """The dispatched pair's exact cost is the solver's value."""
+        cases = [(dataclasses.replace(study_scenario, z0=z0, w0=w0, geometry=None),
+                  study_kernels, study_coeffs)
+                 for z0, w0 in ((100.0, -100.0), (100.0, -50.0), (100.0, 50.0), (-100.0, -20.0))]
+        for scenario, kernels, coeffs in cases + [mixed]:
+            sol = solve_rg(scenario, coeffs=coeffs)
+            cost = evaluate_cost(scenario, kernels, sol.u_p, sol.u_e)
+            assert cost.total == pytest.approx(sol.value, rel=1e-14, abs=0.0)
+
+    def test_reads_no_grid(self, study_scenario, study_coeffs):
+        """A grid argument is not read, not even one that reaches past t_f,
+        and no bundle is built."""
+        k = z.Kernels(study_scenario)
+        sol = solve_rg(study_scenario, coeffs=study_coeffs)
+        cost = evaluate_cost(study_scenario, k, sol.u_p, sol.u_e, TimeGrid.uniform(0.0, 2.0, 7))
+        assert cost == evaluate_cost(study_scenario, k, sol.u_p, sol.u_e)
+        assert [v for v in vars(k).values() if isinstance(v, SampleBundle)] == []
+        with pytest.raises(ValueError, match="outside"):
+            evaluate_cost(study_scenario, k, sol.u_p, Constant(1.0), TimeGrid.uniform(0.0, 2.0, 7))
+
+    def test_gram_formed_once(self, study_scenario):
+        k = z.Kernels(study_scenario)
+        gram = k.gram()
+        assert k.gram() is gram and not gram.flags.writeable
+        np.testing.assert_array_equal(gram, gram.T)
 
 
 class TestCheckTerminal:
@@ -679,13 +767,15 @@ class TestMemory:
     def test_off_grid_memo(self, study_scenario, study_coeffs):
         """Costs on 12 distinct 2500-node grids: each builds one bundle
         (about 0.66 MB at its peak) and keeps it in place of the last
-        (about 0.36 MB held), so neither the peak nor what stays grows."""
+        (about 0.36 MB held), so neither the peak nor what stays grows.
+        The evader law is a constant, so that the cost is sampled: a pair
+        of kernel combinations reads no grid."""
         k = z.Kernels(study_scenario)
         sol = solve_rg(study_scenario, coeffs=study_coeffs)
 
         def costs():
             for end in np.linspace(0.9, 1.0, 12):
-                evaluate_cost(study_scenario, k, sol.u_p, sol.u_e,
+                evaluate_cost(study_scenario, k, sol.u_p, Constant(100.0),
                               TimeGrid.uniform(0.0, end, 2500))
 
         peak, held = self.traced(costs)

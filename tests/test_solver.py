@@ -8,8 +8,6 @@ from zemgame import (
     KernelCombo,
     RegionLabel,
     aux_cross,
-    case_iii_positions,
-    check_case_iii_infeasible,
     classify,
     coefficients,
     evaluate_cost,
@@ -24,9 +22,10 @@ from zemgame import (
 )
 from zemgame import reference
 from zemgame.cli import load_scenario
-from zemgame.errors import NotInConstrainedRegion
+from zemgame.errors import NearSingularError, NotInConstrainedRegion
 
-from helpers import MIXED_ORDERS, ORACLE, oscillator, random_controller, random_scenario
+from helpers import (MIXED_ORDERS, ORACLE, case_iii_positions, check_case_iii_infeasible,
+                     oscillator, random_controller, random_scenario)
 
 
 class TestClassify:
@@ -390,6 +389,52 @@ class TestPenaltySweep:
             penalty_sweep(study_coeffs, 1.0, 1.0, 1, [1.0, 2.0])
         with pytest.raises(ValueError):
             penalty_sweep(study_coeffs, 1.0, 1.0, 1, [1.0, -0.1])
+
+    @staticmethod
+    def assert_ulps(got, want, scale=None, ulps=4):
+        assert abs(got - want) <= ulps * np.spacing(abs(want if scale is None else scale)), \
+            (got, want)
+
+    @pytest.mark.parametrize("case", ["study", "mixed", "random"])
+    def test_records_match_per_eps_solves(self, study_coeffs, case):
+        """Every record of the one-pass sweep against solve2 of its own
+        system and the matrix value form omega' diag(1,-1) M omega, on the
+        default eps and on 25 from 10 down to 1e-9: omega and w_f to 4 ulp,
+        the value to 4 ulp of |omega|' |M| |omega|, the size of its terms
+        (the two forms sum them in different orders, and they cancel)."""
+        if case == "study":
+            sets = [(study_coeffs, 100.0, -100.0)]
+        elif case == "mixed":
+            scenario, _ = load_scenario(str(MIXED_ORDERS))
+            sets = [(coefficients(scenario), scenario.z0, scenario.w0)]
+        else:
+            rng = np.random.default_rng(1403)
+            sets = [(coefficients(random_scenario(rng, max_order=10)[0]),
+                     *rng.uniform(-150.0, 150.0, 2)) for _ in range(4)]
+        for c, z0, w0 in sets:
+            for sign in (1, -1):
+                for eps_list in (None, np.geomspace(10.0, 1e-9, 25)):
+                    records = penalty_sweep(c, z0, w0, sign, eps_list)
+                    for r in records:
+                        M = c.G + np.diag([0.0, r.eps])
+                        omega = solve2(M, np.array([z0, w0 - sign * c.bound]))
+                        value = float(omega @ (np.diag([1.0, -1.0]) @ M) @ omega)
+                        for got, want in zip(r.omega_eps, omega):
+                            self.assert_ulps(got, want)
+                        self.assert_ulps(r.value, value, np.abs(omega) @ np.abs(M) @ np.abs(omega))
+                        self.assert_ulps(r.w_f, sign * c.bound + r.eps * omega[1])
+                        assert (r.z_f, r.u_p.hp_coef) == (r.omega_eps[0], -r.z_f / c.alpha)
+
+    def test_first_singular_eps_raises(self, study_coeffs):
+        """G + diag(0, eps) is singular at eps = 0.01 exactly (determinant
+        0) and near-singular just below it (about -1e-14): the error names
+        the first."""
+        c = dataclasses.replace(study_coeffs, G=np.array([[1.0, 0.0], [0.0, -0.01]]))
+        with pytest.raises(NearSingularError, match=r"determinant 0 .* \(system 1\)"):
+            penalty_sweep(c, 1.0, 1.0, 1, [1.0, 0.01, 0.01 - 1e-14, 1e-3])
+        assert len(penalty_sweep(c, 1.0, 1.0, 1, [1.0, 1e-3])) == 2
+        with pytest.raises(NearSingularError, match=r"determinant 0 is below"):
+            solve_upg(c, 1.0, 1.0, 1, 0.01)
 
     @pytest.mark.parametrize("eps_list", [[float("nan")] * 3, [float("inf"), 1.0, 1e-6],
                                           [1.0, 1e-3, float("nan")]])
