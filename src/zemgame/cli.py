@@ -85,10 +85,26 @@ def _finite(value, path: str) -> float:
     return float(value)
 
 
-def _numbers(value, path: str) -> list[float]:
+def _numbers(value, path: str, matrix: bool = False) -> np.ndarray:
+    """A list of finite numbers as a float array; with `matrix`, a list of
+    equal-length lists of them as a 2-d array. JSON numbers are exactly the
+    ints and floats, so one pass over the entry types and one conversion
+    serve a valid list; any other goes entry by entry, in order, through
+    `_finite`, which names the first bad entry as it always has."""
     if not isinstance(value, list):
         raise ScenarioFormatError("key %r must be a list of numbers" % path)
-    return [_finite(v, path) for v in value]
+    entries = [v for row in value for v in row] if matrix else value
+    if all(type(v) is float or type(v) is int for v in entries):
+        try:
+            out = np.array(value, dtype=float)
+        except OverflowError:  # an int beyond float range
+            pass
+        else:
+            if np.isfinite(out).all():
+                return out
+    if matrix:
+        return np.array([[_finite(v, path) for v in row] for row in value])
+    return np.array([_finite(v, path) for v in value])
 
 
 def _parse_player(doc: dict, path: str) -> ControllerModel:
@@ -104,7 +120,7 @@ def _parse_player(doc: dict, path: str) -> ControllerModel:
     if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)
             and len({len(row) for row in rows}) <= 1):
         raise ScenarioFormatError("key %r must be a list of equal-length lists" % (path + ".A"))
-    A = np.array([_numbers(row, path + ".A") for row in rows]) if rows else np.zeros((0, 0))
+    A = _numbers(rows, path + ".A", matrix=True) if rows else np.zeros((0, 0))
     b = _numbers(_get(doc, path + ".b"), path + ".b")
     c = _numbers(_get(doc, path + ".c"), path + ".c")
     d = _number(doc, path + ".d")

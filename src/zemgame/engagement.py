@@ -9,6 +9,7 @@ zero-effort-miss reduction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -24,7 +25,7 @@ def _as_float_array(value, shape, name: str) -> np.ndarray:
 
 def _require_finite(obj, names) -> None:
     for name in names:
-        if not np.isfinite(getattr(obj, name)):
+        if not math.isfinite(getattr(obj, name)):
             raise ValueError("%s must be finite" % name)
 
 

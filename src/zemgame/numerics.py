@@ -91,6 +91,12 @@ def psi(t):
     return out
 
 
+def _norm1(M: np.ndarray):
+    """||M||_1, the largest column sum of |M|: the arithmetic of
+    `np.linalg.norm(M, 1)` without its dispatch."""
+    return np.abs(M).sum(axis=0).max()
+
+
 def _powers(M: np.ndarray) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Squarings s for exp(M) and M / 2^s with its even powers 2, 4, 6.
 
@@ -102,17 +108,18 @@ def _powers(M: np.ndarray) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.
     saved halves the amplification of the rounding error. The powers are
     first formed at the norm-based scaling, so none can overflow.
     """
-    norm = float(np.linalg.norm(M, 1))
+    norm = float(_norm1(M))
     s = int(np.ceil(np.log2(norm / _PADE13_THETA))) if norm > _PADE13_THETA else 0
-    M = M / 2.0 ** s
+    if s:
+        M = M / 2.0 ** s
     M2 = M @ M
     M4 = M2 @ M2
     M6 = M4 @ M2
     if s == 0:
         return s, M, M2, M4, M6
-    d6 = np.linalg.norm(M6, 1) ** (1.0 / 6.0)
-    d8 = np.linalg.norm(M4 @ M4, 1) ** (1.0 / 8.0)
-    d10 = np.linalg.norm(M4 @ M6, 1) ** (1.0 / 10.0)
+    d6 = _norm1(M6) ** (1.0 / 6.0)
+    d8 = _norm1(M4 @ M4) ** (1.0 / 8.0)
+    d10 = _norm1(M4 @ M6) ** (1.0 / 10.0)
     eta = min(max(d6, d8), max(d8, d10))
     if eta > 0.0:
         fewer = s - max(0, int(np.ceil(np.log2(eta / _PADE13_ETA_THETA))) + s)
@@ -129,13 +136,14 @@ def _pade_ell(M: np.ndarray) -> int:
     """Extra squarings the Pade-13 backward error of M asks for (ell in
     Al-Mohy and Higham 2009, from || |M|^27 ||_1); a count past any saving
     when that power overflows."""
-    norm = float(np.linalg.norm(M, 1))
+    p1 = np.abs(M)
+    ones_p1 = p1.sum(axis=0)
+    norm = float(ones_p1.max())
     if norm == 0.0:
         return 0
-    p1 = np.abs(M)
     p2 = p1 @ p1
     p8 = (p2 @ p2) @ (p2 @ p2)
-    column_sums = ((p1.sum(axis=0) @ p2) @ p8) @ (p8 @ p8)  # 1' |M|^27
+    column_sums = ((ones_p1 @ p2) @ p8) @ (p8 @ p8)  # 1' |M|^27
     alpha = float(column_sums.max()) / (norm * _PADE13_ABS_C_RECIP)
     if not np.isfinite(alpha):
         return 1 << 30
@@ -146,14 +154,16 @@ def _pade_ell(M: np.ndarray) -> int:
 
 def scaled_exp(M: np.ndarray) -> tuple[int, np.ndarray]:
     """Squarings s for exp(M) (`_powers`) and the diagonal Pade-13
-    approximant of exp(M / 2^s); s squarings of it give exp(M)."""
+    approximant of exp(M / 2^s); s squarings of it give exp(M). The
+    identity terms b_1 I and b_0 I are added to the diagonals in place."""
     s, M, M2, M4, M6 = _powers(M)
     b = _PADE13_B
-    ident = np.eye(M.shape[0])
-    U = M @ (M6 @ (b[13] * M6 + b[11] * M4 + b[9] * M2)
-             + b[7] * M6 + b[5] * M4 + b[3] * M2 + b[1] * ident)
-    V = (M6 @ (b[12] * M6 + b[10] * M4 + b[8] * M2)
-         + b[6] * M6 + b[4] * M4 + b[2] * M2 + b[0] * ident)
+    step = M.shape[0] + 1  # of the diagonal in the (C-contiguous) sums of products
+    inner = M6 @ (b[13] * M6 + b[11] * M4 + b[9] * M2) + b[7] * M6 + b[5] * M4 + b[3] * M2
+    inner.ravel()[::step] += b[1]
+    U = M @ inner
+    V = M6 @ (b[12] * M6 + b[10] * M4 + b[8] * M2) + b[6] * M6 + b[4] * M4 + b[2] * M2
+    V.ravel()[::step] += b[0]
     return s, np.linalg.solve(V - U, V + U)
 
 

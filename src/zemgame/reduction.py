@@ -41,22 +41,29 @@ def _transition_rows(D: np.ndarray, A: np.ndarray, deltas: np.ndarray) -> np.nda
     """Rows D exp(A delta) for an ascending array of nonnegative deltas.
 
     A uniform progression delta_0 + i h (`progression_step`: a uniform
-    grid, its nodes or its midpoints) is built by repeated doubling: with
-    E = exp(A h), rows[k:2k] = rows[:k] @ E and then E = E @ E, so n rows
-    cost about log2(n) matrix products. Any other set costs one matrix
-    exponential per point.
+    grid, its nodes or its midpoints) is built by doubling from its first
+    row (`_progression_rows`). Any other set costs one matrix exponential
+    per point.
     """
     deltas = np.asarray(deltas, dtype=float)
     n = deltas.size
-    rows = np.empty((n, A.shape[0]))
     if n == 0:
-        return rows
+        return np.empty((0, A.shape[0]))
     step = progression_step(deltas)
     if step is None:
+        rows = np.empty((n, A.shape[0]))
         for i, delta in enumerate(deltas):
             rows[i] = D @ mat_exp(A, delta)
         return rows
-    rows[0] = D @ mat_exp(A, deltas[0]) if deltas[0] != 0.0 else D
+    return _progression_rows(D @ mat_exp(A, deltas[0]) if deltas[0] != 0.0 else D, A, step, n)
+
+
+def _progression_rows(first: np.ndarray, A: np.ndarray, step: float, n: int) -> np.ndarray:
+    """The n rows first exp(A i h), i = 0..n-1, for the step h, by repeated
+    doubling: with E = exp(A h), rows[k:2k] = rows[:k] @ E and then
+    E = E @ E, so n rows cost about log2(n) matrix products."""
+    rows = np.empty((n, A.shape[0]))
+    rows[0] = first
     E = mat_exp(A, step) if n > 1 else None
     k = 1
     while k < n:
@@ -202,10 +209,24 @@ class Sampled:
 ControlLaw = Union[KernelCombo, Constant, AffineInTime, Sampled]
 
 
+def _horizon_tol(t_f: float) -> float:
+    """How far a time may sit outside [0, t_f] and still count as inside."""
+    return 1e-9 * max(1.0, t_f)
+
+
 def _check_in_horizon(ts: np.ndarray, t_f: float):
-    tol = 1e-9 * max(1.0, t_f)
+    tol = _horizon_tol(t_f)
     if ts.min() < -tol or ts.max() > t_f + tol:
         raise ValueError("control evaluated outside [0, %g]" % t_f)
+
+
+def check_spans_horizon(grid: TimeGrid, t_f: float):
+    """Refuse a grid that does not run from 0 to t_f, within the tolerance
+    of `_check_in_horizon`."""
+    tol = _horizon_tol(t_f)
+    if abs(grid.t_start) > tol or abs(grid.t_end - t_f) > tol:
+        raise ValueError("grid spans [%g, %g], not the horizon [0, %g]"
+                         % (grid.t_start, grid.t_end, t_f))
 
 
 def _sample_explicit(law: ControlLaw, ts: np.ndarray) -> np.ndarray:
@@ -483,9 +504,23 @@ def _augmented(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def _sign_cells(A: np.ndarray, span: float) -> int:
-    """Cells of the sign scan of a kernel over [0, span]: at least 256, and
-    at least 4 per radian of the fastest oscillation, max |Im lambda(A)| * span."""
-    omega = float(np.abs(np.linalg.eigvals(A).imag).max())
+    """Cells of the sign scan of a player's position kernel over [0, span]:
+    at least 256, and at least 4 per radian of the fastest oscillation,
+    max |Im lambda(A)| * span.
+
+    A is a player block (`build_player_ss`): the double integrator over the
+    controller block A_c = A[2:, 2:] adds two zero eigenvalues, so only the
+    spectrum of A_c is read. It has no imaginary part at order 1 or below,
+    and Bendixson's bound max |Im lambda| <= 0.5 ||A_c - A_c'||_1 settles the
+    floor of 256 cells, with a cell to spare, without it.
+    """
+    controller = A[2:, 2:]
+    if controller.shape[0] < 2:
+        return _MIN_SIGN_CELLS
+    skew = np.abs(controller - controller.T).sum(axis=0).max()
+    if 2.0 * skew * span <= _MIN_SIGN_CELLS - 1:
+        return _MIN_SIGN_CELLS
+    omega = float(np.abs(np.linalg.eigvals(controller).imag).max())
     cells = max(_MIN_SIGN_CELLS, int(math.ceil(4.0 * omega * span)))
     if cells > _MAX_SIGN_CELLS:
         raise ValueError("evader oscillation of %g rad/s over t_c = %g needs %d sign-scan "
@@ -501,19 +536,22 @@ def _tail_weight(A: np.ndarray, B: np.ndarray, D: np.ndarray, t_c: float) -> flo
     of the kernel together with both end points. Sign changes are found on a
     uniform scan (`_sign_cells`) and refined by safeguarded Newton steps;
     P is stationary at a root, so a root error delta costs only O(delta^2).
+    Without a sign change on the scan the integral is |P(t_c)|.
     """
     if t_c == 0.0:
         return 0.0
     n = A.shape[0]
     M = _augmented(A, B)
-    AB = A @ B
-    start = np.append(D, 0.0)
-    s = np.linspace(0.0, t_c, _sign_cells(A, t_c) + 1)
-    rows = _transition_rows(start, M, s)
+    cells = _sign_cells(A, t_c)
+    rows = _progression_rows(np.append(D, 0.0), M, t_c / cells, cells + 1)
     g = rows[:, :n] @ B
     signs = np.sign(g)
     nz = np.flatnonzero(signs)
     change = np.flatnonzero(signs[nz[:-1]] != signs[nz[1:]])
+    if change.size == 0:
+        return abs(float(rows[-1, n]))
+    AB = A @ B
+    s = np.linspace(0.0, t_c, cells + 1)
     knots = [0.0]
     for i, j in zip(nz[change].tolist(), nz[change + 1].tolist()):
         lo, hi = s[i], s[j]
@@ -563,8 +601,9 @@ def kernel_gram(pursuer: StateSpace, evader: StateSpace, t_f: float, t_c: float)
 
     In the reversed time s = t_f - t the kernels are the players' position
     responses: h_p = -D_p exp(A_p s) B_p, h_e = D_e exp(A_e s) B_e and
-    g_e = D_e exp(A_e s) x_e with x_e = exp(A_e t_c) B_e, D picking each
-    player's position. So every product integral is a quadratic form of one
+    g_e = D_e exp(A_e s) x_e with x_e = exp(A_e t_c) B_e (B_e itself at
+    t_c = 0, so that g_e = h_e there exactly), D picking each player's
+    position. So every product integral is a quadratic form of one
     observability Gramian W = int_0^t_f exp(Y' s) d' d exp(Y s) ds of
     Y = diag(A_p, A_e) and d = [D_p, D_e] (`_gramian`): int h_p^2 =
     B_p' W_pp B_p, int h_e^2 = B_e' W_ee B_e, int h_e g_e = B_e' W_ee x_e,
@@ -579,7 +618,8 @@ def kernel_gram(pursuer: StateSpace, evader: StateSpace, t_f: float, t_c: float)
     d[0] = d[n] = 1.0
     W = _gramian(Y.T, d, t_f)
     W_pe, W_ee = W[:n, n:], W[n:, n:]
-    B_p, B_e, x_e = pursuer.B, evader.B, mat_exp(evader.A, t_c) @ evader.B
+    B_p, B_e = pursuer.B, evader.B
+    x_e = mat_exp(evader.A, t_c) @ B_e if t_c != 0.0 else B_e
     hp_he, hp_ge = -float(B_p @ W_pe @ B_e), -float(B_p @ W_pe @ x_e)
     he_ge = float(x_e @ W_ee @ B_e)
     return np.array([[float(B_p @ W[:n, :n] @ B_p), hp_he, hp_ge],

@@ -21,7 +21,8 @@ import numpy as np
 from .engagement import EngagementScenario, build_game_ss
 from .errors import AssertionFailure, ProbeFailure
 from .numerics import TimeGrid, rk4_affine
-from .reduction import ControlLaw, KernelCombo, Kernels, PeakScan, SampleBundle
+from .reduction import (ControlLaw, KernelCombo, Kernels, PeakScan, SampleBundle,
+                        check_spans_horizon)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .solver import SaddleSolution
@@ -130,12 +131,16 @@ def evaluate_cost(scenario: EngagementScenario, kernels: Optional[Kernels],
     """Terminal miss squared plus weighted control efforts,
     J = z_f^2 + alpha int u_p^2 - beta int u_e^2.
 
-    When both laws are `KernelCombo`s the cost is exact over [0, t_f]: a
-    quadratic form in their coefficients with the kernels' Gram matrix
-    (`_combo_integrals`), and no grid is read. Any other pair is integrated
-    by Simpson's rule on the refined nodes of the grid (by default the
-    kernels' build grid; `_cost_integrals`).
+    A grid, when given, must span [0, t_f] (`check_spans_horizon`); any
+    other is refused with ValueError. When both laws are `KernelCombo`s the
+    cost is exact over [0, t_f]: a quadratic form in their coefficients
+    with the kernels' Gram matrix (`_combo_integrals`), and the grid is not
+    sampled. Any other pair is integrated by Simpson's rule on the refined
+    nodes of the grid (by default the kernels' build grid;
+    `_cost_integrals`).
     """
+    if grid is not None:
+        check_spans_horizon(grid, scenario.t_f)
     k = kernels if kernels is not None else Kernels(scenario)
     if isinstance(u_p, KernelCombo) and isinstance(u_e, KernelCombo):
         z_f, up2, ue2 = _combo_integrals(k.gram(), u_p, u_e, scenario.z0)

@@ -1,7 +1,13 @@
 import pytest
+from hypothesis import settings
 
 import zemgame as z
 from zemgame import reference
+
+# Every property test draws the same examples on every run, keeps no
+# example database and has no deadline.
+settings.register_profile("zemgame", deadline=None, derandomize=True, database=None)
+settings.load_profile("zemgame")
 
 
 @pytest.fixture(scope="session")

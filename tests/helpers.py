@@ -17,6 +17,8 @@ import numpy as np
 
 import zemgame as z
 from zemgame.errors import AssertionFailure, NotInConstrainedRegion
+from zemgame.numerics import (_PADE13_ABS_C_RECIP, _PADE13_B, _PADE13_ETA_THETA,
+                              _PADE13_THETA)
 from zemgame.simulate import _simpson_panels
 from zemgame.solver import _gamma
 
@@ -237,3 +239,60 @@ def case_iii_positions(coeffs, z0, w0):
         inside_1=bool(-bound < w1 < bound),
         inside_2=bool(-bound < w2 < bound),
     )
+
+
+# -- the Pade-13 exponential as it stood before its 1-norms and identity
+# terms dropped numpy's wrappers: `numerics._powers`, `_pade_ell` and
+# `scaled_exp`, verbatim, for bit-for-bit comparison.
+
+
+def _reference_powers(M):
+    norm = float(np.linalg.norm(M, 1))
+    s = int(np.ceil(np.log2(norm / _PADE13_THETA))) if norm > _PADE13_THETA else 0
+    M = M / 2.0 ** s
+    M2 = M @ M
+    M4 = M2 @ M2
+    M6 = M4 @ M2
+    if s == 0:
+        return s, M, M2, M4, M6
+    d6 = np.linalg.norm(M6, 1) ** (1.0 / 6.0)
+    d8 = np.linalg.norm(M4 @ M4, 1) ** (1.0 / 8.0)
+    d10 = np.linalg.norm(M4 @ M6, 1) ** (1.0 / 10.0)
+    eta = min(max(d6, d8), max(d8, d10))
+    if eta > 0.0:
+        fewer = s - max(0, int(np.ceil(np.log2(eta / _PADE13_ETA_THETA))) + s)
+        if fewer > 0:
+            fewer -= _reference_pade_ell(M * 2.0 ** fewer)
+        if fewer > 0:
+            scale = 2.0 ** fewer
+            s -= fewer
+            M, M2, M4, M6 = M * scale, M2 * scale ** 2, M4 * scale ** 4, M6 * scale ** 6
+    return s, M, M2, M4, M6
+
+
+def _reference_pade_ell(M):
+    norm = float(np.linalg.norm(M, 1))
+    if norm == 0.0:
+        return 0
+    p1 = np.abs(M)
+    p2 = p1 @ p1
+    p8 = (p2 @ p2) @ (p2 @ p2)
+    column_sums = ((p1.sum(axis=0) @ p2) @ p8) @ (p8 @ p8)  # 1' |M|^27
+    alpha = float(column_sums.max()) / (norm * _PADE13_ABS_C_RECIP)
+    if not np.isfinite(alpha):
+        return 1 << 30
+    if alpha == 0.0:
+        return 0
+    return max(0, int(np.ceil(np.log2(alpha / 2.0 ** -53) / 26.0)))
+
+
+def pade13_reference(M):
+    """(s, Pade-13 approximant of exp(M / 2^s)), as `numerics.scaled_exp`."""
+    s, M, M2, M4, M6 = _reference_powers(M)
+    b = _PADE13_B
+    ident = np.eye(M.shape[0])
+    U = M @ (M6 @ (b[13] * M6 + b[11] * M4 + b[9] * M2)
+             + b[7] * M6 + b[5] * M4 + b[3] * M2 + b[1] * ident)
+    V = (M6 @ (b[12] * M6 + b[10] * M4 + b[8] * M2)
+         + b[6] * M6 + b[4] * M4 + b[2] * M2 + b[0] * ident)
+    return s, np.linalg.solve(V - U, V + U)

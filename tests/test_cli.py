@@ -112,6 +112,44 @@ class TestClassify:
         assert captured.err.startswith("scenario error")
         assert "players.%s.%s" % (side, key) in captured.err
 
+    @pytest.mark.parametrize("key", ["A", "b", "c"])
+    @pytest.mark.parametrize("value, problem", [
+        (True, "a number"), (False, "a number"), ("1.0", "a number"), (None, "a number"),
+        (float("nan"), "finite"), (float("inf"), "finite"), (float("-inf"), "finite"),
+        (10 ** 400, "finite"), (-10 ** 400, "finite"),
+    ], ids=["true", "false", "string", "null", "nan", "inf", "-inf", "int-beyond-float",
+            "-int-beyond-float"])
+    @pytest.mark.parametrize("entry", [0, -1])
+    def test_matrix_entries_named(self, tmp_path, capsys, key, value, problem, entry):
+        """One bad entry in the controller's A, b or c, first or last: the
+        scenario error names the key and what is wrong, and exits 1."""
+        doc = json.loads(MIXED_ORDERS.read_text())
+        node = doc["players"]["pursuer"]
+        if key == "A":
+            node["A"][entry][entry] = value
+        else:
+            node[key][entry] = value
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        assert main(["solve", str(path)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("scenario error: key 'players.pursuer.%s' must be %s\n"
+                                % (key, problem))
+
+    @pytest.mark.parametrize("first, second, problem", [
+        (float("nan"), "x", "finite"), ("x", float("nan"), "a number"),
+        (10 ** 400, True, "finite"), (True, 10 ** 400, "a number"),
+    ])
+    def test_first_bad_entry_named(self, tmp_path, capsys, first, second, problem):
+        doc = json.loads(MIXED_ORDERS.read_text())
+        doc["players"]["pursuer"]["b"] = [first, second]
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        assert main(["classify", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "scenario error: key 'players.pursuer.b' must be %s\n" % problem)
+
     def test_bad_json_reports_line(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{ not json")

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import zemgame as z
 from zemgame import (
     Kernels, TimeGrid, build_game_ss, mat_exp, ode_playout, psi, quad_adaptive, reference, solve2,
 )
@@ -11,7 +13,7 @@ from zemgame.numerics import progression_step, rk4_affine, scaled_exp
 from zemgame.errors import NearSingularError
 from zemgame.reference import CHECKS
 
-from helpers import ORACLE, psi_ref, random_controller
+from helpers import ORACLE, oscillator, pade13_reference, psi_ref, random_controller
 
 
 class TestPsi:
@@ -97,6 +99,60 @@ class TestMatExp:
             whole = mat_exp(A, s + t)
             split = mat_exp(A, s) @ mat_exp(A, t)
             np.testing.assert_allclose(whole, split, rtol=0, atol=1e-10 * np.abs(whole).max())
+
+
+class TestPade13Reference:
+    """`scaled_exp` and `mat_exp` equal the Pade-13 exponential as it stood
+    with `np.linalg.norm` and `np.eye` (`pade13_reference`) bit for bit:
+    the same squarings and the same array."""
+
+    @staticmethod
+    def assert_matches(M):
+        s, E = scaled_exp(M)
+        want_s, want = pade13_reference(M)
+        assert s == want_s
+        assert np.array_equal(E, want)
+        with np.errstate(over="ignore", invalid="ignore"):  # exp(M) of a large norm
+            for _ in range(want_s):
+                want = want @ want
+            assert np.array_equal(mat_exp(M), want, equal_nan=True)
+
+    @settings(max_examples=300)
+    @given(seed=st.integers(0, 2 ** 32 - 1), size=st.integers(1, 48),
+           log_norm=st.floats(-3.0, 4.0))
+    def test_random_matrices(self, seed, size, log_norm):
+        """Sizes 1 to 48 at 1-norms from 1e-3 to 1e4."""
+        M = np.random.default_rng(seed).standard_normal((size, size))
+        M *= 10.0 ** log_norm / np.abs(M).sum(axis=0).max()
+        self.assert_matches(M)
+
+    @pytest.mark.parametrize("size", [1, 2, 12, 48])
+    def test_zero_matrix(self, size):
+        self.assert_matches(np.zeros((size, size)))
+
+    @pytest.mark.parametrize("case", ["tau_e=1e-5", "omega=1e3"])
+    def test_every_exponential_of_coefficients(self, monkeypatch, case):
+        """Every argument `coefficients` hands the exponential: the Van
+        Loan block, exp(A_e t_c) and the tail weight's scan step and Newton
+        steps, for a stiff lag and a lightly damped oscillator."""
+        evader = (z.ControllerModel.first_order(1e-5) if case == "tau_e=1e-5"
+                  else oscillator(1e3, 0.02))
+        scenario = z.EngagementScenario(
+            pursuer=z.ControllerModel.first_order(0.2), evader=evader, t_f=1.0, t_c=0.9,
+            alpha=0.05, beta=1.0, ae_max=100.0, z0=100.0, w0=-100.0)
+        seen = []
+
+        def recording(M):
+            seen.append(M.copy())
+            return scaled_exp(M)
+
+        monkeypatch.setattr(numerics, "scaled_exp", recording)
+        monkeypatch.setattr(reduction, "scaled_exp", recording)
+        z.coefficients(scenario)
+        monkeypatch.undo()
+        assert max(M.shape[0] for M in seen) == 2 * (1 + evader.order + 4)
+        for M in seen:
+            self.assert_matches(M)
 
 
 class TestQuadAdaptive:

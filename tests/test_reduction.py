@@ -23,9 +23,6 @@ from zemgame.errors import AssertionFailure, SolvabilityError
 from helpers import (MIXED_ORDERS, ORACLE, oscillator, psi_ref, random_controller, random_draws,
                      random_first_order, random_scenario, solvability_threshold)
 
-# Deterministic draws: the same examples on every run, no example database.
-DRAWS = dict(deadline=None, derandomize=True, database=None)
-
 # Lags log-uniform on [1e-5, 1]; horizons from t_f = 0.02 and tails from 0
 # up, so t_f/tau and t_c/tau_e reach well below 1, where the closed forms
 # switch to power series.
@@ -48,16 +45,24 @@ def exact_and_closed(tau_p, tau_e, t_f, t_c):
     return coefficients(z.first_order_scenario(*args)), first_order_coefficients(*args)
 
 
+def sign_cells_rule(A, span):
+    """The scan's cell count from the spectrum of the whole player block:
+    max(256, ceil(4 max |Im lambda(A)| span))."""
+    omega = float(np.abs(np.linalg.eigvals(A).imag).max())
+    return max(256, int(np.ceil(4.0 * omega * span)))
+
+
 def tail_weight_loop(A, B, D, t_c):
     """`reduction._tail_weight` with its sign changes paired by a Python loop
-    over the scan cells, as before the pairing was vectorised; the
+    over the scan cells, as before the pairing was vectorised, its cells
+    from `sign_cells_rule` and its scan times from `linspace`; the
     reference for bitwise-equal mu_e."""
     if t_c == 0.0:
         return 0.0
     n = A.shape[0]
     M = reduction._augmented(A, B)
     AB = A @ B
-    s = np.linspace(0.0, t_c, reduction._sign_cells(A, t_c) + 1)
+    s = np.linspace(0.0, t_c, sign_cells_rule(A, t_c) + 1)
     rows = reduction._transition_rows(np.append(D, 0.0), M, s)
     g = rows[:, :n] @ B
     signs = np.sign(g)
@@ -200,29 +205,78 @@ class TestMuE:
                                    inp=[0.0, omega ** 2], out=[-1.0, 0.0], feed=1.0)
         assert_mu_e_matches_loop(evader, 0.9)
 
-    @settings(max_examples=50, **DRAWS)
+    @settings(max_examples=50)
     @given(seed=st.integers(0, 2 ** 32 - 1), order=st.integers(0, 10),
            t_c=st.floats(0.05, 2.0))
     def test_random_controller_matches_cell_loop(self, seed, order, t_c):
         assert_mu_e_matches_loop(random_controller(np.random.default_rng(seed), order), t_c)
 
 
+class TestSignCells:
+    """`_sign_cells` reads the controller block and skips the eigenvalues
+    where they cannot lift the count above its floor; the count is the rule
+    on the whole player block (`sign_cells_rule`) all the same, and mu_e
+    stays bit for bit the cell loop's."""
+
+    @staticmethod
+    def assert_rule_and_mu_e(model, t_c):
+        A = z.build_evader_ss(model).A
+        assert reduction._sign_cells(A, t_c) == sign_cells_rule(A, t_c)
+        assert_mu_e_matches_loop(model, t_c)
+
+    @settings(max_examples=100)
+    @given(seed=st.integers(0, 2 ** 32 - 1), order=st.integers(0, 10),
+           speed=st.floats(0.0, 2.5).map(lambda e: 10.0 ** e), feed=st.sampled_from([0.0, 0.6]),
+           t_c=st.floats(0.05, 2.0))
+    def test_random_controllers(self, seed, order, speed, feed, t_c):
+        """Random controllers of orders 0-10, their dynamics sped up 1 to
+        ~300 times, so that the eigenvalues decide the count in some draws
+        and Bendixson's bound in others, with and without feedthrough."""
+        model = random_controller(np.random.default_rng(seed), order)
+        model = dataclasses.replace(model, sys=speed * model.sys, inp=speed * model.inp, feed=feed)
+        self.assert_rule_and_mu_e(model, t_c)
+
+    @settings(max_examples=50)
+    @given(omega=st.floats(1.0, 3.0).map(lambda e: 10.0 ** e), zeta=st.floats(0.01, 0.9),
+           t_c=st.floats(0.05, 2.0))
+    def test_oscillators(self, omega, zeta, t_c):
+        self.assert_rule_and_mu_e(oscillator(omega, zeta), t_c)
+
+    @pytest.mark.parametrize("model, t_c, eigvals", [
+        (z.ControllerModel.zero_order(), 0.9, 0),
+        (z.ControllerModel.first_order(1e-5), 50.0, 0),
+        (oscillator(10.0, 0.05), 1.0, 0),  # Bendixson: omega <= 50.5, 4 * 50.5 <= 255
+        (oscillator(10.0, 0.05), 2.0, 1),
+        (oscillator(1e3, 0.05), 0.9, 1),
+    ])
+    def test_eigenvalues_only_when_they_can_count(self, monkeypatch, model, t_c, eigvals):
+        calls = []
+        original = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a.shape) or original(a))
+        A = z.build_evader_ss(model).A
+        cells = reduction._sign_cells(A, t_c)
+        monkeypatch.undo()
+        assert cells == sign_cells_rule(A, t_c)
+        assert len(calls) == eigvals
+        assert all(shape == (model.order, model.order) for shape in calls)
+
+
 class TestExactIntegrals:
-    @settings(max_examples=200, **DRAWS)
+    @settings(max_examples=200)
     @given(tau_p=LAG, tau_e=LAG, t_f=st.floats(0.02, 10.0), t_c=TAIL)
     def test_first_order_closed_form(self, tau_p, tau_e, t_f, t_c):
         exact, closed = exact_and_closed(tau_p, tau_e, t_f, t_c)
         for name, value in INTEGRALS.items():
             assert value(exact) == pytest.approx(value(closed), rel=1e-10, abs=0.0), name
 
-    @settings(max_examples=200, **DRAWS)
+    @settings(max_examples=200)
     @given(tau_p=LAG, tau_e=LAG, t_f=st.floats(10.0, 50.0), t_c=TAIL)
     def test_first_order_closed_form_long_horizon(self, tau_p, tau_e, t_f, t_c):
         exact, closed = exact_and_closed(tau_p, tau_e, t_f, t_c)
         for name, value in INTEGRALS.items():
             assert value(exact) == pytest.approx(value(closed), rel=5e-10, abs=0.0), name
 
-    @settings(max_examples=20, **DRAWS)
+    @settings(max_examples=20)
     @given(seed=st.integers(0, 2 ** 32 - 1), order_p=st.integers(0, 10),
            order_e=st.integers(0, 10))
     def test_adaptive_quadrature(self, seed, order_p, order_e):
@@ -353,6 +407,24 @@ class TestCoefficients:
             assert 2 * (sc.pursuer.order + sc.evader.order + 4) == size
             assert sizes.count(size) == 1
             assert max(sizes) == size
+            # at t_c = 0, x_e = B_e and the tail weight is 0: the block alone
+            sizes.clear()
+            coefficients(dataclasses.replace(sc, t_c=0.0))
+            assert sizes == [size]
+
+    def test_zero_tail_gives_equal_kernels(self, study_scenario):
+        """At t_c = 0, g_e is h_e: G2, G3 and nu_e come out equal bit for
+        bit, on the study, on mixed orders and on random draws of orders
+        0-10."""
+        mixed, _ = load_scenario(str(MIXED_ORDERS))
+        cases = [study_scenario, mixed] + [sc for sc, _ in random_draws()]
+        for sc in cases:
+            sc = dataclasses.replace(sc, t_c=0.0, geometry=None)
+            c = coefficients(sc)
+            assert c.G2 == c.G3 == c.nu_e
+            assert c.mu_e == 0.0 and c.constraint_degenerate
+            gram = Kernels(sc).gram()
+            assert gram[1, 1] == gram[1, 2] == gram[2, 2] and gram[0, 1] == gram[0, 2]
 
     def test_study_matrix(self, study_coeffs):
         for i in range(2):

@@ -35,9 +35,6 @@ from zemgame.simulate import _initial_full_state, _simpson_panels
 from helpers import (MIXED_ORDERS, ORACLE, admissible_evader_perturbation, check_terminal,
                      dense_peaks, random_controller, random_draws, random_scenario)
 
-# Deterministic draws: the same examples on every run, no example database.
-DRAWS = dict(deadline=None, derandomize=True, database=None)
-
 ZERO = KernelCombo()
 
 
@@ -174,15 +171,37 @@ class TestExactCost:
             assert cost.total == pytest.approx(sol.value, rel=1e-14, abs=0.0)
 
     def test_reads_no_grid(self, study_scenario, study_coeffs):
-        """A grid argument is not read, not even one that reaches past t_f,
-        and no bundle is built."""
+        """A 7-node grid over [0, t_f] is not sampled and no bundle is
+        built; a grid reaching past t_f is refused for both pairs."""
         k = z.Kernels(study_scenario)
         sol = solve_rg(study_scenario, coeffs=study_coeffs)
-        cost = evaluate_cost(study_scenario, k, sol.u_p, sol.u_e, TimeGrid.uniform(0.0, 2.0, 7))
+        coarse = TimeGrid.uniform(0.0, study_scenario.t_f, 7)
+        cost = evaluate_cost(study_scenario, k, sol.u_p, sol.u_e, coarse)
         assert cost == evaluate_cost(study_scenario, k, sol.u_p, sol.u_e)
         assert [v for v in vars(k).values() if isinstance(v, SampleBundle)] == []
-        with pytest.raises(ValueError, match="outside"):
-            evaluate_cost(study_scenario, k, sol.u_p, Constant(1.0), TimeGrid.uniform(0.0, 2.0, 7))
+        for u_e in (sol.u_e, Constant(1.0)):
+            with pytest.raises(ValueError, match="not the horizon"):
+                evaluate_cost(study_scenario, k, sol.u_p, u_e, TimeGrid.uniform(0.0, 2.0, 7))
+
+    @pytest.mark.parametrize("start, end", [(0.0, 0.9), (0.1, 1.0), (-0.1, 1.0), (0.0, 1.1)])
+    def test_partial_grid_refused(self, study_scenario, study_kernels, study_coeffs, start, end):
+        """A grid that does not span [0, t_f] is refused for every pair of
+        laws, through `cross_play` too, where a kernel-combination pair used
+        to return its full-horizon cost; ends within the horizon tolerance
+        pass."""
+        sol = solve_rg(study_scenario, coeffs=study_coeffs)
+        grid = TimeGrid.uniform(start, end, 2500)
+        pairs = [(sol.u_p, sol.u_e), (sol.u_p, Constant(100.0)), (Constant(1.0), sol.u_e),
+                 (AffineInTime(-400.0, 400.0), Constant(1.0))]
+        for u_p, u_e in pairs:
+            with pytest.raises(ValueError, match="not the horizon"):
+                evaluate_cost(study_scenario, study_kernels, u_p, u_e, grid)
+            with pytest.raises(ValueError, match="not the horizon"):
+                cross_play(study_scenario, u_p, u_e, study_kernels, grid)
+        t_f = study_scenario.t_f
+        nearly = TimeGrid(np.linspace(-0.5e-9, t_f + 0.5e-9, 2500))
+        for u_p, u_e in pairs:
+            evaluate_cost(study_scenario, study_kernels, u_p, u_e, nearly)
 
     def test_gram_formed_once(self, study_scenario):
         k = z.Kernels(study_scenario)
@@ -701,7 +720,7 @@ class TestFullEquivalence:
         assert_full_matches_loop(study_scenario, branch.u_p, AffineInTime(-30.0, 40.0),
                                  grid, study_kernels)
 
-    @settings(max_examples=20, **DRAWS)
+    @settings(max_examples=20)
     @given(seed=st.integers(0, 2 ** 32 - 1), order_p=st.integers(0, 10),
            order_e=st.integers(0, 10))
     def test_random_controllers(self, seed, order_p, order_e):
@@ -765,18 +784,18 @@ class TestMemory:
         assert self.order_ten_peak("power") <= 3.7e6
 
     def test_off_grid_memo(self, study_scenario, study_coeffs):
-        """Costs on 12 distinct 2500-node grids: each builds one bundle
-        (about 0.66 MB at its peak) and keeps it in place of the last
-        (about 0.36 MB held), so neither the peak nor what stays grows.
-        The evader law is a constant, so that the cost is sampled: a pair
-        of kernel combinations reads no grid."""
+        """Costs on 12 distinct grids over [0, t_f] of 2490 to 2501 nodes:
+        each builds one bundle (about 0.66 MB at its peak) and keeps it in
+        place of the last (about 0.36 MB held), so neither the peak nor what
+        stays grows. The evader law is a constant, so that the cost is
+        sampled: a pair of kernel combinations reads no grid."""
         k = z.Kernels(study_scenario)
         sol = solve_rg(study_scenario, coeffs=study_coeffs)
 
         def costs():
-            for end in np.linspace(0.9, 1.0, 12):
+            for n in range(2490, 2502):
                 evaluate_cost(study_scenario, k, sol.u_p, Constant(100.0),
-                              TimeGrid.uniform(0.0, end, 2500))
+                              TimeGrid.uniform(0.0, study_scenario.t_f, n))
 
         peak, held = self.traced(costs)
         assert peak <= 1.5e6
