@@ -28,6 +28,7 @@ from .engagement import (
 )
 from .errors import (
     AssertionFailure,
+    NoControlAuthority,
     ProbeFailure,
     ScenarioFormatError,
     SolvabilityError,
@@ -397,7 +398,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _main_parser().parse_args(argv)
         return args.func(args)
-    except ScenarioFormatError as exc:
+    except (ScenarioFormatError, NoControlAuthority) as exc:
         print("scenario error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     except SolvabilityError as exc:

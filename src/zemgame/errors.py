@@ -23,6 +23,17 @@ class SolvabilityError(ZemGameError):
         )
 
 
+class NoControlAuthority(ZemGameError):
+    """The evader cannot move its terminal miss w: its kernel g_e is zero,
+    as for a controller with no input or no output, so the constrained
+    systems F and G are singular and the scenario defines no game."""
+
+    def __init__(self, int_ge2: float):
+        self.int_ge2 = int_ge2
+        super().__init__("the evader has no control authority over its terminal miss: "
+                         "int g_e^2 = %g makes det F zero" % int_ge2)
+
+
 class NearSingularError(ZemGameError):
     """A 2x2 system matrix has a determinant below the singularity threshold."""
 

@@ -24,8 +24,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .engagement import (EngagementScenario, StateSpace, build_evader_ss, build_player_ss,
                          build_relative_ss, first_order_scenario)
-from .errors import AssertionFailure, SolvabilityError
-from .numerics import PSI_SERIES, TimeGrid, mat_exp, progression_step, scaled_exp
+from .errors import AssertionFailure, NoControlAuthority, SolvabilityError
+from .numerics import PSI_SERIES, TimeGrid, mat_exp, progression_step, rk4_affine, scaled_exp
 
 # Sign scan of the tail kernel: fewest cells, and the most before the input
 # is refused (bounded work); Newton steps per root.
@@ -266,7 +266,8 @@ class SampleBundle:
     reconstruction.
 
     Every reduced playout, cost and probe on the grid reads its kernel
-    values from here, so a grid is sampled once per kernel set.
+    values from here, so a grid is sampled once per kernel set. `players`
+    holds the player blocks (`build_player_ss`) that `responses` integrates.
     """
 
     grid: TimeGrid
@@ -277,7 +278,11 @@ class SampleBundle:
     weights: np.ndarray
     node_rows_engagement: np.ndarray
     node_rows_target: np.ndarray
+    players: tuple[StateSpace, StateSpace] = field(repr=False, compare=False)
     _legendre: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    _running: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
+    _responses: Optional["KernelResponses"] = field(default=None, init=False, repr=False,
+                                                    compare=False)
 
     @classmethod
     def sample(cls, kernels: Kernels, grid: TimeGrid) -> "SampleBundle":
@@ -292,7 +297,7 @@ class SampleBundle:
         return cls(grid=grid, ts=ts, h_p=rows_ep @ kernels._B_ep, h_e=rows_ep @ kernels._C_ep,
                    g_e=rows_e @ kernels._B_e, weights=weights,
                    node_rows_engagement=rows_ep[0::2].copy(),
-                   node_rows_target=rows_e[0::2].copy())
+                   node_rows_target=rows_e[0::2].copy(), players=kernels._players)
 
     def control(self, law: ControlLaw) -> np.ndarray:
         """Values of a control law on the refined nodes; kernel laws are
@@ -304,6 +309,30 @@ class SampleBundle:
                      if coef != 0.0]
             return sum(terms, 0.0) if terms else np.zeros_like(self.ts)
         return _sample_explicit(law, self.ts)
+
+    def running_products(self) -> np.ndarray:
+        """Composite-Simpson integrals from the first node to each node of
+        h_p^2, h_e^2, h_e g_e and g_e^2 (cumulative sums of `simpson_panels`),
+        a (4 x nodes) array, first column zero; kept from the first call,
+        read-only."""
+        if self._running is None:
+            with np.errstate(over="ignore", invalid="ignore"):  # non-finite sums are refused
+                products = np.stack([self.h_p * self.h_p, self.h_e * self.h_e,
+                                     self.h_e * self.g_e, self.g_e * self.g_e])
+                panels = simpson_panels(products[:, 0::2], products[:, 1::2],
+                                        np.diff(self.grid.nodes))
+                running = np.zeros((4, self.grid.nodes.size))
+                np.cumsum(panels, axis=1, out=running[:, 1:])
+            running.flags.writeable = False
+            object.__setattr__(self, "_running", running)
+        return self._running
+
+    def responses(self) -> "KernelResponses":
+        """The `KernelResponses` of this grid, built on the first call and
+        kept."""
+        if self._responses is None:
+            object.__setattr__(self, "_responses", KernelResponses.of(self))
+        return self._responses
 
     def legendre_gram(self, size: int, span: float) -> tuple[np.ndarray, np.ndarray]:
         """Legendre polynomials of degree below `size` on [0, span] at the
@@ -327,6 +356,73 @@ class SampleBundle:
             object.__setattr__(self, "_legendre",
                                ((size, span), basis, products, PeakScan.of(basis, self.ts)))
         return self._legendre
+
+
+def simpson_panels(node_vals: np.ndarray, mid_vals: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """steps/6 (f_node + 4 f_mid + f_next) of values f on the refined nodes,
+    split into their node and midpoint values (along the last axis)."""
+    return steps / 6.0 * (node_vals[..., :-1] + 4.0 * mid_vals + node_vals[..., 1:])
+
+
+def _rk4_response(player: StateSpace, control: Optional[np.ndarray],
+                  nodes: np.ndarray) -> np.ndarray:
+    """`rk4_affine` over a player's own block from a unit lateral velocity
+    (control None), or from rest under a control on the refined nodes;
+    NaN rows if the state overflows, so every sum that reads them is
+    refused."""
+    x0 = np.zeros(player.A.shape[0])
+    if control is None:
+        x0[1] = 1.0
+        control = np.zeros(2 * nodes.size - 1)
+    try:
+        return rk4_affine(player.A, player.B[None], control[None], x0, nodes)
+    except ValueError:
+        return np.full((nodes.size, x0.size), np.nan)
+
+
+@dataclass(frozen=True)
+class KernelResponses:
+    """Trajectories on a bundle's grid of which every full-state playout of
+    kernel laws is a weighted sum.
+
+    The RK4 state is linear in the initial state and the controls, and the
+    player blocks are decoupled. So from lateral velocities v_p and v_e,
+    under u_p = c_p h_p and u_e = c_he h_e + c_ge g_e, the pursuer's states
+    are v_p pursuer[0] + c_p pursuer[1] and the evader's
+    v_e evader[0] + c_he evader[1] + c_ge evader[2], up to rounding, where
+    `pursuer` (2, nodes, n_p) and `evader` (3, nodes, n_e) hold
+    `_rk4_response`s. Row r of `z` (5 x nodes, the pursuer's first) and of
+    `w` (3 x nodes) is z or w rebuilt from trajectory r alone. Read-only.
+    """
+
+    pursuer: np.ndarray
+    evader: np.ndarray
+    z: np.ndarray
+    w: np.ndarray
+
+    @classmethod
+    def of(cls, bundle: SampleBundle) -> "KernelResponses":
+        nodes = bundle.grid.nodes
+        player_p, player_e = bundle.players
+        pursuer = np.stack([_rk4_response(player_p, control, nodes)
+                            for control in (None, bundle.h_p)])
+        evader = np.stack([_rk4_response(player_e, control, nodes)
+                           for control in (None, bundle.h_e, bundle.g_e)])
+        # z = rows . (x_e[:2] - x_p[:2], x_p[2:], x_e[2:]) in the relative
+        # state (`build_relative_ss`): each player's columns of the rows,
+        # the pursuer's first two negated
+        n_p = pursuer.shape[2]
+        rows = bundle.node_rows_engagement
+        rows_p = rows[:, :n_p].copy()
+        rows_p[:, :2] *= -1.0
+        rows_e = np.hstack([rows[:, :2], rows[:, n_p:]])
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite sums are refused
+            z = np.concatenate([np.einsum("ij,rij->ri", rows_p, pursuer),
+                                np.einsum("ij,rij->ri", rows_e, evader)])
+            w = np.einsum("ij,rij->ri", bundle.node_rows_target, evader)
+        for array in (pursuer, evader, z, w):
+            array.flags.writeable = False
+        return cls(pursuer=pursuer, evader=evader, z=z, w=w)
 
 
 @dataclass(frozen=True)
@@ -441,7 +537,14 @@ class GameCoefficients:
 
 def _assemble(integrals: tuple[float, float, float, float], mu: float,
               alpha: float, beta: float, ae_max: float) -> GameCoefficients:
-    """Coefficients from int h_p^2, h_e^2, h_e g_e, g_e^2 over [0, t_f] and mu."""
+    """Coefficients from int h_p^2, h_e^2, h_e g_e, g_e^2 over [0, t_f] and mu.
+
+    F1 = G1 - nu_p is formed as 1 - nu_e, which does not cancel as nu_p
+    grows. Solvability (beta > int h_e^2) makes F1 > 0, so det F = 0 only
+    when the evader cannot move its terminal miss w at all (int g_e^2 = 0,
+    and then int h_e g_e = 0 too, or their ratios to beta underflow); that
+    game is refused with NoControlAuthority before d divides by det F.
+    """
     int_hp2, int_he2, int_hege, int_ge2 = integrals
     if beta <= int_he2:
         raise SolvabilityError(beta, int_he2)
@@ -449,9 +552,11 @@ def _assemble(integrals: tuple[float, float, float, float], mu: float,
     nu_e = int_he2 / beta
     s = 1.0 + nu_p - nu_e
     G1, G2, G3 = s, int_hege / beta, int_ge2 / beta
-    F1 = G1 - nu_p
+    F1 = 1.0 - nu_e
     det_G = G1 * G3 + G2 * G2
     det_F = F1 * G3 + G2 * G2
+    if det_F == 0.0:
+        raise NoControlAuthority(int_ge2)
     d = nu_p * G2 * G2 / (G1 * det_F)
     # X = [[X1, G2], [-G2, G3]] has (X^-1)' diag(1,-1) = [[G3, -G2], [-G2, -X1]] / det X
     return GameCoefficients(
@@ -587,9 +692,10 @@ def mu_e(scenario: EngagementScenario) -> float:
 
 def integral_g_e(scenario: EngagementScenario) -> float:
     """int_0^t_f g_e dt, from one augmented exponential started at
-    D_e exp(A_e t_c)."""
+    D_e exp(A_e t_c) (D_e itself at t_c = 0, as in `kernel_gram`)."""
     ev = build_evader_ss(scenario.evader)
-    start = np.append(ev.D_row @ mat_exp(ev.A, scenario.t_c), 0.0)
+    row = ev.D_row @ mat_exp(ev.A, scenario.t_c) if scenario.t_c != 0.0 else ev.D_row
+    start = np.append(row, 0.0)
     return float(start @ mat_exp(_augmented(ev.A, ev.B), scenario.t_f)[:, -1])
 
 

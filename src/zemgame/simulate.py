@@ -9,6 +9,14 @@ without samples; any other cost is three dot products with the Simpson
 weights. The full-state playout integrates the stacked player blocks with
 the same classical RK4 in affine form (`rk4_affine`) and reconstructs the
 miss variables through the transition rows.
+
+Both playouts of kernel laws (u_p = c_p h_p, u_e = c_he h_e + c_ge g_e:
+every saddle, branch and penalty law) are weighted sums of what the bundle
+keeps once per grid: the running Simpson integrals of h_p^2, h_e^2, h_e g_e
+and g_e^2 (`SampleBundle.running_products`), and five RK4 responses of the
+player blocks with their z and w (`SampleBundle.responses`). The direct
+paths above run for every other pair, and for kernel laws whose sums are
+not finite.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from .engagement import EngagementScenario, build_game_ss
 from .errors import AssertionFailure, ProbeFailure
 from .numerics import TimeGrid, rk4_affine
 from .reduction import (ControlLaw, KernelCombo, Kernels, PeakScan, SampleBundle,
-                        check_spans_horizon)
+                        check_spans_horizon, simpson_panels)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .solver import SaddleSolution
@@ -64,10 +72,6 @@ class FullPlayout:
     miss: float
 
 
-def _simpson_panels(node_vals: np.ndarray, mid_vals: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    return steps / 6.0 * (node_vals[:-1] + 4.0 * mid_vals + node_vals[1:])
-
-
 def _cost_integrals(bundle: SampleBundle, up: np.ndarray, ue: np.ndarray,
                     z0: float) -> tuple[float, float, float]:
     """Terminal z, int u_p^2 and int u_e^2 of a control pair sampled on the
@@ -81,6 +85,15 @@ def _cost_integrals(bundle: SampleBundle, up: np.ndarray, ue: np.ndarray,
     return float(z_f), float(pursuer), float(evader)
 
 
+def _kernel_law_coefs(u_p: ControlLaw, u_e: ControlLaw) -> Optional[tuple[float, float, float]]:
+    """(c_p, c_he, c_ge) when u_p = c_p h_p and u_e = c_he h_e + c_ge g_e,
+    the form of every saddle, branch and penalty law; else None."""
+    if (isinstance(u_p, KernelCombo) and isinstance(u_e, KernelCombo)
+            and u_p.he_coef == u_p.ge_coef == u_e.hp_coef == 0.0):
+        return u_p.hp_coef, u_e.he_coef, u_e.ge_coef
+    return None
+
+
 def playout_reduced(scenario: EngagementScenario, kernels: Optional[Kernels],
                     u_p: ControlLaw, u_e: ControlLaw,
                     grid: Optional[TimeGrid] = None) -> Playout:
@@ -89,22 +102,36 @@ def playout_reduced(scenario: EngagementScenario, kernels: Optional[Kernels],
 
     The right-hand sides do not depend on the state, so the classical
     one-step update equals a Simpson panel per step; the cumulative sums
-    below are exactly that method.
+    below are exactly that method. For kernel laws u_p = c_p h_p and
+    u_e = c_he h_e + c_ge g_e the integrands are combinations of h_p^2,
+    h_e^2, h_e g_e and g_e^2, so z and w are the same combinations of the
+    bundle's kept cumulative sums of those four (`running_products`), and
+    no panel is formed per call. Any other pair, and kernel laws whose
+    combination is not finite, take the panels of their own samples.
     """
     k = kernels if kernels is not None else Kernels(scenario)
     bundle = k.bundle(grid)
     up, ue = bundle.control(u_p), bundle.control(u_e)
-    fz = bundle.h_p * up + bundle.h_e * ue
-    fw = bundle.g_e * ue
-    if not (np.isfinite(fz).all() and np.isfinite(fw).all()):
-        raise ValueError("non-finite integrand in reduced playout")
-
-    steps = np.diff(bundle.grid.nodes)
-    z = np.empty(steps.size + 1)
-    w = np.empty(steps.size + 1)
-    z[0], w[0] = scenario.z0, scenario.w0
-    z[1:] = scenario.z0 + np.cumsum(_simpson_panels(fz[0::2], fz[1::2], steps))
-    w[1:] = scenario.w0 + np.cumsum(_simpson_panels(fw[0::2], fw[1::2], steps))
+    coefs = _kernel_law_coefs(u_p, u_e)
+    zw = None
+    if coefs is not None:
+        c_p, c_he, c_ge = coefs
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum takes the panels
+            zw = (np.array([[c_p, c_he, c_ge, 0.0], [0.0, 0.0, c_he, c_ge]])
+                  @ bundle.running_products() + np.array([[scenario.z0], [scenario.w0]]))
+    if zw is not None and np.isfinite(zw).all():
+        z, w = zw
+    else:
+        fz = bundle.h_p * up + bundle.h_e * ue
+        fw = bundle.g_e * ue
+        if not (np.isfinite(fz).all() and np.isfinite(fw).all()):
+            raise ValueError("non-finite integrand in reduced playout")
+        steps = np.diff(bundle.grid.nodes)
+        z = np.empty(steps.size + 1)
+        w = np.empty(steps.size + 1)
+        z[0], w[0] = scenario.z0, scenario.w0
+        z[1:] = scenario.z0 + np.cumsum(simpson_panels(fz[0::2], fz[1::2], steps))
+        w[1:] = scenario.w0 + np.cumsum(simpson_panels(fw[0::2], fw[1::2], steps))
     return Playout(grid=bundle.grid, z_traj=z, w_traj=w, z_f=float(z[-1]), w_f=float(w[-1]),
                    up_samples=up[0::2], ue_samples=ue[0::2])
 
@@ -182,31 +209,60 @@ def playout_full(scenario: EngagementScenario, u_p: ControlLaw, u_e: ControlLaw,
     bundle's transition rows at the grid nodes to the relative and evader
     sub-states, so at the horizon z equals the achieved miss y_e - y_p
     exactly.
+
+    For kernel laws u_p = c_p h_p and u_e = c_he h_e + c_ge g_e the
+    trajectory, z and w are weighted sums of the five RK4 responses the
+    bundle keeps (`SampleBundle.responses`, built on the first such call),
+    by the two lateral velocities of the initial state and the three
+    coefficients: the same RK4, with no scan per call. Any other pair, and
+    kernel laws whose sums are not finite, run `rk4_affine` on their own
+    controls, so their errors are those of that direct path.
     """
     k = kernels if kernels is not None else Kernels(scenario)
     bundle = k.bundle(grid)
-    grid = bundle.grid
-    ss = build_game_ss(scenario.pursuer, scenario.evader)
-    controls = np.vstack([bundle.control(u_p), bundle.control(u_e)])
-    x_traj = rk4_affine(ss.A, np.vstack([ss.B, ss.C]), controls, _initial_full_state(scenario),
-                        grid.nodes)
-
+    x0 = _initial_full_state(scenario)
     n_p = scenario.pursuer.order + 2
-    x_p = x_traj[:, :n_p]
-    x_e = x_traj[:, n_p:]
-    x_ep = np.hstack([
-        (x_e[:, :2] - x_p[:, :2]),
-        x_p[:, 2:],
-        x_e[:, 2:],
-    ])
-    z = np.einsum("ij,ij->i", bundle.node_rows_engagement, x_ep)
-    w = np.einsum("ij,ij->i", bundle.node_rows_target, x_e)
+    coefs = _kernel_law_coefs(u_p, u_e)
+    combined = None if coefs is None else _combined_full(bundle, x0[1], x0[n_p + 1], *coefs)
+    if combined is not None:
+        x_traj, z, w = combined
+    else:
+        ss = build_game_ss(scenario.pursuer, scenario.evader)
+        controls = np.vstack([bundle.control(u_p), bundle.control(u_e)])
+        x_traj = rk4_affine(ss.A, np.vstack([ss.B, ss.C]), controls, x0, bundle.grid.nodes)
+        x_p = x_traj[:, :n_p]
+        x_e = x_traj[:, n_p:]
+        x_ep = np.hstack([
+            (x_e[:, :2] - x_p[:, :2]),
+            x_p[:, 2:],
+            x_e[:, 2:],
+        ])
+        z = np.einsum("ij,ij->i", bundle.node_rows_engagement, x_ep)
+        w = np.einsum("ij,ij->i", bundle.node_rows_target, x_e)
 
-    miss = float(x_e[-1, 0] - x_p[-1, 0])
+    miss = float(x_traj[-1, n_p] - x_traj[-1, 0])
     if abs(z[-1] - miss) > 1e-9 * max(1.0, abs(miss)):
         raise AssertionFailure("terminal miss reconstruction mismatch")
-    return FullPlayout(grid=grid, x_traj=x_traj, z_traj=z, w_traj=w,
+    return FullPlayout(grid=bundle.grid, x_traj=x_traj, z_traj=z, w_traj=w,
                        z_f=float(z[-1]), w_f=float(w[-1]), miss=miss)
+
+
+def _combined_full(bundle: SampleBundle, v_p: float, v_e: float, c_p: float, c_he: float,
+                   c_ge: float) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The state, z and w of kernel laws with coefficients c_p, c_he and
+    c_ge from lateral velocities v_p and v_e, as weighted sums of the
+    bundle's `KernelResponses`; None when they are not all finite."""
+    r = bundle.responses()
+    nodes = bundle.grid.nodes.size
+    evader = np.array([v_e, c_he, c_ge])
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum takes the direct path
+        x_traj = np.hstack([(np.array([v_p, c_p]) @ r.pursuer.reshape(2, -1)).reshape(nodes, -1),
+                            (evader @ r.evader.reshape(3, -1)).reshape(nodes, -1)])
+        z = np.array([v_p, c_p, v_e, c_he, c_ge]) @ r.z
+        w = evader @ r.w
+    if np.isfinite(x_traj).all() and np.isfinite(z).all() and np.isfinite(w).all():
+        return x_traj, z, w
+    return None
 
 
 def cross_play(scenario: EngagementScenario, u_p_choice: ControlLaw, u_e_choice: ControlLaw,

@@ -19,7 +19,7 @@ import zemgame as z
 from zemgame.errors import AssertionFailure, NotInConstrainedRegion
 from zemgame.numerics import (_PADE13_ABS_C_RECIP, _PADE13_B, _PADE13_ETA_THETA,
                               _PADE13_THETA)
-from zemgame.simulate import _simpson_panels
+from zemgame.reduction import simpson_panels
 from zemgame.solver import _gamma
 
 ORACLE = SimpleNamespace(
@@ -169,8 +169,8 @@ def admissible_evader_perturbation(delta, ge_n, ge_m, steps):
     quadrature the playout uses). `saddle_probe` applies the same projection
     to coefficient vectors; this is its sampled form."""
     d_n, d_m = delta[0::2], delta[1::2]
-    num = float(np.sum(_simpson_panels(ge_n * d_n, ge_m * d_m, steps)))
-    den = float(np.sum(_simpson_panels(ge_n ** 2, ge_m ** 2, steps)))
+    num = float(np.sum(simpson_panels(ge_n * d_n, ge_m * d_m, steps)))
+    den = float(np.sum(simpson_panels(ge_n ** 2, ge_m ** 2, steps)))
     out = delta.copy()
     out[0::2] -= (num / den) * ge_n
     out[1::2] -= (num / den) * ge_m

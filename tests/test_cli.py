@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -155,6 +156,24 @@ class TestClassify:
         path.write_text("{ not json")
         assert main(["classify", str(path)]) == EXIT_USAGE
         assert "line" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["solve", "classify", "sweep", "table1"])
+@pytest.mark.parametrize("evader", [{"A": [], "b": [], "c": [], "d": 0.0},
+                                    {"A": [[-10.0]], "b": [0.0], "c": [1.0], "d": 0.0}],
+                         ids=["order-0-no-feed", "no-input"])
+def test_evader_without_control_authority(tmp_path, capsys, verb, evader):
+    """g_e = 0 makes det F zero: one scenario error line, exit 1, no
+    warning and no traceback."""
+    path = write_doc(tmp_path, lambda d: d["players"].update(evader=evader))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([verb, path]) == EXIT_USAGE
+    assert caught == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("scenario error: the evader has no control authority")
 
 
 class TestSolve:

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from zemgame import (
 )
 from zemgame import numerics, reduction, reference
 from zemgame.cli import load_scenario
-from zemgame.errors import AssertionFailure, SolvabilityError
+from zemgame.errors import AssertionFailure, NoControlAuthority, SolvabilityError
 
 from helpers import (MIXED_ORDERS, ORACLE, oscillator, psi_ref, random_controller, random_draws,
                      random_first_order, random_scenario, solvability_threshold)
@@ -318,6 +319,21 @@ class TestExactIntegrals:
         want = z.quad_adaptive(Kernels(sc).g_e, 0.0, sc.t_f, tol=1e-13)
         assert reduction.integral_g_e(sc) == pytest.approx(want, rel=1e-9)
 
+    def test_integral_g_e_at_t_c_zero_starts_from_d_e(self, study_scenario, monkeypatch):
+        """At t_c = 0 the start row is D_e itself: the one exponential is
+        the augmented one, none of A_e (whose exp(0) LAPACK returns one ulp
+        off the identity)."""
+        sc = dataclasses.replace(study_scenario, t_c=0.0)
+        ev = z.build_evader_ss(sc.evader)
+        shapes = []
+        original = reduction.mat_exp
+        monkeypatch.setattr(reduction, "mat_exp",
+                            lambda A, *a: shapes.append(A.shape) or original(A, *a))
+        got = reduction.integral_g_e(sc)
+        assert shapes == [(ev.A.shape[0] + 1,) * 2]
+        augmented = reduction._augmented(ev.A, ev.B)
+        assert got == float(np.append(ev.D_row, 0.0) @ original(augmented, sc.t_f)[:, -1])
+
     def test_frozen_oracle(self, study_coeffs):
         c = study_coeffs
         for name in ("beta_star", "mu_e", "bound", "nu_p", "nu_e", "s", "G2", "G3",
@@ -511,6 +527,77 @@ class TestCoefficients:
             assert 0.0 <= c.d < 1.0
             assert (c.G1 - c.nu_p) == pytest.approx(1.0 - c.nu_e, rel=1e-10)
             assert c.a == pytest.approx(c.G2 / c.G1, rel=1e-12)
+
+
+@functools.cache
+def first_order_integrals_mpmath(tau_p, tau_e, t_f, t_c):
+    """int h_p^2, h_e^2, h_e g_e and g_e^2 of first-order lags as
+    40-digit mpmath integrals of psi products."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        psi = lambda u: mp.exp(-u) + u - 1
+        tau_p, tau_e, t_f, t_c = (mp.mpf(v) for v in (tau_p, tau_e, t_f, t_c))
+
+        def product(tau, s, t):
+            return tau ** 3 * mp.quad(lambda u: psi(u + s) * psi(u + t), [0, t_f / tau])
+
+        sigma = t_c / tau_e
+        return (product(tau_p, 0, 0), product(tau_e, 0, 0), product(tau_e, 0, sigma),
+                product(tau_e, sigma, sigma))
+
+
+class TestFOneWithoutCancellation:
+    """F1 = G1 - nu_p is formed as 1 - nu_e. G1 - nu_p lost digits as nu_p
+    grew (relative error of F1 1.8e-14 at alpha = 1e-4, 1.4e-9 at 1e-8,
+    4.0e-6 at 1e-12, on lags 0.2/0.1 with t_f = 1, t_c = 0.5). Against
+    40-digit mpmath the entries of F, det F and d now hold 1e-14 relative
+    (to F's largest entry for the entries): measured at most 1.0e-15 from
+    the matrix exponentials and 4.9e-16 from the closed forms, at every
+    alpha."""
+
+    @pytest.mark.parametrize("alpha", [1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-14])
+    def test_against_mpmath(self, alpha):
+        mp = pytest.importorskip("mpmath")
+        lags = dict(tau_p=0.2, tau_e=0.1, t_f=1.0, t_c=0.5)
+        beta, ae_max = 1.0, 50.0
+        with mp.workdps(40):
+            hp2, he2, hege, ge2 = first_order_integrals_mpmath(*lags.values())
+            nu_p, nu_e = hp2 / mp.mpf(alpha), he2 / beta
+            G1, G2, G3 = 1 + nu_p - nu_e, hege / beta, ge2 / beta
+            F1 = 1 - nu_e
+            F = [[F1, G2], [-G2, G3]]
+            det_F = F1 * G3 + G2 * G2
+            d = nu_p * G2 * G2 / (G1 * det_F)
+            largest = max(abs(F1), abs(G2), abs(G3))
+            for c in (coefficients(z.first_order_scenario(alpha=alpha, beta=beta, ae_max=ae_max,
+                                                          **lags)),
+                      first_order_coefficients(alpha=alpha, beta=beta, ae_max=ae_max, **lags)):
+                for i in range(2):
+                    for j in range(2):
+                        assert abs(c.F[i, j] - F[i][j]) <= 1e-14 * largest, (i, j)
+                assert abs(c.det_F - det_F) <= 1e-14 * det_F
+                assert abs(c.d - d) <= 1e-14 * d
+                assert abs((c.G1 - c.nu_p) - (1 - c.nu_e)) <= 1e-10 * max(1, c.nu_p)
+
+
+class TestNoControlAuthority:
+    """An evader whose command never reaches its position has g_e = 0, so
+    F and G are singular: refused by name before d divides by det F."""
+
+    @pytest.mark.parametrize("evader", [
+        z.ControllerModel.zero_order(feed=0.0),
+        z.ControllerModel(order=1, sys=[[-10.0]], inp=[0.0], out=[1.0], feed=0.0),
+        z.ControllerModel(order=1, sys=[[-10.0]], inp=[1.0], out=[0.0], feed=0.0),
+    ], ids=["order-0-no-feed", "no-input", "no-output"])
+    def test_refused(self, study_scenario, evader):
+        sc = dataclasses.replace(study_scenario, evader=evader)
+        with pytest.raises(NoControlAuthority, match="no control authority") as raised:
+            coefficients(sc)
+        assert raised.value.int_ge2 == 0.0
+
+    def test_underflowing_det_f_refused(self):
+        with pytest.raises(NoControlAuthority):
+            reduction._assemble((0.02, 0.01, 1e-200, 1e-200), 0.5, 0.05, 1e300, 100.0)
 
 
 class TestFirstOrderCoefficients:

@@ -62,3 +62,24 @@ def test_unused_import_detected():
               "import os.path  # noqa: F401\nimport json  # noqa: E501\n"
               "def f(x: Optional[int]) -> \"SaddleSolution\":\n    return np.sqrt(x)\n")
     assert unused_imports(source) == ["Union (line 4)", "json (line 7)", "math (line 2)"]
+
+
+# The size of the package, which may only shrink: a change that removes
+# code lowers these to its own counts, and none raises them.
+SRC_LINES_MAX = 2961
+EXPORTS_MAX = 57
+
+
+def package_size() -> tuple[int, int]:
+    """(lines of every module of `src/zemgame`, names `__init__.py` imports)."""
+    lines = sum(len(p.read_text(encoding="utf-8").splitlines()) for p in SRC.glob("*.py"))
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    exports = [a.asname or a.name for node in tree.body if isinstance(node, ast.ImportFrom)
+               for a in node.names]
+    return lines, len(exports)
+
+
+def test_package_size_gate():
+    lines, exports = package_size()
+    assert lines <= SRC_LINES_MAX
+    assert exports <= EXPORTS_MAX
