@@ -237,7 +237,7 @@ def cmd_solve(args) -> int:
     probe = args.probe and args.sign is None
     if args.csv or probe:
         kern = Kernels(scenario)
-        grid = TimeGrid.uniform(0.0, scenario.t_f, args.grid)
+        grid = TimeGrid(0.0, scenario.t_f, args.grid)
     if args.csv:
         play = playout_reduced(scenario, kern, u_p, u_e, grid)
         _write_csv(args.csv, ("t", "u_p", "u_e", "z", "w"),

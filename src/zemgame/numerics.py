@@ -13,18 +13,15 @@ All functions are pure; results are plain numpy arrays or floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional
+import numbers
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .errors import NearSingularError
 
 DEFAULT_GRID_NODES = 2001
-
-# Largest deviation of a progression's differences from its step, relative
-# to its largest magnitude, that still counts as uniform (`progression_step`).
-_PROGRESSION_TOL = 1e-13
 
 # Degree-13 diagonal Pade numerator coefficients for exp(A) and the matching
 # scaling threshold (1-norm above which the argument is halved).
@@ -243,10 +240,11 @@ def solve2_entries(m00, m01, m10, m11, b0, b1):
     each other for a stack of systems. Returns (x0, x1).
 
     Raises NearSingularError at the first system with
-    |det| < 1e-12 * max(1, ||M||_F^2).
+    |det| < 1e-12 * max(1, |m00 m11| + |m01 m10|): where the two terms of
+    det cancel, whatever the scaling of the rows and columns.
     """
     det = m00 * m11 - m01 * m10
-    threshold = 1e-12 * np.maximum(1.0, m00 * m00 + m01 * m01 + m10 * m10 + m11 * m11)
+    threshold = 1e-12 * np.maximum(1.0, abs(m00 * m11) + abs(m01 * m10))
     singular = np.abs(det) < threshold
     if np.any(singular):
         det, threshold, singular = np.broadcast_arrays(det, threshold, singular)
@@ -261,7 +259,7 @@ def solve2_entries(m00, m01, m10, m11, b0, b1):
 def solve2(M: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve the 2x2 system M x = b by the explicit inverse (`solve2_entries`).
 
-    Raises NearSingularError when |det M| < 1e-12 * max(1, ||M||_F^2).
+    Raises NearSingularError when |det M| < 1e-12 * max(1, |m00 m11| + |m01 m10|).
     """
     M = np.asarray(M, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -273,31 +271,35 @@ def solve2(M: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """A strictly increasing sequence of time nodes including both endpoints."""
+    """n uniformly spaced time nodes from t_start to t_end, both included:
+    `nodes` is `np.linspace(t_start, t_end, n)`, read-only. Grids are equal
+    when their three fields are."""
 
-    nodes: np.ndarray
+    t_start: float
+    t_end: float
+    n: int = DEFAULT_GRID_NODES
+    nodes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        if nodes.ndim != 1 or nodes.size < 2:
-            raise ValueError("a time grid needs at least two nodes")
-        if not np.isfinite(nodes).all():
-            raise ValueError("time grid nodes must be finite")
-        if not (np.diff(nodes) > 0).all():
-            raise ValueError("time grid nodes must be strictly increasing")
-        object.__setattr__(self, "nodes", nodes)
+        if isinstance(self.n, bool) or not (isinstance(self.n, numbers.Integral) and self.n >= 2):
+            raise ValueError("a time grid needs an integer node count n >= 2, got %r" % (self.n,))
+        t_start, t_end = float(self.t_start), float(self.t_end)
+        if not (math.isfinite(t_start) and math.isfinite(t_end - t_start) and t_end > t_start):
+            raise ValueError("time grid [%g, %g] is not finite and increasing" % (t_start, t_end))
+        nodes = np.linspace(t_start, t_end, int(self.n))
+        nodes.flags.writeable = False
+        for name, value in (("t_start", t_start), ("t_end", t_end), ("n", int(self.n)),
+                            ("nodes", nodes)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def uniform(cls, t_start: float, t_end: float, n: int = DEFAULT_GRID_NODES) -> "TimeGrid":
-        return cls(np.linspace(float(t_start), float(t_end), int(n)))
+        return cls(t_start, t_end, n)
 
     @property
-    def t_start(self) -> float:
-        return float(self.nodes[0])
-
-    @property
-    def t_end(self) -> float:
-        return float(self.nodes[-1])
+    def step(self) -> float:
+        """The node spacing (t_end - t_start) / (n - 1)."""
+        return (self.t_end - self.t_start) / (self.n - 1)
 
     @property
     def midpoints(self) -> np.ndarray:
@@ -305,7 +307,7 @@ class TimeGrid:
 
     def refined(self) -> np.ndarray:
         """Nodes interleaved with panel midpoints (2n - 1 points)."""
-        out = np.empty(2 * self.nodes.size - 1)
+        out = np.empty(2 * self.n - 1)
         out[0::2] = self.nodes
         out[1::2] = self.midpoints
         return out
@@ -335,62 +337,33 @@ def ode_playout(rhs: Callable, x0, grid: TimeGrid) -> np.ndarray:
     return out
 
 
-def progression_step(values: np.ndarray) -> Optional[float]:
-    """The step h of an ascending array that is a uniform progression
-    values[0] + i h, else None.
-
-    Every difference may deviate from h by up to `_PROGRESSION_TOL` times
-    the largest magnitude in the array (at least 1): a few ulps of
-    `linspace` and midpoint rounding. One or two values always form a
-    progression (one has step 0). Sampling (`reduction._transition_rows`)
-    and stepping (`rk4_affine`) both take a grid as uniform by this test.
-    """
-    n = values.size
-    step = (values[-1] - values[0]) / (n - 1) if n > 1 else 0.0
-    scale = max(1.0, abs(values[0]), abs(values[-1]))
-    if n > 2 and np.abs(np.diff(values) - step).max() > _PROGRESSION_TOL * scale:
-        return None
-    return float(step)
-
-
-def _step_matrix(A: np.ndarray, h) -> np.ndarray:
-    """P(h) = I + H + H^2/2 + H^3/6 + H^4/24 for H = h A: the state part of
-    one classical RK4 step of dx/dt = A x; for an array of step lengths,
-    a stack of them."""
-    ident = np.eye(A.shape[0])
-    H = np.multiply.outer(h, A)
-    return ident + H @ (ident + (H / 2.0) @ (ident + (H / 3.0) @ (ident + H / 4.0)))
-
-
 def rk4_affine(A: np.ndarray, inputs: np.ndarray, controls: np.ndarray, x0,
-               nodes: np.ndarray) -> np.ndarray:
-    """The classical RK4 of `ode_playout` for dx/dt = A x + inputs' u(t):
-    `inputs` is (m x dim), one input row per control, and `controls` is
-    (m x refined nodes), the m controls tabulated on the refined nodes
-    (`TimeGrid.refined`) of `nodes`.
+               grid: TimeGrid) -> np.ndarray:
+    """The classical RK4 of `ode_playout` for dx/dt = A x + inputs' u(t)
+    over the nodes of a grid: `inputs` is (m x dim), one input row per
+    control, and `controls` is (m x refined nodes), the m controls
+    tabulated on the refined nodes of the grid (`TimeGrid.refined`).
 
-    Each step is affine in the state, x_{k+1} = P(h_k) x_k + q_k, with
-    P(h) = I + H + H^2/2 + H^3/6 + H^4/24 for H = h A (`_step_matrix`), and
-    q_k the step taken from x = 0. With f = inputs' u at the step's start,
-    midpoint and end, that offset is exactly
+    Each step is affine in the state, x_{k+1} = P x_k + q_k, with
+    P = I + H + H^2/2 + H^3/6 + H^4/24 for H = h A and the grid step h,
+    and q_k the step taken from x = 0. With f = inputs' u at the step's
+    start, midpoint and end, that offset is exactly
     q = h (f0 + 4 fm + f1)/6 + h^2 A (f0 + 2 fm)/6 + h^3 A^2 (f0 + fm)/12
-    + h^4 A^3 f0/24, so the offsets of all steps come from one
-    (steps x 4m) @ (4m x dim) product of the weighted control samples with
-    inputs (A')^p, p = 0..3, on any grid.
+    + h^4 A^3 f0/24, with h the step's own node difference, so the offsets
+    of all steps come from one (steps x 4m) @ (4m x dim) product of the
+    weighted control samples with inputs (A')^p, p = 0..3.
 
-    On a uniform grid (`progression_step`) one P serves every step, and the
-    n steps run as a doubling scan (Hillis and Steele, "Data parallel
+    The n steps run as a doubling scan (Hillis and Steele, "Data parallel
     algorithms", CACM 1986) over the rows (x0, q_0, ..., q_{n-1}): for
     m = 1, 2, 4, ... below n + 1, rows[m:] += rows[:-m] @ (P^m)', so after
     about log2(n) products of the whole (n + 1) x dim array row k holds
-    x_k. Any other grid, and a uniform one whose doubled rows are not all
-    finite (P^m overflowing against a zero state, or a state that really
-    overflows), goes to the blocked scan of `_blocked_scan`. Returns the
-    (n_nodes, dim) trajectory; raises ValueError at the first node where
-    the state stops being finite.
+    x_k. When the doubled rows are not all finite (P^m overflowing against
+    a zero state, or a state that really overflows) the steps are taken one
+    at a time instead (`_stepwise`). Returns the (n_nodes, dim) trajectory;
+    raises ValueError at the first node where the state stops being finite.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    h = np.diff(nodes)
+    h = np.diff(grid.nodes)
     u0, u_mid, u1 = controls[:, :-1:2], controls[:, 1::2], controls[:, 2::2]
     weighted = np.concatenate([(h / 6.0) * (u0 + 4.0 * u_mid + u1),
                                (h ** 2 / 6.0) * (u0 + 2.0 * u_mid),
@@ -401,74 +374,30 @@ def rk4_affine(A: np.ndarray, inputs: np.ndarray, controls: np.ndarray, x0,
         powers.append(powers[-1] @ A.T)
     q = weighted.T @ np.concatenate(powers)
 
-    step = progression_step(nodes)
-    if step is not None:
-        out = np.concatenate([x0[None], q])
-        P = _step_matrix(A, step)
-        m = 1
-        with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows go to the fallback
-            while m < out.shape[0]:
-                out[m:] += out[:-m] @ P.T
-                m *= 2
-                if m < out.shape[0]:
-                    P = P @ P
-        if np.isfinite(out).all():
-            return out
-    return _blocked_scan(A, h, q, x0, nodes)
+    out = np.concatenate([x0[None], q])
+    ident = np.eye(A.shape[0])
+    H = grid.step * A
+    P = power = ident + H @ (ident + (H / 2.0) @ (ident + (H / 3.0) @ (ident + H / 4.0)))
+    m = 1
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows take the loop
+        while m < out.shape[0]:
+            out[m:] += out[:-m] @ power.T
+            m *= 2
+            if m < out.shape[0]:
+                power = power @ power
+    if np.isfinite(out).all():
+        return out
+    return _stepwise(P, q, x0, grid)
 
 
-def _blocked_scan(A: np.ndarray, h: np.ndarray, q: np.ndarray, x0: np.ndarray,
-                  nodes: np.ndarray) -> np.ndarray:
-    """The steps x_{k+1} = P(h_k) x_k + q_k of `rk4_affine` as a blocked
-    affine scan (Blelloch, "Prefix sums and their applications", 1990):
-    ceil(sqrt(n)) steps to a block, the last block padded with steps of
-    length 0 and no offset whose states are dropped. A first pass carries
-    every block's transfer matrix and zero-start end state at once; one
-    matrix-vector product per block then gives the block start states; a
-    second pass replays the steps from those starts, again for all blocks
-    at once. Each step of a pass forms only that step's (blocks x dim x
-    dim) slice of step matrices, so no (steps x dim x dim) array is formed.
-    A block whose transfer or end state overflows while its start is
-    finite (a zero state under a fast-growing mode) is stepped through one
-    step at a time instead. Raises ValueError at the first node where the
-    state stops being finite.
-    """
-    d = x0.size
-    n = h.size
-    size = math.isqrt(n - 1) + 1
-    blocks = -(-n // size)
-    pad = blocks * size - n
-    # steps laid out (step in block, block)
-    lengths = np.append(h, np.zeros(pad)).reshape(blocks, size).T
-    q = np.concatenate([q, np.zeros((pad, d))]).reshape(blocks, size, d).transpose(1, 0, 2)
-
-    traj = np.empty((size, blocks, d))
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite states raise below
-        carry = np.concatenate([_step_matrix(A, lengths[0]), q[0][:, :, None]], axis=2)
-        for i in range(1, size):
-            carry = _step_matrix(A, lengths[i]) @ carry  # [transfer | end]
-            carry[:, :, d] += q[i]
-        transfers, ends = carry[:, :, :d], carry[:, :, d]
-        overflowed = ~(np.isfinite(transfers).all(axis=(1, 2)) & np.isfinite(ends).all(axis=1))
-        overflowed = overflowed.tolist()
-        starts = np.empty((blocks, d))
-        x = x0
-        for j in range(blocks):
-            starts[j] = x
-            if overflowed[j] and np.isfinite(x).all():
-                for i in range(size):
-                    x = _step_matrix(A, lengths[i, j]) @ x + q[i, j]
-            else:
-                x = transfers[j] @ x + ends[j]
-        x = starts
-        for i in range(size):
-            x = (_step_matrix(A, lengths[i]) @ x[:, :, None])[:, :, 0] + q[i]
-            traj[i] = x
-
-    out = np.empty((nodes.size, d))
-    out[0] = x0
-    out[1:] = traj.transpose(1, 0, 2).reshape(-1, d)[:n]
-    finite = np.isfinite(out).all(axis=1)
-    if not finite.all():
-        raise ValueError("state became non-finite at t=%g" % nodes[np.argmin(finite)])
+def _stepwise(P: np.ndarray, q: np.ndarray, x0: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    """The steps x_{k+1} = P x_k + q_k of `rk4_affine` one at a time, its
+    fallback; raises ValueError at the first node where the state is not finite."""
+    out = np.empty((q.shape[0] + 1, x0.size))
+    out[0] = x = x0
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite state raises below
+        for k, offset in enumerate(q):
+            out[k + 1] = x = P @ x + offset
+            if not np.isfinite(x).all():
+                raise ValueError("state became non-finite at t=%g" % grid.nodes[k + 1])
     return out

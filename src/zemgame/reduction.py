@@ -25,7 +25,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .engagement import (EngagementScenario, StateSpace, build_evader_ss, build_player_ss,
                          build_relative_ss, first_order_scenario)
 from .errors import AssertionFailure, NoControlAuthority, SolvabilityError
-from .numerics import PSI_SERIES, TimeGrid, mat_exp, progression_step, rk4_affine, scaled_exp
+from .numerics import PSI_SERIES, TimeGrid, mat_exp, rk4_affine, scaled_exp
 
 # Sign scan of the tail kernel: fewest cells, and the most before the input
 # is refused (bounded work); Newton steps per root.
@@ -36,20 +36,41 @@ _MAX_ROOT_STEPS = 60
 # Refined nodes to a cell of the coarse peak scan (`PeakScan`).
 _SCAN_STRIDE = 50
 
+# Largest deviation of a progression's differences from its step, relative
+# to its largest magnitude, that still counts as uniform (`_progression_step`).
+_PROGRESSION_TOL = 1e-13
+
+
+def _progression_step(values: np.ndarray) -> Optional[float]:
+    """The step h of an ascending array that is a uniform progression
+    values[0] + i h, else None.
+
+    Every difference may deviate from h by up to `_PROGRESSION_TOL` times
+    the largest magnitude in the array (at least 1): a few ulps of
+    `linspace` and midpoint rounding. One or two values always form a
+    progression (one has step 0).
+    """
+    n = values.size
+    step = (values[-1] - values[0]) / (n - 1) if n > 1 else 0.0
+    scale = max(1.0, abs(values[0]), abs(values[-1]))
+    if n > 2 and np.abs(np.diff(values) - step).max() > _PROGRESSION_TOL * scale:
+        return None
+    return float(step)
+
 
 def _transition_rows(D: np.ndarray, A: np.ndarray, deltas: np.ndarray) -> np.ndarray:
     """Rows D exp(A delta) for an ascending array of nonnegative deltas.
 
-    A uniform progression delta_0 + i h (`progression_step`: a uniform
-    grid, its nodes or its midpoints) is built by doubling from its first
-    row (`_progression_rows`). Any other set costs one matrix exponential
-    per point.
+    A uniform progression delta_0 + i h (`_progression_step`: the nodes of
+    a grid, or its refined nodes) is built by doubling from its first row
+    (`_progression_rows`). Any other set of sample times costs one matrix
+    exponential per point.
     """
     deltas = np.asarray(deltas, dtype=float)
     n = deltas.size
     if n == 0:
         return np.empty((0, A.shape[0]))
-    step = progression_step(deltas)
+    step = _progression_step(deltas)
     if step is None:
         rows = np.empty((n, A.shape[0]))
         for i, delta in enumerate(deltas):
@@ -91,19 +112,18 @@ class Kernels:
 
     The kernel Gram matrix K = int_0^t_f k k' dt of k = (h_p, h_e, g_e)
     (`gram`, from `kernel_gram`) and the sample bundle of the build grid,
-    the default uniform grid over [0, t_f] (`bundle`), are each computed on
-    their first use and kept; a call that samples another grid names it,
-    and the bundle of the last such grid is kept in one more slot; any
-    other query evaluates the transition rows directly (`_transition_rows`:
-    by doubling on a uniform progression, one matrix exponential per point
-    otherwise). Neither K nor a bundle's arrays are changed once built, so
-    the object stays freely shareable.
+    `TimeGrid(0, t_f)` (`bundle`), are each computed on their first use and
+    kept; a call that samples another grid names it, and the bundle of the
+    last such grid is kept in one more slot. The samplers at arbitrary
+    times evaluate the transition rows directly (`_transition_rows`). Neither
+    K nor a bundle's arrays are changed once built, so the object stays
+    freely shareable.
     """
 
     def __init__(self, scenario: EngagementScenario):
         self.t_f = scenario.t_f
         self.t_c = scenario.t_c
-        self.grid = TimeGrid.uniform(0.0, scenario.t_f)
+        self.grid = TimeGrid(0.0, scenario.t_f)
 
         rel = build_relative_ss(scenario.pursuer, scenario.evader)
         ev = build_evader_ss(scenario.evader)
@@ -125,13 +145,13 @@ class Kernels:
     def bundle(self, grid: Optional[TimeGrid] = None) -> "SampleBundle":
         """Sample bundle of a grid: the build grid's (the default), sampled
         on its first use and kept; for any other grid, the kept bundle when
-        its nodes are equal, else a new one that replaces it."""
-        if grid is None or grid is self.grid or np.array_equal(grid.nodes, self.grid.nodes):
+        the grids are equal, else a new one that replaces it."""
+        if grid is None or grid == self.grid:
             if self._bundle is None:
                 self._bundle = SampleBundle.sample(self, self.grid)
             return self._bundle
         kept = self._off_grid
-        if kept is None or not (grid is kept.grid or np.array_equal(grid.nodes, kept.grid.nodes)):
+        if kept is None or grid != kept.grid:
             self._off_grid = kept = SampleBundle.sample(self, grid)
         return kept
 
@@ -364,20 +384,24 @@ def simpson_panels(node_vals: np.ndarray, mid_vals: np.ndarray, steps: np.ndarra
     return steps / 6.0 * (node_vals[..., :-1] + 4.0 * mid_vals + node_vals[..., 1:])
 
 
-def _rk4_response(player: StateSpace, control: Optional[np.ndarray],
-                  nodes: np.ndarray) -> np.ndarray:
-    """`rk4_affine` over a player's own block from a unit lateral velocity
-    (control None), or from rest under a control on the refined nodes;
-    NaN rows if the state overflows, so every sum that reads them is
+def _responses(player: StateSpace, controls: tuple, grid: TimeGrid) -> np.ndarray:
+    """The RK4 trajectories of a player's own block on the grid nodes: from
+    a unit lateral velocity with no control, x_k = e_1 + (t_k - t_start) e_0
+    without a scan (A e_1 = e_0 and A e_0 = 0, so each step adds h e_0), and
+    from rest under each control on the refined nodes by `rk4_affine`, with
+    NaN rows where the state overflows, so every sum that reads them is
     refused."""
-    x0 = np.zeros(player.A.shape[0])
-    if control is None:
-        x0[1] = 1.0
-        control = np.zeros(2 * nodes.size - 1)
-    try:
-        return rk4_affine(player.A, player.B[None], control[None], x0, nodes)
-    except ValueError:
-        return np.full((nodes.size, x0.size), np.nan)
+    rest = np.zeros(player.A.shape[0])
+    coasting = np.zeros((grid.n, rest.size))
+    coasting[:, 0] = grid.nodes - grid.t_start
+    coasting[:, 1] = 1.0
+    out = [coasting]
+    for control in controls:
+        try:
+            out.append(rk4_affine(player.A, player.B[None], control[None], rest, grid))
+        except ValueError:
+            out.append(np.full(coasting.shape, np.nan))
+    return np.stack(out)
 
 
 @dataclass(frozen=True)
@@ -391,7 +415,7 @@ class KernelResponses:
     are v_p pursuer[0] + c_p pursuer[1] and the evader's
     v_e evader[0] + c_he evader[1] + c_ge evader[2], up to rounding, where
     `pursuer` (2, nodes, n_p) and `evader` (3, nodes, n_e) hold
-    `_rk4_response`s. Row r of `z` (5 x nodes, the pursuer's first) and of
+    `_responses`. Row r of `z` (5 x nodes, the pursuer's first) and of
     `w` (3 x nodes) is z or w rebuilt from trajectory r alone. Read-only.
     """
 
@@ -402,12 +426,9 @@ class KernelResponses:
 
     @classmethod
     def of(cls, bundle: SampleBundle) -> "KernelResponses":
-        nodes = bundle.grid.nodes
         player_p, player_e = bundle.players
-        pursuer = np.stack([_rk4_response(player_p, control, nodes)
-                            for control in (None, bundle.h_p)])
-        evader = np.stack([_rk4_response(player_e, control, nodes)
-                           for control in (None, bundle.h_e, bundle.g_e)])
+        pursuer = _responses(player_p, (bundle.h_p,), bundle.grid)
+        evader = _responses(player_e, (bundle.h_e, bundle.g_e), bundle.grid)
         # z = rows . (x_e[:2] - x_p[:2], x_p[2:], x_e[2:]) in the relative
         # state (`build_relative_ss`): each player's columns of the rows,
         # the pursuer's first two negated

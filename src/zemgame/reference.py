@@ -119,7 +119,7 @@ def evaluate() -> dict[str, float]:
     """The model's value of every row of `CHECKS`, by row name."""
     scenario = study_scenario()
     kern, coeffs = Kernels(scenario), coefficients(scenario)
-    grid = TimeGrid.uniform(0.0, scenario.t_f)
+    grid = TimeGrid(0.0, scenario.t_f)
     z0, w0 = POSITION
     values = {"beta_star": coeffs.beta_star, "mu_e": coeffs.mu_e, "bound": coeffs.bound}
     values.update(("%s[%d,%d]" % (name, i, j), matrix[i, j]) for i in range(2) for j in range(2)

@@ -13,7 +13,7 @@ miss variables through the transition rows.
 Both playouts of kernel laws (u_p = c_p h_p, u_e = c_he h_e + c_ge g_e:
 every saddle, branch and penalty law) are weighted sums of what the bundle
 keeps once per grid: the running Simpson integrals of h_p^2, h_e^2, h_e g_e
-and g_e^2 (`SampleBundle.running_products`), and five RK4 responses of the
+and g_e^2 (`SampleBundle.running_products`), and five responses of the
 player blocks with their z and w (`SampleBundle.responses`). The direct
 paths above run for every other pair, and for kernel laws whose sums are
 not finite.
@@ -211,7 +211,7 @@ def playout_full(scenario: EngagementScenario, u_p: ControlLaw, u_e: ControlLaw,
     exactly.
 
     For kernel laws u_p = c_p h_p and u_e = c_he h_e + c_ge g_e the
-    trajectory, z and w are weighted sums of the five RK4 responses the
+    trajectory, z and w are weighted sums of the five responses the
     bundle keeps (`SampleBundle.responses`, built on the first such call),
     by the two lateral velocities of the initial state and the three
     coefficients: the same RK4, with no scan per call. Any other pair, and
@@ -229,7 +229,7 @@ def playout_full(scenario: EngagementScenario, u_p: ControlLaw, u_e: ControlLaw,
     else:
         ss = build_game_ss(scenario.pursuer, scenario.evader)
         controls = np.vstack([bundle.control(u_p), bundle.control(u_e)])
-        x_traj = rk4_affine(ss.A, np.vstack([ss.B, ss.C]), controls, x0, bundle.grid.nodes)
+        x_traj = rk4_affine(ss.A, np.vstack([ss.B, ss.C]), controls, x0, bundle.grid)
         x_p = x_traj[:, :n_p]
         x_e = x_traj[:, n_p:]
         x_ep = np.hstack([

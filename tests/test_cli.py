@@ -176,6 +176,38 @@ def test_evader_without_control_authority(tmp_path, capsys, verb, evader):
     assert captured.err.startswith("scenario error: the evader has no control authority")
 
 
+def test_fast_unstable_pursuer(tmp_path, capsys):
+    """A fast unstable pursuer lag (A = [[40]] on the study) gives
+    G1 = s ~ 8.7e30 beside G2 and G3 of order 1: G is badly scaled, not
+    near singular. Every verb that solves with it exits 0 without a
+    warning, and the printed value is that of the branch solve G omega = b
+    in 40-digit arithmetic, to its 12 printed digits."""
+    mpmath = pytest.importorskip("mpmath")
+    path = write_doc(tmp_path, lambda d: d["players"].update(
+        pursuer={"A": [[40.0]], "b": [40.0], "c": [1.0], "d": 0.0}))
+    outs = []
+    for argv in (["solve", path], ["solve", path, "--probe", "20"],
+                 ["solve", path, "--csv", str(tmp_path / "t.csv")], ["sweep", path, "--sign", "+"]):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == EXIT_OK
+        assert caught == []
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        outs.append(captured.out)
+    assert outs[0].startswith("region: OmegaMinus\n")
+
+    scenario, _ = load_scenario(path)
+    c = coefficients(scenario)
+    assert c.G1 > 1e30
+    with mpmath.workdps(40):
+        G = mpmath.matrix(c.G.tolist())
+        omega = mpmath.lu_solve(G, mpmath.matrix([scenario.z0, scenario.w0 + c.bound]))
+        value = float((omega.T * mpmath.matrix(c.G_tilde.tolist()) * omega)[0])
+    for out in outs[:3]:
+        assert printed_value(out) == pytest.approx(value, rel=1e-11)
+
+
 class TestSolve:
     def test_forced_plus_branch_value(self, study_file, capsys):
         assert main(["solve", study_file, "--sign", "+"]) == EXIT_OK
@@ -336,13 +368,13 @@ def test_plain_solve_builds_no_grid(study_file, capsys, monkeypatch):
     """The grid of --csv and --probe is built only when one of them reads
     it; --grid is still checked."""
     builds = []
-    uniform = TimeGrid.__dict__["uniform"].__func__
+    post_init = TimeGrid.__post_init__
 
-    def counting(cls, *args, **kwargs):
-        builds.append(args)
-        return uniform(cls, *args, **kwargs)
+    def counting(grid):
+        post_init(grid)
+        builds.append((grid.t_start, grid.t_end, grid.n))
 
-    monkeypatch.setattr(TimeGrid, "uniform", classmethod(counting))
+    monkeypatch.setattr(TimeGrid, "__post_init__", counting)
     assert main(["solve", study_file]) == EXIT_OK
     assert main(["solve", study_file, "--sign", "+", "--probe", "5"]) == EXIT_OK
     assert builds == []
@@ -350,7 +382,7 @@ def test_plain_solve_builds_no_grid(study_file, capsys, monkeypatch):
     assert main(["solve", study_file, "--grid", "1"]) == EXIT_USAGE
     assert capsys.readouterr().err == "error: a time grid needs at least two nodes\n"
     assert main(["solve", study_file, "--probe", "5", "--grid", "301"]) == EXIT_OK
-    assert builds.count((0.0, 1.0, 301)) == 1  # beside the kernels' own build grid
+    assert builds == [(0.0, 1.0, 2001), (0.0, 1.0, 301)]  # the kernels' build grid first
 
 
 class TestSweep:

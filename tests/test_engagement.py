@@ -152,7 +152,7 @@ class TestZemInvariance:
             e = random_controller(rng, int(rng.integers(0, 4)))
             ss = build_relative_ss(p, e)
             t_f = 1.3
-            grid = TimeGrid.uniform(0.0, t_f, 201)
+            grid = TimeGrid(0.0, t_f, 201)
             x0 = rng.standard_normal(ss.A.shape[0])
             traj = ode_playout(lambda t, x: ss.A @ x, x0, grid)
             zs = np.array([

@@ -9,7 +9,7 @@ from zemgame import (
     Kernels, TimeGrid, build_game_ss, mat_exp, ode_playout, psi, quad_adaptive, reference, solve2,
 )
 from zemgame import numerics, reduction
-from zemgame.numerics import progression_step, rk4_affine, scaled_exp
+from zemgame.numerics import rk4_affine, scaled_exp
 from zemgame.errors import NearSingularError
 from zemgame.reference import CHECKS
 
@@ -222,63 +222,96 @@ class TestSolve2:
         with pytest.raises(NearSingularError):
             solve2(np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-20, 1e30, 1e150])
+    def test_singularity_test_ignores_scaling(self, scale):
+        """The determinant is measured against its own two terms: a system
+        G-shaped as [[G1, G2], [-G2, G3]] with G1 = 8.7e30 (a fast unstable
+        pursuer) is solved to round-off at every scaling of its first row,
+        and two terms that cancel to 1e-13 of their size are refused at
+        every scaling."""
+        M = np.array([[8.7e30 * scale, 0.3 * scale], [-0.3, 2.0]])
+        b = np.array([100.0 * scale, -50.0])
+        x = solve2(M, b)
+        np.testing.assert_allclose(M @ x, b, rtol=1e-15, atol=0.0)
+        with pytest.raises(NearSingularError):
+            solve2(np.array([[scale, scale], [1.0, 1.0 + 1e-13]]), np.array([1.0, 1.0]))
+
 
 class TestTimeGrid:
     def test_uniform(self):
         g = TimeGrid.uniform(0.0, 1.0, 5)
         np.testing.assert_allclose(g.nodes, [0.0, 0.25, 0.5, 0.75, 1.0])
         assert g.t_start == 0.0 and g.t_end == 1.0
+        assert g == TimeGrid(0.0, 1.0, 5) and g.step == 0.25
 
     def test_refined_interleaves_midpoints(self):
-        g = TimeGrid.uniform(0.0, 1.0, 3)
+        g = TimeGrid(0.0, 1.0, 3)
         np.testing.assert_allclose(g.refined(), [0.0, 0.25, 0.5, 0.75, 1.0])
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            TimeGrid(np.array([0.0]))
-        with pytest.raises(ValueError):
-            TimeGrid(np.array([0.0, 0.0, 1.0]))
+        """Fewer than two nodes, a node count that is not an integer,
+        non-finite ends or span, and an end not after the start."""
+        for args in [(0.0, 1.0, 1), (0.0, 1.0, 0), (0.0, 1.0, -3), (0.0, 1.0, 2.0),
+                     (0.0, 1.0, 2.5), (0.0, 1.0, True), (0.0, 1.0, "5"), (np.nan, 1.0, 5),
+                     (0.0, np.inf, 5), (-np.inf, 0.0, 5), (-1e308, 1e308, 5), (1.0, 1.0, 5),
+                     (1.0, 0.0, 5), (0.0, -0.0, 5)]:
+            with pytest.raises(ValueError):
+                TimeGrid(*args)
+
+    @pytest.mark.parametrize("a, b, n", [(0.0, 1.0, 2), (0.0, 1.3, 2001), (-10.0, -1.0, 1001),
+                                         (0.1, 0.7, 4001), (0.0, 50.0, np.int64(301))])
+    def test_nodes_are_linspace(self, a, b, n):
+        grid = TimeGrid(a, b, n)
+        np.testing.assert_array_equal(grid.nodes, np.linspace(a, b, n))
+        assert grid.step == (grid.nodes[-1] - grid.nodes[0]) / (n - 1)
+        assert grid.n == n and type(grid.n) is int and not grid.nodes.flags.writeable
+
+    def test_equal_by_fields(self):
+        assert TimeGrid(0, 1, 11) == TimeGrid(0.0, 1.0, 11)
+        assert hash(TimeGrid(0, 1, 11)) == hash(TimeGrid(0.0, 1.0, 11))
+        assert TimeGrid(0.0, 1.0, 11) != TimeGrid(0.0, 1.0, 12)
+        assert TimeGrid(0.0, 1.0) == TimeGrid(0.0, 1.0, numerics.DEFAULT_GRID_NODES)
 
 
 class TestProgressionStep:
-    """Sampling (`_transition_rows`, through `Kernels.bundle`) and stepping
-    (`rk4_affine`) take a grid as uniform by the one test of
-    `progression_step`, so they agree on every grid."""
+    """The kernel rows (`reduction._transition_rows`) are built by doubling
+    on every set of sample times that `_progression_step` takes as a
+    uniform progression, which the refined nodes of every grid are; any
+    other set takes one exponential per point."""
 
     SIZES = list(range(2, 12)) + [100, 101, 1000, 2001, 4001, 10000, 20001]
 
     @pytest.fixture
     def steps_seen(self, monkeypatch):
         seen = []
+        progression_step = reduction._progression_step
 
         def recording(values):
             seen.append(progression_step(values))
             return seen[-1]
 
-        monkeypatch.setattr(numerics, "progression_step", recording)
-        monkeypatch.setattr(reduction, "progression_step", recording)
+        monkeypatch.setattr(reduction, "_progression_step", recording)
         return seen
-
-    @staticmethod
-    def sample_and_step(nodes):
-        kernels = Kernels(reference.study_scenario())
-        kernels.bundle(TimeGrid(nodes))
-        forcing = np.zeros((2 * nodes.size - 1, 2))
-        rk4_affine(np.array([[0.0, 1.0], [0.0, -5.0]]), np.eye(2), forcing.T, np.ones(2), nodes)
 
     @pytest.mark.parametrize("n", SIZES)
     def test_uniform_grids(self, steps_seen, n):
-        self.sample_and_step(TimeGrid.uniform(0.0, 1.0, n).nodes)
-        assert len(steps_seen) == 3 and None not in steps_seen
+        Kernels(reference.study_scenario()).bundle(TimeGrid(0.0, 1.0, n))
+        assert len(steps_seen) == 2 and None not in steps_seen
 
-    def test_one_perturbed_node(self, steps_seen):
-        nodes = TimeGrid.uniform(0.0, 1.0, 101).nodes.copy()
-        nodes[37] += 1e-6
-        self.sample_and_step(nodes)
-        assert steps_seen == [None] * 3
+    def test_one_perturbed_node(self, steps_seen, monkeypatch):
+        kernels = Kernels(reference.study_scenario())
+        ts = TimeGrid(0.0, 1.0, 101).nodes.copy()
+        ts[37] += 1e-6
+        exponentials = []
+        monkeypatch.setattr(reduction, "mat_exp",
+                            lambda *a, _f=reduction.mat_exp: exponentials.append(1) or _f(*a))
+        kernels.sample_engagement(ts)
+        kernels.sample_target(ts)
+        assert steps_seen == [None] * 2 and len(exponentials) == 2 * ts.size
 
     def test_step_and_tolerance(self):
-        nodes = TimeGrid.uniform(-10.0, -1.0, 1001).nodes
+        progression_step = reduction._progression_step
+        nodes = TimeGrid(-10.0, -1.0, 1001).nodes.copy()
         assert progression_step(nodes) == pytest.approx(0.009, rel=1e-15)
         assert progression_step(nodes[:1]) == 0.0 and progression_step(nodes[:2]) is not None
         nudged = nodes.copy()
@@ -290,12 +323,12 @@ class TestProgressionStep:
 
 class TestOdePlayout:
     def test_zero_rhs_constant(self):
-        grid = TimeGrid.uniform(0.0, 1.0, 11)
+        grid = TimeGrid(0.0, 1.0, 11)
         traj = ode_playout(lambda t, x: np.zeros_like(x), np.array([2.0, -1.0]), grid)
         np.testing.assert_allclose(traj, np.tile([2.0, -1.0], (11, 1)))
 
     def test_unit_rhs(self):
-        grid = TimeGrid.uniform(0.0, 1.0, 11)
+        grid = TimeGrid(0.0, 1.0, 11)
         traj = ode_playout(lambda t, x: np.array([1.0]), np.array([0.0]), grid)
         assert traj[-1, 0] == pytest.approx(1.0, abs=1e-13)
 
@@ -304,7 +337,7 @@ class TestOdePlayout:
         tau_e, t_f, t_c = (reference.STUDY[k] for k in ("tau_e", "t_f", "t_c"))
         g_e = lambda t: tau_e * psi_ref((t_f + t_c - t) / tau_e)
         ue_bar = CHECKS["ue_bar+"].target
-        grid = TimeGrid.uniform(0.0, t_f, 2001)
+        grid = TimeGrid(0.0, t_f, 2001)
         traj = ode_playout(lambda t, x: np.array([g_e(t) * ue_bar]),
                            np.array([reference.POSITION[1]]), grid)
         assert CHECKS["w_f+ playout"].passed(traj[-1, 0])
@@ -314,7 +347,7 @@ class TestOdePlayout:
         rhs = lambda t, x: x * math.cos(t)
 
         def terminal_error(n):
-            traj = ode_playout(rhs, np.array([1.0]), TimeGrid.uniform(0.0, 1.0, n))
+            traj = ode_playout(rhs, np.array([1.0]), TimeGrid(0.0, 1.0, n))
             return abs(traj[-1, 0] - exact)
 
         coarse, fine = terminal_error(21), terminal_error(41)
@@ -322,152 +355,126 @@ class TestOdePlayout:
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_non_finite_state_rejected(self):
-        grid = TimeGrid.uniform(0.0, 1.0, 11)
+        grid = TimeGrid(0.0, 1.0, 11)
         with pytest.raises(ValueError):
             ode_playout(lambda t, x: x * 1e308, np.array([1.0]), grid)
 
 
-def refined(nodes):
-    return TimeGrid(nodes).refined()
-
-
-def rk4_loop(A, forcing, x0, nodes):
+def rk4_loop(A, forcing, x0, grid):
     """`ode_playout` with a closure right-hand side reading the forcing at
     the nearest refined node: the per-step reference of `rk4_affine`."""
-    ts = refined(nodes)
+    ts = grid.refined()
 
     def rhs(t, x):
         i = int(np.searchsorted(ts, t))  # the nearest of ts[i - 1] and ts[i]
         i -= i == ts.size or (i > 0 and t - ts[i - 1] <= ts[i] - t)
         return A @ x + forcing[i]
 
-    return ode_playout(rhs, x0, TimeGrid(nodes))
+    return ode_playout(rhs, x0, grid)
 
 
-def game_inputs(orders, nodes, seed=0):
+def game_inputs(orders, grid, seed=0):
     """Stacked player matrix of random controllers of the given orders, its
     input rows B and C, two smooth controls on the refined nodes, and a
     random start."""
     rng = np.random.default_rng(seed)
     ss = build_game_ss(random_controller(rng, orders[0]), random_controller(rng, orders[1]))
-    ts = refined(nodes)
+    ts = grid.refined()
     controls = np.vstack([40.0 * np.cos(3.0 * ts), 25.0 * np.sin(7.0 * ts)])
     return ss.A, np.vstack([ss.B, ss.C]), controls, rng.uniform(-5.0, 5.0, ss.A.shape[0])
 
 
-def game_case(orders, nodes, seed=0):
+def game_case(orders, grid, seed=0):
     """`game_inputs` with the forcing through B and C tabulated in full."""
-    A, inputs, controls, x0 = game_inputs(orders, nodes, seed)
+    A, inputs, controls, x0 = game_inputs(orders, grid, seed)
     return A, np.outer(controls[0], inputs[0]) + np.outer(controls[1], inputs[1]), x0
 
 
-class TestRk4Affine:
-    """The blocked scan against the per-step loop, at the 1e-12 * scale of
-    `assert_full_matches_loop`; block sizes are ceil(sqrt(steps)), so 2024,
-    2025 and 2026 steps are b^2 - 1, b^2 and b^2 + 1 for b = 45, and 1999
-    is prime."""
+@pytest.fixture
+def stepwise_calls(monkeypatch):
+    """Records each entry into the per-step fallback of `rk4_affine`."""
+    calls = []
+    monkeypatch.setattr(numerics, "_stepwise",
+                        lambda *a, _f=numerics._stepwise: calls.append(1) or _f(*a))
+    return calls
 
-    def assert_matches_loop(self, A, forcing, x0, nodes):
-        got = rk4_affine(A, np.eye(A.shape[0]), forcing.T, x0, nodes)
-        want = rk4_loop(A, forcing, x0, nodes)
+
+class TestRk4Affine:
+    """The doubling scan, and its per-step fallback, against the per-step
+    loop of `ode_playout` at the 1e-12 * scale of `assert_full_matches_loop`,
+    on 1 to 2026 steps (1999 is prime)."""
+
+    def assert_matches_loop(self, A, forcing, x0, grid):
+        got = rk4_affine(A, np.eye(A.shape[0]), forcing.T, x0, grid)
+        want = rk4_loop(A, forcing, x0, grid)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
     @pytest.mark.parametrize("steps", [1, 2, 3, 8, 9, 10, 1999, 2024, 2025, 2026])
     def test_step_counts(self, steps):
-        nodes = np.linspace(0.0, 1.3, steps + 1)
-        self.assert_matches_loop(*game_case((1, 2), nodes, seed=steps), nodes)
+        grid = TimeGrid(0.0, 1.3, steps + 1)
+        self.assert_matches_loop(*game_case((1, 2), grid, seed=steps), grid)
 
     @pytest.mark.parametrize("n_nodes", [2, 3, 100, 2001, 20001])
-    def test_doubling_scan(self, monkeypatch, n_nodes):
-        """Uniform grids run the log-depth doubling scan alone: the blocked
-        scan is not entered."""
-        def no_fallback(*args):
-            raise AssertionError("blocked scan entered on a uniform grid")
+    def test_doubling_scan(self, stepwise_calls, n_nodes):
+        """Finite rows run the log-depth doubling scan alone: the per-step
+        fallback is not entered."""
+        grid = TimeGrid(0.0, 1.3, n_nodes)
+        self.assert_matches_loop(*game_case((2, 3), grid, seed=n_nodes), grid)
+        assert stepwise_calls == []
 
-        monkeypatch.setattr(numerics, "_blocked_scan", no_fallback)
-        nodes = np.linspace(0.0, 1.3, n_nodes)
-        assert progression_step(nodes) is not None
-        self.assert_matches_loop(*game_case((2, 3), nodes, seed=n_nodes), nodes)
-
-    def test_non_uniform_grid(self):
-        nodes = np.linspace(0.0, 1.0, 2001) ** 1.5
-        self.assert_matches_loop(*game_case((1, 1), nodes), nodes)
-
-    @pytest.mark.parametrize("spacing", ["uniform", "power"])
-    def test_order_ten_pair(self, spacing):
-        nodes = np.linspace(0.0, 1.0, 2001)
-        if spacing == "power":
-            nodes = nodes ** 1.5
-        A, forcing, x0 = game_case((10, 10), nodes, seed=7)
+    @pytest.mark.parametrize("grid", [TimeGrid(0.0, 1.0, 2001)], ids=["uniform"])
+    def test_order_ten_pair(self, grid):
+        A, forcing, x0 = game_case((10, 10), grid, seed=7)
         assert A.shape == (24, 24)
-        self.assert_matches_loop(A, forcing, x0, nodes)
+        self.assert_matches_loop(A, forcing, x0, grid)
 
-    @pytest.mark.parametrize("spacing", ["uniform", "power"])
-    def test_two_control_columns(self, spacing):
+    @pytest.mark.parametrize("grid", [TimeGrid(0.0, 1.3, 2001)], ids=["uniform"])
+    def test_two_control_columns(self, grid):
         """The factored form of `playout_full`: the input rows B and C with
         the two control samples (m = 2), against the loop on the tabulated
         forcing."""
-        nodes = np.linspace(0.0, 1.3, 2001)
-        if spacing == "power":
-            nodes = nodes ** 1.5
-        A, inputs, controls, x0 = game_inputs((2, 3), nodes, seed=5)
-        got = rk4_affine(A, inputs, controls, x0, nodes)
-        want = rk4_loop(A, controls.T @ inputs, x0, nodes)
+        A, inputs, controls, x0 = game_inputs((2, 3), grid, seed=5)
+        got = rk4_affine(A, inputs, controls, x0, grid)
+        want = rk4_loop(A, controls.T @ inputs, x0, grid)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
     @pytest.mark.parametrize("x0", [[0.0], [0.0, 1.0]])
-    def test_overflowing_block_product_keeps_a_zero_state(self, x0):
+    def test_overflowing_block_product_keeps_a_zero_state(self, stepwise_calls, x0):
         """Each step multiplies the first component by P ~ 1.05e7, finite,
-        but a block of 45 overflows: the zero component must stay zero as in
-        the loop, not become inf * 0 = nan."""
+        but a power of 45 steps overflows: the zero component must stay
+        zero as in the loop, not become inf * 0 = nan. The doubled rows
+        are not finite, so the per-step fallback runs, once."""
         d = len(x0)
         A = np.diag([2.5e5, -1.0][:d])
-        nodes = np.linspace(0.0, 1.0, 2001)
-        H = 2.5e5 * (nodes[1] - nodes[0])
+        grid = TimeGrid(0.0, 1.0, 2001)
+        H = 2.5e5 * grid.step
         step = 1.0 + H + H ** 2 / 2 + H ** 3 / 6 + H ** 4 / 24
         assert np.isfinite(step) and 45 * math.log(step) > math.log(np.finfo(float).max)
-        forcing = np.zeros((refined(nodes).size, d))
-        got = rk4_affine(A, np.eye(d), forcing.T, np.array(x0), nodes)
+        forcing = np.zeros((grid.refined().size, d))
+        got = rk4_affine(A, np.eye(d), forcing.T, np.array(x0), grid)
         np.testing.assert_array_equal(got[:, 0], 0.0)
-        self.assert_matches_loop(A, forcing, np.array(x0), nodes)
-
-    @pytest.mark.parametrize("x0", [[0.0], [0.0, 1.0]])
-    def test_overflowing_block_on_non_uniform_grid(self, x0):
-        """The same zero state where every step has its own P: steps of
-        2.3e-4 to 5.5e-4 grow the first component by 5e5 to 1.5e7 each, so
-        the last blocks of 45 overflow and the first do not."""
-        d = len(x0)
-        A = np.diag([2.5e5, -1.0][:d])
-        nodes = np.linspace(0.0, 1.0, 2001) ** 1.1
-        assert progression_step(nodes) is None
-        H = 2.5e5 * np.diff(nodes)
-        growth = np.log(1.0 + H + H ** 2 / 2 + H ** 3 / 6 + H ** 4 / 24)
-        limit = math.log(np.finfo(float).max)
-        assert growth[:45].sum() < limit < growth[-45:].sum()
-        forcing = np.zeros((refined(nodes).size, d))
-        got = rk4_affine(A, np.eye(d), forcing.T, np.array(x0), nodes)
-        np.testing.assert_array_equal(got[:, 0], 0.0)
-        self.assert_matches_loop(A, forcing, np.array(x0), nodes)
+        assert stepwise_calls == [1]
+        self.assert_matches_loop(A, forcing, np.array(x0), grid)
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid")
     @pytest.mark.parametrize("x0", [[1.0], [1e-300, 1.0], [0.0, 1.0]])
     def test_growing_state_reports_first_non_finite_node(self, x0):
-        """Growth by ~1.05e7 a step: from 1 the state overflows inside the
-        first block, from 1e-300 in the second; the coupling feeds the zero
-        start. The blocked scan names the same node time as the loop."""
+        """Growth by ~1.05e7 a step: from 1 the state overflows within 45
+        steps, from 1e-300 within 90; the coupling feeds the zero start.
+        The fallback names the same node time as the loop."""
         d = len(x0)
         A = np.array([[2.5e5, 1.0], [0.0, -1.0]])[:d, :d]
-        nodes = np.linspace(0.0, 1.0, 2001)
-        forcing = np.zeros((refined(nodes).size, d))
+        grid = TimeGrid(0.0, 1.0, 2001)
+        forcing = np.zeros((grid.refined().size, d))
         with pytest.raises(ValueError, match="non-finite") as loop:
-            rk4_loop(A, forcing, np.array(x0), nodes)
-        with pytest.raises(ValueError) as blocked:
-            rk4_affine(A, np.eye(d), forcing.T, np.array(x0), nodes)
-        assert str(blocked.value) == str(loop.value)
+            rk4_loop(A, forcing, np.array(x0), grid)
+        with pytest.raises(ValueError) as stepped:
+            rk4_affine(A, np.eye(d), forcing.T, np.array(x0), grid)
+        assert str(stepped.value) == str(loop.value)
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid")
     def test_non_finite_state_rejected(self):
-        grid = TimeGrid.uniform(0.0, 1.0, 11)
+        grid = TimeGrid(0.0, 1.0, 11)
         forcing = np.zeros((grid.refined().size, 1))
         with pytest.raises(ValueError, match="non-finite"):
-            rk4_affine(np.array([[1e308]]), np.eye(1), forcing.T, np.array([1.0]), grid.nodes)
+            rk4_affine(np.array([[1e308]]), np.eye(1), forcing.T, np.array([1.0]), grid)

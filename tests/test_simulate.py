@@ -62,9 +62,9 @@ class TestPlayoutReduced:
     def test_grid_refinement_stable(self, study_scenario, study_kernels, study_coeffs):
         branch = solve_erg_branch(study_coeffs, 100.0, -100.0, 1)
         coarse = playout_reduced(study_scenario, study_kernels, branch.u_p, branch.u_e,
-                                 TimeGrid.uniform(0.0, 1.0, 2001))
+                                 TimeGrid(0.0, 1.0, 2001))
         fine = playout_reduced(study_scenario, study_kernels, branch.u_p, branch.u_e,
-                               TimeGrid.uniform(0.0, 1.0, 4001))
+                               TimeGrid(0.0, 1.0, 4001))
         assert fine.z_f == pytest.approx(coarse.z_f, rel=1e-8)
         assert fine.w_f == pytest.approx(coarse.w_f, rel=1e-8)
 
@@ -177,13 +177,13 @@ class TestExactCost:
         built; a grid reaching past t_f is refused for both pairs."""
         k = z.Kernels(study_scenario)
         sol = solve_rg(study_scenario, coeffs=study_coeffs)
-        coarse = TimeGrid.uniform(0.0, study_scenario.t_f, 7)
+        coarse = TimeGrid(0.0, study_scenario.t_f, 7)
         cost = evaluate_cost(study_scenario, k, sol.u_p, sol.u_e, coarse)
         assert cost == evaluate_cost(study_scenario, k, sol.u_p, sol.u_e)
         assert [v for v in vars(k).values() if isinstance(v, SampleBundle)] == []
         for u_e in (sol.u_e, Constant(1.0)):
             with pytest.raises(ValueError, match="not the horizon"):
-                evaluate_cost(study_scenario, k, sol.u_p, u_e, TimeGrid.uniform(0.0, 2.0, 7))
+                evaluate_cost(study_scenario, k, sol.u_p, u_e, TimeGrid(0.0, 2.0, 7))
 
     @pytest.mark.parametrize("start, end", [(0.0, 0.9), (0.1, 1.0), (-0.1, 1.0), (0.0, 1.1)])
     def test_partial_grid_refused(self, study_scenario, study_kernels, study_coeffs, start, end):
@@ -192,7 +192,7 @@ class TestExactCost:
         to return its full-horizon cost; ends within the horizon tolerance
         pass."""
         sol = solve_rg(study_scenario, coeffs=study_coeffs)
-        grid = TimeGrid.uniform(start, end, 2500)
+        grid = TimeGrid(start, end, 2500)
         pairs = [(sol.u_p, sol.u_e), (sol.u_p, Constant(100.0)), (Constant(1.0), sol.u_e),
                  (AffineInTime(-400.0, 400.0), Constant(1.0))]
         for u_p, u_e in pairs:
@@ -201,7 +201,7 @@ class TestExactCost:
             with pytest.raises(ValueError, match="not the horizon"):
                 cross_play(study_scenario, u_p, u_e, study_kernels, grid)
         t_f = study_scenario.t_f
-        nearly = TimeGrid(np.linspace(-0.5e-9, t_f + 0.5e-9, 2500))
+        nearly = TimeGrid(-0.5e-9, t_f + 0.5e-9, 2500)
         for u_p, u_e in pairs:
             evaluate_cost(study_scenario, study_kernels, u_p, u_e, nearly)
 
@@ -246,7 +246,7 @@ class TestPlayoutFull:
 
     def test_agrees_with_reduced_path(self, study_scenario, study_kernels, study_coeffs):
         branch = solve_erg_branch(study_coeffs, 100.0, -100.0, 1)
-        grid = TimeGrid.uniform(0.0, 1.0, 801)
+        grid = TimeGrid(0.0, 1.0, 801)
         full = playout_full(study_scenario, branch.u_p, branch.u_e, grid, study_kernels)
         reduced = playout_reduced(study_scenario, study_kernels, branch.u_p, branch.u_e, grid)
         np.testing.assert_allclose(full.z_traj, reduced.z_traj, rtol=0, atol=1e-6)
@@ -257,7 +257,7 @@ class TestPlayoutFull:
         sc = z.EngagementScenario.from_geometry(
             z.ControllerModel.first_order(0.2), z.ControllerModel.first_order(0.1),
             t_f=1.0, t_c=0.9, alpha=0.05, beta=0.3, ae_max=100.0, geometry=geo)
-        play = playout_full(sc, ZERO, ZERO, TimeGrid.uniform(0.0, 1.0, 201))
+        play = playout_full(sc, ZERO, ZERO, TimeGrid(0.0, 1.0, 201))
         assert play.z_traj[0] == pytest.approx(sc.z0, rel=1e-10)
         assert play.w_traj[0] == pytest.approx(sc.w0, rel=1e-10)
 
@@ -266,7 +266,7 @@ class TestPlayoutFull:
         grid = None
         for _ in range(20):
             sc, k = random_scenario(rng)
-            grid = TimeGrid.uniform(0.0, sc.t_f, 501)
+            grid = TimeGrid(0.0, sc.t_f, 501)
             u_p = KernelCombo(hp_coef=float(rng.uniform(-3, 3)))
             u_e = KernelCombo(he_coef=float(rng.uniform(-3, 3)),
                               ge_coef=float(rng.uniform(-3, 3)))
@@ -280,9 +280,9 @@ class TestPlayoutFull:
 class TestBundleMemo:
     def test_equal_nodes_share_a_bundle(self, study_scenario):
         k = z.Kernels(study_scenario)
-        first = k.bundle(TimeGrid.uniform(0.0, 1.0, 2500))
-        assert k.bundle(TimeGrid.uniform(0.0, 1.0, 2500)) is first
-        assert k.bundle(TimeGrid.uniform(0.0, 1.0, 2001)) is k.bundle()
+        first = k.bundle(TimeGrid(0.0, 1.0, 2500))
+        assert k.bundle(TimeGrid(0.0, 1.0, 2500)) is first
+        assert k.bundle(TimeGrid(0.0, 1.0, 2001)) is k.bundle()
 
     def test_memo_keeps_one_off_grid_bundle(self, study_scenario):
         """One off-grid bundle is kept, and the build grid's is sampled only
@@ -293,7 +293,7 @@ class TestBundleMemo:
             return sorted(id(v) for v in vars(k).values() if isinstance(v, SampleBundle))
 
         for n in range(300, 320):
-            last = k.bundle(TimeGrid.uniform(0.0, 1.0, n))
+            last = k.bundle(TimeGrid(0.0, 1.0, n))
         assert kept() == [id(last)]
         build = k.bundle()
         assert kept() == sorted([id(last), id(build)])
@@ -305,16 +305,16 @@ class TestBundleMemo:
         k = z.Kernels(study_scenario)
         sol = solve_rg(study_scenario, coeffs=study_coeffs)
         k.bundle()
-        evaluate_cost(study_scenario, k, sol.u_p, sol.u_e, TimeGrid.uniform(0.0, 1.0, 2500))
+        evaluate_cost(study_scenario, k, sol.u_p, sol.u_e, TimeGrid(0.0, 1.0, 2500))
         calls = []
         for name in ("_transition_rows", "mat_exp"):
             original = getattr(reduction, name)
             monkeypatch.setattr(reduction, name,
                                 lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a))
         playout_full(study_scenario, sol.u_p, sol.u_e, kernels=k)
-        evaluate_cost(study_scenario, k, sol.u_p, sol.u_e, TimeGrid.uniform(0.0, 1.0, 2500))
+        evaluate_cost(study_scenario, k, sol.u_p, sol.u_e, TimeGrid(0.0, 1.0, 2500))
         assert calls == []
-        k.bundle(TimeGrid.uniform(0.0, 1.0, 2400))
+        k.bundle(TimeGrid(0.0, 1.0, 2400))
         assert calls.count("_transition_rows") == 2  # the counter sees a new grid
 
     def test_legendre_gram_follows_its_arguments(self, study_scenario):
@@ -325,10 +325,9 @@ class TestBundleMemo:
         assert other.shape == (4, bundle.ts.size) and other_products.shape == (5, 7)
         np.testing.assert_allclose(other[1], bundle.ts - 1.0, rtol=0, atol=1e-15)
 
-    @pytest.mark.parametrize("nodes", [np.linspace(0.0, 1.0, 2001),
-                                       np.linspace(0.0, 1.0, 301) ** 1.5])
+    @pytest.mark.parametrize("nodes", [np.linspace(0.0, 1.0, 2001), np.linspace(0.0, 1.0, 301)])
     def test_node_rows_match_kernel_rows(self, study_kernels, nodes):
-        bundle = study_kernels.bundle(TimeGrid(nodes))
+        bundle = study_kernels.bundle(TimeGrid(0.0, 1.0, nodes.size))
         for kept, direct in ((bundle.node_rows_engagement, study_kernels.rows_engagement(nodes)),
                              (bundle.node_rows_target, study_kernels.rows_target(nodes))):
             np.testing.assert_allclose(kept, direct, rtol=0, atol=1e-12 * np.abs(direct).max())
@@ -359,7 +358,7 @@ class TestSaddleProbe:
         assert report.pursuer_worst >= 0.0 - report.slack
 
     def test_projection_enforces_admissibility(self, study_scenario, study_kernels):
-        grid = TimeGrid.uniform(0.0, 1.0, 501)
+        grid = TimeGrid(0.0, 1.0, 501)
         steps = np.diff(grid.nodes)
         ge_n = study_kernels.sample_target(grid.nodes)
         ge_m = study_kernels.sample_target(grid.midpoints)
@@ -374,7 +373,7 @@ class TestSaddleProbe:
     def test_projected_perturbation_preserves_terminal(self, study_scenario, study_kernels,
                                                        study_coeffs):
         branch = solve_erg_branch(study_coeffs, 100.0, -100.0, 1)
-        grid = TimeGrid.uniform(0.0, 1.0, 1001)
+        grid = TimeGrid(0.0, 1.0, 1001)
         ts_ref = grid.refined()
         steps = np.diff(grid.nodes)
         ge_n = study_kernels.sample_target(grid.nodes)
@@ -646,19 +645,26 @@ class TestPeakScan:
     """The probe's certified coarse peak scan (`simulate._peaks`) against
     the dense maximum over every refined node (`helpers.dense_peaks`), on
     the probe's draws: equal to 2 ulp of each peak, and every dense argmax
-    node lies in the window of a candidate cell of its row."""
+    node lies in the window of a candidate cell of its row. The scan is
+    built from the Legendre basis at any ascending sample times: the
+    refined nodes of grids over [0, 1], and those of the 2001-node grid
+    raised to the power 1.5."""
 
-    GRIDS = {"2001": np.linspace(0.0, 1.0, 2001), "301": np.linspace(0.0, 1.0, 301),
-             "2500": np.linspace(0.0, 1.0, 2500), "3": np.linspace(0.0, 1.0, 3),
-             "2": np.linspace(0.0, 1.0, 2), "power": np.linspace(0.0, 1.0, 2001) ** 1.5}
+    GRIDS = {str(n): TimeGrid(0.0, 1.0, n).refined() for n in (2001, 301, 2500, 3, 2)}
+    GRIDS["power"] = TimeGrid(0.0, 1.0, 2001).refined() ** 1.5
+
+    @staticmethod
+    def basis_and_scan(ts, size):
+        """The Legendre basis of `SampleBundle.legendre_gram` over [0, 1] at
+        ts, and its `PeakScan`."""
+        basis = np.polynomial.legendre.legvander(2.0 * ts - 1.0, size - 1).T
+        return basis, PeakScan.of(basis, ts)
 
     @pytest.mark.parametrize("n_trials", [0, 1, 100])
     @pytest.mark.parametrize("size", [1, 2, 8])
     @pytest.mark.parametrize("grid", list(GRIDS))
-    def test_matches_dense(self, study_kernels, grid, size, n_trials):
-        bundle = study_kernels.bundle(TimeGrid(self.GRIDS[grid]))
-        basis, _ = bundle.legendre_gram(size, 1.0)
-        scan = bundle.peak_scan(size, 1.0)
+    def test_matches_dense(self, grid, size, n_trials):
+        basis, scan = self.basis_and_scan(self.GRIDS[grid], size)
         draws = np.random.default_rng(size).standard_normal((n_trials, 2, size)).reshape(-1, size)
         got = simulate._peaks(draws, scan)
         want = dense_peaks(draws, basis)
@@ -674,18 +680,28 @@ class TestPeakScan:
         """Windows of the coarse scan cover each refined node, the last
         window ends on the last node, and the coarse columns are the basis
         at every 50th node and the last."""
-        for nodes in self.GRIDS.values():
-            bundle = study_kernels.bundle(TimeGrid(nodes))
-            basis, _ = bundle.legendre_gram(8, 1.0)
-            scan = bundle.peak_scan(8, 1.0)
+        for ts in self.GRIDS.values():
+            basis, scan = self.basis_and_scan(ts, 8)
             width = scan.windows.shape[2]
-            covered = np.zeros(bundle.ts.size, dtype=bool)
+            covered = np.zeros(ts.size, dtype=bool)
             for start in scan.starts:
                 covered[start:start + width] = True
-            assert covered.all() and scan.starts[-1] + width == bundle.ts.size
-            index = np.unique(np.append(np.arange(0, bundle.ts.size, 50), bundle.ts.size - 1))
+            assert covered.all() and scan.starts[-1] + width == ts.size
+            index = np.unique(np.append(np.arange(0, ts.size, 50), ts.size - 1))
             np.testing.assert_array_equal(scan.coarse, basis[:, index])
             assert scan.kappa.shape == (index.size - 1,) and (scan.kappa > 0.0).all()
+
+    def test_bundle_keeps_the_same_scan(self, study_kernels):
+        """A bundle's basis and peak scan over [0, 1] are those built here
+        from its refined nodes, bit for bit."""
+        for n in (2001, 301, 3):
+            bundle = study_kernels.bundle(TimeGrid(0.0, 1.0, n))
+            basis, scan = self.basis_and_scan(self.GRIDS[str(n)], 8)
+            np.testing.assert_array_equal(bundle.ts, self.GRIDS[str(n)])
+            np.testing.assert_array_equal(bundle.legendre_gram(8, 1.0)[0], basis)
+            kept = bundle.peak_scan(8, 1.0)
+            for field in ("coarse", "kappa", "windows", "starts"):
+                np.testing.assert_array_equal(getattr(kept, field), getattr(scan, field))
 
     def test_scan_data_held(self, study_kernels):
         """Beyond the basis, the scan keeps a few KB on the bundle: the
@@ -727,18 +743,12 @@ class TestFullEquivalence:
         sol = solve_rg(scenario, coeffs=coeffs)
         assert_full_matches_loop(scenario, sol.u_p, sol.u_e, kernels.grid, kernels)
 
-    def test_non_uniform_grid(self, study_scenario, study_kernels, study_coeffs):
-        branch = solve_erg_branch(study_coeffs, 100.0, -100.0, 1)
-        grid = TimeGrid(np.linspace(0.0, 1.0, 301) ** 1.5)
-        assert_full_matches_loop(study_scenario, branch.u_p, AffineInTime(-30.0, 40.0),
-                                 grid, study_kernels)
-
     @settings(max_examples=20)
     @given(seed=st.integers(0, 2 ** 32 - 1), order_p=st.integers(0, 10),
            order_e=st.integers(0, 10))
     def test_random_controllers(self, seed, order_p, order_e):
         rng, sc = response_scenario(seed, order_p, order_e)
-        grid = TimeGrid.uniform(0.0, sc.t_f, 401)
+        grid = TimeGrid(0.0, sc.t_f, 401)
         k = z.Kernels(sc)
         u_p = KernelCombo(hp_coef=float(rng.uniform(-30, 30)))
         u_e = KernelCombo(he_coef=float(rng.uniform(-30, 30)), ge_coef=float(rng.uniform(-30, 30)))
@@ -758,17 +768,15 @@ class TestKernelResponses:
     direct path on the same samples within 1e-13 of the largest magnitude
     among the state, z, w, z0 and w0: the sums reorder the rounding only.
     Measured over 60 draws of orders 0-10: 4.3e-15 (full) and 6.7e-15
-    (reduced) on uniform grids, 3.6e-15 and 4.5e-15 on x^1.5 grids; the
-    control samples are bitwise equal."""
+    (reduced) on 401-node grids; the control samples are bitwise equal."""
 
     @settings(max_examples=20)
     @given(seed=st.integers(0, 2 ** 32 - 1), order_p=st.integers(0, 10),
-           order_e=st.integers(0, 10), spacing=st.sampled_from(["uniform", "power"]))
-    def test_matches_direct_path(self, seed, order_p, order_e, spacing):
+           order_e=st.integers(0, 10))
+    def test_matches_direct_path(self, seed, order_p, order_e):
         rng, sc = response_scenario(seed, order_p, order_e)
         k = z.Kernels(sc)
-        nodes = np.linspace(0.0, 1.0, 401 if spacing == "uniform" else 301)
-        grid = TimeGrid(nodes * sc.t_f if spacing == "uniform" else nodes ** 1.5 * sc.t_f)
+        grid = TimeGrid(0.0, sc.t_f, 401)
         u_p = KernelCombo(hp_coef=float(rng.uniform(-30, 30)))
         u_e = KernelCombo(he_coef=float(rng.uniform(-30, 30)), ge_coef=float(rng.uniform(-30, 30)))
         s_p, s_e = direct_laws(k.bundle(grid), u_p, u_e)
@@ -791,10 +799,11 @@ class TestKernelResponses:
         np.testing.assert_array_equal(reduced.ue_samples, direct.ue_samples)
 
     def test_warm_calls_run_no_rk4(self, study_scenario, study_coeffs, monkeypatch):
-        """The first full playout on a bundle runs five `rk4_affine` scans
-        (each player from a unit lateral velocity, then under each kernel
-        that drives it); later kernel-law playouts on it run none, at any
-        position, while other laws still take the direct scan."""
+        """The first full playout on a bundle runs three `rk4_affine` scans
+        (each player under each kernel that drives it; the responses to a
+        unit lateral velocity are formed from the nodes); later kernel-law
+        playouts on it run none, at any position, while other laws still
+        take the direct scan."""
         k = z.Kernels(study_scenario)
         calls = []
         for module in (reduction, simulate):
@@ -802,16 +811,16 @@ class TestKernelResponses:
                                 calls.append(1) or _f(*a))
         sol = solve_rg(study_scenario, coeffs=study_coeffs)
         playout_full(study_scenario, sol.u_p, sol.u_e, kernels=k)
-        assert len(calls) == 5
+        assert len(calls) == 3
         for z0, w0 in ((100.0, 50.0), (-100.0, -20.0), (100.0, -50.0)):
             sc = dataclasses.replace(study_scenario, z0=z0, w0=w0, geometry=None)
             for sign in (1, -1):
                 branch = solve_erg_branch(study_coeffs, z0, w0, sign)
                 playout_full(sc, branch.u_p, branch.u_e, kernels=k)
                 playout_reduced(sc, k, branch.u_p, branch.u_e)
-        assert len(calls) == 5
+        assert len(calls) == 3
         playout_full(study_scenario, sol.u_p, Constant(1.0), kernels=k)
-        assert len(calls) == 6
+        assert len(calls) == 4
 
     def test_kept_read_only(self, study_kernels):
         bundle = study_kernels.bundle()
@@ -823,12 +832,12 @@ class TestKernelResponses:
     def test_replaced_bundle_drops_its_responses(self, study_scenario, study_coeffs):
         k = z.Kernels(study_scenario)
         sol = solve_rg(study_scenario, coeffs=study_coeffs)
-        grid = TimeGrid.uniform(0.0, study_scenario.t_f, 301)
+        grid = TimeGrid(0.0, study_scenario.t_f, 301)
         playout_full(study_scenario, sol.u_p, sol.u_e, grid, k)
         playout_reduced(study_scenario, k, sol.u_p, sol.u_e, grid)
         kept = [weakref.ref(k.bundle(grid).responses()),
                 weakref.ref(k.bundle(grid).running_products())]
-        k.bundle(TimeGrid.uniform(0.0, study_scenario.t_f, 302))
+        k.bundle(TimeGrid(0.0, study_scenario.t_f, 302))
         gc.collect()
         assert [ref() for ref in kept] == [None, None]
 
@@ -870,36 +879,22 @@ class TestMemory:
             tracemalloc.stop()
         return peak, current
 
-    @classmethod
-    def order_ten_peak(cls, spacing):
-        """Peak bytes of a full playout of an order-10 pair (d = 24) on the
-        2001-node build grid, or on the 2001-node grid with nodes spaced as
-        x^1.5, its bundle sampled beforehand."""
+    def test_peak_order_ten(self):
+        """A full playout of an order-10 pair (d = 24) on the 2001-node
+        build grid, its bundle sampled beforehand. The (steps x 24 x 24)
+        step matrices alone would be 9.2 MB; with the step offsets formed
+        from the two control rows, and no tabulated (refined nodes x 24)
+        forcing, the call peaks at about 2.0 MB (3.2 MB with the forcing)."""
         rng = np.random.default_rng(10)
         sc = z.EngagementScenario(
             pursuer=random_controller(rng, 10), evader=random_controller(rng, 10),
             t_f=1.2, t_c=0.7, alpha=0.1, beta=1.0, ae_max=50.0, z0=80.0, w0=-30.0)
         k = z.Kernels(sc)
-        grid = None if spacing == "uniform" else TimeGrid(np.linspace(0.0, 1.0, 2001) ** 1.5 * 1.2)
-        k.bundle(grid)
-        peak, _ = cls.traced(lambda: playout_full(sc, KernelCombo(hp_coef=3.0),
-                                                  KernelCombo(he_coef=-2.0, ge_coef=1.5),
-                                                  grid, kernels=k))
-        return peak
-
-    def test_peak_order_ten(self):
-        """d = 24: the (steps x 24 x 24) step matrices alone would be 9.2 MB;
-        with the step offsets formed from the two control rows, and no
-        tabulated (refined nodes x 24) forcing, the call peaks at about
-        2.0 MB (3.2 MB with the forcing)."""
-        assert self.order_ten_peak("uniform") <= 3.0e6
-
-    def test_peak_order_ten_non_uniform(self):
-        """Every step length differs, and each scan step forms only its
-        (blocks x 24 x 24) slice of step matrices: about 2.5 MB (4.1 MB
-        with a tabulated forcing), where one step matrix per step peaked at
-        48.5 MB."""
-        assert self.order_ten_peak("power") <= 3.7e6
+        k.bundle()
+        peak, _ = self.traced(lambda: playout_full(sc, KernelCombo(hp_coef=3.0),
+                                                   KernelCombo(he_coef=-2.0, ge_coef=1.5),
+                                                   kernels=k))
+        assert peak <= 3.0e6
 
     def test_responses_held_order_ten(self):
         """The kernel responses an order-10 pair's bundle keeps after its
@@ -928,7 +923,7 @@ class TestMemory:
         def costs():
             for n in range(2490, 2502):
                 evaluate_cost(study_scenario, k, sol.u_p, Constant(100.0),
-                              TimeGrid.uniform(0.0, study_scenario.t_f, n))
+                              TimeGrid(0.0, study_scenario.t_f, n))
 
         peak, held = self.traced(costs)
         assert peak <= 1.5e6
