@@ -21,7 +21,7 @@ from .errors import (
     SolvabilityError,
     ZemGameError,
 )
-from .numerics import TimeGrid, mat_exp, ode_playout, psi, quad_adaptive, solve2
+from .numerics import TimeGrid, mat_exp, ode_playout, quad_adaptive, solve2
 from .reduction import (
     AffineInTime,
     Constant,
@@ -31,7 +31,6 @@ from .reduction import (
     Kernels,
     Sampled,
     coefficients,
-    first_order_coefficients,
     mu_e,
     sample_control,
 )

@@ -29,6 +29,7 @@ from .engagement import (
 from .errors import (
     AssertionFailure,
     NoControlAuthority,
+    NonFiniteResult,
     ProbeFailure,
     ScenarioFormatError,
     SolvabilityError,
@@ -398,7 +399,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _main_parser().parse_args(argv)
         return args.func(args)
-    except (ScenarioFormatError, NoControlAuthority) as exc:
+    except (ScenarioFormatError, NoControlAuthority, NonFiniteResult) as exc:
         print("scenario error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     except SolvabilityError as exc:

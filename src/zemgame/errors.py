@@ -38,6 +38,11 @@ class NearSingularError(ZemGameError):
     """A 2x2 system matrix has a determinant below the singularity threshold."""
 
 
+class NonFiniteResult(ZemGameError, ValueError):
+    """A result of finite inputs overflows the float range: the position,
+    bound or weights are too large for the game's quadratic forms."""
+
+
 class NotInConstrainedRegion(ZemGameError):
     """An equality-constrained solve was requested for an interior position."""
 

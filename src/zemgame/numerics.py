@@ -3,9 +3,8 @@
 Everything the game solver needs and nothing more: a matrix exponential for
 the transition matrices of time-invariant controller dynamics, an adaptive
 Gauss-Legendre quadrature (the independent check of the exact kernel
-integrals), a classical one-step trajectory integrator, explicit 2x2
-solves, and a cancellation-safe evaluation of the first-order ramp response
-psi(t) = exp(-t) + t - 1.
+integrals), a classical one-step trajectory integrator, and explicit 2x2
+solves.
 
 All functions are pure; results are plain numpy arrays or floats.
 """
@@ -50,42 +49,6 @@ _PADE13_ABS_C_RECIP = 113250775606021113483283660800000000.0
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(7)
 
 _MAX_QUAD_DEPTH = 48
-
-
-def _psi_series() -> np.ndarray:
-    """Power-series coefficients, by exponent, of psi(x) and of the integrals
-    over [0, x] of psi(u), u psi(u) and psi(u)^2, from
-    psi(u) = sum_{k>=2} (-u)^k / k! and psi(u)^2 = sum_{k>=4} (-u)^k (2^k - 2 - 2k) / k!.
-    Below x = 1 the last term kept is under 1e-20 of the sum."""
-    table = np.zeros((4, 32))
-    for k in range(2, 30):
-        term = (-1.0) ** k / math.factorial(k)
-        table[0, k] = term
-        table[1, k + 1] = term / (k + 1)
-        table[2, k + 2] = term / (k + 2)
-        if k >= 4:
-            table[3, k + 1] = term * (2.0 ** k - 2.0 - 2.0 * k) / (k + 1)
-    return table
-
-
-PSI_SERIES = _psi_series()
-
-
-def psi(t):
-    """Ramp response exp(-t) + t - 1 of a unit first-order lag, for t >= 0.
-
-    Below t = 1 the direct formula loses digits to cancellation (the value
-    behaves like t^2/2), so the power series of `PSI_SERIES` is summed there
-    instead; either way the result is within a few ulps. Accepts scalars or
-    arrays.
-    """
-    t = np.asarray(t, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):  # the branch not taken
-        series = np.polynomial.polynomial.polyval(t, PSI_SERIES[0])
-    out = np.where(t < 1.0, series, np.exp(-t) + t - 1.0)
-    if out.ndim == 0:
-        return float(out)
-    return out
 
 
 def _norm1(M: np.ndarray):

@@ -23,9 +23,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .engagement import (EngagementScenario, StateSpace, build_evader_ss, build_player_ss,
-                         build_relative_ss, first_order_scenario)
-from .errors import AssertionFailure, NoControlAuthority, SolvabilityError
-from .numerics import PSI_SERIES, TimeGrid, mat_exp, rk4_affine, scaled_exp
+                         build_relative_ss)
+from .errors import AssertionFailure, NoControlAuthority, NonFiniteResult, SolvabilityError
+from .numerics import TimeGrid, mat_exp, rk4_affine, scaled_exp
 
 # Sign scan of the tail kernel: fewest cells, and the most before the input
 # is refused (bounded work); Newton steps per root.
@@ -453,22 +453,26 @@ class PeakScan:
     rows c (`simulate._peaks`).
 
     The coarse nodes are every `_SCAN_STRIDE`-th refined node and the last
-    one, and `coarse` is the basis there. Each cell between two coarse
-    nodes holds up to `_SCAN_STRIDE` - 1 interior nodes. kappa_j
-    bounds ||basis[:, i] - l_i||_2 over the interior nodes i of cell j,
-    where l_i interpolates the cell's end columns linearly in time, plus a
-    rounding floor (all that is left where the basis is linear in time).
-    The interpolation weights are convex on any grid, so
-    |c . basis[:, i]| <= max(|c . coarse_a|, |c . coarse_b|) + ||c|| kappa_j,
-    and a cell whose bound falls short of the largest coarse value cannot
-    hold the peak. `windows` views the basis as (window, function, node)
-    windows as wide as the widest cell, both ends included, and window
-    `starts[j]` covers cell j (the last window is moved back to end on the
+    one, and `coarse` is the basis there. Interior node i of the cell
+    between coarse nodes a and b sits at theta_i = (t_i - t_a) / (t_b - t_a)
+    (`inner`: the least and largest theta_i of each cell, both 0 in a cell
+    with none), and gap_i = ||basis[:, i] - l_i||_2 for the linear
+    interpolant l_i = (1 - theta_i) basis[:, a] + theta_i basis[:, b].
+    kappa_j bounds gap_i over cell j and bow_j bounds gap_i / (4 theta_i
+    (1 - theta_i)), each with a rounding floor that bow_j meets at every
+    interior node. So with v = |c . coarse|, |c . basis[:, i]| is at most
+    max(v_a, v_b) + ||c|| kappa_j and (1 - theta_i) v_a + theta_i v_b
+    + 4 ||c|| bow_j theta_i (1 - theta_i); a cell where either falls short
+    of the largest v cannot hold the peak. `windows` views the basis as
+    (window, function, node) windows as wide as the widest cell, ends
+    included; window `starts[j]` covers cell j (the last one ends on the
     last node).
     """
 
     coarse: np.ndarray
     kappa: np.ndarray
+    bow: np.ndarray
+    inner: np.ndarray
     windows: np.ndarray
     starts: np.ndarray
 
@@ -480,13 +484,21 @@ class PeakScan:
             index = np.append(index, n - 1)
         cell = np.minimum(np.arange(n) // _SCAN_STRIDE, index.size - 2)
         a, b = index[cell], index[cell + 1]
-        weight = (ts - ts[a]) / (ts[b] - ts[a])
-        gap = np.linalg.norm(basis - ((1.0 - weight) * basis[:, a] + weight * basis[:, b]), axis=0)
+        theta = (ts - ts[a]) / (ts[b] - ts[a])
+        gap = np.linalg.norm(basis - ((1.0 - theta) * basis[:, a] + theta * basis[:, b]), axis=0)
         # above the rounding of the dot products and of the gaps themselves
         floor = 4.0 * (basis.shape[0] + 2) * np.finfo(float).eps
         floor *= np.linalg.norm(basis, axis=0).max()
+        interior = np.ones(n, dtype=bool)
+        interior[index] = False
+        arch = np.where(interior, 4.0 * theta * (1.0 - theta), np.inf)  # coarse nodes: their own v
+        hi = np.maximum.reduceat(np.where(interior, theta, 0.0), index[:-1])
+        lo = np.minimum(np.minimum.reduceat(np.where(interior, theta, 1.0), index[:-1]), hi)
         width = int(index[1]) + 1  # the first cell is the widest
         return cls(coarse=basis[:, index], kappa=np.maximum.reduceat(gap, index[:-1]) + floor,
+                   bow=(np.maximum.reduceat(gap / arch, index[:-1])
+                        + floor / np.minimum.reduceat(arch, index[:-1])),
+                   inner=np.stack([lo, hi]),
                    windows=sliding_window_view(basis, width, axis=1).transpose(1, 0, 2),
                    starts=np.minimum(index[:-1], n - width))
 
@@ -573,6 +585,8 @@ def _assemble(integrals: tuple[float, float, float, float], mu: float,
     nu_e = int_he2 / beta
     s = 1.0 + nu_p - nu_e
     G1, G2, G3 = s, int_hege / beta, int_ge2 / beta
+    if not all(map(math.isfinite, (nu_p, G2, G3))):
+        raise NonFiniteResult("the kernel integrals over alpha or beta overflow the float range")
     F1 = 1.0 - nu_e
     det_G = G1 * G3 + G2 * G2
     det_F = F1 * G3 + G2 * G2
@@ -768,52 +782,3 @@ def coefficients(scenario: EngagementScenario,
     mu = _tail_weight(ev.A, ev.B, ev.D_row, scenario.t_c)
     return _assemble((K.item(0, 0), K.item(1, 1), K.item(1, 2), K.item(2, 2)), mu,
                      scenario.alpha, scenario.beta, scenario.ae_max)
-
-
-# -- closed forms for the first-order special case ---------------------------
-
-
-def _psi_moments(x: float) -> tuple[float, float, float, float]:
-    """psi(x) and the integrals over [0, x] of psi(u), u psi(u) and
-    psi(u)^2, each to a few ulps: from the power series below x = 1, where
-    the closed forms cancel, and from the closed forms above."""
-    if x < 1.0:
-        return tuple(float(v) for v in PSI_SERIES @ x ** np.arange(PSI_SERIES.shape[1]))
-    e = math.exp(-x)
-    p = e + x - 1.0
-    return (p, 0.5 * x * x - p, 1.0 - (1.0 + x) * e + x * x * (x / 3.0 - 0.5),
-            x * (x * x - 3.0 * x + 3.0) / 3.0 - 2.0 * x * e - 0.5 * math.expm1(-2.0 * x))
-
-
-def _psi_product_integral(x: float, s: float, t: float) -> float:
-    """int_0^x psi(u + s) psi(u + t) du for x, s, t >= 0.
-
-    psi(u + s) = e^-s psi(u) + (1 - e^-s) u + psi(s) splits each factor
-    into non-negative parts, so the integral is a sum of non-negative terms
-    and keeps the relative accuracy of `_psi_moments`.
-    """
-    _, int_psi, int_u_psi, int_psi_sq = _psi_moments(x)
-    a, c, p = math.exp(-s), -math.expm1(-s), _psi_moments(s)[0]
-    b, d, q = math.exp(-t), -math.expm1(-t), _psi_moments(t)[0]
-    return (a * b * int_psi_sq + (a * d + c * b) * int_u_psi + (a * q + p * b) * int_psi
-            + c * d * x ** 3 / 3.0 + (c * q + p * d) * x * x / 2.0 + p * q * x)
-
-
-def first_order_coefficients(tau_p: float, tau_e: float, t_f: float, t_c: float,
-                             alpha: float, beta: float, ae_max: float) -> GameCoefficients:
-    """Game coefficients for first-order controllers from analytic
-    antiderivatives of the psi kernels.
-
-    Independent of the matrix-exponential path; agrees with it to better
-    than 1e-8 relative on non-degenerate scenarios.
-    """
-    # built for its checks: a non-positive or non-finite argument is refused
-    scenario = first_order_scenario(tau_p, tau_e, t_f, t_c, alpha, beta, ae_max)
-    xe = t_f / tau_e
-    sigma = t_c / tau_e
-    integrals = (tau_p ** 3 * _psi_product_integral(t_f / tau_p, 0.0, 0.0),
-                 tau_e ** 3 * _psi_product_integral(xe, 0.0, 0.0),
-                 tau_e ** 3 * _psi_product_integral(xe, 0.0, sigma),
-                 tau_e ** 3 * _psi_product_integral(xe, sigma, sigma))
-    mu = tau_e ** 2 * _psi_moments(sigma)[1]
-    return _assemble(integrals, mu, scenario.alpha, scenario.beta, scenario.ae_max)

@@ -21,13 +21,14 @@ not finite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from .engagement import EngagementScenario, build_game_ss
-from .errors import AssertionFailure, ProbeFailure
+from .errors import AssertionFailure, NonFiniteResult, ProbeFailure
 from .numerics import TimeGrid, rk4_affine
 from .reduction import (ControlLaw, KernelCombo, Kernels, PeakScan, SampleBundle,
                         check_spans_horizon, simpson_panels)
@@ -70,19 +71,6 @@ class FullPlayout:
     z_f: float
     w_f: float
     miss: float
-
-
-def _cost_integrals(bundle: SampleBundle, up: np.ndarray, ue: np.ndarray,
-                    z0: float) -> tuple[float, float, float]:
-    """Terminal z, int u_p^2 and int u_e^2 of a control pair sampled on the
-    refined nodes of the bundle, as dot products with its Simpson weights."""
-    w = bundle.weights
-    z_f = z0 + w @ (bundle.h_p * up + bundle.h_e * ue)
-    pursuer = w @ (up * up)
-    evader = w @ (ue * ue)
-    if not np.isfinite((z_f, pursuer, evader)).all():
-        raise ValueError("non-finite integrand in cost")
-    return float(z_f), float(pursuer), float(evader)
 
 
 def _kernel_law_coefs(u_p: ControlLaw, u_e: ControlLaw) -> Optional[tuple[float, float, float]]:
@@ -140,16 +128,21 @@ def _combo_integrals(gram: np.ndarray, u_p: KernelCombo, u_e: KernelCombo,
                      z0: float) -> tuple[float, float, float]:
     """Terminal z, int u_p^2 and int u_e^2 of a pair of kernel combinations,
     exactly: with c_p and c_e their coefficient rows on k = (h_p, h_e, g_e)
-    and K = int k k' (`Kernels.gram`), z_f = z0 + (K c_p)_0 + (K c_e)_1 and
-    the efforts are c' K c."""
-    coefs = np.array([[u_p.hp_coef, u_p.he_coef, u_p.ge_coef],
-                      [u_e.hp_coef, u_e.he_coef, u_e.ge_coef]])
-    kc = coefs @ gram
-    z_f = z0 + kc[0, 0] + kc[1, 1]
-    pursuer, evader = (kc * coefs).sum(axis=1).tolist()
-    if not np.isfinite((z_f, pursuer, evader)).all():
-        raise ValueError("non-finite cost")
-    return float(z_f), pursuer, evader
+    and K = int k k' (`Kernels.gram`), z_f = z0 + (c_p K)_0 + (c_e K)_1 and
+    the efforts are c K c', on Python floats in the order of those
+    products."""
+    (k00, k01, k02), (k10, k11, k12), (k20, k21, k22) = gram.tolist()
+    forms = []
+    for law in (u_p, u_e):
+        c0, c1, c2 = law.hp_coef, law.he_coef, law.ge_coef
+        kc = (c0 * k00 + c1 * k10 + c2 * k20, c0 * k01 + c1 * k11 + c2 * k21,
+              c0 * k02 + c1 * k12 + c2 * k22)
+        forms.append((kc, kc[0] * c0 + kc[1] * c1 + kc[2] * c2))
+    (kp, pursuer), (ke, evader) = forms
+    z_f = z0 + kp[0] + ke[1]
+    if not (math.isfinite(z_f) and math.isfinite(pursuer) and math.isfinite(evader)):
+        raise NonFiniteResult("non-finite cost")
+    return z_f, pursuer, evader
 
 
 def evaluate_cost(scenario: EngagementScenario, kernels: Optional[Kernels],
@@ -163,8 +156,8 @@ def evaluate_cost(scenario: EngagementScenario, kernels: Optional[Kernels],
     cost is exact over [0, t_f]: a quadratic form in their coefficients
     with the kernels' Gram matrix (`_combo_integrals`), and the grid is not
     sampled. Any other pair is integrated by Simpson's rule on the refined
-    nodes of the grid (by default the kernels' build grid;
-    `_cost_integrals`).
+    nodes of the grid (by default the kernels' build grid), as dot products
+    with the bundle's weights.
     """
     if grid is not None:
         check_spans_horizon(grid, scenario.t_f)
@@ -173,8 +166,12 @@ def evaluate_cost(scenario: EngagementScenario, kernels: Optional[Kernels],
         z_f, up2, ue2 = _combo_integrals(k.gram(), u_p, u_e, scenario.z0)
     else:
         bundle = k.bundle(grid)
-        z_f, up2, ue2 = _cost_integrals(bundle, bundle.control(u_p), bundle.control(u_e),
-                                        scenario.z0)
+        up, ue, w = bundle.control(u_p), bundle.control(u_e), bundle.weights
+        z_f = scenario.z0 + w @ (bundle.h_p * up + bundle.h_e * ue)
+        up2, ue2 = w @ (up * up), w @ (ue * ue)
+        if not np.isfinite((z_f, up2, ue2)).all():
+            raise ValueError("non-finite integrand in cost")
+        z_f, up2, ue2 = float(z_f), float(up2), float(ue2)
     terminal = z_f ** 2
     pursuer = scenario.alpha * up2
     evader = scenario.beta * ue2
@@ -300,9 +297,12 @@ def _candidates(coefficients: np.ndarray,
 def _peaks(coefficients: np.ndarray, scan: PeakScan) -> np.ndarray:
     """max |c . basis[:, i]| over the refined nodes i for each row c, by
     the certified coarse scan of `PeakScan`: the largest value at the
-    coarse nodes, raised by the nodes of each cell whose bound reaches it
-    (`_candidates`), a fixed number of cells at a time. No (rows x nodes)
-    array is formed.
+    coarse nodes, raised by the nodes of each cell whose two bounds reach
+    it, a fixed number of cells at a time. Of the cells `_candidates`
+    returns, one is evaluated only when its bow bound, a concave parabola
+    in theta, exceeds the coarse peak on the theta range of its interior
+    nodes. (A cell with none has k = 0 and the range [0, 0], and its NaN
+    or zero theta keeps it out.) No (rows x nodes) array is formed.
 
     Each cell is evaluated as a (2 x size) @ (size x width) product with
     its row taken twice: numpy hands a one-row product to BLAS gemv and a
@@ -311,6 +311,14 @@ def _peaks(coefficients: np.ndarray, scan: PeakScan) -> np.ndarray:
     the dense scan's to the last bit (OpenBLAS; otherwise to the rounding
     of the dot products)."""
     out, rows, cells = _candidates(coefficients, scan)
+    values = np.abs(scan.coarse.T @ coefficients.T)  # the coarse values of `_candidates`
+    v_a, v_b = values[cells, rows], values[cells + 1, rows]
+    k = scan.bow[cells] * (4.0 * np.linalg.norm(coefficients, axis=1)[rows])
+    lo, hi = scan.inner[:, cells]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        theta = np.minimum(np.maximum(0.5 + (v_b - v_a) / (2.0 * k), lo), hi)
+    keep = v_a + theta * (v_b - v_a + k * (1.0 - theta)) > out[rows]
+    rows, cells = rows[keep], cells[keep]
     cell_peaks = np.empty(rows.size)
     for i in range(0, rows.size, _CELL_CHUNK):
         r, j = rows[i:i + _CELL_CHUNK], cells[i:i + _CELL_CHUNK]
@@ -323,58 +331,58 @@ def _peaks(coefficients: np.ndarray, scan: PeakScan) -> np.ndarray:
 
 def _quadratic(V: np.ndarray, gram: np.ndarray) -> np.ndarray:
     """v' gram v for each row v of V."""
-    return np.einsum("ti,ij,tj->t", V, gram, V)
+    return np.einsum("ti,ti->t", V @ gram, V)
 
 
 def saddle_probe(scenario: EngagementScenario, solution: "SaddleSolution",
                  n_trials: int = 100, seed: int = 0,
                  kernels: Optional[Kernels] = None,
                  grid: Optional[TimeGrid] = None) -> ProbeReport:
-    """Empirical saddle check around a solved pair.
+    """Empirical saddle check around a solved pair of kernel laws
+    (`KernelCombo`; any other law is refused with TypeError).
 
-    Random smooth perturbations (a low-order orthogonal-polynomial basis)
-    are applied to each side separately; evader perturbations are projected
-    into the admissible class of the active region first. Every trial must
-    keep J(u_p*, u_e* + d) <= J* <= J(u_p* + d, u_e*) up to a 1e-9 slack;
-    the first trial that does not raises ProbeFailure (its evader side
-    before its pursuer side).
+    Each trial perturbs each side separately by a random Legendre
+    polynomial of degree below 8 on [0, t_f], scaled to a peak of
+    0.2 * max(1, max |u*|) over the refined nodes of the grid; an evader
+    perturbation is first projected into the admissible class of the
+    region. Every trial must keep J(u_p*, u_e* + d) <= J* <= J(u_p* + d, u_e*)
+    to a 1e-9 slack; the first that does not raises ProbeFailure (its
+    evader side first). Trial t takes its 8 evader and then its 8 pursuer
+    coefficients as normals 16t to 16t + 15 of default_rng(seed), so n
+    trials are the first n of any longer run.
 
-    Trial t takes its 8 evader and then its 8 pursuer Legendre
-    coefficients as normals 16t to 16t + 15 of one stream,
-    default_rng(seed), so a run of n trials draws the first n trials of
-    any longer run with the same seed; each perturbation is scaled to a
-    peak of 0.2 * max(1, max |u*|) over the refined nodes. The peaks come
-    from the certified coarse scan of `_peaks`: every 50th node, and then
-    only the cells whose bound reaches the coarse maximum, so they equal
-    the maxima over every node. Every perturbation lies in
-    span(basis, g_e), and J is quadratic in the controls, so each trial's
-    terminal z, efforts and cost come from its 9 coefficients and one 9x9
-    Gram matrix of the basis and g_e under the Simpson weights; all trials
-    are evaluated at once. The basis, its products with the kernels and
-    its peak scan are the bundle's (`legendre_gram`, `peak_scan`), so a
-    call forms only the products with u_p* and u_e*.
+    J is quadratic in the controls, so all trials are evaluated at once in
+    kernel coordinates: J*'s terminal z and efforts exactly from the
+    kernels' Gram matrix (`_combo_integrals`), and the perturbations'
+    products with the basis, g_e and the kernels from the bundle's Simpson
+    products (`legendre_gram`). The peaks come from the certified coarse
+    scan of `_peaks` and equal the maxima over every node; only max |u*|
+    reads the nodes.
     """
     from .solver import RegionLabel
 
     if n_trials < 0:
         raise ValueError("n_trials must be nonnegative")
+    u_p, u_e = solution.u_p, solution.u_e
+    if not (isinstance(u_p, KernelCombo) and isinstance(u_e, KernelCombo)):
+        raise TypeError("the saddle probe takes kernel laws, not %r and %r" % (u_p, u_e))
     k = kernels if kernels is not None else Kernels(scenario)
     bundle = k.bundle(grid)
-    up, ue = bundle.control(solution.u_p), bundle.control(solution.u_e)
-    z_f, up2, ue2 = _cost_integrals(bundle, up, ue, scenario.z0)
+    z_f, up2, ue2 = _combo_integrals(k.gram(), u_p, u_e, scenario.z0)
     alpha, beta = scenario.alpha, scenario.beta
     nb = _PROBE_BASIS_SIZE
-    basis, products = bundle.legendre_gram(nb, scenario.t_f)
+    _, products = bundle.legendre_gram(nb, scenario.t_f)
     gram = products[:, :nb + 1]
-    hp_dot, he_dot = products[:, nb + 1:].T  # int aug_i * (h_p, h_e), aug = (basis, g_e)
-    weighted_ue = bundle.weights * ue
-    up_dot = basis @ (bundle.weights * up)  # int basis_i u_p*
-    ue_dot = np.append(basis @ weighted_ue, bundle.g_e @ weighted_ue)  # int aug_i u_e*
+    # int aug_i * (h_p, h_e, g_e), aug = (basis, g_e)
+    kernel_dots = products[:, [nb + 1, nb + 2, nb]]
+    hp_dot, he_dot = kernel_dots[:, 0], kernel_dots[:, 1]
+    up_dot = kernel_dots[:nb] @ (u_p.hp_coef, u_p.he_coef, u_p.ge_coef)  # int basis_i u_p*
+    ue_dot = kernel_dots @ (u_e.hp_coef, u_e.he_coef, u_e.ge_coef)  # int aug_i u_e*
 
     j_star = solution.value
     slack = 1e-9 * max(1.0, abs(j_star))
-    amp_p = _PROBE_AMPLITUDE * max(1.0, float(np.abs(up).max()))
-    amp_e = _PROBE_AMPLITUDE * max(1.0, float(np.abs(ue).max()))
+    amp_p = _PROBE_AMPLITUDE * max(1.0, float(np.abs(bundle.control(u_p)).max()))
+    amp_e = _PROBE_AMPLITUDE * max(1.0, float(np.abs(bundle.control(u_e)).max()))
 
     draws = np.random.default_rng(seed).standard_normal((n_trials, 2, nb))
     c_e, c_p = draws[:, 0], draws[:, 1]
@@ -401,6 +409,8 @@ def saddle_probe(scenario: EngagementScenario, solution: "SaddleSolution",
     j_p = z_p ** 2 + alpha * (up2 + 2.0 * (V_p @ up_dot)
                               + _quadratic(V_p, gram[:nb, :nb])) - beta * ue2
 
+    if not (np.isfinite(j_e).all() and np.isfinite(j_p).all()):
+        raise NonFiniteResult("a saddle probe cost is not finite")
     raised = np.flatnonzero(j_e > j_star + slack)
     lowered = np.flatnonzero(j_p < j_star - slack)
     if raised.size and (not lowered.size or raised[0] <= lowered[0]):

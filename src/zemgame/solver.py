@@ -9,6 +9,7 @@ its upper or lower bound. Each regime has an explicit solution driven by
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional, Sequence
@@ -16,8 +17,8 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .engagement import EngagementScenario
-from .errors import AssertionFailure, NotInConstrainedRegion
-from .numerics import solve2, solve2_entries
+from .errors import AssertionFailure, NonFiniteResult, NotInConstrainedRegion
+from .numerics import solve2_entries
 from .reduction import (
     ControlLaw,
     GameCoefficients,
@@ -102,13 +103,31 @@ class PenaltyRecord(NamedTuple):
     w_f: float
 
 
-def _gamma(sign: int, bound: float) -> np.ndarray:
+def _shift(sign: int, bound: float) -> float:
+    """gamma_1 = -sign*bound of the branch pinned at w_f = sign*bound
+    (gamma = (0, gamma_1))."""
     if sign not in (1, -1):
         raise ValueError("branch sign must be +1 or -1")
-    return np.array([0.0, -sign * bound])
+    return -sign * bound
 
 
-def _branch_laws(coeffs: GameCoefficients, omega: np.ndarray) -> tuple[KernelCombo, KernelCombo]:
+def _require_finite(what: str, *values: float) -> None:
+    """Refuse finite input whose result overflowed the float range."""
+    if not all(map(math.isfinite, values)):
+        raise NonFiniteResult("%s is not finite: the position, bound or weights "
+                              "overflow the float range" % what)
+
+
+def _position_form(coeffs: GameCoefficients, z0: float, w0: float, shift: float) -> float:
+    """chi0' G_bar chi0 + 2 chi0' G_bar gamma for chi0 = (z0, w0) and
+    gamma = (0, shift), on Python floats in the order of those products."""
+    b00, b01, b11 = coeffs.G3 / coeffs.det_G, -coeffs.G2 / coeffs.det_G, -coeffs.G1 / coeffs.det_G
+    c0, c1 = z0 * b00 + w0 * b01, z0 * b01 + w0 * b11
+    return c0 * z0 + c1 * w0 + 2.0 * (c1 * shift)
+
+
+def _branch_laws(coeffs: GameCoefficients,
+                 omega: tuple[float, float]) -> tuple[KernelCombo, KernelCombo]:
     z_f, v_f = omega
     u_p = KernelCombo(hp_coef=-z_f / coeffs.alpha)
     u_e = KernelCombo(he_coef=z_f / coeffs.beta, ge_coef=-v_f / coeffs.beta)
@@ -145,10 +164,14 @@ def solve_urg(coeffs: GameCoefficients, z0: float) -> UrgSolution:
     u_e = KernelCombo(he_coef=z0 / (coeffs.beta * coeffs.s))
     z_f = z0 / coeffs.s
 
-    pursuer = coeffs.alpha * scale ** 2 * (coeffs.alpha * coeffs.nu_p)
-    evader = coeffs.beta * u_e.he_coef ** 2 * (coeffs.beta * coeffs.nu_e)
+    try:
+        pursuer = coeffs.alpha * scale ** 2 * (coeffs.alpha * coeffs.nu_p)
+        evader = coeffs.beta * u_e.he_coef ** 2 * (coeffs.beta * coeffs.nu_e)
+    except OverflowError:  # a float square past the range
+        pursuer = evader = math.inf
     value = z_f * z_f + pursuer - evader
     closed = z0 * z0 / coeffs.s
+    _require_finite("the unconstrained value", value, closed)
     if abs(value - closed) > 1e-12 * max(1.0, z_f * z_f + pursuer + evader):
         raise AssertionFailure(
             "unconstrained value %g disagrees with closed form %g" % (value, closed)
@@ -167,21 +190,23 @@ def solve_upg(coeffs: GameCoefficients, z0: float, w0: float, sign: int,
 def solve_erg_branch(coeffs: GameCoefficients, z0: float, w0: float, sign: int) -> BranchSolution:
     """Equality-constrained branch saddle point: omega_f = G^-1 b, with the
     value computed both as omega' G_tilde omega and as the quadratic form in
-    the initial position; the two must agree to 1e-9 relative."""
-    chi0 = np.array([z0, w0])
-    gamma = _gamma(sign, coeffs.bound)
-    b = chi0 + gamma
-    omega = solve2(coeffs.G, b)
-    u_p, u_e = _branch_laws(coeffs, omega)
-    value = float(omega @ coeffs.G_tilde @ omega)
-    Gb = coeffs.G_bar
-    value_chi = float(chi0 @ Gb @ chi0 + 2.0 * chi0 @ Gb @ gamma + gamma @ Gb @ gamma)
+    the initial position; the two must agree to 1e-9 relative. Both are
+    formed on Python floats, in the order of the matrix products."""
+    shift = _shift(sign, coeffs.bound)
+    G1, G2, G3 = coeffs.G1, coeffs.G2, coeffs.G3
+    b1 = w0 + shift
+    z_f, v_f = solve2_entries(G1, G2, -G2, G3, z0, b1)
+    value = (z_f * G1 + v_f * G2) * z_f + (z_f * G2 - v_f * G3) * v_f
+    value_chi = _position_form(coeffs, z0, w0, shift) + shift * (-G1 / coeffs.det_G) * shift
+    _require_finite("the branch value", z_f, v_f, value, value_chi)
     if abs(value - value_chi) > 1e-9 * max(1.0, abs(value)):
         raise AssertionFailure(
             "branch value forms disagree: %r vs %r" % (value, value_chi)
         )
-    return BranchSolution(sign=sign, b_vec=b, omega_f=omega, u_p=u_p, u_e=u_e,
-                          value=value, chi0=chi0, gamma=gamma)
+    u_p, u_e = _branch_laws(coeffs, (z_f, v_f))
+    return BranchSolution(sign=sign, b_vec=np.array([z0, b1]), omega_f=np.array([z_f, v_f]),
+                          u_p=u_p, u_e=u_e, value=value, chi0=np.array([z0, w0]),
+                          gamma=np.array([0.0, shift]))
 
 
 def aux_cross(coeffs: GameCoefficients, z0: float, w0: float, pursuer_sign: int) -> AuxCrossSolution:
@@ -189,25 +214,25 @@ def aux_cross(coeffs: GameCoefficients, z0: float, w0: float, pursuer_sign: int)
     optimally reach the opposite terminal sign.
 
     Returns the solved terminal pair, the evader reply, and the full cost of
-    the mixed pair as a quadratic form in the initial position.
+    the mixed pair as a quadratic form in the initial position, on Python
+    floats.
     """
-    chi0 = np.array([z0, w0])
     bound = coeffs.bound
-    gamma_fix = _gamma(pursuer_sign, bound)
-    gamma_other = _gamma(-pursuer_sign, bound)
-    omega_fix = solve2(coeffs.G, chi0 + gamma_fix)
-    xi = gamma_other - np.array([coeffs.nu_p * omega_fix[0], 0.0])
-    mu = chi0 + xi
-    omega1 = solve2(coeffs.F, mu)
+    G1, G2, G3 = coeffs.G1, coeffs.G2, coeffs.G3
+    z_fix, _ = solve2_entries(G1, G2, -G2, G3, z0, w0 + _shift(pursuer_sign, bound))
+    other = _shift(-pursuer_sign, bound)
+    xi = (-coeffs.nu_p * z_fix, other)
+    mu = (z0 + xi[0], w0 + other)
+    omega1 = solve2_entries(1.0 - coeffs.nu_e, G2, -G2, G3, *mu)
     u_e_star = KernelCombo(he_coef=omega1[0] / coeffs.beta,
                            ge_coef=-omega1[1] / coeffs.beta)
-    rho = bound * bound * (3.0 * coeffs.nu_p * coeffs.G2 ** 2
-                           - (coeffs.G1 - coeffs.nu_p) * coeffs.det_G) \
+    rho = bound * bound * (3.0 * coeffs.nu_p * G2 ** 2
+                           - (G1 - coeffs.nu_p) * coeffs.det_G) \
         / (coeffs.det_G * coeffs.det_F)
-    Gb = coeffs.G_bar
-    J_cross = float(chi0 @ Gb @ chi0 + 2.0 * chi0 @ Gb @ gamma_other + rho)
-    return AuxCrossSolution(pursuer_sign=pursuer_sign, mu_vec=mu, xi_vec=xi,
-                            omega1=omega1, u_e_star=u_e_star, J_cross=J_cross,
+    J_cross = _position_form(coeffs, z0, w0, other) + rho
+    _require_finite("the cross-play value", J_cross)
+    return AuxCrossSolution(pursuer_sign=pursuer_sign, mu_vec=np.array(mu), xi_vec=np.array(xi),
+                            omega1=np.array(omega1), u_e_star=u_e_star, J_cross=J_cross,
                             rho=rho)
 
 
@@ -294,16 +319,16 @@ def penalty_sweep(coeffs: GameCoefficients, z0: float, w0: float, sign: int,
     if any(later >= earlier for earlier, later in zip(eps_arr, eps_arr[1:])):
         raise ValueError("eps values must be strictly descending")
     eps = np.array(eps_arr)
-    b0, b1 = np.array([z0, w0]) + _gamma(sign, coeffs.bound)
     (m00, m01), (m10, m11) = coeffs.G.tolist()
     m11 = m11 + eps
-    z_f, v_f = solve2_entries(m00, m01, m10, m11, b0, b1)
-    value = (z_f * m00 - v_f * m10) * z_f + (z_f * m01 - v_f * m11) * v_f
-    w_f = sign * coeffs.bound + eps * v_f
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite records are refused
+        z_f, v_f = solve2_entries(m00, m01, m10, m11, z0, w0 + _shift(sign, coeffs.bound))
+        value = (z_f * m00 - v_f * m10) * z_f + (z_f * m01 - v_f * m11) * v_f
+        w_f = sign * coeffs.bound + eps * v_f
     records = []
     for e, z, v, val, w in zip(eps_arr, z_f.tolist(), v_f.tolist(), value.tolist(), w_f.tolist()):
-        omega = np.array([z, v])
-        u_p, u_e = _branch_laws(coeffs, omega)
-        records.append(PenaltyRecord(eps=e, omega_eps=omega, u_p=u_p, u_e=u_e, value=val,
-                                     z_f=z, w_f=w))
+        _require_finite("the penalized value at eps = %g" % e, z, v, val, w)
+        u_p, u_e = _branch_laws(coeffs, (z, v))
+        records.append(PenaltyRecord(eps=e, omega_eps=np.array([z, v]), u_p=u_p, u_e=u_e,
+                                     value=val, z_f=z, w_f=w))
     return records

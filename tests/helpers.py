@@ -9,6 +9,7 @@ its own matrix-exponential and adaptive-quadrature path.
 
 import dataclasses
 import functools
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
@@ -19,8 +20,7 @@ import zemgame as z
 from zemgame.errors import AssertionFailure, NotInConstrainedRegion
 from zemgame.numerics import (_PADE13_ABS_C_RECIP, _PADE13_B, _PADE13_ETA_THETA,
                               _PADE13_THETA)
-from zemgame.reduction import simpson_panels
-from zemgame.solver import _gamma
+from zemgame.reduction import _assemble, simpson_panels
 
 ORACLE = SimpleNamespace(
     beta_star=0.243832425334,
@@ -135,8 +135,7 @@ def random_first_order(rng):
     t_c = float(rng.uniform(0.2, 1.2))
     alpha = float(rng.uniform(0.02, 0.3))
     ae_max = float(rng.uniform(30.0, 150.0))
-    probe = z.first_order_coefficients(tau_p, tau_e, t_f, t_c, alpha,
-                                       beta=1e9, ae_max=ae_max)
+    probe = first_order_coefficients(tau_p, tau_e, t_f, t_c, alpha, beta=1e9, ae_max=ae_max)
     beta = probe.beta_star * float(rng.uniform(1.3, 3.0))
     return dict(tau_p=tau_p, tau_e=tau_e, t_f=t_f, t_c=t_c, alpha=alpha,
                 beta=beta, ae_max=ae_max)
@@ -187,6 +186,34 @@ def dense_peaks(coefficients, basis):
     return out
 
 
+def coarse_candidates(coefficients, scan):
+    """(coarse peaks, rows, cells) of the coarse peak scan by its kappa
+    bound alone, max(v_a, v_b) + ||c|| kappa_j >= the row's coarse peak:
+    the rule `simulate._candidates` was certified with, kept to hold its
+    rows and cells bitwise."""
+    values = np.abs(scan.coarse.T @ coefficients.T)
+    peaks = values.max(axis=0)
+    reach = np.maximum(values[:-1], values[1:]) + scan.kappa[:, None] * np.linalg.norm(
+        coefficients, axis=1)
+    cells, rows = np.nonzero(reach >= peaks)
+    return peaks, rows, cells
+
+
+def combo_integrals_matrix_form(gram, u_p, u_e, z0):
+    """(z_f, int u_p^2, int u_e^2) of two kernel combinations by numpy
+    matrix products, the form `simulate._combo_integrals` had before it
+    moved to Python floats, with the summed magnitudes of the terms of
+    each."""
+    coefs = np.array([[u_p.hp_coef, u_p.he_coef, u_p.ge_coef],
+                      [u_e.hp_coef, u_e.he_coef, u_e.ge_coef]])
+    kc = coefs @ gram
+    magnitudes = np.abs(coefs) @ np.abs(gram)
+    values = (z0 + kc[0, 0] + kc[1, 1], *(kc * coefs).sum(axis=1))
+    scales = (abs(z0) + magnitudes[0, 0] + magnitudes[1, 1],
+              *(magnitudes * np.abs(coefs)).sum(axis=1))
+    return values, scales
+
+
 @dataclass(frozen=True)
 class CaseIiiDiagnostic:
     """Interior-case feasibility data for the two auxiliary fixed-pursuer
@@ -229,7 +256,7 @@ def case_iii_positions(coeffs, z0, w0):
     one_minus_nu_e = 1.0 - coeffs.nu_e
     z_bars = []
     for sign in (1, -1):
-        omega_fix = z.solve2(coeffs.G, chi0 + _gamma(sign, bound))
+        omega_fix = z.solve2(coeffs.G, chi0 - np.array([0.0, sign * bound]))
         z_bars.append((z0 - coeffs.nu_p * omega_fix[0]) / one_minus_nu_e)
     w1 = w0 + coeffs.G2 * z_bars[0]
     w2 = w0 + coeffs.G2 * z_bars[1]
@@ -296,3 +323,91 @@ def pade13_reference(M):
     V = (M6 @ (b[12] * M6 + b[10] * M4 + b[8] * M2)
          + b[6] * M6 + b[4] * M4 + b[2] * M2 + b[0] * ident)
     return s, np.linalg.solve(V - U, V + U)
+
+
+# -- the closed-form first-order coefficients: psi(t) = exp(-t) + t - 1 and
+# its antiderivatives, the independent oracle of `coefficients` for
+# first-order lags
+
+
+def _psi_series() -> np.ndarray:
+    """Power-series coefficients, by exponent, of psi(x) and of the integrals
+    over [0, x] of psi(u), u psi(u) and psi(u)^2, from
+    psi(u) = sum_{k>=2} (-u)^k / k! and psi(u)^2 = sum_{k>=4} (-u)^k (2^k - 2 - 2k) / k!.
+    Below x = 1 the last term kept is under 1e-20 of the sum."""
+    table = np.zeros((4, 32))
+    for k in range(2, 30):
+        term = (-1.0) ** k / math.factorial(k)
+        table[0, k] = term
+        table[1, k + 1] = term / (k + 1)
+        table[2, k + 2] = term / (k + 2)
+        if k >= 4:
+            table[3, k + 1] = term * (2.0 ** k - 2.0 - 2.0 * k) / (k + 1)
+    return table
+
+
+PSI_SERIES = _psi_series()
+
+
+def psi(t):
+    """Ramp response exp(-t) + t - 1 of a unit first-order lag, for t >= 0.
+
+    Below t = 1 the direct formula loses digits to cancellation (the value
+    behaves like t^2/2), so the power series of `PSI_SERIES` is summed there
+    instead; either way the result is within a few ulps. Accepts scalars or
+    arrays.
+    """
+    t = np.asarray(t, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # the branch not taken
+        series = np.polynomial.polynomial.polyval(t, PSI_SERIES[0])
+    out = np.where(t < 1.0, series, np.exp(-t) + t - 1.0)
+    if out.ndim == 0:
+        return float(out)
+    return out
+
+
+def psi_moments(x: float) -> tuple[float, float, float, float]:
+    """psi(x) and the integrals over [0, x] of psi(u), u psi(u) and
+    psi(u)^2, each to a few ulps: from the power series below x = 1, where
+    the closed forms cancel, and from the closed forms above."""
+    if x < 1.0:
+        return tuple(float(v) for v in PSI_SERIES @ x ** np.arange(PSI_SERIES.shape[1]))
+    e = math.exp(-x)
+    p = e + x - 1.0
+    return (p, 0.5 * x * x - p, 1.0 - (1.0 + x) * e + x * x * (x / 3.0 - 0.5),
+            x * (x * x - 3.0 * x + 3.0) / 3.0 - 2.0 * x * e - 0.5 * math.expm1(-2.0 * x))
+
+
+def psi_product_integral(x: float, s: float, t: float) -> float:
+    """int_0^x psi(u + s) psi(u + t) du for x, s, t >= 0.
+
+    psi(u + s) = e^-s psi(u) + (1 - e^-s) u + psi(s) splits each factor
+    into non-negative parts, so the integral is a sum of non-negative terms
+    and keeps the relative accuracy of `psi_moments`.
+    """
+    _, int_psi, int_u_psi, int_psi_sq = psi_moments(x)
+    a, c, p = math.exp(-s), -math.expm1(-s), psi_moments(s)[0]
+    b, d, q = math.exp(-t), -math.expm1(-t), psi_moments(t)[0]
+    return (a * b * int_psi_sq + (a * d + c * b) * int_u_psi + (a * q + p * b) * int_psi
+            + c * d * x ** 3 / 3.0 + (c * q + p * d) * x * x / 2.0 + p * q * x)
+
+
+def first_order_coefficients(tau_p: float, tau_e: float, t_f: float, t_c: float,
+                             alpha: float, beta: float, ae_max: float) -> z.GameCoefficients:
+    """Game coefficients for first-order controllers from analytic
+    antiderivatives of the psi kernels.
+
+    Independent of the matrix-exponential path of `coefficients`; agrees
+    with it to better than 1e-8 relative on non-degenerate scenarios. Moved
+    here from the library, whose only path is that one.
+    """
+    # built for its checks: a non-positive or non-finite argument is refused
+    scenario = z.first_order_scenario(tau_p, tau_e, t_f, t_c, alpha, beta, ae_max)
+    xe = t_f / tau_e
+    sigma = t_c / tau_e
+    integrals = (tau_p ** 3 * psi_product_integral(t_f / tau_p, 0.0, 0.0),
+                 tau_e ** 3 * psi_product_integral(xe, 0.0, 0.0),
+                 tau_e ** 3 * psi_product_integral(xe, 0.0, sigma),
+                 tau_e ** 3 * psi_product_integral(xe, sigma, sigma))
+    mu = tau_e ** 2 * psi_moments(sigma)[1]
+    return _assemble(integrals, mu, scenario.alpha, scenario.beta, scenario.ae_max)

@@ -25,7 +25,6 @@ from zemgame import (
     RegionLabel,
     classify,
     coefficients,
-    first_order_coefficients,
     playout_reduced,
     reference,
     saddle_probe,
@@ -35,7 +34,7 @@ from zemgame import (
 )
 from zemgame.reference import CHECKS, MINUS_POSITION, PLUS_POSITION, POSITION, STRIP_POSITION
 
-from helpers import ORACLE, check_case_iii_infeasible, random_scenario
+from helpers import ORACLE, check_case_iii_infeasible, first_order_coefficients, random_scenario
 
 
 def _report(criterion: str, ok: bool, detail: str):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import test_acceptance
-from zemgame import cli, coefficients, first_order_coefficients, reference
+from zemgame import cli, coefficients, reference
 from zemgame.cli import (
     EXIT_OK,
     EXIT_REPRO_FAIL,
@@ -20,7 +20,7 @@ from zemgame.numerics import TimeGrid
 from zemgame.reduction import Kernels, SampleBundle
 from zemgame.reference import CHECKS
 
-from helpers import MIXED_ORDERS
+from helpers import MIXED_ORDERS, first_order_coefficients
 
 STUDY_FILE = Path(__file__).resolve().parents[1] / "scenarios" / "study.json"
 STUDY_DOC = json.loads(STUDY_FILE.read_text())
@@ -206,6 +206,52 @@ def test_fast_unstable_pursuer(tmp_path, capsys):
         value = float((omega.T * mpmath.matrix(c.G_tilde.tolist()) * omega)[0])
     for out in outs[:3]:
         assert printed_value(out) == pytest.approx(value, rel=1e-11)
+
+
+# Finite documents whose results overflow the float range, and the verbs
+# that must refuse them: z0 = 1e200 outside the strip (the branch value,
+# 1e400, printed as inf with exit 0 before), the same z0 inside a strip
+# widened by ae_max = 1e300 (an uncaught OverflowError), ae_max = 1e300
+# alone (its forced branches and sweeps printed inf and nan), and
+# alpha = 1e-320, whose nu_p overflows (an internal-check failure, exit 4).
+OVERFLOWING = {
+    "z0_1e200": (lambda d: d["initial"].update(z0=1e200),
+                 ("solve", "solve --probe 5", "solve --sign +", "sweep --sign +", "sweep --sign -")),
+    "strip_z0_1e200": (lambda d: (d["initial"].update(z0=1e200, w0=0.0),
+                                  d["evader_bound"].update(ae_max=1e300)),
+                       ("solve", "solve --probe 5", "solve --csv t.csv")),
+    "ae_max_1e300": (lambda d: d["evader_bound"].update(ae_max=1e300),
+                     ("solve --sign +", "solve --sign -", "sweep --sign +", "sweep --sign -")),
+    "alpha_1e-320": (lambda d: d["weights"].update(alpha=1e-320),
+                     ("classify", "solve", "sweep --sign +", "table1")),
+}
+
+
+@pytest.mark.parametrize("case", list(OVERFLOWING))
+def test_overflowing_results_are_scenario_errors(tmp_path, capsys, case):
+    """Each verb that reaches a non-finite result exits 1 with one
+    "scenario error:" line, prints nothing and warns nothing."""
+    mutate, verbs = OVERFLOWING[case]
+    path = write_doc(tmp_path, mutate)
+    for verb in verbs:
+        argv = verb.replace("t.csv", str(tmp_path / "t.csv")).split()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv[:1] + [path] + argv[1:]) == EXIT_USAGE, verb
+        assert caught == [], verb
+        captured = capsys.readouterr()
+        assert captured.out == "", verb
+        assert captured.err.count("\n") == 1 and captured.err.startswith("scenario error: "), verb
+        assert "float range" in captured.err, verb
+
+
+def test_large_finite_results_still_solve(tmp_path, capsys):
+    """ae_max = 1e300 leaves the dispatched strip solve finite: it prints
+    and exits 0."""
+    path = write_doc(tmp_path, lambda d: d["evader_bound"].update(ae_max=1e300))
+    assert main(["solve", path, "--probe", "5"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out.startswith("region: Omega\n") and "inf" not in out and "nan" not in out
 
 
 class TestSolve:

@@ -6,14 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 import zemgame as z
 from zemgame import (
-    Kernels, TimeGrid, build_game_ss, mat_exp, ode_playout, psi, quad_adaptive, reference, solve2,
+    Kernels, TimeGrid, build_game_ss, mat_exp, ode_playout, quad_adaptive, reference, solve2,
 )
 from zemgame import numerics, reduction
 from zemgame.numerics import rk4_affine, scaled_exp
 from zemgame.errors import NearSingularError
 from zemgame.reference import CHECKS
 
-from helpers import ORACLE, oscillator, pade13_reference, psi_ref, random_controller
+from helpers import ORACLE, oscillator, pade13_reference, psi, psi_ref, random_controller
 
 
 class TestPsi:

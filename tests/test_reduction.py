@@ -13,7 +13,6 @@ from zemgame import (
     Kernels,
     Sampled,
     coefficients,
-    first_order_coefficients,
     mu_e,
     sample_control,
 )
@@ -21,7 +20,8 @@ from zemgame import numerics, reduction, reference
 from zemgame.cli import load_scenario
 from zemgame.errors import AssertionFailure, NoControlAuthority, SolvabilityError
 
-from helpers import (MIXED_ORDERS, ORACLE, oscillator, psi_ref, random_controller, random_draws,
+from helpers import (MIXED_ORDERS, ORACLE, first_order_coefficients, oscillator, psi_moments,
+                     psi_product_integral, psi_ref, random_controller, random_draws,
                      random_first_order, random_scenario, solvability_threshold)
 
 # Lags log-uniform on [1e-5, 1]; horizons from t_f = 0.02 and tails from 0
@@ -617,10 +617,10 @@ class TestFirstOrderCoefficients:
             x = float(x)
             if s == 0.0:
                 want = mp.quad(ref_psi, [0, x])
-                assert reduction._psi_moments(x)[1] == pytest.approx(float(want), rel=1e-12)
+                assert psi_moments(x)[1] == pytest.approx(float(want), rel=1e-12)
             for a, b in ((0.0, 0.0), (0.0, s), (s, s)):
                 want = float(ref(x, mp.mpf(a), mp.mpf(b)))
-                got = reduction._psi_product_integral(x, a, b)
+                got = psi_product_integral(x, a, b)
                 assert got == pytest.approx(want, rel=1e-12, abs=0.0), (x, a, b)
 
     def test_study_values(self):

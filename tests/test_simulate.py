@@ -35,7 +35,8 @@ from zemgame.reduction import PeakScan, SampleBundle, simpson_panels
 from zemgame.simulate import _initial_full_state
 
 from helpers import (MIXED_ORDERS, ORACLE, admissible_evader_perturbation, check_terminal,
-                     dense_peaks, random_controller, random_draws, random_scenario)
+                     coarse_candidates, combo_integrals_matrix_form, dense_peaks,
+                     random_controller, random_draws, random_scenario)
 
 ZERO = KernelCombo()
 
@@ -106,7 +107,9 @@ def simpson_cost(scenario, kernels, u_p, u_e):
     """(z_f, int u_p^2, int u_e^2) by Simpson's rule on the 4001 refined
     nodes of the build grid: the reference of the exact kernel-combo path."""
     bundle = kernels.bundle()
-    return simulate._cost_integrals(bundle, bundle.control(u_p), bundle.control(u_e), scenario.z0)
+    up, ue, w = bundle.control(u_p), bundle.control(u_e), bundle.weights
+    return (float(scenario.z0 + w @ (bundle.h_p * up + bundle.h_e * ue)), float(w @ (up * up)),
+            float(w @ (ue * ue)))
 
 
 def combo_pairs(coeffs, z0, w0, rng):
@@ -119,6 +122,24 @@ def combo_pairs(coeffs, z0, w0, rng):
 
 
 class TestExactCost:
+    def test_float_form_against_matrix_form(self):
+        """`_combo_integrals` on Python floats against the numpy matrix
+        form it replaced, on the Gram matrices of 8 random controller
+        pairs and laws with coefficients from 1e-3 to 1e3: within 4 eps
+        of the summed magnitudes of each result's terms."""
+        rng = np.random.default_rng(1803)
+        eps = np.finfo(float).eps
+        for _, kernels in random_draws():
+            gram = kernels.gram()
+            for _ in range(40):
+                u_p, u_e = (KernelCombo(*(rng.standard_normal(3) * 10.0 ** rng.uniform(-3, 3, 3)))
+                            for _ in "pe")
+                z0 = float(rng.uniform(-300.0, 300.0))
+                got = simulate._combo_integrals(gram, u_p, u_e, z0)
+                want, scales = combo_integrals_matrix_form(gram, u_p, u_e, z0)
+                for g, w, scale in zip(got, want, scales):
+                    assert abs(g - w) <= 4.0 * eps * scale
+
     """Costs of two `KernelCombo` laws are quadratic forms in the kernel
     Gram matrix (`Kernels.gram`), read without a grid.
 
@@ -404,12 +425,13 @@ class TestSaddleProbe:
 # -- reference loops: the per-trial probe and the closure-driven RK4 ----------
 
 
-def probe_loop(scenario, solution, kernels, n_trials, seed):
-    """The saddle probe one trial at a time: sampled perturbations, one
+def probe_loop(scenario, solution, kernels, n_trials, seed, grid=None):
+    """The saddle probe one trial at a time on the grid (by default the
+    kernels' build grid): sampled perturbations, one Simpson-rule
     `evaluate_cost` per side. Returns (evader_worst, pursuer_worst), or for
     the first failing trial the failing sides (evader first), the trial and
     the coefficients drawn for the first failing side."""
-    grid = kernels.grid
+    grid = grid if grid is not None else kernels.grid
     ts_ref = grid.refined()
     steps = np.diff(grid.nodes)
     ge_n = kernels.sample_target(grid.nodes)
@@ -436,12 +458,12 @@ def probe_loop(scenario, solution, kernels, n_trials, seed):
         else:
             delta_e = admissible_evader_perturbation(delta_e, ge_n, ge_m, steps)
         u_e_pert = Sampled(ts_ref, ue_ref + delta_e)
-        j_e = evaluate_cost(scenario, kernels, solution.u_p, u_e_pert).total
+        j_e = evaluate_cost(scenario, kernels, solution.u_p, u_e_pert, grid).total
         c_p = rng.standard_normal(8)
         raw_p = c_p @ basis
         delta_p = raw_p * (amp_p / np.abs(raw_p).max())
         u_p_pert = Sampled(ts_ref, up_ref + delta_p)
-        j_p = evaluate_cost(scenario, kernels, u_p_pert, solution.u_e).total
+        j_p = evaluate_cost(scenario, kernels, u_p_pert, solution.u_e, grid).total
         evader_worst = max(evader_worst, j_e - j_star)
         pursuer_worst = min(pursuer_worst, j_p - j_star)
         failed = [side for side, bad in (("evader", j_e > j_star + slack),
@@ -509,7 +531,17 @@ def region_positions(coeffs, z0):
 
 
 class TestProbeEquivalence:
-    def check(self, scenario, kernels, coeffs, positions, seed):
+    """The probe in kernel coordinates against `probe_loop`, within
+    1e-12 max(1, |J*|) on the study and the mixed-orders file. The loop
+    integrates the unperturbed pair by Simpson's rule, whose sums err by
+    a few n eps of the cost terms (n refined nodes: the rounding of the
+    grid steps), while the probe takes that cost exactly from the kernel
+    Gram matrix (J* to 2e-14). Where J* cancels far below its terms, as
+    on random controllers, the loop's error exceeds that band (1.8e-11 of
+    |J*|, 3.9e-12 of the terms, over 40 draws), so there the band is 1e-11
+    of the summed terms z_f^2 + alpha int u_p^2 + beta int u_e^2."""
+
+    def check(self, scenario, kernels, coeffs, positions, seed, of_terms=False):
         labels = set()
         for z0, w0 in positions:
             sc = dataclasses.replace(scenario, z0=z0, w0=w0, geometry=None)
@@ -518,6 +550,9 @@ class TestProbeEquivalence:
             report = saddle_probe(sc, sol, n_trials=25, seed=seed, kernels=kernels)
             evader_worst, pursuer_worst = probe_loop(sc, sol, kernels, 25, seed)
             tol = 1e-12 * max(1.0, abs(sol.value))
+            if of_terms:
+                cost = evaluate_cost(sc, kernels, sol.u_p, sol.u_e)
+                tol = 1e-11 * max(1.0, cost.terminal + cost.pursuer_effort + cost.evader_effort)
             assert abs(report.evader_worst - evader_worst) <= tol
             assert abs(report.pursuer_worst - pursuer_worst) <= tol
         return labels
@@ -533,6 +568,28 @@ class TestProbeEquivalence:
         positions = [(scenario.z0, scenario.w0)] + region_positions(coeffs, 40.0)
         labels = self.check(scenario, kernels, coeffs, positions, seed=12)
         assert labels == set(RegionLabel)
+
+    @settings(max_examples=30)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_random_controllers(self, seed):
+        """Random controllers of orders 0-10 (`random_scenario`), in the
+        strip, near its wall and beyond either wall, at the band of the
+        summed cost terms."""
+        rng = np.random.default_rng(seed)
+        scenario, kernels = random_scenario(rng, max_order=10)
+        coeffs = coefficients(scenario, kernels)
+        positions = region_positions(coeffs, float(rng.uniform(-60.0, 60.0)))
+        labels = self.check(scenario, kernels, coeffs, positions, seed % 1000, of_terms=True)
+        assert labels == set(RegionLabel)
+
+    def test_refuses_other_laws(self, study_scenario, study_kernels, study_coeffs):
+        """The probe reads J* from the kernel Gram matrix, so it takes
+        kernel laws only: the same evader law as samples is refused."""
+        sol = solve_rg(study_scenario, coeffs=study_coeffs)
+        bundle = study_kernels.bundle()
+        sampled = dataclasses.replace(sol, u_e=Sampled(bundle.ts, bundle.control(sol.u_e)))
+        with pytest.raises(TypeError, match="kernel laws"):
+            saddle_probe(study_scenario, sampled, n_trials=5, kernels=study_kernels)
 
     def test_cached_gram_matches_per_call_gram(self, study_scenario, study_kernels, study_coeffs,
                                                mixed, monkeypatch):
@@ -675,6 +732,45 @@ class TestPeakScan:
         for row, node in enumerate(np.abs(draws @ basis).argmax(axis=1)):
             hits = (rows == row) & (first <= node) & (node < first + scan.windows.shape[2])
             assert hits.any(), (row, node)
+
+    @settings(max_examples=200)
+    @given(seed=st.integers(0, 2 ** 32 - 1), size=st.integers(1, 12), n_rows=st.integers(0, 300),
+           n_nodes=st.integers(2, 5001), log_scale=st.floats(-3.0, 3.0),
+           flat_share=st.floats(0.0, 1.0), power=st.sampled_from([1.0, 1.5]))
+    def test_gated_matches_dense(self, seed, size, n_rows, n_nodes, log_scale, flat_share,
+                                 power):
+        """The bow-gated scan against the dense maximum, to 2 ulp of each
+        peak: bases of 1-12 Legendre polynomials at 2-5001 ascending
+        nodes (uniform, or uniform raised to the power 1.5), 0-300 rows
+        scaled by 1e-3 to 1e3. A share of the rows have flat interior
+        extrema: a zero slope at a random time, a parabola whose global
+        peak sits a fraction 0.4-0.6 of a step past a coarse node (so an
+        interior node beats the coarse one by a hair), or a constant.
+        `_candidates` keeps the rows and cells of its kappa rule bitwise."""
+        rng = np.random.default_rng(seed)
+        ts = np.linspace(0.0, 1.0, n_nodes) ** power
+        basis, scan = self.basis_and_scan(ts, size)
+        rows = rng.standard_normal((n_rows, size))
+        slope = np.polynomial.legendre.legder(np.eye(size)) if size > 1 else None
+        for row in np.flatnonzero(rng.uniform(size=n_rows) < flat_share):
+            kind = rng.integers(3) if size > 2 and n_nodes > 2 else (0 if size > 1 else 2)
+            if kind == 0:  # zero slope at a random time
+                d = np.polynomial.legendre.legval(rng.uniform(-1.0, 1.0), slope)
+                rows[row] -= (rows[row] @ d) / (d @ d) * d
+            elif kind == 1:  # 1 - b (x - x*)^2, its peak just past a coarse node
+                a = min(50 * int(rng.integers(0, (n_nodes - 2) // 50 + 1)), n_nodes - 2)
+                x = 2.0 * (ts[a] + rng.uniform(0.4, 0.6) * (ts[a + 1] - ts[a])) - 1.0
+                b = rng.uniform(0.01, 0.5)
+                rows[row] = 0.0
+                rows[row, :3] = np.polynomial.legendre.poly2leg([1.0 - b * x * x, 2.0 * b * x, -b])
+            else:  # constant
+                rows[row, 1:] = 0.0
+        rows *= 10.0 ** log_scale
+        got = simulate._peaks(rows, scan)
+        want = dense_peaks(rows, basis)
+        assert (np.abs(got - want) <= 2.0 * np.spacing(want)).all()
+        for got, want in zip(simulate._candidates(rows, scan), coarse_candidates(rows, scan)):
+            np.testing.assert_array_equal(got, want)
 
     def test_cells_cover_every_node(self, study_kernels):
         """Windows of the coarse scan cover each refined node, the last

@@ -22,10 +22,10 @@ from zemgame import (
 )
 from zemgame import reference
 from zemgame.cli import load_scenario
-from zemgame.errors import NearSingularError, NotInConstrainedRegion
+from zemgame.errors import NearSingularError, NonFiniteResult, NotInConstrainedRegion
 
 from helpers import (MIXED_ORDERS, ORACLE, case_iii_positions, check_case_iii_infeasible,
-                     oscillator, random_controller, random_scenario)
+                     oscillator, random_controller, random_draws, random_scenario)
 
 
 class TestClassify:
@@ -231,6 +231,78 @@ class TestSolveErg:
         assert mirrored.u_e.he_coef == pytest.approx(-sol.u_e.he_coef, rel=1e-12)
         assert mirrored.u_e.ge_coef == pytest.approx(-sol.u_e.ge_coef, rel=1e-12)
         assert mirrored.value == pytest.approx(sol.value, rel=1e-12)
+
+
+EPS = np.finfo(float).eps
+
+
+class TestFloatForms:
+    """The branch solve and the fixed-pursuer cross check run their 2x2
+    algebra on Python floats. Against the numpy matrix forms they replace,
+    on random positions of random coefficient sets: the terminal pairs
+    are bitwise equal (the same explicit inverse) and the values agree
+    within 4 eps of the summed magnitudes of their terms."""
+
+    @staticmethod
+    def coefficient_sets():
+        return [coefficients(sc, k) for sc, k in random_draws()]
+
+    def test_branch_against_matrix_form(self, study_coeffs):
+        rng = np.random.default_rng(1801)
+        for c in [study_coeffs] + self.coefficient_sets():
+            for z0, w0 in rng.uniform(-300.0, 300.0, (25, 2)) * 10.0 ** rng.uniform(-3, 3, (25, 1)):
+                for sign in (1, -1):
+                    branch = solve_erg_branch(c, z0, w0, sign)
+                    gamma = np.array([0.0, -sign * c.bound])
+                    omega = solve2(c.G, np.array([z0, w0]) + gamma)
+                    np.testing.assert_array_equal(branch.omega_f, omega)
+                    np.testing.assert_array_equal(branch.gamma, gamma)
+                    want = float(omega @ c.G_tilde @ omega)
+                    scale = float(np.abs(omega) @ np.abs(c.G_tilde) @ np.abs(omega))
+                    assert abs(branch.value - want) <= 4.0 * EPS * scale
+
+    def test_aux_cross_against_matrix_form(self, study_coeffs):
+        rng = np.random.default_rng(1802)
+        for c in [study_coeffs] + self.coefficient_sets():
+            for z0, w0 in rng.uniform(-300.0, 300.0, (25, 2)) * 10.0 ** rng.uniform(-3, 3, (25, 1)):
+                for sign in (1, -1):
+                    cross = aux_cross(c, z0, w0, sign)
+                    chi0 = np.array([z0, w0])
+                    other = np.array([0.0, sign * c.bound])
+                    omega_fix = solve2(c.G, chi0 - other)
+                    mu = chi0 + other - np.array([c.nu_p * omega_fix[0], 0.0])
+                    np.testing.assert_array_equal(cross.mu_vec, mu)
+                    np.testing.assert_array_equal(cross.omega1, solve2(c.F, mu))
+                    Gb = c.G_bar
+                    want = float(chi0 @ Gb @ chi0 + 2.0 * chi0 @ Gb @ other + cross.rho)
+                    scale = float(np.abs(chi0) @ np.abs(Gb) @ (np.abs(chi0) + 2.0 * np.abs(other))
+                                  + abs(cross.rho))
+                    assert abs(cross.J_cross - want) <= 4.0 * EPS * scale
+
+
+class TestNonFinite:
+    """Finite input whose results leave the float range is refused with
+    NonFiniteResult, a scenario error, by every solve that reaches it."""
+
+    def test_branch_and_cross(self, study_coeffs):
+        for sign in (1, -1):
+            with pytest.raises(NonFiniteResult, match="branch value"):
+                solve_erg_branch(study_coeffs, 1e200, -100.0, sign)
+            with pytest.raises(NonFiniteResult, match="float range"):
+                aux_cross(study_coeffs, 1e160, -100.0, sign)
+            with pytest.raises(NonFiniteResult, match="penalized value at eps = 1 "):
+                penalty_sweep(study_coeffs, 1e200, -100.0, sign)
+
+    def test_unconstrained(self, study_coeffs):
+        """Past the range either way up (z0 = +-1e160 and 1e200), where
+        a float square raises OverflowError; z0 = 1e150 still solves."""
+        for z0 in (1e200, 1e160, -1e160):
+            with pytest.raises(NonFiniteResult, match="unconstrained value"):
+                solve_urg(study_coeffs, z0)
+        assert np.isfinite(solve_urg(study_coeffs, 1e150).value)
+
+    def test_is_a_value_error(self):
+        assert issubclass(NonFiniteResult, ValueError)
 
 
 class TestAuxCross:

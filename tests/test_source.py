@@ -69,8 +69,8 @@ def test_unused_import_detected():
 
 # The size of the package, which may only shrink: a change that removes
 # code lowers these to its own counts, and none raises them.
-SRC_LINES_MAX = 2911
-EXPORTS_MAX = 57
+SRC_LINES_MAX = 2879
+EXPORTS_MAX = 55
 
 
 def package_size() -> tuple[int, int]:
