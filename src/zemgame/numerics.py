@@ -11,9 +11,10 @@ All functions are pure; results are plain numpy arrays or floats.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -199,23 +200,16 @@ def quad_adaptive(f: Callable[[float], float], a: float, b: float, tol: float = 
 
 def solve2_entries(m00, m01, m10, m11, b0, b1):
     """Solve [[m00, m01], [m10, m11]] x = (b0, b1) by the explicit inverse,
-    elementwise: the entries are floats, or arrays that broadcast against
-    each other for a stack of systems. Returns (x0, x1).
+    on scalars (Python floats give Python floats). Returns (x0, x1).
 
-    Raises NearSingularError at the first system with
-    |det| < 1e-12 * max(1, |m00 m11| + |m01 m10|): where the two terms of
-    det cancel, whatever the scaling of the rows and columns.
+    Raises NearSingularError when |det| < 1e-12 max(1, |m00 m11| + |m01 m10|):
+    where the two terms of det cancel, whatever the scaling of rows and columns.
     """
     det = m00 * m11 - m01 * m10
-    threshold = 1e-12 * np.maximum(1.0, abs(m00 * m11) + abs(m01 * m10))
-    singular = np.abs(det) < threshold
-    if np.any(singular):
-        det, threshold, singular = np.broadcast_arrays(det, threshold, singular)
-        first = np.flatnonzero(singular)[0]
-        raise NearSingularError(
-            "2x2 determinant %g is below the singularity threshold %g%s"
-            % (det.flat[first], threshold.flat[first],
-               " (system %d)" % first if singular.size > 1 else ""))
+    threshold = 1e-12 * max(1.0, abs(m00 * m11) + abs(m01 * m10))
+    if abs(det) < threshold:
+        raise NearSingularError("2x2 determinant %g is below the singularity threshold %g"
+                                % (det, threshold))
     return (m11 * b0 - m01 * b1) / det, (m00 * b1 - m10 * b0) / det
 
 
@@ -228,20 +222,18 @@ def solve2(M: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     if M.shape != (2, 2) or b.shape != (2,):
         raise ValueError("solve2 expects a 2x2 matrix and a length-2 vector")
-    (m00, m01), (m10, m11) = M.tolist()
-    return np.array(solve2_entries(m00, m01, m10, m11, *b.tolist()))
+    return np.array(solve2_entries(*M.ravel().tolist(), *b.tolist()))
 
 
 @dataclass(frozen=True)
 class TimeGrid:
     """n uniformly spaced time nodes from t_start to t_end, both included:
-    `nodes` is `np.linspace(t_start, t_end, n)`, read-only. Grids are equal
-    when their three fields are."""
+    `nodes` is `np.linspace(t_start, t_end, n)`, read-only, formed on its
+    first read. Grids are equal when their three fields are."""
 
     t_start: float
     t_end: float
     n: int = DEFAULT_GRID_NODES
-    nodes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if isinstance(self.n, bool) or not (isinstance(self.n, numbers.Integral) and self.n >= 2):
@@ -249,11 +241,14 @@ class TimeGrid:
         t_start, t_end = float(self.t_start), float(self.t_end)
         if not (math.isfinite(t_start) and math.isfinite(t_end - t_start) and t_end > t_start):
             raise ValueError("time grid [%g, %g] is not finite and increasing" % (t_start, t_end))
-        nodes = np.linspace(t_start, t_end, int(self.n))
-        nodes.flags.writeable = False
-        for name, value in (("t_start", t_start), ("t_end", t_end), ("n", int(self.n)),
-                            ("nodes", nodes)):
+        for name, value in (("t_start", t_start), ("t_end", t_end), ("n", int(self.n))):
             object.__setattr__(self, name, value)
+
+    @functools.cached_property
+    def nodes(self) -> np.ndarray:
+        nodes = np.linspace(self.t_start, self.t_end, self.n)
+        nodes.flags.writeable = False
+        return nodes
 
     @classmethod
     def uniform(cls, t_start: float, t_end: float, n: int = DEFAULT_GRID_NODES) -> "TimeGrid":

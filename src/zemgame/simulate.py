@@ -282,16 +282,17 @@ class ProbeReport:
 
 
 def _candidates(coefficients: np.ndarray,
-                scan: PeakScan) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                scan: PeakScan) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The largest |c . basis| at the coarse nodes of `PeakScan` for each
-    row c, and the rows and cells of every (row, cell) pair whose bound
-    reaches it, ordered by cell."""
+    row c, the rows and cells of every (row, cell) pair whose bound
+    reaches it, ordered by cell, and the (coarse nodes x rows) values
+    |c . basis| themselves."""
     values = np.abs(scan.coarse.T @ coefficients.T)  # (coarse nodes, rows)
     coarse_peaks = values.max(axis=0)
     reach = np.maximum(values[:-1], values[1:])
     reach += scan.kappa[:, None] * np.linalg.norm(coefficients, axis=1)
     cells, rows = np.divmod(np.flatnonzero(reach >= coarse_peaks), coarse_peaks.size)
-    return coarse_peaks, rows, cells
+    return coarse_peaks, rows, cells, values
 
 
 def _peaks(coefficients: np.ndarray, scan: PeakScan) -> np.ndarray:
@@ -310,8 +311,7 @@ def _peaks(coefficients: np.ndarray, scan: PeakScan) -> np.ndarray:
     the dense (rows x size) @ (size x nodes) product, so the peaks equal
     the dense scan's to the last bit (OpenBLAS; otherwise to the rounding
     of the dot products)."""
-    out, rows, cells = _candidates(coefficients, scan)
-    values = np.abs(scan.coarse.T @ coefficients.T)  # the coarse values of `_candidates`
+    out, rows, cells, values = _candidates(coefficients, scan)
     v_a, v_b = values[cells, rows], values[cells + 1, rows]
     k = scan.bow[cells] * (4.0 * np.linalg.norm(coefficients, axis=1)[rows])
     lo, hi = scan.inner[:, cells]

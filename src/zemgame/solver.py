@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .engagement import EngagementScenario
-from .errors import AssertionFailure, NonFiniteResult, NotInConstrainedRegion
+from .errors import AssertionFailure, NearSingularError, NonFiniteResult, NotInConstrainedRegion
 from .numerics import solve2_entries
 from .reduction import (
     ControlLaw,
@@ -111,11 +111,11 @@ def _shift(sign: int, bound: float) -> float:
     return -sign * bound
 
 
-def _require_finite(what: str, *values: float) -> None:
-    """Refuse finite input whose result overflowed the float range."""
+def _require_finite(values: tuple, what: str, *args) -> None:
+    """Refuse finite input whose result `what % args` overflowed the float range."""
     if not all(map(math.isfinite, values)):
         raise NonFiniteResult("%s is not finite: the position, bound or weights "
-                              "overflow the float range" % what)
+                              "overflow the float range" % (what % args))
 
 
 def _position_form(coeffs: GameCoefficients, z0: float, w0: float, shift: float) -> float:
@@ -171,7 +171,7 @@ def solve_urg(coeffs: GameCoefficients, z0: float) -> UrgSolution:
         pursuer = evader = math.inf
     value = z_f * z_f + pursuer - evader
     closed = z0 * z0 / coeffs.s
-    _require_finite("the unconstrained value", value, closed)
+    _require_finite((value, closed), "the unconstrained value")
     if abs(value - closed) > 1e-12 * max(1.0, z_f * z_f + pursuer + evader):
         raise AssertionFailure(
             "unconstrained value %g disagrees with closed form %g" % (value, closed)
@@ -198,7 +198,7 @@ def solve_erg_branch(coeffs: GameCoefficients, z0: float, w0: float, sign: int) 
     z_f, v_f = solve2_entries(G1, G2, -G2, G3, z0, b1)
     value = (z_f * G1 + v_f * G2) * z_f + (z_f * G2 - v_f * G3) * v_f
     value_chi = _position_form(coeffs, z0, w0, shift) + shift * (-G1 / coeffs.det_G) * shift
-    _require_finite("the branch value", z_f, v_f, value, value_chi)
+    _require_finite((z_f, v_f, value, value_chi), "the branch value")
     if abs(value - value_chi) > 1e-9 * max(1.0, abs(value)):
         raise AssertionFailure(
             "branch value forms disagree: %r vs %r" % (value, value_chi)
@@ -230,7 +230,7 @@ def aux_cross(coeffs: GameCoefficients, z0: float, w0: float, pursuer_sign: int)
                            - (G1 - coeffs.nu_p) * coeffs.det_G) \
         / (coeffs.det_G * coeffs.det_F)
     J_cross = _position_form(coeffs, z0, w0, other) + rho
-    _require_finite("the cross-play value", J_cross)
+    _require_finite((J_cross,), "the cross-play value")
     return AuxCrossSolution(pursuer_sign=pursuer_sign, mu_vec=np.array(mu), xi_vec=np.array(xi),
                             omega1=np.array(omega1), u_e_star=u_e_star, J_cross=J_cross,
                             rho=rho)
@@ -302,33 +302,36 @@ def penalty_sweep(coeffs: GameCoefficients, z0: float, w0: float, sign: int,
                   eps_list: Optional[Sequence[float]] = None) -> list[PenaltyRecord]:
     """Solve the penalized game along a descending sequence of eps.
 
-    For each eps, (G + diag(0, eps)) omega = b is solved and the value is
-    omega' diag(1,-1) (G + diag(0, eps)) omega. Only the (1, 1) entry of the
-    system matrix changes with eps, so every eps is solved at once by the
-    explicit 2x2 inverse and its singularity test, elementwise
-    (`solve2_entries`), which raises NearSingularError at the first
-    singular eps. The terminal w of the penalized solution sits at
-    sign*bound + eps*v, so the records expose the approach to the
-    constrained branch.
+    For each eps, (G + diag(0, eps)) omega = b is solved on Python floats
+    by the explicit 2x2 inverse (`solve2_entries`), and the value is
+    omega' diag(1,-1) (G + diag(0, eps)) omega. Every eps is solved before
+    any record is built, so NearSingularError names the first singular eps
+    (as "system i" in a sweep of more than one) ahead of a non-finite
+    record. The terminal w of the penalized solution sits at sign*bound +
+    eps*v, so the records expose the approach to the constrained branch.
     """
     if eps_list is None:
         eps_list = DEFAULT_EPS_SWEEP
     eps_arr = [float(e) for e in eps_list]
-    if not all(0.0 < e < np.inf for e in eps_arr):
+    if not all(0.0 < e < math.inf for e in eps_arr):
         raise ValueError("eps values must be positive and finite")
     if any(later >= earlier for earlier, later in zip(eps_arr, eps_arr[1:])):
         raise ValueError("eps values must be strictly descending")
-    eps = np.array(eps_arr)
     (m00, m01), (m10, m11) = coeffs.G.tolist()
-    m11 = m11 + eps
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite records are refused
-        z_f, v_f = solve2_entries(m00, m01, m10, m11, z0, w0 + _shift(sign, coeffs.bound))
-        value = (z_f * m00 - v_f * m10) * z_f + (z_f * m01 - v_f * m11) * v_f
-        w_f = sign * coeffs.bound + eps * v_f
+    b0, b1 = float(z0), float(w0 + _shift(sign, coeffs.bound))
+    solved = []
+    for i, e in enumerate(eps_arr):
+        try:
+            solved.append(solve2_entries(m00, m01, m10, m11 + e, b0, b1))
+        except NearSingularError as err:
+            raise (err if len(eps_arr) == 1 else
+                   NearSingularError("%s (system %d)" % (err, i))) from None
     records = []
-    for e, z, v, val, w in zip(eps_arr, z_f.tolist(), v_f.tolist(), value.tolist(), w_f.tolist()):
-        _require_finite("the penalized value at eps = %g" % e, z, v, val, w)
+    for e, (z, v) in zip(eps_arr, solved):
+        value = (z * m00 - v * m10) * z + (z * m01 - v * (m11 + e)) * v
+        w_f = sign * coeffs.bound + e * v
+        _require_finite((z, v, value, w_f), "the penalized value at eps = %g", e)
         u_p, u_e = _branch_laws(coeffs, (z, v))
         records.append(PenaltyRecord(eps=e, omega_eps=np.array([z, v]), u_p=u_p, u_e=u_e,
-                                     value=val, z_f=z, w_f=w))
+                                     value=value, z_f=z, w_f=w_f))
     return records

@@ -17,7 +17,7 @@ from types import SimpleNamespace
 import numpy as np
 
 import zemgame as z
-from zemgame.errors import AssertionFailure, NotInConstrainedRegion
+from zemgame.errors import AssertionFailure, NearSingularError, NotInConstrainedRegion
 from zemgame.numerics import (_PADE13_ABS_C_RECIP, _PADE13_B, _PADE13_ETA_THETA,
                               _PADE13_THETA)
 from zemgame.reduction import _assemble, simpson_panels
@@ -187,16 +187,16 @@ def dense_peaks(coefficients, basis):
 
 
 def coarse_candidates(coefficients, scan):
-    """(coarse peaks, rows, cells) of the coarse peak scan by its kappa
-    bound alone, max(v_a, v_b) + ||c|| kappa_j >= the row's coarse peak:
-    the rule `simulate._candidates` was certified with, kept to hold its
-    rows and cells bitwise."""
+    """(coarse peaks, rows, cells, coarse values) of the coarse peak scan
+    by its kappa bound alone, max(v_a, v_b) + ||c|| kappa_j >= the row's
+    coarse peak: the rule `simulate._candidates` was certified with, kept
+    to hold its rows and cells bitwise."""
     values = np.abs(scan.coarse.T @ coefficients.T)
     peaks = values.max(axis=0)
     reach = np.maximum(values[:-1], values[1:]) + scan.kappa[:, None] * np.linalg.norm(
         coefficients, axis=1)
     cells, rows = np.nonzero(reach >= peaks)
-    return peaks, rows, cells
+    return peaks, rows, cells, values
 
 
 def combo_integrals_matrix_form(gram, u_p, u_e, z0):
@@ -266,6 +266,43 @@ def case_iii_positions(coeffs, z0, w0):
         inside_1=bool(-bound < w1 < bound),
         inside_2=bool(-bound < w2 < bound),
     )
+
+
+# -- the 2x2 layer as it stood before it moved to Python floats: the
+# elementwise `numerics.solve2_entries`, for a stack of systems, and the
+# one-pass `solver.penalty_sweep` arithmetic, verbatim, for bit-for-bit
+# comparison.
+
+
+def solve2_entries_reference(m00, m01, m10, m11, b0, b1):
+    """The explicit 2x2 inverse, elementwise over entries that broadcast;
+    NearSingularError at the first system whose |det| is below
+    1e-12 max(1, |m00 m11| + |m01 m10|)."""
+    det = m00 * m11 - m01 * m10
+    threshold = 1e-12 * np.maximum(1.0, abs(m00 * m11) + abs(m01 * m10))
+    singular = np.abs(det) < threshold
+    if np.any(singular):
+        det, threshold, singular = np.broadcast_arrays(det, threshold, singular)
+        first = np.flatnonzero(singular)[0]
+        raise NearSingularError(
+            "2x2 determinant %g is below the singularity threshold %g%s"
+            % (det.flat[first], threshold.flat[first],
+               " (system %d)" % first if singular.size > 1 else ""))
+    return (m11 * b0 - m01 * b1) / det, (m00 * b1 - m10 * b0) / det
+
+
+def penalty_sweep_reference(coeffs, z0, w0, sign, eps_list):
+    """(z_f, v_f, value, w_f) arrays over eps of the penalized systems
+    (G + diag(0, eps)) omega = (z0, w0 - sign*bound), every eps in one
+    elementwise solve."""
+    eps = np.array(eps_list, dtype=float)
+    (m00, m01), (m10, m11) = coeffs.G.tolist()
+    m11 = m11 + eps
+    with np.errstate(over="ignore", invalid="ignore"):
+        z_f, v_f = solve2_entries_reference(m00, m01, m10, m11, z0, w0 - sign * coeffs.bound)
+        value = (z_f * m00 - v_f * m10) * z_f + (z_f * m01 - v_f * m11) * v_f
+        w_f = sign * coeffs.bound + eps * v_f
+    return z_f, v_f, value, w_f
 
 
 # -- the Pade-13 exponential as it stood before its 1-norms and identity

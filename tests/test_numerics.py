@@ -13,7 +13,8 @@ from zemgame.numerics import rk4_affine, scaled_exp
 from zemgame.errors import NearSingularError
 from zemgame.reference import CHECKS
 
-from helpers import ORACLE, oscillator, pade13_reference, psi, psi_ref, random_controller
+from helpers import (ORACLE, oscillator, pade13_reference, psi, psi_ref, random_controller,
+                     solve2_entries_reference)
 
 
 class TestPsi:
@@ -236,6 +237,40 @@ class TestSolve2:
         with pytest.raises(NearSingularError):
             solve2(np.array([[scale, scale], [1.0, 1.0 + 1e-13]]), np.array([1.0, 1.0]))
 
+    def test_floats_in_floats_out(self):
+        x = numerics.solve2_entries(2.0, 1.0, -1.0, 3.0, 1.0, 2.0)
+        assert [type(v) for v in x] == [float, float]
+        assert x == (0.14285714285714285, 0.7142857142857143)
+
+    @pytest.mark.parametrize("entries", [
+        pytest.param((1.0, 2.0, 2.0, 4.0, 1.0, 1.0), id="det-0"),
+        pytest.param((0.0, 0.0, 0.0, 0.0, 1.0, 1.0), id="zero"),
+        pytest.param((1e-300, 0.0, 0.0, 1e-300, 1.0, 1.0), id="det-underflows"),
+        pytest.param((1.0, 1.0, 1.0, 1.0 + 1e-13, 1.0, 1.0), id="terms-cancel"),
+        pytest.param((1e30, 1e30, 1.0, 1.0 + 1e-13, 1.0, 1.0), id="terms-cancel-scaled"),
+        pytest.param((1.0, 1.0, 1.0, 1.0 + 1e-11, 1.0, 1.0), id="just-solvable"),
+        pytest.param((1e200, 0.0, 0.0, 1e200, 1.0, 1.0), id="1e200-product-overflows"),
+        pytest.param((1e200, 1e200, 1e200, 1e200, 1.0, 1.0), id="1e200-det-nan"),
+        pytest.param((1e200, 1e200, -1e200, 1e200, 1e200, 1.0), id="1e200-det-inf"),
+        pytest.param((math.nan, 1.0, 1.0, 1.0, 1.0, 1.0), id="nan-m00"),
+        pytest.param((1.0, 1.0, 1.0, math.nan, 1.0, 1.0), id="nan-m11"),
+        pytest.param((1.0, 0.0, 0.0, 1.0, math.nan, 1.0), id="nan-b0"),
+        pytest.param((2.0, 1.0, -1.0, 3.0, math.inf, 1.0), id="inf-b0"),
+    ])
+    def test_refuses_what_the_elementwise_form_refused(self, entries):
+        """The scalar solve refuses exactly the systems the elementwise
+        form it replaced (`helpers.solve2_entries_reference`) refused, with
+        the same message, and otherwise returns the same values, NaN
+        included."""
+        def outcome(solve):
+            try:
+                with np.errstate(all="ignore"):
+                    return [repr(float(v)) for v in solve(*entries)]
+            except NearSingularError as err:
+                return str(err)
+
+        assert outcome(numerics.solve2_entries) == outcome(solve2_entries_reference)
+
 
 class TestTimeGrid:
     def test_uniform(self):
@@ -265,6 +300,15 @@ class TestTimeGrid:
         np.testing.assert_array_equal(grid.nodes, np.linspace(a, b, n))
         assert grid.step == (grid.nodes[-1] - grid.nodes[0]) / (n - 1)
         assert grid.n == n and type(grid.n) is int and not grid.nodes.flags.writeable
+
+    def test_nodes_formed_once_on_first_read(self):
+        grid = TimeGrid(0.0, 1.0, 11)
+        assert "nodes" not in vars(grid)
+        nodes = grid.nodes
+        assert grid.nodes is nodes and not nodes.flags.writeable
+        with pytest.raises(AttributeError):
+            grid.nodes = np.zeros(11)
+        assert grid == TimeGrid(0.0, 1.0, 11) and repr(grid) == "TimeGrid(t_start=0.0, t_end=1.0, n=11)"
 
     def test_equal_by_fields(self):
         assert TimeGrid(0, 1, 11) == TimeGrid(0.0, 1.0, 11)

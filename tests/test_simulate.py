@@ -727,7 +727,7 @@ class TestPeakScan:
         want = dense_peaks(draws, basis)
         assert got.shape == want.shape == (2 * n_trials,)
         assert (np.abs(got - want) <= 2.0 * np.spacing(want)).all()
-        _, rows, cells = simulate._candidates(draws, scan)
+        _, rows, cells, _ = simulate._candidates(draws, scan)
         first = scan.starts[cells]
         for row, node in enumerate(np.abs(draws @ basis).argmax(axis=1)):
             hits = (rows == row) & (first <= node) & (node < first + scan.windows.shape[2])
@@ -769,7 +769,8 @@ class TestPeakScan:
         got = simulate._peaks(rows, scan)
         want = dense_peaks(rows, basis)
         assert (np.abs(got - want) <= 2.0 * np.spacing(want)).all()
-        for got, want in zip(simulate._candidates(rows, scan), coarse_candidates(rows, scan)):
+        for got, want in zip(simulate._candidates(rows, scan), coarse_candidates(rows, scan),
+                             strict=True):
             np.testing.assert_array_equal(got, want)
 
     def test_cells_cover_every_node(self, study_kernels):

@@ -23,9 +23,11 @@ from zemgame import (
 from zemgame import reference
 from zemgame.cli import load_scenario
 from zemgame.errors import NearSingularError, NonFiniteResult, NotInConstrainedRegion
+from zemgame.solver import DEFAULT_EPS_SWEEP
 
 from helpers import (MIXED_ORDERS, ORACLE, case_iii_positions, check_case_iii_infeasible,
-                     oscillator, random_controller, random_draws, random_scenario)
+                     oscillator, penalty_sweep_reference, random_controller, random_draws,
+                     random_scenario, solve2_entries_reference)
 
 
 class TestClassify:
@@ -467,23 +469,27 @@ class TestPenaltySweep:
         assert abs(got - want) <= ulps * np.spacing(abs(want if scale is None else scale)), \
             (got, want)
 
+    @staticmethod
+    def position_sets(study_coeffs, case):
+        """(coefficients, z0, w0) of the study, of the mixed-orders file, or
+        of four random documents of orders 0-10."""
+        if case == "study":
+            return [(study_coeffs, 100.0, -100.0)]
+        if case == "mixed":
+            scenario, _ = load_scenario(str(MIXED_ORDERS))
+            return [(coefficients(scenario), scenario.z0, scenario.w0)]
+        rng = np.random.default_rng(1403)
+        return [(coefficients(random_scenario(rng, max_order=10)[0]),
+                 *rng.uniform(-150.0, 150.0, 2)) for _ in range(4)]
+
     @pytest.mark.parametrize("case", ["study", "mixed", "random"])
     def test_records_match_per_eps_solves(self, study_coeffs, case):
-        """Every record of the one-pass sweep against solve2 of its own
-        system and the matrix value form omega' diag(1,-1) M omega, on the
-        default eps and on 25 from 10 down to 1e-9: omega and w_f to 4 ulp,
-        the value to 4 ulp of |omega|' |M| |omega|, the size of its terms
-        (the two forms sum them in different orders, and they cancel)."""
-        if case == "study":
-            sets = [(study_coeffs, 100.0, -100.0)]
-        elif case == "mixed":
-            scenario, _ = load_scenario(str(MIXED_ORDERS))
-            sets = [(coefficients(scenario), scenario.z0, scenario.w0)]
-        else:
-            rng = np.random.default_rng(1403)
-            sets = [(coefficients(random_scenario(rng, max_order=10)[0]),
-                     *rng.uniform(-150.0, 150.0, 2)) for _ in range(4)]
-        for c, z0, w0 in sets:
+        """Every record of the sweep against solve2 of its own system and
+        the matrix value form omega' diag(1,-1) M omega, on the default eps
+        and on 25 from 10 down to 1e-9: omega and w_f to 4 ulp, the value
+        to 4 ulp of |omega|' |M| |omega|, the size of its terms (the two
+        forms sum them in different orders, and they cancel)."""
+        for c, z0, w0 in self.position_sets(study_coeffs, case):
             for sign in (1, -1):
                 for eps_list in (None, np.geomspace(10.0, 1e-9, 25)):
                     records = penalty_sweep(c, z0, w0, sign, eps_list)
@@ -496,6 +502,31 @@ class TestPenaltySweep:
                         self.assert_ulps(r.value, value, np.abs(omega) @ np.abs(M) @ np.abs(omega))
                         self.assert_ulps(r.w_f, sign * c.bound + r.eps * omega[1])
                         assert (r.z_f, r.u_p.hp_coef) == (r.omega_eps[0], -r.z_f / c.alpha)
+
+    @pytest.mark.parametrize("case", ["study", "mixed", "random"])
+    def test_bitwise_equal_to_elementwise_reference(self, study_coeffs, case):
+        """The 2x2 layer on Python floats equals the elementwise numpy
+        arithmetic it replaced (`helpers.penalty_sweep_reference` and
+        `solve2_entries_reference`) to the last bit: every sweep record on
+        the default eps and on 25 from 10 down to 1e-9, both branch solves
+        and both fixed-pursuer cross checks."""
+        for c, z0, w0 in self.position_sets(study_coeffs, case):
+            for sign in (1, -1):
+                for eps_list in (DEFAULT_EPS_SWEEP, np.geomspace(10.0, 1e-9, 25)):
+                    records = penalty_sweep(c, z0, w0, sign, eps_list)
+                    want = penalty_sweep_reference(c, z0, w0, sign, eps_list)
+                    got = [[r.omega_eps[0] for r in records], [r.omega_eps[1] for r in records],
+                           [r.value for r in records], [r.w_f for r in records]]
+                    assert got == [column.tolist() for column in want]
+                    assert [r.z_f for r in records] == got[0]
+                z_f, v_f = solve2_entries_reference(c.G1, c.G2, -c.G2, c.G3, np.array([z0]),
+                                                    np.array([w0 - sign * c.bound]))
+                assert solve_erg_branch(c, z0, w0, sign).omega_f.tolist() == [*z_f, *v_f]
+                cross = aux_cross(c, z0, w0, sign)
+                mu = (z0 - c.nu_p * z_f, w0 + sign * c.bound)
+                omega1 = solve2_entries_reference(1.0 - c.nu_e, c.G2, -c.G2, c.G3, *mu)
+                assert cross.mu_vec.tolist() == [*mu[0], mu[1]]
+                assert cross.omega1.tolist() == [*omega1[0], *omega1[1]]
 
     def test_first_singular_eps_raises(self, study_coeffs):
         """G + diag(0, eps) is singular at eps = 0.01 exactly (determinant
