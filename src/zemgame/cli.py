@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 from typing import Optional, Sequence
@@ -50,8 +51,8 @@ EXIT_INTERNAL = 4
 def _print_rows(rows) -> None:
     """Print (name, value, formula) rows with the names in one column."""
     width = max(len(name) for name, _, _ in rows)
-    for name, value, formula in rows:
-        print("%-*s  %- .12g    [%s]" % (width, name, float(value), formula))
+    print("\n".join("%-*s  %- .12g    [%s]" % (width, name, float(value), formula)
+                    for name, value, formula in rows))
 
 
 class _UsageError(Exception):
@@ -63,20 +64,22 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _get(doc: dict, path: str, required: bool = True, default=None):
-    node, keys = doc, path.split(".")
-    for depth, key in enumerate(keys):
-        if not isinstance(node, dict) or key not in node:
-            if required:
-                raise ScenarioFormatError("missing key %r" % ".".join(keys[:depth + 1]))
-            return default
-        node = node[key]
-    return node
+def _get(node, path: str, required: bool = True):
+    """The member of `node` named by the last key of a dotted path, `node`
+    being the object the rest of the path leads to, looked up once; a
+    missing member (None if optional) is named by the whole path."""
+    key = path.rpartition(".")[2]
+    if isinstance(node, dict) and key in node:
+        return node[key]
+    if required:
+        raise ScenarioFormatError("missing key %r" % path)
+    return None
 
 
-def _number(doc: dict, path: str, required: bool = True, default=None) -> Optional[float]:
-    value = _get(doc, path, required, default)
-    return None if value is None else _finite(value, path)
+def _number(node, path: str, required: bool = True) -> Optional[float]:
+    """A finite number; an optional one that is missing or null is None."""
+    value = _get(node, path, required)
+    return None if value is None and not required else _finite(value, path)
 
 
 def _finite(value, path: str) -> float:
@@ -90,42 +93,40 @@ def _finite(value, path: str) -> float:
 def _numbers(value, path: str, matrix: bool = False) -> np.ndarray:
     """A list of finite numbers as a float array; with `matrix`, a list of
     equal-length lists of them as a 2-d array. JSON numbers are exactly the
-    ints and floats, so one pass over the entry types and one conversion
-    serve a valid list; any other goes entry by entry, in order, through
-    `_finite`, which names the first bad entry as it always has."""
+    ints and floats, so one pass over the entry types, one conversion and
+    a finite sum (which needs finite entries) serve a valid list; any other
+    goes entry by entry, in order, through `_finite`, naming the first bad one."""
     if not isinstance(value, list):
         raise ScenarioFormatError("key %r must be a list of numbers" % path)
-    entries = [v for row in value for v in row] if matrix else value
-    if all(type(v) is float or type(v) is int for v in entries):
+    if set(map(type, itertools.chain.from_iterable(value) if matrix else value)) <= {float, int}:
         try:
             out = np.array(value, dtype=float)
         except OverflowError:  # an int beyond float range
             pass
         else:
-            if np.isfinite(out).all():
+            if abs(out.sum()) <= sys.float_info.max or np.isfinite(out).all():
                 return out
-    if matrix:
-        return np.array([[_finite(v, path) for v in row] for row in value])
-    return np.array([_finite(v, path) for v in value])
+    return np.array([[_finite(v, path) for v in row] for row in value] if matrix
+                    else [_finite(v, path) for v in value])
 
 
-def _parse_player(doc: dict, path: str) -> ControllerModel:
-    node = _get(doc, path)
+def _parse_player(players, path: str) -> ControllerModel:
+    node = _get(players, path)
     if not isinstance(node, dict):
         raise ScenarioFormatError("key %r must be an object" % path)
     if "first_order_tau" in node:
         try:
-            return ControllerModel.first_order(_number(doc, "%s.first_order_tau" % path))
+            return ControllerModel.first_order(_number(node, path + ".first_order_tau"))
         except ValueError as exc:
             raise ScenarioFormatError("invalid %s.first_order_tau: %s" % (path, exc))
-    rows = _get(doc, path + ".A")
-    if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)
-            and len({len(row) for row in rows}) <= 1):
+    rows = _get(node, path + ".A")
+    if not (isinstance(rows, list) and set(map(type, rows)) <= {list}
+            and len(set(map(len, rows))) <= 1):
         raise ScenarioFormatError("key %r must be a list of equal-length lists" % (path + ".A"))
     A = _numbers(rows, path + ".A", matrix=True) if rows else np.zeros((0, 0))
-    b = _numbers(_get(doc, path + ".b"), path + ".b")
-    c = _numbers(_get(doc, path + ".c"), path + ".c")
-    d = _number(doc, path + ".d")
+    b = _numbers(_get(node, path + ".b"), path + ".b")
+    c = _numbers(_get(node, path + ".c"), path + ".c")
+    d = _number(node, path + ".d")
     try:
         return ControllerModel(order=A.shape[0], sys=A, inp=b, out=c, feed=d)
     except ValueError as exc:
@@ -135,8 +136,9 @@ def _parse_player(doc: dict, path: str) -> ControllerModel:
 def load_scenario(path: str) -> tuple[EngagementScenario, dict]:
     """Parse a scenario file; returns the scenario and the raw document."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        with open(path, "rb") as fh:  # decoded at once, newlines read as in text mode
+            text = fh.read().decode("utf-8")
+        doc = json.loads(text.replace("\r\n", "\n").replace("\r", "\n"))
     except OSError as exc:
         raise ScenarioFormatError("cannot read %s: %s" % (path, exc))
     except json.JSONDecodeError as exc:
@@ -146,18 +148,21 @@ def load_scenario(path: str) -> tuple[EngagementScenario, dict]:
 
 
 def scenario_from_document(doc: dict) -> EngagementScenario:
-    pursuer = _parse_player(doc, "players.pursuer")
-    evader = _parse_player(doc, "players.evader")
-    t_f = _number(doc, "horizon.t_f")
-    t_c = _number(doc, "horizon.t_c", required=False)
-    nu = _number(doc, "horizon.nu", required=False)
+    players = _get(doc, "players")
+    pursuer = _parse_player(players, "players.pursuer")
+    evader = _parse_player(players, "players.evader")
+    horizon = _get(doc, "horizon")
+    t_f = _number(horizon, "horizon.t_f")
+    t_c = _number(horizon, "horizon.t_c", required=False)
+    nu = _number(horizon, "horizon.nu", required=False)
     try:
         t_c = resolve_horizons(t_f, t_c, nu)
     except ValueError as exc:
         raise ScenarioFormatError("horizon: %s" % exc)
-    alpha = _number(doc, "weights.alpha")
-    beta = _number(doc, "weights.beta")
-    ae_max = _number(doc, "evader_bound.ae_max")
+    weights = _get(doc, "weights")
+    alpha = _number(weights, "weights.alpha")
+    beta = _number(weights, "weights.beta")
+    ae_max = _number(_get(doc, "evader_bound"), "evader_bound.ae_max")
 
     initial = _get(doc, "initial")
     if not isinstance(initial, dict):
@@ -168,10 +173,10 @@ def scenario_from_document(doc: dict) -> EngagementScenario:
             raise ScenarioFormatError("initial needs both z0 and w0")
         if any(k in initial for k in ("Vp", "Ve", "phi_p0", "phi_e0")):
             raise ScenarioFormatError("initial must use exactly one of (z0, w0) or geometry")
-        z0 = _number(doc, "initial.z0")
-        w0 = _number(doc, "initial.w0")
+        z0 = _number(initial, "initial.z0")
+        w0 = _number(initial, "initial.w0")
     else:
-        values = {key: _number(doc, "initial.%s" % key)
+        values = {key: _number(initial, "initial." + key)
                   for key in ("Vp", "Ve", "phi_p0", "phi_e0")}
         try:
             geometry = EngagementGeometry(**values)
@@ -291,7 +296,7 @@ def _table1_positions(doc: dict) -> tuple[tuple[float, float], tuple[float, floa
         return reference.PLUS_POSITION, reference.MINUS_POSITION
     positions = []
     for path in ("table1.plus", "table1.minus"):
-        pair = _get(doc, path)
+        pair = _get(doc["table1"], path)
         if not isinstance(pair, list) or len(pair) != 2:
             raise ScenarioFormatError("key %r must be a [z, w] pair" % path)
         positions.append(tuple(_finite(v, path) for v in pair))

@@ -18,7 +18,7 @@ import numpy as np
 
 def _as_float_array(value, shape, name: str) -> np.ndarray:
     arr = np.asarray(value, dtype=float).reshape(shape)
-    if arr.size and not np.isfinite(arr).all():
+    if not math.isfinite(arr.sum()) and not np.isfinite(arr).all():  # finite sum: finite terms
         raise ValueError("%s contains non-finite entries" % name)
     return arr
 
@@ -29,7 +29,7 @@ def _require_finite(obj, names) -> None:
             raise ValueError("%s must be finite" % name)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ControllerModel:
     """One player's internal linear controller.
 
@@ -55,7 +55,7 @@ class ControllerModel:
         object.__setattr__(self, "inp", _as_float_array(self.inp, (n,), "inp"))
         object.__setattr__(self, "out", _as_float_array(self.out, (n,), "out"))
         feed = float(self.feed)
-        if not np.isfinite(feed):
+        if not math.isfinite(feed):
             raise ValueError("feed must be finite")
         object.__setattr__(self, "feed", feed)
 
@@ -66,7 +66,7 @@ class ControllerModel:
         The command is the lateral acceleration command; the acceleration
         tracks it with lag tau.
         """
-        if not (np.isfinite(tau) and tau > 0):
+        if not (math.isfinite(tau) and tau > 0):
             raise ValueError("time constant must be positive and finite")
         return cls(order=1, sys=[[-1.0 / tau]], inp=[1.0 / tau], out=[1.0], feed=0.0)
 
@@ -76,7 +76,7 @@ class ControllerModel:
         return cls(order=0, sys=np.zeros((0, 0)), inp=np.zeros(0), out=np.zeros(0), feed=feed)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateSpace:
     """A dense linear system dx/dt = A x + B u_p (+ C u_e), with an optional
     output selector row D_row."""
@@ -98,10 +98,7 @@ def build_player_ss(m: ControllerModel) -> StateSpace:
     A[0, 1] = 1.0
     A[1, 2:] = m.out
     A[2:, 2:] = m.sys
-    B = np.zeros(n + 2)
-    B[1] = m.feed
-    B[2:] = m.inp
-    return StateSpace(A=A, B=B)
+    return StateSpace(A=A, B=np.concatenate(((0.0, m.feed), m.inp)))
 
 
 def build_game_ss(p: ControllerModel, e: ControllerModel) -> StateSpace:

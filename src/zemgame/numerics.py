@@ -54,8 +54,8 @@ _MAX_QUAD_DEPTH = 48
 
 def _norm1(M: np.ndarray):
     """||M||_1, the largest column sum of |M|: the arithmetic of
-    `np.linalg.norm(M, 1)` without its dispatch."""
-    return np.abs(M).sum(axis=0).max()
+    `np.linalg.norm(M, 1)`, on the ufunc reductions without their wrappers."""
+    return np.maximum.reduce(np.add.reduce(np.abs(M), axis=0))
 
 
 def _powers(M: np.ndarray) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -103,10 +103,11 @@ def _pade_ell(M: np.ndarray) -> int:
     if norm == 0.0:
         return 0
     p2 = p1 @ p1
-    p8 = (p2 @ p2) @ (p2 @ p2)
+    p4 = p2 @ p2
+    p8 = p4 @ p4
     column_sums = ((ones_p1 @ p2) @ p8) @ (p8 @ p8)  # 1' |M|^27
     alpha = float(column_sums.max()) / (norm * _PADE13_ABS_C_RECIP)
-    if not np.isfinite(alpha):
+    if not math.isfinite(alpha):
         return 1 << 30
     if alpha == 0.0:
         return 0
@@ -138,10 +139,10 @@ def mat_exp(A: np.ndarray, t: float = 1.0) -> np.ndarray:
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("matrix exponential requires a square matrix, got shape %r" % (A.shape,))
-    if not np.isfinite(t):
+    if not math.isfinite(t):
         raise ValueError("non-finite time scale %r" % (t,))
     M = A * float(t)
-    if M.size and not np.isfinite(M).all():
+    if not math.isfinite(M.sum()) and not np.isfinite(M).all():  # finite sum: finite terms
         raise ValueError("matrix exponential argument contains non-finite entries")
     if M.shape[0] == 0:
         return np.zeros((0, 0))

@@ -89,7 +89,7 @@ def _progression_rows(first: np.ndarray, A: np.ndarray, step: float, n: int) -> 
     k = 1
     while k < n:
         m = min(k, n - k)
-        rows[k:k + m] = rows[:m] @ E
+        np.matmul(rows[:m], E, out=rows[k:k + m])
         k += m
         if k < n:
             E = E @ E
@@ -139,7 +139,6 @@ class Kernels:
         the first call and kept."""
         if self._gram is None:
             self._gram = kernel_gram(*self._players, self.t_f, self.t_c)
-            self._gram.flags.writeable = False
         return self._gram
 
     def bundle(self, grid: Optional[TimeGrid] = None) -> "SampleBundle":
@@ -210,7 +209,7 @@ class AffineInTime:
     intercept: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sampled:
     """Values on a time grid, linearly interpolated between nodes."""
 
@@ -275,7 +274,7 @@ def sample_control(law: ControlLaw, kernels: Kernels, ts) -> np.ndarray:
     return _sample_explicit(law, ts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleBundle:
     """The three kernels on the refined nodes of one grid (nodes interleaved
     with panel midpoints, `TimeGrid.refined`), with the composite-Simpson
@@ -298,11 +297,10 @@ class SampleBundle:
     weights: np.ndarray
     node_rows_engagement: np.ndarray
     node_rows_target: np.ndarray
-    players: tuple[StateSpace, StateSpace] = field(repr=False, compare=False)
-    _legendre: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
-    _running: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
-    _responses: Optional["KernelResponses"] = field(default=None, init=False, repr=False,
-                                                    compare=False)
+    players: tuple[StateSpace, StateSpace] = field(repr=False)
+    _legendre: Optional[tuple] = field(default=None, init=False, repr=False)
+    _running: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+    _responses: Optional["KernelResponses"] = field(default=None, init=False, repr=False)
 
     @classmethod
     def sample(cls, kernels: Kernels, grid: TimeGrid) -> "SampleBundle":
@@ -404,7 +402,7 @@ def _responses(player: StateSpace, controls: tuple, grid: TimeGrid) -> np.ndarra
     return np.stack(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KernelResponses:
     """Trajectories on a bundle's grid of which every full-state playout of
     kernel laws is a weighted sum.
@@ -446,7 +444,7 @@ class KernelResponses:
         return cls(pursuer=pursuer, evader=evader, z=z, w=w)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PeakScan:
     """Coarse data of a basis (one row per function, one column per
     refined node) for the peaks max_i |c . basis[:, i]| of coefficient
@@ -521,6 +519,8 @@ class GameCoefficients:
     beta_star  the solvability threshold int(h_e^2)
     G, G_tilde, G_bar, F, F_bar   the 2x2 system matrices and the matching
              value-form matrices diag(1,-1) G and (X^-1)' diag(1,-1)
+    K        the kernel Gram matrix (`kernel_gram`) they come from, or None;
+             the arrays do not take part in == and hash, which read the scalars
     """
 
     s: float
@@ -535,14 +535,15 @@ class GameCoefficients:
     det_G: float
     det_F: float
     beta_star: float
-    G: np.ndarray
-    G_tilde: np.ndarray
-    G_bar: np.ndarray
-    F: np.ndarray
-    F_bar: np.ndarray
+    G: np.ndarray = field(compare=False)
+    G_tilde: np.ndarray = field(compare=False)
+    G_bar: np.ndarray = field(compare=False)
+    F: np.ndarray = field(compare=False)
+    F_bar: np.ndarray = field(compare=False)
     alpha: float
     beta: float
     ae_max: float
+    K: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     @property
     def bound(self) -> float:
@@ -568,9 +569,10 @@ class GameCoefficients:
                 raise AssertionFailure("coefficient consistency check failed: %s" % label)
 
 
-def _assemble(integrals: tuple[float, float, float, float], mu: float,
-              alpha: float, beta: float, ae_max: float) -> GameCoefficients:
-    """Coefficients from int h_p^2, h_e^2, h_e g_e, g_e^2 over [0, t_f] and mu.
+def _assemble(integrals: tuple[float, float, float, float], mu: float, alpha: float,
+              beta: float, ae_max: float, K: Optional[np.ndarray] = None) -> GameCoefficients:
+    """Coefficients from int h_p^2, h_e^2, h_e g_e, g_e^2 over [0, t_f] and
+    mu, keeping the kernel Gram matrix K they were read from, if any.
 
     F1 = G1 - nu_p is formed as 1 - nu_e, which does not cancel as nu_p
     grows. Solvability (beta > int h_e^2) makes F1 > 0, so det F = 0 only
@@ -593,45 +595,15 @@ def _assemble(integrals: tuple[float, float, float, float], mu: float,
     if det_F == 0.0:
         raise NoControlAuthority(int_ge2)
     d = nu_p * G2 * G2 / (G1 * det_F)
-    # X = [[X1, G2], [-G2, G3]] has (X^-1)' diag(1,-1) = [[G3, -G2], [-G2, -X1]] / det X
+    # X = [[X1, G2], [-G2, G3]] has (X^-1)' diag(1,-1) = [[G3, -G2], [-G2, -X1]] / det X;
+    # G, G_tilde, G_bar, F and F_bar are views of one array
+    mats = np.array([G1, G2, -G2, G3, G1, G2, G2, -G3,
+                     G3 / det_G, -G2 / det_G, -G2 / det_G, -G1 / det_G, F1, G2, -G2, G3,
+                     G3 / det_F, -G2 / det_F, -G2 / det_F, -F1 / det_F]).reshape(5, 2, 2)
     return GameCoefficients(
-        s=s, nu_p=nu_p, nu_e=nu_e, G1=G1, G2=G2, G3=G3,
-        a=G2 / G1, d=d, mu_e=mu, det_G=det_G, det_F=det_F,
-        beta_star=int_he2,
-        G=np.array([[G1, G2], [-G2, G3]]), G_tilde=np.array([[G1, G2], [G2, -G3]]),
-        G_bar=np.array([[G3, -G2], [-G2, -G1]]) / det_G,
-        F=np.array([[F1, G2], [-G2, G3]]), F_bar=np.array([[G3, -G2], [-G2, -F1]]) / det_F,
-        alpha=alpha, beta=beta, ae_max=ae_max,
-    )
-
-
-def _gramian(A: np.ndarray, x: np.ndarray, T: float) -> np.ndarray:
-    """W = int_0^T exp(A s) x x' exp(A' s) ds.
-
-    Van Loan (IEEE TAC 1978): for C = [[-A, Q], [0, A']] and Q = x x',
-    exp(C h) = [[., F12], [0, exp(A' h)]] and W(h) = exp(A h) F12. One
-    `scaled_exp(C T)` gives both the step h = T / 2^k, k being the squarings
-    exp(C T) would need, and exp(C h), which is used unsquared (squaring it
-    would square exp(-A h) and swamp the result for stiff A); k doublings
-    W <- W + Phi W Phi', Phi <- Phi^2 then carry W(h) out to W(T). x is
-    normalised first so that the coupling block has unit size.
-    """
-    n = A.shape[0]
-    size = float(x @ x)
-    if size == 0.0:
-        return np.zeros((n, n))
-    unit = x / math.sqrt(size)
-    C = np.zeros((2 * n, 2 * n))
-    C[:n, :n] = -A
-    C[:n, n:] = np.outer(unit, unit)
-    C[n:, n:] = A.T
-    doublings, F = scaled_exp(C * T)
-    phi = F[n:, n:].T
-    W = phi @ F[:n, n:]
-    for _ in range(doublings):
-        W = W + phi @ W @ phi.T
-        phi = phi @ phi
-    return size * W
+        s=s, nu_p=nu_p, nu_e=nu_e, G1=G1, G2=G2, G3=G3, a=G2 / G1, d=d, mu_e=mu,
+        det_G=det_G, det_F=det_F, beta_star=int_he2, G=mats[0], G_tilde=mats[1],
+        G_bar=mats[2], F=mats[3], F_bar=mats[4], alpha=alpha, beta=beta, ae_max=ae_max, K=K)
 
 
 def _augmented(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -668,8 +640,9 @@ def _sign_cells(A: np.ndarray, span: float) -> int:
     return cells
 
 
-def _tail_weight(A: np.ndarray, B: np.ndarray, D: np.ndarray, t_c: float) -> float:
-    """int_0^t_c |D exp(A s) B| ds, exactly.
+def _tail_weight(A: np.ndarray, B: np.ndarray, t_c: float) -> float:
+    """int_0^t_c |D exp(A s) B| ds, exactly, for a player block (A, B) and
+    D = e_0 picking its position.
 
     With P(s) = int_0^s D exp(A r) B dr read from the augmented exponential,
     the integral is sum |P(rho_{i+1}) - P(rho_i)| over the sign changes rho_i
@@ -683,13 +656,15 @@ def _tail_weight(A: np.ndarray, B: np.ndarray, D: np.ndarray, t_c: float) -> flo
     n = A.shape[0]
     M = _augmented(A, B)
     cells = _sign_cells(A, t_c)
-    rows = _progression_rows(np.append(D, 0.0), M, t_c / cells, cells + 1)
+    first = np.zeros(n + 1)
+    first[0] = 1.0  # D, and 0 for the integral
+    rows = _progression_rows(first, M, t_c / cells, cells + 1)
     g = rows[:, :n] @ B
+    if g.min() >= 0.0 or g.max() <= 0.0:  # one sign throughout; a NaN fails both tests
+        return abs(rows.item(-1, n))
     signs = np.sign(g)
     nz = np.flatnonzero(signs)
     change = np.flatnonzero(signs[nz[:-1]] != signs[nz[1:]])
-    if change.size == 0:
-        return abs(float(rows[-1, n]))
     AB = A @ B
     s = np.linspace(0.0, t_c, cells + 1)
     knots = [0.0]
@@ -721,8 +696,8 @@ def mu_e(scenario: EngagementScenario) -> float:
     """Reachability weight: how much terminal correction the evader can
     accumulate on the tail [t_f, t_f + t_c] under its acceleration bound,
     int |g_e| over the tail."""
-    ev = build_evader_ss(scenario.evader)
-    return _tail_weight(ev.A, ev.B, ev.D_row, scenario.t_c)
+    ev = build_player_ss(scenario.evader)
+    return _tail_weight(ev.A, ev.B, scenario.t_c)
 
 
 def integral_g_e(scenario: EngagementScenario) -> float:
@@ -738,7 +713,7 @@ def kernel_gram(pursuer: StateSpace, evader: StateSpace, t_f: float, t_c: float)
     """K = int_0^t_f k k' dt for the kernels k = (h_p, h_e, g_e), from the
     players' own blocks (`build_player_ss`; only A and B are read): the 3x3
     Gram matrix of which every cost of kernel-combination controls is a
-    quadratic form (`simulate.evaluate_cost`).
+    quadratic form (`simulate.evaluate_cost`). Read-only.
 
     In the reversed time s = t_f - t the kernels are the players' position
     responses: h_p = -D_p exp(A_p s) B_p, h_e = D_e exp(A_e s) B_e and
@@ -746,39 +721,58 @@ def kernel_gram(pursuer: StateSpace, evader: StateSpace, t_f: float, t_c: float)
     t_c = 0, so that g_e = h_e there exactly), D picking each player's
     position. So every product integral is a quadratic form of one
     observability Gramian W = int_0^t_f exp(Y' s) d' d exp(Y s) ds of
-    Y = diag(A_p, A_e) and d = [D_p, D_e] (`_gramian`): int h_p^2 =
-    B_p' W_pp B_p, int h_e^2 = B_e' W_ee B_e, int h_e g_e = B_e' W_ee x_e,
+    Y = diag(A_p, A_e) and d = [D_p, D_e]: int h_p^2 = B_p' W_pp B_p,
+    int h_e^2 = B_e' W_ee B_e, int h_e g_e = B_e' W_ee x_e,
     int g_e^2 = x_e' W_ee x_e, and from the cross block
     int h_p h_e = -B_p' W_pe B_e and int h_p g_e = -B_p' W_pe x_e.
+
+    W comes from Van Loan (IEEE TAC 1978): for C = [[-Y', u u'], [0, Y]]
+    with the unit vector u = d / |d|, exp(C h) = [[., F12], [0, exp(Y h)]]
+    and W(h) = |d|^2 exp(Y' h) F12. One `scaled_exp(C t_f)` gives both the
+    step h = t_f / 2^k, k being the squarings exp(C t_f) would need, and
+    exp(C h), which is used unsquared (squaring it would square
+    exp(-Y' h) and swamp the result for stiff Y); k doublings
+    W <- W + Phi W Phi', Phi <- Phi^2 then carry W(h) out to W(t_f).
+    C t_f is written block by block, each entry the product c t_f.
     """
     n = pursuer.A.shape[0]
-    Y = np.zeros((n + evader.A.shape[0],) * 2)
-    Y[:n, :n] = pursuer.A
-    Y[n:, n:] = evader.A
-    d = np.zeros(Y.shape[0])
-    d[0] = d[n] = 1.0
-    W = _gramian(Y.T, d, t_f)
-    W_pe, W_ee = W[:n, n:], W[n:, n:]
-    B_p, B_e = pursuer.B, evader.B
+    N = n + evader.A.shape[0]
+    C = np.zeros((2 * N, 2 * N))
+    for lo, hi, A in ((0, n, pursuer.A), (n, N, evader.A)):
+        np.multiply(A.T, -t_f, out=C[lo:hi, lo:hi])
+        np.multiply(A, t_f, out=C[N + lo:N + hi, N + lo:N + hi])
+    unit = 1.0 / math.sqrt(2.0)  # the two nonzero entries of u, at 0 and n
+    C[[0, 0, n, n], [N, N + n, N, N + n]] = unit * unit * t_f
+    doublings, F = scaled_exp(C)
+    phi = F[N:, N:].T
+    W = phi @ F[:N, N:]
+    for k in range(doublings):
+        W += phi @ W @ phi.T
+        if k + 1 < doublings:  # the last square would go unread
+            phi = phi @ phi
+    W *= 2.0  # |d|^2
+    W_ee, B_p, B_e = W[n:, n:], pursuer.B, evader.B
     x_e = mat_exp(evader.A, t_c) @ B_e if t_c != 0.0 else B_e
-    hp_he, hp_ge = -float(B_p @ W_pe @ B_e), -float(B_p @ W_pe @ x_e)
-    he_ge = float(x_e @ W_ee @ B_e)
-    return np.array([[float(B_p @ W[:n, :n] @ B_p), hp_he, hp_ge],
-                     [hp_he, float(B_e @ W_ee @ B_e), he_ge],
-                     [hp_ge, he_ge, float(x_e @ W_ee @ x_e)]])
+    p_row, e_row = B_p @ W[:n, n:], x_e @ W_ee  # B_p' W_pe and x_e' W_ee
+    hp_he, hp_ge, he_ge = -float(p_row @ B_e), -float(p_row @ x_e), float(e_row @ B_e)
+    K = np.array([[float(B_p @ W[:n, :n] @ B_p), hp_he, hp_ge],
+                  [hp_he, float(B_e @ W_ee @ B_e), he_ge],
+                  [hp_ge, he_ge, float(e_row @ x_e)]])
+    K.flags.writeable = False
+    return K
 
 
 def coefficients(scenario: EngagementScenario,
                  kernels: Optional[Kernels] = None) -> GameCoefficients:
     """All game coefficients from exact kernel integrals: int h_p^2,
     int h_e^2, int h_e g_e and int g_e^2 are entries of the kernel Gram
-    matrix (`kernel_gram`), and mu_e comes from `_tail_weight`. No kernel
-    samples are taken: `kernels` is accepted and not read. Raises
+    matrix (`kernel_gram`, kept as `K`), and mu_e comes from `_tail_weight`.
+    No kernel samples are taken: `kernels` is accepted and not read. Raises
     SolvabilityError when the evader effort weight does not exceed the
     squared-kernel integral.
     """
-    ev = build_evader_ss(scenario.evader)
+    ev = build_player_ss(scenario.evader)
     K = kernel_gram(build_player_ss(scenario.pursuer), ev, scenario.t_f, scenario.t_c)
-    mu = _tail_weight(ev.A, ev.B, ev.D_row, scenario.t_c)
+    mu = _tail_weight(ev.A, ev.B, scenario.t_c)
     return _assemble((K.item(0, 0), K.item(1, 1), K.item(1, 2), K.item(2, 2)), mu,
-                     scenario.alpha, scenario.beta, scenario.ae_max)
+                     scenario.alpha, scenario.beta, scenario.ae_max, K)

@@ -41,7 +41,7 @@ _PROBE_AMPLITUDE = 0.2  # perturbation peak relative to max(1, max |u*|)
 _CELL_CHUNK = 64  # candidate cells of the peak scan evaluated at once
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Playout:
     """Trajectories of the reduced state under a pair of control laws."""
 
@@ -62,7 +62,7 @@ class CostBreakdown:
     total: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FullPlayout:
     grid: TimeGrid
     x_traj: np.ndarray

@@ -50,7 +50,7 @@ class UrgSolution(NamedTuple):
     value: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BranchSolution:
     """Saddle point of one equality-constrained branch (terminal w pinned to
     +bound or -bound)."""
@@ -65,7 +65,7 @@ class BranchSolution:
     gamma: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AuxCrossSolution:
     """Best evader reply pinned to the opposite terminal sign while the
     pursuer plays one branch's optimal control."""
@@ -92,7 +92,8 @@ class SaddleSolution:
 
 class PenaltyRecord(NamedTuple):
     """Penalized saddle point for one eps: omega_eps = (z_f, v_f) and the
-    terminal w_f = sign*bound + eps*v_f it implies."""
+    terminal w_f = sign*bound + eps*v_f it implies. Compared and hashed by
+    identity, as omega_eps is an array."""
 
     eps: float
     omega_eps: np.ndarray
@@ -101,6 +102,7 @@ class PenaltyRecord(NamedTuple):
     value: float
     z_f: float
     w_f: float
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
 
 def _shift(sign: int, bound: float) -> float:

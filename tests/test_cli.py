@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -7,7 +10,7 @@ import numpy as np
 import pytest
 
 import test_acceptance
-from zemgame import cli, coefficients, reference
+from zemgame import cli, coefficients, numerics, reduction, reference
 from zemgame.cli import (
     EXIT_OK,
     EXIT_REPRO_FAIL,
@@ -22,6 +25,7 @@ from zemgame.reference import CHECKS
 
 from helpers import MIXED_ORDERS, first_order_coefficients
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 STUDY_FILE = Path(__file__).resolve().parents[1] / "scenarios" / "study.json"
 STUDY_DOC = json.loads(STUDY_FILE.read_text())
 
@@ -150,6 +154,41 @@ class TestClassify:
         assert main(["classify", str(path)]) == EXIT_USAGE
         assert capsys.readouterr().err == (
             "scenario error: key 'players.pursuer.b' must be %s\n" % problem)
+
+    @pytest.mark.parametrize("section, key", [
+        ("horizon", "t_f"), ("weights", "alpha"), ("weights", "beta"),
+        ("evader_bound", "ae_max"), ("initial", "z0"), ("initial", "w0"),
+        ("players.pursuer", "first_order_tau"), ("players.evader", "first_order_tau"),
+    ])
+    def test_required_null_is_not_a_number(self, tmp_path, capsys, section, key):
+        """A required number given as JSON null is refused by name; it used
+        to pass as None and fail later with a TypeError traceback."""
+        def mutate(doc):
+            node = doc
+            for part in section.split("."):
+                node = node[part]
+            node[key] = None
+        assert main(["solve", write_doc(tmp_path, mutate)]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "scenario error: key '%s.%s' must be a number\n" % (section, key))
+
+    def test_optional_null_counts_as_missing(self, tmp_path, capsys):
+        """An optional key given as null is absent: t_c null beside nu."""
+        path = write_doc(tmp_path, lambda doc: doc["horizon"].update(t_c=None))
+        assert main(["classify", path]) == EXIT_OK
+
+    @pytest.mark.parametrize("doc, message", [
+        ([], "missing key 'players'"), ({"players": []}, "missing key 'players.pursuer'"),
+        ({"players": {"pursuer": {"first_order_tau": 0.1}, "evader": {"first_order_tau": 0.1}},
+          "horizon": 5}, "missing key 'horizon.t_f'"),
+    ])
+    def test_missing_key_named_by_its_path(self, tmp_path, capsys, doc, message):
+        """A member looked up in a parent that is missing or not an object
+        is named by its whole dotted path."""
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        assert main(["classify", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr().err == "scenario error: %s\n" % message
 
     def test_bad_json_reports_line(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -348,6 +387,44 @@ def kernel_builds(monkeypatch):
 
     monkeypatch.setattr(Kernels, "__init__", counting)
     return calls
+
+
+@pytest.mark.parametrize("case, exponentials", [("study", 3), ("mixed", 3), ("t_c=0", 1)])
+def test_solve_exponential_budget(tmp_path, capsys, monkeypatch, case, exponentials):
+    """A plain `solve` takes exactly three scaled Pade exponentials: the
+    Van Loan block of the kernel Gram matrix, exp(A_e t_c) for g_e's start
+    and the sign-scan step of mu_e; at t_c = 0 only the first. Counted on
+    both modules that reach `scaled_exp`."""
+    calls = []
+    scaled_exp = numerics.scaled_exp
+
+    def counting(M):
+        calls.append(M.shape)
+        return scaled_exp(M)
+
+    monkeypatch.setattr(numerics, "scaled_exp", counting)
+    monkeypatch.setattr(reduction, "scaled_exp", counting)
+    path = {"study": str(STUDY_FILE), "mixed": str(MIXED_ORDERS),
+            "t_c=0": write_doc(tmp_path, lambda d: d["horizon"].update(nu=0.0))}[case]
+    assert main(["solve", path]) == EXIT_OK
+    assert len(calls) == exponentials
+
+
+@pytest.mark.parametrize("argv", [[verb, str(path)] for verb in ("solve", "classify", "sweep",
+                                                                  "table1")
+                                  for path in (STUDY_FILE, MIXED_ORDERS)] + [["repro"]],
+                         ids=lambda argv: " ".join(Path(a).name for a in argv))
+def test_fresh_process_smoke(tmp_path, argv):
+    """Each verb in a fresh interpreter in development mode with every
+    warning an error: exit 0 and nothing on stderr. A ResourceWarning (an
+    unclosed file, say) is raised where no in-process test looks: at
+    garbage collection or at exit, where it is printed, not raised."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    done = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-m", "zemgame"] + argv,
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (EXIT_OK, "")
+    assert done.stdout
 
 
 class TestKernelBuilds:

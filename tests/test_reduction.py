@@ -184,6 +184,31 @@ class TestMuE:
         closed = tau_e ** 2 * (1.0 - sigma + sigma ** 2 / 2 - np.exp(-sigma))
         assert mu_e(study_scenario) == pytest.approx(closed, abs=1e-8)
 
+    @pytest.mark.parametrize("case, band", [("study", 1e-13), ("t_f=50", 1e-13),
+                                            ("oscillator", 1e-13), ("tau_e=1e-5", 1e-11)])
+    def test_accuracy_against_mpmath(self, study_scenario, case, band):
+        """mu_e against the exponential of the augmented evader block at t_c
+        in 40-digit arithmetic. g_e keeps one sign on each tail, so mu_e is
+        |P(t_c)|, the block's top-right position entry. The bands hold
+        today's error (2.9e-14 at most, 5e-14 for the 160 rad/s
+        oscillator, 3.6e-12 for the stiff lag): it comes from the end row of
+        the doubling scan (`_progression_rows`), whose position entries are
+        about 2.8e-14 off where one exponential at t_c is within 2.2e-16."""
+        mpmath = pytest.importorskip("mpmath")
+        evader, t_f, t_c = {"study": (study_scenario.evader, 1.0, 0.9),
+                            "t_f=50": (z.ControllerModel.first_order(0.1), 50.0, 30.0),
+                            "oscillator": (oscillator(160.0, 0.05), 1.0, 0.7),
+                            "tau_e=1e-5": (z.ControllerModel.first_order(1e-5), 1.0, 0.9)}[case]
+        sc = dataclasses.replace(study_scenario, evader=evader, t_f=t_f, t_c=t_c)
+        ev = z.build_evader_ss(evader)
+        g = [float(ev.D_row @ z.mat_exp(ev.A, s) @ ev.B) for s in np.linspace(0.0, t_c, 513)[1:]]
+        assert min(g) > 0.0
+        M = reduction._augmented(ev.A, ev.B)
+        with mpmath.workdps(40):
+            exact = abs(mpmath.expm(mpmath.matrix(M.tolist()) * mpmath.mpf(t_c))[0, M.shape[0] - 1])
+            error = float(abs(mpmath.mpf(mu_e(sc)) - exact) / exact)
+        assert error <= band
+
     @pytest.mark.parametrize("omega", [10.0, 40.0, 160.0, 1e3])
     def test_oscillator_matches_cell_loop(self, omega):
         assert_mu_e_matches_loop(oscillator(omega, 0.05), 0.9)
@@ -399,6 +424,19 @@ class TestKernelGram:
         assert gram[0, 0] / c.alpha == c.nu_p and gram[1, 1] == c.beta_star
         assert gram[1, 2] / c.beta == c.G2 and gram[2, 2] / c.beta == c.G3
         assert gram[0, 1] < 0.0 and gram[0, 2] < 0.0  # h_p opposes h_e and g_e
+
+    @pytest.mark.parametrize("case", ["study", "mixed", "t_c=0"])
+    def test_coefficients_keep_the_gram_matrix(self, study_scenario, case):
+        """`coefficients` keeps the whole K it reads its integrals from,
+        cross entries included, bit for bit as `Kernels.gram` forms it and
+        read-only; it takes no part in comparisons."""
+        scenario = {"study": study_scenario, "mixed": load_scenario(str(MIXED_ORDERS))[0],
+                    "t_c=0": dataclasses.replace(study_scenario, t_c=0.0)}[case]
+        c, gram = coefficients(scenario), Kernels(scenario).gram()
+        assert c.K.shape == (3, 3) and np.array_equal(c.K, gram)
+        assert c.K.tobytes() == gram.tobytes()
+        assert not c.K.flags.writeable
+        assert c == dataclasses.replace(c, K=None)
 
 
 class TestCoefficients:

@@ -69,7 +69,7 @@ def test_unused_import_detected():
 
 # The size of the package, which may only shrink: a change that removes
 # code lowers these to its own counts, and none raises them.
-SRC_LINES_MAX = 2877
+SRC_LINES_MAX = 2876
 EXPORTS_MAX = 55
 
 
