@@ -323,6 +323,34 @@ class TestSolve:
         assert main(["solve", study_file, "--probe", "5", "--seed", "11"]) == EXIT_OK
         assert "saddle probe: 5 trials OK" in capsys.readouterr().out
 
+    PROBED = {
+        "study": ("region: OmegaMinus\n"
+                  "value             2663.06709229    [J(u_p*, u_e*)]\n"
+                  "z_f               27.8479023436    [z_f = z0/s in Omega, else (G^-1 b)_1]\n"
+                  "w_f              -32.4998765902    "
+                  "[w_f = w0 + a*z0 in Omega, else sign*mu_e*ae_max]\n"
+                  "u_p coef on h_p  -556.958046873    [u_p = -(z_f/alpha) h_p]\n"
+                  "u_e coef on h_e   92.8263411454    [u_e = (z_f h_e - v_f g_e)/beta]\n"
+                  "u_e coef on g_e   6.01100837191    [u_e = (z_f h_e - v_f g_e)/beta]\n"
+                  "saddle probe: 20 trials OK, worst margins evader -5 pursuer 11.7\n"),
+        "mixed": ("region: OmegaPlus\n"
+                  "value            -239.713274382    [J(u_p*, u_e*)]\n"
+                  "z_f               0.434992559959    [z_f = z0/s in Omega, else (G^-1 b)_1]\n"
+                  "w_f               19.2    [w_f = w0 + a*z0 in Omega, else sign*mu_e*ae_max]\n"
+                  "u_p coef on h_p  -5.43740699949    [u_p = -(z_f/alpha) h_p]\n"
+                  "u_e coef on h_e   0.483325066621    [u_e = (z_f h_e - v_f g_e)/beta]\n"
+                  "u_e coef on g_e  -10.5596115692    [u_e = (z_f h_e - v_f g_e)/beta]\n"
+                  "saddle probe: 20 trials OK, worst margins evader -0.823 pursuer 0.00051\n"),
+    }
+
+    @pytest.mark.parametrize("name", list(PROBED))
+    def test_probe_output_pinned(self, capsys, name):
+        """`solve --probe 20 --seed 3` on both repository files, byte for byte."""
+        path = str(STUDY_FILE if name == "study" else MIXED_ORDERS)
+        assert main(["solve", path, "--probe", "20", "--seed", "3"]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (self.PROBED[name], "")
+
     def test_negative_probe_rejected_before_solving(self, study_file, capsys):
         assert main(["solve", study_file, "--probe", "-5"]) == EXIT_USAGE
         captured = capsys.readouterr()

@@ -421,6 +421,54 @@ class TestSaddleProbe:
         with pytest.raises(ValueError, match="n_trials"):
             saddle_probe(study_scenario, sol, n_trials=-1, kernels=study_kernels)
 
+    def test_no_trials_empty_report(self, study_scenario, study_kernels, study_coeffs):
+        """Zero trials draw nothing and report the empty extremes."""
+        sol = solve_rg(study_scenario, coeffs=study_coeffs)
+        report = saddle_probe(study_scenario, sol, n_trials=0, kernels=study_kernels)
+        assert report == simulate.ProbeReport(n_trials=0, evader_worst=-np.inf,
+                                              pursuer_worst=np.inf,
+                                              slack=1e-9 * max(1.0, abs(sol.value)), passed=True)
+
+    # (evader_worst, pursuer_worst, slack) of 100 trials as float.hex, at the
+    # four study positions of the benchmark's verify workload and at the
+    # mixed-orders file's own position, for seeds 0 and 12345
+    PINNED = {
+        ("study", 100.0, -100.0, 0): ("-0x1.eb7a98de9a000p+0", "0x1.a1fb416ba4500p+3",
+                                      "0x1.656e49de3debfp-19"),
+        ("study", 100.0, -100.0, 12345): ("-0x1.7b392af887800p+0", "0x1.8ad53f936c000p+3",
+                                          "0x1.656e49de3debfp-19"),
+        ("study", 100.0, -50.0, 0): ("-0x1.7dfa1aeb25000p+0", "0x1.84d4bc775fb00p+3",
+                                     "0x1.687fcb3884162p-19"),
+        ("study", 100.0, -50.0, 12345): ("-0x1.eb142ae51e800p+0", "0x1.6f4c03d3fcd00p+3",
+                                         "0x1.687fcb3884162p-19"),
+        ("study", 100.0, 50.0, 0): ("-0x1.654c3777b2000p-3", "0x1.e55ccfc497300p+2",
+                                    "0x1.04a33768d30b4p-19"),
+        ("study", 100.0, 50.0, 12345): ("-0x1.13b08a5324000p-3", "0x1.ca7b7f3fc5b00p+2",
+                                        "0x1.04a33768d30b4p-19"),
+        ("study", -100.0, -20.0, 0): ("-0x1.07a01faf30000p-2", "0x1.2b24be092a000p+3",
+                                      "0x1.464d2ced002c9p-19"),
+        ("study", -100.0, -20.0, 12345): ("-0x1.96d32d62c4000p-3", "0x1.1a9394d3fe900p+3",
+                                          "0x1.464d2ced002c9p-19"),
+        ("mixed", 12.6, 45.0, 0): ("-0x1.5820fce57f800p-2", "0x1.3dd4607c00000p-11",
+                                   "0x1.0163e214b8f82p-22"),
+        ("mixed", 12.6, 45.0, 12345): ("-0x1.124fcaff40000p-2", "0x1.d142a21100000p-12",
+                                       "0x1.0163e214b8f82p-22"),
+    }
+
+    @pytest.mark.parametrize("case", list(PINNED), ids=lambda c: "%s(%g,%g)-%d" % c)
+    def test_pinned_reports(self, study_scenario, study_kernels, study_coeffs, mixed, case):
+        """The reports of 100 trials, bit for bit."""
+        name, z0, w0, seed = case
+        scenario, kernels, coeffs = ((study_scenario, study_kernels, study_coeffs)
+                                     if name == "study" else mixed)
+        assert name == "study" or (scenario.z0, scenario.w0) == (z0, w0)
+        sc = dataclasses.replace(scenario, z0=z0, w0=w0, geometry=None)
+        report = saddle_probe(sc, solve_rg(sc, coeffs=coeffs), n_trials=100, seed=seed,
+                              kernels=kernels)
+        assert report.n_trials == 100 and report.passed
+        assert (report.evader_worst.hex(), report.pursuer_worst.hex(),
+                report.slack.hex()) == self.PINNED[case]
+
 
 # -- reference loops: the per-trial probe and the closure-driven RK4 ----------
 
@@ -1053,3 +1101,15 @@ class TestMemory:
         sol = solve_rg(sc, coeffs=study_coeffs)
         peak, _ = self.traced(lambda: saddle_probe(sc, sol, n_trials=100, seed=1, kernels=k))
         assert peak <= 2.4e6
+
+    def test_peak_many_trials(self, study_scenario, study_kernels, study_coeffs):
+        """A probe of 20,000 trials, its Legendre data built beforehand: the
+        coarse values and bounds of 40,000 rows at 81 coarse nodes peak at
+        about 80 MB, and the kept cells are evaluated a bounded number at a
+        time (their windows at once would add about 100 MB)."""
+        sc = dataclasses.replace(study_scenario, z0=100.0, w0=50.0, geometry=None)
+        sol = solve_rg(sc, coeffs=study_coeffs)
+        study_kernels.bundle().legendre_gram(8, sc.t_f)
+        peak, _ = self.traced(lambda: saddle_probe(sc, sol, n_trials=20_000, seed=1,
+                                                   kernels=study_kernels))
+        assert peak <= 100e6
