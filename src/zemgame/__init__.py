@@ -52,7 +52,6 @@ from .solver import (
     Region,
     RegionLabel,
     SaddleSolution,
-    UrgSolution,
     aux_cross,
     classify,
     penalty_sweep,

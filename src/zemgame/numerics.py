@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NearSingularError
+from .errors import NearSingularError, NonFiniteResult
 
 DEFAULT_GRID_NODES = 2001
 
@@ -205,9 +205,12 @@ def solve2_entries(m00, m01, m10, m11, b0, b1):
 
     Raises NearSingularError when |det| < 1e-12 max(1, |m00 m11| + |m01 m10|):
     where the two terms of det cancel, whatever the scaling of rows and columns.
+    Raises NonFiniteResult when a product of entries overflows the threshold.
     """
     det = m00 * m11 - m01 * m10
     threshold = 1e-12 * max(1.0, abs(m00 * m11) + abs(m01 * m10))
+    if not math.isfinite(threshold):
+        raise NonFiniteResult("the products of 2x2 entries overflow the float range")
     if abs(det) < threshold:
         raise NearSingularError("2x2 determinant %g is below the singularity threshold %g"
                                 % (det, threshold))

@@ -352,28 +352,16 @@ class SampleBundle:
             object.__setattr__(self, "_responses", KernelResponses.of(self))
         return self._responses
 
-    def legendre_gram(self, size: int, span: float) -> tuple[np.ndarray, np.ndarray]:
-        """Legendre polynomials of degree below `size` on [0, span] at the
-        refined nodes, one row per degree, and the Simpson products of the
-        rows (basis, g_e) with the rows (basis, g_e, h_p, h_e), a
-        (size + 1) x (size + 3) matrix. Computed on the first call, with
-        the basis's `PeakScan` (`peak_scan`), and kept until a call with
-        another (size, span)."""
-        _, basis, products, _ = self._legendre_entry(size, span)
-        return basis, products
-
-    def peak_scan(self, size: int, span: float) -> "PeakScan":
-        """The `PeakScan` of the `legendre_gram` basis, kept with it."""
-        return self._legendre_entry(size, span)[3]
-
-    def _legendre_entry(self, size: int, span: float) -> tuple:
+    def legendre(self, size: int, span: float) -> "LegendreProducts":
+        """The `LegendreProducts` of the Legendre polynomials of degree below
+        `size` on [0, span], kept until a call with another (size, span)."""
         if self._legendre is None or self._legendre[0] != (size, span):
             basis = np.polynomial.legendre.legvander(2.0 * self.ts / span - 1.0, size - 1).T
             aug = np.vstack([basis, self.g_e])
             products = (aug * self.weights) @ np.vstack([aug, self.h_p, self.h_e]).T
             object.__setattr__(self, "_legendre",
-                               ((size, span), basis, products, PeakScan.of(basis, self.ts)))
-        return self._legendre
+                               ((size, span), LegendreProducts.of(basis, products, self)))
+        return self._legendre[1]
 
 
 def simpson_panels(node_vals: np.ndarray, mid_vals: np.ndarray, steps: np.ndarray) -> np.ndarray:
@@ -461,10 +449,9 @@ class PeakScan:
     interior node. So with v = |c . coarse|, |c . basis[:, i]| is at most
     max(v_a, v_b) + ||c|| kappa_j and (1 - theta_i) v_a + theta_i v_b
     + 4 ||c|| bow_j theta_i (1 - theta_i); a cell where either falls short
-    of the largest v cannot hold the peak. `windows` views the basis as
-    (window, function, node) windows as wide as the widest cell, ends
-    included; window `starts[j]` covers cell j (the last one ends on the
-    last node).
+    of the largest v cannot hold the peak. `windows[j]` is the basis over
+    cell j, ends included, as wide as the widest cell (the last window ends
+    on the last node): a contiguous (cell, function, node) stack.
     """
 
     coarse: np.ndarray
@@ -472,7 +459,6 @@ class PeakScan:
     bow: np.ndarray
     inner: np.ndarray
     windows: np.ndarray
-    starts: np.ndarray
 
     @classmethod
     def of(cls, basis: np.ndarray, ts: np.ndarray) -> "PeakScan":
@@ -493,12 +479,31 @@ class PeakScan:
         hi = np.maximum.reduceat(np.where(interior, theta, 0.0), index[:-1])
         lo = np.minimum(np.minimum.reduceat(np.where(interior, theta, 1.0), index[:-1]), hi)
         width = int(index[1]) + 1  # the first cell is the widest
+        windows = sliding_window_view(basis, width, axis=1).transpose(1, 0, 2)
         return cls(coarse=basis[:, index], kappa=np.maximum.reduceat(gap, index[:-1]) + floor,
                    bow=(np.maximum.reduceat(gap / arch, index[:-1])
                         + floor / np.minimum.reduceat(arch, index[:-1])),
-                   inner=np.stack([lo, hi]),
-                   windows=sliding_window_view(basis, width, axis=1).transpose(1, 0, 2),
-                   starts=np.minimum(index[:-1], n - width))
+                   inner=np.stack([lo, hi]), windows=windows[np.minimum(index[:-1], n - width)])
+
+
+@dataclass(frozen=True, eq=False)
+class LegendreProducts:
+    """What the saddle probe reads of a Legendre basis on a bundle's nodes
+    (`SampleBundle.legendre`): the Simpson products of the rows (basis, g_e)
+    with (basis, g_e) (`gram`) and with (h_p, h_e, g_e) (`kernel_dots`);
+    max |h_p|, |h_e| and |g_e| (`kernel_peaks`); the basis's `PeakScan`."""
+
+    gram: np.ndarray
+    kernel_dots: np.ndarray
+    kernel_peaks: tuple[float, float, float]
+    scan: PeakScan
+
+    @classmethod
+    def of(cls, basis: np.ndarray, products: np.ndarray, bundle: SampleBundle):
+        size = basis.shape[0]
+        return cls(products[:, :size + 1], products[:, [size + 1, size + 2, size]],
+                   tuple(float(np.abs(k).max()) for k in (bundle.h_p, bundle.h_e, bundle.g_e)),
+                   PeakScan.of(basis, bundle.ts))
 
 
 # -- game coefficients -----------------------------------------------------
@@ -594,7 +599,7 @@ def _assemble(integrals: tuple[float, float, float, float], mu: float, alpha: fl
     det_F = F1 * G3 + G2 * G2
     if det_F == 0.0:
         raise NoControlAuthority(int_ge2)
-    d = nu_p * G2 * G2 / (G1 * det_F)
+    d = (nu_p / G1) * (G2 * G2 / det_F)  # two factors in [0, 1]: nu_p G2^2 may overflow
     # X = [[X1, G2], [-G2, G3]] has (X^-1)' diag(1,-1) = [[G3, -G2], [-G2, -X1]] / det X;
     # G, G_tilde, G_bar, F and F_bar are views of one array
     mats = np.array([G1, G2, -G2, G3, G1, G2, G2, -G3,

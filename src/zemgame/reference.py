@@ -147,11 +147,10 @@ def evaluate() -> dict[str, float]:
     values["T1 orderings"] = 1.0 if all(saddle_orderings(tables["+"], tables["-"])) else 0.0
 
     # Unconstrained play from two positions: w_f - w0 = a*z0 at both.
-    urg = solve_urg(coeffs, z0)
+    u_p, u_e, _, _ = solve_urg(coeffs, z0)
     strip = replace(scenario, z0=STRIP_POSITION[0], w0=STRIP_POSITION[1])
-    values["w_f-w0 URG (100,-50)"] = \
-        playout_reduced(strip, kern, urg.u_p, urg.u_e, grid).w_f - strip.w0
-    values["w_f URG (100,-100)"] = playout_reduced(scenario, kern, urg.u_p, urg.u_e, grid).w_f
+    values["w_f-w0 URG (100,-50)"] = playout_reduced(strip, kern, u_p, u_e, grid).w_f - strip.w0
+    values["w_f URG (100,-100)"] = playout_reduced(scenario, kern, u_p, u_e, grid).w_f
 
     for sign, tag in ((1, "+"), (-1, "-")):
         records = penalty_sweep(coeffs, z0, w0, sign)

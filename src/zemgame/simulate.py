@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -32,13 +32,11 @@ from .errors import AssertionFailure, NonFiniteResult, ProbeFailure
 from .numerics import TimeGrid, rk4_affine
 from .reduction import (ControlLaw, KernelCombo, Kernels, PeakScan, SampleBundle,
                         check_spans_horizon, simpson_panels)
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .solver import SaddleSolution
+from .solver import RegionLabel, SaddleSolution
 
 _PROBE_BASIS_SIZE = 8
 _PROBE_AMPLITUDE = 0.2  # perturbation peak relative to max(1, max |u*|)
-_CELL_CHUNK = 64  # candidate cells of the peak scan evaluated at once
+_CELL_CHUNK = 512  # most cells of the peak scan evaluated at once (1.7 MB of windows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,16 +279,16 @@ class ProbeReport:
     passed: bool
 
 
-def _candidates(coefficients: np.ndarray,
-                scan: PeakScan) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _candidates(coefficients: np.ndarray, scan: PeakScan,
+                norms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The largest |c . basis| at the coarse nodes of `PeakScan` for each
-    row c, the rows and cells of every (row, cell) pair whose bound
-    reaches it, ordered by cell, and the (coarse nodes x rows) values
-    |c . basis| themselves."""
-    values = np.abs(scan.coarse.T @ coefficients.T)  # (coarse nodes, rows)
+    row c (of 2-norm `norms`), the rows and cells of the pairs whose bound
+    reaches it, ordered by cell, and the (coarse nodes x rows) |c . basis|."""
+    values = scan.coarse.T @ coefficients.T  # (coarse nodes, rows)
+    np.abs(values, out=values)
     coarse_peaks = values.max(axis=0)
     reach = np.maximum(values[:-1], values[1:])
-    reach += scan.kappa[:, None] * np.linalg.norm(coefficients, axis=1)
+    reach += np.einsum("j,r->jr", scan.kappa, norms)  # kappa_j ||c_r||, not broadcast
     cells, rows = np.divmod(np.flatnonzero(reach >= coarse_peaks), coarse_peaks.size)
     return coarse_peaks, rows, cells, values
 
@@ -299,34 +297,45 @@ def _peaks(coefficients: np.ndarray, scan: PeakScan) -> np.ndarray:
     """max |c . basis[:, i]| over the refined nodes i for each row c, by
     the certified coarse scan of `PeakScan`: the largest value at the
     coarse nodes, raised by the nodes of each cell whose two bounds reach
-    it, a fixed number of cells at a time. Of the cells `_candidates`
-    returns, one is evaluated only when its bow bound, a concave parabola
-    in theta, exceeds the coarse peak on the theta range of its interior
-    nodes. (A cell with none has k = 0 and the range [0, 0], and its NaN
-    or zero theta keeps it out.) No (rows x nodes) array is formed.
+    it. Of the cells `_candidates` returns, one is evaluated only when its
+    bow bound, a concave parabola in theta, exceeds the coarse peak on the
+    theta range of its interior nodes. (A cell with none has k = 0 and the
+    range [0, 0], and its NaN or zero theta keeps it out.)
 
-    Each cell is evaluated as a (2 x size) @ (size x width) product with
-    its row taken twice: numpy hands a one-row product to BLAS gemv and a
-    two-row one to gemm, and gemm sums each dot product in the order of
-    the dense (rows x size) @ (size x nodes) product, so the peaks equal
-    the dense scan's to the last bit (OpenBLAS; otherwise to the rounding
-    of the dot products)."""
-    out, rows, cells, values = _candidates(coefficients, scan)
-    v_a, v_b = values[cells, rows], values[cells + 1, rows]
-    k = scan.bow[cells] * (4.0 * np.linalg.norm(coefficients, axis=1)[rows])
-    lo, hi = scan.inner[:, cells]
+    Kept cells are evaluated in one batched product (`_CELL_CHUNK` cells a
+    pass, to bound memory), each a (2 x size) @ (size x width) product of
+    its row taken twice: numpy hands one row to BLAS gemv and two to gemm.
+    On OpenBLAS the peaks so equal, bit for bit, those of the dense product
+    taken eight rows at a time (`tests/helpers.dense_peaks`); one product
+    of many more rows can sum in another order."""
+    norms = np.linalg.norm(coefficients, axis=1)
+    out, rows, cells, values = _candidates(coefficients, scan, norms)
+    flat = cells * out.size + rows  # of (cell, row) in values; + out.size is (cell + 1, row)
+    v_a, v_b = values.ravel().take(flat), values.ravel().take(flat + out.size)
+    rise = v_b - v_a
+    k = scan.bow.take(cells) * (4.0 * norms.take(rows))
+    lo, hi = scan.inner.take(cells, axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        theta = np.minimum(np.maximum(0.5 + (v_b - v_a) / (2.0 * k), lo), hi)
-    keep = v_a + theta * (v_b - v_a + k * (1.0 - theta)) > out[rows]
+        theta = np.minimum(np.maximum(0.5 + rise / (2.0 * k), lo), hi)
+    keep = v_a + theta * (rise + k * (1.0 - theta)) > out.take(rows)
     rows, cells = rows[keep], cells[keep]
     cell_peaks = np.empty(rows.size)
     for i in range(0, rows.size, _CELL_CHUNK):
-        r, j = rows[i:i + _CELL_CHUNK], cells[i:i + _CELL_CHUNK]
-        twice = coefficients[np.repeat(r, 2)].reshape(r.size, 2, -1)
-        inside = np.matmul(twice, scan.windows[scan.starts[j]])
-        cell_peaks[i:i + _CELL_CHUNK] = np.abs(inside[:, 0]).max(axis=1)
+        r = rows[i:i + _CELL_CHUNK]
+        twice = coefficients.take(np.repeat(r, 2), axis=0).reshape(r.size, 2, -1)
+        inside = np.matmul(twice, scan.windows.take(cells[i:i + _CELL_CHUNK], axis=0))
+        # |.| laid out (node, cell), so that the max runs across whole rows
+        cell_peaks[i:i + _CELL_CHUNK] = np.abs(inside[:, 0].T, order="C").max(axis=0)
     np.maximum.at(out, rows, cell_peaks)
     return out
+
+
+def _law_peak(law: KernelCombo, bundle: SampleBundle, kernel_peaks: tuple) -> float:
+    """max |law| over the bundle's nodes; a law c k on one kernel takes
+    |c| max |k|, the same float, since rounding is monotone and odd."""
+    on = [abs(c) * peak for c, peak in zip((law.hp_coef, law.he_coef, law.ge_coef), kernel_peaks)
+          if c != 0.0]
+    return on[0] if len(on) == 1 else float(np.abs(bundle.control(law)).max())
 
 
 def _quadratic(V: np.ndarray, gram: np.ndarray) -> np.ndarray:
@@ -334,7 +343,7 @@ def _quadratic(V: np.ndarray, gram: np.ndarray) -> np.ndarray:
     return np.einsum("ti,ti->t", V @ gram, V)
 
 
-def saddle_probe(scenario: EngagementScenario, solution: "SaddleSolution",
+def saddle_probe(scenario: EngagementScenario, solution: SaddleSolution,
                  n_trials: int = 100, seed: int = 0,
                  kernels: Optional[Kernels] = None,
                  grid: Optional[TimeGrid] = None) -> ProbeReport:
@@ -355,12 +364,10 @@ def saddle_probe(scenario: EngagementScenario, solution: "SaddleSolution",
     kernel coordinates: J*'s terminal z and efforts exactly from the
     kernels' Gram matrix (`_combo_integrals`), and the perturbations'
     products with the basis, g_e and the kernels from the bundle's Simpson
-    products (`legendre_gram`). The peaks come from the certified coarse
-    scan of `_peaks` and equal the maxima over every node; only max |u*|
-    reads the nodes.
+    products (`SampleBundle.legendre`). The peaks come from the certified
+    coarse scan of `_peaks` and equal the maxima over every node; only
+    the max |u*| of a law on two kernels reads the nodes (`_law_peak`).
     """
-    from .solver import RegionLabel
-
     if n_trials < 0:
         raise ValueError("n_trials must be nonnegative")
     u_p, u_e = solution.u_p, solution.u_e
@@ -371,22 +378,20 @@ def saddle_probe(scenario: EngagementScenario, solution: "SaddleSolution",
     z_f, up2, ue2 = _combo_integrals(k.gram(), u_p, u_e, scenario.z0)
     alpha, beta = scenario.alpha, scenario.beta
     nb = _PROBE_BASIS_SIZE
-    _, products = bundle.legendre_gram(nb, scenario.t_f)
-    gram = products[:, :nb + 1]
-    # int aug_i * (h_p, h_e, g_e), aug = (basis, g_e)
-    kernel_dots = products[:, [nb + 1, nb + 2, nb]]
+    legendre = bundle.legendre(nb, scenario.t_f)
+    gram, kernel_dots = legendre.gram, legendre.kernel_dots
     hp_dot, he_dot = kernel_dots[:, 0], kernel_dots[:, 1]
     up_dot = kernel_dots[:nb] @ (u_p.hp_coef, u_p.he_coef, u_p.ge_coef)  # int basis_i u_p*
     ue_dot = kernel_dots @ (u_e.hp_coef, u_e.he_coef, u_e.ge_coef)  # int aug_i u_e*
 
     j_star = solution.value
     slack = 1e-9 * max(1.0, abs(j_star))
-    amp_p = _PROBE_AMPLITUDE * max(1.0, float(np.abs(bundle.control(u_p)).max()))
-    amp_e = _PROBE_AMPLITUDE * max(1.0, float(np.abs(bundle.control(u_e)).max()))
+    amp_p = _PROBE_AMPLITUDE * max(1.0, _law_peak(u_p, bundle, legendre.kernel_peaks))
+    amp_e = _PROBE_AMPLITUDE * max(1.0, _law_peak(u_e, bundle, legendre.kernel_peaks))
 
     draws = np.random.default_rng(seed).standard_normal((n_trials, 2, nb))
     c_e, c_p = draws[:, 0], draws[:, 1]
-    peaks = _peaks(draws.reshape(-1, nb), bundle.peak_scan(nb, scenario.t_f))
+    peaks = _peaks(draws.reshape(-1, nb), legendre.scan)
     peak_e, peak_p = peaks.reshape(n_trials, 2).T
 
     scale_e = amp_e / peak_e
@@ -400,7 +405,7 @@ def saddle_probe(scenario: EngagementScenario, solution: "SaddleSolution",
         ge_part = np.zeros(n_trials)
     else:
         ge_part = -dw / gram[nb, nb]
-    V_e = np.column_stack([scale_e[:, None] * c_e, ge_part])
+    V_e = np.concatenate([scale_e[:, None] * c_e, ge_part[:, None]], axis=1)
     z_e = z_f + V_e @ he_dot
     j_e = z_e ** 2 + alpha * up2 - beta * (ue2 + 2.0 * (V_e @ ue_dot) + _quadratic(V_e, gram))
 
@@ -409,23 +414,19 @@ def saddle_probe(scenario: EngagementScenario, solution: "SaddleSolution",
     j_p = z_p ** 2 + alpha * (up2 + 2.0 * (V_p @ up_dot)
                               + _quadratic(V_p, gram[:nb, :nb])) - beta * ue2
 
-    if not (np.isfinite(j_e).all() and np.isfinite(j_p).all()):
+    # a NaN or infinity reaches an extreme; the worst margins are those of the extremes
+    e_worst, p_worst = float(j_e.max(initial=-np.inf)), float(j_p.min(initial=np.inf))
+    if n_trials and not all(map(math.isfinite, (j_e.min(), e_worst, p_worst, j_p.max()))):
         raise NonFiniteResult("a saddle probe cost is not finite")
-    raised = np.flatnonzero(j_e > j_star + slack)
-    lowered = np.flatnonzero(j_p < j_star - slack)
-    if raised.size and (not lowered.size or raised[0] <= lowered[0]):
-        t = int(raised[0])
-        raise ProbeFailure(
-            "evader perturbation raised the cost: %g > %g" % (j_e[t], j_star),
-            trial=t, coefficients=c_e[t].copy(),
-        )
-    if lowered.size:
+    if e_worst > j_star + slack or p_worst < j_star - slack:
+        raised = np.flatnonzero(j_e > j_star + slack)
+        lowered = np.flatnonzero(j_p < j_star - slack)
+        if raised.size and (not lowered.size or raised[0] <= lowered[0]):
+            t = int(raised[0])
+            raise ProbeFailure("evader perturbation raised the cost: %g > %g" % (j_e[t], j_star),
+                               trial=t, coefficients=c_e[t].copy())
         t = int(lowered[0])
-        raise ProbeFailure(
-            "pursuer perturbation lowered the cost: %g < %g" % (j_p[t], j_star),
-            trial=t, coefficients=c_p[t].copy(),
-        )
-    return ProbeReport(n_trials=n_trials,
-                       evader_worst=float(np.max(j_e - j_star, initial=-np.inf)),
-                       pursuer_worst=float(np.min(j_p - j_star, initial=np.inf)),
-                       slack=slack, passed=True)
+        raise ProbeFailure("pursuer perturbation lowered the cost: %g < %g" % (j_p[t], j_star),
+                           trial=t, coefficients=c_p[t].copy())
+    return ProbeReport(n_trials=n_trials, evader_worst=e_worst - j_star,
+                       pursuer_worst=p_worst - j_star, slack=slack, passed=True)

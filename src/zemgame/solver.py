@@ -43,13 +43,6 @@ class Region:
     margin: float
 
 
-class UrgSolution(NamedTuple):
-    u_p: ControlLaw
-    u_e: ControlLaw
-    z_f: float
-    value: float
-
-
 @dataclass(frozen=True, eq=False)
 class BranchSolution:
     """Saddle point of one equality-constrained branch (terminal w pinned to
@@ -152,9 +145,11 @@ def classify(coeffs: GameCoefficients, z0: float, w0: float) -> Region:
     return Region(RegionLabel.OMEGA, abs(m) - bound)
 
 
-def solve_urg(coeffs: GameCoefficients, z0: float) -> UrgSolution:
-    """Unconstrained saddle point: both controls proportional to their own
-    kernel, terminal miss z0/s.
+def solve_urg(coeffs: GameCoefficients,
+              z0: float) -> tuple[KernelCombo, KernelCombo, float, float]:
+    """Unconstrained saddle point as the `SaddleSolution` fields u_p, u_e,
+    value and z_f: both controls proportional to their own kernel, terminal
+    miss z_f = z0/s.
 
     The value is the cost of the pair from the exact integrals
     int h_p^2 = alpha nu_p and int h_e^2 = beta nu_e, cross-checked against
@@ -178,7 +173,7 @@ def solve_urg(coeffs: GameCoefficients, z0: float) -> UrgSolution:
         raise AssertionFailure(
             "unconstrained value %g disagrees with closed form %g" % (value, closed)
         )
-    return UrgSolution(u_p=u_p, u_e=u_e, z_f=z_f, value=value)
+    return u_p, u_e, value, z_f
 
 
 def solve_upg(coeffs: GameCoefficients, z0: float, w0: float, sign: int,
@@ -288,9 +283,7 @@ def solve_rg(scenario: EngagementScenario,
             raise AssertionFailure(
                 "interior dispatch with infeasible terminal %g" % w_f
             )
-        urg = solve_urg(coeffs, z0)
-        return SaddleSolution(region=region, u_p=urg.u_p, u_e=urg.u_e,
-                              value=urg.value, z_f=urg.z_f, w_f=w_f)
+        return SaddleSolution(region, *solve_urg(coeffs, z0), w_f=w_f)
     branch = solve_erg(coeffs, z0, w0)
     return SaddleSolution(region=region, u_p=branch.u_p, u_e=branch.u_e,
                           value=branch.value, z_f=float(branch.omega_f[0]),

@@ -284,6 +284,25 @@ def test_overflowing_results_are_scenario_errors(tmp_path, capsys, case):
         assert "float range" in captured.err, verb
 
 
+@pytest.mark.parametrize("alpha, t_c", [(1e-307, 60.0), (1e-305, 1e4)])
+@pytest.mark.parametrize("verb", ["classify", "solve"])
+def test_tiny_alpha_is_not_an_internal_error(tmp_path, capsys, verb, alpha, t_c):
+    """Lags 0.2/0.1, t_f 2, beta 4, ae_max 50, z0 100 and w0 1e6: nu_p G2^2
+    overflows although d < 1, which failed the coefficient consistency check
+    (exit 4). d is formed from two factors in [0, 1] instead, so each verb
+    solves or refuses the document as a scenario error."""
+    def mutate(doc):
+        doc["horizon"] = dict(t_f=2.0, t_c=t_c)
+        doc["weights"] = dict(alpha=alpha, beta=4.0)
+        doc["evader_bound"]["ae_max"] = 50.0
+        doc["initial"].update(z0=100.0, w0=1e6)
+
+    path = write_doc(tmp_path, mutate)
+    assert main([verb, path]) in (EXIT_OK, EXIT_USAGE)
+    assert "internal check failed" not in capsys.readouterr().err
+    assert 0.0 <= coefficients(load_scenario(path)[0]).d < 1.0
+
+
 def test_large_finite_results_still_solve(tmp_path, capsys):
     """ae_max = 1e300 leaves the dispatched strip solve finite: it prints
     and exits 0."""

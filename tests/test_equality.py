@@ -11,6 +11,7 @@ import dataclasses
 import functools
 import inspect
 
+import numpy as np
 import pytest
 
 import zemgame as z
@@ -68,11 +69,11 @@ CASES = {
     "SampleBundle": (lambda: reduction.SampleBundle.sample(study_kernels(),
                                                            z.TimeGrid(0.0, 1.0, 11)), False),
     "KernelResponses": (lambda: reduction.KernelResponses.of(bundle()), False),
-    "PeakScan": (lambda: reduction.PeakScan.of(bundle().legendre_gram(4, 1.0)[0], bundle().ts),
-                 False),
+    "PeakScan": (lambda: reduction.PeakScan.of(np.eye(4, bundle().ts.size), bundle().ts), False),
+    "LegendreProducts": (lambda: reduction.LegendreProducts.of(
+        np.eye(4, bundle().ts.size), np.zeros((5, 7)), bundle()), False),
     "GameCoefficients": (lambda: z.coefficients(study()), True),
     "Region": (lambda: z.classify(z.coefficients(study()), *BRANCH), True),
-    "UrgSolution": (lambda: z.solve_urg(z.coefficients(study()), STRIP[0]), True),
     "BranchSolution": (lambda: z.solve_erg_branch(z.coefficients(study()), *BRANCH, 1), False),
     "AuxCrossSolution": (lambda: z.aux_cross(z.coefficients(study()), *BRANCH, 1), False),
     "SaddleSolution": (lambda: z.solve_rg(at(STRIP)), True),

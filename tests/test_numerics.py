@@ -10,7 +10,7 @@ from zemgame import (
 )
 from zemgame import numerics, reduction
 from zemgame.numerics import rk4_affine, scaled_exp
-from zemgame.errors import NearSingularError
+from zemgame.errors import NearSingularError, NonFiniteResult
 from zemgame.reference import CHECKS
 
 from helpers import (ORACLE, oscillator, pade13_reference, psi, psi_ref, random_controller,
@@ -258,18 +258,35 @@ class TestSolve2:
         pytest.param((2.0, 1.0, -1.0, 3.0, math.inf, 1.0), id="inf-b0"),
     ])
     def test_refuses_what_the_elementwise_form_refused(self, entries):
-        """The scalar solve refuses exactly the systems the elementwise
-        form it replaced (`helpers.solve2_entries_reference`) refused, with
-        the same message, and otherwise returns the same values, NaN
-        included."""
+        """The scalar solve refuses the systems the elementwise form it
+        replaced (`helpers.solve2_entries_reference`) refused, with the same
+        message, and otherwise returns the same values, NaN included, except
+        where a product of entries overflows, so that the singularity
+        threshold is infinite: those it refuses as NonFiniteResult, where the
+        elementwise form let them through to an infinite or NaN determinant,
+        or to a zero solution."""
         def outcome(solve):
             try:
                 with np.errstate(all="ignore"):
                     return [repr(float(v)) for v in solve(*entries)]
-            except NearSingularError as err:
-                return str(err)
+            except (NearSingularError, NonFiniteResult) as err:
+                return type(err).__name__ + ": " + str(err)
 
-        assert outcome(numerics.solve2_entries) == outcome(solve2_entries_reference)
+        m00, m01, m10, m11 = entries[:4]
+        if abs(m00 * m11) + abs(m01 * m10) == math.inf:
+            want = "NonFiniteResult: the products of 2x2 entries overflow the float range"
+        else:
+            want = outcome(solve2_entries_reference)
+        assert outcome(numerics.solve2_entries) == want
+
+    @pytest.mark.parametrize("entries", [(1e160, 1e160, -1e160, 1e160, 1.0, 1.0),
+                                         (1e200, 1e100, -1e100, 1e200, 1e200, 1.0)])
+    def test_overflowing_products_refused(self, entries):
+        """Systems whose exact solutions are finite, (0, 1e-160) and about
+        (1, 1e-100), but whose products of entries overflow: no silent zero
+        or NaN comes back."""
+        with pytest.raises(NonFiniteResult, match="products of 2x2 entries overflow"):
+            numerics.solve2_entries(*entries)
 
 
 class TestTimeGrid:

@@ -31,7 +31,7 @@ from zemgame import reduction, simulate
 from zemgame.cli import load_scenario
 from zemgame.reference import CHECKS
 from zemgame.errors import ProbeFailure
-from zemgame.reduction import PeakScan, SampleBundle, simpson_panels
+from zemgame.reduction import LegendreProducts, PeakScan, SampleBundle, simpson_panels
 from zemgame.simulate import _initial_full_state
 
 from helpers import (MIXED_ORDERS, ORACLE, admissible_evader_perturbation, check_terminal,
@@ -338,13 +338,22 @@ class TestBundleMemo:
         k.bundle(TimeGrid(0.0, 1.0, 2400))
         assert calls.count("_transition_rows") == 2  # the counter sees a new grid
 
-    def test_legendre_gram_follows_its_arguments(self, study_scenario):
+    def test_legendre_follows_its_arguments(self, study_scenario):
+        """The kept Legendre data are rebuilt for another (size, span): P_1
+        on [0, 2] is t - 1 at the nodes, and the kernel peaks are the
+        maxima of the bundle's kernels."""
         bundle = z.Kernels(study_scenario).bundle()
-        basis, products = bundle.legendre_gram(8, 1.0)
-        assert bundle.legendre_gram(8, 1.0)[0] is basis
-        other, other_products = bundle.legendre_gram(4, 2.0)
-        assert other.shape == (4, bundle.ts.size) and other_products.shape == (5, 7)
-        np.testing.assert_allclose(other[1], bundle.ts - 1.0, rtol=0, atol=1e-15)
+        kept = bundle.legendre(8, 1.0)
+        assert bundle.legendre(8, 1.0) is kept
+        other = bundle.legendre(4, 2.0)
+        assert other is not kept and other.gram.shape == (5, 5)
+        windows = other.scan.windows
+        assert windows.shape[1] == 4 and windows.flags.c_contiguous
+        np.testing.assert_allclose(windows[0, 1], bundle.ts[:windows.shape[2]] - 1.0,
+                                   rtol=0, atol=1e-15)
+        assert other.kernel_peaks == tuple(float(np.abs(k).max())
+                                           for k in (bundle.h_p, bundle.h_e, bundle.g_e))
+        np.testing.assert_array_equal(other.kernel_dots[:4, 2], other.gram[:4, 4])
 
     @pytest.mark.parametrize("nodes", [np.linspace(0.0, 1.0, 2001), np.linspace(0.0, 1.0, 301)])
     def test_node_rows_match_kernel_rows(self, study_kernels, nodes):
@@ -420,6 +429,23 @@ class TestSaddleProbe:
         sol = solve_rg(study_scenario, coeffs=study_coeffs)
         with pytest.raises(ValueError, match="n_trials"):
             saddle_probe(study_scenario, sol, n_trials=-1, kernels=study_kernels)
+
+    def test_law_peak_matches_samples(self, study_kernels):
+        """max |law| over the nodes from the kept kernel peaks equals the
+        maximum of the law's samples, bit for bit, for laws on one kernel
+        with coefficients of 0 and of magnitudes 1e-300 to 1e300; laws on
+        two kernels read their samples."""
+        bundle = study_kernels.bundle()
+        peaks = bundle.legendre(8, 1.0).kernel_peaks
+        rng = np.random.default_rng(4)
+        coefs = [0.0, -0.0] + list(rng.standard_normal(60) * 10.0 ** rng.uniform(-300, 300, 60))
+        laws = [KernelCombo(**{field: float(c)}) for c in coefs
+                for field in ("hp_coef", "he_coef", "ge_coef")]
+        laws += [KernelCombo(he_coef=float(a), ge_coef=float(b))
+                 for a, b in rng.standard_normal((20, 2))]
+        for law in laws:
+            assert (simulate._law_peak(law, bundle, peaks)
+                    == float(np.abs(bundle.control(law)).max())), law
 
     def test_no_trials_empty_report(self, study_scenario, study_kernels, study_coeffs):
         """Zero trials draw nothing and report the empty extremes."""
@@ -652,7 +678,7 @@ class TestProbeEquivalence:
             steps = np.diff(grid.nodes)
             products = np.array([[np.sum(simpson_panels((a * b)[0::2], (a * b)[1::2], steps))
                                   for b in rows] for a in rows[:size + 1]])
-            return basis, products
+            return LegendreProducts.of(basis, products, bundle)
 
         cases = [(study_scenario, study_kernels, study_coeffs, (100.0, -100.0)),
                  (study_scenario, study_kernels, study_coeffs, (100.0, 50.0)),
@@ -662,7 +688,7 @@ class TestProbeEquivalence:
             sol = solve_rg(sc, coeffs=coeffs)
             cached = saddle_probe(sc, sol, n_trials=50, seed=21, kernels=kernels)
             with monkeypatch.context() as m:
-                m.setattr(SampleBundle, "legendre_gram", per_call)
+                m.setattr(SampleBundle, "legendre", per_call)
                 fresh = saddle_probe(sc, sol, n_trials=50, seed=21, kernels=kernels)
             tol = 1e-12 * max(1.0, abs(sol.value))
             assert abs(cached.evader_worst - fresh.evader_worst) <= tol
@@ -760,10 +786,18 @@ class TestPeakScan:
 
     @staticmethod
     def basis_and_scan(ts, size):
-        """The Legendre basis of `SampleBundle.legendre_gram` over [0, 1] at
-        ts, and its `PeakScan`."""
+        """The Legendre basis of `SampleBundle.legendre` over [0, 1] at ts,
+        and its `PeakScan`."""
         basis = np.polynomial.legendre.legvander(2.0 * ts - 1.0, size - 1).T
         return basis, PeakScan.of(basis, ts)
+
+    @staticmethod
+    def starts(scan, n):
+        """The first node of each window of a scan over n nodes: cell j
+        starts at coarse node 50 j, and the last window ends on the last
+        node."""
+        cells, _, width = scan.windows.shape
+        return np.minimum(np.arange(cells) * 50, n - width)
 
     @pytest.mark.parametrize("n_trials", [0, 1, 100])
     @pytest.mark.parametrize("size", [1, 2, 8])
@@ -775,8 +809,8 @@ class TestPeakScan:
         want = dense_peaks(draws, basis)
         assert got.shape == want.shape == (2 * n_trials,)
         assert (np.abs(got - want) <= 2.0 * np.spacing(want)).all()
-        _, rows, cells, _ = simulate._candidates(draws, scan)
-        first = scan.starts[cells]
+        _, rows, cells, _ = simulate._candidates(draws, scan, np.linalg.norm(draws, axis=1))
+        first = self.starts(scan, basis.shape[1])[cells]
         for row, node in enumerate(np.abs(draws @ basis).argmax(axis=1)):
             hits = (rows == row) & (first <= node) & (node < first + scan.windows.shape[2])
             assert hits.any(), (row, node)
@@ -817,52 +851,57 @@ class TestPeakScan:
         got = simulate._peaks(rows, scan)
         want = dense_peaks(rows, basis)
         assert (np.abs(got - want) <= 2.0 * np.spacing(want)).all()
-        for got, want in zip(simulate._candidates(rows, scan), coarse_candidates(rows, scan),
-                             strict=True):
+        for got, want in zip(simulate._candidates(rows, scan, np.linalg.norm(rows, axis=1)),
+                             coarse_candidates(rows, scan), strict=True):
             np.testing.assert_array_equal(got, want)
 
     def test_cells_cover_every_node(self, study_kernels):
-        """Windows of the coarse scan cover each refined node, the last
-        window ends on the last node, and the coarse columns are the basis
-        at every 50th node and the last."""
+        """Windows of the coarse scan are the basis over each cell, cover
+        each refined node, and the last window ends on the last node; the
+        coarse columns are the basis at every 50th node and the last."""
         for ts in self.GRIDS.values():
             basis, scan = self.basis_and_scan(ts, 8)
             width = scan.windows.shape[2]
             covered = np.zeros(ts.size, dtype=bool)
-            for start in scan.starts:
+            starts = self.starts(scan, ts.size)
+            for window, start in zip(scan.windows, starts, strict=True):
+                np.testing.assert_array_equal(window, basis[:, start:start + width])
                 covered[start:start + width] = True
-            assert covered.all() and scan.starts[-1] + width == ts.size
+            assert covered.all() and starts[-1] + width == ts.size
             index = np.unique(np.append(np.arange(0, ts.size, 50), ts.size - 1))
             np.testing.assert_array_equal(scan.coarse, basis[:, index])
             assert scan.kappa.shape == (index.size - 1,) and (scan.kappa > 0.0).all()
 
     def test_bundle_keeps_the_same_scan(self, study_kernels):
-        """A bundle's basis and peak scan over [0, 1] are those built here
-        from its refined nodes, bit for bit."""
+        """A bundle's peak scan over [0, 1] is the one built here from the
+        basis at its refined nodes, bit for bit (its windows hold that
+        basis)."""
         for n in (2001, 301, 3):
             bundle = study_kernels.bundle(TimeGrid(0.0, 1.0, n))
             basis, scan = self.basis_and_scan(self.GRIDS[str(n)], 8)
             np.testing.assert_array_equal(bundle.ts, self.GRIDS[str(n)])
-            np.testing.assert_array_equal(bundle.legendre_gram(8, 1.0)[0], basis)
-            kept = bundle.peak_scan(8, 1.0)
-            for field in ("coarse", "kappa", "windows", "starts"):
+            kept = bundle.legendre(8, 1.0).scan
+            for field in ("coarse", "kappa", "bow", "inner", "windows"):
                 np.testing.assert_array_equal(getattr(kept, field), getattr(scan, field))
 
     def test_scan_data_held(self, study_kernels):
-        """Beyond the basis, the scan keeps a few KB on the bundle: the
-        basis at the 81 coarse nodes (5.2 KB), 80 cell bounds and 80 window
-        starts; its windows are a view of the kept basis."""
+        """The scan keeps its windows, the basis over the 80 cells of 51
+        nodes (261 KB, in place of the 256 KB basis, which the bundle does
+        not keep), and a few KB more: the basis at the 81 coarse nodes
+        (5.2 KB) and the bounds and theta ranges of the 80 cells."""
         bundle = study_kernels.bundle()
-        basis, _ = bundle.legendre_gram(8, 1.0)
+        basis = np.polynomial.legendre.legvander(2.0 * bundle.ts - 1.0, 7).T
         tracemalloc.start()
         try:
             scan = PeakScan.of(basis, bundle.ts)
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert np.shares_memory(scan.windows, basis)
-        assert scan.coarse.nbytes + scan.kappa.nbytes + scan.starts.nbytes <= 6.5e3
-        assert held <= 12e3
+        assert scan.windows.shape == (80, 8, 51) and scan.windows.flags.owndata
+        assert scan.windows.nbytes <= 1.02 * basis.nbytes
+        assert (scan.coarse.nbytes + scan.kappa.nbytes + scan.bow.nbytes
+                + scan.inner.nbytes) <= 8e3
+        assert held <= scan.windows.nbytes + 12e3
 
 
 def response_scenario(seed, order_p, order_e):
@@ -1074,8 +1113,9 @@ class TestMemory:
         assert peak <= 1.5e6
         assert held <= 0.5e6
 
-    # about 1.5 times the peaks measured with the certified peak scan and the
-    # factored RK4 offsets: 0.63 MB and 0.75 MB
+    # above the peaks measured with the certified peak scan and the factored
+    # RK4 offsets: 0.80 MB (the probe's one batched product holds the windows
+    # of its ~150 kept cells, 0.5 MB, at once) and 0.75 MB
     PEAK_BOUNDS = {"probe": 0.95e6, "full": 1.15e6}
 
     @pytest.mark.parametrize("run", ["probe", "full"])
@@ -1088,7 +1128,7 @@ class TestMemory:
             "probe": lambda: saddle_probe(sc, sol, n_trials=100, seed=1, kernels=study_kernels),
             "full": lambda: playout_full(sc, sol.u_p, sol.u_e, kernels=study_kernels),
         }
-        study_kernels.bundle().legendre_gram(8, sc.t_f)
+        study_kernels.bundle().legendre(8, sc.t_f)
         peak, _ = self.traced(calls[run])
         assert peak <= self.PEAK_BOUNDS[run]
 
@@ -1109,7 +1149,7 @@ class TestMemory:
         time (their windows at once would add about 100 MB)."""
         sc = dataclasses.replace(study_scenario, z0=100.0, w0=50.0, geometry=None)
         sol = solve_rg(sc, coeffs=study_coeffs)
-        study_kernels.bundle().legendre_gram(8, sc.t_f)
+        study_kernels.bundle().legendre(8, sc.t_f)
         peak, _ = self.traced(lambda: saddle_probe(sc, sol, n_trials=20_000, seed=1,
                                                    kernels=study_kernels))
         assert peak <= 100e6

@@ -63,27 +63,27 @@ class TestClassify:
 
 class TestSolveUrg:
     def test_zero_start(self, study_coeffs):
-        sol = solve_urg(study_coeffs, 0.0)
-        assert sol.u_p == KernelCombo()
-        assert sol.u_e == KernelCombo()
-        assert sol.value == pytest.approx(0.0, abs=1e-9)
+        u_p, u_e, value, _ = solve_urg(study_coeffs, 0.0)
+        assert u_p == KernelCombo()
+        assert u_e == KernelCombo()
+        assert value == pytest.approx(0.0, abs=1e-9)
 
     def test_terminal_miss(self, study_coeffs):
-        sol = solve_urg(study_coeffs, 100.0)
-        assert sol.z_f == pytest.approx(ORACLE.urg_z_f, rel=1e-10)
-        assert sol.z_f == pytest.approx(100.0 / study_coeffs.s, rel=1e-14)
+        _, _, _, z_f = solve_urg(study_coeffs, 100.0)
+        assert z_f == pytest.approx(ORACLE.urg_z_f, rel=1e-10)
+        assert z_f == pytest.approx(100.0 / study_coeffs.s, rel=1e-14)
 
     def test_value_equals_closed_form(self, study_coeffs):
-        sol = solve_urg(study_coeffs, 100.0)
-        assert sol.value == pytest.approx(ORACLE.urg_value, rel=1e-12)
-        assert sol.value == pytest.approx(100.0 ** 2 / study_coeffs.s, rel=1e-12)
+        _, _, value, _ = solve_urg(study_coeffs, 100.0)
+        assert value == pytest.approx(ORACLE.urg_value, rel=1e-12)
+        assert value == pytest.approx(100.0 ** 2 / study_coeffs.s, rel=1e-12)
 
     def test_control_coefficients(self, study_coeffs):
-        sol = solve_urg(study_coeffs, 100.0)
+        u_p, u_e, _, _ = solve_urg(study_coeffs, 100.0)
         c = study_coeffs
-        assert sol.u_p.hp_coef == pytest.approx(-100.0 / (c.alpha * c.s), rel=1e-14)
-        assert sol.u_e.he_coef == pytest.approx(100.0 / (c.beta * c.s), rel=1e-14)
-        assert sol.u_e.ge_coef == 0.0
+        assert u_p.hp_coef == pytest.approx(-100.0 / (c.alpha * c.s), rel=1e-14)
+        assert u_e.he_coef == pytest.approx(100.0 / (c.beta * c.s), rel=1e-14)
+        assert u_e.ge_coef == 0.0
 
 
 def _solvable(scenario, factor=2.0):
@@ -139,8 +139,8 @@ class TestStripValue:
         c = coefficients(_solvable(_first_order(0.2, 0.1, alpha=alpha), 1.0 + 1e-6))
         assert c.s < 2e-4
         for z0 in np.linspace(-100.0, 100.0, 41):
-            sol = solve_urg(c, z0)
-            assert sol.value == pytest.approx(z0 * z0 / c.s, rel=1e-9)
+            _, _, value, _ = solve_urg(c, z0)
+            assert value == pytest.approx(z0 * z0 / c.s, rel=1e-9)
 
 
 class TestSolveUpg:
@@ -202,9 +202,9 @@ class TestSolveErgBranch:
         branch = solve_erg_branch(c, z0, w0, 1)
         assert branch.omega_f[1] == pytest.approx(0.0, abs=1e-12)
         assert branch.omega_f[0] == pytest.approx(z0 / c.s, rel=1e-12)
-        urg = solve_urg(c, z0)
-        assert branch.u_p.hp_coef == pytest.approx(urg.u_p.hp_coef, rel=1e-12)
-        assert branch.u_e.he_coef == pytest.approx(urg.u_e.he_coef, rel=1e-12)
+        u_p, u_e, _, _ = solve_urg(c, z0)
+        assert branch.u_p.hp_coef == pytest.approx(u_p.hp_coef, rel=1e-12)
+        assert branch.u_e.he_coef == pytest.approx(u_e.he_coef, rel=1e-12)
         assert branch.u_e.ge_coef == pytest.approx(0.0, abs=1e-14)
 
     def test_control_coefficients(self, study_coeffs):
@@ -301,7 +301,7 @@ class TestNonFinite:
         for z0 in (1e200, 1e160, -1e160):
             with pytest.raises(NonFiniteResult, match="unconstrained value"):
                 solve_urg(study_coeffs, z0)
-        assert np.isfinite(solve_urg(study_coeffs, 1e150).value)
+        assert np.isfinite(solve_urg(study_coeffs, 1e150)[2])
 
     def test_is_a_value_error(self):
         assert issubclass(NonFiniteResult, ValueError)

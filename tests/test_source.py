@@ -70,7 +70,7 @@ def test_unused_import_detected():
 # The size of the package, which may only shrink: a change that removes
 # code lowers these to its own counts, and none raises them.
 SRC_LINES_MAX = 2876
-EXPORTS_MAX = 55
+EXPORTS_MAX = 54
 
 
 def package_size() -> tuple[int, int]:
