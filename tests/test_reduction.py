@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import json
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from zemgame import (
     sample_control,
 )
 from zemgame import numerics, reduction, reference
-from zemgame.cli import load_scenario
+from zemgame.cli import load_scenario, scenario_from_document
 from zemgame.errors import AssertionFailure, NoControlAuthority, SolvabilityError
 
 from helpers import (MIXED_ORDERS, ORACLE, first_order_coefficients, oscillator, psi_moments,
@@ -437,6 +438,144 @@ class TestKernelGram:
         assert c.K.tobytes() == gram.tobytes()
         assert not c.K.flags.writeable
         assert c == dataclasses.replace(c, K=None)
+
+
+def _lag_doc(tau):
+    return {"first_order_tau": tau}
+
+
+def _controller_doc(model):
+    return {"A": model.sys.tolist(), "b": model.inp.tolist(), "c": model.out.tolist(),
+            "d": model.feed}
+
+
+def _order10_pair():
+    rng = np.random.default_rng(2210)
+    return tuple(_controller_doc(random_controller(rng, 10)) for _ in range(2))
+
+
+STUDY_FILE = MIXED_ORDERS.parent / "study.json"
+
+# (pursuer, evader, t_f, t_c, beta) of the stress documents; the rest of each
+# document is the study file's
+PIN_DOCUMENTS = {
+    "study": None,
+    "mixed": None,
+    "tau=1e-5": (_lag_doc(1e-5), _lag_doc(0.1), 1.0, 0.9, 0.3),
+    "t_f=50": (_lag_doc(0.2), _lag_doc(0.1), 50.0, 20.0, 8e4),
+    "oscillator_160": (_lag_doc(0.2), _controller_doc(oscillator(160.0, 0.05)), 1.0, 0.9, 0.6),
+    "orders_10_10": _order10_pair() + (1.0, 0.9, None),
+    "t_c=0": (_lag_doc(0.2), _lag_doc(0.1), 1.0, 0.0, 0.3),
+}
+
+
+def pin_scenario(case):
+    """The scenario of a `PIN_DOCUMENTS` case, parsed by the CLI; the
+    orders 10/10 pair takes beta twice its solvability threshold."""
+    if PIN_DOCUMENTS[case] is None:
+        return load_scenario(str(MIXED_ORDERS if case == "mixed" else STUDY_FILE))[0]
+    pursuer, evader, t_f, t_c, beta = PIN_DOCUMENTS[case]
+    doc = json.loads(STUDY_FILE.read_text(encoding="utf-8"))
+    doc.update(players=dict(pursuer=pursuer, evader=evader), horizon=dict(t_f=t_f, t_c=t_c))
+    doc["weights"]["beta"] = 1e300 if beta is None else beta
+    scenario = scenario_from_document(doc)
+    if beta is None:
+        scenario = dataclasses.replace(scenario, beta=2.0 * coefficients(scenario).beta_star)
+    return scenario
+
+
+class TestPinnedCoefficients:
+    """Every `GameCoefficients` scalar as float.hex, and K, G and F as
+    bytes, on both repository files and the stress documents."""
+
+    SCALARS = [f.name for f in dataclasses.fields(reduction.GameCoefficients)
+               if f.type == "float"]
+    PINNED = {
+        "study": (
+            ("0x1.dc8ec9eecd162p+1", "0x1.c497cab6527a4p+1", "0x1.a024031e15906p-1",
+             "0x1.dc8ec9eecd162p+1", "0x1.05430a9970b68p+1", "0x1.7a4fc4083142cp+2",
+             "0x1.18b138bb64335p-1", "0x1.803194ce95572p-1", "0x1.4ccc79fb282d0p-2",
+             "0x1.a2c81ade9a49cp+4", "0x1.51761e037afd1p+2", "0x1.f35e6a2419e07p-3",
+             "0x1.999999999999ap-5", "0x1.3333333333333p-2", "0x1.9000000000000p+6"),
+            "50b91d8930a1c63f3708cddc178bcabf7dbb43accf68e0bf3708cddc178bcabf079e41a2"
+            "e635cf3f49a71b653a98e33f7dbb43accf68e0bf49a71b653a98e33f01e5361a955ffc3f",
+            "62d1ec9eecc80d40680b97a930540040680b97a9305400c02c148340fca41740",
+            "e89b7a38fff6c73f680b97a930540040680b97a9305400c02c148340fca41740",
+        ),
+        "mixed": (
+            ("0x1.0032753942140p+0", "0x1.4812feed656f8p-1", "0x1.47ae147ae1477p-1",
+             "0x1.0032753942140p+0", "0x1.47ae147ae1477p+0", "0x1.62fc962fc962ap+1",
+             "0x1.476d8b2767148p+0", "0x1.9763e451d0cbcp-2", "0x1.47ae147ae13d7p-2",
+             "0x1.1a7cd2b56ba99p+2", "0x1.5182a9930be0ap+1", "0x1.26e978d4fdf38p-1",
+             "0x1.47ae147ae147bp-4", "0x1.ccccccccccccdp-1", "0x1.e000000000000p+5"),
+            "907997acf53eaa3f38184c2fdfc1c5bf966d1ee22df9d4bf38184c2fdfc1c5bf38df4f8d"
+            "976ee23f38df4f8d976ef23f966d1ee22df9d4bf38df4f8d976ef23f268716d9cef70340",
+            "402194532703f03f7714ae47e17af43f7714ae47e17af4bf2a96fc62c92f0640",
+            "12d7a3703d0ad73f7714ae47e17af43f7714ae47e17af4bf2a96fc62c92f0640",
+        ),
+        "tau=1e-5": (
+            ("0x1.b6a2e36ca75ecp+2", "0x1.aaa763d06908fp+2", "0x1.a024031e0d518p-1",
+             "0x1.b6a2e36ca75ecp+2", "0x1.05430a996b57ep+1", "0x1.7a4fc40829e7fp+2",
+             "0x1.30f5811f8fefcp-2", "0x1.897c612d6bd46p-1", "0x1.4ccc79fb282d0p-2",
+             "0x1.656ed0a0148aap+5", "0x1.51761e0374be7p+2", "0x1.f35e6a240ffb6p-3",
+             "0x1.999999999999ap-5", "0x1.3333333333333p-2", "0x1.9000000000000p+6"),
+            "734005642b55d53fb4b264257132d2bfb0b266765c77e7bfb4b264257132d2bfb6ff40a2"
+            "e635cf3f30401b653a98e33fb0b266765c77e7bf30401b653a98e33fcb57361a955ffc3f",
+            "ec75ca362e6a1b407eb596a9305400407eb596a9305400c07f9e8240fca41740",
+            "a0ab7c38fff6c73f7eb596a9305400407eb596a9305400c07f9e8240fca41740",
+        ),
+        "t_f=50": (
+            ("0x1.9209bca8e89a2p+19", "0x1.9209ad3a06ca0p+19", "0x1.0911e2fdd848fp-1",
+             "0x1.9209bca8e89a2p+19", "0x1.a86e5fa0c10fep-1", "0x1.63e51a59d6b74p+0",
+             "0x1.0e4249f40012bp-20", "0x1.03266341bf2dep-1", "0x1.8c051eb851df6p+7",
+             "0x1.1775b159bfe43p+20", "0x1.5b900a6917c41p+0", "0x1.43925596de850p+15",
+             "0x1.999999999999ap-5", "0x1.3880000000000p+16", "0x1.9000000000000p+6"),
+            "80f01976151ae44078fdd4789529e4c0cbc4d987d722f0c078fdd4789529e4c050e86d59"
+            "2539e4405fddddddd530f040cbc4d987d722f0c05fddddddd530f040aba9aaaa1227fb40",
+            "a2898eca9b202941fe100cfae586ea3ffe100cfae586eabf746b9da5513ef63f",
+            "e2f644a0c3ddde3ffe100cfae586ea3ffe100cfae586eabf746b9da5513ef63f",
+        ),
+        "oscillator_160": (
+            ("0x1.fd9d65b37c25ap+1", "0x1.c497cab652761p+1", "0x1.1be9940b59417p-1",
+             "0x1.fd9d65b37c25ap+1", "0x1.4db36b1b51bdfp+0", "0x1.b389b0c5fd25fp+1",
+             "0x1.4f433f4304f01p-2", "0x1.e0a465802bda6p-2", "0x1.9e1abb42e6053p-2",
+             "0x1.e7e1cec56173ap+3", "0x1.9b8484aa2afa4p+1", "0x1.54b1e4da6b1b5p-2",
+             "0x1.999999999999ap-5", "0x1.3333333333333p-1", "0x1.9000000000000p+6"),
+            "1bb91d8930a1c63f91bfdc7e74d2cebfbf4ff3f0607de1bf91bfdc7e74d2cebfb5b1a64d"
+            "1e4bd53fa554d96e0e07e93fbf4ff3f0607de1bfa554d96e0e07e93f397e39d429550040",
+            "5ac2375bd6d90f40df1bb5b136dbf43fdf1bb5b136dbf4bf5fd25f0c9b380b40",
+            "d2d7947ecd82dc3fdf1bb5b136dbf43fdf1bb5b136dbf4bf5fd25f0c9b380b40",
+        ),
+        "orders_10_10": (
+            ("0x1.29067cddb739bp+5", "0x1.25067cddb739bp+5", "0x1.0000000000000p-1",
+             "0x1.29067cddb739bp+5", "0x1.bd01fd5b252ccp+0", "0x1.c1a0d4aa90e6ap+2",
+             "0x1.7f8b01be24837p-5", "0x1.d326da16e0c04p-2", "0x1.f6e0db8d67476p+0",
+             "0x1.07dd0dd1ea36fp+8", "0x1.a2346509fd9fap+2", "0x1.66a28be795e3bp+3",
+             "0x1.999999999999ap-5", "0x1.66a28be795e3bp+4", "0x1.9000000000000p+6"),
+            "f8b8f8e2724dfd3fb658ea6c2f1d12c00516f50f28bc2fc0b658ea6c2f1d12c03b5e79be"
+            "286a2640a17c13b65a7b43400516f50f28bc2fc0a17c13b65a7b43406a6b313723af6340",
+            "9b73dbcd67904240cc52b2d51fd0fb3fcc52b2d51fd0fbbf6a0ea94a0d1a1c40",
+            "000000000000e03fcc52b2d51fd0fb3fcc52b2d51fd0fbbf6a0ea94a0d1a1c40",
+        ),
+        "t_c=0": (
+            ("0x1.dc8ec9eecd162p+1", "0x1.c497cab6527a4p+1", "0x1.a024031e15906p-1",
+             "0x1.dc8ec9eecd162p+1", "0x1.a024031e15906p-1", "0x1.a024031e15906p-1",
+             "0x1.bf16f0522de80p-3", "0x1.8b36cc6faec0ap-1", "0x0.0p+0",
+             "0x1.d7e42ae964de0p+1", "0x1.a024031e15906p-1", "0x1.f35e6a2419e07p-3",
+             "0x1.999999999999ap-5", "0x1.3333333333333p-2", "0x1.9000000000000p+6"),
+            "50b91d8930a1c63f3708cddc178bcabf3708cddc178bcabf3708cddc178bcabf079e41a2"
+            "e635cf3f079e41a2e635cf3f3708cddc178bcabf079e41a2e635cf3f079e41a2e635cf3f",
+            "62d1ec9eecc80d400659e1314002ea3f0659e1314002eabf0659e1314002ea3f",
+            "e89b7a38fff6c73f0659e1314002ea3f0659e1314002eabf0659e1314002ea3f",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(PIN_DOCUMENTS))
+    def test_bit_for_bit(self, case):
+        c = coefficients(pin_scenario(case))
+        scalars, K, G, F = self.PINNED[case]
+        assert [getattr(c, name).hex() for name in self.SCALARS] == list(scalars)
+        assert (c.K.tobytes().hex(), c.G.tobytes().hex(), c.F.tobytes().hex()) == (K, G, F)
 
 
 class TestCoefficients:
