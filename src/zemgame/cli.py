@@ -64,22 +64,27 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _get(node, path: str, required: bool = True):
+def _get(node, path: str):
     """The member of `node` named by the last key of a dotted path, `node`
     being the object the rest of the path leads to, looked up once; a
-    missing member (None if optional) is named by the whole path."""
+    missing member is named by the whole path."""
     key = path.rpartition(".")[2]
     if isinstance(node, dict) and key in node:
         return node[key]
-    if required:
-        raise ScenarioFormatError("missing key %r" % path)
-    return None
+    raise ScenarioFormatError("missing key %r" % path)
 
 
-def _number(node, path: str, required: bool = True) -> Optional[float]:
-    """A finite number; an optional one that is missing or null is None."""
-    value = _get(node, path, required)
-    return None if value is None and not required else _finite(value, path)
+def _numbers_at(node, path: str, *keys: str, required: bool = True) -> list:
+    """The finite numbers at `keys` of `node`, the object at `path`, in
+    order; a missing one is named by its whole path, and an optional one
+    that is missing or null is None."""
+    values, node = [], node if isinstance(node, dict) else {}
+    for key in keys:
+        if required and key not in node:
+            raise ScenarioFormatError("missing key %r" % (path + "." + key))
+        value = node.get(key)
+        values.append(None if value is None and not required else _finite(value, path + "." + key))
+    return values
 
 
 def _finite(value, path: str) -> float:
@@ -90,24 +95,11 @@ def _finite(value, path: str) -> float:
     return float(value)
 
 
-def _numbers(value, path: str, matrix: bool = False) -> np.ndarray:
-    """A list of finite numbers as a float array; with `matrix`, a list of
-    equal-length lists of them as a 2-d array. JSON numbers are exactly the
-    ints and floats, so one pass over the entry types, one conversion and
-    a finite sum (which needs finite entries) serve a valid list; any other
-    goes entry by entry, in order, through `_finite`, naming the first bad one."""
+def _numbers(value, path: str) -> np.ndarray:
+    """A list of finite numbers as a float array, naming the first bad entry."""
     if not isinstance(value, list):
         raise ScenarioFormatError("key %r must be a list of numbers" % path)
-    if set(map(type, itertools.chain.from_iterable(value) if matrix else value)) <= {float, int}:
-        try:
-            out = np.array(value, dtype=float)
-        except OverflowError:  # an int beyond float range
-            pass
-        else:
-            if abs(out.sum()) <= sys.float_info.max or np.isfinite(out).all():
-                return out
-    return np.array([[_finite(v, path) for v in row] for row in value] if matrix
-                    else [_finite(v, path) for v in value])
+    return np.array([_finite(v, path) for v in value])
 
 
 def _parse_player(players, path: str) -> ControllerModel:
@@ -116,19 +108,27 @@ def _parse_player(players, path: str) -> ControllerModel:
         raise ScenarioFormatError("key %r must be an object" % path)
     if "first_order_tau" in node:
         try:
-            return ControllerModel.first_order(_number(node, path + ".first_order_tau"))
+            return ControllerModel.first_order(*_numbers_at(node, path, "first_order_tau"))
         except ValueError as exc:
             raise ScenarioFormatError("invalid %s.first_order_tau: %s" % (path, exc))
     rows = _get(node, path + ".A")
     if not (isinstance(rows, list) and set(map(type, rows)) <= {list}
             and len(set(map(len, rows))) <= 1):
         raise ScenarioFormatError("key %r must be a list of equal-length lists" % (path + ".A"))
-    A = _numbers(rows, path + ".A", matrix=True) if rows else np.zeros((0, 0))
-    b = _numbers(_get(node, path + ".b"), path + ".b")
-    c = _numbers(_get(node, path + ".c"), path + ".c")
-    d = _number(node, path + ".d")
+    # JSON numbers are exactly the ints and floats: a valid controller is converted and
+    # checked once, by the model; any other goes key by key, naming the first bad entry.
+    b, c, d = node.get("b"), node.get("c"), node.get("d")
+    if (type(b) is list and type(c) is list
+            and set(map(type, itertools.chain(b, c, (d,), *rows))) <= {float, int}):
+        try:
+            return ControllerModel(order=len(rows), sys=rows, inp=b, out=c, feed=d)
+        except (ValueError, OverflowError):  # a bad entry or shape, named below
+            pass
+    A = np.array([_numbers(row, path + ".A") for row in rows])
+    b, c = (_numbers(_get(node, path + key), path + key) for key in (".b", ".c"))
+    (d,) = _numbers_at(node, path, "d")
     try:
-        return ControllerModel(order=A.shape[0], sys=A, inp=b, out=c, feed=d)
+        return ControllerModel(order=len(rows), sys=A, inp=b, out=c, feed=d)
     except ValueError as exc:
         raise ScenarioFormatError("invalid controller under %r: %s" % (path, exc))
 
@@ -136,7 +136,7 @@ def _parse_player(players, path: str) -> ControllerModel:
 def load_scenario(path: str) -> tuple[EngagementScenario, dict]:
     """Parse a scenario file; returns the scenario and the raw document."""
     try:
-        with open(path, "rb") as fh:  # decoded at once, newlines read as in text mode
+        with open(path, "rb", buffering=0) as fh:  # decoded at once, newlines as in text mode
             text = fh.read().decode("utf-8")
         doc = json.loads(text.replace("\r\n", "\n").replace("\r", "\n"))
     except OSError as exc:
@@ -152,17 +152,14 @@ def scenario_from_document(doc: dict) -> EngagementScenario:
     pursuer = _parse_player(players, "players.pursuer")
     evader = _parse_player(players, "players.evader")
     horizon = _get(doc, "horizon")
-    t_f = _number(horizon, "horizon.t_f")
-    t_c = _number(horizon, "horizon.t_c", required=False)
-    nu = _number(horizon, "horizon.nu", required=False)
+    (t_f,) = _numbers_at(horizon, "horizon", "t_f")
+    t_c, nu = _numbers_at(horizon, "horizon", "t_c", "nu", required=False)
     try:
         t_c = resolve_horizons(t_f, t_c, nu)
     except ValueError as exc:
         raise ScenarioFormatError("horizon: %s" % exc)
-    weights = _get(doc, "weights")
-    alpha = _number(weights, "weights.alpha")
-    beta = _number(weights, "weights.beta")
-    ae_max = _number(_get(doc, "evader_bound"), "evader_bound.ae_max")
+    alpha, beta = _numbers_at(_get(doc, "weights"), "weights", "alpha", "beta")
+    (ae_max,) = _numbers_at(_get(doc, "evader_bound"), "evader_bound", "ae_max")
 
     initial = _get(doc, "initial")
     if not isinstance(initial, dict):
@@ -171,15 +168,13 @@ def scenario_from_document(doc: dict) -> EngagementScenario:
     if "z0" in initial or "w0" in initial:
         if not ("z0" in initial and "w0" in initial):
             raise ScenarioFormatError("initial needs both z0 and w0")
-        if any(k in initial for k in ("Vp", "Ve", "phi_p0", "phi_e0")):
+        if not initial.keys().isdisjoint(("Vp", "Ve", "phi_p0", "phi_e0")):
             raise ScenarioFormatError("initial must use exactly one of (z0, w0) or geometry")
-        z0 = _number(initial, "initial.z0")
-        w0 = _number(initial, "initial.w0")
+        z0, w0 = _numbers_at(initial, "initial", "z0", "w0")
     else:
-        values = {key: _number(initial, "initial." + key)
-                  for key in ("Vp", "Ve", "phi_p0", "phi_e0")}
         try:
-            geometry = EngagementGeometry(**values)
+            geometry = EngagementGeometry(*_numbers_at(initial, "initial", "Vp", "Ve",
+                                                       "phi_p0", "phi_e0"))
         except ValueError as exc:
             raise ScenarioFormatError("initial: %s" % exc)
         z0, w0 = initial_zem(geometry, t_f, t_c)
@@ -392,6 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol-scale", type=float, default=1.0,
                    help="multiply every check tolerance (default 1.0)")
     p.set_defaults(func=cmd_repro)
+    parser.verbs = sub.choices  # each verb's own parser, for `main`
     return parser
 
 
@@ -401,8 +397,13 @@ _main_parser = functools.cache(build_parser)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one verb: a known verb's arguments go straight to the parser the
+    top-level one would hand them to, and anything else to the top level."""
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _main_parser().parse_args(argv)
+        parser = _main_parser()
+        verb = parser.verbs.get(argv[0]) if argv else None
+        args = parser.parse_args(argv) if verb is None else verb.parse_args(argv[1:])
         return args.func(args)
     except (ScenarioFormatError, NoControlAuthority, NonFiniteResult) as exc:
         print("scenario error: %s" % exc, file=sys.stderr)

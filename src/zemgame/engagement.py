@@ -17,8 +17,8 @@ import numpy as np
 
 
 def _as_float_array(value, shape, name: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=float).reshape(shape)
-    if not math.isfinite(arr.sum()) and not np.isfinite(arr).all():  # finite sum: finite terms
+    arr = np.asarray(value, dtype=float).reshape(shape)  # a finite sum has finite terms
+    if not math.isfinite(np.add.reduce(arr, None)) and not np.isfinite(arr).all():
         raise ValueError("%s contains non-finite entries" % name)
     return arr
 
@@ -50,14 +50,11 @@ class ControllerModel:
         n = int(self.order)
         if n < 0:
             raise ValueError("controller order must be nonnegative")
-        object.__setattr__(self, "order", n)
-        object.__setattr__(self, "sys", _as_float_array(self.sys, (n, n), "sys"))
-        object.__setattr__(self, "inp", _as_float_array(self.inp, (n,), "inp"))
-        object.__setattr__(self, "out", _as_float_array(self.out, (n,), "out"))
-        feed = float(self.feed)
-        if not math.isfinite(feed):
+        self.__dict__.update(order=n, sys=_as_float_array(self.sys, (n, n), "sys"),
+                             inp=_as_float_array(self.inp, (n,), "inp"),
+                             out=_as_float_array(self.out, (n,), "out"), feed=float(self.feed))
+        if not math.isfinite(self.feed):
             raise ValueError("feed must be finite")
-        object.__setattr__(self, "feed", feed)
 
     @classmethod
     def first_order(cls, tau: float) -> "ControllerModel":

@@ -141,8 +141,8 @@ def mat_exp(A: np.ndarray, t: float = 1.0) -> np.ndarray:
         raise ValueError("matrix exponential requires a square matrix, got shape %r" % (A.shape,))
     if not math.isfinite(t):
         raise ValueError("non-finite time scale %r" % (t,))
-    M = A * float(t)
-    if not math.isfinite(M.sum()) and not np.isfinite(M).all():  # finite sum: finite terms
+    M = A * float(t)  # a finite sum has finite terms
+    if not math.isfinite(np.add.reduce(M, None)) and not np.isfinite(M).all():
         raise ValueError("matrix exponential argument contains non-finite entries")
     if M.shape[0] == 0:
         return np.zeros((0, 0))
@@ -205,12 +205,14 @@ def solve2_entries(m00, m01, m10, m11, b0, b1):
 
     Raises NearSingularError when |det| < 1e-12 max(1, |m00 m11| + |m01 m10|):
     where the two terms of det cancel, whatever the scaling of rows and columns.
-    Raises NonFiniteResult when a product of entries overflows the threshold.
+    Raises NonFiniteResult when that sum of products overflows or is NaN.
     """
     det = m00 * m11 - m01 * m10
-    threshold = 1e-12 * max(1.0, abs(m00 * m11) + abs(m01 * m10))
-    if not math.isfinite(threshold):
-        raise NonFiniteResult("the products of 2x2 entries overflow the float range")
+    scale = abs(m00 * m11) + abs(m01 * m10)
+    if not scale < math.inf:  # max(1.0, nan) would be 1.0
+        raise NonFiniteResult("the products of 2x2 entries overflow the float range: the "
+                              "kernel integrals over the weights alpha or beta are too large")
+    threshold = 1e-12 * max(1.0, scale)
     if abs(det) < threshold:
         raise NearSingularError("2x2 determinant %g is below the singularity threshold %g"
                                 % (det, threshold))

@@ -634,7 +634,7 @@ def _sign_cells(A: np.ndarray, span: float) -> int:
     controller = A[2:, 2:]
     if controller.shape[0] < 2:
         return _MIN_SIGN_CELLS
-    skew = np.abs(controller - controller.T).sum(axis=0).max()
+    skew = np.maximum.reduce(np.add.reduce(np.abs(controller - controller.T)))
     if 2.0 * skew * span <= _MIN_SIGN_CELLS - 1:
         return _MIN_SIGN_CELLS
     omega = float(np.abs(np.linalg.eigvals(controller).imag).max())
@@ -665,7 +665,7 @@ def _tail_weight(A: np.ndarray, B: np.ndarray, t_c: float) -> float:
     first[0] = 1.0  # D, and 0 for the integral
     rows = _progression_rows(first, M, t_c / cells, cells + 1)
     g = rows[:, :n] @ B
-    if g.min() >= 0.0 or g.max() <= 0.0:  # one sign throughout; a NaN fails both tests
+    if np.minimum.reduce(g) >= 0.0 or np.maximum.reduce(g) <= 0.0:  # one sign; a NaN fails both
         return abs(rows.item(-1, n))
     signs = np.sign(g)
     nz = np.flatnonzero(signs)
@@ -747,7 +747,7 @@ def kernel_gram(pursuer: StateSpace, evader: StateSpace, t_f: float, t_c: float)
         np.multiply(A.T, -t_f, out=C[lo:hi, lo:hi])
         np.multiply(A, t_f, out=C[N + lo:N + hi, N + lo:N + hi])
     unit = 1.0 / math.sqrt(2.0)  # the two nonzero entries of u, at 0 and n
-    C[[0, 0, n, n], [N, N + n, N, N + n]] = unit * unit * t_f
+    C[0, N] = C[0, N + n] = C[n, N] = C[n, N + n] = unit * unit * t_f
     doublings, F = scaled_exp(C)
     phi = F[N:, N:].T
     W = phi @ F[:N, N:]

@@ -290,7 +290,9 @@ def test_tiny_alpha_is_not_an_internal_error(tmp_path, capsys, verb, alpha, t_c)
     """Lags 0.2/0.1, t_f 2, beta 4, ae_max 50, z0 100 and w0 1e6: nu_p G2^2
     overflows although d < 1, which failed the coefficient consistency check
     (exit 4). d is formed from two factors in [0, 1] instead, so each verb
-    solves or refuses the document as a scenario error."""
+    solves or refuses the document as a scenario error. At alpha = 1e-307
+    `solve` refuses it: G1 = s, about int h_p^2 / alpha, makes the products
+    of the branch's 2x2 entries overflow, and the message names the weights."""
     def mutate(doc):
         doc["horizon"] = dict(t_f=2.0, t_c=t_c)
         doc["weights"] = dict(alpha=alpha, beta=4.0)
@@ -298,8 +300,11 @@ def test_tiny_alpha_is_not_an_internal_error(tmp_path, capsys, verb, alpha, t_c)
         doc["initial"].update(z0=100.0, w0=1e6)
 
     path = write_doc(tmp_path, mutate)
-    assert main([verb, path]) in (EXIT_OK, EXIT_USAGE)
-    assert "internal check failed" not in capsys.readouterr().err
+    refused = verb == "solve" and alpha == 1e-307  # the branch's 2x2 system overflows
+    assert main([verb, path]) == (EXIT_USAGE if refused else EXIT_OK)
+    assert capsys.readouterr().err == (
+        "scenario error: the products of 2x2 entries overflow the float range: the kernel "
+        "integrals over the weights alpha or beta are too large\n" if refused else "")
     assert 0.0 <= coefficients(load_scenario(path)[0]).d < 1.0
 
 
@@ -759,3 +764,45 @@ class TestParserReuse:
     def test_parser_built_once(self):
         assert cli._main_parser() is cli._main_parser()
         assert cli.build_parser() is not cli.build_parser()
+
+
+class TestDispatch:
+    """`main` hands a known verb's arguments straight to that verb's own
+    parser; every call ends as it did through the top-level parser."""
+
+    @staticmethod
+    def top_level_parser():
+        parser = cli.build_parser()
+        parser.verbs = {}  # no direct route: every call goes through parse_args
+        return parser
+
+    @staticmethod
+    def outcome(argv, capsys):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # help
+            code = ("exit", exc.code)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @pytest.mark.parametrize("argv", [
+        [], ["-h"], ["--help"], ["solve", "-h"], ["solve", "--he"], ["table1", "-h"],
+        ["solve", "--", "FILE"], ["--", "solve", "FILE"], ["--"], ["bogus"], ["bogus", "FILE"],
+        ["Solve", "FILE"], ["solve"], ["solve", "a", "b"], ["solve", "FILE", "--grid", "1"],
+        ["solve", "--grid", "1", "FILE"], ["solve", "--sign", "+", "FILE", "--probe", "5"],
+        ["solve", "FILE", "--grid", "x"], ["solve", "FILE", "--grid"],
+        ["solve", "FILE", "--sign", "0"], ["solve", "FILE", "--bogus"], ["solve", "/nonexistent/path.json"], ["classify", "FILE"],
+        ["classify"], ["sweep", "FILE", "--eps-steps", "1"], ["sweep", "--sign", "-", "FILE"],
+        ["table1"], ["table1", "FILE"], ["table1", "FILE", "extra"], ["repro", "--tol-scale", "0"],
+        ["repro", "FILE"], ["-h", "solve"],
+    ], ids=lambda argv: " ".join(argv) or "no-arguments")
+    def test_same_outcome_as_the_top_level_parser(self, study_file, capsys, monkeypatch, argv):
+        argv = [study_file if a == "FILE" else a for a in argv]
+        direct = self.outcome(argv, capsys)
+        monkeypatch.setattr(cli, "_main_parser", self.top_level_parser)
+        assert self.outcome(argv, capsys) == direct
+
+    def test_verbs_are_the_subparsers(self):
+        parser = cli.build_parser()
+        assert sorted(parser.verbs) == ["classify", "repro", "solve", "sweep", "table1"]
+        assert parser.verbs["solve"].prog == "zemgame solve"

@@ -261,10 +261,10 @@ class TestSolve2:
         """The scalar solve refuses the systems the elementwise form it
         replaced (`helpers.solve2_entries_reference`) refused, with the same
         message, and otherwise returns the same values, NaN included, except
-        where a product of entries overflows, so that the singularity
-        threshold is infinite: those it refuses as NonFiniteResult, where the
-        elementwise form let them through to an infinite or NaN determinant,
-        or to a zero solution."""
+        where the summed products of entries overflow or are NaN (a NaN
+        m00 or m11, which max(1, NaN) = 1 let through): those it refuses as
+        NonFiniteResult, where the elementwise form let them through to an
+        infinite or NaN determinant, or to a zero or NaN solution."""
         def outcome(solve):
             try:
                 with np.errstate(all="ignore"):
@@ -273,8 +273,9 @@ class TestSolve2:
                 return type(err).__name__ + ": " + str(err)
 
         m00, m01, m10, m11 = entries[:4]
-        if abs(m00 * m11) + abs(m01 * m10) == math.inf:
-            want = "NonFiniteResult: the products of 2x2 entries overflow the float range"
+        if not abs(m00 * m11) + abs(m01 * m10) < math.inf:
+            want = ("NonFiniteResult: the products of 2x2 entries overflow the float range: "
+                    "the kernel integrals over the weights alpha or beta are too large")
         else:
             want = outcome(solve2_entries_reference)
         assert outcome(numerics.solve2_entries) == want
