@@ -791,8 +791,9 @@ class TestDispatch:
         ["Solve", "FILE"], ["solve"], ["solve", "a", "b"], ["solve", "FILE", "--grid", "1"],
         ["solve", "--grid", "1", "FILE"], ["solve", "--sign", "+", "FILE", "--probe", "5"],
         ["solve", "FILE", "--grid", "x"], ["solve", "FILE", "--grid"],
-        ["solve", "FILE", "--sign", "0"], ["solve", "FILE", "--bogus"], ["solve", "/nonexistent/path.json"], ["classify", "FILE"],
-        ["classify"], ["sweep", "FILE", "--eps-steps", "1"], ["sweep", "--sign", "-", "FILE"],
+        ["solve", "FILE", "--sign", "0"], ["solve", "FILE", "--bogus"],
+        ["solve", "/nonexistent/path.json"], ["classify", "FILE"], ["classify"],
+        ["sweep", "FILE", "--eps-steps", "1"], ["sweep", "--sign", "-", "FILE"],
         ["table1"], ["table1", "FILE"], ["table1", "FILE", "extra"], ["repro", "--tol-scale", "0"],
         ["repro", "FILE"], ["-h", "solve"],
     ], ids=lambda argv: " ".join(argv) or "no-arguments")
