@@ -616,6 +616,93 @@ class TestSweep:
         assert main(["sweep", path]) == EXIT_SOLVABILITY
 
 
+# The whole stdout of a forced branch and of a penalty sweep on both
+# repository files, byte for byte.
+FORCED = {
+    ("study", "solve --sign +"): (
+        "region: forced branch +\n"
+        "value             1827.65684544    [J = omega_f' diag(1,-1) G omega_f]\n"
+        "z_f               32.9167602262    [omega_f = G^-1 b]\n"
+        "v_f              -11.0492116284    [omega_f = G^-1 b]\n"
+        "w_f               32.4998765902    [w_f = sign*mu_e*ae_max]\n"
+        "u_p coef on h_p  -658.335204524    [u_p = -(z_f/alpha) h_p]\n"
+        "u_e coef on h_e   109.722534087    [u_e = (z_f h_e - v_f g_e)/beta]\n"
+        "u_e coef on g_e   36.830705428    [u_e = (z_f h_e - v_f g_e)/beta]\n"),
+    ("study", "solve --sign -"): (
+        "region: forced branch -\n"
+        "value             2663.06709229    [J = omega_f' diag(1,-1) G omega_f]\n"
+        "z_f               27.8479023436    [omega_f = G^-1 b]\n"
+        "v_f              -1.80330251157    [omega_f = G^-1 b]\n"
+        "w_f              -32.4998765902    [w_f = sign*mu_e*ae_max]\n"
+        "u_p coef on h_p  -556.958046873    [u_p = -(z_f/alpha) h_p]\n"
+        "u_e coef on h_e   92.8263411454    [u_e = (z_f h_e - v_f g_e)/beta]\n"
+        "u_e coef on g_e   6.01100837191    [u_e = (z_f h_e - v_f g_e)/beta]\n"),
+    ("study", "sweep --sign +"): (
+        "eps,z_f_eps,v_f_eps,value,omega_gap\n"
+        "1,32.1624146964,-9.67323889992,1934.53850918,1.56918390503\n"
+        "0.1,32.8318039263,-10.8942461025,1839.69412851,0.176725456885\n"
+        "0.01,32.908155989,-11.0335169695,1828.87596208,0.0178984696063\n"
+        "0.001,32.9158987011,-11.0476401536,1827.77891316,0.00179213801053\n"
+        "0.0001,32.9166740627,-11.0490544608,1827.66905378,0.000179236743811\n"
+        "1e-05,32.9167516098,-11.0491959114,1827.65806629,1.79239038365e-05\n"
+        "1e-06,32.9167593646,-11.0492100567,1827.65696753,1.79239267258e-06\n"),
+    ("study", "sweep --sign -"): (
+        "eps,z_f_eps,v_f_eps,value,omega_gap\n"
+        "1,27.724788294,-1.57873489892,2665.91402889,0.256100921245\n"
+        "0.1,27.8340369282,-1.77801113953,2663.38772148,0.0288427329458\n"
+        "0.01,27.8464980767,-1.80074104215,2663.09956509,0.00292114553326\n"
+        "0.001,27.8477617372,-1.80304603676,2663.07034372,0.000292488467426\n"
+        "0.0001,27.8478882812,-1.80327686081,2663.06741747,2.92525911476e-05\n"
+        "1e-05,27.8479009374,-1.80329994646,2663.06712481,2.92529656165e-06\n"
+        "1e-06,27.847902203,-1.80330225506,2663.06709554,2.92530026814e-07\n"),
+    ("mixed", "solve --sign +"): (
+        "region: forced branch +\n"
+        "value            -239.713274382    [J = omega_f' diag(1,-1) G omega_f]\n"
+        "z_f               0.434992559959    [omega_f = G^-1 b]\n"
+        "v_f               9.50365041229    [omega_f = G^-1 b]\n"
+        "w_f               19.2    [w_f = sign*mu_e*ae_max]\n"
+        "u_p coef on h_p  -5.43740699949    [u_p = -(z_f/alpha) h_p]\n"
+        "u_e coef on h_e   0.483325066621    [u_e = (z_f h_e - v_f g_e)/beta]\n"
+        "u_e coef on g_e  -10.5596115692    [u_e = (z_f h_e - v_f g_e)/beta]\n"),
+    ("mixed", "solve --sign -"): (
+        "region: forced branch -\n"
+        "value            -1303.92512475    [J = omega_f' diag(1,-1) G omega_f]\n"
+        "z_f              -10.700816975    [omega_f = G^-1 b]\n"
+        "v_f               18.2101998577    [omega_f = G^-1 b]\n"
+        "w_f              -19.2    [w_f = sign*mu_e*ae_max]\n"
+        "u_p coef on h_p   133.760212187    [u_p = -(z_f/alpha) h_p]\n"
+        "u_e coef on h_e  -11.8897966389    [u_e = (z_f h_e - v_f g_e)/beta]\n"
+        "u_e coef on g_e  -20.2335553974    [u_e = (z_f h_e - v_f g_e)/beta]\n"),
+    ("mixed", "sweep --sign +"): (
+        "eps,z_f_eps,v_f_eps,value,omega_gap\n"
+        "1,2.68161945418,7.74712179364,-166.087337153,2.85179332876\n"
+        "0.1,0.704483458513,9.29294854764,-230.881580952,0.342082768008\n"
+        "0.01,0.46249032824,9.48215124077,-238.812123876,0.0349047509139\n"
+        "0.001,0.437747946703,9.50149610902,-239.622975484,0.00349759613166\n"
+        "0.0001,0.435268154858,9.503434938,-239.704242649,0.000349830983409\n"
+        "1e-05,0.435020120011,9.50362886442,-239.71237119,3.4983812204e-05\n"
+        "1e-06,0.43499531597,9.5036482575,-239.713184062,3.49838835979e-06\n"),
+    ("mixed", "sweep --sign -"): (
+        "eps,z_f_eps,v_f_eps,value,omega_gap\n"
+        "1,-6.39599483038,14.8444681847,-1033.60439232,5.4643978068\n"
+        "0.1,-10.1844382248,17.8064683546,-1271.49919,0.655473981371\n"
+        "0.01,-10.6481277625,18.1690047176,-1300.61651268,0.0668819308951\n"
+        "0.001,-10.6955373044,18.2060719393,-1303.59358854,0.00670183790605\n"
+        "0.0001,-10.7002889002,18.2097869816,-1303.89196436,0.000670320545046\n"
+        "1e-05,-10.7007641664,18.2101585692,-1303.92180864,6.70334223563e-05\n"
+        "1e-06,-10.7008116941,18.2101957288,-1303.92479314,6.7033559173e-06\n"),
+}
+
+
+@pytest.mark.parametrize("name, argv", list(FORCED), ids=[" ".join(k) for k in FORCED])
+def test_forced_branch_and_sweep_output_pinned(capsys, name, argv):
+    path = str(STUDY_FILE if name == "study" else MIXED_ORDERS)
+    verb, *options = argv.split()
+    assert main([verb, path] + options) == EXIT_OK
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (FORCED[name, argv], "")
+
+
 class TestTable1:
     def test_builtin_study(self, capsys):
         assert main(["table1"]) == EXIT_OK
