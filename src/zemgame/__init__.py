@@ -46,8 +46,6 @@ from .simulate import (
     saddle_probe,
 )
 from .solver import (
-    AuxCrossSolution,
-    BranchSolution,
     PenaltyRecord,
     Region,
     RegionLabel,
@@ -58,7 +56,6 @@ from .solver import (
     solve_erg,
     solve_erg_branch,
     solve_rg,
-    solve_upg,
     solve_urg,
 )
 

@@ -141,6 +141,8 @@ def load_scenario(path: str) -> tuple[EngagementScenario, dict]:
         doc = json.loads(text.replace("\r\n", "\n").replace("\r", "\n"))
     except OSError as exc:
         raise ScenarioFormatError("cannot read %s: %s" % (path, exc))
+    except UnicodeDecodeError as exc:
+        raise ScenarioFormatError("%s is not UTF-8: %s" % (path, exc))
     except json.JSONDecodeError as exc:
         raise ScenarioFormatError("%s is not valid JSON: line %d: %s"
                                   % (path, exc.lineno, exc.msg))
@@ -214,33 +216,30 @@ def cmd_solve(args) -> int:
     if args.grid < 2:
         raise _UsageError("a time grid needs at least two nodes")
     scenario, _ = load_scenario(args.scenario)
-    coeffs = coefficients(scenario)
+    probe = args.probe and args.sign is None
+    kern = Kernels(scenario) if args.csv or probe else None
+    coeffs = coefficients(scenario, kern)
     if args.sign is not None:
-        sign = 1 if args.sign == "+" else -1
-        branch = solve_erg_branch(coeffs, scenario.z0, scenario.w0, sign)
-        u_p, u_e = branch.u_p, branch.u_e
+        sol = solve_erg_branch(coeffs, scenario.z0, scenario.w0, 1 if args.sign == "+" else -1)
         region_name = "forced branch %s" % args.sign
-        rows = [("value", branch.value, "J = omega_f' diag(1,-1) G omega_f"),
-                ("z_f", branch.omega_f[0], "omega_f = G^-1 b"),
-                ("v_f", branch.omega_f[1], "omega_f = G^-1 b"),
-                ("w_f", branch.sign * coeffs.bound, "w_f = sign*mu_e*ae_max")]
+        rows = [("value", sol.value, "J = omega_f' diag(1,-1) G omega_f"),
+                ("z_f", sol.z_f, "omega_f = G^-1 b"),
+                ("v_f", sol.v_f, "omega_f = G^-1 b"),
+                ("w_f", sol.w_f, "w_f = sign*mu_e*ae_max")]
     else:
         sol = solve_rg(scenario, coeffs)
-        u_p, u_e = sol.u_p, sol.u_e
         region_name = sol.region.label.value
         rows = [("value", sol.value, "J(u_p*, u_e*)"),
                 ("z_f", sol.z_f, "z_f = z0/s in Omega, else (G^-1 b)_1"),
                 ("w_f", sol.w_f, "w_f = w0 + a*z0 in Omega, else sign*mu_e*ae_max")]
     print("region: %s" % region_name)
-    _print_rows(rows + [("u_p coef on h_p", u_p.hp_coef, "u_p = -(z_f/alpha) h_p"),
-                        ("u_e coef on h_e", u_e.he_coef, "u_e = (z_f h_e - v_f g_e)/beta"),
-                        ("u_e coef on g_e", u_e.ge_coef, "u_e = (z_f h_e - v_f g_e)/beta")])
-    probe = args.probe and args.sign is None
-    if args.csv or probe:
-        kern = Kernels(scenario)
+    _print_rows(rows + [("u_p coef on h_p", sol.u_p.hp_coef, "u_p = -(z_f/alpha) h_p"),
+                        ("u_e coef on h_e", sol.u_e.he_coef, "u_e = (z_f h_e - v_f g_e)/beta"),
+                        ("u_e coef on g_e", sol.u_e.ge_coef, "u_e = (z_f h_e - v_f g_e)/beta")])
+    if kern is not None:
         grid = TimeGrid(0.0, scenario.t_f, args.grid)
     if args.csv:
-        play = playout_reduced(scenario, kern, u_p, u_e, grid)
+        play = playout_reduced(scenario, kern, sol.u_p, sol.u_e, grid)
         _write_csv(args.csv, ("t", "u_p", "u_e", "z", "w"),
                    zip(grid.nodes, play.up_samples, play.ue_samples,
                        play.z_traj, play.w_traj))
@@ -270,9 +269,10 @@ def cmd_sweep(args) -> int:
     eps_list = np.geomspace(args.eps_from, args.eps_to, args.eps_steps)
     records = penalty_sweep(coeffs, scenario.z0, scenario.w0, sign, eps_list)
     branch = solve_erg_branch(coeffs, scenario.z0, scenario.w0, sign)
+    omega_f = (branch.z_f, branch.v_f)
     rows = [
         (r.eps, r.z_f, float(r.omega_eps[1]), r.value,
-         float(np.linalg.norm(r.omega_eps - branch.omega_f)))
+         float(np.linalg.norm(r.omega_eps - omega_f)))
         for r in records
     ]
     header = ("eps", "z_f_eps", "v_f_eps", "value", "omega_gap")
@@ -302,15 +302,14 @@ def cmd_table1(args) -> int:
     scenario, doc = (load_scenario(args.scenario) if args.scenario is not None
                      else (reference.study_scenario(), {}))
     pos_plus, pos_minus = _table1_positions(doc)
-    coeffs = coefficients(scenario)
+    kern = Kernels(scenario)
+    coeffs = coefficients(scenario, kern)
     for path, pos, want in (("table1.plus", pos_plus, RegionLabel.OMEGA_PLUS),
                             ("table1.minus", pos_minus, RegionLabel.OMEGA_MINUS)):
         got = classify(coeffs, *pos).label
         if got is not want:
             raise ScenarioFormatError("key %r: position (%g, %g) lies in %s, not %s"
                                       % (path, *pos, got.value, want.value))
-    kern = Kernels(scenario)
-
     t_plus = reference.cross_table(scenario, kern, coeffs, *pos_plus)
     t_minus = reference.cross_table(scenario, kern, coeffs, *pos_minus)
     print("position (%g, %g) in OmegaPlus   position (%g, %g) in OmegaMinus"

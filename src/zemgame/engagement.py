@@ -217,15 +217,6 @@ class EngagementScenario:
             if getattr(self, name) <= 0:
                 raise ValueError("%s must be positive" % name)
 
-    @classmethod
-    def from_geometry(cls, pursuer: ControllerModel, evader: ControllerModel,
-                      t_f: float, t_c: float, alpha: float, beta: float,
-                      ae_max: float, geometry: EngagementGeometry) -> "EngagementScenario":
-        z0, w0 = initial_zem(geometry, t_f, t_c)
-        return cls(pursuer=pursuer, evader=evader, t_f=t_f, t_c=t_c,
-                   alpha=alpha, beta=beta, ae_max=ae_max, z0=z0, w0=w0,
-                   geometry=geometry)
-
 
 def first_order_scenario(tau_p: float, tau_e: float, t_f: float, t_c: float,
                          alpha: float, beta: float, ae_max: float,

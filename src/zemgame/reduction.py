@@ -772,12 +772,14 @@ def coefficients(scenario: EngagementScenario,
     """All game coefficients from exact kernel integrals: int h_p^2,
     int h_e^2, int h_e g_e and int g_e^2 are entries of the kernel Gram
     matrix (`kernel_gram`, kept as `K`), and mu_e comes from `_tail_weight`.
-    No kernel samples are taken: `kernels` is accepted and not read. Raises
-    SolvabilityError when the evader effort weight does not exceed the
-    squared-kernel integral.
+    K is read from `kernels.gram()` when the scenario's kernels are given,
+    so a caller that builds them forms K once; no kernel samples are taken.
+    Raises SolvabilityError when the evader effort weight does not exceed
+    the squared-kernel integral.
     """
     ev = build_player_ss(scenario.evader)
-    K = kernel_gram(build_player_ss(scenario.pursuer), ev, scenario.t_f, scenario.t_c)
+    K = (kernel_gram(build_player_ss(scenario.pursuer), ev, scenario.t_f, scenario.t_c)
+         if kernels is None else kernels.gram())
     mu = _tail_weight(ev.A, ev.B, scenario.t_c)
     return _assemble((K.item(0, 0), K.item(1, 1), K.item(1, 2), K.item(2, 2)), mu,
                      scenario.alpha, scenario.beta, scenario.ae_max, K)

@@ -118,7 +118,8 @@ def saddle_orderings(t_plus: dict, t_minus: dict) -> tuple[bool, bool]:
 def evaluate() -> dict[str, float]:
     """The model's value of every row of `CHECKS`, by row name."""
     scenario = study_scenario()
-    kern, coeffs = Kernels(scenario), coefficients(scenario)
+    kern = Kernels(scenario)
+    coeffs = coefficients(scenario, kern)
     grid = TimeGrid(0.0, scenario.t_f)
     z0, w0 = POSITION
     values = {"beta_star": coeffs.beta_star, "mu_e": coeffs.mu_e, "bound": coeffs.bound}
@@ -127,7 +128,7 @@ def evaluate() -> dict[str, float]:
 
     branches = {tag: solve_erg_branch(coeffs, z0, w0, sign) for tag, sign in (("+", 1), ("-", -1))}
     for tag, branch in branches.items():
-        values["z_f" + tag], values["v_f" + tag] = branch.omega_f
+        values["z_f" + tag], values["v_f" + tag] = branch.z_f, branch.v_f
         values["J%s*" % tag] = branch.value
         play = playout_reduced(scenario, kern, branch.u_p, branch.u_e, grid)
         values["w_f%s playout" % tag], values["z_f%s playout" % tag] = play.w_f, play.z_f
@@ -154,7 +155,8 @@ def evaluate() -> dict[str, float]:
 
     for sign, tag in ((1, "+"), (-1, "-")):
         records = penalty_sweep(coeffs, z0, w0, sign)
-        gaps = np.array([np.linalg.norm(r.omega_eps - branches[tag].omega_f) for r in records])
+        omega_f = (branches[tag].z_f, branches[tag].v_f)
+        gaps = np.array([np.linalg.norm(r.omega_eps - omega_f) for r in records])
         values["sweep%s order" % tag] = \
             np.polyfit(np.log([r.eps for r in records]), np.log(gaps), 1)[0]
         values["sweep%s monotone" % tag] = 1.0 if (np.diff(gaps) < 0).all() else 0.0

@@ -43,44 +43,21 @@ class Region:
     margin: float
 
 
-@dataclass(frozen=True, eq=False)
-class BranchSolution:
-    """Saddle point of one equality-constrained branch (terminal w pinned to
-    +bound or -bound)."""
-
-    sign: int
-    b_vec: np.ndarray
-    omega_f: np.ndarray
-    u_p: ControlLaw
-    u_e: ControlLaw
-    value: float
-    chi0: np.ndarray
-    gamma: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class AuxCrossSolution:
-    """Best evader reply pinned to the opposite terminal sign while the
-    pursuer plays one branch's optimal control."""
-
-    pursuer_sign: int
-    mu_vec: np.ndarray
-    xi_vec: np.ndarray
-    omega1: np.ndarray
-    u_e_star: ControlLaw
-    J_cross: float
-    rho: float
-
-
 @dataclass(frozen=True)
 class SaddleSolution:
+    """Open-loop saddle point in any region: the two kernel laws, their
+    value, and the terminal pair omega_f = (z_f, v_f) with the terminal
+    w_f. v_f is the multiplier of the terminal constraint: the second entry
+    of G^-1 b on a branch, and 0.0 in the strip, where the constraint does
+    not bind."""
+
     region: Region
     u_p: ControlLaw
     u_e: ControlLaw
     value: float
     z_f: float
     w_f: float
-    branch: Optional[BranchSolution] = None
+    v_f: float = 0.0
 
 
 class PenaltyRecord(NamedTuple):
@@ -176,23 +153,17 @@ def solve_urg(coeffs: GameCoefficients,
     return u_p, u_e, value, z_f
 
 
-def solve_upg(coeffs: GameCoefficients, z0: float, w0: float, sign: int,
-              eps: float) -> PenaltyRecord:
-    """Penalized unconstrained game for one terminal sign and penalty 1/eps:
-    the one-record case of `penalty_sweep`."""
-    (record,) = penalty_sweep(coeffs, z0, w0, sign, [eps])
-    return record
-
-
-def solve_erg_branch(coeffs: GameCoefficients, z0: float, w0: float, sign: int) -> BranchSolution:
-    """Equality-constrained branch saddle point: omega_f = G^-1 b, with the
-    value computed both as omega' G_tilde omega and as the quadratic form in
-    the initial position; the two must agree to 1e-9 relative. Both are
-    formed on Python floats, in the order of the matrix products."""
+def solve_erg_branch(coeffs: GameCoefficients, z0: float, w0: float, sign: int) -> SaddleSolution:
+    """Equality-constrained branch saddle point, terminal w pinned at
+    sign*bound: omega_f = (z_f, v_f) = G^-1 b, with the value computed both
+    as omega' G_tilde omega and as the quadratic form in the initial
+    position; the two must agree to 1e-9 relative. Both are formed on
+    Python floats, in the order of the matrix products. The region is the
+    branch's half-plane with the margin `classify` gives there, so
+    sign*margin < 0 marks a branch forced against the dispatch."""
     shift = _shift(sign, coeffs.bound)
     G1, G2, G3 = coeffs.G1, coeffs.G2, coeffs.G3
-    b1 = w0 + shift
-    z_f, v_f = solve2_entries(G1, G2, -G2, G3, z0, b1)
+    z_f, v_f = solve2_entries(G1, G2, -G2, G3, z0, w0 + shift)
     value = (z_f * G1 + v_f * G2) * z_f + (z_f * G2 - v_f * G3) * v_f
     value_chi = _position_form(coeffs, z0, w0, shift) + shift * (-G1 / coeffs.det_G) * shift
     _require_finite((z_f, v_f, value, value_chi), "the branch value")
@@ -201,26 +172,26 @@ def solve_erg_branch(coeffs: GameCoefficients, z0: float, w0: float, sign: int) 
             "branch value forms disagree: %r vs %r" % (value, value_chi)
         )
     u_p, u_e = _branch_laws(coeffs, (z_f, v_f))
-    return BranchSolution(sign=sign, b_vec=np.array([z0, b1]), omega_f=np.array([z_f, v_f]),
-                          u_p=u_p, u_e=u_e, value=value, chi0=np.array([z0, w0]),
-                          gamma=np.array([0.0, shift]))
+    label = RegionLabel.OMEGA_PLUS if sign == 1 else RegionLabel.OMEGA_MINUS
+    return SaddleSolution(Region(label, w0 + coeffs.a * z0 + shift), u_p, u_e, value,
+                          z_f, sign * coeffs.bound, v_f)
 
 
-def aux_cross(coeffs: GameCoefficients, z0: float, w0: float, pursuer_sign: int) -> AuxCrossSolution:
+def aux_cross(coeffs: GameCoefficients, z0: float, w0: float,
+              pursuer_sign: int) -> tuple[KernelCombo, float]:
     """Fix the pursuer on one branch's optimal control and let the evader
     optimally reach the opposite terminal sign.
 
-    Returns the solved terminal pair, the evader reply, and the full cost of
-    the mixed pair as a quadratic form in the initial position, on Python
-    floats.
+    Returns the evader reply u_e_star = (omega1_0 h_e - omega1_1 g_e)/beta,
+    omega1 = F^-1 mu, and J_cross, the full cost of the mixed pair as a
+    quadratic form in the initial position, on Python floats.
     """
     bound = coeffs.bound
     G1, G2, G3 = coeffs.G1, coeffs.G2, coeffs.G3
     z_fix, _ = solve2_entries(G1, G2, -G2, G3, z0, w0 + _shift(pursuer_sign, bound))
     other = _shift(-pursuer_sign, bound)
-    xi = (-coeffs.nu_p * z_fix, other)
-    mu = (z0 + xi[0], w0 + other)
-    omega1 = solve2_entries(1.0 - coeffs.nu_e, G2, -G2, G3, *mu)
+    omega1 = solve2_entries(1.0 - coeffs.nu_e, G2, -G2, G3,
+                            z0 - coeffs.nu_p * z_fix, w0 + other)
     u_e_star = KernelCombo(he_coef=omega1[0] / coeffs.beta,
                            ge_coef=-omega1[1] / coeffs.beta)
     rho = bound * bound * (3.0 * coeffs.nu_p * G2 ** 2
@@ -228,19 +199,17 @@ def aux_cross(coeffs: GameCoefficients, z0: float, w0: float, pursuer_sign: int)
         / (coeffs.det_G * coeffs.det_F)
     J_cross = _position_form(coeffs, z0, w0, other) + rho
     _require_finite((J_cross,), "the cross-play value")
-    return AuxCrossSolution(pursuer_sign=pursuer_sign, mu_vec=np.array(mu), xi_vec=np.array(xi),
-                            omega1=np.array(omega1), u_e_star=u_e_star, J_cross=J_cross,
-                            rho=rho)
+    return u_e_star, J_cross
 
 
-def solve_erg(coeffs: GameCoefficients, z0: float, w0: float) -> BranchSolution:
+def solve_erg(coeffs: GameCoefficients, z0: float, w0: float, region: Region) -> SaddleSolution:
     """Saddle point of the equality-constrained game outside the strip.
 
-    Picks the branch by the half-plane test on w0 + a z0 and cross-checks it
-    against the fixed-pursuer inequality; a disagreement beyond tolerance is
-    an internal inconsistency.
+    Takes the branch of `region`, the half-plane test on w0 + a z0 that
+    `classify` made at (z0, w0), and cross-checks it against the
+    fixed-pursuer inequality; a disagreement beyond tolerance is an
+    internal inconsistency.
     """
-    region = classify(coeffs, z0, w0)
     if region.label is RegionLabel.OMEGA:
         raise NotInConstrainedRegion(
             "initial position (%g, %g) lies inside the unconstrained strip" % (z0, w0)
@@ -248,16 +217,16 @@ def solve_erg(coeffs: GameCoefficients, z0: float, w0: float) -> BranchSolution:
     sign = 1 if region.label is RegionLabel.OMEGA_PLUS else -1
     branch = solve_erg_branch(coeffs, z0, w0, sign)
 
-    cross = aux_cross(coeffs, z0, w0, sign)
-    value_tol = 1e-8 * max(1.0, abs(branch.value), abs(cross.J_cross))
+    _, J_cross = aux_cross(coeffs, z0, w0, sign)
+    value_tol = 1e-8 * max(1.0, abs(branch.value), abs(J_cross))
     margin = (w0 + coeffs.a * z0) - sign * coeffs.d * coeffs.bound
     margin_tol = 1e-8 * max(1.0, coeffs.bound)
-    inequality_holds = cross.J_cross <= branch.value + value_tol
+    inequality_holds = J_cross <= branch.value + value_tol
     margin_holds = sign * margin >= -margin_tol
     if inequality_holds != margin_holds:
         raise AssertionFailure(
             "branch selection tests disagree at (%g, %g): cost gap %g, margin %g"
-            % (z0, w0, branch.value - cross.J_cross, margin)
+            % (z0, w0, branch.value - J_cross, margin)
         )
     if not inequality_holds:
         raise AssertionFailure(
@@ -284,10 +253,7 @@ def solve_rg(scenario: EngagementScenario,
                 "interior dispatch with infeasible terminal %g" % w_f
             )
         return SaddleSolution(region, *solve_urg(coeffs, z0), w_f=w_f)
-    branch = solve_erg(coeffs, z0, w0)
-    return SaddleSolution(region=region, u_p=branch.u_p, u_e=branch.u_e,
-                          value=branch.value, z_f=float(branch.omega_f[0]),
-                          w_f=branch.sign * coeffs.bound, branch=branch)
+    return solve_erg(coeffs, z0, w0, region)
 
 
 DEFAULT_EPS_SWEEP = tuple(10.0 ** (-k) for k in range(7))

@@ -49,8 +49,11 @@ def test_workload_names_exported():
 
 def test_coefficients_takes_kernels_positionally(study_scenario):
     """The workloads pass the kernels they built as a second positional
-    argument; `coefficients` accepts it and does not need it."""
-    given = z.coefficients(study_scenario, z.Kernels(study_scenario))
+    argument; `coefficients` takes K from them, with the same numbers."""
+    kernels = z.Kernels(study_scenario)
+    given = z.coefficients(study_scenario, kernels)
     built = z.coefficients(study_scenario)
+    assert given.K is kernels.gram()
+    assert given.K.tobytes() == built.K.tobytes()
     for name in ("s", "nu_p", "nu_e", "G2", "G3", "mu_e"):
         assert getattr(given, name) == getattr(built, name), name

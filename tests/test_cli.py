@@ -196,6 +196,19 @@ class TestClassify:
         assert main(["classify", str(path)]) == EXIT_USAGE
         assert "line" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("raw, reason", [
+        (('{"note": "\u00e9", ' + json.dumps(STUDY_DOC)[1:]).encode("latin-1"),
+         "byte 0xe9 in position 10: invalid continuation byte"),
+        (json.dumps(STUDY_DOC).encode("utf-16"), "byte 0xff in position 0: invalid start byte"),
+    ], ids=["latin-1", "utf-16"])
+    def test_non_utf8_file_is_a_scenario_error(self, tmp_path, capsys, raw, reason):
+        """A file that does not decode as UTF-8 is refused by its path."""
+        path = tmp_path / "scenario.json"
+        path.write_bytes(raw)
+        assert main(["solve", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", "scenario error: %s is not UTF-8: 'utf-8' codec "
+                                           "can't decode %s\n" % (path, reason))
+
 
 @pytest.mark.parametrize("verb", ["solve", "classify", "sweep", "table1"])
 @pytest.mark.parametrize("evader", [{"A": [], "b": [], "c": [], "d": 0.0},
@@ -441,14 +454,18 @@ def kernel_builds(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("case, exponentials", [("study", 3), ("mixed", 3), ("t_c=0", 1)])
+@pytest.mark.parametrize("case, exponentials", [
+    ("study", 3), ("mixed", 3), ("t_c=0", 1), ("study --csv", 6), ("study --probe 20", 6),
+    ("table1", 3), ("table1 study", 3), ("repro", 8)])
 def test_solve_exponential_budget(tmp_path, capsys, monkeypatch, case, exponentials):
     """A plain `solve` takes exactly three scaled Pade exponentials: the
     Van Loan block of the kernel Gram matrix, exp(A_e t_c) for g_e's start
     and the sign-scan step of mu_e; at t_c = 0 only the first. Counted on
-    both modules that reach `scaled_exp`."""
-    calls = []
-    scaled_exp = numerics.scaled_exp
+    both modules that reach `scaled_exp`. Every verb forms the kernel Gram
+    matrix once: a verb that builds the kernels hands them to
+    `coefficients`, which reads K from them."""
+    calls, grams = [], []
+    scaled_exp, kernel_gram = numerics.scaled_exp, reduction.kernel_gram
 
     def counting(M):
         calls.append(M.shape)
@@ -456,10 +473,14 @@ def test_solve_exponential_budget(tmp_path, capsys, monkeypatch, case, exponenti
 
     monkeypatch.setattr(numerics, "scaled_exp", counting)
     monkeypatch.setattr(reduction, "scaled_exp", counting)
-    path = {"study": str(STUDY_FILE), "mixed": str(MIXED_ORDERS),
-            "t_c=0": write_doc(tmp_path, lambda d: d["horizon"].update(nu=0.0))}[case]
-    assert main(["solve", path]) == EXIT_OK
-    assert len(calls) == exponentials
+    monkeypatch.setattr(reduction, "kernel_gram", lambda *args: grams.append(args) or
+                        kernel_gram(*args))
+    words = {"study": str(STUDY_FILE), "mixed": str(MIXED_ORDERS),
+             "t_c=0": write_doc(tmp_path, lambda d: d["horizon"].update(nu=0.0)),
+             "--csv": "--csv=%s" % (tmp_path / "t.csv")}
+    argv = [words.get(word, word) for word in case.split()]
+    assert main(argv if argv[0] in ("table1", "repro") else ["solve"] + argv) == EXIT_OK
+    assert (len(grams), len(calls)) == (1, exponentials)
 
 
 @pytest.mark.parametrize("argv", [[verb, str(path)] for verb in ("solve", "classify", "sweep",

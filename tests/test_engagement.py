@@ -198,15 +198,6 @@ class TestScenario:
         with pytest.raises(ValueError):
             resolve_horizons(1.0, t_c=0.5, nu=0.5)
 
-    def test_from_geometry(self):
-        geo = EngagementGeometry(Vp=300.0, Ve=150.0, phi_p0=0.01, phi_e0=0.02)
-        sc = EngagementScenario.from_geometry(
-            ControllerModel.first_order(0.2), ControllerModel.first_order(0.1),
-            t_f=1.0, t_c=0.9, alpha=0.05, beta=0.3, ae_max=100.0, geometry=geo)
-        z0, w0 = initial_zem(geo, 1.0, 0.9)
-        assert (sc.z0, sc.w0) == (z0, w0)
-        assert sc.geometry is geo
-
     def test_replaceable(self, study_scenario):
         moved = dataclasses.replace(study_scenario, z0=1.0, w0=2.0)
         assert (moved.z0, moved.w0) == (1.0, 2.0)

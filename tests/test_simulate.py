@@ -57,7 +57,7 @@ class TestPlayoutReduced:
     def test_terminals_match_linear_prediction(self, study_scenario, study_kernels, study_coeffs):
         branch = solve_erg_branch(study_coeffs, 100.0, -100.0, 1)
         play = playout_reduced(study_scenario, study_kernels, branch.u_p, branch.u_e)
-        assert play.z_f == pytest.approx(branch.omega_f[0], rel=1e-9)
+        assert play.z_f == pytest.approx(branch.z_f, rel=1e-9)
         assert play.w_f == pytest.approx(study_coeffs.bound, rel=1e-9)
 
     def test_grid_refinement_stable(self, study_scenario, study_kernels, study_coeffs):
@@ -275,9 +275,10 @@ class TestPlayoutFull:
 
     def test_geometry_initial_state_consistent(self, study_kernels):
         geo = z.EngagementGeometry(Vp=300.0, Ve=1.0, phi_p0=0.0, phi_e0=100.0 / 1.9)
-        sc = z.EngagementScenario.from_geometry(
+        z0, w0 = z.initial_zem(geo, 1.0, 0.9)
+        sc = z.EngagementScenario(
             z.ControllerModel.first_order(0.2), z.ControllerModel.first_order(0.1),
-            t_f=1.0, t_c=0.9, alpha=0.05, beta=0.3, ae_max=100.0, geometry=geo)
+            t_f=1.0, t_c=0.9, alpha=0.05, beta=0.3, ae_max=100.0, z0=z0, w0=w0, geometry=geo)
         play = playout_full(sc, ZERO, ZERO, TimeGrid(0.0, 1.0, 201))
         assert play.z_traj[0] == pytest.approx(sc.z0, rel=1e-10)
         assert play.w_traj[0] == pytest.approx(sc.w0, rel=1e-10)

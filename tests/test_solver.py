@@ -6,6 +6,7 @@ import pytest
 import zemgame as z
 from zemgame import (
     KernelCombo,
+    Region,
     RegionLabel,
     aux_cross,
     classify,
@@ -17,10 +18,9 @@ from zemgame import (
     solve_erg,
     solve_erg_branch,
     solve_rg,
-    solve_upg,
     solve_urg,
 )
-from zemgame import reference
+from zemgame import reference, solver
 from zemgame.cli import load_scenario
 from zemgame.errors import NearSingularError, NonFiniteResult, NotInConstrainedRegion
 from zemgame.solver import DEFAULT_EPS_SWEEP
@@ -144,13 +144,15 @@ class TestStripValue:
 
 
 class TestSolveUpg:
+    """The penalized game at one eps: the one-record `penalty_sweep`."""
+
     def test_eps_to_zero_limit(self, study_coeffs):
         branch = solve_erg_branch(study_coeffs, 100.0, -100.0, 1)
-        sol = solve_upg(study_coeffs, 100.0, -100.0, 1, eps=1e-12)
-        np.testing.assert_allclose(sol.omega_eps, branch.omega_f, rtol=1e-10)
+        (sol,) = penalty_sweep(study_coeffs, 100.0, -100.0, 1, [1e-12])
+        np.testing.assert_allclose(sol.omega_eps, [branch.z_f, branch.v_f], rtol=1e-10)
 
     def test_eps_one_matches_direct_solve(self, study_coeffs):
-        sol = solve_upg(study_coeffs, 100.0, -100.0, 1, eps=1.0)
+        (sol,) = penalty_sweep(study_coeffs, 100.0, -100.0, 1, [1.0])
         direct = solve2(study_coeffs.G + np.diag([0.0, 1.0]),
                         np.array([100.0, -100.0 - study_coeffs.bound]))
         np.testing.assert_allclose(sol.omega_eps, direct, rtol=1e-13)
@@ -158,15 +160,15 @@ class TestSolveUpg:
         assert sol.value == pytest.approx(ORACLE.upg_eps1_value, rel=1e-8)
 
     def test_large_eps_recovers_unconstrained_play(self, study_coeffs):
-        sol = solve_upg(study_coeffs, 100.0, -100.0, 1, eps=1e9)
+        (sol,) = penalty_sweep(study_coeffs, 100.0, -100.0, 1, [1e9])
         assert sol.omega_eps[0] == pytest.approx(100.0 / study_coeffs.s, rel=1e-6)
         assert sol.omega_eps[1] == pytest.approx(0.0, abs=1e-6)
 
     @pytest.mark.parametrize("sign", [1, -1])
     @pytest.mark.parametrize("eps", [1.0, 1e-3])
     def test_is_the_sweep_record(self, study_coeffs, sign, eps):
-        rec = solve_upg(study_coeffs, 100.0, -100.0, sign, eps)
-        (swept,) = penalty_sweep(study_coeffs, 100.0, -100.0, sign, [eps])
+        (rec,) = penalty_sweep(study_coeffs, 100.0, -100.0, sign, [eps])
+        swept = penalty_sweep(study_coeffs, 100.0, -100.0, sign, [10.0, eps, 1e-9])[1]
         assert np.array_equal(rec.omega_eps, swept.omega_eps)
         for name in ("eps", "u_p", "u_e", "value", "z_f", "w_f"):
             assert getattr(rec, name) == getattr(swept, name), name
@@ -175,33 +177,40 @@ class TestSolveUpg:
 
     def test_eps_must_be_positive(self, study_coeffs):
         with pytest.raises(ValueError):
-            solve_upg(study_coeffs, 1.0, 1.0, 1, eps=0.0)
+            penalty_sweep(study_coeffs, 1.0, 1.0, 1, [0.0])
 
     @pytest.mark.parametrize("eps", [float("nan"), float("inf")])
     def test_eps_must_be_finite(self, study_coeffs, eps):
         with pytest.raises(ValueError, match="finite"):
-            solve_upg(study_coeffs, 1.0, 1.0, 1, eps=eps)
+            penalty_sweep(study_coeffs, 1.0, 1.0, 1, [eps])
 
 
 class TestSolveErgBranch:
     def test_study_plus(self, study_coeffs):
-        branch = solve_erg_branch(study_coeffs, 100.0, -100.0, 1)
-        np.testing.assert_allclose(branch.omega_f, ORACLE.omega_plus, atol=1e-6)
+        """Forced against the dispatch: the study position lies in
+        OmegaMinus, so the plus branch's margin is negative."""
+        c = study_coeffs
+        branch = solve_erg_branch(c, 100.0, -100.0, 1)
+        np.testing.assert_allclose([branch.z_f, branch.v_f], ORACLE.omega_plus, atol=1e-6)
         assert branch.value == pytest.approx(ORACLE.value_plus, rel=1e-8)
-        np.testing.assert_allclose(branch.b_vec, [100.0, -100.0 - study_coeffs.bound])
+        assert branch.w_f == c.bound
+        assert branch.region == Region(RegionLabel.OMEGA_PLUS, -100.0 + c.a * 100.0 - c.bound)
+        assert branch.region.margin < 0.0
 
     def test_study_minus(self, study_coeffs):
         branch = solve_erg_branch(study_coeffs, 100.0, -100.0, -1)
-        np.testing.assert_allclose(branch.omega_f, ORACLE.omega_minus, atol=1e-6)
+        np.testing.assert_allclose([branch.z_f, branch.v_f], ORACLE.omega_minus, atol=1e-6)
         assert branch.value == pytest.approx(ORACLE.value_minus, rel=1e-8)
+        assert branch.w_f == -study_coeffs.bound
+        assert branch.region == classify(study_coeffs, 100.0, -100.0)
 
     def test_boundary_position_degenerates_to_unconstrained(self, study_coeffs):
         c = study_coeffs
         z0 = 80.0
         w0 = c.bound - c.a * z0
         branch = solve_erg_branch(c, z0, w0, 1)
-        assert branch.omega_f[1] == pytest.approx(0.0, abs=1e-12)
-        assert branch.omega_f[0] == pytest.approx(z0 / c.s, rel=1e-12)
+        assert branch.v_f == pytest.approx(0.0, abs=1e-12)
+        assert branch.z_f == pytest.approx(z0 / c.s, rel=1e-12)
         u_p, u_e, _, _ = solve_urg(c, z0)
         assert branch.u_p.hp_coef == pytest.approx(u_p.hp_coef, rel=1e-12)
         assert branch.u_e.he_coef == pytest.approx(u_e.he_coef, rel=1e-12)
@@ -209,26 +218,32 @@ class TestSolveErgBranch:
 
     def test_control_coefficients(self, study_coeffs):
         branch = solve_erg_branch(study_coeffs, 100.0, -100.0, 1)
-        z_f, v_f = branch.omega_f
+        z_f, v_f = branch.z_f, branch.v_f
         assert branch.u_p.hp_coef == pytest.approx(-z_f / study_coeffs.alpha, rel=1e-14)
         assert branch.u_e.he_coef == pytest.approx(z_f / study_coeffs.beta, rel=1e-14)
         assert branch.u_e.ge_coef == pytest.approx(-v_f / study_coeffs.beta, rel=1e-14)
 
 
+def _erg(coeffs, z0, w0):
+    return solve_erg(coeffs, z0, w0, classify(coeffs, z0, w0))
+
+
 class TestSolveErg:
     def test_sign_selection(self, study_coeffs):
-        assert solve_erg(study_coeffs, 100.0, 50.0).sign == 1
-        assert solve_erg(study_coeffs, -100.0, -20.0).sign == -1
+        assert _erg(study_coeffs, 100.0, 50.0).region.label is RegionLabel.OMEGA_PLUS
+        assert _erg(study_coeffs, -100.0, -20.0).region.label is RegionLabel.OMEGA_MINUS
+        assert _erg(study_coeffs, 100.0, 50.0) == solve_erg_branch(study_coeffs, 100.0, 50.0, 1)
 
     def test_interior_rejected(self, study_coeffs):
         with pytest.raises(NotInConstrainedRegion):
-            solve_erg(study_coeffs, 0.0, 0.0)
+            _erg(study_coeffs, 0.0, 0.0)
 
     def test_antisymmetry(self, study_coeffs):
-        sol = solve_erg(study_coeffs, 100.0, 50.0)
-        mirrored = solve_erg(study_coeffs, -100.0, -50.0)
-        assert mirrored.sign == -sol.sign
-        np.testing.assert_allclose(mirrored.omega_f, -sol.omega_f, rtol=1e-12)
+        sol = _erg(study_coeffs, 100.0, 50.0)
+        mirrored = _erg(study_coeffs, -100.0, -50.0)
+        assert mirrored.w_f == -sol.w_f
+        np.testing.assert_allclose([mirrored.z_f, mirrored.v_f], [-sol.z_f, -sol.v_f],
+                                   rtol=1e-12)
         assert mirrored.u_p.hp_coef == pytest.approx(-sol.u_p.hp_coef, rel=1e-12)
         assert mirrored.u_e.he_coef == pytest.approx(-sol.u_e.he_coef, rel=1e-12)
         assert mirrored.u_e.ge_coef == pytest.approx(-sol.u_e.ge_coef, rel=1e-12)
@@ -236,6 +251,19 @@ class TestSolveErg:
 
 
 EPS = np.finfo(float).eps
+
+
+def _rho(c):
+    """The position-free part of the cross-play value."""
+    return (c.bound ** 2 * (3.0 * c.nu_p * c.G2 ** 2 - (c.G1 - c.nu_p) * c.det_G)
+            / (c.det_G * c.det_F))
+
+
+def _xi(c, z0, w0, sign):
+    """xi = (-nu_p z_fix, sign*bound): the pursuer's fixed branch as a
+    shift of the evader's initial position."""
+    z_fix = np.linalg.solve(c.G, np.array([z0, w0 - sign * c.bound]))[0]
+    return np.array([-c.nu_p * z_fix, sign * c.bound])
 
 
 class TestFloatForms:
@@ -257,8 +285,14 @@ class TestFloatForms:
                     branch = solve_erg_branch(c, z0, w0, sign)
                     gamma = np.array([0.0, -sign * c.bound])
                     omega = solve2(c.G, np.array([z0, w0]) + gamma)
-                    np.testing.assert_array_equal(branch.omega_f, omega)
-                    np.testing.assert_array_equal(branch.gamma, gamma)
+                    np.testing.assert_array_equal([branch.z_f, branch.v_f], omega)
+                    assert branch.w_f == -gamma[1]
+                    # the margin is classify's on the branch's half-plane, and
+                    # negative exactly where the dispatch picks another region
+                    region = classify(c, z0, w0)
+                    if region.label is branch.region.label:
+                        assert branch.region == region
+                    assert (sign * branch.region.margin < 0.0) == (region != branch.region)
                     want = float(omega @ c.G_tilde @ omega)
                     scale = float(np.abs(omega) @ np.abs(c.G_tilde) @ np.abs(omega))
                     assert abs(branch.value - want) <= 4.0 * EPS * scale
@@ -268,18 +302,20 @@ class TestFloatForms:
         for c in [study_coeffs] + self.coefficient_sets():
             for z0, w0 in rng.uniform(-300.0, 300.0, (25, 2)) * 10.0 ** rng.uniform(-3, 3, (25, 1)):
                 for sign in (1, -1):
-                    cross = aux_cross(c, z0, w0, sign)
+                    u_e_star, J_cross = aux_cross(c, z0, w0, sign)
                     chi0 = np.array([z0, w0])
                     other = np.array([0.0, sign * c.bound])
                     omega_fix = solve2(c.G, chi0 - other)
                     mu = chi0 + other - np.array([c.nu_p * omega_fix[0], 0.0])
-                    np.testing.assert_array_equal(cross.mu_vec, mu)
-                    np.testing.assert_array_equal(cross.omega1, solve2(c.F, mu))
+                    omega1 = solve2(c.F, mu)
+                    assert (u_e_star.he_coef, u_e_star.ge_coef) == (omega1[0] / c.beta,
+                                                                    -omega1[1] / c.beta)
+                    rho = _rho(c)
                     Gb = c.G_bar
-                    want = float(chi0 @ Gb @ chi0 + 2.0 * chi0 @ Gb @ other + cross.rho)
+                    want = float(chi0 @ Gb @ chi0 + 2.0 * chi0 @ Gb @ other + rho)
                     scale = float(np.abs(chi0) @ np.abs(Gb) @ (np.abs(chi0) + 2.0 * np.abs(other))
-                                  + abs(cross.rho))
-                    assert abs(cross.J_cross - want) <= 4.0 * EPS * scale
+                                  + abs(rho))
+                    assert abs(J_cross - want) <= 4.0 * EPS * scale
 
 
 class TestNonFinite:
@@ -309,13 +345,20 @@ class TestNonFinite:
 
 class TestAuxCross:
     def test_study_values(self, study_coeffs):
-        plus = aux_cross(study_coeffs, 100.0, -100.0, 1)
-        np.testing.assert_allclose(plus.omega1, ORACLE.aux_plus_omega1, atol=1e-6)
-        assert plus.J_cross == pytest.approx(ORACLE.aux_plus_J, rel=1e-8)
-        assert plus.rho == pytest.approx(ORACLE.rho, rel=1e-8)
-        minus = aux_cross(study_coeffs, 100.0, -100.0, -1)
-        np.testing.assert_allclose(minus.omega1, ORACLE.aux_minus_omega1, atol=1e-6)
-        assert minus.J_cross == pytest.approx(ORACLE.aux_minus_J, rel=1e-8)
+        """omega1 = beta (he_coef, -ge_coef) of the reply, and rho is what
+        the value holds beyond its quadratic form in the position."""
+        c = study_coeffs
+        chi0 = np.array([100.0, -100.0])
+        for sign, omega1, J in ((1, ORACLE.aux_plus_omega1, ORACLE.aux_plus_J),
+                                (-1, ORACLE.aux_minus_omega1, ORACLE.aux_minus_J)):
+            u_e_star, J_cross = aux_cross(c, *chi0, sign)
+            np.testing.assert_allclose([c.beta * u_e_star.he_coef, -c.beta * u_e_star.ge_coef],
+                                       omega1, atol=1e-6)
+            assert J_cross == pytest.approx(J, rel=1e-8)
+            other = np.array([0.0, sign * c.bound])
+            rho = J_cross - (chi0 @ c.G_bar @ chi0 + 2.0 * chi0 @ c.G_bar @ other)
+            assert rho == pytest.approx(ORACLE.rho, rel=1e-8)
+        assert _rho(c) == pytest.approx(ORACLE.rho, rel=1e-8)
 
     def test_quadratic_form_matches_composed_cost(self, study_coeffs):
         # same value through the solved-system route:
@@ -323,23 +366,23 @@ class TestAuxCross:
         c = study_coeffs
         chi0 = np.array([100.0, -100.0])
         for sign in (1, -1):
-            sol = aux_cross(c, *chi0, sign)
+            _, J_cross = aux_cross(c, *chi0, sign)
             gamma_fix = np.array([0.0, -sign * c.bound])
-            xi = sol.xi_vec
+            xi = _xi(c, *chi0, sign)
             Fb = c.F_bar
             je = chi0 @ Fb @ chi0 + 2.0 * chi0 @ Fb @ xi + xi @ Fb @ xi
             ginv_b = np.linalg.solve(c.G, chi0 + gamma_fix)
             effort = ginv_b @ np.diag([c.nu_p, 0.0]) @ ginv_b
-            assert sol.J_cross == pytest.approx(je + effort, rel=1e-10)
+            assert J_cross == pytest.approx(je + effort, rel=1e-10)
 
     def test_quadratic_form_matches_simulation(self, study_scenario, study_kernels, study_coeffs):
         for sign in (1, -1):
             branch = solve_erg_branch(study_coeffs, 100.0, -100.0, sign)
-            sol = aux_cross(study_coeffs, 100.0, -100.0, sign)
-            cost = evaluate_cost(study_scenario, study_kernels, branch.u_p, sol.u_e_star)
-            assert sol.J_cross == pytest.approx(cost.total, rel=1e-6)
+            u_e_star, J_cross = aux_cross(study_coeffs, 100.0, -100.0, sign)
+            cost = evaluate_cost(study_scenario, study_kernels, branch.u_p, u_e_star)
+            assert J_cross == pytest.approx(cost.total, rel=1e-6)
             # the reply reaches the opposite terminal sign
-            play = z.playout_reduced(study_scenario, study_kernels, branch.u_p, sol.u_e_star)
+            play = z.playout_reduced(study_scenario, study_kernels, branch.u_p, u_e_star)
             assert play.w_f == pytest.approx(-sign * study_coeffs.bound, rel=1e-6)
 
     def test_inequality_matches_half_plane_test(self, study_coeffs):
@@ -349,8 +392,8 @@ class TestAuxCross:
             z0, w0 = rng.uniform(-300.0, 300.0, 2)
             for sign in (1, -1):
                 branch = solve_erg_branch(c, z0, w0, sign)
-                cross = aux_cross(c, z0, w0, sign)
-                inequality = cross.J_cross <= branch.value + 1e-9 * max(1.0, abs(branch.value))
+                _, J_cross = aux_cross(c, z0, w0, sign)
+                inequality = J_cross <= branch.value + 1e-9 * max(1.0, abs(branch.value))
                 margin = sign * ((w0 + c.a * z0) - sign * c.d * c.bound) >= -1e-9
                 assert inequality == margin
 
@@ -366,15 +409,15 @@ class TestAuxCross:
                 z0, w0 = rng.uniform(-200.0, 200.0, 2)
                 for sign in (1, -1):
                     branch = solve_erg_branch(c, z0, w0, sign)
-                    cross = aux_cross(c, z0, w0, sign)
+                    _, J_cross = aux_cross(c, z0, w0, sign)
                     gamma_fix = np.array([0.0, -sign * c.bound])
-                    xi = cross.xi_vec
+                    xi = _xi(c, z0, w0, sign)
                     je = (np.array([z0, w0]) @ c.F_bar @ np.array([z0, w0])
                           + 2.0 * np.array([z0, w0]) @ c.F_bar @ xi + xi @ c.F_bar @ xi)
                     ginv_b = np.linalg.solve(c.G, np.array([z0, w0]) + gamma_fix)
                     effort = ginv_b @ np.diag([c.nu_p, 0.0]) @ ginv_b
-                    assert cross.J_cross == pytest.approx(je + effort, rel=1e-9, abs=1e-9)
-                    inequality = cross.J_cross <= branch.value + 1e-9 * max(1.0, abs(branch.value))
+                    assert J_cross == pytest.approx(je + effort, rel=1e-9, abs=1e-9)
+                    inequality = J_cross <= branch.value + 1e-9 * max(1.0, abs(branch.value))
                     margin = sign * ((w0 + c.a * z0) - sign * c.d * c.bound) >= -1e-9 * max(1.0, c.bound)
                     assert inequality == margin
 
@@ -384,7 +427,7 @@ class TestSolveRg:
         sc = dataclasses.replace(study_scenario, z0=100.0, w0=-50.0, geometry=None)
         sol = solve_rg(sc, coeffs=study_coeffs)
         assert sol.region.label is RegionLabel.OMEGA
-        assert sol.branch is None
+        assert sol.v_f == 0.0
         assert sol.w_f == pytest.approx(ORACLE.urg_w_f_a, abs=1e-5)
         assert sol.z_f == pytest.approx(100.0 / study_coeffs.s, rel=1e-12)
 
@@ -392,7 +435,7 @@ class TestSolveRg:
         plus = dataclasses.replace(study_scenario, z0=100.0, w0=50.0, geometry=None)
         sol = solve_rg(plus, coeffs=study_coeffs)
         assert sol.region.label is RegionLabel.OMEGA_PLUS
-        assert sol.branch.sign == 1
+        assert sol == solve_erg_branch(study_coeffs, 100.0, 50.0, 1)
         assert sol.value == pytest.approx(ORACLE.table_plus[("+", "+")], rel=1e-7)
         assert sol.w_f == pytest.approx(study_coeffs.bound, rel=1e-12)
 
@@ -400,6 +443,18 @@ class TestSolveRg:
         sol = solve_rg(minus, coeffs=study_coeffs)
         assert sol.region.label is RegionLabel.OMEGA_MINUS
         assert sol.value == pytest.approx(ORACLE.table_minus[("-", "-")], rel=1e-7)
+
+    @pytest.mark.parametrize("position", [(100.0, -50.0), (100.0, 50.0), (-100.0, -20.0)],
+                             ids=["strip", "plus", "minus"])
+    def test_classifies_once(self, study_scenario, study_coeffs, monkeypatch, position):
+        """A dispatched solve classifies its position once, and the branch
+        solve takes that region."""
+        calls = []
+        monkeypatch.setattr(solver, "classify", lambda *args: calls.append(args) or classify(*args))
+        sc = dataclasses.replace(study_scenario, z0=position[0], w0=position[1], geometry=None)
+        sol = solve_rg(sc, coeffs=study_coeffs)
+        assert calls == [(study_coeffs, *position)]
+        assert sol.region == classify(study_coeffs, *position)
 
     def test_terminals_consistent_with_playout(self, study_scenario, study_kernels, study_coeffs):
         for z0, w0 in ((100.0, -50.0), (100.0, 50.0), (-100.0, -20.0)):
@@ -445,7 +500,7 @@ class TestPenaltySweep:
         branch = solve_erg_branch(study_coeffs, 100.0, -100.0, 1)
         records = penalty_sweep(study_coeffs, 100.0, -100.0, 1)
         assert [r.eps for r in records] == [10.0 ** (-k) for k in range(7)]
-        gaps = np.array([np.linalg.norm(r.omega_eps - branch.omega_f) for r in records])
+        gaps = np.array([np.linalg.norm(r.omega_eps - (branch.z_f, branch.v_f)) for r in records])
         assert (np.diff(gaps) < 0).all()
         ratios = gaps[1:] / gaps[:-1]
         np.testing.assert_allclose(ratios[-3:], 0.1, rtol=0.01)
@@ -521,12 +576,13 @@ class TestPenaltySweep:
                     assert [r.z_f for r in records] == got[0]
                 z_f, v_f = solve2_entries_reference(c.G1, c.G2, -c.G2, c.G3, np.array([z0]),
                                                     np.array([w0 - sign * c.bound]))
-                assert solve_erg_branch(c, z0, w0, sign).omega_f.tolist() == [*z_f, *v_f]
-                cross = aux_cross(c, z0, w0, sign)
+                branch = solve_erg_branch(c, z0, w0, sign)
+                assert [branch.z_f, branch.v_f] == [*z_f, *v_f]
+                u_e_star, _ = aux_cross(c, z0, w0, sign)
                 mu = (z0 - c.nu_p * z_f, w0 + sign * c.bound)
                 omega1 = solve2_entries_reference(1.0 - c.nu_e, c.G2, -c.G2, c.G3, *mu)
-                assert cross.mu_vec.tolist() == [*mu[0], mu[1]]
-                assert cross.omega1.tolist() == [*omega1[0], *omega1[1]]
+                assert [u_e_star.he_coef, u_e_star.ge_coef] == [*omega1[0] / c.beta,
+                                                                *-omega1[1] / c.beta]
 
     def test_first_singular_eps_raises(self, study_coeffs):
         """G + diag(0, eps) is singular at eps = 0.01 exactly (determinant
@@ -537,7 +593,7 @@ class TestPenaltySweep:
             penalty_sweep(c, 1.0, 1.0, 1, [1.0, 0.01, 0.01 - 1e-14, 1e-3])
         assert len(penalty_sweep(c, 1.0, 1.0, 1, [1.0, 1e-3])) == 2
         with pytest.raises(NearSingularError, match=r"determinant 0 is below"):
-            solve_upg(c, 1.0, 1.0, 1, 0.01)
+            penalty_sweep(c, 1.0, 1.0, 1, [0.01])
 
     @pytest.mark.parametrize("eps_list", [[float("nan")] * 3, [float("inf"), 1.0, 1e-6],
                                           [1.0, 1e-3, float("nan")]])
@@ -588,8 +644,9 @@ class TestRandomizedScenarios:
             c = coefficients(sc, k)
             for sign in (1, -1):
                 branch = solve_erg_branch(c, sc.z0, sc.w0, sign)
-                resid = c.G @ branch.omega_f - branch.b_vec
-                assert np.abs(resid).max() <= 1e-9 * max(1.0, np.abs(branch.b_vec).max())
+                b = np.array([sc.z0, sc.w0 - sign * c.bound])
+                resid = c.G @ [branch.z_f, branch.v_f] - b
+                assert np.abs(resid).max() <= 1e-9 * max(1.0, np.abs(b).max())
 
     def test_dispatch_and_playout_on_random_models(self):
         rng = np.random.default_rng(67)
