@@ -5,12 +5,7 @@ from .engagement import (
     ControllerModel,
     EngagementGeometry,
     EngagementScenario,
-    build_evader_ss,
-    build_game_ss,
-    build_relative_ss,
     first_order_scenario,
-    initial_zem,
-    resolve_horizons,
 )
 from .errors import (
     AssertionFailure,
@@ -21,18 +16,15 @@ from .errors import (
     SolvabilityError,
     ZemGameError,
 )
-from .numerics import TimeGrid, mat_exp, ode_playout, quad_adaptive, solve2
+from .numerics import TimeGrid
 from .reduction import (
     AffineInTime,
     Constant,
-    ControlLaw,
     GameCoefficients,
     KernelCombo,
     Kernels,
     Sampled,
     coefficients,
-    mu_e,
-    sample_control,
 )
 from .simulate import (
     CostBreakdown,
@@ -50,13 +42,10 @@ from .solver import (
     Region,
     RegionLabel,
     SaddleSolution,
-    aux_cross,
     classify,
     penalty_sweep,
-    solve_erg,
     solve_erg_branch,
     solve_rg,
-    solve_urg,
 )
 
 __version__ = "0.1.0"

@@ -304,6 +304,10 @@ def cmd_table1(args) -> int:
     pos_plus, pos_minus = _table1_positions(doc)
     kern = Kernels(scenario)
     coeffs = coefficients(scenario, kern)
+    if coeffs.constraint_degenerate:
+        raise ScenarioFormatError("t_c = 0 collapses the terminal constraint to w(t_f) = 0: "
+                                  "both branches pin w_f = 0, so the cross-play table ties "
+                                  "and has no saddle ordering to show")
     for path, pos, want in (("table1.plus", pos_plus, RegionLabel.OMEGA_PLUS),
                             ("table1.minus", pos_minus, RegionLabel.OMEGA_MINUS)):
         got = classify(coeffs, *pos).label

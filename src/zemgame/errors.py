@@ -66,4 +66,6 @@ class AssertionFailure(ZemGameError):
 
 
 class ScenarioFormatError(ZemGameError):
-    """A scenario document is malformed; the message names the offending key."""
+    """A scenario document is malformed, or valid but without the result a
+    verb asks of it (a t_c = 0 cross-play table); the message names the
+    offending key or condition."""

@@ -646,8 +646,10 @@ def _sign_cells(A: np.ndarray, span: float) -> int:
 
 
 def _tail_weight(A: np.ndarray, B: np.ndarray, t_c: float) -> float:
-    """int_0^t_c |D exp(A s) B| ds, exactly, for a player block (A, B) and
-    D = e_0 picking its position.
+    """The reachability weight mu_e of `coefficients`: how much terminal
+    correction the evader can accumulate on the tail [t_f, t_f + t_c] under
+    its acceleration bound, int_0^t_c |D exp(A s) B| ds, exactly, for its
+    block (A, B) and D = e_0 picking its position.
 
     With P(s) = int_0^s D exp(A r) B dr read from the augmented exponential,
     the integral is sum |P(rho_{i+1}) - P(rho_i)| over the sign changes rho_i
@@ -695,14 +697,6 @@ def _tail_weight(A: np.ndarray, B: np.ndarray, t_c: float) -> float:
         knots.append(float(r[n]))
     knots.append(float(rows[-1, n]))
     return float(np.abs(np.diff(knots)).sum())
-
-
-def mu_e(scenario: EngagementScenario) -> float:
-    """Reachability weight: how much terminal correction the evader can
-    accumulate on the tail [t_f, t_f + t_c] under its acceleration bound,
-    int |g_e| over the tail."""
-    ev = build_player_ss(scenario.evader)
-    return _tail_weight(ev.A, ev.B, scenario.t_c)
 
 
 def integral_g_e(scenario: EngagementScenario) -> float:

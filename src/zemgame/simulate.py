@@ -80,7 +80,7 @@ def _kernel_law_coefs(u_p: ControlLaw, u_e: ControlLaw) -> Optional[tuple[float,
     return None
 
 
-def playout_reduced(scenario: EngagementScenario, kernels: Optional[Kernels],
+def playout_reduced(scenario: EngagementScenario, kernels: Kernels,
                     u_p: ControlLaw, u_e: ControlLaw,
                     grid: Optional[TimeGrid] = None) -> Playout:
     """Integrate dz = h_p u_p + h_e u_e, dw = g_e u_e from (z0, w0) over the
@@ -95,8 +95,7 @@ def playout_reduced(scenario: EngagementScenario, kernels: Optional[Kernels],
     no panel is formed per call. Any other pair, and kernel laws whose
     combination is not finite, take the panels of their own samples.
     """
-    k = kernels if kernels is not None else Kernels(scenario)
-    bundle = k.bundle(grid)
+    bundle = kernels.bundle(grid)
     up, ue = bundle.control(u_p), bundle.control(u_e)
     coefs = _kernel_law_coefs(u_p, u_e)
     zw = None
@@ -143,7 +142,7 @@ def _combo_integrals(gram: np.ndarray, u_p: KernelCombo, u_e: KernelCombo,
     return z_f, pursuer, evader
 
 
-def evaluate_cost(scenario: EngagementScenario, kernels: Optional[Kernels],
+def evaluate_cost(scenario: EngagementScenario, kernels: Kernels,
                   u_p: ControlLaw, u_e: ControlLaw,
                   grid: Optional[TimeGrid] = None) -> CostBreakdown:
     """Terminal miss squared plus weighted control efforts,
@@ -159,11 +158,10 @@ def evaluate_cost(scenario: EngagementScenario, kernels: Optional[Kernels],
     """
     if grid is not None:
         check_spans_horizon(grid, scenario.t_f)
-    k = kernels if kernels is not None else Kernels(scenario)
     if isinstance(u_p, KernelCombo) and isinstance(u_e, KernelCombo):
-        z_f, up2, ue2 = _combo_integrals(k.gram(), u_p, u_e, scenario.z0)
+        z_f, up2, ue2 = _combo_integrals(kernels.gram(), u_p, u_e, scenario.z0)
     else:
-        bundle = k.bundle(grid)
+        bundle = kernels.bundle(grid)
         up, ue, w = bundle.control(u_p), bundle.control(u_e), bundle.weights
         z_f = scenario.z0 + w @ (bundle.h_p * up + bundle.h_e * ue)
         up2, ue2 = w @ (up * up), w @ (ue * ue)
@@ -194,8 +192,7 @@ def _initial_full_state(scenario: EngagementScenario) -> np.ndarray:
 
 
 def playout_full(scenario: EngagementScenario, u_p: ControlLaw, u_e: ControlLaw,
-                 grid: Optional[TimeGrid] = None,
-                 kernels: Optional[Kernels] = None) -> FullPlayout:
+                 grid: Optional[TimeGrid] = None, *, kernels: Kernels) -> FullPlayout:
     """Integrate the stacked player blocks and reconstruct z(t), w(t).
 
     The state follows dx/dt = A x + B u_p + C u_e of `build_game_ss` by the
@@ -213,8 +210,7 @@ def playout_full(scenario: EngagementScenario, u_p: ControlLaw, u_e: ControlLaw,
     kernel laws whose sums are not finite, run `rk4_affine` on their own
     controls, so their errors are those of that direct path.
     """
-    k = kernels if kernels is not None else Kernels(scenario)
-    bundle = k.bundle(grid)
+    bundle = kernels.bundle(grid)
     x0 = _initial_full_state(scenario)
     n_p = scenario.pursuer.order + 2
     coefs = _kernel_law_coefs(u_p, u_e)
@@ -261,8 +257,7 @@ def _combined_full(bundle: SampleBundle, v_p: float, v_e: float, c_p: float, c_h
 
 
 def cross_play(scenario: EngagementScenario, u_p_choice: ControlLaw, u_e_choice: ControlLaw,
-               kernels: Optional[Kernels] = None,
-               grid: Optional[TimeGrid] = None) -> CostBreakdown:
+               kernels: Kernels, grid: Optional[TimeGrid] = None) -> CostBreakdown:
     """Cost of an arbitrary pairing of control laws (typically one player's
     branch optimum against the other branch's), by `evaluate_cost`: exact
     from the kernels' Gram matrix for two `KernelCombo` laws, which is
@@ -344,8 +339,7 @@ def _quadratic(V: np.ndarray, gram: np.ndarray) -> np.ndarray:
 
 
 def saddle_probe(scenario: EngagementScenario, solution: SaddleSolution,
-                 n_trials: int = 100, seed: int = 0,
-                 kernels: Optional[Kernels] = None,
+                 n_trials: int = 100, seed: int = 0, *, kernels: Kernels,
                  grid: Optional[TimeGrid] = None) -> ProbeReport:
     """Empirical saddle check around a solved pair of kernel laws
     (`KernelCombo`; any other law is refused with TypeError).
@@ -373,9 +367,8 @@ def saddle_probe(scenario: EngagementScenario, solution: SaddleSolution,
     u_p, u_e = solution.u_p, solution.u_e
     if not (isinstance(u_p, KernelCombo) and isinstance(u_e, KernelCombo)):
         raise TypeError("the saddle probe takes kernel laws, not %r and %r" % (u_p, u_e))
-    k = kernels if kernels is not None else Kernels(scenario)
-    bundle = k.bundle(grid)
-    z_f, up2, ue2 = _combo_integrals(k.gram(), u_p, u_e, scenario.z0)
+    bundle = kernels.bundle(grid)
+    z_f, up2, ue2 = _combo_integrals(kernels.gram(), u_p, u_e, scenario.z0)
     alpha, beta = scenario.alpha, scenario.beta
     nb = _PROBE_BASIS_SIZE
     legendre = bundle.legendre(nb, scenario.t_f)

@@ -19,12 +19,7 @@ import numpy as np
 from .engagement import EngagementScenario
 from .errors import AssertionFailure, NearSingularError, NonFiniteResult, NotInConstrainedRegion
 from .numerics import solve2_entries
-from .reduction import (
-    ControlLaw,
-    GameCoefficients,
-    KernelCombo,
-    coefficients as build_coefficients,
-)
+from .reduction import ControlLaw, GameCoefficients, KernelCombo
 
 
 class RegionLabel(str, Enum):
@@ -235,15 +230,13 @@ def solve_erg(coeffs: GameCoefficients, z0: float, w0: float, region: Region) ->
     return branch
 
 
-def solve_rg(scenario: EngagementScenario,
-             coeffs: Optional[GameCoefficients] = None) -> SaddleSolution:
-    """Complete open-loop saddle point of the reduced game.
+def solve_rg(scenario: EngagementScenario, coeffs: GameCoefficients) -> SaddleSolution:
+    """Complete open-loop saddle point of the reduced game with the
+    scenario's coefficients (`reduction.coefficients`) at its position.
 
     Dispatches on the region of (z0, w0): the unconstrained solution inside
     the strip, the matching equality branch outside.
     """
-    if coeffs is None:
-        coeffs = build_coefficients(scenario)
     z0, w0 = scenario.z0, scenario.w0
     region = classify(coeffs, z0, w0)
     if region.label is RegionLabel.OMEGA:

@@ -19,7 +19,7 @@ import numpy as np
 import zemgame as z
 from zemgame.errors import AssertionFailure, NearSingularError, NotInConstrainedRegion
 from zemgame.numerics import (_PADE13_ABS_C_RECIP, _PADE13_B, _PADE13_ETA_THETA,
-                              _PADE13_THETA)
+                              _PADE13_THETA, quad_adaptive, solve2)
 from zemgame.reduction import _assemble, simpson_panels
 
 ORACLE = SimpleNamespace(
@@ -78,7 +78,7 @@ MIXED_ORDERS = Path(__file__).resolve().parents[1] / "scenarios" / "geometry_mix
 def solvability_threshold(kernels, tol=1e-10):
     """int h_e^2 over the game horizon by adaptive quadrature; the evader
     effort weight must strictly exceed it."""
-    return z.quad_adaptive(lambda t: kernels.h_e(t) ** 2, 0.0, kernels.t_f, tol)
+    return quad_adaptive(lambda t: kernels.h_e(t) ** 2, 0.0, kernels.t_f, tol)
 
 
 def psi_ref(t):
@@ -256,7 +256,7 @@ def case_iii_positions(coeffs, z0, w0):
     one_minus_nu_e = 1.0 - coeffs.nu_e
     z_bars = []
     for sign in (1, -1):
-        omega_fix = z.solve2(coeffs.G, chi0 - np.array([0.0, sign * bound]))
+        omega_fix = solve2(coeffs.G, chi0 - np.array([0.0, sign * bound]))
         z_bars.append((z0 - coeffs.nu_p * omega_fix[0]) / one_minus_nu_e)
     w1 = w0 + coeffs.G2 * z_bars[0]
     w2 = w0 + coeffs.G2 * z_bars[1]

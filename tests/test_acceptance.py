@@ -28,10 +28,10 @@ from zemgame import (
     playout_reduced,
     reference,
     saddle_probe,
-    sample_control,
     solve_erg_branch,
     solve_rg,
 )
+from zemgame.reduction import sample_control
 from zemgame.reference import CHECKS, MINUS_POSITION, PLUS_POSITION, POSITION, STRIP_POSITION
 
 from helpers import ORACLE, check_case_iii_infeasible, first_order_coefficients, random_scenario

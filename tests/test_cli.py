@@ -769,6 +769,18 @@ class TestTable1:
         assert captured.out == ""
         assert "scenario error" in captured.err and "table1.%s" % side in captured.err
 
+    def test_zero_tail_is_a_scenario_error(self, tmp_path, capsys):
+        """At t_c = 0 the bound is 0 and both branches pin w_f = 0, so every
+        entry of a cross-play table is the same number: the table is refused
+        before it is built, as a scenario error, not as a failed check."""
+        path = write_doc(tmp_path, lambda d: d["horizon"].update(nu=0.0))
+        assert main(["table1", path]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("scenario error: t_c = 0 collapses the terminal constraint to "
+                                "w(t_f) = 0: both branches pin w_f = 0, so the cross-play table "
+                                "ties and has no saddle ordering to show\n")
+
     def test_position_must_be_a_pair(self, tmp_path, capsys):
         path = write_doc(tmp_path, lambda d: d["table1"]["minus"].append(1.0))
         assert main(["table1", path]) == EXIT_USAGE

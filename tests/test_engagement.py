@@ -8,15 +8,16 @@ from zemgame import (
     EngagementGeometry,
     EngagementScenario,
     TimeGrid,
+)
+from zemgame.engagement import (
     build_evader_ss,
     build_game_ss,
+    build_player_ss,
     build_relative_ss,
     initial_zem,
-    mat_exp,
-    ode_playout,
     resolve_horizons,
 )
-from zemgame.engagement import build_player_ss
+from zemgame.numerics import mat_exp, ode_playout
 
 from helpers import psi_ref, random_controller
 

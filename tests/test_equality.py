@@ -47,6 +47,11 @@ def study_kernels():
     return z.Kernels(study())
 
 
+@functools.cache
+def study_coeffs():
+    return z.coefficients(study(), study_kernels())
+
+
 def at(position):
     return dataclasses.replace(study(), z0=position[0], w0=position[1], geometry=None)
 
@@ -59,7 +64,7 @@ def bundle():
 CASES = {
     "TimeGrid": (lambda: z.TimeGrid(0.0, 1.0, 11), True),
     "ControllerModel": (lambda: oscillator(10.0, 0.05), False),
-    "StateSpace": (lambda: z.build_evader_ss(study().evader), False),
+    "StateSpace": (lambda: engagement.build_evader_ss(study().evader), False),
     "EngagementGeometry": (lambda: load_scenario(str(MIXED_ORDERS))[0].geometry, True),
     "EngagementScenario": (lambda: at(BRANCH), True),  # the same controller objects
     "KernelCombo": (lambda: z.KernelCombo(hp_coef=1.0, ge_coef=2.0), True),
@@ -74,7 +79,7 @@ CASES = {
         np.eye(4, bundle().ts.size), np.zeros((5, 7)), bundle()), False),
     "GameCoefficients": (lambda: z.coefficients(study()), True),
     "Region": (lambda: z.classify(z.coefficients(study()), *BRANCH), True),
-    "SaddleSolution": (lambda: z.solve_rg(at(STRIP)), True),
+    "SaddleSolution": (lambda: z.solve_rg(at(STRIP), study_coeffs()), True),
     "PenaltyRecord": (lambda: z.penalty_sweep(z.coefficients(study()), *BRANCH, 1)[0], False),
     "Playout": (lambda: z.playout_reduced(at(STRIP), study_kernels(), z.KernelCombo(hp_coef=1.0),
                                           z.Constant(0.0)), False),
@@ -82,8 +87,8 @@ CASES = {
                                               z.KernelCombo(hp_coef=1.0), z.Constant(0.0)), True),
     "FullPlayout": (lambda: z.playout_full(at(STRIP), z.KernelCombo(hp_coef=1.0),
                                            z.Constant(0.0), kernels=study_kernels()), False),
-    "ProbeReport": (lambda: z.saddle_probe(at(STRIP), z.solve_rg(at(STRIP)), n_trials=3,
-                                           kernels=study_kernels()), True),
+    "ProbeReport": (lambda: z.saddle_probe(at(STRIP), z.solve_rg(at(STRIP), study_coeffs()),
+                                           n_trials=3, kernels=study_kernels()), True),
     "Check": (lambda: reference.CHECKS["mu_e"], True),
 }
 
@@ -106,7 +111,7 @@ def test_equality_and_hash_are_defined(name):
 
 def test_branch_solutions_compare_by_value():
     """A dispatched and a forced solve of one branch are the same record."""
-    a, b = z.solve_rg(at(BRANCH)), z.solve_erg_branch(z.coefficients(study()), *BRANCH, 1)
+    a, b = z.solve_rg(at(BRANCH), study_coeffs()), z.solve_erg_branch(study_coeffs(), *BRANCH, 1)
     assert a.v_f != 0.0 and a == b and hash(a) == hash(b)
 
 

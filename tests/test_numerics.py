@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import zemgame as z
-from zemgame import (
-    Kernels, TimeGrid, build_game_ss, mat_exp, ode_playout, quad_adaptive, reference, solve2,
-)
+from zemgame import Kernels, TimeGrid, reference
+from zemgame.engagement import build_game_ss
 from zemgame import numerics, reduction
-from zemgame.numerics import rk4_affine, scaled_exp
+from zemgame.numerics import mat_exp, ode_playout, quad_adaptive, rk4_affine, scaled_exp, solve2
 from zemgame.errors import NearSingularError, NonFiniteResult
 from zemgame.reference import CHECKS
 

@@ -14,11 +14,12 @@ from zemgame import (
     Kernels,
     Sampled,
     coefficients,
-    mu_e,
-    sample_control,
 )
 from zemgame import numerics, reduction, reference
 from zemgame.cli import load_scenario, scenario_from_document
+from zemgame.engagement import build_evader_ss
+from zemgame.numerics import mat_exp, quad_adaptive
+from zemgame.reduction import sample_control
 from zemgame.errors import AssertionFailure, NoControlAuthority, SolvabilityError
 
 from helpers import (MIXED_ORDERS, ORACLE, first_order_coefficients, oscillator, psi_moments,
@@ -76,7 +77,7 @@ def tail_weight_loop(A, B, D, t_c):
         lo, hi = s[i], s[j]
         x = lo - g[i] * (hi - lo) / (g[j] - g[i])
         for _ in range(reduction._MAX_ROOT_STEPS):
-            r = rows[i] @ z.mat_exp(M, x - s[i])
+            r = rows[i] @ mat_exp(M, x - s[i])
             gx = r[:n] @ B
             if gx == 0.0:
                 break
@@ -96,18 +97,23 @@ def tail_weight_loop(A, B, D, t_c):
     return float(np.abs(np.diff(knots)).sum())
 
 
+def mu_e(scenario):
+    """mu_e by its one path, the scenario's game coefficients."""
+    return coefficients(scenario).mu_e
+
+
 def assert_mu_e_matches_loop(evader, t_c):
     sc = z.EngagementScenario(pursuer=z.ControllerModel.first_order(0.2), evader=evader,
                               t_f=1.0, t_c=t_c, alpha=0.05, beta=1e9, ae_max=1.0,
                               z0=0.0, w0=0.0)
-    ev = z.build_evader_ss(evader)
+    ev = build_evader_ss(evader)
     assert mu_e(sc) == tail_weight_loop(ev.A, ev.B, ev.D_row, t_c)
 
 
 def position_kernel(model):
     """s -> D exp(A s) B of one player, by scipy's matrix exponential."""
     expm = pytest.importorskip("scipy.linalg").expm
-    ss = z.build_evader_ss(model)
+    ss = build_evader_ss(model)
     return lambda s: float(ss.D_row @ expm(ss.A * s) @ ss.B)
 
 
@@ -194,15 +200,17 @@ class TestMuE:
         today's error (2.9e-14 at most, 5e-14 for the 160 rad/s
         oscillator, 3.6e-12 for the stiff lag): it comes from the end row of
         the doubling scan (`_progression_rows`), whose position entries are
-        about 2.8e-14 off where one exponential at t_c is within 2.2e-16."""
+        about 2.8e-14 off where one exponential at t_c is within 2.2e-16.
+        beta, which mu_e does not read, is raised so that every case is a
+        solvable game."""
         mpmath = pytest.importorskip("mpmath")
         evader, t_f, t_c = {"study": (study_scenario.evader, 1.0, 0.9),
                             "t_f=50": (z.ControllerModel.first_order(0.1), 50.0, 30.0),
                             "oscillator": (oscillator(160.0, 0.05), 1.0, 0.7),
                             "tau_e=1e-5": (z.ControllerModel.first_order(1e-5), 1.0, 0.9)}[case]
-        sc = dataclasses.replace(study_scenario, evader=evader, t_f=t_f, t_c=t_c)
-        ev = z.build_evader_ss(evader)
-        g = [float(ev.D_row @ z.mat_exp(ev.A, s) @ ev.B) for s in np.linspace(0.0, t_c, 513)[1:]]
+        sc = dataclasses.replace(study_scenario, evader=evader, t_f=t_f, t_c=t_c, beta=1e9)
+        ev = build_evader_ss(evader)
+        g = [float(ev.D_row @ mat_exp(ev.A, s) @ ev.B) for s in np.linspace(0.0, t_c, 513)[1:]]
         assert min(g) > 0.0
         M = reduction._augmented(ev.A, ev.B)
         with mpmath.workdps(40):
@@ -219,8 +227,8 @@ class TestMuE:
         tau = 0.1
         evader = z.ControllerModel(order=1, sys=[[-1.0 / tau]], inp=[gain / tau],
                                    out=[1.0], feed=feed)
-        ev = z.build_evader_ss(evader)
-        g = [float(ev.D_row @ z.mat_exp(ev.A, s) @ ev.B) for s in (0.02, 0.7)]
+        ev = build_evader_ss(evader)
+        g = [float(ev.D_row @ mat_exp(ev.A, s) @ ev.B) for s in (0.02, 0.7)]
         assert g[0] * g[1] < 0.0
         assert_mu_e_matches_loop(evader, 0.7)
 
@@ -242,14 +250,17 @@ class TestMuE:
 class TestSignCells:
     """`_sign_cells` reads the controller block and skips the eigenvalues
     where they cannot lift the count above its floor; the count is the rule
-    on the whole player block (`sign_cells_rule`) all the same, and mu_e
-    stays bit for bit the cell loop's."""
+    on the whole player block (`sign_cells_rule`) all the same, and the
+    tail weight stays bit for bit the cell loop's. The weight is read from
+    `_tail_weight` itself, as some of these controllers (a zero gain) give
+    the evader no control authority, a scenario `coefficients` refuses."""
 
     @staticmethod
     def assert_rule_and_mu_e(model, t_c):
-        A = z.build_evader_ss(model).A
-        assert reduction._sign_cells(A, t_c) == sign_cells_rule(A, t_c)
-        assert_mu_e_matches_loop(model, t_c)
+        ev = build_evader_ss(model)
+        assert reduction._sign_cells(ev.A, t_c) == sign_cells_rule(ev.A, t_c)
+        assert reduction._tail_weight(ev.A, ev.B, t_c) == tail_weight_loop(ev.A, ev.B, ev.D_row,
+                                                                          t_c)
 
     @settings(max_examples=100)
     @given(seed=st.integers(0, 2 ** 32 - 1), order=st.integers(0, 10),
@@ -280,7 +291,7 @@ class TestSignCells:
         calls = []
         original = np.linalg.eigvals
         monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a.shape) or original(a))
-        A = z.build_evader_ss(model).A
+        A = build_evader_ss(model).A
         cells = reduction._sign_cells(A, t_c)
         monkeypatch.undo()
         assert cells == sign_cells_rule(A, t_c)
@@ -321,7 +332,7 @@ class TestExactIntegrals:
                 memo[t] = (hp[0], he[0], ge[0])
             return memo[t]
 
-        quad = lambda f, a, b: z.quad_adaptive(f, a, b, tol=1e-13)
+        quad = lambda f, a, b: quad_adaptive(f, a, b, tol=1e-13)
         t_f, t_c = sc.t_f, sc.t_c
         quadrature = {
             "int h_p^2": quad(lambda t: kern(t)[0] ** 2, 0.0, t_f),
@@ -342,7 +353,7 @@ class TestExactIntegrals:
         """An order-2 oscillator evader and t_c = 0 on the mixed-orders file."""
         base, _ = load_scenario(str(MIXED_ORDERS))
         sc = dataclasses.replace(base, evader=oscillator(12.0, 0.3), t_c=0.0, geometry=None)
-        want = z.quad_adaptive(Kernels(sc).g_e, 0.0, sc.t_f, tol=1e-13)
+        want = quad_adaptive(Kernels(sc).g_e, 0.0, sc.t_f, tol=1e-13)
         assert reduction.integral_g_e(sc) == pytest.approx(want, rel=1e-9)
 
     def test_integral_g_e_at_t_c_zero_starts_from_d_e(self, study_scenario, monkeypatch):
@@ -350,7 +361,7 @@ class TestExactIntegrals:
         the augmented one, none of A_e (whose exp(0) LAPACK returns one ulp
         off the identity)."""
         sc = dataclasses.replace(study_scenario, t_c=0.0)
-        ev = z.build_evader_ss(sc.evader)
+        ev = build_evader_ss(sc.evader)
         shapes = []
         original = reduction.mat_exp
         monkeypatch.setattr(reduction, "mat_exp",
@@ -414,7 +425,7 @@ class TestKernelGram:
 
         gram = k.gram()
         for i, j in ((0, 1), (0, 2), (0, 0), (1, 1), (1, 2), (2, 2)):
-            quad = z.quad_adaptive(lambda t: kern(t)[i] * kern(t)[j], 0.0, scenario.t_f, tol=1e-14)
+            quad = quad_adaptive(lambda t: kern(t)[i] * kern(t)[j], 0.0, scenario.t_f, tol=1e-14)
             scale = np.sqrt(gram[i, i] * gram[j, j])  # bounds |gram[i, j]|
             assert abs(gram[i, j] - quad) <= 1e-12 * scale, (i, j)
 

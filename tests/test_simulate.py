@@ -15,23 +15,23 @@ from zemgame import (
     RegionLabel,
     Sampled,
     TimeGrid,
-    build_game_ss,
     coefficients,
     cross_play,
     evaluate_cost,
-    ode_playout,
     playout_full,
     playout_reduced,
-    sample_control,
     saddle_probe,
     solve_erg_branch,
     solve_rg,
 )
 from zemgame import reduction, simulate
 from zemgame.cli import load_scenario
+from zemgame.engagement import build_game_ss, initial_zem
+from zemgame.numerics import ode_playout
 from zemgame.reference import CHECKS
 from zemgame.errors import ProbeFailure
-from zemgame.reduction import LegendreProducts, PeakScan, SampleBundle, simpson_panels
+from zemgame.reduction import (LegendreProducts, PeakScan, SampleBundle, sample_control,
+                               simpson_panels)
 from zemgame.simulate import _initial_full_state
 
 from helpers import (MIXED_ORDERS, ORACLE, admissible_evader_perturbation, check_terminal,
@@ -268,18 +268,18 @@ class TestPlayoutFull:
     def test_agrees_with_reduced_path(self, study_scenario, study_kernels, study_coeffs):
         branch = solve_erg_branch(study_coeffs, 100.0, -100.0, 1)
         grid = TimeGrid(0.0, 1.0, 801)
-        full = playout_full(study_scenario, branch.u_p, branch.u_e, grid, study_kernels)
+        full = playout_full(study_scenario, branch.u_p, branch.u_e, grid, kernels=study_kernels)
         reduced = playout_reduced(study_scenario, study_kernels, branch.u_p, branch.u_e, grid)
         np.testing.assert_allclose(full.z_traj, reduced.z_traj, rtol=0, atol=1e-6)
         np.testing.assert_allclose(full.w_traj, reduced.w_traj, rtol=0, atol=1e-6)
 
-    def test_geometry_initial_state_consistent(self, study_kernels):
+    def test_geometry_initial_state_consistent(self):
         geo = z.EngagementGeometry(Vp=300.0, Ve=1.0, phi_p0=0.0, phi_e0=100.0 / 1.9)
-        z0, w0 = z.initial_zem(geo, 1.0, 0.9)
+        z0, w0 = initial_zem(geo, 1.0, 0.9)
         sc = z.EngagementScenario(
             z.ControllerModel.first_order(0.2), z.ControllerModel.first_order(0.1),
             t_f=1.0, t_c=0.9, alpha=0.05, beta=0.3, ae_max=100.0, z0=z0, w0=w0, geometry=geo)
-        play = playout_full(sc, ZERO, ZERO, TimeGrid(0.0, 1.0, 201))
+        play = playout_full(sc, ZERO, ZERO, TimeGrid(0.0, 1.0, 201), kernels=z.Kernels(sc))
         assert play.z_traj[0] == pytest.approx(sc.z0, rel=1e-10)
         assert play.w_traj[0] == pytest.approx(sc.w0, rel=1e-10)
 
@@ -292,7 +292,7 @@ class TestPlayoutFull:
             u_p = KernelCombo(hp_coef=float(rng.uniform(-3, 3)))
             u_e = KernelCombo(he_coef=float(rng.uniform(-3, 3)),
                               ge_coef=float(rng.uniform(-3, 3)))
-            full = playout_full(sc, u_p, u_e, grid, k)
+            full = playout_full(sc, u_p, u_e, grid, kernels=k)
             reduced = playout_reduced(sc, k, u_p, u_e, grid)
             scale = max(1.0, np.abs(reduced.z_traj).max(), np.abs(reduced.w_traj).max())
             np.testing.assert_allclose(full.z_traj, reduced.z_traj, rtol=0, atol=1e-6 * scale)
@@ -412,7 +412,7 @@ class TestSaddleProbe:
         rng = np.random.default_rng(13)
         delta = admissible_evader_perturbation(
             20.0 * rng.standard_normal(ts_ref.size), ge_n, ge_m, steps)
-        ue_ref = z.sample_control(branch.u_e, study_kernels, ts_ref)
+        ue_ref = sample_control(branch.u_e, study_kernels, ts_ref)
         perturbed = Sampled(ts_ref, ue_ref + delta)
         play = playout_reduced(study_scenario, study_kernels, branch.u_p, perturbed, grid)
         assert play.w_f == pytest.approx(study_coeffs.bound, rel=1e-10)
@@ -569,7 +569,7 @@ def full_loop(scenario, u_p, u_e, grid, kernels):
 
 
 def assert_full_matches_loop(scenario, u_p, u_e, grid, kernels):
-    play = playout_full(scenario, u_p, u_e, grid, kernels)
+    play = playout_full(scenario, u_p, u_e, grid, kernels=kernels)
     x_traj, z_f, w_f = full_loop(scenario, u_p, u_e, grid, kernels)
     scale = np.abs(x_traj).max()
     np.testing.assert_allclose(play.x_traj, x_traj, rtol=0, atol=1e-12 * scale)
@@ -966,7 +966,7 @@ class TestKernelResponses:
         u_e = KernelCombo(he_coef=float(rng.uniform(-30, 30)), ge_coef=float(rng.uniform(-30, 30)))
         s_p, s_e = direct_laws(k.bundle(grid), u_p, u_e)
 
-        full, direct = playout_full(sc, u_p, u_e, grid, k), playout_full(sc, s_p, s_e, grid, k)
+        full, direct = playout_full(sc, u_p, u_e, grid, kernels=k), playout_full(sc, s_p, s_e, grid, kernels=k)
         scale = max(1.0, abs(sc.z0), abs(sc.w0), *(np.abs(a).max() for a in
                                                  (direct.x_traj, direct.z_traj, direct.w_traj)))
         for got, want in ((full.x_traj, direct.x_traj), (full.z_traj, direct.z_traj),
@@ -1018,7 +1018,7 @@ class TestKernelResponses:
         k = z.Kernels(study_scenario)
         sol = solve_rg(study_scenario, coeffs=study_coeffs)
         grid = TimeGrid(0.0, study_scenario.t_f, 301)
-        playout_full(study_scenario, sol.u_p, sol.u_e, grid, k)
+        playout_full(study_scenario, sol.u_p, sol.u_e, grid, kernels=k)
         playout_reduced(study_scenario, k, sol.u_p, sol.u_e, grid)
         kept = [weakref.ref(k.bundle(grid).responses()),
                 weakref.ref(k.bundle(grid).running_products())]

@@ -8,18 +8,16 @@ from zemgame import (
     KernelCombo,
     Region,
     RegionLabel,
-    aux_cross,
     classify,
     coefficients,
     evaluate_cost,
     penalty_sweep,
-    sample_control,
-    solve2,
-    solve_erg,
     solve_erg_branch,
     solve_rg,
-    solve_urg,
 )
+from zemgame.numerics import solve2
+from zemgame.reduction import sample_control
+from zemgame.solver import aux_cross, solve_erg, solve_urg
 from zemgame import reference, solver
 from zemgame.cli import load_scenario
 from zemgame.errors import NearSingularError, NonFiniteResult, NotInConstrainedRegion
@@ -682,8 +680,13 @@ class TestDegenerateTail:
 
 
 class TestBareEntryPoint:
-    def test_solve_rg_builds_everything_itself(self, study_scenario):
-        sol = solve_rg(study_scenario)
+    def test_solve_rg_from_the_scenario_coefficients(self, study_scenario):
+        """The package entry points alone: the scenario's coefficients,
+        built without kernels, and the solve they are handed to; solve_rg
+        builds none itself."""
+        with pytest.raises(TypeError):
+            solve_rg(study_scenario)
+        sol = solve_rg(study_scenario, coefficients(study_scenario))
         assert sol.region.label is RegionLabel.OMEGA_MINUS
         assert sol.value == pytest.approx(ORACLE.value_minus, rel=1e-8)
         assert reference.CHECKS["w_f- playout"].passed(sol.w_f)
