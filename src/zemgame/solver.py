@@ -231,8 +231,8 @@ def solve_erg(coeffs: GameCoefficients, z0: float, w0: float, region: Region) ->
 
 
 def solve_rg(scenario: EngagementScenario, coeffs: GameCoefficients) -> SaddleSolution:
-    """Complete open-loop saddle point of the reduced game with the
-    scenario's coefficients (`reduction.coefficients`) at its position.
+    """Complete open-loop saddle point of the reduced game at the scenario's
+    position, from the `GameCoefficients` its caller built.
 
     Dispatches on the region of (z0, w0): the unconstrained solution inside
     the strip, the matching equality branch outside.
