@@ -150,6 +150,57 @@ def test_criterion_10_penalty_convergence(study_values):
     assert check_rows(study_values, 10)
 
 
+# Every row of `reference.evaluate()` as float.hex, in `CHECKS` order: the
+# bands above pass a value within its tolerance, and these catch a changed bit.
+PINNED_VALUES = {
+    "beta_star": "0x1.f35e6a2419e07p-3",
+    "mu_e": "0x1.4ccc79fb282d0p-2",
+    "bound": "0x1.03ffbf4c37632p+5",
+    "G[0,0]": "0x1.dc8ec9eecd162p+1",
+    "G_bar[0,0]": "0x1.ce85829498463p-3",
+    "G[0,1]": "0x1.05430a9970b68p+1",
+    "G_bar[0,1]": "-0x1.3f6ad05e02416p-4",
+    "G[1,0]": "-0x1.05430a9970b68p+1",
+    "G_bar[1,0]": "-0x1.3f6ad05e02416p-4",
+    "G[1,1]": "0x1.7a4fc4083142cp+2",
+    "G_bar[1,1]": "-0x1.2351806b1b04dp-3",
+    "z_f+": "0x1.07558662af2f6p+5",
+    "v_f+": "-0x1.61932443d0fbfp+3",
+    "z_f-": "0x1.bd91020c4151dp+4",
+    "v_f-": "-0x1.cda53bbfff671p+0",
+    "J+*": "0x1.c8ea09c17620dp+10",
+    "J-*": "0x1.4ce2259eb8fffp+11",
+    "w_f+ playout": "0x1.03ffbf4c34888p+5",
+    "z_f+ playout": "0x1.07558662b0308p+5",
+    "w_f- playout": "-0x1.03ffbf4c38e94p+5",
+    "z_f- playout": "0x1.bd91020c43ba8p+4",
+    "ue_bar+": "0x1.97b108d41d382p+6",
+    "J(u_p+, ue_bar+)": "0x1.53f1d4cefb3a0p+10",
+    "J(ramp, u_e+)": "0x1.294a36c23073bp+11",
+    "T1+ (+,+)": "0x1.e579acea3b5a6p+10",
+    "T1+ (+,-)": "0x1.9f9df72f0b07cp+8",
+    "T1+ (-,+)": "0x1.263f5866bc6f6p+11",
+    "T1- (-,+)": "0x1.6ce6c56569e1dp+10",
+    "T1- (+,-)": "0x1.6366d6f3caffcp+11",
+    "T1- (-,-)": "0x1.2fe455022c3dap+11",
+    "T1 orderings": "0x1.0000000000000p+0",
+    "w_f-w0 URG (100,-50)": "0x1.b694e8a4cb4c8p+5",
+    "w_f URG (100,-100)": "-0x1.696b175b34b38p+5",
+    "sweep+ order": "0x1.fc9893aa35317p-1",
+    "sweep+ monotone": "0x1.0000000000000p+0",
+    "sweep+ value gap": "0x1.1ee5ec7000000p-24",
+    "sweep- order": "0x1.fc9893ae9d38cp-1",
+    "sweep- monotone": "0x1.0000000000000p+0",
+    "sweep- value gap": "0x1.4fa8140000000p-30",
+}
+
+
+def test_reference_values_bit_for_bit(study_values):
+    """All 39 rows `zemgame repro` prints, bit for bit."""
+    assert list(study_values) == list(PINNED_VALUES)
+    assert {name: value.hex() for name, value in study_values.items()} == PINNED_VALUES
+
+
 def test_criterion_11a_region_partition(study_coeffs):
     rng = np.random.default_rng(101)
     c = study_coeffs
