@@ -239,9 +239,10 @@ def cmd_solve(args) -> int:
     if kern is not None:
         grid = TimeGrid(0.0, scenario.t_f, args.grid)
     if args.csv:
+        bundle = kern.bundle(grid)
         play = playout_reduced(scenario, kern, sol.u_p, sol.u_e, grid)
         _write_csv(args.csv, ("t", "u_p", "u_e", "z", "w"),
-                   zip(grid.nodes, play.up_samples, play.ue_samples,
+                   zip(grid.nodes, bundle.control(sol.u_p)[0::2], bundle.control(sol.u_e)[0::2],
                        play.z_traj, play.w_traj))
         print("trajectory written to %s" % args.csv)
     if probe:

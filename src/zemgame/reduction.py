@@ -511,27 +511,27 @@ class LegendreProducts:
 
 @dataclass(frozen=True)
 class GameCoefficients:
-    """All reduced-game scalars and 2x2 matrices.
+    """All reduced-game scalars. The branch system G omega = b has
+    G = [[s, G2], [-G2, G3]] and the fixed-pursuer system F = [[1 - nu_e, G2],
+    [-G2, G3]]; the solvers read their entries as these floats.
 
-    s        1 + int(h_p^2)/alpha - int(h_e^2)/beta
+    s        1 + int(h_p^2)/alpha - int(h_e^2)/beta, the paper's G1
     nu_p     int(h_p^2)/alpha
     nu_e     int(h_e^2)/beta
-    G1..G3   s, int(h_e g_e)/beta, int(g_e^2)/beta
+    G2, G3   int(h_e g_e)/beta, int(g_e^2)/beta
     a        slope of the terminal w against z0 under the unconstrained
-             saddle play, equal to G2/G1
-    d        nu_p G2^2 / (G1 det F), in (0, 1) whenever solvable
+             saddle play, equal to G2/s
+    d        nu_p G2^2 / (s det F), in (0, 1) whenever solvable
     mu_e     reachability weight int |g_e| over the tail [t_f, t_f + t_c]
+    det_G, det_F  s G3 + G2^2 and (1 - nu_e) G3 + G2^2
     beta_star  the solvability threshold int(h_e^2)
-    G, G_tilde, G_bar, F, F_bar   the 2x2 system matrices and the matching
-             value-form matrices diag(1,-1) G and (X^-1)' diag(1,-1)
     K        the kernel Gram matrix (`kernel_gram`) they come from, or None;
-             the arrays do not take part in == and hash, which read the scalars
+             it does not take part in == and hash, which read the scalars
     """
 
     s: float
     nu_p: float
     nu_e: float
-    G1: float
     G2: float
     G3: float
     a: float
@@ -540,11 +540,6 @@ class GameCoefficients:
     det_G: float
     det_F: float
     beta_star: float
-    G: np.ndarray = field(compare=False)
-    G_tilde: np.ndarray = field(compare=False)
-    G_bar: np.ndarray = field(compare=False)
-    F: np.ndarray = field(compare=False)
-    F_bar: np.ndarray = field(compare=False)
     alpha: float
     beta: float
     ae_max: float
@@ -566,7 +561,7 @@ class GameCoefficients:
             ("det G > 0", self.det_G > 0),
             ("det F > 0", self.det_F > 0),
             ("0 <= d < 1", 0.0 <= self.d < 1.0),
-            ("G1 - nu_p == 1 - nu_e", abs((self.G1 - self.nu_p) - (1.0 - self.nu_e))
+            ("s - nu_p == 1 - nu_e", abs((self.s - self.nu_p) - (1.0 - self.nu_e))
              <= 1e-10 * max(1.0, abs(1.0 - self.nu_e), self.nu_p)),
         )
         for label, ok in checks:
@@ -579,11 +574,12 @@ def _assemble(integrals: tuple[float, float, float, float], mu: float, alpha: fl
     """Coefficients from int h_p^2, h_e^2, h_e g_e, g_e^2 over [0, t_f] and
     mu, keeping the kernel Gram matrix K they were read from, if any.
 
-    F1 = G1 - nu_p is formed as 1 - nu_e, which does not cancel as nu_p
-    grows. Solvability (beta > int h_e^2) makes F1 > 0, so det F = 0 only
-    when the evader cannot move its terminal miss w at all (int g_e^2 = 0,
-    and then int h_e g_e = 0 too, or their ratios to beta underflow); that
-    game is refused with NoControlAuthority before d divides by det F.
+    F's first entry s - nu_p is formed as 1 - nu_e, which does not cancel
+    as nu_p grows. Solvability (beta > int h_e^2) makes it positive, so
+    det F = 0 only when the evader cannot move its terminal miss w at all
+    (int g_e^2 = 0, and then int h_e g_e = 0 too, or their ratios to beta
+    underflow); that game is refused with NoControlAuthority before d
+    divides by det F.
     """
     int_hp2, int_he2, int_hege, int_ge2 = integrals
     if beta <= int_he2:
@@ -591,24 +587,17 @@ def _assemble(integrals: tuple[float, float, float, float], mu: float, alpha: fl
     nu_p = int_hp2 / alpha
     nu_e = int_he2 / beta
     s = 1.0 + nu_p - nu_e
-    G1, G2, G3 = s, int_hege / beta, int_ge2 / beta
+    G2, G3 = int_hege / beta, int_ge2 / beta
     if not all(map(math.isfinite, (nu_p, G2, G3))):
         raise NonFiniteResult("the kernel integrals over alpha or beta overflow the float range")
-    F1 = 1.0 - nu_e
-    det_G = G1 * G3 + G2 * G2
-    det_F = F1 * G3 + G2 * G2
+    det_G = s * G3 + G2 * G2
+    det_F = (1.0 - nu_e) * G3 + G2 * G2
     if det_F == 0.0:
         raise NoControlAuthority(int_ge2)
-    d = (nu_p / G1) * (G2 * G2 / det_F)  # two factors in [0, 1]: nu_p G2^2 may overflow
-    # X = [[X1, G2], [-G2, G3]] has (X^-1)' diag(1,-1) = [[G3, -G2], [-G2, -X1]] / det X;
-    # G, G_tilde, G_bar, F and F_bar are views of one array
-    mats = np.array([G1, G2, -G2, G3, G1, G2, G2, -G3,
-                     G3 / det_G, -G2 / det_G, -G2 / det_G, -G1 / det_G, F1, G2, -G2, G3,
-                     G3 / det_F, -G2 / det_F, -G2 / det_F, -F1 / det_F]).reshape(5, 2, 2)
+    d = (nu_p / s) * (G2 * G2 / det_F)  # two factors in [0, 1]: nu_p G2^2 may overflow
     return GameCoefficients(
-        s=s, nu_p=nu_p, nu_e=nu_e, G1=G1, G2=G2, G3=G3, a=G2 / G1, d=d, mu_e=mu,
-        det_G=det_G, det_F=det_F, beta_star=int_he2, G=mats[0], G_tilde=mats[1],
-        G_bar=mats[2], F=mats[3], F_bar=mats[4], alpha=alpha, beta=beta, ae_max=ae_max, K=K)
+        s=s, nu_p=nu_p, nu_e=nu_e, G2=G2, G3=G3, a=G2 / s, d=d, mu_e=mu, det_G=det_G,
+        det_F=det_F, beta_star=int_he2, alpha=alpha, beta=beta, ae_max=ae_max, K=K)
 
 
 def _augmented(A: np.ndarray, B: np.ndarray) -> np.ndarray:

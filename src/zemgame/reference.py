@@ -15,7 +15,7 @@ from .engagement import EngagementScenario, first_order_scenario
 from .numerics import TimeGrid
 from .reduction import AffineInTime, Constant, Kernels, coefficients, integral_g_e
 from .simulate import cross_play, evaluate_cost, playout_reduced
-from .solver import penalty_sweep, solve_erg_branch, solve_urg
+from .solver import g_bar, penalty_sweep, solve_erg_branch, solve_urg
 
 # In the keyword order of `first_order_coefficients`.
 STUDY = dict(tau_p=0.2, tau_e=0.1, t_f=1.0, t_c=0.9, alpha=0.05, beta=0.3, ae_max=100.0)
@@ -123,8 +123,10 @@ def evaluate() -> dict[str, float]:
     grid = TimeGrid(0.0, scenario.t_f)
     z0, w0 = POSITION
     values = {"beta_star": coeffs.beta_star, "mu_e": coeffs.mu_e, "bound": coeffs.bound}
-    values.update(("%s[%d,%d]" % (name, i, j), matrix[i, j]) for i in range(2) for j in range(2)
-                  for name, matrix in (("G", coeffs.G), ("G_bar", coeffs.G_bar)))
+    b00, b01, b11 = g_bar(coeffs)
+    for name, entries in (("G", (coeffs.s, coeffs.G2, -coeffs.G2, coeffs.G3)),
+                          ("G_bar", (b00, b01, b01, b11))):
+        values.update(("%s[%d,%d]" % (name, i // 2, i % 2), x) for i, x in enumerate(entries))
 
     branches = {tag: solve_erg_branch(coeffs, z0, w0, sign) for tag, sign in (("+", 1), ("-", -1))}
     for tag, branch in branches.items():

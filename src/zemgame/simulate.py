@@ -41,15 +41,14 @@ _CELL_CHUNK = 512  # most cells of the peak scan evaluated at once (1.7 MB of wi
 
 @dataclass(frozen=True, eq=False)
 class Playout:
-    """Trajectories of the reduced state under a pair of control laws."""
+    """Trajectories of the reduced state under a pair of control laws at the
+    grid nodes; the bundle samples the laws themselves (`SampleBundle.control`)."""
 
     grid: TimeGrid
     z_traj: np.ndarray
     w_traj: np.ndarray
     z_f: float
     w_f: float
-    up_samples: np.ndarray
-    ue_samples: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -96,7 +95,6 @@ def playout_reduced(scenario: EngagementScenario, kernels: Kernels,
     combination is not finite, take the panels of their own samples.
     """
     bundle = kernels.bundle(grid)
-    up, ue = bundle.control(u_p), bundle.control(u_e)
     coefs = _kernel_law_coefs(u_p, u_e)
     zw = None
     if coefs is not None:
@@ -107,6 +105,7 @@ def playout_reduced(scenario: EngagementScenario, kernels: Kernels,
     if zw is not None and np.isfinite(zw).all():
         z, w = zw
     else:
+        up, ue = bundle.control(u_p), bundle.control(u_e)
         fz = bundle.h_p * up + bundle.h_e * ue
         fw = bundle.g_e * ue
         if not (np.isfinite(fz).all() and np.isfinite(fw).all()):
@@ -117,8 +116,7 @@ def playout_reduced(scenario: EngagementScenario, kernels: Kernels,
         z[0], w[0] = scenario.z0, scenario.w0
         z[1:] = scenario.z0 + np.cumsum(simpson_panels(fz[0::2], fz[1::2], steps))
         w[1:] = scenario.w0 + np.cumsum(simpson_panels(fw[0::2], fw[1::2], steps))
-    return Playout(grid=bundle.grid, z_traj=z, w_traj=w, z_f=float(z[-1]), w_f=float(w[-1]),
-                   up_samples=up[0::2], ue_samples=ue[0::2])
+    return Playout(grid=bundle.grid, z_traj=z, w_traj=w, z_f=float(z[-1]), w_f=float(w[-1]))
 
 
 def _combo_integrals(gram: np.ndarray, u_p: KernelCombo, u_e: KernelCombo,

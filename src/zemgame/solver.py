@@ -56,14 +56,12 @@ class SaddleSolution:
 
 
 class PenaltyRecord(NamedTuple):
-    """Penalized saddle point for one eps: omega_eps = (z_f, v_f) and the
-    terminal w_f = sign*bound + eps*v_f it implies. Compared and hashed by
-    identity, as omega_eps is an array."""
+    """Penalized saddle point for one eps: omega_eps = (z_f, v_f), its
+    value, and the terminal w_f = sign*bound + eps*v_f it implies. Compared
+    and hashed by identity, as omega_eps is an array."""
 
     eps: float
     omega_eps: np.ndarray
-    u_p: ControlLaw
-    u_e: ControlLaw
     value: float
     z_f: float
     w_f: float
@@ -85,20 +83,19 @@ def _require_finite(values: tuple, what: str, *args) -> None:
                               "overflow the float range" % (what % args))
 
 
+def g_bar(coeffs: GameCoefficients) -> tuple[float, float, float]:
+    """The entries (b00, b01, b11) of the symmetric value-form matrix
+    G_bar = (G^-1)' diag(1,-1) = [[G3, -G2], [-G2, -s]] / det G of
+    G = [[s, G2], [-G2, G3]], on Python floats."""
+    return coeffs.G3 / coeffs.det_G, -coeffs.G2 / coeffs.det_G, -coeffs.s / coeffs.det_G
+
+
 def _position_form(coeffs: GameCoefficients, z0: float, w0: float, shift: float) -> float:
     """chi0' G_bar chi0 + 2 chi0' G_bar gamma for chi0 = (z0, w0) and
     gamma = (0, shift), on Python floats in the order of those products."""
-    b00, b01, b11 = coeffs.G3 / coeffs.det_G, -coeffs.G2 / coeffs.det_G, -coeffs.G1 / coeffs.det_G
+    b00, b01, b11 = g_bar(coeffs)
     c0, c1 = z0 * b00 + w0 * b01, z0 * b01 + w0 * b11
     return c0 * z0 + c1 * w0 + 2.0 * (c1 * shift)
-
-
-def _branch_laws(coeffs: GameCoefficients,
-                 omega: tuple[float, float]) -> tuple[KernelCombo, KernelCombo]:
-    z_f, v_f = omega
-    u_p = KernelCombo(hp_coef=-z_f / coeffs.alpha)
-    u_e = KernelCombo(he_coef=z_f / coeffs.beta, ge_coef=-v_f / coeffs.beta)
-    return u_p, u_e
 
 
 def classify(coeffs: GameCoefficients, z0: float, w0: float) -> Region:
@@ -157,44 +154,39 @@ def solve_erg_branch(coeffs: GameCoefficients, z0: float, w0: float, sign: int) 
     branch's half-plane with the margin `classify` gives there, so
     sign*margin < 0 marks a branch forced against the dispatch."""
     shift = _shift(sign, coeffs.bound)
-    G1, G2, G3 = coeffs.G1, coeffs.G2, coeffs.G3
-    z_f, v_f = solve2_entries(G1, G2, -G2, G3, z0, w0 + shift)
-    value = (z_f * G1 + v_f * G2) * z_f + (z_f * G2 - v_f * G3) * v_f
-    value_chi = _position_form(coeffs, z0, w0, shift) + shift * (-G1 / coeffs.det_G) * shift
+    s, G2, G3 = coeffs.s, coeffs.G2, coeffs.G3
+    z_f, v_f = solve2_entries(s, G2, -G2, G3, z0, w0 + shift)
+    value = (z_f * s + v_f * G2) * z_f + (z_f * G2 - v_f * G3) * v_f
+    value_chi = _position_form(coeffs, z0, w0, shift) + shift * (-s / coeffs.det_G) * shift
     _require_finite((z_f, v_f, value, value_chi), "the branch value")
     if abs(value - value_chi) > 1e-9 * max(1.0, abs(value)):
         raise AssertionFailure(
             "branch value forms disagree: %r vs %r" % (value, value_chi)
         )
-    u_p, u_e = _branch_laws(coeffs, (z_f, v_f))
+    u_p = KernelCombo(hp_coef=-z_f / coeffs.alpha)
+    u_e = KernelCombo(he_coef=z_f / coeffs.beta, ge_coef=-v_f / coeffs.beta)
     label = RegionLabel.OMEGA_PLUS if sign == 1 else RegionLabel.OMEGA_MINUS
     return SaddleSolution(Region(label, w0 + coeffs.a * z0 + shift), u_p, u_e, value,
                           z_f, sign * coeffs.bound, v_f)
 
 
-def aux_cross(coeffs: GameCoefficients, z0: float, w0: float,
-              pursuer_sign: int) -> tuple[KernelCombo, float]:
-    """Fix the pursuer on one branch's optimal control and let the evader
-    optimally reach the opposite terminal sign.
+def aux_cross(coeffs: GameCoefficients, z0: float, w0: float, pursuer_sign: int) -> float:
+    """J_cross: the full cost when the pursuer plays one branch's optimal
+    control and the evader optimally reaches the opposite terminal sign, as
+    a quadratic form in the initial position, on Python floats.
 
-    Returns the evader reply u_e_star = (omega1_0 h_e - omega1_1 g_e)/beta,
-    omega1 = F^-1 mu, and J_cross, the full cost of the mixed pair as a
-    quadratic form in the initial position, on Python floats.
+    The form needs neither the pursuer's branch solve nor the evader's reply
+    omega1 = F^-1 mu, so a game whose F is near singular while G is not
+    (a tiny int g_e^2 / beta) still gets its J_cross.
     """
     bound = coeffs.bound
-    G1, G2, G3 = coeffs.G1, coeffs.G2, coeffs.G3
-    z_fix, _ = solve2_entries(G1, G2, -G2, G3, z0, w0 + _shift(pursuer_sign, bound))
     other = _shift(-pursuer_sign, bound)
-    omega1 = solve2_entries(1.0 - coeffs.nu_e, G2, -G2, G3,
-                            z0 - coeffs.nu_p * z_fix, w0 + other)
-    u_e_star = KernelCombo(he_coef=omega1[0] / coeffs.beta,
-                           ge_coef=-omega1[1] / coeffs.beta)
-    rho = bound * bound * (3.0 * coeffs.nu_p * G2 ** 2
-                           - (G1 - coeffs.nu_p) * coeffs.det_G) \
+    rho = bound * bound * (3.0 * coeffs.nu_p * coeffs.G2 ** 2
+                           - (coeffs.s - coeffs.nu_p) * coeffs.det_G) \
         / (coeffs.det_G * coeffs.det_F)
     J_cross = _position_form(coeffs, z0, w0, other) + rho
     _require_finite((J_cross,), "the cross-play value")
-    return u_e_star, J_cross
+    return J_cross
 
 
 def solve_erg(coeffs: GameCoefficients, z0: float, w0: float, region: Region) -> SaddleSolution:
@@ -212,7 +204,7 @@ def solve_erg(coeffs: GameCoefficients, z0: float, w0: float, region: Region) ->
     sign = 1 if region.label is RegionLabel.OMEGA_PLUS else -1
     branch = solve_erg_branch(coeffs, z0, w0, sign)
 
-    _, J_cross = aux_cross(coeffs, z0, w0, sign)
+    J_cross = aux_cross(coeffs, z0, w0, sign)
     value_tol = 1e-8 * max(1.0, abs(branch.value), abs(J_cross))
     margin = (w0 + coeffs.a * z0) - sign * coeffs.d * coeffs.bound
     margin_tol = 1e-8 * max(1.0, coeffs.bound)
@@ -271,7 +263,7 @@ def penalty_sweep(coeffs: GameCoefficients, z0: float, w0: float, sign: int,
         raise ValueError("eps values must be positive and finite")
     if any(later >= earlier for earlier, later in zip(eps_arr, eps_arr[1:])):
         raise ValueError("eps values must be strictly descending")
-    (m00, m01), (m10, m11) = coeffs.G.tolist()
+    m00, m01, m10, m11 = coeffs.s, coeffs.G2, -coeffs.G2, coeffs.G3
     b0, b1 = float(z0), float(w0 + _shift(sign, coeffs.bound))
     solved = []
     for i, e in enumerate(eps_arr):
@@ -285,7 +277,6 @@ def penalty_sweep(coeffs: GameCoefficients, z0: float, w0: float, sign: int,
         value = (z * m00 - v * m10) * z + (z * m01 - v * (m11 + e)) * v
         w_f = sign * coeffs.bound + e * v
         _require_finite((z, v, value, w_f), "the penalized value at eps = %g", e)
-        u_p, u_e = _branch_laws(coeffs, (z, v))
-        records.append(PenaltyRecord(eps=e, omega_eps=np.array([z, v]), u_p=u_p, u_e=u_e,
-                                     value=value, z_f=z, w_f=w_f))
+        records.append(PenaltyRecord(eps=e, omega_eps=np.array([z, v]), value=value,
+                                     z_f=z, w_f=w_f))
     return records

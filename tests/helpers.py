@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -214,6 +215,40 @@ def combo_integrals_matrix_form(gram, u_p, u_e, z0):
     return values, scales
 
 
+class GameMatrices(NamedTuple):
+    G: np.ndarray
+    G_tilde: np.ndarray
+    G_bar: np.ndarray
+    F: np.ndarray
+    F_bar: np.ndarray
+
+
+def game_matrices(coeffs) -> GameMatrices:
+    """The 2x2 matrices of the reduced game from the `GameCoefficients`
+    scalars: the branch system G = [[s, G2], [-G2, G3]], the fixed-pursuer
+    system F = [[1 - nu_e, G2], [-G2, G3]], G_tilde = diag(1,-1) G, and the
+    value forms G_bar = (G^-1)' diag(1,-1) and F_bar likewise, by LAPACK's
+    inverse as `bench/oracle.py` forms G_bar, not by the solver's closed
+    forms."""
+    flip = np.diag([1.0, -1.0])
+    G = np.array([[coeffs.s, coeffs.G2], [-coeffs.G2, coeffs.G3]])
+    F = np.array([[1.0 - coeffs.nu_e, coeffs.G2], [-coeffs.G2, coeffs.G3]])
+    return GameMatrices(G=G, G_tilde=flip @ G, G_bar=np.linalg.inv(G).T @ flip,
+                        F=F, F_bar=np.linalg.inv(F).T @ flip)
+
+
+def fixed_pursuer_reply(coeffs, z0, w0, sign):
+    """The evader's best reply when the pursuer plays the branch of `sign`
+    and the evader reaches the opposite terminal sign:
+    u_e = (omega1_0 h_e - omega1_1 g_e)/beta with omega1 = F^-1 mu,
+    mu = (z0 - nu_p z_fix, w0 + sign*bound) and z_fix the pursuer's branch
+    terminal miss. Returns the law and omega1."""
+    m = game_matrices(coeffs)
+    z_fix = np.linalg.solve(m.G, np.array([z0, w0 - sign * coeffs.bound]))[0]
+    omega1 = np.linalg.solve(m.F, np.array([z0 - coeffs.nu_p * z_fix, w0 + sign * coeffs.bound]))
+    return z.KernelCombo(he_coef=omega1[0] / coeffs.beta, ge_coef=-omega1[1] / coeffs.beta), omega1
+
+
 @dataclass(frozen=True)
 class CaseIiiDiagnostic:
     """Interior-case feasibility data for the two auxiliary fixed-pursuer
@@ -256,7 +291,7 @@ def case_iii_positions(coeffs, z0, w0):
     one_minus_nu_e = 1.0 - coeffs.nu_e
     z_bars = []
     for sign in (1, -1):
-        omega_fix = solve2(coeffs.G, chi0 - np.array([0.0, sign * bound]))
+        omega_fix = solve2(game_matrices(coeffs).G, chi0 - np.array([0.0, sign * bound]))
         z_bars.append((z0 - coeffs.nu_p * omega_fix[0]) / one_minus_nu_e)
     w1 = w0 + coeffs.G2 * z_bars[0]
     w2 = w0 + coeffs.G2 * z_bars[1]
@@ -296,7 +331,7 @@ def penalty_sweep_reference(coeffs, z0, w0, sign, eps_list):
     (G + diag(0, eps)) omega = (z0, w0 - sign*bound), every eps in one
     elementwise solve."""
     eps = np.array(eps_list, dtype=float)
-    (m00, m01), (m10, m11) = coeffs.G.tolist()
+    (m00, m01), (m10, m11) = game_matrices(coeffs).G.tolist()
     m11 = m11 + eps
     with np.errstate(over="ignore", invalid="ignore"):
         z_f, v_f = solve2_entries_reference(m00, m01, m10, m11, z0, w0 - sign * coeffs.bound)

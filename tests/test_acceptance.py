@@ -227,7 +227,7 @@ def test_criterion_11bg_random_scenarios():
         sc, kern = random_scenario(rng)
         c = coefficients(sc, kern)
         # (g) coefficient identities
-        assert abs((c.G1 - c.nu_p) - (1.0 - c.nu_e)) <= 1e-10 * max(1.0, abs(1.0 - c.nu_e))
+        assert abs((c.s - c.nu_p) - (1.0 - c.nu_e)) <= 1e-10 * max(1.0, abs(1.0 - c.nu_e))
         assert 0.0 < c.d < 1.0
         # (b) terminal equality on a branch playout
         sign = 1 if rng.uniform() < 0.5 else -1

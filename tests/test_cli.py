@@ -23,7 +23,7 @@ from zemgame.numerics import TimeGrid
 from zemgame.reduction import Kernels, SampleBundle
 from zemgame.reference import CHECKS
 
-from helpers import MIXED_ORDERS, first_order_coefficients
+from helpers import MIXED_ORDERS, first_order_coefficients, game_matrices
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 STUDY_FILE = Path(__file__).resolve().parents[1] / "scenarios" / "study.json"
@@ -228,6 +228,34 @@ def test_evader_without_control_authority(tmp_path, capsys, verb, evader):
     assert captured.err.startswith("scenario error: the evader has no control authority")
 
 
+@pytest.mark.parametrize("gain, alpha", [(3e-7, 5e-5), (1e-7, 5e-6)])
+def test_weak_evader_gain_solves(tmp_path, capsys, gain, alpha):
+    """An evader lag of gain c = 3e-7 (1e-7) with alpha = 5e-5 (5e-6) gives
+    det G = 1.9e-9 (2.1e-9), a well-posed branch system, beside
+    det F = 5.3e-13 (5.9e-14). The fixed-pursuer cross check needs no
+    solve on F, so `solve` answers instead of refusing F as near singular.
+    The printed value, z_f and w_f are those of the same game written as a
+    unit-gain lag with beta/c^2 and ae_max*c, from the closed-form
+    first-order coefficients and LAPACK's solve of G omega = b, to their
+    12 printed digits."""
+    path = write_doc(tmp_path, lambda d: (
+        d["players"].update(evader={"A": [[-10.0]], "b": [10.0], "c": [gain], "d": 0.0}),
+        d["weights"].update(alpha=alpha)))
+    assert main(["solve", path]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out.startswith("region: OmegaMinus\n")
+    printed = {line.split()[0]: float(line.split()[1]) for line in out.splitlines()[1:4]}
+
+    c = first_order_coefficients(tau_p=0.2, tau_e=0.1, t_f=1.0, t_c=0.9, alpha=alpha,
+                                 beta=0.3 / gain ** 2, ae_max=100.0 * gain)
+    assert c.det_F < 1e-12 < c.det_G
+    m = game_matrices(c)
+    omega = np.linalg.solve(m.G, np.array([100.0, -100.0 + c.bound]))
+    want = dict(value=float(omega @ m.G_tilde @ omega), z_f=omega[0], w_f=-c.bound)
+    for name, value in want.items():
+        assert printed[name] == pytest.approx(value, rel=1e-11), name
+
+
 def test_fast_unstable_pursuer(tmp_path, capsys):
     """A fast unstable pursuer lag (A = [[40]] on the study) gives
     G1 = s ~ 8.7e30 beside G2 and G3 of order 1: G is badly scaled, not
@@ -251,11 +279,12 @@ def test_fast_unstable_pursuer(tmp_path, capsys):
 
     scenario, _ = load_scenario(path)
     c = coefficients(scenario)
-    assert c.G1 > 1e30
+    assert c.s > 1e30
+    m = game_matrices(c)
     with mpmath.workdps(40):
-        G = mpmath.matrix(c.G.tolist())
+        G = mpmath.matrix(m.G.tolist())
         omega = mpmath.lu_solve(G, mpmath.matrix([scenario.z0, scenario.w0 + c.bound]))
-        value = float((omega.T * mpmath.matrix(c.G_tilde.tolist()) * omega)[0])
+        value = float((omega.T * mpmath.matrix(m.G_tilde.tolist()) * omega)[0])
     for out in outs[:3]:
         assert printed_value(out) == pytest.approx(value, rel=1e-11)
 

@@ -15,15 +15,15 @@ from zemgame import (
     Sampled,
     coefficients,
 )
-from zemgame import numerics, reduction, reference
+from zemgame import numerics, reduction, reference, solver
 from zemgame.cli import load_scenario, scenario_from_document
 from zemgame.engagement import build_evader_ss
 from zemgame.numerics import mat_exp, quad_adaptive
 from zemgame.reduction import sample_control
 from zemgame.errors import AssertionFailure, NoControlAuthority, SolvabilityError
 
-from helpers import (MIXED_ORDERS, ORACLE, first_order_coefficients, oscillator, psi_moments,
-                     psi_product_integral, psi_ref, random_controller, random_draws,
+from helpers import (MIXED_ORDERS, ORACLE, first_order_coefficients, game_matrices, oscillator,
+                     psi_moments, psi_product_integral, psi_ref, random_controller, random_draws,
                      random_first_order, random_scenario, solvability_threshold)
 
 # Lags log-uniform on [1e-5, 1]; horizons from t_f = 0.02 and tails from 0
@@ -376,7 +376,7 @@ class TestExactIntegrals:
         for name in ("beta_star", "mu_e", "bound", "nu_p", "nu_e", "s", "G2", "G3",
                      "a", "d", "det_F", "det_G"):
             assert getattr(c, name) == pytest.approx(getattr(ORACLE, name), rel=1e-10), name
-        np.testing.assert_allclose(c.G_bar, ORACLE.G_bar, rtol=0, atol=1e-8)
+        np.testing.assert_allclose(game_matrices(c).G_bar, ORACLE.G_bar, rtol=0, atol=1e-8)
 
     @pytest.mark.parametrize("omega", [250.0, 1000.0])
     def test_lightly_damped_oscillator(self, omega):
@@ -395,7 +395,7 @@ class TestExactIntegrals:
         c = coefficients(sc)
         assert c.a == pytest.approx(G2 / G1, rel=1e-10)
         assert c.bound == pytest.approx(bound, rel=1e-10)
-        np.testing.assert_allclose(c.G, [[G1, G2], [-G2, G3]], rtol=1e-10, atol=0.0)
+        np.testing.assert_allclose(game_matrices(c).G, [[G1, G2], [-G2, G3]], rtol=1e-10, atol=0.0)
 
 
 class TestKernelGram:
@@ -496,97 +496,83 @@ def pin_scenario(case):
 
 
 class TestPinnedCoefficients:
-    """Every `GameCoefficients` scalar as float.hex, and K, G and F as
-    bytes, on both repository files and the stress documents."""
+    """Every `GameCoefficients` scalar as float.hex, and K as bytes, on
+    both repository files and the stress documents."""
 
     SCALARS = [f.name for f in dataclasses.fields(reduction.GameCoefficients)
                if f.type == "float"]
     PINNED = {
         "study": (
             ("0x1.dc8ec9eecd162p+1", "0x1.c497cab6527a4p+1", "0x1.a024031e15906p-1",
-             "0x1.dc8ec9eecd162p+1", "0x1.05430a9970b68p+1", "0x1.7a4fc4083142cp+2",
-             "0x1.18b138bb64335p-1", "0x1.803194ce95572p-1", "0x1.4ccc79fb282d0p-2",
-             "0x1.a2c81ade9a49cp+4", "0x1.51761e037afd1p+2", "0x1.f35e6a2419e07p-3",
-             "0x1.999999999999ap-5", "0x1.3333333333333p-2", "0x1.9000000000000p+6"),
+             "0x1.05430a9970b68p+1", "0x1.7a4fc4083142cp+2", "0x1.18b138bb64335p-1",
+             "0x1.803194ce95572p-1", "0x1.4ccc79fb282d0p-2", "0x1.a2c81ade9a49cp+4",
+             "0x1.51761e037afd1p+2", "0x1.f35e6a2419e07p-3", "0x1.999999999999ap-5",
+             "0x1.3333333333333p-2", "0x1.9000000000000p+6"),
             "50b91d8930a1c63f3708cddc178bcabf7dbb43accf68e0bf3708cddc178bcabf079e41a2"
             "e635cf3f49a71b653a98e33f7dbb43accf68e0bf49a71b653a98e33f01e5361a955ffc3f",
-            "62d1ec9eecc80d40680b97a930540040680b97a9305400c02c148340fca41740",
-            "e89b7a38fff6c73f680b97a930540040680b97a9305400c02c148340fca41740",
         ),
         "mixed": (
             ("0x1.0032753942140p+0", "0x1.4812feed656f8p-1", "0x1.47ae147ae1477p-1",
-             "0x1.0032753942140p+0", "0x1.47ae147ae1477p+0", "0x1.62fc962fc962ap+1",
-             "0x1.476d8b2767148p+0", "0x1.9763e451d0cbcp-2", "0x1.47ae147ae13d7p-2",
-             "0x1.1a7cd2b56ba99p+2", "0x1.5182a9930be0ap+1", "0x1.26e978d4fdf38p-1",
-             "0x1.47ae147ae147bp-4", "0x1.ccccccccccccdp-1", "0x1.e000000000000p+5"),
+             "0x1.47ae147ae1477p+0", "0x1.62fc962fc962ap+1", "0x1.476d8b2767148p+0",
+             "0x1.9763e451d0cbcp-2", "0x1.47ae147ae13d7p-2", "0x1.1a7cd2b56ba99p+2",
+             "0x1.5182a9930be0ap+1", "0x1.26e978d4fdf38p-1", "0x1.47ae147ae147bp-4",
+             "0x1.ccccccccccccdp-1", "0x1.e000000000000p+5"),
             "907997acf53eaa3f38184c2fdfc1c5bf966d1ee22df9d4bf38184c2fdfc1c5bf38df4f8d"
             "976ee23f38df4f8d976ef23f966d1ee22df9d4bf38df4f8d976ef23f268716d9cef70340",
-            "402194532703f03f7714ae47e17af43f7714ae47e17af4bf2a96fc62c92f0640",
-            "12d7a3703d0ad73f7714ae47e17af43f7714ae47e17af4bf2a96fc62c92f0640",
         ),
         "tau=1e-5": (
             ("0x1.b6a2e36ca75ecp+2", "0x1.aaa763d06908fp+2", "0x1.a024031e0d518p-1",
-             "0x1.b6a2e36ca75ecp+2", "0x1.05430a996b57ep+1", "0x1.7a4fc40829e7fp+2",
-             "0x1.30f5811f8fefcp-2", "0x1.897c612d6bd46p-1", "0x1.4ccc79fb282d0p-2",
-             "0x1.656ed0a0148aap+5", "0x1.51761e0374be7p+2", "0x1.f35e6a240ffb6p-3",
-             "0x1.999999999999ap-5", "0x1.3333333333333p-2", "0x1.9000000000000p+6"),
+             "0x1.05430a996b57ep+1", "0x1.7a4fc40829e7fp+2", "0x1.30f5811f8fefcp-2",
+             "0x1.897c612d6bd46p-1", "0x1.4ccc79fb282d0p-2", "0x1.656ed0a0148aap+5",
+             "0x1.51761e0374be7p+2", "0x1.f35e6a240ffb6p-3", "0x1.999999999999ap-5",
+             "0x1.3333333333333p-2", "0x1.9000000000000p+6"),
             "734005642b55d53fb4b264257132d2bfb0b266765c77e7bfb4b264257132d2bfb6ff40a2"
             "e635cf3f30401b653a98e33fb0b266765c77e7bf30401b653a98e33fcb57361a955ffc3f",
-            "ec75ca362e6a1b407eb596a9305400407eb596a9305400c07f9e8240fca41740",
-            "a0ab7c38fff6c73f7eb596a9305400407eb596a9305400c07f9e8240fca41740",
         ),
         "t_f=50": (
             ("0x1.9209bca8e89a2p+19", "0x1.9209ad3a06ca0p+19", "0x1.0911e2fdd848fp-1",
-             "0x1.9209bca8e89a2p+19", "0x1.a86e5fa0c10fep-1", "0x1.63e51a59d6b74p+0",
-             "0x1.0e4249f40012bp-20", "0x1.03266341bf2dep-1", "0x1.8c051eb851df6p+7",
-             "0x1.1775b159bfe43p+20", "0x1.5b900a6917c41p+0", "0x1.43925596de850p+15",
-             "0x1.999999999999ap-5", "0x1.3880000000000p+16", "0x1.9000000000000p+6"),
+             "0x1.a86e5fa0c10fep-1", "0x1.63e51a59d6b74p+0", "0x1.0e4249f40012bp-20",
+             "0x1.03266341bf2dep-1", "0x1.8c051eb851df6p+7", "0x1.1775b159bfe43p+20",
+             "0x1.5b900a6917c41p+0", "0x1.43925596de850p+15", "0x1.999999999999ap-5",
+             "0x1.3880000000000p+16", "0x1.9000000000000p+6"),
             "80f01976151ae44078fdd4789529e4c0cbc4d987d722f0c078fdd4789529e4c050e86d59"
             "2539e4405fddddddd530f040cbc4d987d722f0c05fddddddd530f040aba9aaaa1227fb40",
-            "a2898eca9b202941fe100cfae586ea3ffe100cfae586eabf746b9da5513ef63f",
-            "e2f644a0c3ddde3ffe100cfae586ea3ffe100cfae586eabf746b9da5513ef63f",
         ),
         "oscillator_160": (
             ("0x1.fd9d65b37c25ap+1", "0x1.c497cab652761p+1", "0x1.1be9940b59417p-1",
-             "0x1.fd9d65b37c25ap+1", "0x1.4db36b1b51bdfp+0", "0x1.b389b0c5fd25fp+1",
-             "0x1.4f433f4304f01p-2", "0x1.e0a465802bda6p-2", "0x1.9e1abb42e6053p-2",
-             "0x1.e7e1cec56173ap+3", "0x1.9b8484aa2afa4p+1", "0x1.54b1e4da6b1b5p-2",
-             "0x1.999999999999ap-5", "0x1.3333333333333p-1", "0x1.9000000000000p+6"),
+             "0x1.4db36b1b51bdfp+0", "0x1.b389b0c5fd25fp+1", "0x1.4f433f4304f01p-2",
+             "0x1.e0a465802bda6p-2", "0x1.9e1abb42e6053p-2", "0x1.e7e1cec56173ap+3",
+             "0x1.9b8484aa2afa4p+1", "0x1.54b1e4da6b1b5p-2", "0x1.999999999999ap-5",
+             "0x1.3333333333333p-1", "0x1.9000000000000p+6"),
             "1bb91d8930a1c63f91bfdc7e74d2cebfbf4ff3f0607de1bf91bfdc7e74d2cebfb5b1a64d"
             "1e4bd53fa554d96e0e07e93fbf4ff3f0607de1bfa554d96e0e07e93f397e39d429550040",
-            "5ac2375bd6d90f40df1bb5b136dbf43fdf1bb5b136dbf4bf5fd25f0c9b380b40",
-            "d2d7947ecd82dc3fdf1bb5b136dbf43fdf1bb5b136dbf4bf5fd25f0c9b380b40",
         ),
         "orders_10_10": (
             ("0x1.29067cddb739bp+5", "0x1.25067cddb739bp+5", "0x1.0000000000000p-1",
-             "0x1.29067cddb739bp+5", "0x1.bd01fd5b252ccp+0", "0x1.c1a0d4aa90e6ap+2",
-             "0x1.7f8b01be24837p-5", "0x1.d326da16e0c04p-2", "0x1.f6e0db8d67476p+0",
-             "0x1.07dd0dd1ea36fp+8", "0x1.a2346509fd9fap+2", "0x1.66a28be795e3bp+3",
-             "0x1.999999999999ap-5", "0x1.66a28be795e3bp+4", "0x1.9000000000000p+6"),
+             "0x1.bd01fd5b252ccp+0", "0x1.c1a0d4aa90e6ap+2", "0x1.7f8b01be24837p-5",
+             "0x1.d326da16e0c04p-2", "0x1.f6e0db8d67476p+0", "0x1.07dd0dd1ea36fp+8",
+             "0x1.a2346509fd9fap+2", "0x1.66a28be795e3bp+3", "0x1.999999999999ap-5",
+             "0x1.66a28be795e3bp+4", "0x1.9000000000000p+6"),
             "f8b8f8e2724dfd3fb658ea6c2f1d12c00516f50f28bc2fc0b658ea6c2f1d12c03b5e79be"
             "286a2640a17c13b65a7b43400516f50f28bc2fc0a17c13b65a7b43406a6b313723af6340",
-            "9b73dbcd67904240cc52b2d51fd0fb3fcc52b2d51fd0fbbf6a0ea94a0d1a1c40",
-            "000000000000e03fcc52b2d51fd0fb3fcc52b2d51fd0fbbf6a0ea94a0d1a1c40",
         ),
         "t_c=0": (
             ("0x1.dc8ec9eecd162p+1", "0x1.c497cab6527a4p+1", "0x1.a024031e15906p-1",
-             "0x1.dc8ec9eecd162p+1", "0x1.a024031e15906p-1", "0x1.a024031e15906p-1",
-             "0x1.bf16f0522de80p-3", "0x1.8b36cc6faec0ap-1", "0x0.0p+0",
-             "0x1.d7e42ae964de0p+1", "0x1.a024031e15906p-1", "0x1.f35e6a2419e07p-3",
-             "0x1.999999999999ap-5", "0x1.3333333333333p-2", "0x1.9000000000000p+6"),
+             "0x1.a024031e15906p-1", "0x1.a024031e15906p-1", "0x1.bf16f0522de80p-3",
+             "0x1.8b36cc6faec0ap-1", "0x0.0p+0", "0x1.d7e42ae964de0p+1",
+             "0x1.a024031e15906p-1", "0x1.f35e6a2419e07p-3", "0x1.999999999999ap-5",
+             "0x1.3333333333333p-2", "0x1.9000000000000p+6"),
             "50b91d8930a1c63f3708cddc178bcabf3708cddc178bcabf3708cddc178bcabf079e41a2"
             "e635cf3f079e41a2e635cf3f3708cddc178bcabf079e41a2e635cf3f079e41a2e635cf3f",
-            "62d1ec9eecc80d400659e1314002ea3f0659e1314002eabf0659e1314002ea3f",
-            "e89b7a38fff6c73f0659e1314002ea3f0659e1314002eabf0659e1314002ea3f",
         ),
     }
 
     @pytest.mark.parametrize("case", list(PIN_DOCUMENTS))
     def test_bit_for_bit(self, case):
         c = coefficients(pin_scenario(case))
-        scalars, K, G, F = self.PINNED[case]
+        scalars, K = self.PINNED[case]
         assert [getattr(c, name).hex() for name in self.SCALARS] == list(scalars)
-        assert (c.K.tobytes().hex(), c.G.tobytes().hex(), c.F.tobytes().hex()) == (K, G, F)
+        assert c.K.tobytes().hex() == K
 
 
 class TestCoefficients:
@@ -631,9 +617,10 @@ class TestCoefficients:
             assert gram[1, 1] == gram[1, 2] == gram[2, 2] and gram[0, 1] == gram[0, 2]
 
     def test_study_matrix(self, study_coeffs):
+        G = game_matrices(study_coeffs).G
         for i in range(2):
             for j in range(2):
-                assert reference.CHECKS["G[%d,%d]" % (i, j)].passed(study_coeffs.G[i, j])
+                assert reference.CHECKS["G[%d,%d]" % (i, j)].passed(G[i, j])
 
     def test_solvability_threshold(self, study_coeffs, study_kernels):
         assert reference.CHECKS["beta_star"].passed(study_coeffs.beta_star)
@@ -671,17 +658,17 @@ class TestCoefficients:
             coefficients(sc)
 
     def test_matrix_identities(self, study_coeffs):
-        """G_tilde = diag(1,-1) G, and G_bar and F_bar, formed in closed form
-        from the scalars, match (X^-1)' diag(1,-1) from LAPACK to 1e-14
+        """The closed-form G_bar entries the solver and `repro` read
+        (`solver.g_bar`) match (G^-1)' diag(1,-1) from LAPACK to 1e-14
         relative, on the study and on random scenarios."""
-        flip = np.diag([1.0, -1.0])
         rng = np.random.default_rng(29)
         for c in [study_coeffs] + [coefficients(random_scenario(rng)[0]) for _ in range(8)]:
-            np.testing.assert_array_equal(c.G_tilde, flip @ c.G)
-            for got, X in ((c.G_bar, c.G), (c.F_bar, c.F)):
-                want = np.linalg.inv(X).T @ flip
-                assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
-        np.testing.assert_allclose(study_coeffs.G_bar, [[0.23, -0.08], [-0.08, -0.14]], atol=0.005)
+            b00, b01, b11 = solver.g_bar(c)
+            want = game_matrices(c).G_bar
+            got = np.array([[b00, b01], [b01, b11]])
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        b00, b01, b11 = solver.g_bar(study_coeffs)
+        np.testing.assert_allclose([b00, b01, b11], [0.23, -0.08, -0.14], atol=0.005)
 
     def test_consistency_check_scales_with_nu_p(self):
         """At nu_p ~ 3e7 the rounding of s = 1 + nu_p - nu_e alone exceeds
@@ -691,19 +678,18 @@ class TestCoefficients:
                     ae_max=50.0)
         c = first_order_coefficients(**args)
         assert c.nu_p > 1e7
-        assert abs((c.G1 - c.nu_p) - (1.0 - c.nu_e)) > 1e-10
+        assert abs((c.s - c.nu_p) - (1.0 - c.nu_e)) > 1e-10
         alpha = c.nu_p * args["alpha"]  # nu_p = 1
         c = first_order_coefficients(**dict(args, alpha=alpha))
         assert c.nu_p == pytest.approx(1.0, rel=1e-12)
-        with pytest.raises(AssertionFailure, match="G1 - nu_p"):
+        with pytest.raises(AssertionFailure, match="s - nu_p"):
             dataclasses.replace(c, nu_p=c.nu_p * (1.0 + 1e-8))
 
     def test_scalar_identities(self, study_coeffs):
         c = study_coeffs
-        assert c.G1 == c.s
-        assert c.a == pytest.approx(c.G2 / c.G1, rel=1e-12)
-        assert (c.G1 - c.nu_p) == pytest.approx(1.0 - c.nu_e, rel=1e-10)
-        assert c.det_G == pytest.approx(c.G1 * c.G3 + c.G2 ** 2, rel=1e-12)
+        assert c.a == pytest.approx(c.G2 / c.s, rel=1e-12)
+        assert (c.s - c.nu_p) == pytest.approx(1.0 - c.nu_e, rel=1e-10)
+        assert c.det_G == pytest.approx(c.s * c.G3 + c.G2 ** 2, rel=1e-12)
 
     def test_randomized_invariants(self):
         rng = np.random.default_rng(17)
@@ -713,8 +699,8 @@ class TestCoefficients:
             assert c.s > 0
             assert c.det_G > 0
             assert 0.0 <= c.d < 1.0
-            assert (c.G1 - c.nu_p) == pytest.approx(1.0 - c.nu_e, rel=1e-10)
-            assert c.a == pytest.approx(c.G2 / c.G1, rel=1e-12)
+            assert (c.s - c.nu_p) == pytest.approx(1.0 - c.nu_e, rel=1e-10)
+            assert c.a == pytest.approx(c.G2 / c.s, rel=1e-12)
 
 
 @functools.cache
@@ -760,12 +746,13 @@ class TestFOneWithoutCancellation:
             for c in (coefficients(z.first_order_scenario(alpha=alpha, beta=beta, ae_max=ae_max,
                                                           **lags)),
                       first_order_coefficients(alpha=alpha, beta=beta, ae_max=ae_max, **lags)):
+                got = game_matrices(c).F
                 for i in range(2):
                     for j in range(2):
-                        assert abs(c.F[i, j] - F[i][j]) <= 1e-14 * largest, (i, j)
+                        assert abs(got[i, j] - F[i][j]) <= 1e-14 * largest, (i, j)
                 assert abs(c.det_F - det_F) <= 1e-14 * det_F
                 assert abs(c.d - d) <= 1e-14 * d
-                assert abs((c.G1 - c.nu_p) - (1 - c.nu_e)) <= 1e-10 * max(1, c.nu_p)
+                assert abs((c.s - c.nu_p) - (1 - c.nu_e)) <= 1e-10 * max(1, c.nu_p)
 
 
 class TestNoControlAuthority:

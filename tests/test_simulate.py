@@ -980,8 +980,9 @@ class TestKernelResponses:
                     np.abs(direct.w_traj).max())
         np.testing.assert_allclose(reduced.z_traj, direct.z_traj, rtol=0, atol=1e-13 * scale)
         np.testing.assert_allclose(reduced.w_traj, direct.w_traj, rtol=0, atol=1e-13 * scale)
-        np.testing.assert_array_equal(reduced.up_samples, direct.up_samples)
-        np.testing.assert_array_equal(reduced.ue_samples, direct.ue_samples)
+        bundle = k.bundle(grid)
+        np.testing.assert_array_equal(bundle.control(u_p), bundle.control(s_p))
+        np.testing.assert_array_equal(bundle.control(u_e), bundle.control(s_e))
 
     def test_warm_calls_run_no_rk4(self, study_scenario, study_coeffs, monkeypatch):
         """The first full playout on a bundle runs three `rk4_affine` scans

@@ -24,8 +24,8 @@ from zemgame.errors import NearSingularError, NonFiniteResult, NotInConstrainedR
 from zemgame.solver import DEFAULT_EPS_SWEEP
 
 from helpers import (MIXED_ORDERS, ORACLE, case_iii_positions, check_case_iii_infeasible,
-                     oscillator, penalty_sweep_reference, random_controller, random_draws,
-                     random_scenario, solve2_entries_reference)
+                     fixed_pursuer_reply, game_matrices, oscillator, penalty_sweep_reference,
+                     random_controller, random_draws, random_scenario, solve2_entries_reference)
 
 
 class TestClassify:
@@ -151,7 +151,7 @@ class TestSolveUpg:
 
     def test_eps_one_matches_direct_solve(self, study_coeffs):
         (sol,) = penalty_sweep(study_coeffs, 100.0, -100.0, 1, [1.0])
-        direct = solve2(study_coeffs.G + np.diag([0.0, 1.0]),
+        direct = solve2(game_matrices(study_coeffs).G + np.diag([0.0, 1.0]),
                         np.array([100.0, -100.0 - study_coeffs.bound]))
         np.testing.assert_allclose(sol.omega_eps, direct, rtol=1e-13)
         np.testing.assert_allclose(sol.omega_eps, ORACLE.upg_eps1_omega, atol=1e-6)
@@ -168,7 +168,7 @@ class TestSolveUpg:
         (rec,) = penalty_sweep(study_coeffs, 100.0, -100.0, sign, [eps])
         swept = penalty_sweep(study_coeffs, 100.0, -100.0, sign, [10.0, eps, 1e-9])[1]
         assert np.array_equal(rec.omega_eps, swept.omega_eps)
-        for name in ("eps", "u_p", "u_e", "value", "z_f", "w_f"):
+        for name in ("eps", "value", "z_f", "w_f"):
             assert getattr(rec, name) == getattr(swept, name), name
         assert rec.z_f == rec.omega_eps[0]
         assert rec.w_f == sign * study_coeffs.bound + eps * rec.omega_eps[1]
@@ -253,23 +253,24 @@ EPS = np.finfo(float).eps
 
 def _rho(c):
     """The position-free part of the cross-play value."""
-    return (c.bound ** 2 * (3.0 * c.nu_p * c.G2 ** 2 - (c.G1 - c.nu_p) * c.det_G)
+    return (c.bound ** 2 * (3.0 * c.nu_p * c.G2 ** 2 - (c.s - c.nu_p) * c.det_G)
             / (c.det_G * c.det_F))
 
 
 def _xi(c, z0, w0, sign):
     """xi = (-nu_p z_fix, sign*bound): the pursuer's fixed branch as a
     shift of the evader's initial position."""
-    z_fix = np.linalg.solve(c.G, np.array([z0, w0 - sign * c.bound]))[0]
+    z_fix = np.linalg.solve(game_matrices(c).G, np.array([z0, w0 - sign * c.bound]))[0]
     return np.array([-c.nu_p * z_fix, sign * c.bound])
 
 
 class TestFloatForms:
-    """The branch solve and the fixed-pursuer cross check run their 2x2
-    algebra on Python floats. Against the numpy matrix forms they replace,
-    on random positions of random coefficient sets: the terminal pairs
-    are bitwise equal (the same explicit inverse) and the values agree
-    within 4 eps of the summed magnitudes of their terms."""
+    """The branch solve and the fixed-pursuer cross value run their
+    algebra on Python floats. Against the numpy matrix forms of
+    `helpers.game_matrices`, on random positions of random coefficient
+    sets: the branch terminal pairs are bitwise equal (the same explicit
+    inverse) and the values agree within 4 eps of the summed magnitudes of
+    their terms."""
 
     @staticmethod
     def coefficient_sets():
@@ -278,11 +279,12 @@ class TestFloatForms:
     def test_branch_against_matrix_form(self, study_coeffs):
         rng = np.random.default_rng(1801)
         for c in [study_coeffs] + self.coefficient_sets():
+            m = game_matrices(c)
             for z0, w0 in rng.uniform(-300.0, 300.0, (25, 2)) * 10.0 ** rng.uniform(-3, 3, (25, 1)):
                 for sign in (1, -1):
                     branch = solve_erg_branch(c, z0, w0, sign)
                     gamma = np.array([0.0, -sign * c.bound])
-                    omega = solve2(c.G, np.array([z0, w0]) + gamma)
+                    omega = solve2(m.G, np.array([z0, w0]) + gamma)
                     np.testing.assert_array_equal([branch.z_f, branch.v_f], omega)
                     assert branch.w_f == -gamma[1]
                     # the margin is classify's on the branch's half-plane, and
@@ -291,25 +293,20 @@ class TestFloatForms:
                     if region.label is branch.region.label:
                         assert branch.region == region
                     assert (sign * branch.region.margin < 0.0) == (region != branch.region)
-                    want = float(omega @ c.G_tilde @ omega)
-                    scale = float(np.abs(omega) @ np.abs(c.G_tilde) @ np.abs(omega))
+                    want = float(omega @ m.G_tilde @ omega)
+                    scale = float(np.abs(omega) @ np.abs(m.G_tilde) @ np.abs(omega))
                     assert abs(branch.value - want) <= 4.0 * EPS * scale
 
     def test_aux_cross_against_matrix_form(self, study_coeffs):
         rng = np.random.default_rng(1802)
         for c in [study_coeffs] + self.coefficient_sets():
+            Gb = game_matrices(c).G_bar
             for z0, w0 in rng.uniform(-300.0, 300.0, (25, 2)) * 10.0 ** rng.uniform(-3, 3, (25, 1)):
                 for sign in (1, -1):
-                    u_e_star, J_cross = aux_cross(c, z0, w0, sign)
+                    J_cross = aux_cross(c, z0, w0, sign)
                     chi0 = np.array([z0, w0])
                     other = np.array([0.0, sign * c.bound])
-                    omega_fix = solve2(c.G, chi0 - other)
-                    mu = chi0 + other - np.array([c.nu_p * omega_fix[0], 0.0])
-                    omega1 = solve2(c.F, mu)
-                    assert (u_e_star.he_coef, u_e_star.ge_coef) == (omega1[0] / c.beta,
-                                                                    -omega1[1] / c.beta)
                     rho = _rho(c)
-                    Gb = c.G_bar
                     want = float(chi0 @ Gb @ chi0 + 2.0 * chi0 @ Gb @ other + rho)
                     scale = float(np.abs(chi0) @ np.abs(Gb) @ (np.abs(chi0) + 2.0 * np.abs(other))
                                   + abs(rho))
@@ -343,18 +340,18 @@ class TestNonFinite:
 
 class TestAuxCross:
     def test_study_values(self, study_coeffs):
-        """omega1 = beta (he_coef, -ge_coef) of the reply, and rho is what
-        the value holds beyond its quadratic form in the position."""
+        """The reply's omega1 = F^-1 mu, and rho is what the value holds
+        beyond its quadratic form in the position."""
         c = study_coeffs
+        Gb = game_matrices(c).G_bar
         chi0 = np.array([100.0, -100.0])
         for sign, omega1, J in ((1, ORACLE.aux_plus_omega1, ORACLE.aux_plus_J),
                                 (-1, ORACLE.aux_minus_omega1, ORACLE.aux_minus_J)):
-            u_e_star, J_cross = aux_cross(c, *chi0, sign)
-            np.testing.assert_allclose([c.beta * u_e_star.he_coef, -c.beta * u_e_star.ge_coef],
-                                       omega1, atol=1e-6)
+            J_cross = aux_cross(c, *chi0, sign)
+            np.testing.assert_allclose(fixed_pursuer_reply(c, *chi0, sign)[1], omega1, atol=1e-6)
             assert J_cross == pytest.approx(J, rel=1e-8)
             other = np.array([0.0, sign * c.bound])
-            rho = J_cross - (chi0 @ c.G_bar @ chi0 + 2.0 * chi0 @ c.G_bar @ other)
+            rho = J_cross - (chi0 @ Gb @ chi0 + 2.0 * chi0 @ Gb @ other)
             assert rho == pytest.approx(ORACLE.rho, rel=1e-8)
         assert _rho(c) == pytest.approx(ORACLE.rho, rel=1e-8)
 
@@ -364,19 +361,21 @@ class TestAuxCross:
         c = study_coeffs
         chi0 = np.array([100.0, -100.0])
         for sign in (1, -1):
-            _, J_cross = aux_cross(c, *chi0, sign)
+            J_cross = aux_cross(c, *chi0, sign)
             gamma_fix = np.array([0.0, -sign * c.bound])
             xi = _xi(c, *chi0, sign)
-            Fb = c.F_bar
+            m = game_matrices(c)
+            Fb = m.F_bar
             je = chi0 @ Fb @ chi0 + 2.0 * chi0 @ Fb @ xi + xi @ Fb @ xi
-            ginv_b = np.linalg.solve(c.G, chi0 + gamma_fix)
+            ginv_b = np.linalg.solve(m.G, chi0 + gamma_fix)
             effort = ginv_b @ np.diag([c.nu_p, 0.0]) @ ginv_b
             assert J_cross == pytest.approx(je + effort, rel=1e-10)
 
     def test_quadratic_form_matches_simulation(self, study_scenario, study_kernels, study_coeffs):
         for sign in (1, -1):
             branch = solve_erg_branch(study_coeffs, 100.0, -100.0, sign)
-            u_e_star, J_cross = aux_cross(study_coeffs, 100.0, -100.0, sign)
+            J_cross = aux_cross(study_coeffs, 100.0, -100.0, sign)
+            u_e_star, _ = fixed_pursuer_reply(study_coeffs, 100.0, -100.0, sign)
             cost = evaluate_cost(study_scenario, study_kernels, branch.u_p, u_e_star)
             assert J_cross == pytest.approx(cost.total, rel=1e-6)
             # the reply reaches the opposite terminal sign
@@ -390,7 +389,7 @@ class TestAuxCross:
             z0, w0 = rng.uniform(-300.0, 300.0, 2)
             for sign in (1, -1):
                 branch = solve_erg_branch(c, z0, w0, sign)
-                _, J_cross = aux_cross(c, z0, w0, sign)
+                J_cross = aux_cross(c, z0, w0, sign)
                 inequality = J_cross <= branch.value + 1e-9 * max(1.0, abs(branch.value))
                 margin = sign * ((w0 + c.a * z0) - sign * c.d * c.bound) >= -1e-9
                 assert inequality == margin
@@ -403,16 +402,17 @@ class TestAuxCross:
         for _ in range(3):
             sc, k = random_scenario(rng)
             c = coefficients(sc, k)
+            m = game_matrices(c)
             for _ in range(20):
                 z0, w0 = rng.uniform(-200.0, 200.0, 2)
                 for sign in (1, -1):
                     branch = solve_erg_branch(c, z0, w0, sign)
-                    _, J_cross = aux_cross(c, z0, w0, sign)
+                    J_cross = aux_cross(c, z0, w0, sign)
                     gamma_fix = np.array([0.0, -sign * c.bound])
                     xi = _xi(c, z0, w0, sign)
-                    je = (np.array([z0, w0]) @ c.F_bar @ np.array([z0, w0])
-                          + 2.0 * np.array([z0, w0]) @ c.F_bar @ xi + xi @ c.F_bar @ xi)
-                    ginv_b = np.linalg.solve(c.G, np.array([z0, w0]) + gamma_fix)
+                    je = (np.array([z0, w0]) @ m.F_bar @ np.array([z0, w0])
+                          + 2.0 * np.array([z0, w0]) @ m.F_bar @ xi + xi @ m.F_bar @ xi)
+                    ginv_b = np.linalg.solve(m.G, np.array([z0, w0]) + gamma_fix)
                     effort = ginv_b @ np.diag([c.nu_p, 0.0]) @ ginv_b
                     assert J_cross == pytest.approx(je + effort, rel=1e-9, abs=1e-9)
                     inequality = J_cross <= branch.value + 1e-9 * max(1.0, abs(branch.value))
@@ -543,26 +543,27 @@ class TestPenaltySweep:
         to 4 ulp of |omega|' |M| |omega|, the size of its terms (the two
         forms sum them in different orders, and they cancel)."""
         for c, z0, w0 in self.position_sets(study_coeffs, case):
+            G = game_matrices(c).G
             for sign in (1, -1):
                 for eps_list in (None, np.geomspace(10.0, 1e-9, 25)):
                     records = penalty_sweep(c, z0, w0, sign, eps_list)
                     for r in records:
-                        M = c.G + np.diag([0.0, r.eps])
+                        M = G + np.diag([0.0, r.eps])
                         omega = solve2(M, np.array([z0, w0 - sign * c.bound]))
                         value = float(omega @ (np.diag([1.0, -1.0]) @ M) @ omega)
                         for got, want in zip(r.omega_eps, omega):
                             self.assert_ulps(got, want)
                         self.assert_ulps(r.value, value, np.abs(omega) @ np.abs(M) @ np.abs(omega))
                         self.assert_ulps(r.w_f, sign * c.bound + r.eps * omega[1])
-                        assert (r.z_f, r.u_p.hp_coef) == (r.omega_eps[0], -r.z_f / c.alpha)
+                        assert r.z_f == r.omega_eps[0]
 
     @pytest.mark.parametrize("case", ["study", "mixed", "random"])
     def test_bitwise_equal_to_elementwise_reference(self, study_coeffs, case):
         """The 2x2 layer on Python floats equals the elementwise numpy
         arithmetic it replaced (`helpers.penalty_sweep_reference` and
         `solve2_entries_reference`) to the last bit: every sweep record on
-        the default eps and on 25 from 10 down to 1e-9, both branch solves
-        and both fixed-pursuer cross checks."""
+        the default eps and on 25 from 10 down to 1e-9, and both branch
+        solves."""
         for c, z0, w0 in self.position_sets(study_coeffs, case):
             for sign in (1, -1):
                 for eps_list in (DEFAULT_EPS_SWEEP, np.geomspace(10.0, 1e-9, 25)):
@@ -572,21 +573,16 @@ class TestPenaltySweep:
                            [r.value for r in records], [r.w_f for r in records]]
                     assert got == [column.tolist() for column in want]
                     assert [r.z_f for r in records] == got[0]
-                z_f, v_f = solve2_entries_reference(c.G1, c.G2, -c.G2, c.G3, np.array([z0]),
+                z_f, v_f = solve2_entries_reference(c.s, c.G2, -c.G2, c.G3, np.array([z0]),
                                                     np.array([w0 - sign * c.bound]))
                 branch = solve_erg_branch(c, z0, w0, sign)
                 assert [branch.z_f, branch.v_f] == [*z_f, *v_f]
-                u_e_star, _ = aux_cross(c, z0, w0, sign)
-                mu = (z0 - c.nu_p * z_f, w0 + sign * c.bound)
-                omega1 = solve2_entries_reference(1.0 - c.nu_e, c.G2, -c.G2, c.G3, *mu)
-                assert [u_e_star.he_coef, u_e_star.ge_coef] == [*omega1[0] / c.beta,
-                                                                *-omega1[1] / c.beta]
 
     def test_first_singular_eps_raises(self, study_coeffs):
         """G + diag(0, eps) is singular at eps = 0.01 exactly (determinant
         0) and near-singular just below it (about -1e-14): the error names
         the first."""
-        c = dataclasses.replace(study_coeffs, G=np.array([[1.0, 0.0], [0.0, -0.01]]))
+        c = dataclasses.replace(study_coeffs, s=1.0, nu_p=0.0, nu_e=0.0, G2=0.0, G3=-0.01)
         with pytest.raises(NearSingularError, match=r"determinant 0 .* \(system 1\)"):
             penalty_sweep(c, 1.0, 1.0, 1, [1.0, 0.01, 0.01 - 1e-14, 1e-3])
         assert len(penalty_sweep(c, 1.0, 1.0, 1, [1.0, 1e-3])) == 2
@@ -643,7 +639,7 @@ class TestRandomizedScenarios:
             for sign in (1, -1):
                 branch = solve_erg_branch(c, sc.z0, sc.w0, sign)
                 b = np.array([sc.z0, sc.w0 - sign * c.bound])
-                resid = c.G @ [branch.z_f, branch.v_f] - b
+                resid = game_matrices(c).G @ [branch.z_f, branch.v_f] - b
                 assert np.abs(resid).max() <= 1e-9 * max(1.0, np.abs(b).max())
 
     def test_dispatch_and_playout_on_random_models(self):
