@@ -397,6 +397,87 @@ def pade13_reference(M):
     return s, np.linalg.solve(V - U, V + U)
 
 
+# -- the kernel Gram matrix K and the tail weight mu_e in 50-digit arithmetic
+# (mpmath numbers in object arrays): Taylor series at a step short enough
+# that no term cancels, then exact doublings; no float exponential is read
+
+
+def _mp_halvings(*mats_and_t):
+    """k with ||M t||_1 / 2^k <= 1/8 for every M of the arguments (t last)."""
+    *mats, t = mats_and_t
+    norm = max(float(np.abs(M).sum(axis=0).max()) for M in mats) * float(t)
+    return max(0, math.ceil(math.log2(8.0 * norm))) if norm > 0.0 else 0
+
+
+def _mp_array(M, mpmath):
+    return np.vectorize(mpmath.mpf, otypes=[object])(np.asarray(M, dtype=float))
+
+
+def _mp_exp(M, t, mpmath):
+    """exp(M t): 40 Taylor terms at t / 2^k, then k squarings."""
+    k = _mp_halvings(M, t)
+    Mh = _mp_array(M, mpmath) * (mpmath.mpf(t) / 2 ** k)
+    E = term = _mp_array(np.eye(M.shape[0]), mpmath)
+    for m in range(1, 40):
+        term = term @ Mh / m
+        E = E + term
+    for _ in range(k):
+        E = E @ E
+    return E
+
+
+def _mp_gramian(X, Y, t, mpmath):
+    """int_0^t exp(X' s) e_0 e_0' exp(Y s) ds: the Taylor series of the
+    integrand, T_m = (X' T_(m-1) + T_(m-1) Y) / m, integrated termwise over
+    [0, h], h = t / 2^k, then k doublings W <- W + Phi_X' W Phi_Y,
+    Phi <- Phi^2."""
+    k = _mp_halvings(X, Y, t)
+    h = mpmath.mpf(t) / 2 ** k
+    Xh, Yh = _mp_array(X, mpmath) * h, _mp_array(Y, mpmath) * h
+    term = _mp_array(np.zeros((X.shape[0], Y.shape[0])), mpmath)
+    term[0, 0] = mpmath.mpf(1)
+    W = term.copy()
+    for m in range(1, 40):
+        term = (Xh.T @ term + term @ Yh) / m
+        W = W + term / (m + 1)
+    W = W * h
+    phi_x, phi_y = _mp_exp(X, h, mpmath), _mp_exp(Y, h, mpmath)
+    for _ in range(k):
+        W = W + phi_x.T @ W @ phi_y
+        phi_x, phi_y = phi_x @ phi_x, phi_y @ phi_y
+    return W
+
+
+def reference_gram(scenario):
+    """(K, mu_e) of a scenario in 50-digit arithmetic, as mpmath numbers: K
+    the 3x3 Gram matrix of (h_p, h_e, g_e) over [0, t_f]
+    (`reduction.kernel_gram`), with x_e = exp(A_e t_c) B_e, and mu_e =
+    |P(t_c)|, P(s) = int_0^s D_e exp(A_e r) B_e dr. That is the tail weight
+    when g_e keeps one sign on the tail, which a 1024-cell float scan
+    asserts. The caller imports mpmath first (`pytest.importorskip`)."""
+    import mpmath
+    from zemgame.engagement import build_player_ss
+
+    p, e = build_player_ss(scenario.pursuer), build_player_ss(scenario.evader)
+    t_f, t_c, n = scenario.t_f, scenario.t_c, e.A.shape[0]
+    g = [float(z.numerics.mat_exp(e.A, s)[0] @ e.B) for s in np.linspace(0.0, t_c, 1025)[1:]]
+    assert not g or min(g) >= 0.0 or max(g) <= 0.0, "g_e changes sign on the tail"
+    with mpmath.workdps(50):
+        B_p, B_e = _mp_array(p.B, mpmath), _mp_array(e.B, mpmath)
+        x_e = _mp_exp(e.A, t_c, mpmath) @ B_e if t_c else B_e
+        W_pp, W_ee = _mp_gramian(p.A, p.A, t_f, mpmath), _mp_gramian(e.A, e.A, t_f, mpmath)
+        W_pe = _mp_gramian(p.A, e.A, t_f, mpmath)
+        hp_he, hp_ge, he_ge = -(B_p @ W_pe @ B_e), -(B_p @ W_pe @ x_e), B_e @ W_ee @ x_e
+        K = np.array([[B_p @ W_pp @ B_p, hp_he, hp_ge],
+                      [hp_he, B_e @ W_ee @ B_e, he_ge],
+                      [hp_ge, he_ge, x_e @ W_ee @ x_e]], dtype=object)
+        if not t_c:
+            return K, mpmath.mpf(0)
+        M = np.zeros((n + 1, n + 1))
+        M[:n, :n], M[:n, n] = e.A, e.B
+        return K, abs(_mp_exp(M, t_c, mpmath)[0, n])
+
+
 # -- the closed-form first-order coefficients: psi(t) = exp(-t) + t - 1 and
 # its antiderivatives, the independent oracle of `coefficients` for
 # first-order lags

@@ -24,7 +24,7 @@ from zemgame.errors import AssertionFailure, NoControlAuthority, SolvabilityErro
 
 from helpers import (MIXED_ORDERS, ORACLE, first_order_coefficients, game_matrices, oscillator,
                      psi_moments, psi_product_integral, psi_ref, random_controller, random_draws,
-                     random_first_order, random_scenario, solvability_threshold)
+                     random_first_order, random_scenario, reference_gram, solvability_threshold)
 
 # Lags log-uniform on [1e-5, 1]; horizons from t_f = 0.02 and tails from 0
 # up, so t_f/tau and t_c/tau_e reach well below 1, where the closed forms
@@ -573,6 +573,28 @@ class TestPinnedCoefficients:
         scalars, K = self.PINNED[case]
         assert [getattr(c, name).hex() for name in self.SCALARS] == list(scalars)
         assert c.K.tobytes().hex() == K
+
+    # largest error of an entry K_ij relative to sqrt(K_ii K_jj), which
+    # bounds it, and of mu_e relative to itself
+    K_BANDS = {"tau=1e-5": 1e-11, "t_f=50": 1e-13, "oscillator_160": 1e-13}
+    MU_BAND = 1e-13
+
+    @pytest.mark.parametrize("case", list(PIN_DOCUMENTS))
+    def test_against_reference(self, case):
+        """K and mu_e of each pinned document against 50-digit arithmetic
+        (`helpers.reference_gram`). The stiff lag keeps the error of the
+        Pade Van Loan block at h amplified by its doublings (ROADMAP
+        item 12); every other document's K is within 1e-14."""
+        mpmath = pytest.importorskip("mpmath")
+        scenario = pin_scenario(case)
+        K, mu = reference_gram(scenario)
+        c = coefficients(scenario)
+        band = self.K_BANDS.get(case, 1e-14)
+        for i in range(3):
+            for j in range(3):
+                error = abs(mpmath.mpf(c.K.item(i, j)) - K[i, j]) / mpmath.sqrt(K[i, i] * K[j, j])
+                assert error <= band, (i, j, float(error))
+        assert abs(mpmath.mpf(c.mu_e) - mu) <= self.MU_BAND * mu
 
 
 class TestCoefficients:
