@@ -114,10 +114,9 @@ def _pade_ell(M: np.ndarray) -> int:
     return max(0, int(np.ceil(np.log2(alpha / 2.0 ** -53) / 26.0)))
 
 
-def scaled_exp(M: np.ndarray) -> tuple[int, np.ndarray]:
-    """Squarings s for exp(M) (`_powers`) and the diagonal Pade-13
-    approximant of exp(M / 2^s); s squarings of it give exp(M). The
-    identity terms b_1 I and b_0 I are added to the diagonals in place."""
+def _pade13(M: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """Squarings s for exp(M) (`_powers`), and U, V of the Pade-13 approximant
+    (V - U)^-1 (V + U) of exp(M / 2^s), b_1 I and b_0 I added in place."""
     s, M, M2, M4, M6 = _powers(M)
     b = _PADE13_B
     step = M.shape[0] + 1  # of the diagonal in the (C-contiguous) sums of products
@@ -126,16 +125,17 @@ def scaled_exp(M: np.ndarray) -> tuple[int, np.ndarray]:
     U = M @ inner
     V = M6 @ (b[12] * M6 + b[10] * M4 + b[8] * M2) + b[6] * M6 + b[4] * M4 + b[2] * M2
     V.ravel()[::step] += b[0]
+    return s, U, V
+
+
+def scaled_exp(M: np.ndarray) -> tuple[int, np.ndarray]:
+    """Squarings s and the approximant of exp(M / 2^s) (`_pade13`)."""
+    s, U, V = _pade13(M)
     return s, np.linalg.solve(V - U, V + U)
 
 
-def mat_exp(A: np.ndarray, t: float = 1.0) -> np.ndarray:
-    """exp(A*t) by scaling-and-squaring with the diagonal Pade-13 approximant.
-
-    Accurate to near round-off for the small dense matrices used here; the
-    number of squarings follows `_powers`. Raises ValueError for non-square
-    or non-finite input.
-    """
+def _checked(A: np.ndarray, t: float) -> np.ndarray:
+    """A t, refused (ValueError) unless A is square and t and A t finite."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("matrix exponential requires a square matrix, got shape %r" % (A.shape,))
@@ -144,13 +144,30 @@ def mat_exp(A: np.ndarray, t: float = 1.0) -> np.ndarray:
     M = A * float(t)  # a finite sum has finite terms
     if not math.isfinite(np.add.reduce(M, None)) and not np.isfinite(M).all():
         raise ValueError("matrix exponential argument contains non-finite entries")
+    return M
+
+
+def mat_exp(A: np.ndarray, t: float = 1.0) -> np.ndarray:
+    """exp(A*t) by scaling-and-squaring with the diagonal Pade-13 approximant
+    (`scaled_exp`): near round-off for the small dense matrices used here.
+    Raises ValueError for non-square or non-finite input."""
+    M = _checked(A, t)
     if M.shape[0] == 0:
         return np.zeros((0, 0))
-
     halvings, E = scaled_exp(M)
     for _ in range(halvings):
         E = E @ E
     return E
+
+
+def exp_minus_identity(A: np.ndarray, t: float) -> np.ndarray:
+    """F = exp(A*t) - I with the checks of `mat_exp`: (V - U)^-1 2U (`_pade13`)
+    squared as I + F, F <- 2F + F F, so I is never rounded into F near A*t = 0."""
+    halvings, U, V = _pade13(_checked(A, t))
+    F = np.linalg.solve(V - U, 2.0 * U)
+    for _ in range(halvings):
+        F = 2.0 * F + F @ F
+    return F
 
 
 def _gl7(f: Callable[[float], float], a: float, b: float) -> float:

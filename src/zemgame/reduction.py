@@ -25,7 +25,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .engagement import (EngagementScenario, StateSpace, build_evader_ss, build_player_ss,
                          build_relative_ss)
 from .errors import AssertionFailure, NoControlAuthority, NonFiniteResult, SolvabilityError
-from .numerics import TimeGrid, mat_exp, rk4_affine, scaled_exp
+from .numerics import TimeGrid, exp_minus_identity, mat_exp, rk4_affine, scaled_exp
 
 # Sign scan of the tail kernel: fewest cells, and the most before the input
 # is refused (bounded work); Newton steps per root.
@@ -58,71 +58,57 @@ def _progression_step(values: np.ndarray) -> Optional[float]:
     return float(step)
 
 
-def _transition_rows(D: np.ndarray, A: np.ndarray, deltas: np.ndarray) -> np.ndarray:
-    """Rows D exp(A delta) for an ascending array of nonnegative deltas.
-
-    A uniform progression delta_0 + i h (`_progression_step`: the nodes of
-    a grid, or its refined nodes) is built by doubling from its first row
-    (`_progression_rows`). Any other set of sample times costs one matrix
-    exponential per point.
-    """
-    deltas = np.asarray(deltas, dtype=float)
-    n = deltas.size
-    if n == 0:
-        return np.empty((0, A.shape[0]))
-    step = _progression_step(deltas)
+def _transition_rows(D: np.ndarray, A: np.ndarray, end: float, ts) -> np.ndarray:
+    """Rows D exp(A (end - t)) for each t, in the order of ts: by doubling
+    (`_progression_rows`) when the deltas end - t, sorted ascending, are a
+    uniform progression (`_progression_step`: the nodes of a grid, or its
+    refined nodes), else one matrix exponential per point."""
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    order = np.argsort(-ts)
+    deltas = end - ts[order]
+    rows = np.empty((ts.size, A.shape[0]))
+    step = _progression_step(deltas) if ts.size else None
     if step is None:
-        rows = np.empty((n, A.shape[0]))
-        for i, delta in enumerate(deltas):
+        for i, delta in zip(order.tolist(), deltas.tolist()):
             rows[i] = D @ mat_exp(A, delta)
-        return rows
-    return _progression_rows(D @ mat_exp(A, deltas[0]) if deltas[0] != 0.0 else D, A, step, n)
-
-
-def _progression_rows(first: np.ndarray, A: np.ndarray, step: float, n: int) -> np.ndarray:
-    """The n rows first exp(A i h), i = 0..n-1, for the step h, by repeated
-    doubling: with E = exp(A h), rows[k:2k] = rows[:k] @ E and then
-    E = E @ E, so n rows cost about log2(n) matrix products."""
-    rows = np.empty((n, A.shape[0]))
-    rows[0] = first
-    E = mat_exp(A, step) if n > 1 else None
-    k = 1
-    while k < n:
-        m = min(k, n - k)
-        np.matmul(rows[:m], E, out=rows[k:k + m])
-        k += m
-        if k < n:
-            E = E @ E
+    else:
+        first = D @ mat_exp(A, deltas[0]) if deltas[0] != 0.0 else D
+        rows[order] = _progression_rows(first, A, step, ts.size)[0]
     return rows
 
 
-def _rows_at(D: np.ndarray, A: np.ndarray, end: float, ts) -> np.ndarray:
-    """Rows D exp(A (end - t)) for each t, in the order of ts: the rows are
-    formed in ascending delta = end - t (`_transition_rows`) and scattered
-    back."""
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    order = np.argsort(-ts)
-    out = np.empty((ts.size, A.shape[0]))
-    out[order] = _transition_rows(D, A, end - ts[order])
-    return out
+def _progression_rows(first: np.ndarray, A: np.ndarray, step: float, n: int) -> tuple:
+    """The n rows first exp(A i h), i = 0..n-1, for the step h, and the last
+    F read: from F = exp(A h) - I (`exp_minus_identity`), rows[k:2k] =
+    rows[:k] + rows[:k] @ F, then F <- 2F + F F, about log2(n) products whose
+    error does not grow with n (I is never rounded into F). For n - 1 = 2^j
+    the last F is exp(A h (n - 1)) - I."""
+    rows = np.empty((n, A.shape[0]))
+    rows[0] = first
+    F = exp_minus_identity(A, step) if n > 1 else None
+    k = 1
+    while k < n:
+        m = min(k, n - k)
+        np.add(rows[:m] @ F, rows[:m], out=rows[k:k + m])
+        k += m
+        if k < n:
+            F = 2.0 * F + F @ F
+    return rows, F
 
 
 class Kernels:
     """Kernel functions of a scenario, backed by transition-matrix rows.
 
-    The kernel Gram matrix K = int_0^t_f k k' dt of k = (h_p, h_e, g_e)
-    (`gram`, from `kernel_gram`) and the sample bundle of the build grid,
+    The kernel Gram matrix K = int_0^t_f k k' dt of k = (h_p, h_e, g_e) with
+    the tail weight mu_e (`gram`), and the sample bundle of the build grid,
     `TimeGrid(0, t_f)` (`bundle`), are each computed on their first use and
     kept; a call that samples another grid names it, and the bundle of the
-    last such grid is kept in one more slot. The samplers at arbitrary
-    times evaluate the transition rows directly (`_transition_rows`). Neither
-    K nor a bundle's arrays are changed once built, so the object stays
-    freely shareable.
+    last such grid is kept in one more slot. None of them changes once
+    built, so the object stays freely shareable.
     """
 
     def __init__(self, scenario: EngagementScenario):
-        self.t_f = scenario.t_f
-        self.t_c = scenario.t_c
+        self.t_f, self.t_c = scenario.t_f, scenario.t_c
         self.grid = TimeGrid(0.0, scenario.t_f)
 
         rel = build_relative_ss(scenario.pursuer, scenario.evader)
@@ -130,15 +116,16 @@ class Kernels:
         self._A_ep, self._B_ep, self._C_ep, self._D_ep = rel.A, rel.B, rel.C, rel.D_row
         self._A_e, self._B_e, self._D_e = ev.A, ev.B, ev.D_row
         self._players = (build_player_ss(scenario.pursuer), ev)
-        self._gram: Optional[np.ndarray] = None
+        self._gram, self._mu_e = None, 0.0  # K and mu_e, formed together by `gram`
         self._bundle: Optional[SampleBundle] = None
         self._off_grid: Optional[SampleBundle] = None
 
     def gram(self) -> np.ndarray:
         """The kernel Gram matrix K (`kernel_gram`), read-only; formed on
-        the first call and kept."""
+        the first call and kept, with mu_e from the same tail scan."""
         if self._gram is None:
-            self._gram = kernel_gram(*self._players, self.t_f, self.t_c)
+            self._mu_e, x_e = _tail_weight(self._A_e, self._B_e, self.t_c)
+            self._gram = kernel_gram(*self._players, self.t_f, x_e)
         return self._gram
 
     def bundle(self, grid: Optional[TimeGrid] = None) -> "SampleBundle":
@@ -156,11 +143,11 @@ class Kernels:
 
     def rows_engagement(self, ts) -> np.ndarray:
         """D_ep exp(A_ep (t_f - t)) for each t."""
-        return _rows_at(self._D_ep, self._A_ep, self.t_f, ts)
+        return _transition_rows(self._D_ep, self._A_ep, self.t_f, ts)
 
     def rows_target(self, ts) -> np.ndarray:
         """D_e exp(A_e (t_f + t_c - t)) for each t."""
-        return _rows_at(self._D_e, self._A_e, self.t_f + self.t_c, ts)
+        return _transition_rows(self._D_e, self._A_e, self.t_f + self.t_c, ts)
 
     # -- kernel values -----------------------------------------------------
 
@@ -178,8 +165,7 @@ class Kernels:
         return float(self.sample_engagement(t)[1][0])
 
     def g_e(self, t: float) -> float:
-        """Valid on [0, t_f + t_c]; the tail beyond t_f feeds the
-        reachability weight integral."""
+        """Valid on [0, t_f + t_c]."""
         return float(self.sample_target(t)[0])
 
 
@@ -600,64 +586,65 @@ def _assemble(integrals: tuple[float, float, float, float], mu: float, alpha: fl
         det_F=det_F, beta_star=int_he2, alpha=alpha, beta=beta, ae_max=ae_max, K=K)
 
 
-def _augmented(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """[[A, B], [0, 0]]: the top-right block of exp(M s) is int_0^s exp(A r) B dr."""
+def _augmented(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, float]:
+    """(M, c), M = [[A, B / c], [0, 0]]: c exp(M s)[:-1, -1] = int_0^s exp(A r) B dr, for
+    the least power of two c >= 1 with ||B / c||_1 <= max(1, ||A||_1) (no squarings for gain)."""
     n = A.shape[0]
     M = np.zeros((n + 1, n + 1))
-    M[:n, :n] = A
-    M[:n, n] = B
-    return M
+    M[:n, :n], M[:n, n] = A, B
+    norms = np.add.reduce(np.abs(M))  # the column sums of |A|, then ||B||_1
+    ratio = norms.item(n) / max(1.0, np.maximum.reduce(norms[:n]))
+    scale = 2.0 ** math.ceil(math.log2(ratio)) if ratio > 1.0 else 1.0
+    M[:n, n] /= scale
+    return M, scale
 
 
 def _sign_cells(A: np.ndarray, span: float) -> int:
     """Cells of the sign scan of a player's position kernel over [0, span]:
-    at least 256, and at least 4 per radian of the fastest oscillation,
-    max |Im lambda(A)| * span.
-
-    A is a player block (`build_player_ss`): the double integrator over the
-    controller block A_c = A[2:, 2:] adds two zero eigenvalues, so only the
-    spectrum of A_c is read. It has no imaginary part at order 1 or below,
-    and Bendixson's bound max |Im lambda| <= 0.5 ||A_c - A_c'||_1 settles the
-    floor of 256 cells, with a cell to spare, without it.
-    """
-    controller = A[2:, 2:]
-    if controller.shape[0] < 2:
+    at least 256 and 4 per radian of max |Im lambda(A)| * span, rounded up to
+    a power of two. Only the controller block A_c = A[2:, 2:] can oscillate;
+    its eigenvalues are skipped at order 1 or below, and where a bound on
+    max |Im lambda(A_c)| (sqrt(|a_01 a_10|) at order 2, Bendixson's
+    0.5 ||A_c - A_c'||_1 above) keeps the count at 256 with a cell to spare."""
+    A_c = A[2:, 2:]
+    if A_c.shape[0] < 2:
         return _MIN_SIGN_CELLS
-    skew = np.maximum.reduce(np.add.reduce(np.abs(controller - controller.T)))
-    if 2.0 * skew * span <= _MIN_SIGN_CELLS - 1:
+    bound = (math.sqrt(abs(A_c.item(0, 1) * A_c.item(1, 0))) if A_c.shape[0] == 2
+             else 0.5 * np.maximum.reduce(np.add.reduce(np.abs(A_c - A_c.T))))
+    if 4.0 * bound * span <= _MIN_SIGN_CELLS - 1:
         return _MIN_SIGN_CELLS
-    omega = float(np.abs(np.linalg.eigvals(controller).imag).max())
+    omega = float(np.abs(np.linalg.eigvals(A_c).imag).max())
     cells = max(_MIN_SIGN_CELLS, int(math.ceil(4.0 * omega * span)))
     if cells > _MAX_SIGN_CELLS:
         raise ValueError("evader oscillation of %g rad/s over t_c = %g needs %d sign-scan "
                          "cells, more than %d" % (omega, span, cells, _MAX_SIGN_CELLS))
-    return cells
+    return 1 << (cells - 1).bit_length()
 
 
-def _tail_weight(A: np.ndarray, B: np.ndarray, t_c: float) -> float:
-    """The reachability weight mu_e of `coefficients`: how much terminal
-    correction the evader can accumulate on the tail [t_f, t_f + t_c] under
-    its acceleration bound, int_0^t_c |D exp(A s) B| ds, exactly, for its
-    block (A, B) and D = e_0 picking its position.
+def _tail_weight(A: np.ndarray, B: np.ndarray, t_c: float) -> tuple[float, np.ndarray]:
+    """(mu_e, x_e): the reachability weight of `coefficients`, the terminal
+    correction the evader can accumulate on the tail [t_f, t_f + t_c] under its
+    acceleration bound, int_0^t_c |D exp(A s) B| ds for its block (A, B) and
+    D = e_0; and x_e = exp(A t_c) B for `kernel_gram` (B itself at t_c = 0).
 
-    With P(s) = int_0^s D exp(A r) B dr read from the augmented exponential,
+    With P(s) = int_0^s D exp(A r) B dr from the augmented exponential M,
     the integral is sum |P(rho_{i+1}) - P(rho_i)| over the sign changes rho_i
-    of the kernel together with both end points. Sign changes are found on a
-    uniform scan (`_sign_cells`) and refined by safeguarded Newton steps;
-    P is stationary at a root, so a root error delta costs only O(delta^2).
-    Without a sign change on the scan the integral is |P(t_c)|.
+    of the kernel and both end points, found on a uniform scan
+    (`_progression_rows`, `_sign_cells`) and refined by safeguarded Newton
+    steps (a root error delta costs O(delta^2), as P is stationary there).
+    The scan's 2^j cells end on F = exp(M t_c) - I: x_e = B + F[:n, :n] B,
+    and the end row holds P(t_c), the integral when no sign changes.
     """
     if t_c == 0.0:
-        return 0.0
+        return 0.0, B
     n = A.shape[0]
-    M = _augmented(A, B)
+    M, scale = _augmented(A, B)
     cells = _sign_cells(A, t_c)
-    first = np.zeros(n + 1)
-    first[0] = 1.0  # D, and 0 for the integral
-    rows = _progression_rows(first, M, t_c / cells, cells + 1)
+    rows, F = _progression_rows(np.eye(1, n + 1)[0], M, t_c / cells, cells + 1)  # D, and 0 for P
+    x_e = B + F[:n, :n] @ B
     g = rows[:, :n] @ B
     if np.minimum.reduce(g) >= 0.0 or np.maximum.reduce(g) <= 0.0:  # one sign; a NaN fails both
-        return abs(rows.item(-1, n))
+        return scale * abs(rows.item(-1, n)), x_e
     signs = np.sign(g)
     nz = np.flatnonzero(signs)
     change = np.flatnonzero(signs[nz[:-1]] != signs[nz[1:]])
@@ -685,7 +672,7 @@ def _tail_weight(A: np.ndarray, B: np.ndarray, t_c: float) -> float:
             x = nxt
         knots.append(float(r[n]))
     knots.append(float(rows[-1, n]))
-    return float(np.abs(np.diff(knots)).sum())
+    return scale * float(np.abs(np.diff(knots)).sum()), x_e
 
 
 def integral_g_e(scenario: EngagementScenario) -> float:
@@ -693,11 +680,11 @@ def integral_g_e(scenario: EngagementScenario) -> float:
     D_e exp(A_e t_c) (D_e itself at t_c = 0, as in `kernel_gram`)."""
     ev = build_evader_ss(scenario.evader)
     row = ev.D_row @ mat_exp(ev.A, scenario.t_c) if scenario.t_c != 0.0 else ev.D_row
-    start = np.append(row, 0.0)
-    return float(start @ mat_exp(_augmented(ev.A, ev.B), scenario.t_f)[:, -1])
+    M, scale = _augmented(ev.A, ev.B)
+    return scale * float(np.append(row, 0.0) @ mat_exp(M, scenario.t_f)[:, -1])
 
 
-def kernel_gram(pursuer: StateSpace, evader: StateSpace, t_f: float, t_c: float) -> np.ndarray:
+def kernel_gram(pursuer: StateSpace, evader: StateSpace, t_f: float, x_e: np.ndarray) -> np.ndarray:
     """K = int_0^t_f k k' dt for the kernels k = (h_p, h_e, g_e), from the
     players' own blocks (`build_player_ss`; only A and B are read): the 3x3
     Gram matrix of which every cost of kernel-combination controls is a
@@ -705,23 +692,19 @@ def kernel_gram(pursuer: StateSpace, evader: StateSpace, t_f: float, t_c: float)
 
     In the reversed time s = t_f - t the kernels are the players' position
     responses: h_p = -D_p exp(A_p s) B_p, h_e = D_e exp(A_e s) B_e and
-    g_e = D_e exp(A_e s) x_e with x_e = exp(A_e t_c) B_e (B_e itself at
-    t_c = 0, so that g_e = h_e there exactly), D picking each player's
-    position. So every product integral is a quadratic form of one
-    observability Gramian W = int_0^t_f exp(Y' s) d' d exp(Y s) ds of
-    Y = diag(A_p, A_e) and d = [D_p, D_e]: int h_p^2 = B_p' W_pp B_p,
-    int h_e^2 = B_e' W_ee B_e, int h_e g_e = B_e' W_ee x_e,
-    int g_e^2 = x_e' W_ee x_e, and from the cross block
-    int h_p h_e = -B_p' W_pe B_e and int h_p g_e = -B_p' W_pe x_e.
+    g_e = D_e exp(A_e s) x_e, x_e = exp(A_e t_c) B_e (`_tail_weight`), D
+    picking each player's position. So every product integral is a quadratic
+    form of one observability Gramian W = int_0^t_f exp(Y' s) d' d exp(Y s) ds
+    of Y = diag(A_p, A_e) and d = [D_p, D_e]: int h_p^2 = B_p' W_pp B_p,
+    int h_e g_e = B_e' W_ee x_e, int h_p g_e = -B_p' W_pe x_e, and so on.
 
     W comes from Van Loan (IEEE TAC 1978): for C = [[-Y', u u'], [0, Y]]
     with the unit vector u = d / |d|, exp(C h) = [[., F12], [0, exp(Y h)]]
     and W(h) = |d|^2 exp(Y' h) F12. One `scaled_exp(C t_f)` gives both the
     step h = t_f / 2^k, k being the squarings exp(C t_f) would need, and
-    exp(C h), which is used unsquared (squaring it would square
-    exp(-Y' h) and swamp the result for stiff Y); k doublings
-    W <- W + Phi W Phi', Phi <- Phi^2 then carry W(h) out to W(t_f).
-    C t_f is written block by block, each entry the product c t_f.
+    exp(C h), used unsquared (squaring would square exp(-Y' h) and swamp
+    the result for stiff Y); k doublings W <- W + Phi W Phi', Phi <- Phi^2
+    carry W(h) to W(t_f). C t_f is written entry by entry as c t_f.
     """
     n = pursuer.A.shape[0]
     N = n + evader.A.shape[0]
@@ -740,7 +723,6 @@ def kernel_gram(pursuer: StateSpace, evader: StateSpace, t_f: float, t_c: float)
             phi = phi @ phi
     W *= 2.0  # |d|^2
     W_ee, B_p, B_e = W[n:, n:], pursuer.B, evader.B
-    x_e = mat_exp(evader.A, t_c) @ B_e if t_c != 0.0 else B_e
     p_row, e_row = B_p @ W[:n, n:], x_e @ W_ee  # B_p' W_pe and x_e' W_ee
     hp_he, hp_ge, he_ge = -float(p_row @ B_e), -float(p_row @ x_e), float(e_row @ B_e)
     K = np.array([[float(B_p @ W[:n, :n] @ B_p), hp_he, hp_ge],
@@ -755,14 +737,15 @@ def coefficients(scenario: EngagementScenario,
     """All game coefficients from exact kernel integrals: int h_p^2,
     int h_e^2, int h_e g_e and int g_e^2 are entries of the kernel Gram
     matrix (`kernel_gram`, kept as `K`), and mu_e comes from `_tail_weight`.
-    K is read from `kernels.gram()` when the scenario's kernels are given,
-    so a caller that builds them forms K once; no kernel samples are taken.
-    Raises SolvabilityError when the evader effort weight does not exceed
-    the squared-kernel integral.
+    Both come from `kernels.gram()` when the scenario's kernels are given, so
+    a caller that builds them forms them once; no kernel samples are taken.
+    Raises SolvabilityError when beta does not exceed int h_e^2.
     """
-    ev = build_player_ss(scenario.evader)
-    K = (kernel_gram(build_player_ss(scenario.pursuer), ev, scenario.t_f, scenario.t_c)
-         if kernels is None else kernels.gram())
-    mu = _tail_weight(ev.A, ev.B, scenario.t_c)
+    if kernels is None:
+        ev = build_player_ss(scenario.evader)
+        mu, x_e = _tail_weight(ev.A, ev.B, scenario.t_c)
+        K = kernel_gram(build_player_ss(scenario.pursuer), ev, scenario.t_f, x_e)
+    else:
+        K, mu = kernels.gram(), kernels._mu_e  # gram() forms both
     return _assemble((K.item(0, 0), K.item(1, 1), K.item(1, 2), K.item(2, 2)), mu,
                      scenario.alpha, scenario.beta, scenario.ae_max, K)

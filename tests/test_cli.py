@@ -484,32 +484,35 @@ def kernel_builds(monkeypatch):
 
 
 @pytest.mark.parametrize("case, exponentials", [
-    ("study", 3), ("mixed", 3), ("t_c=0", 1), ("study --csv", 6), ("study --probe 20", 6),
-    ("table1", 3), ("table1 study", 3), ("repro", 8)])
+    ("study", 2), ("mixed", 2), ("t_c=0", 1), ("study --csv", 5), ("study --probe 20", 5),
+    ("table1", 2), ("table1 study", 2), ("repro", 7)])
 def test_solve_exponential_budget(tmp_path, capsys, monkeypatch, case, exponentials):
-    """A plain `solve` takes exactly three scaled Pade exponentials: the
-    Van Loan block of the kernel Gram matrix, exp(A_e t_c) for g_e's start
-    and the sign-scan step of mu_e; at t_c = 0 only the first. Counted on
-    both modules that reach `scaled_exp`. Every verb forms the kernel Gram
+    """A plain `solve` runs exactly two Pade-13 evaluations: the Van Loan
+    block of the kernel Gram matrix, and the step of the tail scan, which
+    gives mu_e and x_e = exp(A_e t_c) B_e; at t_c = 0 only the first.
+    Counted on `numerics._pade13`, which every finisher calls (`scaled_exp`
+    and `mat_exp`, `exp_minus_identity`). Every verb forms the kernel Gram
     matrix once: a verb that builds the kernels hands them to
-    `coefficients`, which reads K from them."""
-    calls, grams = [], []
-    scaled_exp, kernel_gram = numerics.scaled_exp, reduction.kernel_gram
+    `coefficients`, which reads K and mu_e from them, so the tail scan also
+    runs once."""
+    calls, grams, tails = [], [], []
+    pade13, kernel_gram, tail = numerics._pade13, reduction.kernel_gram, reduction._tail_weight
 
     def counting(M):
         calls.append(M.shape)
-        return scaled_exp(M)
+        return pade13(M)
 
-    monkeypatch.setattr(numerics, "scaled_exp", counting)
-    monkeypatch.setattr(reduction, "scaled_exp", counting)
+    monkeypatch.setattr(numerics, "_pade13", counting)
     monkeypatch.setattr(reduction, "kernel_gram", lambda *args: grams.append(args) or
                         kernel_gram(*args))
+    monkeypatch.setattr(reduction, "_tail_weight", lambda *args: tails.append(args) or
+                        tail(*args))
     words = {"study": str(STUDY_FILE), "mixed": str(MIXED_ORDERS),
              "t_c=0": write_doc(tmp_path, lambda d: d["horizon"].update(nu=0.0)),
              "--csv": "--csv=%s" % (tmp_path / "t.csv")}
     argv = [words.get(word, word) for word in case.split()]
     assert main(argv if argv[0] in ("table1", "repro") else ["solve"] + argv) == EXIT_OK
-    assert (len(grams), len(calls)) == (1, exponentials)
+    assert (len(grams), len(tails), len(calls)) == (1, 1, exponentials)
 
 
 @pytest.mark.parametrize("argv", [[verb, str(path)] for verb in ("solve", "classify", "sweep",
@@ -692,19 +695,19 @@ FORCED = {
         "1,32.1624146964,-9.67323889992,1934.53850918,1.56918390503\n"
         "0.1,32.8318039263,-10.8942461025,1839.69412851,0.176725456885\n"
         "0.01,32.908155989,-11.0335169695,1828.87596208,0.0178984696063\n"
-        "0.001,32.9158987011,-11.0476401536,1827.77891316,0.00179213801053\n"
-        "0.0001,32.9166740627,-11.0490544608,1827.66905378,0.000179236743811\n"
-        "1e-05,32.9167516098,-11.0491959114,1827.65806629,1.79239038365e-05\n"
-        "1e-06,32.9167593646,-11.0492100567,1827.65696753,1.79239267258e-06\n"),
+        "0.001,32.9158987011,-11.0476401536,1827.77891316,0.00179213801054\n"
+        "0.0001,32.9166740627,-11.0490544608,1827.66905378,0.000179236743818\n"
+        "1e-05,32.9167516098,-11.0491959114,1827.65806629,1.79239038464e-05\n"
+        "1e-06,32.9167593646,-11.0492100567,1827.65696753,1.79239268408e-06\n"),
     ("study", "sweep --sign -"): (
         "eps,z_f_eps,v_f_eps,value,omega_gap\n"
         "1,27.724788294,-1.57873489892,2665.91402889,0.256100921245\n"
         "0.1,27.8340369282,-1.77801113953,2663.38772148,0.0288427329458\n"
         "0.01,27.8464980767,-1.80074104215,2663.09956509,0.00292114553326\n"
-        "0.001,27.8477617372,-1.80304603676,2663.07034372,0.000292488467426\n"
-        "0.0001,27.8478882812,-1.80327686081,2663.06741747,2.92525911476e-05\n"
-        "1e-05,27.8479009374,-1.80329994646,2663.06712481,2.92529656165e-06\n"
-        "1e-06,27.847902203,-1.80330225506,2663.06709554,2.92530026814e-07\n"),
+        "0.001,27.8477617372,-1.80304603676,2663.07034372,0.000292488467433\n"
+        "0.0001,27.8478882812,-1.80327686081,2663.06741747,2.9252591151e-05\n"
+        "1e-05,27.8479009374,-1.80329994646,2663.06712481,2.92529656717e-06\n"
+        "1e-06,27.847902203,-1.80330225506,2663.06709554,2.92530034035e-07\n"),
     ("mixed", "solve --sign +"): (
         "region: forced branch +\n"
         "value            -239.713274382    [J = omega_f' diag(1,-1) G omega_f]\n"
@@ -729,18 +732,18 @@ FORCED = {
         "0.1,0.704483458513,9.29294854764,-230.881580952,0.342082768008\n"
         "0.01,0.46249032824,9.48215124077,-238.812123876,0.0349047509139\n"
         "0.001,0.437747946703,9.50149610902,-239.622975484,0.00349759613166\n"
-        "0.0001,0.435268154858,9.503434938,-239.704242649,0.000349830983409\n"
+        "0.0001,0.435268154858,9.503434938,-239.704242649,0.000349830983408\n"
         "1e-05,0.435020120011,9.50362886442,-239.71237119,3.4983812204e-05\n"
-        "1e-06,0.43499531597,9.5036482575,-239.713184062,3.49838835979e-06\n"),
+        "1e-06,0.43499531597,9.5036482575,-239.713184062,3.49838835878e-06\n"),
     ("mixed", "sweep --sign -"): (
         "eps,z_f_eps,v_f_eps,value,omega_gap\n"
         "1,-6.39599483038,14.8444681847,-1033.60439232,5.4643978068\n"
         "0.1,-10.1844382248,17.8064683546,-1271.49919,0.655473981371\n"
         "0.01,-10.6481277625,18.1690047176,-1300.61651268,0.0668819308951\n"
-        "0.001,-10.6955373044,18.2060719393,-1303.59358854,0.00670183790605\n"
+        "0.001,-10.6955373044,18.2060719393,-1303.59358854,0.00670183790606\n"
         "0.0001,-10.7002889002,18.2097869816,-1303.89196436,0.000670320545046\n"
-        "1e-05,-10.7007641664,18.2101585692,-1303.92180864,6.70334223563e-05\n"
-        "1e-06,-10.7008116941,18.2101957288,-1303.92479314,6.7033559173e-06\n"),
+        "1e-05,-10.7007641664,18.2101585692,-1303.92180864,6.70334223599e-05\n"
+        "1e-06,-10.7008116941,18.2101957288,-1303.92479314,6.70335591372e-06\n"),
 }
 
 

@@ -8,7 +8,8 @@ import zemgame as z
 from zemgame import Kernels, TimeGrid, reference
 from zemgame.engagement import build_game_ss
 from zemgame import numerics, reduction
-from zemgame.numerics import mat_exp, ode_playout, quad_adaptive, rk4_affine, scaled_exp, solve2
+from zemgame.numerics import (exp_minus_identity, mat_exp, ode_playout, quad_adaptive, rk4_affine,
+                              scaled_exp, solve2)
 from zemgame.errors import NearSingularError, NonFiniteResult
 from zemgame.reference import CHECKS
 
@@ -132,9 +133,9 @@ class TestPade13Reference:
 
     @pytest.mark.parametrize("case", ["tau_e=1e-5", "omega=1e3"])
     def test_every_exponential_of_coefficients(self, monkeypatch, case):
-        """Every argument `coefficients` hands the exponential: the Van
-        Loan block, exp(A_e t_c) and the tail weight's scan step and Newton
-        steps, for a stiff lag and a lightly damped oscillator."""
+        """Every argument `coefficients` hands the Pade core (`_pade13`,
+        behind every finisher): the Van Loan block and the tail scan's step,
+        for a stiff lag and a lightly damped oscillator."""
         evader = (z.ControllerModel.first_order(1e-5) if case == "tau_e=1e-5"
                   else oscillator(1e3, 0.02))
         scenario = z.EngagementScenario(
@@ -144,15 +145,52 @@ class TestPade13Reference:
 
         def recording(M):
             seen.append(M.copy())
-            return scaled_exp(M)
+            return pade13(M)
 
-        monkeypatch.setattr(numerics, "scaled_exp", recording)
-        monkeypatch.setattr(reduction, "scaled_exp", recording)
+        pade13 = numerics._pade13
+        monkeypatch.setattr(numerics, "_pade13", recording)
         z.coefficients(scenario)
         monkeypatch.undo()
-        assert max(M.shape[0] for M in seen) == 2 * (1 + evader.order + 4)
+        assert [M.shape[0] for M in seen] == [evader.order + 3, 2 * (1 + evader.order + 4)]
         for M in seen:
             self.assert_matches(M)
+
+
+class TestExpMinusIdentity:
+    """`exp_minus_identity(A, t)` is exp(A t) - I without the cancellation
+    of subtracting I: to a few ulps of expm1 on scalars (times |a|, the
+    condition of exp(a), once squarings amplify the Pade step's rounding),
+    where `mat_exp(A, t) - 1` loses the digits that 1 absorbs."""
+
+    @pytest.mark.parametrize("a", [1e-12, -3e-7, 0.01, -0.7, 2.5, -40.0, 300.0, -1e4])
+    def test_scalar_against_expm1(self, a):
+        want = math.expm1(a)
+        got = float(exp_minus_identity(np.array([[a]]), 1.0)[0, 0])
+        assert abs(got - want) <= 4.0 * max(1.0, abs(a)) * math.ulp(want)
+
+    def test_keeps_digits_that_mat_exp_loses(self):
+        want = math.expm1(1e-10)
+        assert exp_minus_identity(np.array([[1.0]]), 1e-10)[0, 0] == pytest.approx(want, rel=1e-15)
+        assert abs(mat_exp(np.array([[1.0]]), 1e-10)[0, 0] - 1.0 - want) > 1e-8 * want
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_is_mat_exp_less_identity(self, seed):
+        rng = np.random.default_rng(seed)
+        size = int(rng.integers(1, 13))
+        A = rng.standard_normal((size, size)) * 10.0 ** rng.uniform(-2.0, 1.5)
+        E = mat_exp(A, 0.9)
+        np.testing.assert_allclose(exp_minus_identity(A, 0.9) + np.eye(size), E, rtol=0,
+                                   atol=1e-13 * np.abs(E).max())
+
+    @pytest.mark.parametrize("A, t, message", [
+        (np.zeros((2, 3)), 1.0, "square matrix"),
+        (np.eye(2), math.inf, "non-finite time"),
+        (np.array([[1.0, math.nan], [0.0, 1.0]]), 1.0, "non-finite entries"),
+    ])
+    def test_refuses_what_mat_exp_refuses(self, A, t, message):
+        for function in (mat_exp, exp_minus_identity):
+            with pytest.raises(ValueError, match=message):
+                function(A, t)
 
 
 class TestQuadAdaptive:

@@ -50,9 +50,10 @@ def exact_and_closed(tau_p, tau_e, t_f, t_c):
 
 def sign_cells_rule(A, span):
     """The scan's cell count from the spectrum of the whole player block:
-    max(256, ceil(4 max |Im lambda(A)| span))."""
+    max(256, ceil(4 max |Im lambda(A)| span)), rounded up to a power of
+    two."""
     omega = float(np.abs(np.linalg.eigvals(A).imag).max())
-    return max(256, int(np.ceil(4.0 * omega * span)))
+    return 2 ** int(np.ceil(np.log2(max(256, int(np.ceil(4.0 * omega * span))))))
 
 
 def tail_weight_loop(A, B, D, t_c):
@@ -63,10 +64,10 @@ def tail_weight_loop(A, B, D, t_c):
     if t_c == 0.0:
         return 0.0
     n = A.shape[0]
-    M = reduction._augmented(A, B)
+    M, scale = reduction._augmented(A, B)
     AB = A @ B
     s = np.linspace(0.0, t_c, sign_cells_rule(A, t_c) + 1)
-    rows = reduction._transition_rows(np.append(D, 0.0), M, s)
+    rows = reduction._transition_rows(np.append(D, 0.0), M, t_c, t_c - s)
     g = rows[:, :n] @ B
     signs = np.sign(g)
     nonzero = np.flatnonzero(signs)
@@ -94,7 +95,7 @@ def tail_weight_loop(A, B, D, t_c):
             x = nxt
         knots.append(float(r[n]))
     knots.append(float(rows[-1, n]))
-    return float(np.abs(np.diff(knots)).sum())
+    return scale * float(np.abs(np.diff(knots)).sum())
 
 
 def mu_e(scenario):
@@ -148,6 +149,22 @@ class TestKernels:
     def test_tail_value(self, study_kernels):
         assert study_kernels.g_e(1.0) == pytest.approx(0.800012341, abs=1e-7)
 
+    def test_rows_accuracy_does_not_grow_with_nodes(self, study_kernels):
+        """The study's engagement rows on 200,001 nodes, doubled from one
+        step, against 40-digit exponentials at 45 of the nodes (both ends,
+        the first steps and every 5,000th), within 1e-14 of each row's
+        largest entry. Doubled as E <- E @ E they were 2.2e-11 off."""
+        mpmath = pytest.importorskip("mpmath")
+        nodes = z.TimeGrid(0.0, 1.0, 200_001).nodes
+        rows = study_kernels.rows_engagement(nodes)
+        k = study_kernels
+        with mpmath.workdps(40):
+            A, D = mpmath.matrix(k._A_ep.tolist()), mpmath.matrix([k._D_ep.tolist()])
+            for i in sorted({0, 1, 2, 3, 199_999, *range(0, 200_001, 5_000)}):
+                want = D * mpmath.expm(A * (mpmath.mpf(k.t_f) - mpmath.mpf(nodes[i])))
+                scale = max(abs(x) for x in want)
+                assert max(abs(mpmath.mpf(r) - w) for r, w in zip(rows[i], want)) <= 1e-14 * scale
+
 
 class TestMuE:
     def test_study_value(self, study_scenario):
@@ -191,18 +208,19 @@ class TestMuE:
         closed = tau_e ** 2 * (1.0 - sigma + sigma ** 2 / 2 - np.exp(-sigma))
         assert mu_e(study_scenario) == pytest.approx(closed, abs=1e-8)
 
-    @pytest.mark.parametrize("case, band", [("study", 1e-13), ("t_f=50", 1e-13),
-                                            ("oscillator", 1e-13), ("tau_e=1e-5", 1e-11)])
+    @pytest.mark.parametrize("case, band", [("study", 2e-15), ("t_f=50", 2e-15),
+                                            ("oscillator", 2e-15), ("tau_e=1e-5", 2e-15)])
     def test_accuracy_against_mpmath(self, study_scenario, case, band):
         """mu_e against the exponential of the augmented evader block at t_c
         in 40-digit arithmetic. g_e keeps one sign on each tail, so mu_e is
         |P(t_c)|, the block's top-right position entry. The bands hold
-        today's error (2.9e-14 at most, 5e-14 for the 160 rad/s
-        oscillator, 3.6e-12 for the stiff lag): it comes from the end row of
-        the doubling scan (`_progression_rows`), whose position entries are
-        about 2.8e-14 off where one exponential at t_c is within 2.2e-16.
-        beta, which mu_e does not read, is raised so that every case is a
-        solvable game."""
+        today's error (3.7e-16 at most): mu_e is read from the end row of
+        the doubling scan (`_progression_rows`), which carries each level
+        as I + F, so its error does not grow with the cell count. When each
+        level was squared as E <- E @ E, the error was 2.9e-14 (5e-14 for
+        the 160 rad/s oscillator, 3.6e-12 for the stiff lag). beta, which
+        mu_e does not read, is raised so that every case is a solvable
+        game."""
         mpmath = pytest.importorskip("mpmath")
         evader, t_f, t_c = {"study": (study_scenario.evader, 1.0, 0.9),
                             "t_f=50": (z.ControllerModel.first_order(0.1), 50.0, 30.0),
@@ -212,11 +230,26 @@ class TestMuE:
         ev = build_evader_ss(evader)
         g = [float(ev.D_row @ mat_exp(ev.A, s) @ ev.B) for s in np.linspace(0.0, t_c, 513)[1:]]
         assert min(g) > 0.0
-        M = reduction._augmented(ev.A, ev.B)
+        M, scale = reduction._augmented(ev.A, ev.B)
+        assert scale == 1.0
         with mpmath.workdps(40):
             exact = abs(mpmath.expm(mpmath.matrix(M.tolist()) * mpmath.mpf(t_c))[0, M.shape[0] - 1])
             error = float(abs(mpmath.mpf(mu_e(sc)) - exact) / exact)
         assert error <= band
+
+    @pytest.mark.parametrize("gain", [1.0, 1e4, 1e8, 1e12])
+    def test_pure_gain_at_every_gain(self, study_scenario, gain):
+        """An order-0 evader of feedthrough d has g_e = d s on the tail, so
+        mu_e = d t_c^2 / 2 and int_0^t_f g_e = d (t_f t_c + t_f^2 / 2). The
+        gain is balanced out of the augmented blocks (`reduction._augmented`):
+        unbalanced, mu_e was 3e-5 off at d = 1e12. beta and ae_max scale
+        with the gain, as the game's gain symmetry asks."""
+        sc = dataclasses.replace(study_scenario, evader=z.ControllerModel.zero_order(feed=gain),
+                                 beta=gain ** 2, ae_max=100.0 / gain)
+        t_f, t_c = sc.t_f, sc.t_c
+        assert mu_e(sc) == pytest.approx(gain * t_c ** 2 / 2.0, rel=1e-13, abs=0.0)
+        assert reduction.integral_g_e(sc) == pytest.approx(gain * (t_f * t_c + t_f ** 2 / 2.0),
+                                                           rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("omega", [10.0, 40.0, 160.0, 1e3])
     def test_oscillator_matches_cell_loop(self, omega):
@@ -259,8 +292,8 @@ class TestSignCells:
     def assert_rule_and_mu_e(model, t_c):
         ev = build_evader_ss(model)
         assert reduction._sign_cells(ev.A, t_c) == sign_cells_rule(ev.A, t_c)
-        assert reduction._tail_weight(ev.A, ev.B, t_c) == tail_weight_loop(ev.A, ev.B, ev.D_row,
-                                                                          t_c)
+        assert reduction._tail_weight(ev.A, ev.B, t_c)[0] == tail_weight_loop(ev.A, ev.B,
+                                                                             ev.D_row, t_c)
 
     @settings(max_examples=100)
     @given(seed=st.integers(0, 2 ** 32 - 1), order=st.integers(0, 10),
@@ -283,9 +316,15 @@ class TestSignCells:
     @pytest.mark.parametrize("model, t_c, eigvals", [
         (z.ControllerModel.zero_order(), 0.9, 0),
         (z.ControllerModel.first_order(1e-5), 50.0, 0),
-        (oscillator(10.0, 0.05), 1.0, 0),  # Bendixson: omega <= 50.5, 4 * 50.5 <= 255
-        (oscillator(10.0, 0.05), 2.0, 1),
+        (oscillator(10.0, 0.05), 1.0, 0),  # sqrt(|a_01 a_10|) = 10, 4 * 10 <= 255
+        (oscillator(40.0, 0.05), 2.0, 1),  # 4 * 40 * 2 > 255
         (oscillator(1e3, 0.05), 0.9, 1),
+        # settled by sqrt(|a_01 a_10|), not by Bendixson's 0.5 (1 + omega^2)
+        (oscillator(10.0, 0.05), 2.0, 0),
+        (oscillator(80.0, 0.05), 0.75, 0),
+        # order 3: Bendixson's bound, 0 for a symmetric block
+        (z.ControllerModel(order=3, sys=-np.eye(3), inp=[1.0, 1.0, 1.0], out=[1.0, 0.0, 0.0],
+                           feed=0.0), 0.9, 0),
     ])
     def test_eigenvalues_only_when_they_can_count(self, monkeypatch, model, t_c, eigvals):
         calls = []
@@ -368,7 +407,8 @@ class TestExactIntegrals:
                             lambda A, *a: shapes.append(A.shape) or original(A, *a))
         got = reduction.integral_g_e(sc)
         assert shapes == [(ev.A.shape[0] + 1,) * 2]
-        augmented = reduction._augmented(ev.A, ev.B)
+        augmented, scale = reduction._augmented(ev.A, ev.B)
+        assert scale == 1.0
         assert got == float(np.append(ev.D_row, 0.0) @ original(augmented, sc.t_f)[:, -1])
 
     def test_frozen_oracle(self, study_coeffs):
@@ -504,57 +544,57 @@ class TestPinnedCoefficients:
     PINNED = {
         "study": (
             ("0x1.dc8ec9eecd162p+1", "0x1.c497cab6527a4p+1", "0x1.a024031e15906p-1",
-             "0x1.05430a9970b68p+1", "0x1.7a4fc4083142cp+2", "0x1.18b138bb64335p-1",
-             "0x1.803194ce95572p-1", "0x1.4ccc79fb282d0p-2", "0x1.a2c81ade9a49cp+4",
-             "0x1.51761e037afd1p+2", "0x1.f35e6a2419e07p-3", "0x1.999999999999ap-5",
+             "0x1.05430a9970b69p+1", "0x1.7a4fc4083142dp+2", "0x1.18b138bb64336p-1",
+             "0x1.803194ce95572p-1", "0x1.4ccc79fb28377p-2", "0x1.a2c81ade9a49cp+4",
+             "0x1.51761e037afd3p+2", "0x1.f35e6a2419e07p-3", "0x1.999999999999ap-5",
              "0x1.3333333333333p-2", "0x1.9000000000000p+6"),
-            "50b91d8930a1c63f3708cddc178bcabf7dbb43accf68e0bf3708cddc178bcabf079e41a2"
-            "e635cf3f49a71b653a98e33f7dbb43accf68e0bf49a71b653a98e33f01e5361a955ffc3f",
+            "50b91d8930a1c63f3708cddc178bcabf7ebb43accf68e0bf3708cddc178bcabf079e41a2"
+            "e635cf3f4aa71b653a98e33f7ebb43accf68e0bf4aa71b653a98e33f03e5361a955ffc3f",
         ),
         "mixed": (
             ("0x1.0032753942140p+0", "0x1.4812feed656f8p-1", "0x1.47ae147ae1477p-1",
-             "0x1.47ae147ae1477p+0", "0x1.62fc962fc962ap+1", "0x1.476d8b2767148p+0",
-             "0x1.9763e451d0cbcp-2", "0x1.47ae147ae13d7p-2", "0x1.1a7cd2b56ba99p+2",
+             "0x1.47ae147ae1477p+0", "0x1.62fc962fc962bp+1", "0x1.476d8b2767148p+0",
+             "0x1.9763e451d0cbcp-2", "0x1.47ae147ae147ap-2", "0x1.1a7cd2b56ba9ap+2",
              "0x1.5182a9930be0ap+1", "0x1.26e978d4fdf38p-1", "0x1.47ae147ae147bp-4",
              "0x1.ccccccccccccdp-1", "0x1.e000000000000p+5"),
             "907997acf53eaa3f38184c2fdfc1c5bf966d1ee22df9d4bf38184c2fdfc1c5bf38df4f8d"
-            "976ee23f38df4f8d976ef23f966d1ee22df9d4bf38df4f8d976ef23f268716d9cef70340",
+            "976ee23f38df4f8d976ef23f966d1ee22df9d4bf38df4f8d976ef23f278716d9cef70340",
         ),
         "tau=1e-5": (
             ("0x1.b6a2e36ca75ecp+2", "0x1.aaa763d06908fp+2", "0x1.a024031e0d518p-1",
-             "0x1.05430a996b57ep+1", "0x1.7a4fc40829e7fp+2", "0x1.30f5811f8fefcp-2",
-             "0x1.897c612d6bd46p-1", "0x1.4ccc79fb282d0p-2", "0x1.656ed0a0148aap+5",
-             "0x1.51761e0374be7p+2", "0x1.f35e6a240ffb6p-3", "0x1.999999999999ap-5",
+             "0x1.05430a996b57ep+1", "0x1.7a4fc40829e82p+2", "0x1.30f5811f8fefcp-2",
+             "0x1.897c612d6bd44p-1", "0x1.4ccc79fb28377p-2", "0x1.656ed0a0148acp+5",
+             "0x1.51761e0374be8p+2", "0x1.f35e6a240ffb6p-3", "0x1.999999999999ap-5",
              "0x1.3333333333333p-2", "0x1.9000000000000p+6"),
-            "734005642b55d53fb4b264257132d2bfb0b266765c77e7bfb4b264257132d2bfb6ff40a2"
-            "e635cf3f30401b653a98e33fb0b266765c77e7bf30401b653a98e33fcb57361a955ffc3f",
+            "734005642b55d53fb4b264257132d2bfb1b266765c77e7bfb4b264257132d2bfb6ff40a2"
+            "e635cf3f31401b653a98e33fb1b266765c77e7bf31401b653a98e33fcf57361a955ffc3f",
         ),
         "t_f=50": (
             ("0x1.9209bca8e89a2p+19", "0x1.9209ad3a06ca0p+19", "0x1.0911e2fdd848fp-1",
-             "0x1.a86e5fa0c10fep-1", "0x1.63e51a59d6b74p+0", "0x1.0e4249f40012bp-20",
-             "0x1.03266341bf2dep-1", "0x1.8c051eb851df6p+7", "0x1.1775b159bfe43p+20",
-             "0x1.5b900a6917c41p+0", "0x1.43925596de850p+15", "0x1.999999999999ap-5",
+             "0x1.a86e5fa0c1131p-1", "0x1.63e51a59d6bcbp+0", "0x1.0e4249f40014cp-20",
+             "0x1.03266341bf2ddp-1", "0x1.8c051eb851eb8p+7", "0x1.1775b159bfe87p+20",
+             "0x1.5b900a6917c95p+0", "0x1.43925596de850p+15", "0x1.999999999999ap-5",
              "0x1.3880000000000p+16", "0x1.9000000000000p+6"),
-            "80f01976151ae44078fdd4789529e4c0cbc4d987d722f0c078fdd4789529e4c050e86d59"
-            "2539e4405fddddddd530f040cbc4d987d722f0c05fddddddd530f040aba9aaaa1227fb40",
+            "80f01976151ae44078fdd4789529e4c0eac4d987d722f0c078fdd4789529e4c050e86d59"
+            "2539e4407eddddddd530f040eac4d987d722f0c07eddddddd530f04015aaaaaa1227fb40",
         ),
         "oscillator_160": (
             ("0x1.fd9d65b37c25ap+1", "0x1.c497cab652761p+1", "0x1.1be9940b59417p-1",
-             "0x1.4db36b1b51bdfp+0", "0x1.b389b0c5fd25fp+1", "0x1.4f433f4304f01p-2",
-             "0x1.e0a465802bda6p-2", "0x1.9e1abb42e6053p-2", "0x1.e7e1cec56173ap+3",
-             "0x1.9b8484aa2afa4p+1", "0x1.54b1e4da6b1b5p-2", "0x1.999999999999ap-5",
+             "0x1.4db36b1b51c0ep+0", "0x1.b389b0c5fd2dbp+1", "0x1.4f433f4304f30p-2",
+             "0x1.e0a465802bda4p-2", "0x1.9e1abb42e6222p-2", "0x1.e7e1cec5617c4p+3",
+             "0x1.9b8484aa2b019p+1", "0x1.54b1e4da6b1b5p-2", "0x1.999999999999ap-5",
              "0x1.3333333333333p-1", "0x1.9000000000000p+6"),
-            "1bb91d8930a1c63f91bfdc7e74d2cebfbf4ff3f0607de1bf91bfdc7e74d2cebfb5b1a64d"
-            "1e4bd53fa554d96e0e07e93fbf4ff3f0607de1bfa554d96e0e07e93f397e39d429550040",
+            "1bb91d8930a1c63f91bfdc7e74d2cebfe64ff3f0607de1bf91bfdc7e74d2cebfb5b1a64d"
+            "1e4bd53fdd54d96e0e07e93fe64ff3f0607de1bfdd54d96e0e07e93f837e39d429550040",
         ),
         "orders_10_10": (
             ("0x1.29067cddb739bp+5", "0x1.25067cddb739bp+5", "0x1.0000000000000p-1",
-             "0x1.bd01fd5b252ccp+0", "0x1.c1a0d4aa90e6ap+2", "0x1.7f8b01be24837p-5",
-             "0x1.d326da16e0c04p-2", "0x1.f6e0db8d67476p+0", "0x1.07dd0dd1ea36fp+8",
-             "0x1.a2346509fd9fap+2", "0x1.66a28be795e3bp+3", "0x1.999999999999ap-5",
+             "0x1.bd01fd5b252c9p+0", "0x1.c1a0d4aa90e67p+2", "0x1.7f8b01be24834p-5",
+             "0x1.d326da16e0c03p-2", "0x1.f6e0db8d67530p+0", "0x1.07dd0dd1ea36dp+8",
+             "0x1.a2346509fd9f6p+2", "0x1.66a28be795e3bp+3", "0x1.999999999999ap-5",
              "0x1.66a28be795e3bp+4", "0x1.9000000000000p+6"),
-            "f8b8f8e2724dfd3fb658ea6c2f1d12c00516f50f28bc2fc0b658ea6c2f1d12c03b5e79be"
-            "286a2640a17c13b65a7b43400516f50f28bc2fc0a17c13b65a7b43406a6b313723af6340",
+            "f8b8f8e2724dfd3fb658ea6c2f1d12c00216f50f28bc2fc0b658ea6c2f1d12c03b5e79be"
+            "286a26409f7c13b65a7b43400216f50f28bc2fc09f7c13b65a7b4340686b313723af6340",
         ),
         "t_c=0": (
             ("0x1.dc8ec9eecd162p+1", "0x1.c497cab6527a4p+1", "0x1.a024031e15906p-1",
@@ -576,8 +616,8 @@ class TestPinnedCoefficients:
 
     # largest error of an entry K_ij relative to sqrt(K_ii K_jj), which
     # bounds it, and of mu_e relative to itself
-    K_BANDS = {"tau=1e-5": 1e-11, "t_f=50": 1e-13, "oscillator_160": 1e-13}
-    MU_BAND = 1e-13
+    K_BANDS = {"tau=1e-5": 1e-11, "t_f=50": 5e-14, "oscillator_160": 5e-14}
+    MU_BAND = 2e-15
 
     @pytest.mark.parametrize("case", list(PIN_DOCUMENTS))
     def test_against_reference(self, case):
