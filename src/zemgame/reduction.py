@@ -587,8 +587,8 @@ def _assemble(integrals: tuple[float, float, float, float], mu: float, alpha: fl
 
 
 def _augmented(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, float]:
-    """(M, c), M = [[A, B / c], [0, 0]]: c exp(M s)[:-1, -1] = int_0^s exp(A r) B dr, for
-    the least power of two c >= 1 with ||B / c||_1 <= max(1, ||A||_1) (no squarings for gain)."""
+    """(M, c): M = [[A, B / c], [0, 0]], c the least power of two >= 1 with ||B / c||_1 <=
+    max(1, ||A||_1), so the gain adds no squarings; c exp(M s)[:-1, -1] = int_0^s exp(A r) B dr."""
     n = A.shape[0]
     M = np.zeros((n + 1, n + 1))
     M[:n, :n], M[:n, n] = A, B
