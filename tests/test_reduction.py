@@ -155,9 +155,9 @@ class TestKernels:
         the first steps and every 5,000th), within 1e-14 of each row's
         largest entry. Doubled as E <- E @ E they were 2.2e-11 off."""
         mpmath = pytest.importorskip("mpmath")
-        nodes = z.TimeGrid(0.0, 1.0, 200_001).nodes
-        rows = study_kernels.rows_engagement(nodes)
         k = study_kernels
+        nodes = z.TimeGrid(0.0, 1.0, 200_001).nodes
+        rows = k.rows_engagement(nodes)
         with mpmath.workdps(40):
             A, D = mpmath.matrix(k._A_ep.tolist()), mpmath.matrix([k._D_ep.tolist()])
             for i in sorted({0, 1, 2, 3, 199_999, *range(0, 200_001, 5_000)}):
