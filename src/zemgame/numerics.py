@@ -162,7 +162,7 @@ def mat_exp(A: np.ndarray, t: float = 1.0) -> np.ndarray:
 
 def exp_minus_identity(A: np.ndarray, t: float) -> np.ndarray:
     """F = exp(A*t) - I with the checks of `mat_exp`: (V - U)^-1 2U (`_pade13`)
-    squared as I + F, F <- 2F + F F, so I is never rounded into F near A*t = 0."""
+    squared as I + F, F <- 2F + F F: no step rounds I into F, so F stays accurate near 0."""
     halvings, U, V = _pade13(_checked(A, t))
     F = np.linalg.solve(V - U, 2.0 * U)
     for _ in range(halvings):

@@ -18,9 +18,10 @@ from typing import NamedTuple
 import numpy as np
 
 import zemgame as z
+from zemgame.engagement import build_player_ss
 from zemgame.errors import AssertionFailure, NearSingularError, NotInConstrainedRegion
 from zemgame.numerics import (_PADE13_ABS_C_RECIP, _PADE13_B, _PADE13_ETA_THETA,
-                              _PADE13_THETA, quad_adaptive, solve2)
+                              _PADE13_THETA, mat_exp, quad_adaptive, solve2)
 from zemgame.reduction import _assemble, simpson_panels
 
 ORACLE = SimpleNamespace(
@@ -402,9 +403,8 @@ def pade13_reference(M):
 # that no term cancels, then exact doublings; no float exponential is read
 
 
-def _mp_halvings(*mats_and_t):
-    """k with ||M t||_1 / 2^k <= 1/8 for every M of the arguments (t last)."""
-    *mats, t = mats_and_t
+def _mp_halvings(t, *mats):
+    """k with ||M t||_1 / 2^k <= 1/8 for every M of mats."""
     norm = max(float(np.abs(M).sum(axis=0).max()) for M in mats) * float(t)
     return max(0, math.ceil(math.log2(8.0 * norm))) if norm > 0.0 else 0
 
@@ -415,7 +415,7 @@ def _mp_array(M, mpmath):
 
 def _mp_exp(M, t, mpmath):
     """exp(M t): 40 Taylor terms at t / 2^k, then k squarings."""
-    k = _mp_halvings(M, t)
+    k = _mp_halvings(t, M)
     Mh = _mp_array(M, mpmath) * (mpmath.mpf(t) / 2 ** k)
     E = term = _mp_array(np.eye(M.shape[0]), mpmath)
     for m in range(1, 40):
@@ -431,7 +431,7 @@ def _mp_gramian(X, Y, t, mpmath):
     integrand, T_m = (X' T_(m-1) + T_(m-1) Y) / m, integrated termwise over
     [0, h], h = t / 2^k, then k doublings W <- W + Phi_X' W Phi_Y,
     Phi <- Phi^2."""
-    k = _mp_halvings(X, Y, t)
+    k = _mp_halvings(t, X, Y)
     h = mpmath.mpf(t) / 2 ** k
     Xh, Yh = _mp_array(X, mpmath) * h, _mp_array(Y, mpmath) * h
     term = _mp_array(np.zeros((X.shape[0], Y.shape[0])), mpmath)
@@ -456,11 +456,10 @@ def reference_gram(scenario):
     when g_e keeps one sign on the tail, which a 1024-cell float scan
     asserts. The caller imports mpmath first (`pytest.importorskip`)."""
     import mpmath
-    from zemgame.engagement import build_player_ss
 
     p, e = build_player_ss(scenario.pursuer), build_player_ss(scenario.evader)
     t_f, t_c, n = scenario.t_f, scenario.t_c, e.A.shape[0]
-    g = [float(z.numerics.mat_exp(e.A, s)[0] @ e.B) for s in np.linspace(0.0, t_c, 1025)[1:]]
+    g = [float(mat_exp(e.A, s)[0] @ e.B) for s in np.linspace(0.0, t_c, 1025)[1:]]
     assert not g or min(g) >= 0.0 or max(g) <= 0.0, "g_e changes sign on the tail"
     with mpmath.workdps(50):
         B_p, B_e = _mp_array(p.B, mpmath), _mp_array(e.B, mpmath)
