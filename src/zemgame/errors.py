@@ -1,4 +1,4 @@
-"""Exception types shared across the solver stack."""
+"""Exception types shared across the solver stack, and `check`, the one tolerance self-check."""
 
 from __future__ import annotations
 
@@ -63,6 +63,16 @@ class ProbeFailure(ZemGameError):
 
 class AssertionFailure(ZemGameError):
     """An internal cross-check failed; the inputs are inconsistent or there is a bug."""
+
+
+def check(name: str, residual: float, tol: float, *terms: float) -> None:
+    """The one tolerance self-check: raise AssertionFailure naming `name`
+    unless |residual| <= tol max(1, |term|, ...), so a NaN residual fails.
+    The floor 1 makes the bound absolute when every term is below 1."""
+    bound = tol * max(1.0, *map(abs, terms))
+    if not abs(residual) <= bound:
+        raise AssertionFailure("%s: residual %r exceeds %r" % (name, float(residual),
+                                                                float(bound)))
 
 
 class ScenarioFormatError(ZemGameError):

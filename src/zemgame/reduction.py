@@ -24,7 +24,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .engagement import (EngagementScenario, StateSpace, build_evader_ss, build_player_ss,
                          build_relative_ss)
-from .errors import AssertionFailure, NoControlAuthority, NonFiniteResult, SolvabilityError
+from .errors import (AssertionFailure, NoControlAuthority, NonFiniteResult, SolvabilityError,
+                     check)
 from .numerics import TimeGrid, exp_minus_identity, mat_exp, rk4_affine, scaled_exp
 
 # Sign scan of the tail kernel: fewest cells, and the most before the input
@@ -542,17 +543,12 @@ class GameCoefficients:
         return self.bound == 0.0
 
     def __post_init__(self):
-        checks = (
-            ("s > 0", self.s > 0),
-            ("det G > 0", self.det_G > 0),
-            ("det F > 0", self.det_F > 0),
-            ("0 <= d < 1", 0.0 <= self.d < 1.0),
-            ("s - nu_p == 1 - nu_e", abs((self.s - self.nu_p) - (1.0 - self.nu_e))
-             <= 1e-10 * max(1.0, abs(1.0 - self.nu_e), self.nu_p)),
-        )
-        for label, ok in checks:
+        for label, ok in (("s > 0", self.s > 0), ("det G > 0", self.det_G > 0),
+                          ("det F > 0", self.det_F > 0), ("0 <= d < 1", 0.0 <= self.d < 1.0)):
             if not ok:
                 raise AssertionFailure("coefficient consistency check failed: %s" % label)
+        check("s - nu_p == 1 - nu_e", (self.s - self.nu_p) - (1.0 - self.nu_e), 1e-10,
+              1.0 - self.nu_e, self.nu_p)
 
 
 def _assemble(integrals: tuple[float, float, float, float], mu: float, alpha: float,
@@ -640,9 +636,12 @@ def _tail_weight(A: np.ndarray, B: np.ndarray, t_c: float) -> tuple[float, np.nd
     n = A.shape[0]
     M, scale = _augmented(A, B)
     cells = _sign_cells(A, t_c)
-    rows, F = _progression_rows(np.eye(1, n + 1)[0], M, t_c / cells, cells + 1)  # D, and 0 for P
-    x_e = B + F[:n, :n] @ B
-    g = rows[:, :n] @ B
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        rows, F = _progression_rows(np.eye(1, n + 1)[0], M, t_c / cells, cells + 1)  # D, 0 for P
+        x_e = B + F[:n, :n] @ B
+        g = rows[:, :n] @ B
+    if not (np.isfinite(rows[-1]).all() and np.isfinite(x_e).all()):
+        raise NonFiniteResult("the evader's tail over t_c = %g overflows the float range" % t_c)
     if np.minimum.reduce(g) >= 0.0 or np.maximum.reduce(g) <= 0.0:  # one sign; a NaN fails both
         return scale * abs(rows.item(-1, n)), x_e
     signs = np.sign(g)

@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .engagement import EngagementScenario, build_game_ss
-from .errors import AssertionFailure, NonFiniteResult, ProbeFailure
+from .errors import NonFiniteResult, ProbeFailure, check
 from .numerics import TimeGrid, rk4_affine
 from .reduction import (ControlLaw, KernelCombo, Kernels, PeakScan, SampleBundle,
                         check_spans_horizon, simpson_panels)
@@ -230,8 +230,7 @@ def playout_full(scenario: EngagementScenario, u_p: ControlLaw, u_e: ControlLaw,
         w = np.einsum("ij,ij->i", bundle.node_rows_target, x_e)
 
     miss = float(x_traj[-1, n_p] - x_traj[-1, 0])
-    if abs(z[-1] - miss) > 1e-9 * max(1.0, abs(miss)):
-        raise AssertionFailure("terminal miss reconstruction mismatch")
+    check("terminal miss == z(t_f)", z[-1] - miss, 1e-9, miss)
     return FullPlayout(grid=bundle.grid, x_traj=x_traj, z_traj=z, w_traj=w,
                        z_f=float(z[-1]), w_f=float(w[-1]), miss=miss)
 

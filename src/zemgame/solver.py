@@ -17,7 +17,8 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .engagement import EngagementScenario
-from .errors import AssertionFailure, NearSingularError, NonFiniteResult, NotInConstrainedRegion
+from .errors import (AssertionFailure, NearSingularError, NonFiniteResult, NotInConstrainedRegion,
+                     check)
 from .numerics import solve2_entries
 from .reduction import ControlLaw, GameCoefficients, KernelCombo
 
@@ -138,10 +139,7 @@ def solve_urg(coeffs: GameCoefficients,
     value = z_f * z_f + pursuer - evader
     closed = z0 * z0 / coeffs.s
     _require_finite((value, closed), "the unconstrained value")
-    if abs(value - closed) > 1e-12 * max(1.0, z_f * z_f + pursuer + evader):
-        raise AssertionFailure(
-            "unconstrained value %g disagrees with closed form %g" % (value, closed)
-        )
+    check("strip value == z0^2/s", value - closed, 1e-12, z_f * z_f + pursuer + evader)
     return u_p, u_e, value, z_f
 
 
@@ -149,7 +147,7 @@ def solve_erg_branch(coeffs: GameCoefficients, z0: float, w0: float, sign: int) 
     """Equality-constrained branch saddle point, terminal w pinned at
     sign*bound: omega_f = (z_f, v_f) = G^-1 b, with the value computed both
     as omega' G_tilde omega and as the quadratic form in the initial
-    position; the two must agree to 1e-9 relative. Both are formed on
+    position; the two must agree to 1e-9 max(1, |value|). Both are formed on
     Python floats, in the order of the matrix products. The region is the
     branch's half-plane with the margin `classify` gives there, so
     sign*margin < 0 marks a branch forced against the dispatch."""
@@ -159,10 +157,7 @@ def solve_erg_branch(coeffs: GameCoefficients, z0: float, w0: float, sign: int) 
     value = (z_f * s + v_f * G2) * z_f + (z_f * G2 - v_f * G3) * v_f
     value_chi = _position_form(coeffs, z0, w0, shift) + shift * (-s / coeffs.det_G) * shift
     _require_finite((z_f, v_f, value, value_chi), "the branch value")
-    if abs(value - value_chi) > 1e-9 * max(1.0, abs(value)):
-        raise AssertionFailure(
-            "branch value forms disagree: %r vs %r" % (value, value_chi)
-        )
+    check("branch value == position form", value - value_chi, 1e-9, value)
     u_p = KernelCombo(hp_coef=-z_f / coeffs.alpha)
     u_e = KernelCombo(he_coef=z_f / coeffs.beta, ge_coef=-v_f / coeffs.beta)
     label = RegionLabel.OMEGA_PLUS if sign == 1 else RegionLabel.OMEGA_MINUS
@@ -193,9 +188,9 @@ def solve_erg(coeffs: GameCoefficients, z0: float, w0: float, region: Region) ->
     """Saddle point of the equality-constrained game outside the strip.
 
     Takes the branch of `region`, the half-plane test on w0 + a z0 that
-    `classify` made at (z0, w0), and cross-checks it against the
-    fixed-pursuer inequality; a disagreement beyond tolerance is an
-    internal inconsistency.
+    `classify` made at (z0, w0), and checks that both the fixed-pursuer
+    inequality J_cross <= J and the branch margin hold to 1e-8 (`check`);
+    a failure of either is an internal inconsistency.
     """
     if region.label is RegionLabel.OMEGA:
         raise NotInConstrainedRegion(
@@ -205,20 +200,10 @@ def solve_erg(coeffs: GameCoefficients, z0: float, w0: float, region: Region) ->
     branch = solve_erg_branch(coeffs, z0, w0, sign)
 
     J_cross = aux_cross(coeffs, z0, w0, sign)
-    value_tol = 1e-8 * max(1.0, abs(branch.value), abs(J_cross))
-    margin = (w0 + coeffs.a * z0) - sign * coeffs.d * coeffs.bound
-    margin_tol = 1e-8 * max(1.0, coeffs.bound)
-    inequality_holds = J_cross <= branch.value + value_tol
-    margin_holds = sign * margin >= -margin_tol
-    if inequality_holds != margin_holds:
-        raise AssertionFailure(
-            "branch selection tests disagree at (%g, %g): cost gap %g, margin %g"
-            % (z0, w0, branch.value - J_cross, margin)
-        )
-    if not inequality_holds:
-        raise AssertionFailure(
-            "selected branch fails the fixed-pursuer inequality at (%g, %g)" % (z0, w0)
-        )
+    check("fixed-pursuer J_cross <= J", max(J_cross - branch.value, 0.0), 1e-8,
+          branch.value, J_cross)
+    check("branch margin sign (w0 + a z0) >= d bound",
+          max(coeffs.d * coeffs.bound - sign * (w0 + coeffs.a * z0), 0.0), 1e-8, coeffs.bound)
     return branch
 
 

@@ -10,6 +10,7 @@ its own matrix-exponential and adaptive-quadrature path.
 import dataclasses
 import functools
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
@@ -75,6 +76,18 @@ ORACLE = SimpleNamespace(
 )
 
 MIXED_ORDERS = Path(__file__).resolve().parents[1] / "scenarios" / "geometry_mixed_orders.json"
+
+
+def check_failure(error: AssertionFailure, name: str) -> tuple[float, float]:
+    """(residual, bound) of an `errors.check` failure, after asserting that
+    its message names the check `name`, and that |residual| exceeds the
+    bound (or the residual is NaN)."""
+    match = re.fullmatch(r"(.*): residual (\S+) exceeds (\S+)", str(error))
+    assert match, str(error)
+    assert match.group(1) == name
+    residual, bound = float(match.group(2)), float(match.group(3))
+    assert not abs(residual) <= bound
+    return residual, bound
 
 
 def solvability_threshold(kernels, tol=1e-10):

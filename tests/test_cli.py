@@ -293,8 +293,11 @@ def test_fast_unstable_pursuer(tmp_path, capsys):
 # that must refuse them: z0 = 1e200 outside the strip (the branch value,
 # 1e400, printed as inf with exit 0 before), the same z0 inside a strip
 # widened by ae_max = 1e300 (an uncaught OverflowError), ae_max = 1e300
-# alone (its forced branches and sweeps printed inf and nan), and
-# alpha = 1e-320, whose nu_p overflows (an internal-check failure, exit 4).
+# alone (its forced branches and sweeps printed inf and nan),
+# alpha = 1e-320, whose nu_p overflows (an internal-check failure, exit 4),
+# and a fast unstable evader lag (A = [[40]]) over the tail t_c = 60, whose
+# sign scan overflows (numpy warnings, then "non-finite time scale" from a
+# Newton step's `mat_exp`).
 OVERFLOWING = {
     "z0_1e200": (lambda d: d["initial"].update(z0=1e200),
                  ("solve", "solve --probe 5", "solve --sign +", "sweep --sign +", "sweep --sign -")),
@@ -305,6 +308,9 @@ OVERFLOWING = {
                      ("solve --sign +", "solve --sign -", "sweep --sign +", "sweep --sign -")),
     "alpha_1e-320": (lambda d: d["weights"].update(alpha=1e-320),
                      ("classify", "solve", "sweep --sign +", "table1")),
+    "evader_tail_60": (lambda d: (
+        d["players"].update(evader={"A": [[40.0]], "b": [40.0], "c": [1.0], "d": 0.0}),
+        d["horizon"].update(nu=60.0)), ("classify", "solve")),
 }
 
 

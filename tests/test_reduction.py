@@ -22,8 +22,8 @@ from zemgame.numerics import mat_exp, quad_adaptive
 from zemgame.reduction import sample_control
 from zemgame.errors import AssertionFailure, NoControlAuthority, SolvabilityError
 
-from helpers import (MIXED_ORDERS, ORACLE, first_order_coefficients, game_matrices, oscillator,
-                     psi_moments, psi_product_integral, psi_ref, random_controller, random_draws,
+from helpers import (MIXED_ORDERS, ORACLE, check_failure, first_order_coefficients, game_matrices,
+                     oscillator, psi_moments, psi_product_integral, psi_ref, random_controller, random_draws,
                      random_first_order, random_scenario, reference_gram, solvability_threshold)
 
 # Lags log-uniform on [1e-5, 1]; horizons from t_f = 0.02 and tails from 0
@@ -744,8 +744,10 @@ class TestCoefficients:
         alpha = c.nu_p * args["alpha"]  # nu_p = 1
         c = first_order_coefficients(**dict(args, alpha=alpha))
         assert c.nu_p == pytest.approx(1.0, rel=1e-12)
-        with pytest.raises(AssertionFailure, match="s - nu_p"):
+        with pytest.raises(AssertionFailure, match="s - nu_p") as info:
             dataclasses.replace(c, nu_p=c.nu_p * (1.0 + 1e-8))
+        _, bound = check_failure(info.value, "s - nu_p == 1 - nu_e")
+        assert bound == 1e-10 * max(1.0, abs(1.0 - c.nu_e), c.nu_p * (1.0 + 1e-8))
 
     def test_scalar_identities(self, study_coeffs):
         c = study_coeffs

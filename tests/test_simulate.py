@@ -29,13 +29,13 @@ from zemgame.cli import load_scenario
 from zemgame.engagement import build_game_ss, initial_zem
 from zemgame.numerics import ode_playout
 from zemgame.reference import CHECKS
-from zemgame.errors import ProbeFailure
+from zemgame.errors import AssertionFailure, ProbeFailure
 from zemgame.reduction import (LegendreProducts, PeakScan, SampleBundle, sample_control,
                                simpson_panels)
 from zemgame.simulate import _initial_full_state
 
-from helpers import (MIXED_ORDERS, ORACLE, admissible_evader_perturbation, check_terminal,
-                     coarse_candidates, combo_integrals_matrix_form, dense_peaks,
+from helpers import (MIXED_ORDERS, ORACLE, admissible_evader_perturbation, check_failure,
+                     check_terminal, coarse_candidates, combo_integrals_matrix_form, dense_peaks,
                      random_controller, random_draws, random_scenario)
 
 ZERO = KernelCombo()
@@ -297,6 +297,21 @@ class TestPlayoutFull:
             scale = max(1.0, np.abs(reduced.z_traj).max(), np.abs(reduced.w_traj).max())
             np.testing.assert_allclose(full.z_traj, reduced.z_traj, rtol=0, atol=1e-6 * scale)
             np.testing.assert_allclose(full.w_traj, reduced.w_traj, rtol=0, atol=1e-6 * scale)
+
+    def test_terminal_miss_check(self, study_scenario, study_coeffs):
+        """Node rows of the bundle altered before its responses are built:
+        the z they rebuild no longer ends on the state's miss, and the
+        reconstruction check names both."""
+        kernels = z.Kernels(study_scenario)
+        kernels.bundle().node_rows_engagement[-1] *= 1.0 + 1e-6
+        branch = solve_erg_branch(study_coeffs, 100.0, -100.0, -1)
+        with pytest.raises(AssertionFailure) as info:
+            playout_full(study_scenario, branch.u_p, branch.u_e, kernels=kernels)
+        residual, bound = check_failure(info.value, "terminal miss == z(t_f)")
+        miss = playout_full(study_scenario, branch.u_p, branch.u_e,
+                            kernels=z.Kernels(study_scenario)).miss
+        assert residual == pytest.approx(1e-6 * miss, rel=1e-3)
+        assert bound == pytest.approx(1e-9 * max(1.0, abs(miss)), rel=1e-12)
 
 
 class TestBundleMemo:

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -20,12 +21,14 @@ from zemgame.reduction import sample_control
 from zemgame.solver import aux_cross, solve_erg, solve_urg
 from zemgame import reference, solver
 from zemgame.cli import load_scenario
-from zemgame.errors import NearSingularError, NonFiniteResult, NotInConstrainedRegion
+from zemgame.errors import (AssertionFailure, NearSingularError, NonFiniteResult,
+                            NotInConstrainedRegion, check)
 from zemgame.solver import DEFAULT_EPS_SWEEP
 
 from helpers import (MIXED_ORDERS, ORACLE, case_iii_positions, check_case_iii_infeasible,
-                     fixed_pursuer_reply, game_matrices, oscillator, penalty_sweep_reference,
-                     random_controller, random_draws, random_scenario, solve2_entries_reference)
+                     check_failure, fixed_pursuer_reply, game_matrices, oscillator,
+                     penalty_sweep_reference, random_controller, random_draws, random_scenario,
+                     solve2_entries_reference)
 
 
 class TestClassify:
@@ -246,6 +249,65 @@ class TestSolveErg:
         assert mirrored.u_e.he_coef == pytest.approx(-sol.u_e.he_coef, rel=1e-12)
         assert mirrored.u_e.ge_coef == pytest.approx(-sol.u_e.ge_coef, rel=1e-12)
         assert mirrored.value == pytest.approx(sol.value, rel=1e-12)
+
+
+class TestSelfChecks:
+    """`errors.check`, and the failure path of each solver check through it."""
+
+    @pytest.mark.parametrize("residual, terms, ok", [
+        (1e-9, (0.0,), True), (-1e-9, (0.5, -0.25), True), (1.0000001e-9, (0.5,), False),
+        (3e-9, (-3.0,), True), (3.1e-9, (2.0, -3.0), False), (math.inf, (math.inf,), True),
+        (math.nan, (1e300,), False), (math.nan, (math.nan,), False),
+    ], ids=["at-floor", "terms-below-1", "over-floor", "negative-term", "over-largest-term",
+            "inf-within-inf", "nan-residual", "nan-residual-and-term"])
+    def test_check(self, residual, terms, ok):
+        """|residual| <= 1e-9 max(1, |term|, ...) passes; anything else, a
+        NaN residual included, raises with the residual and the bound."""
+        if ok:
+            check("a == b", residual, 1e-9, *terms)
+        else:
+            with pytest.raises(AssertionFailure) as info:
+                check("a == b", residual, 1e-9, *terms)
+            got_residual, bound = check_failure(info.value, "a == b")
+            assert got_residual == residual or math.isnan(residual)
+            assert bound == 1e-9 * max(1.0, *map(abs, terms))
+
+    def test_strip_value(self, study_coeffs):
+        c = dataclasses.replace(study_coeffs, nu_p=study_coeffs.nu_p * (1.0 + 1e-11))
+        with pytest.raises(AssertionFailure) as info:
+            solve_urg(c, 100.0)
+        check_failure(info.value, "strip value == z0^2/s")
+
+    def test_branch_value_forms(self, study_coeffs):
+        c = dataclasses.replace(study_coeffs, det_G=study_coeffs.det_G * (1.0 + 1e-6))
+        with pytest.raises(AssertionFailure) as info:
+            solve_erg_branch(c, 100.0, -100.0, -1)
+        residual, bound = check_failure(info.value, "branch value == position form")
+        value = solve_erg_branch(study_coeffs, 100.0, -100.0, -1).value
+        assert bound == pytest.approx(1e-9 * abs(value), rel=1e-5)
+
+    @pytest.mark.parametrize("lam, name", [
+        (1.0, "fixed-pursuer J_cross <= J"), (1e-3, "fixed-pursuer J_cross <= J"),
+        (1e-6, "branch margin sign (w0 + a z0) >= d bound")], ids=["1", "1e-3", "1e-6"])
+    def test_wrong_branch(self, study_coeffs, lam, name):
+        """The plus branch handed the study's minus position (100, -100),
+        with the position and ae_max scaled by lam: the fixed-pursuer
+        inequality refuses it at lam = 1 and 1e-3, and the branch margin at
+        1e-6, where the inequality's floored bound 1e-8 exceeds its gap."""
+        c = dataclasses.replace(study_coeffs, ae_max=study_coeffs.ae_max * lam)
+        z0, w0 = 100.0 * lam, -100.0 * lam
+        with pytest.raises(AssertionFailure) as info:
+            solve_erg(c, z0, w0, Region(RegionLabel.OMEGA_PLUS, 0.0))
+        residual, bound = check_failure(info.value, name)
+        value = solve_erg_branch(c, z0, w0, 1).value
+        J_cross = aux_cross(c, z0, w0, 1)
+        if name.startswith("fixed-pursuer"):
+            assert residual == J_cross - value
+            assert bound == 1e-8 * max(1.0, abs(value), abs(J_cross))
+        else:
+            assert J_cross - value <= 1e-8
+            assert residual == c.d * c.bound - (w0 + c.a * z0)
+            assert bound == 1e-8
 
 
 EPS = np.finfo(float).eps
