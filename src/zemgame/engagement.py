@@ -2,9 +2,9 @@
 
 Each player carries a linear controller of arbitrary order n whose output is
 the lateral acceleration. Stacking lateral position, lateral velocity and
-the controller state gives the (n+2)-dimensional player block; the relative
-(evader minus pursuer) system and the evader-only system feed the
-zero-effort-miss reduction.
+the controller state gives the (n+2)-dimensional player block, the one
+state layout the zero-effort-miss reduction reads. The stacked, relative
+(evader minus pursuer) and evader-with-selector systems are kept as builders.
 """
 
 from __future__ import annotations

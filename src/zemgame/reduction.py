@@ -2,11 +2,12 @@
 
 The two-state reduction replaces the full engagement state with the two
 zero-effort-miss variables z (pursuer-evader) and w (evader-target). Their
-dynamics are driven by three scalar kernels,
+dynamics are driven by three scalar kernels, each a player's own position
+response (`build_player_ss`, e_0 its position) in the reversed time s = t_f - t,
 
-    h_p(t) = D_ep exp(A_ep (t_f - t)) B_ep
-    h_e(t) = D_ep exp(A_ep (t_f - t)) C_ep
-    g_e(t) = D_e  exp(A_e (t_f + t_c - t)) B_e
+    h_p(t) = -e_0 exp(A_p s) B_p
+    h_e(t) =  e_0 exp(A_e s) B_e
+    g_e(t) =  e_0 exp(A_e (s + t_c)) B_e
 
 and every game quantity is an integral of products of these kernels. The
 integrals are evaluated exactly from matrix exponentials; the tests keep
@@ -22,8 +23,7 @@ from typing import Optional, Union
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .engagement import (EngagementScenario, StateSpace, build_evader_ss, build_player_ss,
-                         build_relative_ss)
+from .engagement import EngagementScenario, StateSpace, build_player_ss
 from .errors import (AssertionFailure, NoControlAuthority, NonFiniteResult, SolvabilityError,
                      check)
 from .numerics import TimeGrid, exp_minus_identity, mat_exp, rk4_affine, scaled_exp
@@ -59,38 +59,49 @@ def _progression_step(values: np.ndarray) -> Optional[float]:
     return float(step)
 
 
-def _transition_rows(D: np.ndarray, A: np.ndarray, end: float, ts) -> np.ndarray:
-    """Rows D exp(A (end - t)) for each t, in the order of ts: by doubling
-    (`_progression_rows`) when the deltas end - t, sorted ascending, are a
-    uniform progression (`_progression_step`: the nodes of a grid, or its
-    refined nodes), else one matrix exponential per point."""
+def _row(D: np.ndarray, A: np.ndarray, t: float) -> np.ndarray:
+    """D exp(A t); D itself at t = 0, with no exponential."""
+    return D @ mat_exp(A, t) if t != 0.0 else D
+
+
+def _transition_rows(D: np.ndarray, A: np.ndarray, end: float, ts,
+                     lead: Optional[float] = None) -> np.ndarray:
+    """Rows D exp(A (end - t)) for each t, in the order of ts (points x n);
+    given a lead, each over D exp(A (end - t + lead)) (points x 2 x n). By
+    doubling (`_progression_rows`) when the deltas end - t, sorted
+    ascending, are a uniform progression (`_progression_step`: the nodes of
+    a grid, or its refined nodes), else by one matrix exponential a row."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    order = np.argsort(-ts)
+    order = np.argsort(-ts, kind="stable")  # linear on sorted times
     deltas = end - ts[order]
-    rows = np.empty((ts.size, A.shape[0]))
+    leads = (0.0,) if lead is None else (0.0, lead)
     step = _progression_step(deltas) if ts.size else None
     if step is None:
+        rows = np.empty((ts.size, len(leads), D.size))
         for i, delta in zip(order.tolist(), deltas.tolist()):
-            rows[i] = D @ mat_exp(A, delta)
+            rows[i] = [_row(D, A, delta + ahead) for ahead in leads]
     else:
-        first = D @ mat_exp(A, deltas[0]) if deltas[0] != 0.0 else D
-        rows[order] = _progression_rows(first, A, step, ts.size)[0]
-    return rows
+        first = np.stack([_row(D, A, deltas[0] + ahead) for ahead in leads])
+        rows = _progression_rows(first, A, step, ts.size)[0].take(
+            np.argsort(order, kind="stable"), axis=0)
+    return rows if lead is not None else rows.reshape(ts.size, D.size)
 
 
 def _progression_rows(first: np.ndarray, A: np.ndarray, step: float, n: int) -> tuple:
-    """The n rows first exp(A i h), i = 0..n-1, for the step h, and the last
-    F read: from F = exp(A h) - I (`exp_minus_identity`), rows[k:2k] =
-    rows[:k] + rows[:k] @ F, then F <- 2F + F F, about log2(n) products whose
-    error does not grow with n (I is never rounded into F). For n - 1 = 2^j
-    the last F is exp(A h (n - 1)) - I."""
-    rows = np.empty((n, A.shape[0]))
+    """The n rows first exp(A i h), i = 0..n-1, for the step h and a row or
+    a stack of rows `first`, and the last F read: from F = exp(A h) - I
+    (`exp_minus_identity`), rows[k:2k] = rows[:k] + rows[:k] @ F, then
+    F <- 2F + F F, about log2(n) products whose error does not grow with n
+    (I is never rounded into F); a stack is carried as the 2-D rows of its
+    array. For n - 1 = 2^j the last F is exp(A h (n - 1)) - I."""
+    rows = np.empty((n,) + first.shape)
     rows[0] = first
+    flat, per = rows.reshape(-1, A.shape[0]), first.size // A.shape[0]  # per: rows a step
     F = exp_minus_identity(A, step) if n > 1 else None
     k = 1
     while k < n:
         m = min(k, n - k)
-        np.add(rows[:m] @ F, rows[:m], out=rows[k:k + m])
+        np.add(flat[:m * per] @ F, flat[:m * per], out=flat[k * per:(k + m) * per])
         k += m
         if k < n:
             F = 2.0 * F + F @ F
@@ -98,66 +109,61 @@ def _progression_rows(first: np.ndarray, A: np.ndarray, step: float, n: int) -> 
 
 
 class Kernels:
-    """Kernel functions of a scenario, backed by transition-matrix rows.
+    """Kernel functions of a scenario, from the players' own blocks
+    (`build_player_ss`): each kernel is a position row of one player's
+    transition matrix applied to its input (`rows`).
 
     The kernel Gram matrix K = int_0^t_f k k' dt of k = (h_p, h_e, g_e) with
-    the tail weight mu_e (`gram`), and the sample bundle of the build grid,
-    `TimeGrid(0, t_f)` (`bundle`), are each computed on their first use and
-    kept; a call that samples another grid names it, and the bundle of the
-    last such grid is kept in one more slot. None of them changes once
-    built, so the object stays freely shareable.
+    the tail weight mu_e (`gram`) is computed on its first use and kept. So
+    is one sample bundle (`bundle`): that of the last grid asked for, the
+    build grid `TimeGrid(0, t_f)` by default. Neither changes once built,
+    so the object stays freely shareable.
     """
 
     def __init__(self, scenario: EngagementScenario):
         self.t_f, self.t_c = scenario.t_f, scenario.t_c
         self.grid = TimeGrid(0.0, scenario.t_f)
-
-        rel = build_relative_ss(scenario.pursuer, scenario.evader)
-        ev = build_evader_ss(scenario.evader)
-        self._A_ep, self._B_ep, self._C_ep, self._D_ep = rel.A, rel.B, rel.C, rel.D_row
-        self._A_e, self._B_e, self._D_e = ev.A, ev.B, ev.D_row
-        self._players = (build_player_ss(scenario.pursuer), ev)
+        self._players = (build_player_ss(scenario.pursuer), build_player_ss(scenario.evader))
         self._gram, self._mu_e = None, 0.0  # K and mu_e, formed together by `gram`
         self._bundle: Optional[SampleBundle] = None
-        self._off_grid: Optional[SampleBundle] = None
 
     def gram(self) -> np.ndarray:
         """The kernel Gram matrix K (`kernel_gram`), read-only; formed on
         the first call and kept, with mu_e from the same tail scan."""
         if self._gram is None:
-            self._mu_e, x_e = _tail_weight(self._A_e, self._B_e, self.t_c)
+            evader = self._players[1]
+            self._mu_e, x_e = _tail_weight(evader.A, evader.B, self.t_c)
             self._gram = kernel_gram(*self._players, self.t_f, x_e)
         return self._gram
 
     def bundle(self, grid: Optional[TimeGrid] = None) -> "SampleBundle":
-        """Sample bundle of a grid: the build grid's (the default), sampled
-        on its first use and kept; for any other grid, the kept bundle when
-        the grids are equal, else a new one that replaces it."""
-        if grid is None or grid == self.grid:
-            if self._bundle is None:
-                self._bundle = SampleBundle.sample(self, self.grid)
-            return self._bundle
-        kept = self._off_grid
-        if kept is None or grid != kept.grid:
-            self._off_grid = kept = SampleBundle.sample(self, grid)
+        """Sample bundle of a grid (by default the build grid): the kept
+        bundle when its grid is equal, else a new one that replaces it."""
+        grid = self.grid if grid is None else grid
+        kept = self._bundle
+        # `is` first: warm playouts pass the kept grid, and == compares three fields
+        if kept is None or (grid is not kept.grid and grid != kept.grid):
+            self._bundle = kept = SampleBundle.sample(self, grid)
         return kept
 
-    def rows_engagement(self, ts) -> np.ndarray:
-        """D_ep exp(A_ep (t_f - t)) for each t."""
-        return _transition_rows(self._D_ep, self._A_ep, self.t_f, ts)
-
-    def rows_target(self, ts) -> np.ndarray:
-        """D_e exp(A_e (t_f + t_c - t)) for each t."""
-        return _transition_rows(self._D_e, self._A_e, self.t_f + self.t_c, ts)
+    def rows(self, ts) -> tuple[np.ndarray, np.ndarray]:
+        """The players' rows at each t, with s = t_f - t: the pursuer's
+        e_0 exp(A_p s) (points x n_p), and the evader's e_0 exp(A_e s) over
+        its target rows e_0 exp(A_e (s + t_c)) (points x 2 x n_e): one
+        `_transition_rows` a player."""
+        pursuer, evader = self._players
+        return (_transition_rows(np.eye(1, pursuer.A.shape[0])[0], pursuer.A, self.t_f, ts),
+                _transition_rows(np.eye(1, evader.A.shape[0])[0], evader.A, self.t_f, ts,
+                                 self.t_c))
 
     # -- kernel values -----------------------------------------------------
 
     def sample_engagement(self, ts) -> tuple[np.ndarray, np.ndarray]:
-        rows = self.rows_engagement(ts)
-        return rows @ self._B_ep, rows @ self._C_ep
+        rows_p, rows_e = self.rows(ts)
+        return -(rows_p @ self._players[0].B), rows_e[:, 0] @ self._players[1].B
 
     def sample_target(self, ts) -> np.ndarray:
-        return self.rows_target(ts) @ self._B_e
+        return self.rows(ts)[1][:, 1] @ self._players[1].B
 
     def h_p(self, t: float) -> float:
         return float(self.sample_engagement(t)[0][0])
@@ -227,8 +233,7 @@ def _check_in_horizon(ts: np.ndarray, t_f: float):
 
 
 def check_spans_horizon(grid: TimeGrid, t_f: float):
-    """Refuse a grid that does not run from 0 to t_f, within the tolerance
-    of `_check_in_horizon`."""
+    """Refuse a grid that does not run from 0 to t_f, within `_horizon_tol`."""
     tol = _horizon_tol(t_f)
     if abs(grid.t_start) > tol or abs(grid.t_end - t_f) > tol:
         raise ValueError("grid spans [%g, %g], not the horizon [0, %g]"
@@ -267,12 +272,13 @@ class SampleBundle:
     with panel midpoints, `TimeGrid.refined`), with the composite-Simpson
     weights over those nodes: `weights @ f` is the sum of the Simpson panels
     steps/6 (f_node + 4 f_mid + f_next) of values f on the refined nodes.
-    The engagement and target transition rows (`Kernels.rows_engagement`,
-    `Kernels.rows_target`) are kept at the grid nodes, for the full-state
-    reconstruction.
+    The players' rows (`Kernels.rows`) are kept at the grid nodes for the
+    full-state reconstruction (`misses`): the pursuer's R_p (nodes x n_p),
+    and the evader's R_e and target rows T_e, stacked (2 x nodes x n_e).
 
     Every reduced playout, cost and probe on the grid reads its kernel
-    values from here, so a grid is sampled once per kernel set. `players`
+    values from here, so a grid is sampled once per kernel set; a grid that
+    does not span [0, t_f] is refused (`check_spans_horizon`). `players`
     holds the player blocks (`build_player_ss`) that `responses` integrates.
     """
 
@@ -282,8 +288,8 @@ class SampleBundle:
     h_e: np.ndarray
     g_e: np.ndarray
     weights: np.ndarray
-    node_rows_engagement: np.ndarray
-    node_rows_target: np.ndarray
+    node_rows_pursuer: np.ndarray
+    node_rows_evader: np.ndarray
     players: tuple[StateSpace, StateSpace] = field(repr=False)
     _legendre: Optional[tuple] = field(default=None, init=False, repr=False)
     _running: Optional[np.ndarray] = field(default=None, init=False, repr=False)
@@ -291,18 +297,20 @@ class SampleBundle:
 
     @classmethod
     def sample(cls, kernels: Kernels, grid: TimeGrid) -> "SampleBundle":
+        check_spans_horizon(grid, kernels.t_f)
         ts = grid.refined()
-        _check_in_horizon(ts, kernels.t_f)
-        rows_ep, rows_e = kernels.rows_engagement(ts), kernels.rows_target(ts)
+        rows_p, rows_e = kernels.rows(ts)
+        pursuer, evader = kernels._players
+        h_e, g_e = (rows_e.reshape(-1, evader.B.size) @ evader.B).reshape(-1, 2).T.copy()
         sixth = np.diff(grid.nodes) / 6.0
         weights = np.zeros(ts.size)
         weights[1::2] = 4.0 * sixth
         weights[:-1:2] += sixth
         weights[2::2] += sixth
-        return cls(grid=grid, ts=ts, h_p=rows_ep @ kernels._B_ep, h_e=rows_ep @ kernels._C_ep,
-                   g_e=rows_e @ kernels._B_e, weights=weights,
-                   node_rows_engagement=rows_ep[0::2].copy(),
-                   node_rows_target=rows_e[0::2].copy(), players=kernels._players)
+        return cls(grid=grid, ts=ts, h_p=-(rows_p @ pursuer.B), h_e=h_e, g_e=g_e,
+                   weights=weights, node_rows_pursuer=rows_p[0::2].copy(),
+                   node_rows_evader=rows_e[0::2].transpose(1, 0, 2).copy(),
+                   players=kernels._players)
 
     def control(self, law: ControlLaw) -> np.ndarray:
         """Values of a control law on the refined nodes; kernel laws are
@@ -315,22 +323,34 @@ class SampleBundle:
             return sum(terms, 0.0) if terms else np.zeros_like(self.ts)
         return _sample_explicit(law, self.ts)
 
-    def running_products(self) -> np.ndarray:
+    def running(self, values: np.ndarray) -> np.ndarray:
         """Composite-Simpson integrals from the first node to each node of
-        h_p^2, h_e^2, h_e g_e and g_e^2 (cumulative sums of `simpson_panels`),
-        a (4 x nodes) array, first column zero; kept from the first call,
-        read-only."""
+        rows of values on the refined nodes (cumulative sums of
+        `simpson_panels`), a (rows x nodes) array, first column zero."""
+        panels = simpson_panels(values[:, 0::2], values[:, 1::2], np.diff(self.grid.nodes))
+        running = np.zeros((values.shape[0], self.grid.nodes.size))
+        np.cumsum(panels, axis=1, out=running[:, 1:])
+        return running
+
+    def running_products(self) -> np.ndarray:
+        """The `running` integrals of h_p^2, h_e^2, h_e g_e and g_e^2, kept
+        from the first call, read-only."""
         if self._running is None:
             with np.errstate(over="ignore", invalid="ignore"):  # non-finite sums are refused
-                products = np.stack([self.h_p * self.h_p, self.h_e * self.h_e,
-                                     self.h_e * self.g_e, self.g_e * self.g_e])
-                panels = simpson_panels(products[:, 0::2], products[:, 1::2],
-                                        np.diff(self.grid.nodes))
-                running = np.zeros((4, self.grid.nodes.size))
-                np.cumsum(panels, axis=1, out=running[:, 1:])
+                running = self.running(np.stack([self.h_p * self.h_p, self.h_e * self.h_e,
+                                                 self.h_e * self.g_e, self.g_e * self.g_e]))
             running.flags.writeable = False
             object.__setattr__(self, "_running", running)
         return self._running
+
+    def misses(self, x_p: np.ndarray, x_e: np.ndarray) -> tuple:
+        """(R_p . x_p, R_e . x_e, T_e . x_e) at each grid node, for states of
+        the players' own blocks x_p (..., nodes, n_p) and x_e (..., nodes,
+        n_e): z = R_e . x_e - R_p . x_p and w = T_e . x_e."""
+        rows_e, rows_t = self.node_rows_evader
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite sums are refused
+            return tuple(np.einsum("ij,...ij->...i", rows, x) for rows, x in
+                         ((self.node_rows_pursuer, x_p), (rows_e, x_e), (rows_t, x_e)))
 
     def responses(self) -> "KernelResponses":
         """The `KernelResponses` of this grid, built on the first call and
@@ -389,7 +409,8 @@ class KernelResponses:
     v_e evader[0] + c_he evader[1] + c_ge evader[2], up to rounding, where
     `pursuer` (2, nodes, n_p) and `evader` (3, nodes, n_e) hold
     `_responses`. Row r of `z` (5 x nodes, the pursuer's first) and of
-    `w` (3 x nodes) is z or w rebuilt from trajectory r alone. Read-only.
+    `w` (3 x nodes) is z or w rebuilt from trajectory r alone
+    (`SampleBundle.misses`). Read-only.
     """
 
     pursuer: np.ndarray
@@ -402,18 +423,8 @@ class KernelResponses:
         player_p, player_e = bundle.players
         pursuer = _responses(player_p, (bundle.h_p,), bundle.grid)
         evader = _responses(player_e, (bundle.h_e, bundle.g_e), bundle.grid)
-        # z = rows . (x_e[:2] - x_p[:2], x_p[2:], x_e[2:]) in the relative
-        # state (`build_relative_ss`): each player's columns of the rows,
-        # the pursuer's first two negated
-        n_p = pursuer.shape[2]
-        rows = bundle.node_rows_engagement
-        rows_p = rows[:, :n_p].copy()
-        rows_p[:, :2] *= -1.0
-        rows_e = np.hstack([rows[:, :2], rows[:, n_p:]])
-        with np.errstate(over="ignore", invalid="ignore"):  # non-finite sums are refused
-            z = np.concatenate([np.einsum("ij,rij->ri", rows_p, pursuer),
-                                np.einsum("ij,rij->ri", rows_e, evader)])
-            w = np.einsum("ij,rij->ri", bundle.node_rows_target, evader)
+        z_p, z_e, w = bundle.misses(pursuer, evader)
+        z = np.concatenate([-z_p, z_e])
         for array in (pursuer, evader, z, w):
             array.flags.writeable = False
         return cls(pursuer=pursuer, evader=evader, z=z, w=w)
@@ -675,12 +686,12 @@ def _tail_weight(A: np.ndarray, B: np.ndarray, t_c: float) -> tuple[float, np.nd
 
 
 def integral_g_e(scenario: EngagementScenario) -> float:
-    """int_0^t_f g_e dt, from one augmented exponential started at
-    D_e exp(A_e t_c) (D_e itself at t_c = 0, as in `kernel_gram`)."""
-    ev = build_evader_ss(scenario.evader)
-    row = ev.D_row @ mat_exp(ev.A, scenario.t_c) if scenario.t_c != 0.0 else ev.D_row
+    """int_0^t_f g_e dt, from one augmented exponential started at the
+    evader's first target row e_0 exp(A_e t_c) (`Kernels.rows`)."""
+    ev = build_player_ss(scenario.evader)
     M, scale = _augmented(ev.A, ev.B)
-    return scale * float(np.append(row, 0.0) @ mat_exp(M, scenario.t_f)[:, -1])
+    row = np.append(_row(np.eye(1, ev.A.shape[0])[0], ev.A, scenario.t_c), 0.0)
+    return scale * float(row @ mat_exp(M, scenario.t_f)[:, -1])
 
 
 def kernel_gram(pursuer: StateSpace, evader: StateSpace, t_f: float, x_e: np.ndarray) -> np.ndarray:

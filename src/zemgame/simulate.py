@@ -6,9 +6,9 @@ state, so the classical one-step method collapses to Simpson panels over the
 control and kernel samples. The cost of two kernel-combination laws is a
 quadratic form in the kernels' Gram matrix (`Kernels.gram`), exact and
 without samples; any other cost is three dot products with the Simpson
-weights. The full-state playout integrates the stacked player blocks with
+weights. The full-state playout integrates each player's own block with
 the same classical RK4 in affine form (`rk4_affine`) and reconstructs the
-miss variables through the transition rows.
+miss variables through the players' rows (`SampleBundle.misses`).
 
 Both playouts of kernel laws (u_p = c_p h_p, u_e = c_he h_e + c_ge g_e:
 every saddle, branch and penalty law) are weighted sums of what the bundle
@@ -16,7 +16,8 @@ keeps once per grid: the running Simpson integrals of h_p^2, h_e^2, h_e g_e
 and g_e^2 (`SampleBundle.running_products`), and five responses of the
 player blocks with their z and w (`SampleBundle.responses`). The direct
 paths above run for every other pair, and for kernel laws whose sums are
-not finite.
+not finite. A grid handed to either playout or to the probe must span
+[0, t_f]; any other is refused with ValueError (`check_spans_horizon`).
 """
 
 from __future__ import annotations
@@ -27,11 +28,11 @@ from typing import Optional
 
 import numpy as np
 
-from .engagement import EngagementScenario, build_game_ss
+from .engagement import EngagementScenario
 from .errors import NonFiniteResult, ProbeFailure, check
 from .numerics import TimeGrid, rk4_affine
 from .reduction import (ControlLaw, KernelCombo, Kernels, PeakScan, SampleBundle,
-                        check_spans_horizon, simpson_panels)
+                        check_spans_horizon)
 from .solver import RegionLabel, SaddleSolution
 
 _PROBE_BASIS_SIZE = 8
@@ -86,13 +87,13 @@ def playout_reduced(scenario: EngagementScenario, kernels: Kernels,
     grid (by default the kernels' build grid).
 
     The right-hand sides do not depend on the state, so the classical
-    one-step update equals a Simpson panel per step; the cumulative sums
-    below are exactly that method. For kernel laws u_p = c_p h_p and
-    u_e = c_he h_e + c_ge g_e the integrands are combinations of h_p^2,
-    h_e^2, h_e g_e and g_e^2, so z and w are the same combinations of the
-    bundle's kept cumulative sums of those four (`running_products`), and
-    no panel is formed per call. Any other pair, and kernel laws whose
-    combination is not finite, take the panels of their own samples.
+    one-step update equals a Simpson panel per step; the bundle's
+    cumulative sums (`SampleBundle.running`) are exactly that method. For
+    kernel laws u_p = c_p h_p and u_e = c_he h_e + c_ge g_e the integrands
+    are combinations of h_p^2, h_e^2, h_e g_e and g_e^2, so z and w are the
+    same combinations of the kept sums of those four (`running_products`).
+    Any other pair, and kernel laws whose combination is not finite, sum
+    their own samples.
     """
     bundle = kernels.bundle(grid)
     coefs = _kernel_law_coefs(u_p, u_e)
@@ -106,16 +107,10 @@ def playout_reduced(scenario: EngagementScenario, kernels: Kernels,
         z, w = zw
     else:
         up, ue = bundle.control(u_p), bundle.control(u_e)
-        fz = bundle.h_p * up + bundle.h_e * ue
-        fw = bundle.g_e * ue
-        if not (np.isfinite(fz).all() and np.isfinite(fw).all()):
+        integrands = np.stack([bundle.h_p * up + bundle.h_e * ue, bundle.g_e * ue])
+        if not np.isfinite(integrands).all():
             raise ValueError("non-finite integrand in reduced playout")
-        steps = np.diff(bundle.grid.nodes)
-        z = np.empty(steps.size + 1)
-        w = np.empty(steps.size + 1)
-        z[0], w[0] = scenario.z0, scenario.w0
-        z[1:] = scenario.z0 + np.cumsum(simpson_panels(fz[0::2], fz[1::2], steps))
-        w[1:] = scenario.w0 + np.cumsum(simpson_panels(fw[0::2], fw[1::2], steps))
+        z, w = bundle.running(integrands) + np.array([[scenario.z0], [scenario.w0]])
     return Playout(grid=bundle.grid, z_traj=z, w_traj=w, z_f=float(z[-1]), w_f=float(w[-1]))
 
 
@@ -191,14 +186,14 @@ def _initial_full_state(scenario: EngagementScenario) -> np.ndarray:
 
 def playout_full(scenario: EngagementScenario, u_p: ControlLaw, u_e: ControlLaw,
                  grid: Optional[TimeGrid] = None, *, kernels: Kernels) -> FullPlayout:
-    """Integrate the stacked player blocks and reconstruct z(t), w(t).
+    """Integrate the players' own blocks and reconstruct z(t), w(t).
 
-    The state follows dx/dt = A x + B u_p + C u_e of `build_game_ss` by the
-    classical RK4 over the grid (by default the kernels' build grid), with
-    the controls taken on its refined nodes. The reconstruction applies the
-    bundle's transition rows at the grid nodes to the relative and evader
-    sub-states, so at the horizon z equals the achieved miss y_e - y_p
-    exactly.
+    Each player's state (the pursuer's first in `x_traj`) follows
+    dx/dt = A x + B u by the classical RK4 over the grid (by default the
+    kernels' build grid), with its control taken on the refined nodes. The
+    reconstruction z = R_e . x_e - R_p . x_p (`SampleBundle.misses`) reads
+    the players' rows at the nodes, e_0 at the horizon, so there z equals
+    the achieved miss y_e - y_p exactly.
 
     For kernel laws u_p = c_p h_p and u_e = c_he h_e + c_ge g_e the
     trajectory, z and w are weighted sums of the five responses the
@@ -216,18 +211,11 @@ def playout_full(scenario: EngagementScenario, u_p: ControlLaw, u_e: ControlLaw,
     if combined is not None:
         x_traj, z, w = combined
     else:
-        ss = build_game_ss(scenario.pursuer, scenario.evader)
-        controls = np.vstack([bundle.control(u_p), bundle.control(u_e)])
-        x_traj = rk4_affine(ss.A, np.vstack([ss.B, ss.C]), controls, x0, bundle.grid)
-        x_p = x_traj[:, :n_p]
-        x_e = x_traj[:, n_p:]
-        x_ep = np.hstack([
-            (x_e[:, :2] - x_p[:, :2]),
-            x_p[:, 2:],
-            x_e[:, 2:],
-        ])
-        z = np.einsum("ij,ij->i", bundle.node_rows_engagement, x_ep)
-        w = np.einsum("ij,ij->i", bundle.node_rows_target, x_e)
+        x_p, x_e = (rk4_affine(player.A, player.B[None], bundle.control(law)[None], x, bundle.grid)
+                    for player, law, x in zip(bundle.players, (u_p, u_e), (x0[:n_p], x0[n_p:])))
+        z_p, z_e, w = bundle.misses(x_p, x_e)
+        z = z_e - z_p
+        x_traj = np.hstack([x_p, x_e])
 
     miss = float(x_traj[-1, n_p] - x_traj[-1, 0])
     check("terminal miss == z(t_f)", z[-1] - miss, 1e-9, miss)

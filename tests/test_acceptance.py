@@ -170,9 +170,9 @@ PINNED_VALUES = {
     "v_f-": "-0x1.cda53bbfff417p+0",
     "J+*": "0x1.c8ea09c1761bap+10",
     "J-*": "0x1.4ce2259eb900ap+11",
-    "w_f+ playout": "0x1.03ffbf4c376acp+5",
+    "w_f+ playout": "0x1.03ffbf4c376b4p+5",
     "z_f+ playout": "0x1.07558662af2ecp+5",
-    "w_f- playout": "-0x1.03ffbf4c376bep+5",
+    "w_f- playout": "-0x1.03ffbf4c376bcp+5",
     "z_f- playout": "0x1.bd91020c414e4p+4",
     "ue_bar+": "0x1.97b108d41d3b5p+6",
     "J(u_p+, ue_bar+)": "0x1.53f1d4cefab72p+10",
@@ -184,8 +184,8 @@ PINNED_VALUES = {
     "T1- (+,-)": "0x1.6366d6f3cb048p+11",
     "T1- (-,-)": "0x1.2fe455022c3f3p+11",
     "T1 orderings": "0x1.0000000000000p+0",
-    "w_f-w0 URG (100,-50)": "0x1.b694e8a4cc8fap+5",
-    "w_f URG (100,-100)": "-0x1.696b175b33706p+5",
+    "w_f-w0 URG (100,-50)": "0x1.b694e8a4cc8fbp+5",
+    "w_f URG (100,-100)": "-0x1.696b175b33705p+5",
     "sweep+ order": "0x1.fc9893a77d594p-1",
     "sweep+ monotone": "0x1.0000000000000p+0",
     "sweep+ value gap": "0x1.1ee5ec5000000p-24",

@@ -406,7 +406,10 @@ class TestProgressionStep:
                             lambda *a, _f=reduction.mat_exp: exponentials.append(1) or _f(*a))
         kernels.sample_engagement(ts)
         kernels.sample_target(ts)
-        assert steps_seen == [None] * 2 and len(exponentials) == 2 * ts.size
+        # each call reads both players' rows: one exponential a row, the
+        # pursuer's, the evader's and its target row, but none for the two
+        # rows that are e_0 at t = t_f
+        assert steps_seen == [None] * 4 and len(exponentials) == 2 * (3 * ts.size - 2)
 
     def test_step_and_tolerance(self):
         progression_step = reduction._progression_step

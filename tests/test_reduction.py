@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -150,20 +151,41 @@ class TestKernels:
         assert study_kernels.g_e(1.0) == pytest.approx(0.800012341, abs=1e-7)
 
     def test_rows_accuracy_does_not_grow_with_nodes(self, study_kernels):
-        """The study's engagement rows on 200,001 nodes, doubled from one
-        step, against 40-digit exponentials at 45 of the nodes (both ends,
-        the first steps and every 5,000th), within 1e-14 of each row's
-        largest entry. Doubled as E <- E @ E they were 2.2e-11 off."""
+        """The study's rows on 200,001 nodes, each player's doubled from one
+        step: the pursuer's e_0 exp(A_p s), the evader's e_0 exp(A_e s) and
+        its target rows e_0 exp(A_e (s + t_c)), against 40-digit
+        exponentials at 45 of the nodes (both ends, the first steps and
+        every 5,000th), within 1e-14 of each row's largest entry. Doubled as
+        E <- E @ E the rows of the relative system were 2.2e-11 off."""
         mpmath = pytest.importorskip("mpmath")
         k = study_kernels
         nodes = z.TimeGrid(0.0, 1.0, 200_001).nodes
-        rows = k.rows_engagement(nodes)
+        rows_p, rows_e = k.rows(nodes)
+        (pursuer, evader), t_c = k._players, mpmath.mpf(k.t_c)
         with mpmath.workdps(40):
-            A, D = mpmath.matrix(k._A_ep.tolist()), mpmath.matrix([k._D_ep.tolist()])
-            for i in sorted({0, 1, 2, 3, 199_999, *range(0, 200_001, 5_000)}):
-                want = D * mpmath.expm(A * (mpmath.mpf(k.t_f) - mpmath.mpf(nodes[i])))
-                scale = max(abs(x) for x in want)
-                assert max(abs(mpmath.mpf(r) - w) for r, w in zip(rows[i], want)) <= 1e-14 * scale
+            for rows, player, lead in ((rows_p, pursuer, 0), (rows_e[:, 0], evader, 0),
+                                       (rows_e[:, 1], evader, t_c)):
+                A = mpmath.matrix(player.A.tolist())
+                for i in sorted({0, 1, 2, 3, 199_999, *range(0, 200_001, 5_000)}):
+                    s = mpmath.mpf(k.t_f) - mpmath.mpf(nodes[i]) + lead
+                    E = mpmath.expm(A * s)
+                    want = [E[0, j] for j in range(A.cols)]
+                    scale = max(abs(x) for x in want)
+                    assert max(abs(mpmath.mpf(r) - w)
+                               for r, w in zip(rows[i], want)) <= 1e-14 * scale
+
+    def test_bundle_tail_value_at_horizon(self, study_kernels):
+        """The bundle's g_e(t_f) = e_0 exp(A_e t_c) B_e is within 4 ulps of
+        its 40-digit value: the target rows start at t_c itself, not at
+        (t_f + t_c) - t_f, which rounds to 0.8999999999999999 on the
+        study (7.5 ulps off)."""
+        mpmath = pytest.importorskip("mpmath")
+        evader = study_kernels._players[1]
+        with mpmath.workdps(40):
+            E = mpmath.expm(mpmath.matrix(evader.A.tolist()) * mpmath.mpf(study_kernels.t_c))
+            want = sum(E[0, j] * mpmath.mpf(b) for j, b in enumerate(evader.B.tolist()))
+        got = study_kernels.bundle().g_e[-1]
+        assert abs(mpmath.mpf(got) - want) <= 4 * math.ulp(float(want))
 
 
 class TestMuE:

@@ -226,6 +226,22 @@ class TestExactCost:
         for u_p, u_e in pairs:
             evaluate_cost(study_scenario, study_kernels, u_p, u_e, nearly)
 
+    def test_readers_of_the_bundle_refuse_a_partial_grid(self, study_scenario, study_coeffs):
+        """Both playouts and the saddle probe refuse a grid that does not
+        span [0, t_f], as the cost does. On [0.5, 1] the study's dispatched
+        branch laws used to play out to z_f = 95.76 (reduced) and 45.76
+        (full), against 27.85 on the horizon, and the probe passed."""
+        k = z.Kernels(study_scenario)
+        sol = solve_rg(study_scenario, coeffs=study_coeffs)
+        grid = TimeGrid(0.5, 1.0, 501)
+        for read in (lambda: playout_reduced(study_scenario, k, sol.u_p, sol.u_e, grid),
+                     lambda: playout_full(study_scenario, sol.u_p, sol.u_e, grid, kernels=k),
+                     lambda: saddle_probe(study_scenario, sol, n_trials=5, kernels=k, grid=grid)):
+            with pytest.raises(ValueError) as refused:
+                read()
+            assert str(refused.value) == "grid spans [0.5, 1], not the horizon [0, 1]"
+        assert [v for v in vars(k).values() if isinstance(v, SampleBundle)] == []
+
     def test_gram_formed_once(self, study_scenario):
         k = z.Kernels(study_scenario)
         gram = k.gram()
@@ -299,11 +315,14 @@ class TestPlayoutFull:
             np.testing.assert_allclose(full.w_traj, reduced.w_traj, rtol=0, atol=1e-6 * scale)
 
     def test_terminal_miss_check(self, study_scenario, study_coeffs):
-        """Node rows of the bundle altered before its responses are built:
-        the z they rebuild no longer ends on the state's miss, and the
-        reconstruction check names both."""
+        """Both players' node rows at the horizon (e_0, so z(t_f) is the
+        miss) altered before the bundle's responses are built: the z they
+        rebuild no longer ends on the state's miss, and the reconstruction
+        check names both."""
         kernels = z.Kernels(study_scenario)
-        kernels.bundle().node_rows_engagement[-1] *= 1.0 + 1e-6
+        bundle = kernels.bundle()
+        bundle.node_rows_pursuer[-1] *= 1.0 + 1e-6
+        bundle.node_rows_evader[0, -1] *= 1.0 + 1e-6
         branch = solve_erg_branch(study_coeffs, 100.0, -100.0, -1)
         with pytest.raises(AssertionFailure) as info:
             playout_full(study_scenario, branch.u_p, branch.u_e, kernels=kernels)
@@ -321,24 +340,26 @@ class TestBundleMemo:
         assert k.bundle(TimeGrid(0.0, 1.0, 2500)) is first
         assert k.bundle(TimeGrid(0.0, 1.0, 2001)) is k.bundle()
 
-    def test_memo_keeps_one_off_grid_bundle(self, study_scenario):
-        """One off-grid bundle is kept, and the build grid's is sampled only
-        when it is first used."""
+    def test_memo_keeps_one_bundle(self, study_scenario):
+        """One bundle is kept: that of the last grid asked for, the build
+        grid's by default, which replaces any other."""
         k = z.Kernels(study_scenario)
 
         def kept():
-            return sorted(id(v) for v in vars(k).values() if isinstance(v, SampleBundle))
+            return [id(v) for v in vars(k).values() if isinstance(v, SampleBundle)]
 
+        assert kept() == []
         for n in range(300, 320):
             last = k.bundle(TimeGrid(0.0, 1.0, n))
         assert kept() == [id(last)]
         build = k.bundle()
-        assert kept() == sorted([id(last), id(build)])
+        assert kept() == [id(build)] and build.grid == k.grid
+        assert k.bundle(TimeGrid(0.0, 1.0, 319)) is not last
 
     def test_warm_kernels_take_no_rows(self, study_scenario, study_coeffs, monkeypatch):
-        """Once the build-grid and off-grid bundles are kept, the full
-        playout and a repeated off-grid cost sample nothing: no transition
-        rows, no exponentials."""
+        """Once the build-grid bundle is kept, the full playout and a
+        repeated cost on another grid (two kernel laws, exact from the Gram
+        matrix) sample nothing: no transition rows, no exponentials."""
         k = z.Kernels(study_scenario)
         sol = solve_rg(study_scenario, coeffs=study_coeffs)
         k.bundle()
@@ -374,8 +395,9 @@ class TestBundleMemo:
     @pytest.mark.parametrize("nodes", [np.linspace(0.0, 1.0, 2001), np.linspace(0.0, 1.0, 301)])
     def test_node_rows_match_kernel_rows(self, study_kernels, nodes):
         bundle = study_kernels.bundle(TimeGrid(0.0, 1.0, nodes.size))
-        for kept, direct in ((bundle.node_rows_engagement, study_kernels.rows_engagement(nodes)),
-                             (bundle.node_rows_target, study_kernels.rows_target(nodes))):
+        rows_p, rows_e = study_kernels.rows(nodes)
+        for kept, direct in ((bundle.node_rows_pursuer, rows_p),
+                             (bundle.node_rows_evader, rows_e.transpose(1, 0, 2))):
             np.testing.assert_allclose(kept, direct, rtol=0, atol=1e-14 * np.abs(direct).max())
 
 
@@ -579,7 +601,7 @@ def full_loop(scenario, u_p, u_e, grid, kernels):
     x_traj = ode_playout(rhs, _initial_full_state(scenario), grid)
     n_p = scenario.pursuer.order + 2
     z_f = x_traj[-1, n_p] - x_traj[-1, 0]
-    w_f = float(kernels.rows_target(grid.nodes[-1:])[0] @ x_traj[-1, n_p:])
+    w_f = float(kernels.rows(grid.nodes[-1:])[1][0, 1] @ x_traj[-1, n_p:])
     return x_traj, z_f, w_f
 
 
@@ -1004,7 +1026,7 @@ class TestKernelResponses:
         (each player under each kernel that drives it; the responses to a
         unit lateral velocity are formed from the nodes); later kernel-law
         playouts on it run none, at any position, while other laws still
-        take the direct scan."""
+        take the direct path, one scan a player."""
         k = z.Kernels(study_scenario)
         calls = []
         for module in (reduction, simulate):
@@ -1021,7 +1043,7 @@ class TestKernelResponses:
                 playout_reduced(sc, k, branch.u_p, branch.u_e)
         assert len(calls) == 3
         playout_full(study_scenario, sol.u_p, Constant(1.0), kernels=k)
-        assert len(calls) == 4
+        assert len(calls) == 5
 
     def test_kept_read_only(self, study_kernels):
         bundle = study_kernels.bundle()
