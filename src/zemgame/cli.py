@@ -323,7 +323,7 @@ def cmd_table1(args) -> int:
     layout = [(("+", "+"), ("-", "-")), (("+", "-"), ("-", "+")), (("-", "+"), ("+", "-"))]
     for left, right in layout:
         print("(u_p%s, u_e%s)   %-10.1f   (u_p%s, u_e%s)   %-10.1f"
-              % (left[0], left[1], t_plus[left], right[0], right[1], t_minus[right]))
+              % (*left, t_plus[left].total, *right, t_minus[right].total))
     ok_plus, ok_minus = reference.saddle_orderings(t_plus, t_minus)
     print("saddle ordering: %s / %s"
           % ("OK" if ok_plus else "VIOLATED", "OK" if ok_minus else "VIOLATED"))

@@ -67,9 +67,10 @@ class AssertionFailure(ZemGameError):
 
 def check(name: str, residual: float, tol: float, *terms: float) -> None:
     """The one tolerance self-check: raise AssertionFailure naming `name`
-    unless |residual| <= tol max(1, |term|, ...), so a NaN residual fails.
-    The floor 1 makes the bound absolute when every term is below 1."""
-    bound = tol * max(1.0, *map(abs, terms))
+    unless |residual| <= tol max(|term|, ...), so a NaN residual fails. The
+    terms are the summands of both checked sides, whose rounding the residual
+    carries; with no absolute floor a check holds its meaning at any scale."""
+    bound = tol * max(map(abs, terms))
     if not abs(residual) <= bound:
         raise AssertionFailure("%s: residual %r exceeds %r" % (name, float(residual),
                                                                 float(bound)))
@@ -77,5 +78,5 @@ def check(name: str, residual: float, tol: float, *terms: float) -> None:
 
 class ScenarioFormatError(ZemGameError):
     """A scenario document is malformed, or valid but without the result a
-    verb asks of it (a t_c = 0 cross-play table); the message names the
-    offending key or condition."""
+    verb asks of it (a cross-play table at t_c = 0, or one whose entries tie
+    within rounding); the message names the offending key or condition."""

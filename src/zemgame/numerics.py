@@ -282,15 +282,11 @@ class TimeGrid:
         """The node spacing (t_end - t_start) / (n - 1)."""
         return (self.t_end - self.t_start) / (self.n - 1)
 
-    @property
-    def midpoints(self) -> np.ndarray:
-        return 0.5 * (self.nodes[:-1] + self.nodes[1:])
-
     def refined(self) -> np.ndarray:
         """Nodes interleaved with panel midpoints (2n - 1 points)."""
         out = np.empty(2 * self.n - 1)
         out[0::2] = self.nodes
-        out[1::2] = self.midpoints
+        out[1::2] = 0.5 * (self.nodes[:-1] + self.nodes[1:])
         return out
 
 

@@ -16,6 +16,7 @@ adaptive quadrature as an independent check.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Union
@@ -37,54 +38,11 @@ _MAX_ROOT_STEPS = 60
 # Refined nodes to a cell of the coarse peak scan (`PeakScan`).
 _SCAN_STRIDE = 50
 
-# Largest deviation of a progression's differences from its step, relative
-# to its largest magnitude, that still counts as uniform (`_progression_step`).
-_PROGRESSION_TOL = 1e-13
 
-
-def _progression_step(values: np.ndarray) -> Optional[float]:
-    """The step h of an ascending array that is a uniform progression
-    values[0] + i h, else None.
-
-    Every difference may deviate from h by up to `_PROGRESSION_TOL` times
-    the largest magnitude in the array (at least 1): a few ulps of
-    `linspace` and midpoint rounding. One or two values always form a
-    progression (one has step 0).
-    """
-    n = values.size
-    step = (values[-1] - values[0]) / (n - 1) if n > 1 else 0.0
-    scale = max(1.0, abs(values[0]), abs(values[-1]))
-    if n > 2 and np.abs(np.diff(values) - step).max() > _PROGRESSION_TOL * scale:
-        return None
-    return float(step)
-
-
-def _row(D: np.ndarray, A: np.ndarray, t: float) -> np.ndarray:
-    """D exp(A t); D itself at t = 0, with no exponential."""
-    return D @ mat_exp(A, t) if t != 0.0 else D
-
-
-def _transition_rows(D: np.ndarray, A: np.ndarray, end: float, ts,
-                     lead: Optional[float] = None) -> np.ndarray:
-    """Rows D exp(A (end - t)) for each t, in the order of ts (points x n);
-    given a lead, each over D exp(A (end - t + lead)) (points x 2 x n). By
-    doubling (`_progression_rows`) when the deltas end - t, sorted
-    ascending, are a uniform progression (`_progression_step`: the nodes of
-    a grid, or its refined nodes), else by one matrix exponential a row."""
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    order = np.argsort(-ts, kind="stable")  # linear on sorted times
-    deltas = end - ts[order]
-    leads = (0.0,) if lead is None else (0.0, lead)
-    step = _progression_step(deltas) if ts.size else None
-    if step is None:
-        rows = np.empty((ts.size, len(leads), D.size))
-        for i, delta in zip(order.tolist(), deltas.tolist()):
-            rows[i] = [_row(D, A, delta + ahead) for ahead in leads]
-    else:
-        first = np.stack([_row(D, A, deltas[0] + ahead) for ahead in leads])
-        rows = _progression_rows(first, A, step, ts.size)[0].take(
-            np.argsort(order, kind="stable"), axis=0)
-    return rows if lead is not None else rows.reshape(ts.size, D.size)
+def _row(A: np.ndarray, t: float) -> np.ndarray:
+    """The position row e_0 exp(A t) of a player's block; e_0 at t = 0, with no exponential."""
+    e_0 = np.eye(1, A.shape[0])[0]
+    return e_0 @ mat_exp(A, t) if t != 0.0 else e_0
 
 
 def _progression_rows(first: np.ndarray, A: np.ndarray, step: float, n: int) -> tuple:
@@ -122,10 +80,14 @@ class Kernels:
 
     def __init__(self, scenario: EngagementScenario):
         self.t_f, self.t_c = scenario.t_f, scenario.t_c
-        self.grid = TimeGrid(0.0, scenario.t_f)
         self._players = (build_player_ss(scenario.pursuer), build_player_ss(scenario.evader))
         self._gram, self._mu_e = None, 0.0  # K and mu_e, formed together by `gram`
         self._bundle: Optional[SampleBundle] = None
+
+    @functools.cached_property
+    def grid(self) -> TimeGrid:
+        """The build grid `TimeGrid(0, t_f)`, formed on its first read."""
+        return TimeGrid(0.0, self.t_f)
 
     def gram(self) -> np.ndarray:
         """The kernel Gram matrix K (`kernel_gram`), read-only; formed on
@@ -146,34 +108,42 @@ class Kernels:
             self._bundle = kept = SampleBundle.sample(self, grid)
         return kept
 
-    def rows(self, ts) -> tuple[np.ndarray, np.ndarray]:
-        """The players' rows at each t, with s = t_f - t: the pursuer's
-        e_0 exp(A_p s) (points x n_p), and the evader's e_0 exp(A_e s) over
-        its target rows e_0 exp(A_e (s + t_c)) (points x 2 x n_e): one
-        `_transition_rows` a player."""
-        pursuer, evader = self._players
-        return (_transition_rows(np.eye(1, pursuer.A.shape[0])[0], pursuer.A, self.t_f, ts),
-                _transition_rows(np.eye(1, evader.A.shape[0])[0], evader.A, self.t_f, ts,
-                                 self.t_c))
+    def rows(self, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
+        """The players' rows at the grid's refined nodes t, s = t_f - t: the
+        pursuer's e_0 exp(A_p s) (points x n_p), and the evader's e_0 exp(A_e s)
+        over its target rows e_0 exp(A_e (s + t_c)) (points x 2 x n_e). One
+        `_progression_rows` doubling a player, from the last node, s = t_f - t_end,
+        by the grid's half step ((t_f - t_start) - (t_f - t_end)) / (2n - 2)."""
+        start, points = self.t_f - grid.t_end, 2 * grid.n - 1
+        step = ((self.t_f - grid.t_start) - start) / (points - 1)
+        rows = []
+        for player, leads in zip(self._players, ((0.0,), (0.0, self.t_c))):
+            first = np.stack([_row(player.A, start + lead) for lead in leads])
+            # in time order, contiguous: a reversed view rounds its products differently
+            rows.append(_progression_rows(first, player.A, step, points)[0][::-1].copy())
+        return rows[0].reshape(points, -1), rows[1]
 
-    # -- kernel values -----------------------------------------------------
+    def _kernel(self, player: int, ts, lead: float = 0.0) -> np.ndarray:
+        """e_0 exp(A (t_f - t + lead)) B of one player at any times t, by one `_row` each."""
+        A, B = self._players[player].A, self._players[player].B
+        return np.array([_row(A, self.t_f - t + lead) @ B
+                         for t in np.atleast_1d(np.asarray(ts, dtype=float)).tolist()])
 
     def sample_engagement(self, ts) -> tuple[np.ndarray, np.ndarray]:
-        rows_p, rows_e = self.rows(ts)
-        return -(rows_p @ self._players[0].B), rows_e[:, 0] @ self._players[1].B
+        return -self._kernel(0, ts), self._kernel(1, ts)
 
     def sample_target(self, ts) -> np.ndarray:
-        return self.rows(ts)[1][:, 1] @ self._players[1].B
+        return self._kernel(1, ts, self.t_c)
 
     def h_p(self, t: float) -> float:
-        return float(self.sample_engagement(t)[0][0])
+        return float(-self._kernel(0, t)[0])
 
     def h_e(self, t: float) -> float:
-        return float(self.sample_engagement(t)[1][0])
+        return float(self._kernel(1, t)[0])
 
     def g_e(self, t: float) -> float:
         """Valid on [0, t_f + t_c]."""
-        return float(self.sample_target(t)[0])
+        return float(self._kernel(1, t, self.t_c)[0])
 
 
 # -- control laws ----------------------------------------------------------
@@ -299,7 +269,7 @@ class SampleBundle:
     def sample(cls, kernels: Kernels, grid: TimeGrid) -> "SampleBundle":
         check_spans_horizon(grid, kernels.t_f)
         ts = grid.refined()
-        rows_p, rows_e = kernels.rows(ts)
+        rows_p, rows_e = kernels.rows(grid)
         pursuer, evader = kernels._players
         h_e, g_e = (rows_e.reshape(-1, evader.B.size) @ evader.B).reshape(-1, 2).T.copy()
         sixth = np.diff(grid.nodes) / 6.0
@@ -559,7 +529,7 @@ class GameCoefficients:
             if not ok:
                 raise AssertionFailure("coefficient consistency check failed: %s" % label)
         check("s - nu_p == 1 - nu_e", (self.s - self.nu_p) - (1.0 - self.nu_e), 1e-10,
-              1.0 - self.nu_e, self.nu_p)
+              1.0, self.nu_p, self.nu_e)
 
 
 def _assemble(integrals: tuple[float, float, float, float], mu: float, alpha: float,
@@ -690,7 +660,7 @@ def integral_g_e(scenario: EngagementScenario) -> float:
     evader's first target row e_0 exp(A_e t_c) (`Kernels.rows`)."""
     ev = build_player_ss(scenario.evader)
     M, scale = _augmented(ev.A, ev.B)
-    row = np.append(_row(np.eye(1, ev.A.shape[0])[0], ev.A, scenario.t_c), 0.0)
+    row = np.append(_row(ev.A, scenario.t_c), 0.0)
     return scale * float(row @ mat_exp(M, scenario.t_f)[:, -1])
 
 
@@ -746,16 +716,10 @@ def coefficients(scenario: EngagementScenario,
                  kernels: Optional[Kernels] = None) -> GameCoefficients:
     """All game coefficients from exact kernel integrals: int h_p^2,
     int h_e^2, int h_e g_e and int g_e^2 are entries of the kernel Gram
-    matrix (`kernel_gram`, kept as `K`), and mu_e comes from `_tail_weight`.
-    Both come from `kernels.gram()` when the scenario's kernels are given, so
-    a caller that builds them forms them once; no kernel samples are taken.
-    Raises SolvabilityError when beta does not exceed int h_e^2.
-    """
-    if kernels is None:
-        ev = build_player_ss(scenario.evader)
-        mu, x_e = _tail_weight(ev.A, ev.B, scenario.t_c)
-        K = kernel_gram(build_player_ss(scenario.pursuer), ev, scenario.t_f, x_e)
-    else:
-        K, mu = kernels.gram(), kernels._mu_e  # gram() forms both
-    return _assemble((K.item(0, 0), K.item(1, 1), K.item(1, 2), K.item(2, 2)), mu,
+    matrix, kept as `K`, read with mu_e from `Kernels.gram` of the given
+    kernels or of the scenario's own; no kernel samples are taken. Raises
+    SolvabilityError when beta does not exceed int h_e^2."""
+    kernels = Kernels(scenario) if kernels is None else kernels
+    K = kernels.gram()  # forms mu_e too
+    return _assemble((K.item(0, 0), K.item(1, 1), K.item(1, 2), K.item(2, 2)), kernels._mu_e,
                      scenario.alpha, scenario.beta, scenario.ae_max, K)

@@ -12,6 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .engagement import EngagementScenario, first_order_scenario
+from .errors import ScenarioFormatError
 from .numerics import TimeGrid
 from .reduction import AffineInTime, Constant, Kernels, coefficients, integral_g_e
 from .simulate import cross_play, evaluate_cost, playout_reduced
@@ -101,18 +102,37 @@ CHECKS = {c.name: c for c in (
 
 
 def cross_table(scenario: EngagementScenario, kern, coeffs, z0: float, w0: float):
-    """Costs of the two branch control pairs crossed at one position, keyed
-    by (pursuer branch, evader branch)."""
+    """Costs (`CostBreakdown`) of the two branch control pairs crossed at
+    one position, keyed by (pursuer branch, evader branch)."""
     positioned = replace(scenario, z0=z0, w0=w0, geometry=None)
     branch = {"+": solve_erg_branch(coeffs, z0, w0, 1), "-": solve_erg_branch(coeffs, z0, w0, -1)}
-    return {(sp, se): cross_play(positioned, branch[sp].u_p, branch[se].u_e, kern).total
+    return {(sp, se): cross_play(positioned, branch[sp].u_p, branch[se].u_e, kern)
             for sp in "+-" for se in "+-"}
 
 
+# Neighbouring cross-table entries tie within rounding when their totals differ by at
+# most this many eps of both entries' terms (terminal plus both efforts): as ae_max -> 0
+# the gaps of the 172 `scenarios` table documents (seeds 1-5) spread over +-0.56 eps.
+TIE_EPS = 4.0
+
+
 def saddle_orderings(t_plus: dict, t_minus: dict) -> tuple[bool, bool]:
-    """Whether each cross table orders its entries as a saddle point must."""
-    return (t_plus[("+", "-")] < t_plus[("+", "+")] < t_plus[("-", "+")],
-            t_minus[("-", "+")] < t_minus[("-", "-")] < t_minus[("+", "-")])
+    """Whether each cross table orders its entries as a saddle point must. A
+    table two of whose neighbours in that order tie within rounding
+    (`TIE_EPS`) shows no ordering, and is refused as a ScenarioFormatError."""
+    ordered = []
+    for table, keys in ((t_plus, (("+", "-"), ("+", "+"), ("-", "+"))),
+                        (t_minus, (("-", "+"), ("-", "-"), ("+", "-")))):
+        costs = [table[key] for key in keys]
+        for low, high, a, b in zip(keys, keys[1:], costs, costs[1:]):
+            terms = sum(c.terminal + c.pursuer_effort + c.evader_effort for c in (a, b))
+            if abs(b.total - a.total) <= TIE_EPS * np.finfo(float).eps * terms:
+                raise ScenarioFormatError(
+                    "cross-play entries (u_p%s, u_e%s) and (u_p%s, u_e%s) tie within rounding: J "
+                    "differ by %.3g, of terms summing to %.6g, so the table shows no saddle "
+                    "ordering" % (*low, *high, b.total - a.total, terms))
+        ordered.append(costs[0].total < costs[1].total < costs[2].total)
+    return ordered[0], ordered[1]
 
 
 def evaluate() -> dict[str, float]:
@@ -145,8 +165,8 @@ def evaluate() -> dict[str, float]:
     tables = {tag: cross_table(scenario, kern, coeffs, *position)
               for tag, position in (("+", PLUS_POSITION), ("-", MINUS_POSITION))}
     for tag, table in tables.items():
-        for (sp, se), value in table.items():
-            values["T1%s (%s,%s)" % (tag, sp, se)] = value
+        for (sp, se), cost in table.items():
+            values["T1%s (%s,%s)" % (tag, sp, se)] = cost.total
     values["T1 orderings"] = 1.0 if all(saddle_orderings(tables["+"], tables["-"])) else 0.0
 
     # Unconstrained play from two positions: w_f - w0 = a*z0 at both.

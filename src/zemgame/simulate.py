@@ -218,7 +218,7 @@ def playout_full(scenario: EngagementScenario, u_p: ControlLaw, u_e: ControlLaw,
         x_traj = np.hstack([x_p, x_e])
 
     miss = float(x_traj[-1, n_p] - x_traj[-1, 0])
-    check("terminal miss == z(t_f)", z[-1] - miss, 1e-9, miss)
+    check("terminal miss == z(t_f)", z[-1] - miss, 1e-9, x_traj[-1, n_p], x_traj[-1, 0])
     return FullPlayout(grid=bundle.grid, x_traj=x_traj, z_traj=z, w_traj=w,
                        z_f=float(z[-1]), w_f=float(w[-1]), miss=miss)
 

@@ -91,12 +91,13 @@ def g_bar(coeffs: GameCoefficients) -> tuple[float, float, float]:
     return coeffs.G3 / coeffs.det_G, -coeffs.G2 / coeffs.det_G, -coeffs.s / coeffs.det_G
 
 
-def _position_form(coeffs: GameCoefficients, z0: float, w0: float, shift: float) -> float:
-    """chi0' G_bar chi0 + 2 chi0' G_bar gamma for chi0 = (z0, w0) and
-    gamma = (0, shift), on Python floats in the order of those products."""
+def _position_form(coeffs: GameCoefficients, z0: float, w0: float, shift: float) -> tuple:
+    """The summands of chi0' G_bar chi0 + 2 chi0' G_bar gamma for chi0 =
+    (z0, w0) and gamma = (0, shift), on Python floats in the order of those
+    products: c0 z0, c1 w0 and 2 c1 shift, for (c0, c1) = chi0' G_bar."""
     b00, b01, b11 = g_bar(coeffs)
     c0, c1 = z0 * b00 + w0 * b01, z0 * b01 + w0 * b11
-    return c0 * z0 + c1 * w0 + 2.0 * (c1 * shift)
+    return c0 * z0, c1 * w0, 2.0 * (c1 * shift)
 
 
 def classify(coeffs: GameCoefficients, z0: float, w0: float) -> Region:
@@ -147,17 +148,20 @@ def solve_erg_branch(coeffs: GameCoefficients, z0: float, w0: float, sign: int) 
     """Equality-constrained branch saddle point, terminal w pinned at
     sign*bound: omega_f = (z_f, v_f) = G^-1 b, with the value computed both
     as omega' G_tilde omega and as the quadratic form in the initial
-    position; the two must agree to 1e-9 max(1, |value|). Both are formed on
-    Python floats, in the order of the matrix products. The region is the
+    position; the two must agree to 1e-9 of their largest summand (the
+    position form cancels to 0 at the wall (0, sign*bound)). Both are formed
+    on Python floats, in the order of the matrix products. The region is the
     branch's half-plane with the margin `classify` gives there, so
     sign*margin < 0 marks a branch forced against the dispatch."""
     shift = _shift(sign, coeffs.bound)
     s, G2, G3 = coeffs.s, coeffs.G2, coeffs.G3
     z_f, v_f = solve2_entries(s, G2, -G2, G3, z0, w0 + shift)
-    value = (z_f * s + v_f * G2) * z_f + (z_f * G2 - v_f * G3) * v_f
-    value_chi = _position_form(coeffs, z0, w0, shift) + shift * (-s / coeffs.det_G) * shift
+    value_terms = ((z_f * s + v_f * G2) * z_f, (z_f * G2 - v_f * G3) * v_f)
+    chi_terms = (*_position_form(coeffs, z0, w0, shift), shift * (-s / coeffs.det_G) * shift)
+    value = value_terms[0] + value_terms[1]
+    value_chi = chi_terms[0] + chi_terms[1] + chi_terms[2] + chi_terms[3]
     _require_finite((z_f, v_f, value, value_chi), "the branch value")
-    check("branch value == position form", value - value_chi, 1e-9, value)
+    check("branch value == position form", value - value_chi, 1e-9, *value_terms, *chi_terms)
     u_p = KernelCombo(hp_coef=-z_f / coeffs.alpha)
     u_e = KernelCombo(he_coef=z_f / coeffs.beta, ge_coef=-v_f / coeffs.beta)
     label = RegionLabel.OMEGA_PLUS if sign == 1 else RegionLabel.OMEGA_MINUS
@@ -179,7 +183,8 @@ def aux_cross(coeffs: GameCoefficients, z0: float, w0: float, pursuer_sign: int)
     rho = bound * bound * (3.0 * coeffs.nu_p * coeffs.G2 ** 2
                            - (coeffs.s - coeffs.nu_p) * coeffs.det_G) \
         / (coeffs.det_G * coeffs.det_F)
-    J_cross = _position_form(coeffs, z0, w0, other) + rho
+    c_z, c_w, c_shift = _position_form(coeffs, z0, w0, other)
+    J_cross = c_z + c_w + c_shift + rho
     _require_finite((J_cross,), "the cross-play value")
     return J_cross
 
@@ -203,7 +208,8 @@ def solve_erg(coeffs: GameCoefficients, z0: float, w0: float, region: Region) ->
     check("fixed-pursuer J_cross <= J", max(J_cross - branch.value, 0.0), 1e-8,
           branch.value, J_cross)
     check("branch margin sign (w0 + a z0) >= d bound",
-          max(coeffs.d * coeffs.bound - sign * (w0 + coeffs.a * z0), 0.0), 1e-8, coeffs.bound)
+          max(coeffs.d * coeffs.bound - sign * (w0 + coeffs.a * z0), 0.0), 1e-8, coeffs.bound,
+          w0, coeffs.a * z0)
     return branch
 
 

@@ -539,11 +539,12 @@ def test_fresh_process_smoke(tmp_path, argv):
 
 
 class TestKernelBuilds:
-    """Only the verbs that sample the kernels build them: coefficients and
-    solutions come from the exact integrals."""
+    """Every verb builds the kernels once: the coefficients read their Gram
+    matrix (`Kernels.gram`), and the verbs that sample them, and only
+    those, sample one bundle of them."""
 
     @pytest.mark.parametrize("position", [(100.0, -50.0), (100.0, 50.0)], ids=["strip", "branch"])
-    @pytest.mark.parametrize("verb, options, builds", [
+    @pytest.mark.parametrize("verb, options, bundles", [
         ("classify", [], 0),
         ("solve", [], 0),
         ("solve", ["--sign", "+"], 0),
@@ -553,11 +554,16 @@ class TestKernelBuilds:
         ("solve", ["--probe", "5"], 1),
         ("solve", ["--csv", "{csv}", "--probe", "5", "--grid", "301"], 1),
     ])
-    def test_count(self, tmp_path, capsys, kernel_builds, position, verb, options, builds):
+    def test_count(self, tmp_path, capsys, monkeypatch, kernel_builds, position, verb, options,
+                   bundles):
         path = write_doc(tmp_path, lambda d: d["initial"].update(z0=position[0], w0=position[1]))
         options = [o.format(csv=tmp_path / "out.csv") for o in options]
+        sampled = []
+        sample = SampleBundle.sample.__func__
+        monkeypatch.setattr(SampleBundle, "sample", classmethod(
+            lambda cls, *a: sampled.append(a) or sample(cls, *a)))
         assert main([verb, path] + options) == EXIT_OK
-        assert len(kernel_builds) == builds
+        assert len(kernel_builds) == 1 and len(sampled) == bundles
 
 
 class TestBundleSamples:
@@ -600,7 +606,8 @@ class TestBundleSamples:
 
 def test_plain_solve_builds_no_grid(study_file, capsys, monkeypatch):
     """The grid of --csv and --probe is built only when one of them reads
-    it; --grid is still checked."""
+    it, and the kernels' build grid only when it is read; --grid is still
+    checked."""
     builds = []
     post_init = TimeGrid.__post_init__
 
@@ -616,7 +623,7 @@ def test_plain_solve_builds_no_grid(study_file, capsys, monkeypatch):
     assert main(["solve", study_file, "--grid", "1"]) == EXIT_USAGE
     assert capsys.readouterr().err == "error: a time grid needs at least two nodes\n"
     assert main(["solve", study_file, "--probe", "5", "--grid", "301"]) == EXIT_OK
-    assert builds == [(0.0, 1.0, 2001), (0.0, 1.0, 301)]  # the kernels' build grid first
+    assert builds == [(0.0, 1.0, 301)]  # the kernels' own build grid is never read
 
 
 class TestSweep:
@@ -818,6 +825,25 @@ class TestTable1:
         assert captured.err == ("scenario error: t_c = 0 collapses the terminal constraint to "
                                 "w(t_f) = 0: both branches pin w_f = 0, so the cross-play table "
                                 "ties and has no saddle ordering to show\n")
+
+    @pytest.mark.parametrize("ae_max, status", [(3e-5, EXIT_OK), (1e-6, EXIT_USAGE),
+                                                (1e-12, EXIT_USAGE)])
+    def test_entries_tied_within_rounding_are_a_scenario_error(self, tmp_path, capsys, ae_max,
+                                                               status):
+        """As ae_max shrinks the two branches meet, and the pursuer-side gap
+        J(-,+) - J(+,+) at (100, 50) shrinks as ae_max^2: +3.7e-11 at 3e-5,
+        and -2.3e-13 at 1e-6, below the rounding of entries whose terms sum
+        to 4.1e3. Such a table shows no ordering, and is refused as a
+        scenario error (`reference.TIE_EPS`), not as a violated ordering."""
+        path = write_doc(tmp_path, lambda d: d["evader_bound"].update(ae_max=ae_max))
+        assert main(["table1", path]) == status
+        captured = capsys.readouterr()
+        if status == EXIT_OK:
+            assert captured.out.endswith("saddle ordering: OK / OK\n") and captured.err == ""
+        else:
+            assert "saddle ordering" not in captured.out
+            assert captured.err.startswith("scenario error: cross-play entries (u_p+, u_e+) and "
+                                           "(u_p-, u_e+) tie within rounding: J differ by ")
 
     def test_position_must_be_a_pair(self, tmp_path, capsys):
         path = write_doc(tmp_path, lambda d: d["table1"]["minus"].append(1.0))

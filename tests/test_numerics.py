@@ -373,54 +373,69 @@ class TestTimeGrid:
 
 
 class TestProgressionStep:
-    """The kernel rows (`reduction._transition_rows`) are built by doubling
-    on every set of sample times that `_progression_step` takes as a
-    uniform progression, which the refined nodes of every grid are; any
-    other set takes one exponential per point."""
+    """A grid's kernel rows (`Kernels.rows`) are one doubling scan a player
+    (`reduction._progression_rows`) over its 2n - 1 refined nodes, from the
+    row at its last node, by the grid's own half step; the grid decides, not
+    its sample values. Any other times take one exponential a point and
+    kernel (the samplers `sample_engagement`, `sample_target`, `h_p`,
+    `h_e` and `g_e`)."""
 
     SIZES = list(range(2, 12)) + [100, 101, 1000, 2001, 4001, 10000, 20001]
 
-    @pytest.fixture
-    def steps_seen(self, monkeypatch):
-        seen = []
-        progression_step = reduction._progression_step
-
-        def recording(values):
-            seen.append(progression_step(values))
-            return seen[-1]
-
-        monkeypatch.setattr(reduction, "_progression_step", recording)
-        return seen
+    @staticmethod
+    def counting(monkeypatch, name):
+        calls = []
+        original = getattr(reduction, name)
+        monkeypatch.setattr(reduction, name, lambda *a: calls.append(
+            [getattr(x, "shape", x) for x in a]) or original(*a))
+        return calls
 
     @pytest.mark.parametrize("n", SIZES)
-    def test_uniform_grids(self, steps_seen, n):
-        Kernels(reference.study_scenario()).bundle(TimeGrid(0.0, 1.0, n))
-        assert len(steps_seen) == 2 and None not in steps_seen
+    def test_uniform_grids(self, monkeypatch, n):
+        """The study's bundle on TimeGrid(0, 1, n): a scan of the pursuer's
+        row and one of the evader's two rows, each of 2n - 1 rows by the step
+        1 / (2n - 2), and one exponential, the evader's target row at t_c;
+        the rows at t_f are e_0 itself."""
+        kernels = Kernels(reference.study_scenario())
+        scans = self.counting(monkeypatch, "_progression_rows")
+        exponentials = self.counting(monkeypatch, "mat_exp")
+        bundle = kernels.bundle(TimeGrid(0.0, 1.0, n))
+        step = 1.0 / (2 * n - 2)
+        assert scans == [[(1, 3), (3, 3), step, 2 * n - 1], [(2, 3), (3, 3), step, 2 * n - 1]]
+        assert exponentials == [[(3, 3), 0.9]]
+        assert bundle.ts.size == 2 * n - 1 and bundle.node_rows_pursuer.shape == (n, 3)
+        np.testing.assert_array_equal(bundle.node_rows_pursuer[-1], [1.0, 0.0, 0.0])
+        np.testing.assert_array_equal(bundle.node_rows_evader[0, -1], [1.0, 0.0, 0.0])
 
-    def test_one_perturbed_node(self, steps_seen, monkeypatch):
+    def test_one_perturbed_node(self, monkeypatch):
+        """A grid's nodes with one perturbed are no grid: the samplers take
+        one exponential a point and kernel, none for a kernel at s = 0
+        (h_p and h_e at t = t_f), and no doubling scan."""
         kernels = Kernels(reference.study_scenario())
         ts = TimeGrid(0.0, 1.0, 101).nodes.copy()
         ts[37] += 1e-6
-        exponentials = []
-        monkeypatch.setattr(reduction, "mat_exp",
-                            lambda *a, _f=reduction.mat_exp: exponentials.append(1) or _f(*a))
+        scans = self.counting(monkeypatch, "_progression_rows")
+        exponentials = self.counting(monkeypatch, "mat_exp")
         kernels.sample_engagement(ts)
+        assert len(exponentials) == 2 * (ts.size - 1)
         kernels.sample_target(ts)
-        # each call reads both players' rows: one exponential a row, the
-        # pursuer's, the evader's and its target row, but none for the two
-        # rows that are e_0 at t = t_f
-        assert steps_seen == [None] * 4 and len(exponentials) == 2 * (3 * ts.size - 2)
+        assert len(exponentials) == 3 * ts.size - 2 and scans == []
 
-    def test_step_and_tolerance(self):
-        progression_step = reduction._progression_step
-        nodes = TimeGrid(-10.0, -1.0, 1001).nodes.copy()
-        assert progression_step(nodes) == pytest.approx(0.009, rel=1e-15)
-        assert progression_step(nodes[:1]) == 0.0 and progression_step(nodes[:2]) is not None
-        nudged = nodes.copy()
-        nudged[500] += 0.5e-13 * 10.0
-        assert progression_step(nudged) is not None
-        nudged[500] += 1e-13 * 10.0
-        assert progression_step(nudged) is None
+    @pytest.mark.parametrize("t, counts", [(0.3, (1, 1, 1, 2, 1)), (1.0, (0, 0, 1, 0, 1))],
+                             ids=["inside", "horizon"])
+    def test_exponentials_per_call(self, monkeypatch, t, counts):
+        """h_p, h_e, g_e and `sample_target` take one exponential a point,
+        only for the kernel they return, and `sample_engagement` two: none
+        for rows at s = 0."""
+        kernels = Kernels(reference.study_scenario())
+        exponentials = self.counting(monkeypatch, "mat_exp")
+        got = []
+        for call in (kernels.h_p, kernels.h_e, kernels.g_e, kernels.sample_engagement,
+                     kernels.sample_target):
+            before = len(exponentials)
+            call(t)
+            got.append(len(exponentials) - before)
+        assert tuple(got) == counts
 
 
 class TestOdePlayout:

@@ -60,15 +60,17 @@ def sign_cells_rule(A, span):
 def tail_weight_loop(A, B, D, t_c):
     """`reduction._tail_weight` with its sign changes paired by a Python loop
     over the scan cells, as before the pairing was vectorised, its cells
-    from `sign_cells_rule` and its scan times from `linspace`; the
-    reference for bitwise-equal mu_e."""
+    from `sign_cells_rule`, its scan rows from the doubling scan
+    (`_progression_rows`) and its scan times from `linspace`; the reference
+    for bitwise-equal mu_e."""
     if t_c == 0.0:
         return 0.0
     n = A.shape[0]
     M, scale = reduction._augmented(A, B)
     AB = A @ B
-    s = np.linspace(0.0, t_c, sign_cells_rule(A, t_c) + 1)
-    rows = reduction._transition_rows(np.append(D, 0.0), M, t_c, t_c - s)
+    cells = sign_cells_rule(A, t_c)
+    s = np.linspace(0.0, t_c, cells + 1)
+    rows = reduction._progression_rows(np.append(D, 0.0), M, t_c / cells, cells + 1)[0]
     g = rows[:, :n] @ B
     signs = np.sign(g)
     nonzero = np.flatnonzero(signs)
@@ -151,16 +153,18 @@ class TestKernels:
         assert study_kernels.g_e(1.0) == pytest.approx(0.800012341, abs=1e-7)
 
     def test_rows_accuracy_does_not_grow_with_nodes(self, study_kernels):
-        """The study's rows on 200,001 nodes, each player's doubled from one
-        step: the pursuer's e_0 exp(A_p s), the evader's e_0 exp(A_e s) and
-        its target rows e_0 exp(A_e (s + t_c)), against 40-digit
-        exponentials at 45 of the nodes (both ends, the first steps and
-        every 5,000th), within 1e-14 of each row's largest entry. Doubled as
-        E <- E @ E the rows of the relative system were 2.2e-11 off."""
+        """The study's rows on the 200,001 refined nodes of a 100,001-node
+        grid, each player's doubled from one step: the pursuer's
+        e_0 exp(A_p s), the evader's e_0 exp(A_e s) and its target rows
+        e_0 exp(A_e (s + t_c)), against 40-digit exponentials at 45 of the
+        nodes (both ends, the first steps and every 5,000th), within 1e-14
+        of each row's largest entry. Doubled as E <- E @ E the rows of the
+        relative system were 2.2e-11 off."""
         mpmath = pytest.importorskip("mpmath")
         k = study_kernels
-        nodes = z.TimeGrid(0.0, 1.0, 200_001).nodes
-        rows_p, rows_e = k.rows(nodes)
+        grid = z.TimeGrid(0.0, 1.0, 100_001)
+        nodes = grid.refined()
+        rows_p, rows_e = k.rows(grid)
         (pursuer, evader), t_c = k._players, mpmath.mpf(k.t_c)
         with mpmath.workdps(40):
             for rows, player, lead in ((rows_p, pursuer, 0), (rows_e[:, 0], evader, 0),
@@ -173,6 +177,65 @@ class TestKernels:
                     scale = max(abs(x) for x in want)
                     assert max(abs(mpmath.mpf(r) - w)
                                for r, w in zip(rows[i], want)) <= 1e-14 * scale
+
+    @staticmethod
+    def stress_case(case):
+        """The scenario of a named case: the study, the mixed-orders file, a
+        50 s horizon, or a 1e-5 s lag of either player."""
+        lags = dict(alpha=0.05, beta=1e9, ae_max=100.0, z0=100.0, w0=-100.0)
+        return {"study": reference.study_scenario,
+                "mixed": lambda: load_scenario(str(MIXED_ORDERS))[0],
+                "long_50": lambda: z.first_order_scenario(0.2, 0.1, 50.0, 30.0, **lags),
+                "stiff_pursuer": lambda: z.first_order_scenario(1e-5, 0.1, 1.0, 0.9, **lags),
+                "stiff_evader": lambda: z.first_order_scenario(0.2, 1e-5, 1.0, 0.9, **lags)}[case]()
+
+    @pytest.mark.parametrize("case, band", [("study", 5e-15), ("mixed", 2e-15), ("long_50", 5e-14),
+                                            ("stiff_pursuer", 1e-11), ("stiff_evader", 1e-11)])
+    def test_bundle_matches_per_point_kernels(self, case, band):
+        """The build grid's bundle (one doubling scan a player, `Kernels.rows`)
+        against the samplers (one exponential a point and kernel) at every
+        8th refined node, within the band of each kernel's largest value.
+        Measured: 2.5e-15 (study), 8.2e-16 (mixed), 2.2e-14 (long_50) and
+        3.6e-12 on the stiff lags, where the per-point path is the one off
+        (`test_stiff_rows_against_reference`)."""
+        k = Kernels(self.stress_case(case))
+        bundle = k.bundle()
+        ts = bundle.ts[::8]
+        (hp, he), ge = k.sample_engagement(ts), k.sample_target(ts)
+        for kept, point in ((bundle.h_p, hp), (bundle.h_e, he), (bundle.g_e, ge)):
+            assert np.abs(kept[::8] - point).max() <= band * np.abs(kept).max()
+
+    @pytest.mark.parametrize("case", ["stiff_pursuer", "stiff_evader"])
+    def test_stiff_rows_against_reference(self, case):
+        """Both row paths on a 1e-5 s lag against 40-digit exponentials at
+        47 refined nodes of the build grid, relative to each kernel's
+        largest value. The doubling scan holds the lagged player's own
+        kernel to 7.8e-16 where one exponential a point is 3.6e-12 off; the
+        stiff evader's g_e starts both paths from the same exponential at
+        t_c, and is 3.6e-12 (scan) and 7.3e-12 (per point) off."""
+        mpmath = pytest.importorskip("mpmath")
+        k = Kernels(self.stress_case(case))
+        bundle = k.bundle()
+        index = np.unique(np.r_[np.arange(0, bundle.ts.size, 97), bundle.ts.size - np.arange(1, 6)])
+        ts = bundle.ts[index]
+        (hp, he), ge = k.sample_engagement(ts), k.sample_target(ts)
+        (pursuer, evader), t_c = k._players, mpmath.mpf(k.t_c)
+        stiff = {"stiff_pursuer": 0, "stiff_evader": 1}[case]
+        with mpmath.workdps(40):
+            for kernel, (kept, point, player, lead, sign) in enumerate((
+                    (bundle.h_p, hp, pursuer, 0, -1), (bundle.h_e, he, evader, 0, 1),
+                    (bundle.g_e, ge, evader, t_c, 1))):
+                A, B = mpmath.matrix(player.A.tolist()), mpmath.matrix(player.B.tolist())
+                want = np.array([float(sign * (mpmath.expm(A * (1 - mpmath.mpf(t) + lead)) * B)[0])
+                                 for t in ts])
+                scale = np.abs(want).max()
+                scan, each = (np.abs(got - want).max() / scale for got in (kept[index], point))
+                if kernel == stiff:
+                    assert scan <= 2e-15 and each <= 1e-11
+                elif kernel == 2 and case == "stiff_evader":
+                    assert scan <= 1e-11 and each <= 2e-11
+                else:
+                    assert scan <= 2e-15 and each <= 2e-15
 
     def test_bundle_tail_value_at_horizon(self, study_kernels):
         """The bundle's g_e(t_f) = e_0 exp(A_e t_c) B_e is within 4 ulps of

@@ -27,11 +27,10 @@ from zemgame import (
 from zemgame import reduction, simulate
 from zemgame.cli import load_scenario
 from zemgame.engagement import build_game_ss, initial_zem
-from zemgame.numerics import ode_playout
+from zemgame.numerics import mat_exp, ode_playout
 from zemgame.reference import CHECKS
 from zemgame.errors import AssertionFailure, ProbeFailure
-from zemgame.reduction import (LegendreProducts, PeakScan, SampleBundle, sample_control,
-                               simpson_panels)
+from zemgame.reduction import LegendreProducts, PeakScan, SampleBundle, simpson_panels
 from zemgame.simulate import _initial_full_state
 
 from helpers import (MIXED_ORDERS, ORACLE, admissible_evader_perturbation, check_failure,
@@ -327,10 +326,11 @@ class TestPlayoutFull:
         with pytest.raises(AssertionFailure) as info:
             playout_full(study_scenario, branch.u_p, branch.u_e, kernels=kernels)
         residual, bound = check_failure(info.value, "terminal miss == z(t_f)")
-        miss = playout_full(study_scenario, branch.u_p, branch.u_e,
-                            kernels=z.Kernels(study_scenario)).miss
-        assert residual == pytest.approx(1e-6 * miss, rel=1e-3)
-        assert bound == pytest.approx(1e-9 * max(1.0, abs(miss)), rel=1e-12)
+        clean = playout_full(study_scenario, branch.u_p, branch.u_e,
+                             kernels=z.Kernels(study_scenario))
+        y_p, y_e = clean.x_traj[-1, 0], clean.x_traj[-1, study_scenario.pursuer.order + 2]
+        assert residual == pytest.approx(1e-6 * clean.miss, rel=1e-3)
+        assert bound == pytest.approx(1e-9 * max(abs(y_e), abs(y_p)), rel=1e-12)
 
 
 class TestBundleMemo:
@@ -365,7 +365,7 @@ class TestBundleMemo:
         k.bundle()
         evaluate_cost(study_scenario, k, sol.u_p, sol.u_e, TimeGrid(0.0, 1.0, 2500))
         calls = []
-        for name in ("_transition_rows", "mat_exp"):
+        for name in ("_progression_rows", "mat_exp"):
             original = getattr(reduction, name)
             monkeypatch.setattr(reduction, name,
                                 lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a))
@@ -373,7 +373,7 @@ class TestBundleMemo:
         evaluate_cost(study_scenario, k, sol.u_p, sol.u_e, TimeGrid(0.0, 1.0, 2500))
         assert calls == []
         k.bundle(TimeGrid(0.0, 1.0, 2400))
-        assert calls.count("_transition_rows") == 2  # the counter sees a new grid
+        assert calls.count("_progression_rows") == 2  # the counter sees a new grid
 
     def test_legendre_follows_its_arguments(self, study_scenario):
         """The kept Legendre data are rebuilt for another (size, span): P_1
@@ -394,10 +394,15 @@ class TestBundleMemo:
 
     @pytest.mark.parametrize("nodes", [np.linspace(0.0, 1.0, 2001), np.linspace(0.0, 1.0, 301)])
     def test_node_rows_match_kernel_rows(self, study_kernels, nodes):
+        """The bundle's node rows, from the doubling scan, against one
+        exponential a node: e_0 exp(A_p s), e_0 exp(A_e s) and
+        e_0 exp(A_e (s + t_c)), s = t_f - t."""
         bundle = study_kernels.bundle(TimeGrid(0.0, 1.0, nodes.size))
-        rows_p, rows_e = study_kernels.rows(nodes)
-        for kept, direct in ((bundle.node_rows_pursuer, rows_p),
-                             (bundle.node_rows_evader, rows_e.transpose(1, 0, 2))):
+        (pursuer, evader), t_c = study_kernels._players, study_kernels.t_c
+        for kept, player, lead in ((bundle.node_rows_pursuer, pursuer, 0.0),
+                                   (bundle.node_rows_evader[0], evader, 0.0),
+                                   (bundle.node_rows_evader[1], evader, t_c)):
+            direct = np.array([mat_exp(player.A, 1.0 - t + lead)[0] for t in nodes])
             np.testing.assert_allclose(kept, direct, rtol=0, atol=1e-14 * np.abs(direct).max())
 
 
@@ -428,8 +433,8 @@ class TestSaddleProbe:
     def test_projection_enforces_admissibility(self, study_scenario, study_kernels):
         grid = TimeGrid(0.0, 1.0, 501)
         steps = np.diff(grid.nodes)
-        ge_n = study_kernels.sample_target(grid.nodes)
-        ge_m = study_kernels.sample_target(grid.midpoints)
+        g_e = SampleBundle.sample(study_kernels, grid).g_e
+        ge_n, ge_m = g_e[0::2], g_e[1::2]
         rng = np.random.default_rng(9)
         delta = rng.standard_normal(grid.refined().size)
         raw_shift = np.sum(simpson_panels(ge_n * delta[0::2], ge_m * delta[1::2], steps))
@@ -444,12 +449,12 @@ class TestSaddleProbe:
         grid = TimeGrid(0.0, 1.0, 1001)
         ts_ref = grid.refined()
         steps = np.diff(grid.nodes)
-        ge_n = study_kernels.sample_target(grid.nodes)
-        ge_m = study_kernels.sample_target(grid.midpoints)
+        bundle = SampleBundle.sample(study_kernels, grid)
+        ge_n, ge_m = bundle.g_e[0::2], bundle.g_e[1::2]
         rng = np.random.default_rng(13)
         delta = admissible_evader_perturbation(
             20.0 * rng.standard_normal(ts_ref.size), ge_n, ge_m, steps)
-        ue_ref = sample_control(branch.u_e, study_kernels, ts_ref)
+        ue_ref = bundle.control(branch.u_e)
         perturbed = Sampled(ts_ref, ue_ref + delta)
         play = playout_reduced(study_scenario, study_kernels, branch.u_p, perturbed, grid)
         assert play.w_f == pytest.approx(study_coeffs.bound, rel=1e-10)
@@ -546,10 +551,9 @@ def probe_loop(scenario, solution, kernels, n_trials, seed, grid=None):
     grid = grid if grid is not None else kernels.grid
     ts_ref = grid.refined()
     steps = np.diff(grid.nodes)
-    ge_n = kernels.sample_target(grid.nodes)
-    ge_m = kernels.sample_target(grid.midpoints)
-    up_ref = sample_control(solution.u_p, kernels, ts_ref)
-    ue_ref = sample_control(solution.u_e, kernels, ts_ref)
+    bundle = SampleBundle.sample(kernels, grid)
+    ge_n, ge_m = bundle.g_e[0::2], bundle.g_e[1::2]
+    up_ref, ue_ref = bundle.control(solution.u_p), bundle.control(solution.u_e)
     x = 2.0 * ts_ref / scenario.t_f - 1.0
     basis = np.vstack([np.polynomial.legendre.Legendre.basis(j)(x) for j in range(8)])
     j_star = solution.value
@@ -591,8 +595,8 @@ def full_loop(scenario, u_p, u_e, grid, kernels):
     and the terminal z (the miss) and w."""
     ss = build_game_ss(scenario.pursuer, scenario.evader)
     ts_ref = grid.refined()
-    up_ref = sample_control(u_p, kernels, ts_ref)
-    ue_ref = sample_control(u_e, kernels, ts_ref)
+    bundle = SampleBundle.sample(kernels, grid)
+    up_ref, ue_ref = bundle.control(u_p), bundle.control(u_e)
 
     def rhs(t, x):
         i = int(np.argmin(np.abs(ts_ref - t)))
@@ -601,7 +605,7 @@ def full_loop(scenario, u_p, u_e, grid, kernels):
     x_traj = ode_playout(rhs, _initial_full_state(scenario), grid)
     n_p = scenario.pursuer.order + 2
     z_f = x_traj[-1, n_p] - x_traj[-1, 0]
-    w_f = float(kernels.rows(grid.nodes[-1:])[1][0, 1] @ x_traj[-1, n_p:])
+    w_f = float(bundle.node_rows_evader[1, -1] @ x_traj[-1, n_p:])
     return x_traj, z_f, w_f
 
 

@@ -18,7 +18,7 @@ from zemgame import (
 )
 from zemgame.numerics import solve2
 from zemgame.reduction import sample_control
-from zemgame.solver import aux_cross, solve_erg, solve_urg
+from zemgame.solver import aux_cross, g_bar, solve_erg, solve_urg
 from zemgame import reference, solver
 from zemgame.cli import load_scenario
 from zemgame.errors import (AssertionFailure, NearSingularError, NonFiniteResult,
@@ -255,14 +255,19 @@ class TestSelfChecks:
     """`errors.check`, and the failure path of each solver check through it."""
 
     @pytest.mark.parametrize("residual, terms, ok", [
-        (1e-9, (0.0,), True), (-1e-9, (0.5, -0.25), True), (1.0000001e-9, (0.5,), False),
+        (1e-9, (0.0,), False), (-1e-9, (0.5, -0.25), False), (1.0000001e-9, (0.5,), False),
         (3e-9, (-3.0,), True), (3.1e-9, (2.0, -3.0), False), (math.inf, (math.inf,), True),
         (math.nan, (1e300,), False), (math.nan, (math.nan,), False),
+        (-0.5e-9, (0.5, -0.25), True), (0.9e-30, (1e-21, -1e-22), True), (2e-30, (1e-21,), False),
+        (0.0, (0.0,), True),
     ], ids=["at-floor", "terms-below-1", "over-floor", "negative-term", "over-largest-term",
-            "inf-within-inf", "nan-residual", "nan-residual-and-term"])
+            "inf-within-inf", "nan-residual", "nan-residual-and-term", "at-largest-term",
+            "tiny-terms", "over-tiny-terms", "all-zero"])
     def test_check(self, residual, terms, ok):
-        """|residual| <= 1e-9 max(1, |term|, ...) passes; anything else, a
-        NaN residual included, raises with the residual and the bound."""
+        """|residual| <= 1e-9 max(|term|, ...) passes; anything else, a NaN
+        residual included, raises with the residual and the bound. There is
+        no absolute floor: the residuals at the old floor 1e-9 (terms 0, or
+        below 1) fail, and terms near 1e-21 bound a residual near 1e-30."""
         if ok:
             check("a == b", residual, 1e-9, *terms)
         else:
@@ -270,7 +275,8 @@ class TestSelfChecks:
                 check("a == b", residual, 1e-9, *terms)
             got_residual, bound = check_failure(info.value, "a == b")
             assert got_residual == residual or math.isnan(residual)
-            assert bound == 1e-9 * max(1.0, *map(abs, terms))
+            want = 1e-9 * max(map(abs, terms))
+            assert bound == want or math.isnan(bound) and math.isnan(want)
 
     def test_strip_value(self, study_coeffs):
         c = dataclasses.replace(study_coeffs, nu_p=study_coeffs.nu_p * (1.0 + 1e-11))
@@ -279,35 +285,46 @@ class TestSelfChecks:
         check_failure(info.value, "strip value == z0^2/s")
 
     def test_branch_value_forms(self, study_coeffs):
+        """The bound is 1e-9 of the largest summand of either form: at the
+        study's minus position the position form's c0 z0, with
+        c0 = z0 G_bar[0, 0] + w0 G_bar[0, 1]."""
         c = dataclasses.replace(study_coeffs, det_G=study_coeffs.det_G * (1.0 + 1e-6))
         with pytest.raises(AssertionFailure) as info:
             solve_erg_branch(c, 100.0, -100.0, -1)
         residual, bound = check_failure(info.value, "branch value == position form")
-        value = solve_erg_branch(study_coeffs, 100.0, -100.0, -1).value
-        assert bound == pytest.approx(1e-9 * abs(value), rel=1e-5)
+        b00, b01, _ = g_bar(study_coeffs)
+        assert bound == pytest.approx(1e-9 * (100.0 * b00 - 100.0 * b01) * 100.0, rel=1e-5)
 
-    @pytest.mark.parametrize("lam, name", [
-        (1.0, "fixed-pursuer J_cross <= J"), (1e-3, "fixed-pursuer J_cross <= J"),
-        (1e-6, "branch margin sign (w0 + a z0) >= d bound")], ids=["1", "1e-3", "1e-6"])
-    def test_wrong_branch(self, study_coeffs, lam, name):
+    @pytest.mark.parametrize("lam", [1.0, 1e-3, 1e-6, 1e-12], ids=["1", "1e-3", "1e-6", "1e-12"])
+    def test_wrong_branch(self, study_coeffs, lam):
         """The plus branch handed the study's minus position (100, -100),
         with the position and ae_max scaled by lam: the fixed-pursuer
-        inequality refuses it at lam = 1 and 1e-3, and the branch margin at
-        1e-6, where the inequality's floored bound 1e-8 exceeds its gap."""
+        inequality refuses it at every scale, as its bound scales with its
+        terms (with an absolute floor 1e-8 it passed at lam = 1e-6, where
+        only the branch margin refused it, and at 1e-12, where nothing
+        did)."""
         c = dataclasses.replace(study_coeffs, ae_max=study_coeffs.ae_max * lam)
         z0, w0 = 100.0 * lam, -100.0 * lam
         with pytest.raises(AssertionFailure) as info:
             solve_erg(c, z0, w0, Region(RegionLabel.OMEGA_PLUS, 0.0))
-        residual, bound = check_failure(info.value, name)
+        residual, bound = check_failure(info.value, "fixed-pursuer J_cross <= J")
         value = solve_erg_branch(c, z0, w0, 1).value
         J_cross = aux_cross(c, z0, w0, 1)
-        if name.startswith("fixed-pursuer"):
-            assert residual == J_cross - value
-            assert bound == 1e-8 * max(1.0, abs(value), abs(J_cross))
-        else:
-            assert J_cross - value <= 1e-8
-            assert residual == c.d * c.bound - (w0 + c.a * z0)
-            assert bound == 1e-8
+        assert residual == J_cross - value
+        assert bound == 1e-8 * max(abs(value), abs(J_cross))
+        assert residual > 1e6 * bound
+
+    @pytest.mark.parametrize("position", [(1e-9, 1.0), (0.0, 1.0), (0.0, -1.0), (-1e-9, -1.0),
+                                          (0.0, 0.0)],
+                             ids=["wall+1e-9", "wall+", "wall-", "wall-1e-9", "origin"])
+    def test_positions_at_the_walls(self, study_scenario, study_coeffs, position):
+        """Positions on the walls (0, +-bound), just off them and at the
+        origin pass every check: there the position form cancels to a value
+        near 0 against summands near 1e2, which bound its check."""
+        z0, w0 = position[0], position[1] * study_coeffs.bound
+        sol = solve_rg(dataclasses.replace(study_scenario, z0=z0, w0=w0, geometry=None),
+                       study_coeffs)
+        assert abs(sol.value) <= 1e-18 and sol.w_f == pytest.approx(w0 + study_coeffs.a * z0)
 
 
 EPS = np.finfo(float).eps

@@ -71,7 +71,7 @@ def test_unused_import_detected():
 
 # The size of the package, which may only shrink: a change that removes
 # code lowers these to its own counts, and none raises them.
-SRC_LINES_MAX = 2781
+SRC_LINES_MAX = 2768
 EXPORTS_MAX = 36
 
 
