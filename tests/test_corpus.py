@@ -72,17 +72,17 @@ def csv_summary(rows: np.ndarray) -> dict:
             "picks": {str(i): [float(v).hex() for v in rows[i]] for i in picks}}
 
 
-def documents(root: Path = ROOT, corpus: dict | None = None) -> list[tuple[str, dict]]:
+def documents(corpus: dict | None = None) -> list[tuple[str, dict]]:
     """The repository files, read from `scenarios/`, then the copied
     workload documents: from the corpus when given, else from
     `bench/workloads.scenario_set`."""
-    docs = [(name, json.loads((root / "scenarios" / name).read_text(encoding="utf-8")))
+    docs = [(name, json.loads((ROOT / "scenarios" / name).read_text(encoding="utf-8")))
             for name in REPOSITORY_FILES]
     if corpus is not None:
         return docs + [(name, doc) for name, doc in corpus["documents"]]
-    sys.path.insert(0, str(root / "bench"))
+    sys.path.insert(0, str(ROOT / "bench"))
     from workloads import scenario_set
-    return docs + [("seed%d/%s" % (SEED, name), doc) for name, doc in scenario_set(root, SEED)]
+    return docs + [("seed%d/%s" % (SEED, name), doc) for name, doc in scenario_set(ROOT, SEED)]
 
 
 @functools.cache
